@@ -5,7 +5,8 @@ export-plot-data. Every run writes a manifest JSON recording the resolved
 arguments, seed, build version, and stage timings. Exit codes: 0 success,
 2 configuration error, 3 data error, 4 compute error.
 
-CORRSTN_WORKERS sets the default worker count for scorr/tcorr.
+CORRSTN_WORKERS sets the default worker count for scorr, the only subcommand
+that runs worker processes.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from . import __version__, data as data_mod, metrics as metrics_mod
 from . import model as model_mod, scorr as scorr_mod, tcorr as tcorr_mod
 from .errors import (ComputeError, ConfigError, CorrstnError, DataError)
+from .mic import MicStats
 from .neural import add_self_loops, laplacian_normalize
 
 EXIT_CONFIG = 2
@@ -141,10 +143,12 @@ def cmd_scorr(args) -> int:
                                           interval_minutes=x.interval_minutes)
     n, c = piece.n_sensors, piece.n_attributes
     pair_attrs = n * (n - 1) // 2 * c
+    stats = MicStats()
     manifest.start("scorr")
     if args.window:
         tensors = scorr_mod.windowed_scorr(piece, args.window, args.stride,
-                                           eta=args.eta, workers=args.workers)
+                                           eta=args.eta, workers=args.workers,
+                                           stats=stats)
         manifest.stop("scorr")
         base, ext = os.path.splitext(args.out)
         for i, s in enumerate(tensors):
@@ -154,7 +158,8 @@ def cmd_scorr(args) -> int:
         elapsed = manifest.payload["timings"]["scorr"]
         print(f"{len(tensors)} windows of {pair_attrs} pair-attrs in {elapsed:.3f}s")
     else:
-        s = scorr_mod.compute_scorr(piece, eta=args.eta, workers=args.workers)
+        s = scorr_mod.compute_scorr(piece, eta=args.eta, workers=args.workers,
+                                    stats=stats)
         manifest.stop("scorr")
         scorr_mod.save_scorr(s, args.out)
         manifest.add_output(args.out)
@@ -165,6 +170,7 @@ def cmd_scorr(args) -> int:
         rate = pair_attrs / elapsed if elapsed > 0 else float("inf")
         print(f"{pair_attrs} pair-attrs (N={n}, C={c}, T={s1 - s0}) in "
               f"{elapsed:.3f}s with {args.workers} workers: {rate:.1f} pair-attrs/s")
+    manifest.payload["mic"] = stats.to_dict("pairs")
     manifest.write(_manifest_path(args, args.out))
     return 0
 
@@ -188,11 +194,13 @@ def cmd_tcorr(args) -> int:
                                           interval_minutes=x.interval_minutes)
     spec = tcorr_mod.PeriodSpec.from_interval(x.interval_minutes, tau=args.tau)
     weights = _parse_weights(args.weights)
+    stats = MicStats()
     manifest.start("tcorr")
     report = tcorr_mod.build_tcorr_report(
         piece, spec, eta=args.eta, weights=weights,
-        dataset=args.dataset_name or os.path.basename(args.data))
+        dataset=args.dataset_name or os.path.basename(args.data), stats=stats)
     manifest.stop("tcorr")
+    manifest.payload["mic"] = stats.to_dict("windows")
     tcorr_mod.save_report(report, args.out)
     manifest.add_output(args.out)
     for period in tcorr_mod.PERIODS:

@@ -4,13 +4,24 @@ The coefficient is the maximum, over admissible grid shapes (a, b) with
 a*b < m**eta, of the grid mutual information normalized by log2(min(a, b)).
 For every shape the cell boundaries are placed at equal-count rank quantiles
 of each axis independently, which makes the statistic deterministic and
-invariant under strictly monotone transformations of either sequence.
+invariant under strictly monotone transformations of either sequence. This is
+an equal-count rank grid on both axes: neither Reshef et al.'s ApproxMaxMI,
+which optimizes the x-axis partition, nor minepy's MIC_e.
+
+One batched kernel scores every pair: `mic`, `pairwise_mic` and the tcorr
+windows all pass (P, m) batches of rank sequences through it. All shapes that
+share their shorter side are scored from one count table, built by one
+`bincount` and a prefix sum over rank blocks. Sums run in a different order
+than a per-shape loop would use, so values can differ from one in the last
+bits (the brute-force oracle tolerance stays 1e-12); a pair's value and grid
+shape never depend on the batch it is scored in.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +61,30 @@ class MicResult:
     value: float
     degenerate: bool
     grid_shape: tuple[int, int] | None
+
+
+@dataclass
+class MicStats:
+    """Counts from the MIC kernel over one or more calls: inputs scored,
+    degenerate (zero-variance) ones, and how often each grid shape won."""
+
+    scored: int = 0
+    degenerate: int = 0
+    grid_shapes: Counter = field(default_factory=Counter)
+
+    def add(self, grids: np.ndarray, degenerate: np.ndarray) -> None:
+        """Count a batch: (P, 2) winning shapes and (P,) degenerate flags."""
+        self.scored += int(degenerate.size)
+        self.degenerate += int(degenerate.sum())
+        won, counts = np.unique(grids[~degenerate], axis=0, return_counts=True)
+        for (a, b), count in zip(won.tolist(), counts.tolist()):
+            self.grid_shapes[(a, b)] += count
+
+    def to_dict(self, unit: str) -> dict:
+        """Manifest form; `unit` names what was scored (pairs, windows)."""
+        return {unit: self.scored, "degenerate": self.degenerate,
+                "grid_shapes": {f"{a}x{b}": n
+                                for (a, b), n in sorted(self.grid_shapes.items())}}
 
 
 def _as_sequence(values, name="sequence") -> np.ndarray:
@@ -126,100 +161,176 @@ def admissible_shapes(m: int, eta: float) -> list[tuple[int, int]]:
     return shapes
 
 
-def _stable_order(values: np.ndarray) -> np.ndarray:
-    # stable sort fixes tie handling: equal values keep input order
-    return np.argsort(values, kind="stable")
+def _block_edges(m: int, n: int) -> list[int]:
+    """First rank of each of the n equal-count rank blocks of m points, then m.
+
+    Rank r falls in block (r * n) // m, whose first rank is ceil(k * m / n).
+    """
+    return [-(-k * m // n) for k in range(n + 1)]
 
 
-def _ranks_from_order(order: np.ndarray) -> np.ndarray:
-    ranks = np.empty(order.size, dtype=np.int64)
-    ranks[order] = np.arange(order.size, dtype=np.int64)
-    return ranks
+# Bytes a kernel call may hold per batch: a constant, not an option. Each
+# pair's result depends on its own row only, so the batch it lands in never
+# changes it; the cap keeps peak memory flat however many pairs a call gets.
+_BATCH_BYTES = 1 << 22
 
 
-def _block_counts(m: int, n: int) -> np.ndarray:
-    """Sizes of the n equal-count rank blocks of m points."""
-    idx = (np.arange(m, dtype=np.int64) * n) // m
-    return np.bincount(idx, minlength=n)
+@dataclass(frozen=True)
+class _ShapeGroup:
+    """The shapes whose shorter side has n blocks, scored from one table.
+
+    Rows of the table are blocks of positions in the rank sequence the group
+    reads: sigma (x-ranks) or, when transposed, its inverse (y-ranks). Its n
+    columns are blocks of the values of that sequence.
+    """
+
+    n: int
+    transposed: bool
+    n_fine: int              # finest row blocks: union of every long side's edges
+    fine_key: np.ndarray     # (m,) finest row block of each position, times n
+    lo: np.ndarray           # per table row: first finest block of the row
+    hi: np.ndarray           # per table row: one past its last finest block
+    m_over_o: np.ndarray     # per cell of every table: m / (row * column size)
+    starts: np.ndarray       # offset of each shape's table in a cell row
+    normalizers: np.ndarray  # log2(min(a, b)) per shape
+    shape_index: np.ndarray  # position of each shape in _GridSearch.shapes
 
 
 class _GridSearch:
-    """Precomputed tables for the equal-count grid search at fixed (m, eta).
+    """Precomputed tables of the equal-count grid search at fixed (m, eta).
 
-    Reused across many pairs of the same length; all tables depend only on
-    m and eta, never on the data.
+    Shapes are grouped by their shorter side n. The long-side blocks of every
+    shape in a group are unions of one finest partition, so one count table
+    over (finest block, n-block) gives every table of the group by prefix
+    sums. Shapes with b <= a read the pair's sigma; shapes with a < b read
+    its inverse and score the transposed table, which has the same MI. All
+    tables depend only on m and eta, never on the data.
     """
 
     def __init__(self, m: int, eta: float):
         self.m = m
-        self.eta = eta
-        self.shapes = admissible_shapes(m, eta)
-        base = np.arange(m, dtype=np.int64)
-        a_bins = {}
-        for a, _ in self.shapes:
-            if a not in a_bins:
-                a_bins[a] = (base * a) // m
-        marg = {}
-        for n in {a for a, _ in self.shapes} | {b for _, b in self.shapes}:
-            marg[n] = _block_counts(m, n)
-        # group by b so the y-axis binning is computed once per distinct b
-        self.by_b: dict[int, list[tuple[int, np.ndarray, np.ndarray, float]]] = {}
-        for a, b in self.shapes:
-            outer = (marg[a][:, None] * marg[b][None, :]).astype(np.float64).ravel()
-            row_term = a_bins[a] * b
-            self.by_b.setdefault(b, []).append((a, row_term, outer, np.log2(min(a, b))))
+        shapes = admissible_shapes(m, eta)
+        # b-major, a ascending: `best` keeps the first maximum in this order
+        order = sorted(shapes, key=lambda s: (s[1], s[0]))
+        self.shapes = np.array(order, dtype=np.int64)
+        long_sides: dict[tuple[int, bool], list[int]] = {}
+        for a, b in order:
+            key = (b, False) if b <= a else (a, True)
+            long_sides.setdefault(key, []).append(a if b <= a else b)
+        index = {shape: k for k, shape in enumerate(order)}
+        self.groups = []
+        for (n, transposed), rows in sorted(long_sides.items()):
+            rows.sort()
+            edges = [_block_edges(m, r) for r in rows]
+            row_lo = np.array([e for block in edges for e in block[:-1]])
+            row_hi = np.array([e for block in edges for e in block[1:]])
+            fine = np.unique(np.append(row_lo, m))
+            outer = (row_hi - row_lo)[:, None] * np.diff(_block_edges(m, n))[None, :]
+            self.groups.append(_ShapeGroup(
+                n=n,
+                transposed=transposed,
+                n_fine=fine.size - 1,
+                fine_key=np.repeat(np.arange(fine.size - 1) * n, np.diff(fine)),
+                lo=np.searchsorted(fine, row_lo),
+                hi=np.searchsorted(fine, row_hi),
+                m_over_o=(m / outer.astype(np.float64)).ravel(),
+                starts=np.cumsum([0] + [r * n for r in rows[:-1]]),
+                normalizers=np.log2([float(min(r, n)) for r in rows]),
+                shape_index=np.array([index[(n, r) if transposed else (r, n)]
+                                      for r in rows])))
+        self._needs_inverse = any(g.transposed for g in self.groups)
+        # about eight m-long int64 rows (ranks, orders, sigma, bin keys) and
+        # four cell-long float rows (table, terms) are alive per pair
+        cells = max(g.m_over_o.size for g in self.groups)
+        self.batch = max(1, _BATCH_BYTES // (64 * m + 32 * cells))
 
-    def best(self, sigma: np.ndarray) -> tuple[float, tuple[int, int]]:
-        """Max normalized MI over all shapes.
+    def best(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Max normalized MI over all shapes, and the index of the winning shape.
 
-        sigma is the y-rank sequence reordered by ascending x-rank, so the
-        x-axis binning is the identity block pattern for every pair.
+        sigma is a (P, m) batch: each row is a y-rank sequence reordered by
+        ascending x-rank, so the x-axis binning is the same for every pair.
+        Each row's result depends on that row alone.
         """
         m = self.m
-        best_val = -1.0
-        best_shape = self.shapes[0]
-        for b, entries in self.by_b.items():
-            col_idx = (sigma * b) // m
-            for a, row_term, outer, normalizer in entries:
-                counts = np.bincount(row_term + col_idx, minlength=a * b)
-                mask = counts > 0
-                c = counts[mask].astype(np.float64)
-                o = outer[mask]
-                mi = float((c * np.log2(c * (m / o))).sum() / m)
-                val = mi / normalizer
-                if val > best_val:
-                    best_val = val
-                    best_shape = (a, b)
-        return min(max(best_val, 0.0), 1.0), best_shape
+        p = sigma.shape[0]
+        inverse = None
+        if self._needs_inverse:
+            inverse = np.empty_like(sigma)
+            inverse[np.arange(p)[:, None], sigma] = np.arange(m)
+        scores = np.empty((p, len(self.shapes)))
+        for g in self.groups:
+            size = g.n_fine * g.n
+            key = (inverse if g.transposed else sigma) * g.n
+            key //= m
+            key += g.fine_key
+            key += np.arange(0, p * size, size)[:, None]
+            counts = np.bincount(key.ravel(), minlength=p * size)
+            cum = np.zeros((p, g.n_fine + 1, g.n))
+            np.cumsum(counts.reshape(p, g.n_fine, g.n), axis=1, out=cum[:, 1:])
+            c = (cum[:, g.hi] - cum[:, g.lo]).reshape(p, -1)
+            # c * log2(c * m / o), with empty cells contributing 0
+            terms = c * g.m_over_o
+            terms[terms == 0.0] = 1.0
+            np.log2(terms, out=terms)
+            terms *= c
+            mi = np.add.reduceat(terms, g.starts, axis=1) / m
+            scores[:, g.shape_index] = mi / g.normalizers
+        winners = scores.argmax(axis=1)
+        values = np.clip(scores[np.arange(p), winners], 0.0, 1.0)
+        return values, winners
 
 
-def _rank_profile(values: np.ndarray) -> tuple[bytes, np.ndarray, np.ndarray]:
-    """(key, order, ranks) of a sequence; the key depends only on ranks.
+def _profile(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable sort order, ranks and zero-variance flag of each row of an
+    (R, m) array. A stable sort fixes tie handling: equal values keep their
+    input order."""
+    order = np.argsort(rows, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    ranks[np.arange(rows.shape[0])[:, None], order] = np.arange(rows.shape[1])
+    return order, ranks, np.ptp(rows, axis=1) == 0.0
 
-    Canonicalizing the argument order on this key makes mic(x, y), mic(y, x)
-    and mic(x, g(y)) for increasing g all run through bit-identical float
-    summations.
+
+def _score(search: _GridSearch, profile, i: np.ndarray,
+           j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """MIC value, winning (a, b) shape and degenerate flag of each pair
+    (row i[p], row j[p]) of a profiled array, in batches of search.batch.
+
+    Degenerate pairs (a zero-variance row) score 0 with shape (0, 0).
     """
-    order = _stable_order(values)
-    ranks = _ranks_from_order(order)
-    return ranks.tobytes(), order, ranks
+    order, ranks, flat = profile
+    values = np.zeros(i.size)
+    grids = np.zeros((i.size, 2), dtype=np.int64)
+    degenerate = flat[i] | flat[j]
+    live = np.flatnonzero(~degenerate)
+    for s in range(0, live.size, search.batch):
+        sel = live[s:s + search.batch]
+        x, y = i[sel], j[sel]
+        # Orient each pair so that x has the smaller rank key (the bytes of
+        # its int64 ranks). mic(x, y), mic(y, x) and mic(x, g(y)) for
+        # increasing g then run through bit-identical float summations.
+        kx, ky = ranks[x].view(np.uint8), ranks[y].view(np.uint8)
+        rows = np.arange(sel.size)
+        first = (kx != ky).argmax(axis=1)
+        swap = kx[rows, first] > ky[rows, first]
+        x, y = np.where(swap, y, x), np.where(swap, x, y)
+        sigma = ranks[y[:, None], order[x]]
+        values[sel], winners = search.best(sigma)
+        grids[sel] = search.shapes[winners]
+    return values, grids, degenerate
 
 
-def mic_full(x, y, eta: float = DEFAULT_ETA, _search: _GridSearch | None = None) -> MicResult:
+def mic_full(x, y, eta: float = DEFAULT_ETA) -> MicResult:
     """MIC with diagnostics. Zero-variance input yields value 0, flagged."""
     x = _as_sequence(x, "x")
     y = _as_sequence(y, "y")
     if x.size != y.size:
         raise DimensionError(f"length mismatch: {x.size} vs {y.size}")
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+    values, grids, degenerate = _score(_GridSearch(x.size, eta),
+                                       _profile(np.stack([x, y])),
+                                       np.array([0]), np.array([1]))
+    if degenerate[0]:
         return MicResult(0.0, True, None)
-    search = _search if _search is not None else _GridSearch(x.size, eta)
-    px, py = _rank_profile(x), _rank_profile(y)
-    if px[0] > py[0]:
-        px, py = py, px
-    sigma = py[2][px[1]]
-    value, shape = search.best(sigma)
-    return MicResult(value, False, shape)
+    return MicResult(float(values[0]), False, tuple(grids[0].tolist()))
 
 
 def mic(x, y, eta: float = DEFAULT_ETA) -> float:
@@ -228,46 +339,29 @@ def mic(x, y, eta: float = DEFAULT_ETA) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batched pairwise kernel
+# pairwise matrix
 
 _WORKER_STATE: dict = {}
 
 
-def _pair_value(columns, i: int, j: int, search: _GridSearch, cache: dict) -> float:
-    for idx in (i, j):
-        if idx not in cache:
-            col = columns[:, idx]
-            cache[idx] = None if np.ptp(col) == 0.0 else _rank_profile(col)
-    ci, cj = cache[i], cache[j]
-    if ci is None or cj is None:
-        return 0.0
-    # same canonical ordering as mic()
-    if ci[0] > cj[0]:
-        ci, cj = cj, ci
-    sigma = cj[2][ci[1]]
-    return search.best(sigma)[0]
-
-
 def _worker_init(columns, eta):
-    _WORKER_STATE["columns"] = columns
     _WORKER_STATE["search"] = _GridSearch(columns.shape[0], eta)
-    _WORKER_STATE["cache"] = {}
+    _WORKER_STATE["profile"] = _profile(columns.T)
 
 
 def _worker_chunk(pairs):
-    columns = _WORKER_STATE["columns"]
-    search = _WORKER_STATE["search"]
-    cache = _WORKER_STATE["cache"]
-    return [_pair_value(columns, i, j, search, cache) for i, j in pairs]
+    return _score(_WORKER_STATE["search"], _WORKER_STATE["profile"], *pairs)
 
 
-def pairwise_mic(columns, eta: float = DEFAULT_ETA, workers: int = 1) -> np.ndarray:
+def pairwise_mic(columns, eta: float = DEFAULT_ETA, workers: int = 1, *,
+                 stats: MicStats | None = None) -> np.ndarray:
     """Symmetric matrix of MIC values between all column pairs.
 
     `columns` is an (m, k) array or a list of k equal-length sequences.
     The diagonal is 1 by convention; pairs involving a zero-variance column
     are 0. Results are bit-identical for any worker count because each cell
-    is a pure function of its two columns.
+    is a pure function of its two columns. `stats`, when given, counts the
+    pairs scored.
     """
     if isinstance(columns, np.ndarray) and columns.ndim == 2:
         mat = np.asarray(columns, dtype=np.float64)
@@ -284,24 +378,22 @@ def pairwise_mic(columns, eta: float = DEFAULT_ETA, workers: int = 1) -> np.ndar
         raise DataError("columns contain non-finite values")
 
     result = np.eye(k, dtype=np.float64)
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    if not pairs:
+    i, j = np.triu_indices(k, 1)
+    if i.size == 0:
         return result
 
-    if workers <= 1 or len(pairs) < 2:
-        search = _GridSearch(m, eta)
-        cache: dict = {}
-        values = [_pair_value(mat, i, j, search, cache) for i, j in pairs]
+    if workers <= 1 or i.size < 2:
+        values, grids, degenerate = _score(_GridSearch(m, eta), _profile(mat.T), i, j)
     else:
-        n_chunks = min(len(pairs), workers * 8)
-        chunks = [list(c) for c in np.array_split(np.array(pairs), n_chunks)]
+        n_chunks = min(i.size, workers * 8)
+        chunks = [(i[c], j[c]) for c in np.array_split(np.arange(i.size), n_chunks)]
         with multiprocessing.Pool(workers, initializer=_worker_init,
                                   initargs=(mat, eta)) as pool:
-            chunked = pool.map(_worker_chunk, [[(int(i), int(j)) for i, j in c]
-                                               for c in chunks])
-        values = [v for chunk in chunked for v in chunk]
+            chunked = pool.map(_worker_chunk, chunks)
+        values, grids, degenerate = (np.concatenate(part) for part in zip(*chunked))
 
-    for (i, j), v in zip(pairs, values):
-        result[i, j] = v
-        result[j, i] = v
+    result[i, j] = values
+    result[j, i] = values
+    if stats is not None:
+        stats.add(grids, degenerate)
     return result

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import SpatioTemporalTensor
 from .errors import ConfigError, DataError, DimensionError
-from .mic import DEFAULT_ETA, pairwise_mic
+from .mic import DEFAULT_ETA, MicStats, pairwise_mic
 
 _SCOR_MAGIC = b"SCOR"
 _SCOR_VERSION = 1
@@ -54,23 +54,26 @@ class TopUSCorr:
 
 
 def compute_scorr(x: SpatioTemporalTensor, eta: float = DEFAULT_ETA,
-                  workers: int = 1) -> SCorrTensor:
+                  workers: int = 1, *, stats: MicStats | None = None) -> SCorrTensor:
     """MIC between the full T-length series of every sensor pair, per attribute.
 
     Diagonal is 1 by convention; pairs involving a flatlined (zero-variance)
-    sensor are 0. Output is bit-identical for any worker count.
+    sensor are 0. Output is bit-identical for any worker count. `stats`, when
+    given, counts the pairs scored.
     """
     t, n, c = x.data.shape
     if t < 2:
         raise DimensionError(f"need at least 2 timestamps, got {t}")
     degrees = np.empty((n, n, c), dtype=np.float64)
     for attr in range(c):
-        degrees[:, :, attr] = pairwise_mic(x.data[:, :, attr], eta=eta, workers=workers)
+        degrees[:, :, attr] = pairwise_mic(x.data[:, :, attr], eta=eta,
+                                          workers=workers, stats=stats)
     return SCorrTensor(degrees)
 
 
 def windowed_scorr(x: SpatioTemporalTensor, window: int, stride: int = 1,
-                   eta: float = DEFAULT_ETA, workers: int = 1) -> list[SCorrTensor]:
+                   eta: float = DEFAULT_ETA, workers: int = 1, *,
+                   stats: MicStats | None = None) -> list[SCorrTensor]:
     """One correlation tensor per sliding window position over the time axis."""
     t = x.data.shape[0]
     if window < 2 or window > t:
@@ -81,7 +84,7 @@ def windowed_scorr(x: SpatioTemporalTensor, window: int, stride: int = 1,
     for start in range(0, t - window + 1, stride):
         piece = SpatioTemporalTensor(x.data[start:start + window],
                                      interval_minutes=x.interval_minutes)
-        out.append(compute_scorr(piece, eta=eta, workers=workers))
+        out.append(compute_scorr(piece, eta=eta, workers=workers, stats=stats))
     return out
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .data import SpatioTemporalTensor
 from .errors import (ConfigError, DimensionError, EmptyAnchorError,
                      OutOfRangeError)
-from .mic import DEFAULT_ETA, _GridSearch, mic_full
+from .mic import DEFAULT_ETA, MicStats, _GridSearch, _profile, _score
 
 PERIODS = ("hourly", "daily", "weekly")
 
@@ -110,14 +110,17 @@ def anchor_positions(n_timestamps: int, spec: PeriodSpec) -> np.ndarray:
 
 def compute_tcorr(period_window_source: SpatioTemporalTensor,
                   x: SpatioTemporalTensor, spec: PeriodSpec, period: str,
-                  eta: float = DEFAULT_ETA, anchors=None) -> np.ndarray:
+                  eta: float = DEFAULT_ETA, anchors=None, *,
+                  stats: MicStats | None = None) -> np.ndarray:
     """Unweighted temporal correlation degrees, shape (N, C).
 
     For each anchor t the period block is sliced from period_window_source
     and the target block from x; entry (i, c) is the anchor-average of
     mic(block[:, i, c], target[:, i, c]). Anchors default to
-    anchor_positions over the length of x. Accumulation follows anchor order,
-    so results are bit-reproducible.
+    anchor_positions over the length of x. Windows are scored in batches of
+    whole anchors and accumulated in anchor order, so results are
+    bit-reproducible and equal a per-window loop over `mic_full`. `stats`,
+    when given, counts the windows scored.
     """
     if period not in PERIODS:
         raise ConfigError(f"unknown period {period!r}")
@@ -135,19 +138,32 @@ def compute_tcorr(period_window_source: SpatioTemporalTensor,
             f"timestamps, got {t_total}")
     tau = spec.tau
     offset = spec.offset_for(period)
+    bad = (anchors - offset + 1 < 0) | (anchors + 1 + tau > t_total)
+    if bad.any():
+        raise OutOfRangeError(
+            f"anchor {anchors[bad][0]} leaves no room for {period} window")
     search = _GridSearch(tau, eta)
-    acc = np.zeros((n, c), dtype=np.float64)
-    for t in anchors:
-        start = int(t) - offset + 1
-        if start < 0 or t + 1 + tau > t_total:
-            raise OutOfRangeError(f"anchor {t} leaves no room for {period} window")
-        window = period_window_source.data[start:start + tau]
-        target = x.data[t + 1:t + 1 + tau]
-        for i in range(n):
-            for a in range(c):
-                acc[i, a] += mic_full(window[:, i, a], target[:, i, a],
-                                      eta=eta, _search=search).value
-    return acc / anchors.size
+    per_anchor = n * c
+    steps = np.arange(tau)
+    acc = np.zeros(per_anchor, dtype=np.float64)
+    chunk = max(1, search.batch // per_anchor)
+    for s in range(0, anchors.size, chunk):
+        t = anchors[s:s + chunk]
+        windows = t.size * per_anchor
+        # (2 * anchors, tau, N, C) -> one tau-long row per window: every
+        # (anchor, sensor, attribute) period block, then its target block
+        blocks = np.concatenate([
+            period_window_source.data[(t - offset + 1)[:, None] + steps],
+            x.data[(t + 1)[:, None] + steps]])
+        rows = blocks.transpose(0, 2, 3, 1).reshape(2 * windows, tau)
+        values, grids, degenerate = _score(
+            search, _profile(rows), np.arange(windows),
+            np.arange(windows, 2 * windows))
+        for per_window in values.reshape(t.size, per_anchor):
+            acc += per_window
+        if stats is not None:
+            stats.add(grids, degenerate)
+    return (acc / anchors.size).reshape(n, c)
 
 
 def weighted_tcorr(raw: np.ndarray, period: str,
@@ -213,12 +229,13 @@ class TCorrReport:
 def build_tcorr_report(x: SpatioTemporalTensor, spec: PeriodSpec,
                        eta: float = DEFAULT_ETA,
                        weights: TCorrWeights | None = None,
-                       dataset: str = "", anchors=None) -> TCorrReport:
+                       dataset: str = "", anchors=None, *,
+                       stats: MicStats | None = None) -> TCorrReport:
     weights = weights or TCorrWeights()
     per_sensor = {}
     averages = {}
     for p in PERIODS:
-        raw = compute_tcorr(x, x, spec, p, eta=eta, anchors=anchors)
+        raw = compute_tcorr(x, x, spec, p, eta=eta, anchors=anchors, stats=stats)
         per_sensor[p] = weighted_tcorr(raw, p, weights)
         averages[p] = per_sensor[p].mean(axis=0)
     deltas = {

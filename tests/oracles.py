@@ -2,11 +2,16 @@
 
 Everything here is written with plain Python loops, dicts, and math.log2 so it
 shares no code path with the vectorized library implementations it checks.
+The one exception is `tcorr_per_window`, which loops the one-pair `mic_full`
+over windows: it checks how compute_tcorr batches and averages windows, while
+`mic_brute_force` checks MIC itself.
 """
 
 import math
 
 import numpy as np
+
+from corrstn import mic_full
 
 
 def stable_ranks(values):
@@ -64,6 +69,20 @@ def mic_brute_force(x, y, eta=0.6):
         if mic_ab > best:
             best = mic_ab
     return min(max(best, 0.0), 1.0)
+
+
+def tcorr_per_window(source, target, offset, tau, anchors, eta=0.6):
+    """Anchor-average of mic_full(period block, target block) for every
+    sensor and attribute, one window at a time, summed in anchor order."""
+    _, n, c = target.shape
+    acc = np.zeros((n, c))
+    for t in anchors:
+        block = source[t - offset + 1:t - offset + 1 + tau]
+        after = target[t + 1:t + 1 + tau]
+        for i in range(n):
+            for a in range(c):
+                acc[i, a] += mic_full(block[:, i, a], after[:, i, a], eta=eta).value
+    return acc / len(anchors)
 
 
 def mi_with_edges_brute_force(x, y, x_edges, y_edges):

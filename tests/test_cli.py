@@ -63,11 +63,19 @@ def test_scorr_output_and_throughput(workdir, capsys):
     out = capsys.readouterr().out
     assert "pair-attrs/s" in out
     assert np.array_equal(load_scorr(workdir / "corr2.scor").degrees, s.degrees)
+    diagnostics = json.loads((workdir / "corr.scor.manifest.json").read_text())["mic"]
+    assert diagnostics["pairs"] == 6
+    assert diagnostics["degenerate"] + sum(diagnostics["grid_shapes"].values()) == 6
 
 
 def test_tcorr_report_and_select(workdir, capsys):
     report = json.loads((workdir / "tcorr.json").read_text())
     assert report["combined_verdict"][0] == "hourly"
+    # 12-step windows admit only the 2x2 grid
+    diagnostics = json.loads((workdir / "tcorr.json.manifest.json").read_text())["mic"]
+    windows = diagnostics["windows"]
+    assert windows > 0 and windows % (4 * 3) == 0       # sensors x periods
+    assert diagnostics["degenerate"] + diagnostics["grid_shapes"]["2x2"] == windows
     rc = cli.main(["select", "--report", str(workdir / "tcorr.json"),
                    "--out", str(workdir / "verdict.json")])
     assert rc == 0

@@ -6,6 +6,7 @@ import pytest
 from corrstn import (DEFAULT_ETA, GridSpec, admissible_shapes, mic, mic_full,
                      mutual_information, pairwise_mic)
 from corrstn.errors import ConfigError, DimensionError
+from corrstn.mic import MicStats, _GridSearch, _profile, _score
 from oracles import (grid_shapes, mi_with_edges_brute_force, mic_brute_force)
 
 
@@ -170,3 +171,37 @@ def test_pairwise_mic_parallel_bit_equal():
     serial = pairwise_mic(cols, workers=1)
     parallel = pairwise_mic(cols, workers=3)
     assert np.array_equal(serial, parallel)
+
+
+@pytest.mark.parametrize("m", [3, 4, 12, 97, 3001])
+def test_pair_result_independent_of_batch(m):
+    # a pair's value and grid shape are bit-equal alone, mid-batch, on either
+    # side of a chunk boundary, and in the serial or pool path
+    rng = np.random.default_rng(m)
+    cols = rng.normal(size=(m, 6))
+    cols[:, 1] = np.round(cols[:, 0])                  # tied, dependent
+    cols[:, 2] = cols[:, 0] ** 2 + 0.1 * rng.normal(size=m)
+    cols[:, 3] = 2.5                                   # zero variance
+    cols[:, 4] = rng.integers(0, 2, size=m)            # heavy ties
+    i, j = np.triu_indices(6, 1)
+    alone = [mic_full(cols[:, a], cols[:, b]) for a, b in zip(i, j)]
+    search = _GridSearch(m, DEFAULT_ETA)
+    profile = _profile(cols.T)
+    for batch in (1, 2, 4, search.batch):
+        search.batch = batch
+        values, grids, degenerate = _score(search, profile, i, j)
+        for p, want in enumerate(alone):
+            assert values[p] == want.value
+            assert degenerate[p] == want.degenerate
+            shape = None if degenerate[p] else tuple(grids[p].tolist())
+            assert shape == want.grid_shape
+    serial_stats, pool_stats = MicStats(), MicStats()
+    serial = pairwise_mic(cols, stats=serial_stats)
+    pooled = pairwise_mic(cols, workers=2, stats=pool_stats)
+    assert np.array_equal(serial, pooled)
+    assert serial[i, j].tolist() == [r.value for r in alone]
+    assert serial_stats == pool_stats
+    flat = sum(r.degenerate for r in alone)
+    assert (serial_stats.scored, serial_stats.degenerate) == (15, flat)
+    assert sum(serial_stats.grid_shapes.values()) == 15 - flat
+

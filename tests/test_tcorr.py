@@ -3,12 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from corrstn import (PERIODS, PeriodSpec, SpatioTemporalTensor, TCorrWeights,
-                     anchor_positions, build_tcorr_report, combine_verdicts,
-                     compute_tcorr, extract_periodic_windows, load_report,
-                     mic, save_report, select_periods, weighted_tcorr)
+from corrstn import (DEFAULT_ETA, PERIODS, PeriodSpec, SpatioTemporalTensor,
+                     TCorrWeights, anchor_positions, build_tcorr_report,
+                     combine_verdicts, compute_tcorr, extract_periodic_windows,
+                     load_report, mic, save_report, select_periods,
+                     weighted_tcorr)
 from corrstn.errors import (ConfigError, DimensionError, EmptyAnchorError,
                             OutOfRangeError)
+from corrstn.mic import MicStats, _GridSearch
+from oracles import tcorr_per_window
 
 
 def _tensor(t, n=2, c=1, seed=0, interval=5):
@@ -98,6 +101,34 @@ def test_compute_tcorr_averages_over_anchors():
               for t in (200, 230, 260)]
     combined = compute_tcorr(x, x, spec, "hourly", anchors=[200, 230, 260])
     assert np.allclose(combined, sum(single) / 3, atol=1e-15)
+
+
+def test_compute_tcorr_matches_per_window_loop_across_batches():
+    # rounded values give tied windows, and on the coarse sensors also
+    # zero-variance ones; 10 sensors x 3 attributes over 200 anchors is more
+    # windows than one kernel batch
+    spec = PeriodSpec.from_interval(60, tau=12)
+    rng = np.random.default_rng(9)
+    t_total = spec.weekly_offset + spec.tau * 201
+    scale = np.where(np.arange(10) < 4, 0.3, 2.0)[None, :, None]
+    source = np.round(rng.normal(size=(t_total, 10, 3)) * scale)
+    target = np.round(rng.normal(size=(t_total, 10, 3)) * scale)
+    anchors = anchor_positions(t_total, spec)
+    windows = anchors.size * 30
+    assert windows > _GridSearch(spec.tau, DEFAULT_ETA).batch
+    stats = MicStats()
+    got = compute_tcorr(SpatioTemporalTensor(source, interval_minutes=60),
+                        SpatioTemporalTensor(target, interval_minutes=60),
+                        spec, "daily", stats=stats)
+    offset = spec.daily_offset
+    want = tcorr_per_window(source, target, offset, spec.tau, anchors)
+    assert np.array_equal(got, want)
+    flat = sum(int(np.ptp(source[t - offset + 1:t - offset + 1 + spec.tau, i, a]) == 0
+                   or np.ptp(target[t + 1:t + 1 + spec.tau, i, a]) == 0)
+               for t in anchors for i in range(10) for a in range(3))
+    assert flat > 0
+    assert (stats.scored, stats.degenerate) == (windows, flat)
+    assert stats.grid_shapes == {(2, 2): windows - flat}
 
 
 def test_compute_tcorr_two_source_tensors():
