@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ComputeError, ConfigError, DimensionError
+from .errors import ConfigError, DimensionError
 
 
 class Tensor:
@@ -401,8 +401,3 @@ def xavier_uniform(rng: np.random.Generator, shape, fan_in: int,
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
-
-def check_finite(t: Tensor, where: str = "") -> Tensor:
-    if not np.all(np.isfinite(t.data)):
-        raise ComputeError(f"non-finite values{' in ' + where if where else ''}")
-    return t

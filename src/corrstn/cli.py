@@ -94,14 +94,16 @@ def _parse_ratios(text: str):
         raise ConfigError(f"ratios must be numbers, got {text!r}")
 
 
+_SPLITS = ("train", "val", "test")
+
+
 def _split_tensor(x, which: str, ratios):
     ranges = data_mod.split_ranges(x.n_timestamps, ratios)
-    names = {"train": 0, "val": 1, "test": 2}
     if which == "all":
         return (0, x.n_timestamps), ranges
-    if which not in names:
+    if which not in _SPLITS:
         raise ConfigError(f"split must be train/val/test/all, got {which!r}")
-    return ranges[names[which]], ranges
+    return ranges[_SPLITS.index(which)], ranges
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +271,14 @@ def _load_pipeline(args, config):
     return dataset, x_norm, ranges, offsets
 
 
-def _build_from_artifacts(args, config, dataset):
+def _build_from_artifacts(args, config, dataset, seed: int):
     if not os.path.exists(args.scorr):
         raise DataError(f"missing correlation file {args.scorr}; "
                         f"produce it with: corrstn scorr")
     scorr = scorr_mod.load_scorr(args.scorr)
     adj = laplacian_normalize(add_self_loops(dataset.adjacency))
     return model_mod.build_model(config, scorr, adj, dataset.tensor.n_sensors,
-                                 seed=args.seed)
+                                 seed=seed)
 
 
 def cmd_train(args) -> int:
@@ -287,7 +289,7 @@ def cmd_train(args) -> int:
                                               offsets, config.horizon)
     val_samples = data_mod.assemble_samples(x_norm, ranges[1], config.periods,
                                             offsets, config.horizon)
-    model = _build_from_artifacts(args, config, dataset)
+    model = _build_from_artifacts(args, config, dataset, args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     log_path = os.path.join(args.out_dir, "train_log.csv")
     manifest.start("train")
@@ -312,23 +314,24 @@ def cmd_train(args) -> int:
 
 
 def _restore_model(args):
+    """predict/evaluate plumbing: the trained model and the --split samples.
+    The weights come from the checkpoint, so the build seed is irrelevant."""
     config = model_mod.load_config(args.config)
     dataset, x_norm, ranges, offsets = _load_pipeline(args, config)
-    model = _build_from_artifacts(args, config, dataset)
+    model = _build_from_artifacts(args, config, dataset, seed=0)
     if not os.path.exists(args.checkpoint):
         raise DataError(f"missing checkpoint {args.checkpoint}; "
                         f"produce it with: corrstn train")
     model.load_state_dict(model_mod.load_checkpoint(args.checkpoint, config))
-    return config, dataset, x_norm, ranges, offsets, model
+    split_range = ranges[_SPLITS.index(args.split)]
+    samples = data_mod.assemble_samples(x_norm, split_range, config.periods,
+                                        offsets, config.horizon)
+    return dataset, samples, model
 
 
 def cmd_predict(args) -> int:
     manifest = Manifest("predict", args)
-    config, dataset, x_norm, ranges, offsets, model = _restore_model(args)
-    names = {"train": 0, "val": 1, "test": 2}
-    split_range = ranges[names.get(args.split, 2)]
-    samples = data_mod.assemble_samples(x_norm, split_range, config.periods,
-                                        offsets, config.horizon)
+    dataset, samples, model = _restore_model(args)
     manifest.start("predict")
     pred = model_mod.predict(model, samples.encoder_input, dataset.norm_params)
     manifest.stop("predict")
@@ -342,11 +345,7 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     manifest = Manifest("evaluate", args)
-    config, dataset, x_norm, ranges, offsets, model = _restore_model(args)
-    names = {"train": 0, "val": 1, "test": 2}
-    split_range = ranges[names.get(args.split, 2)]
-    samples = data_mod.assemble_samples(x_norm, split_range, config.periods,
-                                        offsets, config.horizon)
+    dataset, samples, model = _restore_model(args)
     manifest.start("evaluate")
     report = metrics_mod.evaluate(model, samples, dataset)
     manifest.stop("evaluate")
@@ -508,8 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--split", default="test")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--split", default="test", choices=_SPLITS)
         p.add_argument("--ratios", default="0.6,0.2,0.2")
         p.add_argument("--manifest", default=None)
         if name == "evaluate":

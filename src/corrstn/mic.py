@@ -19,6 +19,7 @@ shape never depend on the batch it is scored in.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from collections import Counter
 from dataclasses import dataclass, field
@@ -280,6 +281,13 @@ class _GridSearch:
         return values, winners
 
 
+@functools.lru_cache(maxsize=16)
+def _grid_search(m: int, eta: float) -> _GridSearch:
+    """The grid-search tables for (m, eta), built once and shared read-only.
+    Building them is most of a one-off `mic` call's cost at any length."""
+    return _GridSearch(m, eta)
+
+
 def _profile(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stable sort order, ranks and zero-variance flag of each row of an
     (R, m) array. A stable sort fixes tie handling: equal values keep their
@@ -325,7 +333,7 @@ def mic_full(x, y, eta: float = DEFAULT_ETA) -> MicResult:
     y = _as_sequence(y, "y")
     if x.size != y.size:
         raise DimensionError(f"length mismatch: {x.size} vs {y.size}")
-    values, grids, degenerate = _score(_GridSearch(x.size, eta),
+    values, grids, degenerate = _score(_grid_search(x.size, eta),
                                        _profile(np.stack([x, y])),
                                        np.array([0]), np.array([1]))
     if degenerate[0]:
@@ -345,7 +353,7 @@ _WORKER_STATE: dict = {}
 
 
 def _worker_init(columns, eta):
-    _WORKER_STATE["search"] = _GridSearch(columns.shape[0], eta)
+    _WORKER_STATE["search"] = _grid_search(columns.shape[0], eta)
     _WORKER_STATE["profile"] = _profile(columns.T)
 
 
@@ -383,7 +391,7 @@ def pairwise_mic(columns, eta: float = DEFAULT_ETA, workers: int = 1, *,
         return result
 
     if workers <= 1 or i.size < 2:
-        values, grids, degenerate = _score(_GridSearch(m, eta), _profile(mat.T), i, j)
+        values, grids, degenerate = _score(_grid_search(m, eta), _profile(mat.T), i, j)
     else:
         n_chunks = min(i.size, workers * 8)
         chunks = [(i[c], j[c]) for c in np.array_split(np.arange(i.size), n_chunks)]

@@ -3,7 +3,10 @@
 Layout conventions: batches are (B, T, N, C); attention runs per sensor over
 time in (B, N, L, d_model); the graph layer runs per time step over sensors.
 Training uses teacher forcing; inference rolls the decoder autoregressively
-from the last observed step.
+from the last observed step. The encoder output and each decoder layer's
+cross-attention keys and values do not change during a rollout, so inference
+computes them once per batch chunk and re-runs only the decoder over the
+growing prefix at each step.
 """
 
 from __future__ import annotations
@@ -145,13 +148,16 @@ class DecoderLayer(Module):
         self.graph = CIGNN(config.d_model, scorr, adj, rng)
         self.norm_graph = LayerNorm(config.d_model)
 
-    def __call__(self, y, memory, mask, rng=None):
+    def memory_kv(self, memory):
+        """Cross-attention keys and values of the encoder memory (B, T, N, d)."""
+        return self.cross_attn.keys_values(ad.permute(memory, (0, 2, 1, 3)))
+
+    def __call__(self, y, memory_kv, mask, rng=None):
         ya = ad.permute(y, (0, 2, 1, 3))
         att = ad.permute(self.self_attn(ya, ya, mask=mask, rng=rng), (0, 2, 1, 3))
         y = self.norm_self(ad.add(y, att))
         ya = ad.permute(y, (0, 2, 1, 3))
-        mem = ad.permute(memory, (0, 2, 1, 3))
-        att = ad.permute(self.cross_attn(ya, mem, rng=rng), (0, 2, 1, 3))
+        att = ad.permute(self.cross_attn.attend(ya, memory_kv, rng=rng), (0, 2, 1, 3))
         y = self.norm_cross(ad.add(y, att))
         y = self.norm_graph(ad.add(y, self.graph(y)))
         return y
@@ -224,13 +230,23 @@ class CorrSTN(Module):
                 f"decoder input must be (B, 1..{self.config.horizon}, "
                 f"{self.n_sensors}, {self.n_attributes}), got {dec.shape}")
         rng = self._rng if self.training else None
+        memory = self._encode(enc, rng)
+        return self._decode(dec, self._memory_kv(memory), rng)
+
+    def _encode(self, enc, rng=None) -> Tensor:
         x = self._embed(enc, self.enc_proj, self.enc_pos, enc.shape[1])
         for layer in self.encoder:
             x = layer(x, rng=rng)
+        return x
+
+    def _memory_kv(self, memory: Tensor) -> list:
+        return [layer.memory_kv(memory) for layer in self.decoder]
+
+    def _decode(self, dec, memory_kv, rng=None) -> Tensor:
         mask = causal_mask(dec.shape[1])
         y = self._embed(dec, self.dec_proj, self.dec_pos, dec.shape[1])
-        for layer in self.decoder:
-            y = layer(y, x, mask, rng=rng)
+        for layer, kv in zip(self.decoder, memory_kv):
+            y = layer(y, kv, mask, rng=rng)
         return self.head(y)
 
     def forecast(self, encoder_input, chunk: int = 64) -> np.ndarray:
@@ -239,6 +255,12 @@ class CorrSTN(Module):
         The decoder starts from the last encoder timestamp (the current
         observation); predictions fill attribute 0 of the next step and the
         remaining attributes are held at their last observed values.
+
+        Each chunk of the batch is encoded once, and each decoder layer's
+        cross-attention keys and values are computed once from that memory;
+        every step then re-runs only the decoder over the growing prefix.
+        The result is bit-identical to calling `forward` on each prefix.
+        Dropout is off during the rollout; the training flag is restored.
         """
         enc = self._check_input(encoder_input, self.config.encoder_length,
                                 "encoder input")
@@ -246,17 +268,23 @@ class CorrSTN(Module):
         self.set_training(False)
         horizon = self.config.horizon
         outputs = np.empty((enc.shape[0], horizon, self.n_sensors, 1))
-        for start in range(0, enc.shape[0], chunk):
-            block = enc[start:start + chunk]
-            dec = block[:, -1:].copy()
-            for step in range(horizon):
-                pred = self.forward(block, dec).data
-                outputs[start:start + block.shape[0], step] = pred[:, -1]
-                if step + 1 < horizon:
-                    nxt = dec[:, -1:].copy()
-                    nxt[:, 0, :, 0] = pred[:, -1, :, 0]
-                    dec = np.concatenate([dec, nxt], axis=1)
-        self.set_training(was_training)
+        try:
+            for start in range(0, enc.shape[0], chunk):
+                block = enc[start:start + chunk]
+                # detached, so the encoder's autograph is freed before decoding
+                memory = self._encode(block).detach()
+                memory_kv = [tuple(t.detach() for t in kv)
+                             for kv in self._memory_kv(memory)]
+                dec = block[:, -1:].copy()
+                for step in range(horizon):
+                    pred = self._decode(dec, memory_kv).data
+                    outputs[start:start + block.shape[0], step] = pred[:, -1]
+                    if step + 1 < horizon:
+                        nxt = dec[:, -1:].copy()
+                        nxt[:, 0, :, 0] = pred[:, -1, :, 0]
+                        dec = np.concatenate([dec, nxt], axis=1)
+        finally:
+            self.set_training(was_training)
         return outputs
 
     def state_dict(self) -> dict:

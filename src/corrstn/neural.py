@@ -113,6 +113,34 @@ def merge_heads(x: Tensor) -> Tensor:
     return ad.reshape(merged, merged.shape[:-2] + (merged.shape[-2] * merged.shape[-1],))
 
 
+def key_value_heads(topu: TopUSCorr, k: Tensor, v: Tensor,
+                    heads: int) -> tuple[Tensor, Tensor]:
+    """Key/value half of the attention: blend keys across correlated sensors,
+    then split keys and values (..., N, L, d_model) into heads. It reads no
+    query, so a decoder can compute it once per encoder memory."""
+    if k.shape != v.shape:
+        raise DimensionError(f"projection shapes disagree: k {k.shape}, v {v.shape}")
+    return split_heads(reconstruct_keys(topu, k), heads), split_heads(v, heads)
+
+
+def attend_heads(q: Tensor, kh: Tensor, vh: Tensor, w_out: Tensor,
+                 b_out: Tensor | None = None,
+                 mask: np.ndarray | None = None) -> Tensor:
+    """Query half: each head of q (..., N, L_q, d_model) attends over the
+    split keys/values kh, vh (..., N, H, L_k, d_head) with
+    softmax(Q K~^T / sqrt(d_head)); head outputs are concatenated and
+    linearly projected. mask (L_q, L_k) blocks True positions."""
+    heads, d_head = kh.shape[-3], kh.shape[-1]
+    if q.shape[-1] != heads * d_head:
+        raise DimensionError(
+            f"projection shapes disagree: q {q.shape}, keys {kh.shape}")
+    qh = split_heads(q, heads)
+    swap = (*range(kh.ndim - 2), kh.ndim - 1, kh.ndim - 2)
+    scores = ad.matmul(qh, ad.permute(kh, swap)) * (1.0 / np.sqrt(d_head))
+    weights = ad.softmax(scores, mask=mask, axis=-1)
+    return ad.linear(merge_heads(ad.matmul(weights, vh)), w_out, b_out)
+
+
 def ciatt_forward(q: Tensor, k: Tensor, v: Tensor, topu: TopUSCorr, heads: int,
                   w_out: Tensor, b_out: Tensor | None = None,
                   mask: np.ndarray | None = None) -> Tensor:
@@ -125,13 +153,8 @@ def ciatt_forward(q: Tensor, k: Tensor, v: Tensor, topu: TopUSCorr, heads: int,
     if q.shape[-1] != k.shape[-1] or k.shape != v.shape:
         raise DimensionError(
             f"projection shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
-    d_model = q.shape[-1]
-    k = reconstruct_keys(topu, k)
-    qh, kh, vh = (split_heads(t, heads) for t in (q, k, v))
-    swap = (*range(kh.ndim - 2), kh.ndim - 1, kh.ndim - 2)
-    scores = ad.matmul(qh, ad.permute(kh, swap)) * (1.0 / np.sqrt(d_model // heads))
-    weights = ad.softmax(scores, mask=mask, axis=-1)
-    return ad.linear(merge_heads(ad.matmul(weights, vh)), w_out, b_out)
+    kh, vh = key_value_heads(topu, k, v, heads)
+    return attend_heads(q, kh, vh, w_out, b_out, mask=mask)
 
 
 def conv1d_temporal(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -219,19 +242,29 @@ class CIATT(Module):
         self.dropout = dropout
         self.training = False
 
-    def __call__(self, x_q: Tensor, x_kv: Tensor, mask: np.ndarray | None = None,
-                 rng: np.random.Generator | None = None) -> Tensor:
-        q = self.wq(x_q)
+    def keys_values(self, x_kv: Tensor) -> tuple[Tensor, Tensor]:
+        """Split keys and values of x_kv (..., N, L, d_model); they depend on
+        x_kv alone, so cross-attention can reuse them for every query."""
         k = self.wk(x_kv)
-        v = self.wv(x_kv)
+        if self.k_conv is not None:
+            k = self.k_conv(k)
+        return key_value_heads(self.topu, k, self.wv(x_kv), self.heads)
+
+    def attend(self, x_q: Tensor, kv: tuple[Tensor, Tensor],
+               mask: np.ndarray | None = None,
+               rng: np.random.Generator | None = None) -> Tensor:
+        """Queries of x_q attend over keys/values from `keys_values`."""
+        q = self.wq(x_q)
         if self.q_conv is not None:
             q = self.q_conv(q)
-            k = self.k_conv(k)
-        out = ciatt_forward(q, k, v, self.topu, self.heads,
-                            self.w_out.weight, self.w_out.bias, mask=mask)
+        out = attend_heads(q, *kv, self.w_out.weight, self.w_out.bias, mask=mask)
         if self.training and self.dropout > 0.0:
             out = ad.dropout(out, self.dropout, rng)
         return out
+
+    def __call__(self, x_q: Tensor, x_kv: Tensor, mask: np.ndarray | None = None,
+                 rng: np.random.Generator | None = None) -> Tensor:
+        return self.attend(x_q, self.keys_values(x_kv), mask=mask, rng=rng)
 
 
 class CIGNN(Module):

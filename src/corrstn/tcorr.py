@@ -16,7 +16,7 @@ import numpy as np
 from .data import SpatioTemporalTensor
 from .errors import (ConfigError, DimensionError, EmptyAnchorError,
                      OutOfRangeError)
-from .mic import DEFAULT_ETA, MicStats, _GridSearch, _profile, _score
+from .mic import DEFAULT_ETA, MicStats, _grid_search, _profile, _score
 
 PERIODS = ("hourly", "daily", "weekly")
 
@@ -142,7 +142,7 @@ def compute_tcorr(period_window_source: SpatioTemporalTensor,
     if bad.any():
         raise OutOfRangeError(
             f"anchor {anchors[bad][0]} leaves no room for {period} window")
-    search = _GridSearch(tau, eta)
+    search = _grid_search(tau, eta)
     per_anchor = n * c
     steps = np.arange(tau)
     acc = np.zeros(per_anchor, dtype=np.float64)

@@ -128,6 +128,21 @@ def test_predict_writes_forecasts(workdir):
     assert pred.ndim == 4 and pred.shape[1:] == (12, 4, 1)
 
 
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_unknown_split_is_refused(workdir, tmp_path, command):
+    run = workdir / "run"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--data", str(workdir / "data.sttf"),
+                  "--edges", str(workdir / "edges.csv"),
+                  "--scorr", str(workdir / "corr.scor"),
+                  "--config", str(run / "config.json"),
+                  "--checkpoint", str(run / "checkpoint.cstn"),
+                  "--out", str(tmp_path / "out"), "--split", "tset",
+                  "--ratios", _RATIOS])
+    assert exit_info.value.code != 0
+    assert not (tmp_path / "out").exists()
+
+
 def test_export_plot_data_aggregates(workdir, capsys):
     plots = workdir / "plots"
     rc = cli.main(["export-plot-data",

@@ -6,7 +6,7 @@ import pytest
 from corrstn import (DEFAULT_ETA, GridSpec, admissible_shapes, mic, mic_full,
                      mutual_information, pairwise_mic)
 from corrstn.errors import ConfigError, DimensionError
-from corrstn.mic import MicStats, _GridSearch, _profile, _score
+from corrstn.mic import MicStats, _GridSearch, _grid_search, _profile, _score
 from oracles import (grid_shapes, mi_with_edges_brute_force, mic_brute_force)
 
 
@@ -205,3 +205,23 @@ def test_pair_result_independent_of_batch(m):
     assert (serial_stats.scored, serial_stats.degenerate) == (15, flat)
     assert sum(serial_stats.grid_shapes.values()) == 15 - flat
 
+
+
+def test_cached_grid_tables_leave_results_unchanged():
+    # the tables are built once per (m, eta); repeated and interleaved calls
+    # at several lengths and etas match freshly built tables bit for bit
+    rng = np.random.default_rng(41)
+    lengths = (12, 97, 12, 3001, 97, 12, 3001)
+    pairs = {m: rng.normal(size=(2, m)) for m in set(lengths)}
+    for eta in (DEFAULT_ETA, 0.5, DEFAULT_ETA):
+        for m in lengths:
+            x, y = pairs[m][0], np.exp(pairs[m][0]) + 0.3 * pairs[m][1]
+            got = mic_full(x, y, eta)
+            fresh = _GridSearch(m, eta)
+            assert np.array_equal(_grid_search(m, eta).shapes, fresh.shapes)
+            values, grids, _ = _score(fresh, _profile(np.stack([x, y])),
+                                      np.array([0]), np.array([1]))
+            assert got.value == values[0]
+            assert got.grid_shape == tuple(grids[0].tolist())
+    assert _grid_search(97, DEFAULT_ETA) is _grid_search(97, DEFAULT_ETA)
+    assert _grid_search(97, 0.5) is not _grid_search(97, DEFAULT_ETA)

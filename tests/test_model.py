@@ -7,6 +7,7 @@ from corrstn import (Adam, ModelConfig, PRESETS, SCorrTensor, Tensor,
                      generate_synthetic, laplacian_normalize, load_checkpoint,
                      load_config, mae_loss, normalize, predict,
                      save_checkpoint, save_config, split_ranges, train)
+from corrstn import model as model_mod
 from corrstn.autodiff import Parameter
 from corrstn.data import SpatioTemporalTensor
 from corrstn.errors import ConfigError, DataError, DimensionError
@@ -148,6 +149,67 @@ def test_forecast_matches_manual_rollout():
         if dec.shape[1] == 12 and step >= 11:
             break
     assert np.array_equal(model.forecast(enc, chunk=2), got)
+
+
+_ALL_PERIODS = dict(periods=("hourly", "daily", "weekly"), qk_conv=True,
+                    encoder_layers=2, decoder_layers=2)
+
+
+def _prefix_rollout(model, enc):
+    """The rollout as forward passes over the rebuilt prefix, step by step."""
+    dec = enc[:, -1:].copy()
+    steps = []
+    for step in range(12):
+        pred = model.forward(enc, dec).data
+        steps.append(pred[:, -1])
+        nxt = dec[:, -1:].copy()
+        nxt[:, 0, :, 0] = pred[:, -1, :, 0]
+        dec = np.concatenate([dec, nxt], axis=1)
+    return np.stack(steps, axis=1)
+
+
+def test_forecast_matches_prefix_rollout_with_qk_conv_and_all_periods():
+    cfg, model = _tiny_model(seed=21, **_ALL_PERIODS)
+    enc = np.random.default_rng(22).normal(size=(2, 36, 3, 2))
+    assert np.array_equal(model.forecast(enc), _prefix_rollout(model, enc))
+
+
+def test_forecast_matches_prefix_rollout_across_chunks():
+    cfg, model = _tiny_model(seed=23, **_ALL_PERIODS)
+    enc = np.random.default_rng(24).normal(size=(5, 36, 3, 2))
+    # chunks of 2, 2 and 1 samples
+    assert np.array_equal(model.forecast(enc, chunk=2), _prefix_rollout(model, enc))
+
+
+def test_forecast_in_training_mode_has_no_dropout_and_keeps_flag():
+    cfg, model = _tiny_model(seed=25, dropout=0.5, **_ALL_PERIODS)
+    _, reference = _tiny_model(seed=25, dropout=0.5, **_ALL_PERIODS)
+    enc = np.random.default_rng(26).normal(size=(3, 36, 3, 2))
+    model.set_training(True)
+    got = model.forecast(enc)
+    assert model.training
+    assert model.encoder[0].attn.training and model.decoder[0].cross_attn.training
+    # an eval-mode twin draws no dropout masks at all
+    assert np.array_equal(got, reference.forecast(enc))
+    assert np.array_equal(got, model.forecast(enc))
+
+
+def test_forecast_encodes_once_per_chunk(monkeypatch):
+    cfg, model = _tiny_model(seed=27, **_ALL_PERIODS)
+    calls = []
+    original = model_mod.EncoderLayer.__call__
+
+    def counted(layer, *args, **kwargs):
+        calls.append(layer)
+        return original(layer, *args, **kwargs)
+
+    monkeypatch.setattr(model_mod.EncoderLayer, "__call__", counted)
+    enc = np.random.default_rng(28).normal(size=(5, 36, 3, 2))
+    model.forecast(enc, chunk=2)
+    assert len(calls) == cfg.encoder_layers * 3     # 3 chunks, not 3 x 12
+    calls.clear()
+    model.forecast(enc)
+    assert len(calls) == cfg.encoder_layers
 
 
 def test_state_dict_round_trip_and_mismatch():
