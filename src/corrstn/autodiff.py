@@ -1,12 +1,18 @@
 """Reverse-mode autodiff over dense float64 numpy arrays.
 
 Only what the forecaster needs: broadcasted arithmetic, batched matmul,
-relu/abs, masked softmax and layer norm (fused, last axis), reductions,
-shape ops, and dropout. Graphs are built eagerly; backward() walks a
-topological order once and accumulates into .grad.
+relu/abs, masked softmax and layer norm (fused, last axis), fused attention
+cores, reductions, shape ops, and dropout. Graphs are built eagerly;
+backward() walks a topological order once, computes a gradient only for an
+operand that requires one, and accumulates into .grad. Only the root and the
+leaves keep .grad afterwards: each inner node's gradient is dropped as soon
+as its own backward has run. Gradient arrays are shared between nodes and
+never updated in place. Inside `no_grad()` no graph is built at all.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -98,6 +104,8 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                if node is not self:
+                    node.grad = None
 
 
 def _wrap(value) -> Tensor:
@@ -119,9 +127,30 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Run forward passes without building an autograph."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def _transposed(x: np.ndarray) -> np.ndarray:
+    """Swap the last two axes into a contiguous array: numpy's matmul runs
+    slower on a transposed view as its right operand than on a copy."""
+    return np.ascontiguousarray(np.swapaxes(x, -1, -2))
+
+
 def _result(data, parents, backward) -> Tensor:
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = backward
@@ -133,22 +162,28 @@ def _result(data, parents, backward) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
     return _result(a.data + b.data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g, b.shape))
     return _result(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
     return _result(a.data * b.data, (a, b), backward)
 
 
@@ -167,8 +202,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul mismatch: {a.shape} @ {b.shape}")
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g @ _transposed(b.data), a.shape))
+        if not b.requires_grad:
+            return
+        if b.ndim == 2 and a.ndim > 2:
+            # a weight shared by every slice: one GEMM over the stacked rows
+            rows = a.data.reshape(-1, a.shape[-1])
+            _accumulate(b, rows.T @ g.reshape(-1, g.shape[-1]))
+        else:
+            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
     return _result(a.data @ b.data, (a, b), backward)
 
 
@@ -290,23 +333,93 @@ def pad_axis(a: Tensor, axis: int, before: int, after: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # fused nonlinearities
 
-def softmax(a: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Tensor:
-    """Softmax along one axis; True entries of mask get probability exactly 0."""
-    z = a.data
+def _masked_softmax(z: np.ndarray, mask: np.ndarray | None, axis: int) -> np.ndarray:
+    """Softmax of z along one axis; True entries of mask get probability exactly 0."""
     if mask is not None:
         mask = np.broadcast_to(mask, z.shape)
         if bool(np.all(mask, axis=axis).any()):
             raise ConfigError("softmax row fully masked")
         z = np.where(mask, -np.inf, z)
+    # a fresh array from here on, so the rest runs in place
     z = z - z.max(axis=axis, keepdims=True)
     with np.errstate(invalid="ignore"):
-        e = np.exp(z)
-    p = e / e.sum(axis=axis, keepdims=True)
+        np.exp(z, out=z)
+    z /= z.sum(axis=axis, keepdims=True)
+    return z
+
+
+def _softmax_backward(p: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    out = g - (g * p).sum(axis=axis, keepdims=True)
+    out *= p
+    return out
+
+
+def softmax(a: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Tensor:
+    """Softmax along one axis; True entries of mask get probability exactly 0."""
+    p = _masked_softmax(a.data, mask, axis)
 
     def backward(g):
-        inner = (g * p).sum(axis=axis, keepdims=True)
-        _accumulate(a, p * (g - inner))
+        _accumulate(a, _softmax_backward(p, g, axis))
     return _result(p, (a,), backward)
+
+
+def _check_scores(q: Tensor, k: Tensor) -> None:
+    if q.ndim < 2 or k.ndim < 2 or q.shape[-1] != k.shape[-1]:
+        raise DimensionError(f"attention scores need (..., L, d) operands, "
+                             f"got {q.shape} and {k.shape}")
+
+
+def _score_softmax(q: Tensor, k: Tensor, scale: float, mask) -> np.ndarray:
+    scores = q.data @ np.swapaxes(k.data, -1, -2)
+    scores *= scale
+    return _masked_softmax(scores, mask, -1)
+
+
+def _score_backward(q: Tensor, k: Tensor, p: np.ndarray, dp: np.ndarray,
+                    scale: float) -> None:
+    """Push d(weights) back through softmax(q k^T * scale) into q and k."""
+    ds = _softmax_backward(p, dp, -1)
+    ds *= scale
+    if q.requires_grad:
+        _accumulate(q, _unbroadcast(ds @ k.data, q.shape))
+    if k.requires_grad:
+        dk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2)
+        _accumulate(k, _unbroadcast(dk, k.shape))
+
+
+def attention_weights(q: Tensor, k: Tensor, scale: float,
+                      mask: np.ndarray | None = None) -> Tensor:
+    """softmax(q k^T * scale) over the last axis as one node.
+
+    q is (..., L_q, d) and k (..., L_k, d); q may be k itself. mask
+    (L_q, L_k) blocks True positions.
+    """
+    _check_scores(q, k)
+    p = _score_softmax(q, k, scale, mask)
+
+    def backward(g):
+        _score_backward(q, k, p, g, scale)
+    return _result(p, (q, k), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
+              mask: np.ndarray | None = None) -> Tensor:
+    """softmax(q k^T * scale) v as one node that keeps only the weights.
+
+    q is (..., L_q, d), k (..., L_k, d) and v (..., L_k, d_v); mask
+    (L_q, L_k) blocks True positions.
+    """
+    _check_scores(q, k)
+    if v.ndim < 2 or v.shape[-2] != k.shape[-2]:
+        raise DimensionError(f"values {v.shape} do not match keys {k.shape}")
+    p = _score_softmax(q, k, scale, mask)
+
+    def backward(g):
+        if v.requires_grad:
+            _accumulate(v, _unbroadcast(np.swapaxes(p, -1, -2) @ g, v.shape))
+        if q.requires_grad or k.requires_grad:
+            _score_backward(q, k, p, g @ _transposed(v.data), scale)
+    return _result(p @ v.data, (q, k, v), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

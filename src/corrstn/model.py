@@ -260,7 +260,8 @@ class CorrSTN(Module):
         cross-attention keys and values are computed once from that memory;
         every step then re-runs only the decoder over the growing prefix.
         The result is bit-identical to calling `forward` on each prefix.
-        Dropout is off during the rollout; the training flag is restored.
+        Dropout is off during the rollout and no autograph is built; the
+        training flag is restored.
         """
         enc = self._check_input(encoder_input, self.config.encoder_length,
                                 "encoder input")
@@ -269,20 +270,18 @@ class CorrSTN(Module):
         horizon = self.config.horizon
         outputs = np.empty((enc.shape[0], horizon, self.n_sensors, 1))
         try:
-            for start in range(0, enc.shape[0], chunk):
-                block = enc[start:start + chunk]
-                # detached, so the encoder's autograph is freed before decoding
-                memory = self._encode(block).detach()
-                memory_kv = [tuple(t.detach() for t in kv)
-                             for kv in self._memory_kv(memory)]
-                dec = block[:, -1:].copy()
-                for step in range(horizon):
-                    pred = self._decode(dec, memory_kv).data
-                    outputs[start:start + block.shape[0], step] = pred[:, -1]
-                    if step + 1 < horizon:
-                        nxt = dec[:, -1:].copy()
-                        nxt[:, 0, :, 0] = pred[:, -1, :, 0]
-                        dec = np.concatenate([dec, nxt], axis=1)
+            with ad.no_grad():
+                for start in range(0, enc.shape[0], chunk):
+                    block = enc[start:start + chunk]
+                    memory_kv = self._memory_kv(self._encode(block))
+                    dec = block[:, -1:].copy()
+                    for step in range(horizon):
+                        pred = self._decode(dec, memory_kv).data
+                        outputs[start:start + block.shape[0], step] = pred[:, -1]
+                        if step + 1 < horizon:
+                            nxt = dec[:, -1:].copy()
+                            nxt[:, 0, :, 0] = pred[:, -1, :, 0]
+                            dec = np.concatenate([dec, nxt], axis=1)
         finally:
             self.set_training(was_training)
         return outputs
@@ -382,10 +381,11 @@ class TrainingLog:
 def _teacher_forced_metrics(model, samples: SampleSet, norm_params,
                             chunk: int = 128) -> tuple[float, float, float]:
     preds = []
-    for start in range(0, len(samples), chunk):
-        out = model.forward(samples.encoder_input[start:start + chunk],
-                            samples.decoder_input[start:start + chunk])
-        preds.append(out.data)
+    with ad.no_grad():
+        for start in range(0, len(samples), chunk):
+            out = model.forward(samples.encoder_input[start:start + chunk],
+                                samples.decoder_input[start:start + chunk])
+            preds.append(out.data)
     pred = denormalize(np.concatenate(preds)[..., 0], norm_params, attribute=0)
     truth = denormalize(samples.target[..., 0], norm_params, attribute=0)
     return (metrics_mod.mae(pred, truth), metrics_mod.rmse(pred, truth),
@@ -424,6 +424,8 @@ def train(model: CorrSTN, data: TrainingData, config: ModelConfig,
             optimizer.step()
             loss_sum += float(loss.data) * enc.shape[0]
             seen += enc.shape[0]
+            # free this step's autograph before the next forward builds one
+            del pred, loss
         model.set_training(False)
         val_mae, val_rmse, val_mape = _teacher_forced_metrics(
             model, data.val, data.norm_params)

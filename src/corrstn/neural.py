@@ -52,9 +52,7 @@ def spatial_dynamic_weights(z: Tensor) -> Tensor:
     """Row-stochastic (..., N, N) weights: softmax of Z Z^T / sqrt(d_model)."""
     if z.ndim < 2:
         raise DimensionError(f"need (..., N, d), got {z.shape}")
-    d_model = z.shape[-1]
-    scores = ad.matmul(z, ad.permute(z, (*range(z.ndim - 2), z.ndim - 1, z.ndim - 2)))
-    return ad.softmax(scores * (1.0 / np.sqrt(d_model)), axis=-1)
+    return ad.attention_weights(z, z, 1.0 / np.sqrt(z.shape[-1]))
 
 
 def cignn_forward(z: Tensor, scorr: SCorrTensor, adj: NormalizedAdjacency,
@@ -134,11 +132,9 @@ def attend_heads(q: Tensor, kh: Tensor, vh: Tensor, w_out: Tensor,
     if q.shape[-1] != heads * d_head:
         raise DimensionError(
             f"projection shapes disagree: q {q.shape}, keys {kh.shape}")
-    qh = split_heads(q, heads)
-    swap = (*range(kh.ndim - 2), kh.ndim - 1, kh.ndim - 2)
-    scores = ad.matmul(qh, ad.permute(kh, swap)) * (1.0 / np.sqrt(d_head))
-    weights = ad.softmax(scores, mask=mask, axis=-1)
-    return ad.linear(merge_heads(ad.matmul(weights, vh)), w_out, b_out)
+    mixed = ad.attention(split_heads(q, heads), kh, vh, 1.0 / np.sqrt(d_head),
+                         mask=mask)
+    return ad.linear(merge_heads(mixed), w_out, b_out)
 
 
 def ciatt_forward(q: Tensor, k: Tensor, v: Tensor, topu: TopUSCorr, heads: int,

@@ -2,15 +2,19 @@
 
 Everything here is written with plain Python loops, dicts, and math.log2 so it
 shares no code path with the vectorized library implementations it checks.
-The one exception is `tcorr_per_window`, which loops the one-pair `mic_full`
+There are two exceptions. `tcorr_per_window` loops the one-pair `mic_full`
 over windows: it checks how compute_tcorr batches and averages windows, while
-`mic_brute_force` checks MIC itself.
+`mic_brute_force` checks MIC itself. `attention_by_ops` composes the attention
+core from separate autodiff nodes (matmul, scale, softmax, matmul): it checks
+the fused attention nodes' hand-written backward against the chain rule the
+engine applies op by op, while the finite-difference checks test both.
 """
 
 import math
 
 import numpy as np
 
+from corrstn import autodiff as ad
 from corrstn import mic_full
 
 
@@ -192,3 +196,23 @@ def plain_gnn(adjacency, z, w):
     """Single graph layer: relu(A Z W) with no correlation branches."""
     pre = np.asarray(adjacency) @ np.asarray(z) @ np.asarray(w)
     return np.maximum(pre, 0.0)
+
+
+def attention_by_ops(q, k, v, scale, mask=None):
+    """softmax(q k^T * scale) v built from one autodiff node per step; with
+    v None, the softmax weights alone."""
+    swap = (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)
+    scores = ad.mul_scalar(ad.matmul(q, ad.permute(k, swap)), scale)
+    weights = ad.softmax(scores, mask=mask, axis=-1)
+    return weights if v is None else ad.matmul(weights, v)
+
+
+def broadcast_weight_grad(a, g):
+    """Gradient of sum(g * (a @ w)) with respect to a 2-D w, summed one
+    slice of a's leading axes at a time."""
+    a = np.asarray(a, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    total = np.zeros((a.shape[-1], g.shape[-1]))
+    for index in np.ndindex(*a.shape[:-2]):
+        total += a[index].T @ g[index]
+    return total

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from corrstn import Module, Parameter, Tensor, xavier_uniform
-from corrstn.autodiff import (abs_, add, concat, dropout, layer_norm, linear,
-                              matmul, mean, mul, mul_scalar, narrow, pad_axis,
-                              permute, relu, reshape, softmax, sub, sum_)
+from corrstn.autodiff import (abs_, add, attention, attention_weights, concat,
+                              dropout, layer_norm, linear, matmul, mean, mul,
+                              mul_scalar, narrow, no_grad, pad_axis, permute,
+                              relu, reshape, softmax, sub, sum_)
 from corrstn.errors import ConfigError, DimensionError
-from oracles import finite_difference_gradient, gradient_gap
+from oracles import (attention_by_ops, broadcast_weight_grad,
+                     finite_difference_gradient, gradient_gap)
 
 
 def _check_op(build, *shapes, seed=0, tol=1e-6, offset=0.0):
@@ -127,6 +129,158 @@ def test_softmax_mask_zeroes_entries():
 def test_masked_softmax_gradients():
     mask = np.triu(np.ones((4, 4), dtype=bool), k=1)
     _check_op(lambda a: softmax(a, mask=mask), (2, 4, 4))
+
+
+# (L_q, L_k, mask): square, rectangular, causal and a rectangular mask that
+# leaves every query row at least one key
+_ATTENTION_CASES = [
+    (5, 5, None),
+    (3, 7, None),
+    (5, 5, np.triu(np.ones((5, 5), dtype=bool), k=1)),
+    (3, 7, np.triu(np.ones((3, 7), dtype=bool), k=2)),
+]
+
+
+def _grad_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def _compare_to_ops(fused, oracle, arrays, trainable):
+    """Run fused and oracle on the same operands with only the `trainable`
+    slots requiring a gradient: bit-equal forward, gradients to 1e-12, and
+    no gradient on the other slots."""
+    outputs, grads = [], []
+    for build in (fused, oracle):
+        tensors = [Tensor(a.copy(), requires_grad=(i in trainable))
+                   for i, a in enumerate(arrays)]
+        out = build(*tensors)
+        out.backward(np.random.default_rng(len(trainable)).normal(size=out.shape))
+        outputs.append(out.data)
+        grads.append([t.grad for t in tensors])
+    assert np.array_equal(outputs[0], outputs[1])
+    for slot, (got, want) in enumerate(zip(*grads)):
+        if slot in trainable:
+            _grad_close(got, want)
+        else:
+            assert got is None and want is None
+
+
+@pytest.mark.parametrize("l_q, l_k, mask", _ATTENTION_CASES)
+def test_fused_attention_matches_op_by_op(l_q, l_k, mask):
+    rng = np.random.default_rng(l_q * 10 + l_k)
+    arrays = [rng.normal(size=(2, 3, l_q, 4)), rng.normal(size=(2, 3, l_k, 4)),
+              rng.normal(size=(2, 3, l_k, 6))]
+    scale = 1.0 / np.sqrt(4)
+    for trainable in ({0}, {1}, {2}, {0, 1, 2}):
+        _compare_to_ops(lambda q, k, v: attention(q, k, v, scale, mask=mask),
+                        lambda q, k, v: attention_by_ops(q, k, v, scale, mask=mask),
+                        arrays, trainable)
+
+
+@pytest.mark.parametrize("l_q, l_k, mask", _ATTENTION_CASES)
+def test_fused_attention_weights_match_op_by_op(l_q, l_k, mask):
+    rng = np.random.default_rng(l_q * 10 + l_k + 1)
+    arrays = [rng.normal(size=(3, l_q, 4)), rng.normal(size=(3, l_k, 4))]
+    for trainable in ({0}, {1}, {0, 1}):
+        _compare_to_ops(lambda q, k: attention_weights(q, k, 0.7, mask=mask),
+                        lambda q, k: attention_by_ops(q, k, None, 0.7, mask=mask),
+                        arrays, trainable)
+
+
+def test_fused_attention_weights_of_one_operand_match_op_by_op():
+    # Z against itself, as the graph layer's dynamic weights use it
+    scale = 1.0 / np.sqrt(5)
+    arrays = [np.random.default_rng(9).normal(size=(2, 6, 5))]
+    _compare_to_ops(lambda z: attention_weights(z, z, scale),
+                    lambda z: attention_by_ops(z, z, None, scale), arrays, {0})
+
+
+def test_fused_attention_gradients_and_checks():
+    mask = np.triu(np.ones((4, 5), dtype=bool), k=2)
+    _check_op(lambda q, k, v: attention(q, k, v, 0.5, mask=mask),
+              (2, 4, 3), (2, 5, 3), (2, 5, 2))
+    _check_op(lambda q, k: attention_weights(q, k, 0.5), (4, 3), (5, 3))
+    with pytest.raises(DimensionError):
+        attention(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 2))),
+                  Tensor(np.ones((5, 2))), 1.0)
+    with pytest.raises(DimensionError):
+        attention(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 3))),
+                  Tensor(np.ones((4, 2))), 1.0)
+    with pytest.raises(ConfigError):
+        attention_weights(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), 1.0,
+                          mask=np.array([[True, True], [False, True]]))
+
+
+@pytest.mark.parametrize("a_shape", [(5, 4), (3, 5, 4), (2, 3, 5, 4)])
+def test_broadcast_matmul_weight_gradient_matches_slice_loop(a_shape):
+    rng = np.random.default_rng(len(a_shape))
+    a = Tensor(rng.normal(size=a_shape))
+    w = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    out = matmul(a, w)
+    seed_grad = rng.normal(size=out.shape)
+    out.backward(seed_grad)
+    want = broadcast_weight_grad(a.data, seed_grad)
+    assert np.max(np.abs(w.grad - want)) <= 1e-12 * np.max(np.abs(want))
+    assert a.grad is None
+
+
+@pytest.mark.parametrize("op", [add, sub, mul, matmul])
+def test_constant_operand_gets_no_gradient(op):
+    rng = np.random.default_rng(11)
+    for const_slot in (0, 1):
+        tensors = [Tensor(rng.normal(size=(3, 3)), requires_grad=(k != const_slot))
+                   for k in range(2)]
+        op(*tensors).backward(np.ones((3, 3)))
+        assert tensors[const_slot].grad is None
+        assert tensors[1 - const_slot].grad.shape == (3, 3)
+
+
+def test_backward_keeps_grad_on_root_and_leaves_only():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(4, 3)))
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2,)), requires_grad=True)
+    hidden = matmul(x, w)
+    shifted = add(hidden, b)
+    active = relu(shifted)
+    loss = mean(mul(active, shifted))
+    loss.backward()
+    assert np.array_equal(loss.grad, np.ones(()))
+    assert w.grad.shape == (3, 2) and b.grad.shape == (2,)
+    for inner in (hidden, shifted, active):
+        assert inner.grad is None
+    assert x.grad is None
+
+
+def test_freed_gradients_leave_leaf_gradients_exact():
+    # b feeds the sum twice through a shared add gradient; freeing the inner
+    # gradients must not disturb what the leaves accumulated
+    b = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+    c = Tensor(np.array([0.5, 3.0]), requires_grad=True)
+    s = add(b, c)
+    out = sum_(add(mul(s, s), b))
+    out.backward()
+    assert np.array_equal(b.grad, 2 * (b.data + c.data) + 1)
+    assert np.array_equal(c.grad, 2 * (b.data + c.data))
+
+
+def test_no_grad_builds_no_graph_and_restores_flag():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    with no_grad():
+        out = relu(matmul(Tensor(np.eye(2)), w))
+        with no_grad():
+            pass
+        inner = add(out, w)
+    for t in (out, inner):
+        assert not t.requires_grad
+        assert t._parents == () and t._backward is None
+    assert matmul(w, w).requires_grad
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("inside no_grad")
+    tracked = matmul(w, w)
+    assert tracked.requires_grad and tracked._parents == (w, w)
 
 
 def test_layer_norm_values_and_gradients():

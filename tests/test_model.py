@@ -9,7 +9,7 @@ from corrstn import (Adam, ModelConfig, PRESETS, SCorrTensor, Tensor,
                      save_checkpoint, save_config, split_ranges, train)
 from corrstn import model as model_mod
 from corrstn.autodiff import Parameter
-from corrstn.data import SpatioTemporalTensor
+from corrstn.data import SampleSet, SpatioTemporalTensor
 from corrstn.errors import ConfigError, DataError, DimensionError
 
 
@@ -210,6 +210,32 @@ def test_forecast_encodes_once_per_chunk(monkeypatch):
     calls.clear()
     model.forecast(enc)
     assert len(calls) == cfg.encoder_layers
+
+
+def test_forecast_and_validation_build_no_autograph(monkeypatch):
+    cfg, model = _tiny_model(seed=29)
+    outputs = []
+    original = model_mod.CorrSTN._decode
+
+    def recorded(net, *args, **kwargs):
+        out = original(net, *args, **kwargs)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(model_mod.CorrSTN, "_decode", recorded)
+    rng = np.random.default_rng(30)
+    enc = rng.normal(size=(2, 12, 3, 2))
+    dec = rng.normal(size=(2, 12, 3, 2))
+    model.forecast(enc)
+    samples = SampleSet(encoder_input=enc, decoder_input=dec,
+                        target=rng.normal(size=(2, 12, 3, 1)),
+                        anchors=np.arange(2), periods=("hourly",))
+    model_mod._teacher_forced_metrics(model, samples,
+                                      np.array([[0.0, 2.0], [0.0, 2.0]]))
+    assert len(outputs) == 13
+    assert all(not out.requires_grad and out._parents == () for out in outputs)
+    # outside those passes the model still builds its graph
+    assert model.forward(enc, dec).requires_grad
 
 
 def test_state_dict_round_trip_and_mismatch():

@@ -8,8 +8,9 @@ from corrstn import (CIATT, CIGNN, LayerNorm, Linear, SCorrTensor,
                      reconstruct_keys, spatial_dynamic_weights,
                      top_u_normalize, topu_mixing_matrix)
 from corrstn.errors import ConfigError, DataError, DimensionError
-from oracles import (finite_difference_gradient, gradient_gap,
-                     multi_head_attention, plain_gnn, softmax_rows)
+from oracles import (attention_by_ops, finite_difference_gradient,
+                     gradient_gap, multi_head_attention, plain_gnn,
+                     softmax_rows)
 
 
 def _random_scorr(n, c, seed=0):
@@ -74,6 +75,19 @@ def test_spatial_dynamic_weights_match_manual_softmax():
     assert got.shape == (2, 5, 5)
     assert np.allclose(got, want, atol=1e-12)
     assert np.allclose(got.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_spatial_dynamic_weights_match_op_by_op():
+    z0 = np.random.default_rng(11).normal(size=(2, 3, 5, 4))
+    seed_grad = np.random.default_rng(12).normal(size=(2, 3, 5, 5))
+    fused_z, ops_z = (Tensor(z0.copy(), requires_grad=True) for _ in range(2))
+    fused = spatial_dynamic_weights(fused_z)
+    ops = attention_by_ops(ops_z, ops_z, None, 1.0 / np.sqrt(4))
+    assert np.array_equal(fused.data, ops.data)
+    fused.backward(seed_grad)
+    ops.backward(seed_grad)
+    assert np.max(np.abs(fused_z.grad - ops_z.grad)) <= \
+        1e-12 * np.max(np.abs(ops_z.grad))
 
 
 def _cignn_reference(z, scorr, adj, w, psi, omega):
