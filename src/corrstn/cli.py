@@ -76,12 +76,17 @@ def _manifest_path(args, primary_output) -> str:
     return getattr(args, "manifest", None) or str(primary_output) + ".manifest.json"
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("CORRSTN_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"CORRSTN_WORKERS must be an integer, got {raw!r}")
+def _scorr_workers(requested: int | None) -> int:
+    """--workers, else CORRSTN_WORKERS, else 1; a count below 1 is refused."""
+    if requested is None:
+        raw = os.environ.get("CORRSTN_WORKERS", "1")
+        try:
+            requested = int(raw)
+        except ValueError:
+            raise ConfigError(f"CORRSTN_WORKERS must be an integer, got {raw!r}")
+    if requested < 1:
+        raise ConfigError(f"workers must be at least 1, got {requested}")
+    return requested
 
 
 def _parse_ratios(text: str):
@@ -138,6 +143,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_scorr(args) -> int:
+    args.workers = _scorr_workers(args.workers)
     manifest = Manifest("scorr", args)
     x = data_mod.load_tensor(args.data)
     (s0, s1), _ = _split_tensor(x, args.split, _parse_ratios(args.ratios))
@@ -458,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--csv-out", default=None)
     p.add_argument("--eta", type=float, default=0.6)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--split", default="train")

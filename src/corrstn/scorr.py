@@ -58,17 +58,11 @@ def compute_scorr(x: SpatioTemporalTensor, eta: float = DEFAULT_ETA,
     """MIC between the full T-length series of every sensor pair, per attribute.
 
     Diagonal is 1 by convention; pairs involving a flatlined (zero-variance)
-    sensor are 0. Output is bit-identical for any worker count. `stats`, when
-    given, counts the pairs scored.
+    sensor are 0. All attributes share one pool of `workers` processes, and
+    output is bit-identical for any worker count. `stats`, when given, counts
+    the pairs scored.
     """
-    t, n, c = x.data.shape
-    if t < 2:
-        raise DimensionError(f"need at least 2 timestamps, got {t}")
-    degrees = np.empty((n, n, c), dtype=np.float64)
-    for attr in range(c):
-        degrees[:, :, attr] = pairwise_mic(x.data[:, :, attr], eta=eta,
-                                          workers=workers, stats=stats)
-    return SCorrTensor(degrees)
+    return SCorrTensor(pairwise_mic(x.data, eta=eta, workers=workers, stats=stats))
 
 
 def windowed_scorr(x: SpatioTemporalTensor, window: int, stride: int = 1,

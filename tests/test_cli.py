@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +67,51 @@ def test_scorr_output_and_throughput(workdir, capsys):
     diagnostics = json.loads((workdir / "corr.scor.manifest.json").read_text())["mic"]
     assert diagnostics["pairs"] == 6
     assert diagnostics["degenerate"] + sum(diagnostics["grid_shapes"].values()) == 6
+
+
+def test_workers_setting_only_matters_to_scorr(workdir, tmp_path, monkeypatch):
+    # select has no workers, so a bad CORRSTN_WORKERS must not stop it
+    monkeypatch.setenv("CORRSTN_WORKERS", "abc")
+    assert cli.main(["select", "--report", str(workdir / "tcorr.json"),
+                     "--out", str(tmp_path / "verdict.json")]) == 0
+
+
+@pytest.mark.parametrize("env, flag", [("abc", []), ("0", []),
+                                       ("2", ["--workers", "-3"])])
+def test_bad_scorr_worker_count_is_config_error(workdir, tmp_path, monkeypatch,
+                                                capsys, env, flag):
+    monkeypatch.setenv("CORRSTN_WORKERS", env)
+    rc = cli.main(["scorr", "--data", str(workdir / "data.sttf"),
+                   "--out", str(tmp_path / "out.scor")] + flag)
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out.scor").exists()
+
+
+def test_scorr_pool_through_entry_point(tmp_path):
+    # the installed entry point, in its own process, with and without a pool
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("CORRSTN_WORKERS", None)
+    data = tmp_path / "data.sttf"
+    assert cli.main(["synth", "--out", str(data), "--sensors", "6",
+                     "--weeks", "2", "--interval", "60", "--attributes", "2",
+                     "--seed", "5"]) == 0
+    outputs = []
+    for workers in ("2", "1"):
+        out = tmp_path / f"w{workers}.scor"
+        done = subprocess.run(
+            [sys.executable, "-m", "corrstn.cli", "scorr", "--data", str(data),
+             "--out", str(out), "--workers", workers],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert f"with {workers} workers" in done.stdout
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        assert manifest["args"]["workers"] == int(workers)
+        assert manifest["mic"]["pairs"] == 2 * 6 * 5 // 2
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_tcorr_report_and_select(workdir, capsys):

@@ -173,6 +173,26 @@ def test_pairwise_mic_parallel_bit_equal():
     assert np.array_equal(serial, parallel)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pairwise_mic_stack_equals_per_slice_calls(workers):
+    # an (m, k, c) stack is c independent matrices, whether or not its
+    # slices share one pool
+    rng = np.random.default_rng(53)
+    stack = rng.normal(size=(150, 5, 3))
+    stack[:, 1, :] = np.round(stack[:, 0, :])          # tied, dependent
+    stack[:, 3, 1] = 4.0                               # zero variance, one slice
+    stack_stats = MicStats()
+    got = pairwise_mic(stack, workers=workers, stats=stack_stats)
+    assert got.shape == (5, 5, 3)
+    slice_stats = MicStats()
+    for s in range(3):
+        want = pairwise_mic(stack[:, :, s], workers=workers, stats=slice_stats)
+        assert want.shape == (5, 5)
+        assert np.array_equal(got[:, :, s], want)
+    assert stack_stats == slice_stats
+    assert (stack_stats.scored, stack_stats.degenerate) == (30, 4)
+
+
 @pytest.mark.parametrize("m", [3, 4, 12, 97, 3001])
 def test_pair_result_independent_of_batch(m):
     # a pair's value and grid shape are bit-equal alone, mid-batch, on either

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -34,6 +35,8 @@ def test_compute_scorr_structure():
         assert np.array_equal(sl, sl.T)
         assert np.array_equal(np.diag(sl), np.ones(n))
         assert sl.min() >= 0.0 and sl.max() <= 1.0
+    with pytest.raises(DimensionError):
+        compute_scorr(SpatioTemporalTensor(x.data[:1], interval_minutes=5))
 
 
 def test_compute_scorr_matches_direct_mic():
@@ -50,6 +53,25 @@ def test_compute_scorr_serial_parallel_identical():
     x = _make_tensor(t=72, n=6, c=2, seed=4)
     assert np.array_equal(compute_scorr(x, workers=1).degrees,
                           compute_scorr(x, workers=3).degrees)
+
+
+def test_compute_scorr_opens_one_pool(monkeypatch):
+    # every attribute shares the pool of one run; the package's `mic` name is
+    # the function, so the module comes from the import system
+    multiprocessing = importlib.import_module("corrstn.mic").multiprocessing
+    opened = []
+    real_pool = multiprocessing.Pool
+
+    def counting_pool(*args, **kwargs):
+        opened.append(args)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    x = _make_tensor(t=72, n=6, c=3, seed=5)
+    pooled = compute_scorr(x, workers=2)
+    assert len(opened) == 1
+    assert np.array_equal(pooled.degrees, compute_scorr(x, workers=1).degrees)
+    assert len(opened) == 1
 
 
 def test_windowed_scorr_positions():
