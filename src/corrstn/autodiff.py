@@ -2,12 +2,13 @@
 
 Only what the forecaster needs: broadcasted arithmetic, batched matmul,
 relu/abs, masked softmax and layer norm (fused, last axis), fused attention
-cores, reductions, shape ops, and dropout. Graphs are built eagerly;
-backward() walks a topological order once, computes a gradient only for an
-operand that requires one, and accumulates into .grad. Only the root and the
-leaves keep .grad afterwards: each inner node's gradient is dropped as soon
-as its own backward has run. Gradient arrays are shared between nodes and
-never updated in place. Inside `no_grad()` no graph is built at all.
+cores, reductions, shape ops, the temporal unfold, and dropout. Graphs are
+built eagerly; backward() walks a topological order once, computes a gradient
+only for an operand that requires one, and accumulates into .grad. Only the
+root and the leaves keep .grad afterwards: each inner node's gradient is
+dropped as soon as its own backward has run. Gradient arrays are shared
+between nodes and never updated in place. Inside `no_grad()` no graph is
+built at all.
 """
 
 from __future__ import annotations
@@ -39,33 +40,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; scalars are promoted to constant tensors
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return mul_scalar(self, float(other))
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return mul_scalar(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
@@ -106,10 +80,6 @@ class Tensor:
                 node._backward(node.grad)
                 if node is not self:
                     node.grad = None
-
-
-def _wrap(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def _accumulate(t: Tensor, grad: np.ndarray) -> None:
@@ -301,33 +271,31 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _result(a.data[index].copy(), (a,), backward)
 
 
-def concat(tensors, axis: int) -> Tensor:
-    tensors = [t for t in tensors]
-    if not tensors:
-        raise DimensionError("concat of zero tensors")
-    axis = axis % tensors[0].ndim
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+def unfold_time(x: Tensor, k: int) -> Tensor:
+    """The k centred, zero-padded windows along axis -2, side by side:
+    (..., T, d) -> (..., T, k*d), where block o of row t is row t + o - (k-1)//2
+    of x, or zeros outside [0, T). Backward folds the blocks back."""
+    if x.ndim < 2:
+        raise DimensionError(f"unfold_time needs (..., T, d), got {x.shape}")
+    t_len, d = x.shape[-2], x.shape[-1]
+    # (block columns, output rows, input rows) of every offset with an overlap
+    blocks = []
+    for o in range(k):
+        shift = o - (k - 1) // 2
+        lo, hi = max(0, -shift), min(t_len, t_len - shift)
+        if lo < hi:
+            blocks.append((slice(o * d, (o + 1) * d), slice(lo, hi),
+                           slice(lo + shift, hi + shift)))
+    out = np.zeros(x.shape[:-1] + (k * d,))
+    for columns, rows, source in blocks:
+        out[..., rows, columns] = x.data[..., source, :]
 
     def backward(g):
-        for t, start, end in zip(tensors, offsets[:-1], offsets[1:]):
-            index = tuple(slice(None) if i != axis else slice(int(start), int(end))
-                          for i in range(t.ndim))
-            _accumulate(t, g[index])
-    return _result(np.concatenate([t.data for t in tensors], axis=axis),
-                   tensors, backward)
-
-
-def pad_axis(a: Tensor, axis: int, before: int, after: int) -> Tensor:
-    axis = axis % a.ndim
-    widths = [(0, 0)] * a.ndim
-    widths[axis] = (before, after)
-    index = tuple(slice(None) if i != axis else slice(before, before + a.shape[axis])
-                  for i in range(a.ndim))
-
-    def backward(g):
-        _accumulate(a, g[index])
-    return _result(np.pad(a.data, widths), (a,), backward)
+        folded = np.zeros(x.shape)
+        for columns, rows, source in blocks:
+            folded[..., source, :] += g[..., rows, columns]
+        _accumulate(x, folded)
+    return _result(out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -102,13 +102,17 @@ def _parse_ratios(text: str):
 _SPLITS = ("train", "val", "test")
 
 
-def _split_tensor(x, which: str, ratios):
-    ranges = data_mod.split_ranges(x.n_timestamps, ratios)
-    if which == "all":
-        return (0, x.n_timestamps), ranges
-    if which not in _SPLITS:
-        raise ConfigError(f"split must be train/val/test/all, got {which!r}")
-    return ranges[_SPLITS.index(which)], ranges
+def _load_split(args) -> data_mod.SpatioTemporalTensor:
+    """scorr/tcorr input: the --split piece of --data under --ratios."""
+    x = data_mod.load_tensor(args.data)
+    ranges = data_mod.split_ranges(x.n_timestamps, _parse_ratios(args.ratios))
+    if args.split == "all":
+        return x
+    if args.split not in _SPLITS:
+        raise ConfigError(f"split must be train/val/test/all, got {args.split!r}")
+    s0, s1 = ranges[_SPLITS.index(args.split)]
+    return data_mod.SpatioTemporalTensor(x.data[s0:s1],
+                                         interval_minutes=x.interval_minutes)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +149,7 @@ def cmd_synth(args) -> int:
 def cmd_scorr(args) -> int:
     args.workers = _scorr_workers(args.workers)
     manifest = Manifest("scorr", args)
-    x = data_mod.load_tensor(args.data)
-    (s0, s1), _ = _split_tensor(x, args.split, _parse_ratios(args.ratios))
-    piece = data_mod.SpatioTemporalTensor(x.data[s0:s1],
-                                          interval_minutes=x.interval_minutes)
+    piece = _load_split(args)
     n, c = piece.n_sensors, piece.n_attributes
     pair_attrs = n * (n - 1) // 2 * c
     stats = MicStats()
@@ -176,7 +177,7 @@ def cmd_scorr(args) -> int:
             manifest.add_output(args.csv_out)
         elapsed = manifest.payload["timings"]["scorr"]
         rate = pair_attrs / elapsed if elapsed > 0 else float("inf")
-        print(f"{pair_attrs} pair-attrs (N={n}, C={c}, T={s1 - s0}) in "
+        print(f"{pair_attrs} pair-attrs (N={n}, C={c}, T={piece.n_timestamps}) in "
               f"{elapsed:.3f}s with {args.workers} workers: {rate:.1f} pair-attrs/s")
     manifest.payload["mic"] = stats.to_dict("pairs")
     manifest.write(_manifest_path(args, args.out))
@@ -196,11 +197,8 @@ def _parse_weights(text: str) -> tcorr_mod.TCorrWeights:
 
 def cmd_tcorr(args) -> int:
     manifest = Manifest("tcorr", args)
-    x = data_mod.load_tensor(args.data)
-    (s0, s1), _ = _split_tensor(x, args.split, _parse_ratios(args.ratios))
-    piece = data_mod.SpatioTemporalTensor(x.data[s0:s1],
-                                          interval_minutes=x.interval_minutes)
-    spec = tcorr_mod.PeriodSpec.from_interval(x.interval_minutes, tau=args.tau)
+    piece = _load_split(args)
+    spec = tcorr_mod.PeriodSpec.from_interval(piece.interval_minutes, tau=args.tau)
     weights = _parse_weights(args.weights)
     stats = MicStats()
     manifest.start("tcorr")

@@ -118,8 +118,13 @@ def save_metric_report(report: MetricReport, path) -> None:
 
 
 def load_metric_report(path) -> MetricReport:
+    """A report saved by `save_metric_report`; bad JSON or a missing field is
+    a DataError."""
     with open(path) as fh:
-        return report_from_dict(json.load(fh))
+        try:
+            return report_from_dict(json.load(fh))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"{path}: malformed metric report ({exc!r})") from None
 
 
 def export_horizon_csv(report: MetricReport, path) -> None:

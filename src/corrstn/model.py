@@ -471,28 +471,34 @@ def save_checkpoint(model: CorrSTN, config: ModelConfig, path) -> None:
 
 
 def load_checkpoint(path, config: ModelConfig) -> dict:
+    """Parameters saved by `save_checkpoint`. A file that is not a checkpoint
+    or ends early is a DataError; a checkpoint of another config is a
+    ConfigError."""
     with open(path, "rb") as fh:
+        def read(size: int, what: str) -> bytes:
+            raw = fh.read(size)
+            if len(raw) != size:
+                raise DataError(f"{path}: truncated checkpoint ({what})")
+            return raw
+
+        def unpack(count: int, what: str) -> tuple:
+            return struct.unpack(f"<{count}I", read(4 * count, what))
+
         header = fh.read(8)
         if len(header) != 8 or header[:4] != _CKPT_MAGIC:
             raise DataError(f"{path}: not a checkpoint file")
         version = struct.unpack("<I", header[4:])[0]
         if version != _CKPT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        stored_hash = fh.read(32)
-        if stored_hash != config_hash(config):
+        if read(32, "config hash") != config_hash(config):
             raise ConfigError(
                 f"{path}: checkpoint was produced by a different model config")
-        count = struct.unpack("<I", fh.read(4))[0]
         state = {}
-        for _ in range(count):
-            name_len = struct.unpack("<I", fh.read(4))[0]
-            name = fh.read(name_len).decode()
-            ndim = struct.unpack("<I", fh.read(4))[0]
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+        for _ in range(unpack(1, "block count")[0]):
+            name = read(unpack(1, "name length")[0], "name").decode()
+            shape = unpack(unpack(1, f"{name} rank")[0], f"{name} shape")
             size = int(np.prod(shape)) if shape else 1
-            payload = np.frombuffer(fh.read(8 * size), dtype="<f8")
-            if payload.size != size:
-                raise DataError(f"{path}: truncated block {name}")
+            payload = np.frombuffer(read(8 * size, f"block {name}"), dtype="<f8")
             state[name] = payload.reshape(shape).copy()
     return state
 

@@ -154,31 +154,19 @@ def ciatt_forward(q: Tensor, k: Tensor, v: Tensor, topu: TopUSCorr, heads: int,
 
 
 def conv1d_temporal(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Same-length convolution along axis -2 of x (..., T, d).
-
-    A (k,) kernel scales shifted copies uniformly across features; a
-    (k, d_in, d_out) kernel applies one projection per temporal offset.
+    """Same-length convolution along axis -2 of x (..., T, d_in) with a
+    (k, d_in, d_out) kernel: one projection per temporal offset. The k
+    centred windows are unfolded side by side and multiplied by the kernel
+    reshaped to (k * d_in, d_out) in one GEMM.
     """
     if x.ndim < 2:
         raise DimensionError(f"need (..., T, d), got {x.shape}")
-    if kernel.ndim not in (1, 3):
-        raise DimensionError(f"kernel must be (k,) or (k, d_in, d_out), got {kernel.shape}")
-    k = kernel.shape[0]
-    if kernel.ndim == 3 and kernel.shape[1] != x.shape[-1]:
-        raise DimensionError(
-            f"kernel d_in {kernel.shape[1]} != feature width {x.shape[-1]}")
-    t_len = x.shape[-2]
-    padded = ad.pad_axis(x, x.ndim - 2, (k - 1) // 2, k - 1 - (k - 1) // 2)
-    out = None
-    for offset in range(k):
-        shifted = ad.narrow(padded, x.ndim - 2, offset, t_len)
-        tap = ad.narrow(kernel, 0, offset, 1)
-        if kernel.ndim == 1:
-            term = ad.mul(shifted, tap)
-        else:
-            term = ad.matmul(shifted, ad.reshape(tap, kernel.shape[1:]))
-        out = term if out is None else ad.add(out, term)
-    return out if bias is None else ad.add(out, bias)
+    if kernel.ndim != 3:
+        raise DimensionError(f"kernel must be (k, d_in, d_out), got {kernel.shape}")
+    k, d_in, d_out = kernel.shape
+    if d_in != x.shape[-1]:
+        raise DimensionError(f"kernel d_in {d_in} != feature width {x.shape[-1]}")
+    return ad.linear(ad.unfold_time(x, k), ad.reshape(kernel, (k * d_in, d_out)), bias)
 
 
 # ---------------------------------------------------------------------------

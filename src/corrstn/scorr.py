@@ -68,17 +68,26 @@ def compute_scorr(x: SpatioTemporalTensor, eta: float = DEFAULT_ETA,
 def windowed_scorr(x: SpatioTemporalTensor, window: int, stride: int = 1,
                    eta: float = DEFAULT_ETA, workers: int = 1, *,
                    stats: MicStats | None = None) -> list[SCorrTensor]:
-    """One correlation tensor per sliding window position over the time axis."""
-    t = x.data.shape[0]
+    """One correlation tensor per sliding window position over the time axis.
+
+    Windows are scored as slices of `pairwise_mic` stacks, T // window of them
+    per call, so a stack is no larger than x and its slices share one pool.
+    Each tensor is bit-identical to `compute_scorr` on its window alone.
+    """
+    t, _, c = x.data.shape
     if window < 2 or window > t:
         raise DimensionError(f"window must be in [2, {t}], got {window}")
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
+    starts = range(0, t - window + 1, stride)
+    per_call = max(1, t // window)
     out = []
-    for start in range(0, t - window + 1, stride):
-        piece = SpatioTemporalTensor(x.data[start:start + window],
-                                     interval_minutes=x.interval_minutes)
-        out.append(compute_scorr(piece, eta=eta, workers=workers, stats=stats))
+    for first in range(0, len(starts), per_call):
+        group = starts[first:first + per_call]
+        stack = np.concatenate([x.data[s:s + window] for s in group], axis=2)
+        degrees = pairwise_mic(stack, eta=eta, workers=workers, stats=stats)
+        out += [SCorrTensor(degrees[:, :, i * c:(i + 1) * c])
+                for i in range(len(group))]
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import SpatioTemporalTensor
-from .errors import (ConfigError, DimensionError, EmptyAnchorError,
+from .errors import (ConfigError, DataError, DimensionError, EmptyAnchorError,
                      OutOfRangeError)
 from .mic import DEFAULT_ETA, MicStats, _grid_search, _profile, _score
 
@@ -273,7 +273,7 @@ def report_from_dict(payload: dict) -> TCorrReport:
     return TCorrReport(
         per_sensor={p: np.asarray(payload["per_sensor"][p]) for p in PERIODS},
         averages={p: np.asarray(payload["per_period_means"][p]) for p in PERIODS},
-        deltas={k: np.asarray(v) for k, v in payload["deltas"].items()},
+        deltas={k: np.asarray(payload["deltas"][k]) for k in ("hd", "hw", "dw")},
         verdict=[tuple(v) for v in payload["verdict"]],
         eta=payload["eta"], weights=weights, tau=payload["tau"],
         dataset=payload["dataset"])
@@ -286,5 +286,15 @@ def save_report(report: TCorrReport, path) -> None:
 
 
 def load_report(path) -> TCorrReport:
+    """A report saved by `save_report`; bad JSON or a missing field is a
+    DataError."""
     with open(path) as fh:
-        return report_from_dict(json.load(fh))
+        try:
+            report = report_from_dict(json.load(fh))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"{path}: malformed tcorr report ({exc!r})") from None
+    n_attr = len(report.verdict)
+    if any(np.shape(v) != (n_attr,) for v in report.deltas.values()):
+        raise DataError(f"{path}: malformed tcorr report (deltas do not match "
+                        f"the verdict's {n_attr} attributes)")
+    return report

@@ -26,9 +26,9 @@ from corrstn import (ModelConfig, PERIODS, PeriodSpec, SCorrTensor, Tensor,
                      mic, normalize, save_tensor, select_periods,
                      split_ranges, top_u_normalize, train, weighted_tcorr)
 from corrstn import metrics as metrics_mod
-from corrstn.autodiff import (abs_, add, concat, dropout, layer_norm, linear,
-                              matmul, mean, mul, mul_scalar, narrow, pad_axis,
-                              permute, relu, reshape, softmax, sub, sum_)
+from corrstn.autodiff import (abs_, add, dropout, layer_norm, linear, matmul,
+                              mean, mul, mul_scalar, narrow, permute, relu,
+                              reshape, softmax, sub, sum_, unfold_time)
 from corrstn.cli import main as cli_main
 from corrstn.data import SampleSet, SpatioTemporalTensor
 from corrstn.neural import conv1d_temporal, reconstruct_keys, spatial_dynamic_weights
@@ -244,8 +244,7 @@ _OP_CATALOG = [
     (lambda a: reshape(a, (6, 2)), [(3, 4)], 0.0),
     (lambda a: permute(a, (2, 0, 1)), [(2, 3, 4)], 0.0),
     (lambda a: narrow(a, 1, 1, 2), [(3, 4)], 0.0),
-    (lambda a, b: concat([a, b], axis=1), [(3, 2), (3, 4)], 0.0),
-    (lambda a: pad_axis(a, 0, 2, 1), [(3, 4)], 0.0),
+    (lambda a: unfold_time(a, 3), [(2, 5, 3)], 0.0),
     (softmax, [(4, 5)], 0.0),
     (lambda a: softmax(a, mask=_MASK4), [(2, 4, 4)], 0.0),
     (lambda a, g, b: layer_norm(a, g, b), [(3, 6), (6,), (6,)], 0.0),
@@ -298,7 +297,6 @@ def _layer_catalog(seed):
         (spatial_dynamic_weights, [(n, d)], "dynamic weights"),
         (lambda x, k, b: conv1d_temporal(x, k, b),
          [(6, 3), (3, 3, 5), (5,)], "temporal conv"),
-        (lambda x, k: conv1d_temporal(x, k), [(6, 3), (3,)], "scalar conv"),
     ]
 
 

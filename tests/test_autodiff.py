@@ -1,11 +1,14 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from corrstn import Module, Parameter, Tensor, xavier_uniform
-from corrstn.autodiff import (abs_, add, attention, attention_weights, concat,
+from corrstn.autodiff import (abs_, add, attention, attention_weights,
                               dropout, layer_norm, linear, matmul, mean, mul,
-                              mul_scalar, narrow, no_grad, pad_axis, permute,
-                              relu, reshape, softmax, sub, sum_)
+                              mul_scalar, narrow, no_grad, permute, relu,
+                              reshape, softmax, sub, sum_, unfold_time)
 from corrstn.errors import ConfigError, DimensionError
 from oracles import (attention_by_ops, broadcast_weight_grad,
                      finite_difference_gradient, gradient_gap)
@@ -94,17 +97,30 @@ def test_shape_op_gradients():
     _check_op(lambda a: reshape(a, (6, 2)), (3, 4))
     _check_op(lambda a: permute(a, (2, 0, 1)), (2, 3, 4))
     _check_op(lambda a: narrow(a, 1, 1, 2), (3, 4))
-    _check_op(lambda a: pad_axis(a, 0, 2, 1), (3, 4))
-    _check_op(lambda a, b: concat([a, b], axis=1), (3, 2), (3, 4))
+    _check_op(lambda a: unfold_time(a, 3), (2, 5, 3))
+    _check_op(lambda a: unfold_time(a, 5), (3, 2))   # windows wider than T
 
 
-def test_narrow_and_concat_are_inverses():
-    rng = np.random.default_rng(2)
-    a = Tensor(rng.normal(size=(3, 2)))
-    b = Tensor(rng.normal(size=(3, 4)))
-    joined = concat([a, b], axis=1)
-    assert np.array_equal(narrow(joined, 1, 0, 2).data, a.data)
-    assert np.array_equal(narrow(joined, 1, 2, 4).data, b.data)
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_unfold_time_matches_loop(k):
+    rng = np.random.default_rng(k)
+    x = rng.normal(size=(2, 6, 3))
+    g = rng.normal(size=(2, 6, k * 3))
+    want = np.zeros((2, 6, k * 3))
+    want_grad = np.zeros_like(x)
+    for t in range(6):
+        for o in range(k):
+            source = t + o - (k - 1) // 2
+            if 0 <= source < 6:
+                want[:, t, o * 3:(o + 1) * 3] = x[:, source]
+                want_grad[:, source] += g[:, t, o * 3:(o + 1) * 3]
+    tensor = Tensor(x, requires_grad=True)
+    out = unfold_time(tensor, k)
+    assert np.array_equal(out.data, want)
+    out.backward(g)
+    assert np.allclose(tensor.grad, want_grad, rtol=0, atol=1e-12)
+    with pytest.raises(DimensionError):
+        unfold_time(Tensor(np.ones(4)), k)
 
 
 def test_softmax_values_and_gradients():
@@ -307,7 +323,7 @@ def test_dropout_inverted_scaling():
 def test_diamond_graph_accumulates():
     # y = a*a + a  ->  dy/da = 2a + 1
     a = Tensor(np.array([3.0]), requires_grad=True)
-    y = mul(a, a) + a
+    y = add(mul(a, a), a)
     y.backward()
     assert np.allclose(a.grad, [7.0], atol=1e-15)
 
@@ -316,7 +332,7 @@ def test_deep_chain_avoids_recursion_limit():
     t = Tensor(np.array([1.0]), requires_grad=True)
     out = t
     for _ in range(5000):
-        out = out + 0.0
+        out = add(out, Tensor(0.0))
     out.backward()
     assert np.allclose(t.grad, [1.0], atol=0)
 
@@ -363,3 +379,48 @@ def test_xavier_uniform_bounds():
     assert w.shape == (50, 80)
     assert w.min() >= -bound and w.max() <= bound
     assert w.std() > bound / 4  # actually spread out, not collapsed
+
+
+_LIBRARY = Path(__file__).resolve().parent.parent / "src" / "corrstn"
+
+# Public ops no library module calls. softmax stays because
+# tests/oracles.attention_by_ops builds the op-by-op reference for the fused
+# attention nodes from it.
+_ORACLE_ONLY_OPS = {"softmax"}
+
+
+def _autodiff_calls(path: Path, own: set[str]) -> set[str]:
+    """Names of autodiff functions one library module calls, as `ad.<op>()`
+    or as a bare `<op>()` after `from .autodiff import` (`own` for
+    autodiff itself)."""
+    tree = ast.parse(path.read_text())
+    aliases, bare = set(), {name: name for name in own}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None and alias.name == "autodiff":
+                    aliases.add(alias.asname or alias.name)
+                elif node.module == "autodiff":
+                    bare[alias.asname or alias.name] = alias.name
+    called = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in aliases):
+            called.add(func.attr)
+        elif isinstance(func, ast.Name) and func.id in bare:
+            called.add(bare[func.id])
+    return called
+
+
+def test_every_public_op_has_a_library_caller():
+    source = _LIBRARY / "autodiff.py"
+    ops = {node.name for node in ast.parse(source.read_text()).body
+           if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = set()
+    for path in _LIBRARY.glob("*.py"):
+        called |= _autodiff_calls(path, ops if path == source else set())
+    assert "unfold_time" in ops and "matmul" in called
+    assert ops - called == _ORACLE_ONLY_OPS

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrstn import cli, load_metric_report, load_scorr, load_tensor
+from corrstn import (cli, compute_scorr, load_metric_report, load_scorr,
+                     load_tensor)
 
 
 # a 12-step horizon needs the hourly offset >= 12, so 5-minute sampling;
@@ -189,6 +190,24 @@ def test_unknown_split_is_refused(workdir, tmp_path, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["scorr", "tcorr"])
+def test_scorr_tcorr_unknown_split_is_config_error(workdir, tmp_path, capsys,
+                                                   command):
+    rc = cli.main([command, "--data", str(workdir / "data.sttf"),
+                   "--out", str(tmp_path / "out"), "--split", "tset"])
+    assert rc == 2
+    assert "split must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scorr_split_all_reads_the_whole_series(workdir, tmp_path):
+    out = tmp_path / "all.scor"
+    assert cli.main(["scorr", "--data", str(workdir / "data.sttf"),
+                     "--out", str(out), "--split", "all"]) == 0
+    want = compute_scorr(load_tensor(workdir / "data.sttf"))
+    assert np.array_equal(load_scorr(out).degrees, want.degrees)
+
+
 def test_export_plot_data_aggregates(workdir, capsys):
     plots = workdir / "plots"
     rc = cli.main(["export-plot-data",
@@ -230,6 +249,42 @@ def test_missing_artifact_names_producer(workdir, tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "corrstn scorr" in err
+
+
+@pytest.mark.parametrize("cut", [20, 44, 50, 60, -3])
+def test_truncated_checkpoint_is_data_error(workdir, tmp_path, capsys, cut):
+    run = workdir / "run"
+    short = tmp_path / "short.cstn"
+    short.write_bytes((run / "checkpoint.cstn").read_bytes()[:cut])
+    rc = cli.main(["evaluate", "--data", str(workdir / "data.sttf"),
+                   "--edges", str(workdir / "edges.csv"),
+                   "--scorr", str(workdir / "corr.scor"),
+                   "--config", str(run / "config.json"),
+                   "--checkpoint", str(short), "--out", str(tmp_path / "m.json"),
+                   "--ratios", _RATIOS])
+    assert rc == 3
+    assert "truncated checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"verdict": [[', "{}", "[]",
+                                  '{"deltas": {"hd": [0.1]}}'])
+def test_malformed_report_is_data_error(tmp_path, capsys, text):
+    report = tmp_path / "report.json"
+    report.write_text(text)
+    assert cli.main(["select", "--report", str(report)]) == 3
+    assert "malformed tcorr report" in capsys.readouterr().err
+    assert cli.main(["export-plot-data", "--metric-reports", str(report),
+                     "--out-dir", str(tmp_path / "plots")]) == 3
+
+
+def test_select_refuses_report_with_mismatched_attributes(workdir, tmp_path,
+                                                         capsys):
+    payload = json.loads((workdir / "tcorr.json").read_text())
+    payload["verdict"].append(["hourly"])   # one attribute more than deltas
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))
+    assert cli.main(["select", "--report", str(report)]) == 3
+    assert "malformed tcorr report" in capsys.readouterr().err
 
 
 def test_unknown_preset_is_config_error(workdir, tmp_path, capsys):

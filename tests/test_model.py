@@ -261,6 +261,13 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(state[name], arr)
     with pytest.raises(ConfigError):
         load_checkpoint(path, ModelConfig(**{**_TINY, "d_model": 16}))
+    blob = path.read_bytes()
+    # a file cut anywhere is a data error: every cut through the header and
+    # the first blocks, then a spread over the rest
+    for cut in [*range(200), *range(200, len(blob), 61)]:
+        path.write_bytes(blob[:cut])
+        with pytest.raises(DataError):
+            load_checkpoint(path, cfg)
 
 
 def test_adam_single_step_hand_computed():

@@ -258,15 +258,15 @@ def test_ciatt_gradients():
 def test_conv1d_delta_kernel_is_identity():
     rng = np.random.default_rng(17)
     x = rng.normal(size=(2, 7, 3))
-    kernel = np.zeros(5)
-    kernel[2] = 1.0  # centered delta
+    kernel = np.zeros((5, 3, 3))
+    kernel[2] = np.eye(3)  # centered delta
     got = conv1d_temporal(Tensor(x), Tensor(kernel)).data
     assert np.allclose(got, x, atol=1e-15)
 
 
 def test_conv1d_scalar_kernel_matches_manual():
     x = np.arange(5.0).reshape(1, 5, 1)
-    got = conv1d_temporal(Tensor(x), Tensor(np.array([1.0, 1.0, 1.0]))).data
+    got = conv1d_temporal(Tensor(x), Tensor(np.ones((3, 1, 1)))).data
     # zero padding on both sides, window sums
     assert np.allclose(got[0, :, 0], [1.0, 3.0, 6.0, 9.0, 7.0], atol=1e-15)
 
@@ -311,6 +311,8 @@ def test_conv1d_kernel_validation():
         conv1d_temporal(Tensor(np.ones((4, 3))), Tensor(np.ones((2, 2))))
     with pytest.raises(DimensionError):
         conv1d_temporal(Tensor(np.ones((4, 3))), Tensor(np.ones((3, 5, 2))))
+    with pytest.raises(DimensionError):   # no scalar (k,) kernel mode
+        conv1d_temporal(Tensor(np.ones((4, 3))), Tensor(np.ones(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +335,26 @@ def test_temporal_conv_module_rejects_even_kernel():
         TemporalConv(2, 4, rng)
     conv = TemporalConv(3, 4, rng)
     assert conv(Tensor(np.ones((2, 6, 4)))).shape == (2, 6, 4)
+
+
+def _graph_nodes(out: Tensor) -> int:
+    """Nodes with a backward closure reachable from out."""
+    seen, stack, count = set(), [out], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += node._backward is not None
+            stack.extend(node._parents)
+    return count
+
+
+def test_temporal_conv_node_count_does_not_grow_with_kernel():
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.normal(size=(2, 6, 4)), requires_grad=True)
+    counts = [_graph_nodes(TemporalConv(k, 4, rng)(x)) for k in (3, 5)]
+    # unfold, kernel reshape, matmul, bias add
+    assert counts == [4, 4]
 
 
 def test_ciatt_module_structure():

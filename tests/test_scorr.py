@@ -9,6 +9,7 @@ from corrstn import (SCorrTensor, SpatioTemporalTensor, compute_scorr,
                      save_scorr, top_u_normalize, topu_mixing_matrix,
                      windowed_scorr)
 from corrstn.errors import ConfigError, DataError, DimensionError
+from corrstn.mic import MicStats
 
 
 def _make_tensor(t=96, n=5, c=2, seed=0):
@@ -55,9 +56,9 @@ def test_compute_scorr_serial_parallel_identical():
                           compute_scorr(x, workers=3).degrees)
 
 
-def test_compute_scorr_opens_one_pool(monkeypatch):
-    # every attribute shares the pool of one run; the package's `mic` name is
-    # the function, so the module comes from the import system
+def _count_pools(monkeypatch) -> list:
+    """Record every pool the MIC kernel opens; the package's `mic` name is
+    the function, so the module comes from the import system."""
     multiprocessing = importlib.import_module("corrstn.mic").multiprocessing
     opened = []
     real_pool = multiprocessing.Pool
@@ -67,6 +68,12 @@ def test_compute_scorr_opens_one_pool(monkeypatch):
         return real_pool(*args, **kwargs)
 
     monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    return opened
+
+
+def test_compute_scorr_opens_one_pool(monkeypatch):
+    # every attribute shares the pool of one run
+    opened = _count_pools(monkeypatch)
     x = _make_tensor(t=72, n=6, c=3, seed=5)
     pooled = compute_scorr(x, workers=2)
     assert len(opened) == 1
@@ -82,6 +89,34 @@ def test_windowed_scorr_positions():
     direct = compute_scorr(SpatioTemporalTensor(x.data[10:30],
                                                 interval_minutes=5))
     assert np.array_equal(tensors[1].degrees, direct.degrees)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_windowed_scorr_equals_per_window_scorr(workers):
+    x = _make_tensor(t=50, n=4, c=2, seed=6)
+    data = x.data.copy()
+    data[12:30, 2, 1] = 3.0   # sensor 2 is flat in the window at 12
+    x = SpatioTemporalTensor(data, interval_minutes=5)
+    stats = MicStats()
+    tensors = windowed_scorr(x, window=16, stride=4, workers=workers,
+                             stats=stats)
+    want_stats = MicStats()
+    starts = range(0, 50 - 16 + 1, 4)
+    assert len(tensors) == len(starts)
+    for s, got in zip(starts, tensors):
+        piece = SpatioTemporalTensor(data[s:s + 16], interval_minutes=5)
+        want = compute_scorr(piece, stats=want_stats)
+        assert np.array_equal(got.degrees, want.degrees)
+    assert want_stats.degenerate > 0
+    assert stats == want_stats
+
+
+def test_windowed_scorr_shares_pools(monkeypatch):
+    opened = _count_pools(monkeypatch)
+    x = _make_tensor(t=40, n=4, c=2, seed=7)
+    tensors = windowed_scorr(x, window=20, stride=20, workers=2)
+    assert len(tensors) == 2
+    assert len(opened) == 1
 
 
 def test_top_u_normalize_selects_largest():
