@@ -7,26 +7,25 @@ forecaster whose attention and graph layers are correlation-aware.
 """
 
 from .errors import (CorrstnError, ConfigError, DimensionError,
-                     PartitionError, DataError, OutOfRangeError,
-                     EmptyAnchorError, ComputeError)
-from .mic import (DEFAULT_ETA, GridSpec, MicResult, mutual_information,
-                  admissible_shapes, mic, mic_full, pairwise_mic)
+                     DataError, OutOfRangeError, EmptyAnchorError,
+                     ComputeError)
+from .mic import (DEFAULT_ETA, MicResult, admissible_shapes, mic, mic_full,
+                  pairwise_mic)
 from .scorr import (SCorrTensor, TopUSCorr, compute_scorr, windowed_scorr,
                     top_u_normalize, topu_mixing_matrix, identity_topu,
                     save_scorr, load_scorr, export_scorr_csv)
 from .tcorr import (PERIODS, PeriodSpec, TCorrWeights, TCorrReport,
-                    extract_periodic_windows, anchor_positions, compute_tcorr,
-                    weighted_tcorr, select_periods, combine_verdicts,
-                    build_tcorr_report, save_report, load_report)
+                    anchor_positions, compute_tcorr, weighted_tcorr,
+                    select_periods, combine_verdicts, build_tcorr_report,
+                    save_report, load_report)
 from .data import (SpatioTemporalTensor, TrafficDataset, SampleSet,
-                   save_tensor, load_tensor, save_tensor_csv, load_edges,
-                   load_dataset, split_ranges, fit_normalization, normalize,
-                   denormalize, assemble_samples, sample_count,
-                   generate_synthetic)
+                   save_tensor, load_tensor, load_edges, load_dataset,
+                   split_ranges, fit_normalization, normalize, denormalize,
+                   assemble_samples, generate_synthetic)
 from .autodiff import Tensor, Parameter, Module, xavier_uniform
 from .neural import (NormalizedAdjacency, add_self_loops, laplacian_normalize,
-                     causal_mask, spatial_dynamic_weights, cignn_forward,
-                     reconstruct_keys, ciatt_forward, conv1d_temporal,
+                     causal_mask, cignn_forward, reconstruct_keys,
+                     ciatt_forward, conv1d_temporal,
                      Linear, LayerNorm, TemporalConv, CIATT, CIGNN)
 from .model import (ModelConfig, PRESETS, config_hash, save_config,
                     load_config, CorrSTN, build_model, Adam, mae_loss,
@@ -39,25 +38,24 @@ from .metrics import (mae, rmse, mape, MetricReport, compute_report, evaluate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorrstnError", "ConfigError", "DimensionError", "PartitionError",
-    "DataError", "OutOfRangeError", "EmptyAnchorError", "ComputeError",
-    "DEFAULT_ETA", "GridSpec", "MicResult", "mutual_information",
-    "admissible_shapes", "mic", "mic_full", "pairwise_mic",
+    "CorrstnError", "ConfigError", "DimensionError", "DataError",
+    "OutOfRangeError", "EmptyAnchorError", "ComputeError",
+    "DEFAULT_ETA", "MicResult", "admissible_shapes", "mic", "mic_full",
+    "pairwise_mic",
     "SCorrTensor", "TopUSCorr", "compute_scorr", "windowed_scorr",
     "top_u_normalize", "topu_mixing_matrix", "identity_topu",
     "save_scorr", "load_scorr", "export_scorr_csv",
     "PERIODS", "PeriodSpec", "TCorrWeights", "TCorrReport",
-    "extract_periodic_windows", "anchor_positions", "compute_tcorr",
-    "weighted_tcorr", "select_periods", "combine_verdicts",
-    "build_tcorr_report", "save_report", "load_report",
+    "anchor_positions", "compute_tcorr", "weighted_tcorr", "select_periods",
+    "combine_verdicts", "build_tcorr_report", "save_report", "load_report",
     "SpatioTemporalTensor", "TrafficDataset", "SampleSet",
-    "save_tensor", "load_tensor", "save_tensor_csv", "load_edges",
-    "load_dataset", "split_ranges", "fit_normalization", "normalize",
-    "denormalize", "assemble_samples", "sample_count", "generate_synthetic",
+    "save_tensor", "load_tensor", "load_edges", "load_dataset",
+    "split_ranges", "fit_normalization", "normalize", "denormalize",
+    "assemble_samples", "generate_synthetic",
     "Tensor", "Parameter", "Module", "xavier_uniform",
     "NormalizedAdjacency", "add_self_loops", "laplacian_normalize",
-    "causal_mask", "spatial_dynamic_weights", "cignn_forward",
-    "reconstruct_keys", "ciatt_forward", "conv1d_temporal",
+    "causal_mask", "cignn_forward", "reconstruct_keys", "ciatt_forward",
+    "conv1d_temporal",
     "Linear", "LayerNorm", "TemporalConv", "CIATT", "CIGNN",
     "ModelConfig", "PRESETS", "config_hash", "save_config", "load_config",
     "CorrSTN", "build_model", "Adam", "mae_loss", "TrainingData",

@@ -1,12 +1,12 @@
 """Reverse-mode autodiff over dense float64 numpy arrays.
 
 Only what the forecaster needs: broadcasted arithmetic, batched matmul,
-relu/abs, masked softmax and layer norm (fused, last axis), fused attention
-cores, reductions, shape ops, the temporal unfold, and dropout. Graphs are
-built eagerly; backward() walks a topological order once, computes a gradient
-only for an operand that requires one, and accumulates into .grad. Only the
-root and the leaves keep .grad afterwards: each inner node's gradient is
-dropped as soon as its own backward has run. Gradient arrays are shared
+relu/abs, masked softmax and layer norm (fused, last axis), the fused
+attention core, reductions, shape ops, the temporal unfold, and dropout.
+Graphs are built eagerly; backward() walks a topological order once, computes
+a gradient only for an operand that requires one, and accumulates into .grad.
+Only the root and the leaves keep .grad afterwards: each inner node's gradient
+is dropped as soon as its own backward has run. Gradient arrays are shared
 between nodes and never updated in place. Inside `no_grad()` no graph is
 built at all.
 """
@@ -331,62 +331,35 @@ def softmax(a: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Tensor
     return _result(p, (a,), backward)
 
 
-def _check_scores(q: Tensor, k: Tensor) -> None:
-    if q.ndim < 2 or k.ndim < 2 or q.shape[-1] != k.shape[-1]:
-        raise DimensionError(f"attention scores need (..., L, d) operands, "
-                             f"got {q.shape} and {k.shape}")
-
-
-def _score_softmax(q: Tensor, k: Tensor, scale: float, mask) -> np.ndarray:
-    scores = q.data @ np.swapaxes(k.data, -1, -2)
-    scores *= scale
-    return _masked_softmax(scores, mask, -1)
-
-
-def _score_backward(q: Tensor, k: Tensor, p: np.ndarray, dp: np.ndarray,
-                    scale: float) -> None:
-    """Push d(weights) back through softmax(q k^T * scale) into q and k."""
-    ds = _softmax_backward(p, dp, -1)
-    ds *= scale
-    if q.requires_grad:
-        _accumulate(q, _unbroadcast(ds @ k.data, q.shape))
-    if k.requires_grad:
-        dk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2)
-        _accumulate(k, _unbroadcast(dk, k.shape))
-
-
-def attention_weights(q: Tensor, k: Tensor, scale: float,
-                      mask: np.ndarray | None = None) -> Tensor:
-    """softmax(q k^T * scale) over the last axis as one node.
-
-    q is (..., L_q, d) and k (..., L_k, d); q may be k itself. mask
-    (L_q, L_k) blocks True positions.
-    """
-    _check_scores(q, k)
-    p = _score_softmax(q, k, scale, mask)
-
-    def backward(g):
-        _score_backward(q, k, p, g, scale)
-    return _result(p, (q, k), backward)
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
               mask: np.ndarray | None = None) -> Tensor:
     """softmax(q k^T * scale) v as one node that keeps only the weights.
 
-    q is (..., L_q, d), k (..., L_k, d) and v (..., L_k, d_v); mask
-    (L_q, L_k) blocks True positions.
+    q is (..., L_q, d), k (..., L_k, d) and v (..., L_k, d_v); q may be k
+    itself. mask (L_q, L_k) blocks True positions.
     """
-    _check_scores(q, k)
+    if q.ndim < 2 or k.ndim < 2 or q.shape[-1] != k.shape[-1]:
+        raise DimensionError(f"attention scores need (..., L, d) operands, "
+                             f"got {q.shape} and {k.shape}")
     if v.ndim < 2 or v.shape[-2] != k.shape[-2]:
         raise DimensionError(f"values {v.shape} do not match keys {k.shape}")
-    p = _score_softmax(q, k, scale, mask)
+    scores = q.data @ np.swapaxes(k.data, -1, -2)
+    scores *= scale
+    p = _masked_softmax(scores, mask, -1)
 
     def backward(g):
         if v.requires_grad:
             _accumulate(v, _unbroadcast(np.swapaxes(p, -1, -2) @ g, v.shape))
-        if q.requires_grad or k.requires_grad:
-            _score_backward(q, k, p, g @ _transposed(v.data), scale)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        # push d(weights) back through softmax(q k^T * scale) into q and k
+        ds = _softmax_backward(p, g @ _transposed(v.data), -1)
+        ds *= scale
+        if q.requires_grad:
+            _accumulate(q, _unbroadcast(ds @ k.data, q.shape))
+        if k.requires_grad:
+            dk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2)
+            _accumulate(k, _unbroadcast(dk, k.shape))
     return _result(p @ v.data, (q, k, v), backward)
 
 

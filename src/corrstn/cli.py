@@ -280,6 +280,12 @@ def _build_from_artifacts(args, config, dataset, seed: int):
         raise DataError(f"missing correlation file {args.scorr}; "
                         f"produce it with: corrstn scorr")
     scorr = scorr_mod.load_scorr(args.scorr)
+    x = dataset.tensor
+    if (scorr.n_sensors, scorr.n_attributes) != (x.n_sensors, x.n_attributes):
+        raise DataError(
+            f"{args.scorr} is for {scorr.n_sensors} sensors x "
+            f"{scorr.n_attributes} attributes, but {args.data} has "
+            f"{x.n_sensors} x {x.n_attributes}")
     adj = laplacian_normalize(add_self_loops(dataset.adjacency))
     return model_mod.build_model(config, scorr, adj, dataset.tensor.n_sensors,
                                  seed=seed)

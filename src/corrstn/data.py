@@ -133,17 +133,6 @@ def _load_tensor_csv(path) -> tuple[SpatioTemporalTensor, list[str]]:
     return SpatioTemporalTensor(data), sensor_ids
 
 
-def save_tensor_csv(x: SpatioTemporalTensor, path, sensor_ids=None) -> None:
-    t, n, c = x.data.shape
-    ids = sensor_ids or [str(i) for i in range(n)]
-    with open(path, "w") as fh:
-        fh.write("timestamp,sensor," + ",".join(f"attr{k}" for k in range(c)) + "\n")
-        for ti in range(t):
-            for ni in range(n):
-                vals = ",".join(repr(float(v)) for v in x.data[ti, ni])
-                fh.write(f"{ti},{ids[ni]},{vals}\n")
-
-
 def load_edges(path, sensor_ids: list[str]) -> np.ndarray:
     """Edge list CSV: from,to[,weight]. A '# directed=true|false' comment line
     before the header controls symmetrization (default: undirected)."""
@@ -167,7 +156,7 @@ def load_edges(path, sensor_ids: list[str]) -> np.ndarray:
             if not saw_header:
                 saw_header = True
                 fields = line.split(",")
-                if fields[0] != "from" or fields[1] != "to":
+                if fields[:2] != ["from", "to"]:
                     raise DataError(f"{path}:{lineno}: expected header from,to[,weight]")
                 continue
             parts = line.split(",")
@@ -180,6 +169,8 @@ def load_edges(path, sensor_ids: list[str]) -> np.ndarray:
                 weight = float(parts[2]) if len(parts) == 3 else 1.0
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad weight") from exc
+            if not np.isfinite(weight):
+                raise DataError(f"{path}:{lineno}: weight {weight} is not finite")
             adj[pos[src], pos[dst]] = weight
             if not directed:
                 adj[pos[dst], pos[src]] = weight
@@ -309,14 +300,6 @@ def assemble_samples(x: SpatioTemporalTensor, split_range: tuple[int, int],
     target = x.data[dec_idx + 1][:, :, :, :1]
     return SampleSet(encoder_input=encoder, decoder_input=decoder, target=target,
                      anchors=anchors, periods=periods)
-
-
-def sample_count(split_range: tuple[int, int], deepest_offset: int, horizon: int) -> int:
-    """Closed form for len(assemble_samples(...)) with the same arguments."""
-    s0, s1 = split_range
-    first = max(s0 - 1, deepest_offset - 1)
-    last = s1 - 1 - horizon
-    return max(0, last - first + 1)
 
 
 def iterate_batches(samples: SampleSet, batch_size: int, rng=None):

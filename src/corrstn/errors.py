@@ -16,10 +16,6 @@ class DimensionError(CorrstnError):
     """Array shapes or sequence lengths do not match the operation's contract."""
 
 
-class PartitionError(CorrstnError):
-    """Degenerate or non-covering grid partition boundaries."""
-
-
 class DataError(CorrstnError):
     """Malformed, non-finite, or otherwise unusable input data."""
 

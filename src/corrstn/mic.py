@@ -30,33 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError, PartitionError
+from .errors import ConfigError, DataError, DimensionError
 
 DEFAULT_ETA = 0.6
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Explicit grid shape for `mutual_information`.
-
-    a_bins / b_bins partition the x / y axis; cell_bound is the admissibility
-    bound on the cell count (m**eta in the grid search).
-    """
-
-    a_bins: int
-    b_bins: int
-    cell_bound: float
-
-    def __post_init__(self):
-        if self.a_bins < 2 or self.b_bins < 2:
-            raise ConfigError("grid needs at least 2 bins per axis, got "
-                              f"{self.a_bins}x{self.b_bins}")
-        if self.cell_bound <= 0:
-            raise ConfigError(f"cell_bound must be positive, got {self.cell_bound}")
-        if self.a_bins * self.b_bins >= self.cell_bound:
-            raise ConfigError(
-                f"grid {self.a_bins}x{self.b_bins} has {self.a_bins * self.b_bins} "
-                f"cells, not below the bound {self.cell_bound}")
 
 
 @dataclass(frozen=True)
@@ -101,47 +77,6 @@ def _as_sequence(values, name="sequence") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{name} contains non-finite values")
     return arr
-
-
-def _mi_bits(counts: np.ndarray) -> float:
-    """Mutual information in bits of a joint contingency table."""
-    counts = np.asarray(counts)
-    n = counts.sum()
-    if n == 0:
-        raise PartitionError("empty contingency table")
-    rows = counts.sum(axis=1)
-    cols = counts.sum(axis=0)
-    outer = rows[:, None] * cols[None, :]
-    mask = counts > 0
-    c = counts[mask].astype(np.float64)
-    o = outer[mask].astype(np.float64)
-    terms = c * np.log2(c * (float(n) / o))
-    return float(terms.sum() / n)
-
-
-def mutual_information(x, y, grid: GridSpec, x_edges, y_edges) -> float:
-    """Grid mutual information (bits) with explicit value-space boundaries.
-
-    Edges must be strictly increasing, match the grid's bin counts, and cover
-    the data range of their axis. Empty cells contribute zero.
-    """
-    x = _as_sequence(x, "x")
-    y = _as_sequence(y, "y")
-    if x.size != y.size:
-        raise DimensionError(f"length mismatch: {x.size} vs {y.size}")
-    x_edges = np.asarray(x_edges, dtype=np.float64)
-    y_edges = np.asarray(y_edges, dtype=np.float64)
-    for name, edges, bins, data in (("x", x_edges, grid.a_bins, x),
-                                    ("y", y_edges, grid.b_bins, y)):
-        if edges.ndim != 1 or edges.size != bins + 1:
-            raise PartitionError(
-                f"{name}_edges must have {bins + 1} entries, got {edges.size}")
-        if not np.all(np.diff(edges) > 0):
-            raise PartitionError(f"{name}_edges must be strictly increasing")
-        if data.min() < edges[0] or data.max() > edges[-1]:
-            raise PartitionError(f"{name}_edges do not cover the data range")
-    counts, _, _ = np.histogram2d(x, y, bins=[x_edges, y_edges])
-    return _mi_bits(counts.astype(np.int64))
 
 
 def admissible_shapes(m: int, eta: float) -> list[tuple[int, int]]:
@@ -384,23 +319,20 @@ def pairwise_mic(columns, eta: float = DEFAULT_ETA, workers: int = 1, *,
                  stats: MicStats | None = None) -> np.ndarray:
     """Symmetric matrix of MIC values between all column pairs.
 
-    `columns` is an (m, k) array or a list of k equal-length sequences, giving
-    a (k, k) matrix, or an (m, k, c) stack of c such arrays, giving a (k, k, c)
-    stack with slice s scored from columns[:, :, s] alone. A stack runs in one
-    pool of `workers` processes shared by all its slices.
+    `columns` is an (m, k) array, giving a (k, k) matrix, or an (m, k, c)
+    stack of c such arrays, giving a (k, k, c) stack with slice s scored from
+    columns[:, :, s] alone. A stack runs in one pool of `workers` processes
+    shared by all its slices.
     The diagonal is 1 by convention; pairs involving a zero-variance column
     are 0. Results are bit-identical for any worker count because each cell
     is a pure function of its two columns. `stats`, when given, counts the
     pairs scored.
     """
-    if isinstance(columns, np.ndarray) and columns.ndim in (2, 3):
-        stack = np.asarray(columns, dtype=np.float64)
-    else:
-        cols = [_as_sequence(c, f"column {idx}") for idx, c in enumerate(columns)]
-        lengths = {c.size for c in cols}
-        if len(lengths) > 1:
-            raise DimensionError(f"columns have mixed lengths: {sorted(lengths)}")
-        stack = np.stack(cols, axis=1)
+    # a list is refused, not converted: k sequences would read as (k, m)
+    if not isinstance(columns, np.ndarray) or columns.ndim not in (2, 3):
+        raise DimensionError("columns must be an (m, k) or (m, k, c) ndarray, got "
+                             f"{getattr(columns, 'shape', type(columns).__name__)}")
+    stack = np.asarray(columns, dtype=np.float64)
     matrix = stack.ndim == 2
     if matrix:
         stack = stack[:, :, None]

@@ -61,6 +61,10 @@ class ModelConfig:
         # the forecasting contract fixes a 12-step horizon
         if self.horizon != 12:
             raise ConfigError(f"horizon is fixed at 12, got {self.horizon}")
+        # each period block of the encoder input is horizon steps long
+        if self.tau != self.horizon:
+            raise ConfigError(f"tau must equal the horizon {self.horizon}, "
+                              f"got {self.tau}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.dropout < 1.0:

@@ -48,18 +48,12 @@ def causal_mask(length: int) -> np.ndarray:
     return np.triu(np.ones((length, length), dtype=bool), k=1)
 
 
-def spatial_dynamic_weights(z: Tensor) -> Tensor:
-    """Row-stochastic (..., N, N) weights: softmax of Z Z^T / sqrt(d_model)."""
-    if z.ndim < 2:
-        raise DimensionError(f"need (..., N, d), got {z.shape}")
-    return ad.attention_weights(z, z, 1.0 / np.sqrt(z.shape[-1]))
-
-
 def cignn_forward(z: Tensor, scorr: SCorrTensor, adj: NormalizedAdjacency,
                   w: Tensor, psi: Tensor, omega: Tensor) -> Tensor:
     """Sum over attributes of psi_c * relu(SCorr_c @ S_w @ Z @ W), plus the
-    structural route omega * relu(A @ Z @ W). Shapes: z (..., N, d_model),
-    w (d, d), psi (C,), omega (1,)."""
+    structural route omega * relu(A @ Z @ W). S_w @ Z @ W, with the dynamic
+    weights S_w = softmax(Z Z^T / sqrt(d_model)), is one attention node.
+    Shapes: z (..., N, d_model), w (d, d), psi (C,), omega (1,)."""
     n = z.shape[-2]
     c = scorr.n_attributes
     if scorr.n_sensors != n or adj.matrix.shape != (n, n):
@@ -68,7 +62,7 @@ def cignn_forward(z: Tensor, scorr: SCorrTensor, adj: NormalizedAdjacency,
     if psi.shape != (c,):
         raise DimensionError(f"psi must have shape ({c},), got {psi.shape}")
     zw = ad.matmul(z, w)
-    base = ad.matmul(spatial_dynamic_weights(z), zw)
+    base = ad.attention(z, z, zw, 1.0 / np.sqrt(z.shape[-1]))
     out = None
     for attr in range(c):
         route = ad.relu(ad.matmul(Tensor(scorr.degrees[:, :, attr]), base))

@@ -76,32 +76,6 @@ class TCorrWeights:
         return getattr(self, period)
 
 
-def extract_periodic_windows(x: SpatioTemporalTensor, t: int, spec: PeriodSpec,
-                             periods=PERIODS) -> dict[str, np.ndarray]:
-    """Views of the tau-length period blocks behind anchor t plus the target.
-
-    The window for a period with offset P covers [t-P+1, t-P+tau]; the target
-    covers [t+1, t+tau]. Slices are views into x.data, not copies.
-    """
-    t_total = x.data.shape[0]
-    tau = spec.tau
-    out = {}
-    for p in periods:
-        start = t - spec.offset_for(p) + 1
-        if start < 0:
-            raise OutOfRangeError(
-                f"{p} window needs t >= {spec.offset_for(p) - 1}, got t={t}")
-        if start + tau > t_total:
-            raise OutOfRangeError(
-                f"{p} window [{start}, {start + tau}) exceeds {t_total} timestamps")
-        out[p] = x.data[start:start + tau]
-    if t + 1 + tau > t_total:
-        raise OutOfRangeError(
-            f"target window needs t <= {t_total - tau - 1}, got t={t}")
-    out["target"] = x.data[t + 1:t + 1 + tau]
-    return out
-
-
 def anchor_positions(n_timestamps: int, spec: PeriodSpec) -> np.ndarray:
     """Anchors with full weekly history and a full target window, stepping by
     tau so successive targets do not overlap."""

@@ -6,7 +6,7 @@ There are two exceptions. `tcorr_per_window` loops the one-pair `mic_full`
 over windows: it checks how compute_tcorr batches and averages windows, while
 `mic_brute_force` checks MIC itself. `attention_by_ops` composes the attention
 core from separate autodiff nodes (matmul, scale, softmax, matmul): it checks
-the fused attention nodes' hand-written backward against the chain rule the
+the fused attention node's hand-written backward against the chain rule the
 engine applies op by op, while the finite-difference checks test both.
 """
 
@@ -87,24 +87,6 @@ def tcorr_per_window(source, target, offset, tau, anchors, eta=0.6):
             for a in range(c):
                 acc[i, a] += mic_full(block[:, i, a], after[:, i, a], eta=eta).value
     return acc / len(anchors)
-
-
-def mi_with_edges_brute_force(x, y, x_edges, y_edges):
-    """Histogram MI with explicit edges, last bin closed on the right."""
-    m = len(x)
-
-    def bin_of(v, edges):
-        for k in range(len(edges) - 1):
-            right_closed = k == len(edges) - 2
-            if edges[k] <= v < edges[k + 1] or (right_closed and v == edges[-1]):
-                return k
-        raise AssertionError(f"value {v} outside edges {edges}")
-
-    cells = {}
-    for xi, yi in zip(x, y):
-        cell = (bin_of(xi, x_edges), bin_of(yi, y_edges))
-        cells[cell] = cells.get(cell, 0) + 1
-    return mi_bits_from_cells(cells, m)
 
 
 def metrics_brute_force(pred, truth):
@@ -199,12 +181,10 @@ def plain_gnn(adjacency, z, w):
 
 
 def attention_by_ops(q, k, v, scale, mask=None):
-    """softmax(q k^T * scale) v built from one autodiff node per step; with
-    v None, the softmax weights alone."""
+    """softmax(q k^T * scale) v built from one autodiff node per step."""
     swap = (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)
     scores = ad.mul_scalar(ad.matmul(q, ad.permute(k, swap)), scale)
-    weights = ad.softmax(scores, mask=mask, axis=-1)
-    return weights if v is None else ad.matmul(weights, v)
+    return ad.matmul(ad.softmax(scores, mask=mask, axis=-1), v)
 
 
 def broadcast_weight_grad(a, g):

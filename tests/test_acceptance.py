@@ -31,7 +31,7 @@ from corrstn.autodiff import (abs_, add, dropout, layer_norm, linear, matmul,
                               reshape, softmax, sub, sum_, unfold_time)
 from corrstn.cli import main as cli_main
 from corrstn.data import SampleSet, SpatioTemporalTensor
-from corrstn.neural import conv1d_temporal, reconstruct_keys, spatial_dynamic_weights
+from corrstn.neural import conv1d_temporal, reconstruct_keys
 from oracles import (finite_difference_gradient, gradient_gap,
                      metrics_brute_force, mic_brute_force,
                      multi_head_attention, plain_gnn)
@@ -294,7 +294,6 @@ def _layer_catalog(seed):
          ciatt_forward(q, k, v, topu, 2, w_out, mask=mask),
          [(n, length, d)] * 3 + [(d, d)], "ciatt masked"),
         (lambda k: reconstruct_keys(topu, k), [(n, length, d)], "reconstruct"),
-        (spatial_dynamic_weights, [(n, d)], "dynamic weights"),
         (lambda x, k, b: conv1d_temporal(x, k, b),
          [(6, 3), (3, 3, 5), (5,)], "temporal conv"),
     ]

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from corrstn import Module, Parameter, Tensor, xavier_uniform
-from corrstn.autodiff import (abs_, add, attention, attention_weights,
-                              dropout, layer_norm, linear, matmul, mean, mul,
-                              mul_scalar, narrow, no_grad, permute, relu,
-                              reshape, softmax, sub, sum_, unfold_time)
+from corrstn.autodiff import (abs_, add, attention, dropout, layer_norm,
+                              linear, matmul, mean, mul, mul_scalar, narrow,
+                              no_grad, permute, relu, reshape, softmax, sub,
+                              sum_, unfold_time)
 from corrstn.errors import ConfigError, DimensionError
 from oracles import (attention_by_ops, broadcast_weight_grad,
                      finite_difference_gradient, gradient_gap)
@@ -194,29 +194,21 @@ def test_fused_attention_matches_op_by_op(l_q, l_k, mask):
                         arrays, trainable)
 
 
-@pytest.mark.parametrize("l_q, l_k, mask", _ATTENTION_CASES)
-def test_fused_attention_weights_match_op_by_op(l_q, l_k, mask):
-    rng = np.random.default_rng(l_q * 10 + l_k + 1)
-    arrays = [rng.normal(size=(3, l_q, 4)), rng.normal(size=(3, l_k, 4))]
-    for trainable in ({0}, {1}, {0, 1}):
-        _compare_to_ops(lambda q, k: attention_weights(q, k, 0.7, mask=mask),
-                        lambda q, k: attention_by_ops(q, k, None, 0.7, mask=mask),
-                        arrays, trainable)
-
-
-def test_fused_attention_weights_of_one_operand_match_op_by_op():
-    # Z against itself, as the graph layer's dynamic weights use it
+def test_fused_attention_of_one_operand_matches_op_by_op():
+    # Z as queries and keys, as the graph layer's dynamic route uses it
     scale = 1.0 / np.sqrt(5)
-    arrays = [np.random.default_rng(9).normal(size=(2, 6, 5))]
-    _compare_to_ops(lambda z: attention_weights(z, z, scale),
-                    lambda z: attention_by_ops(z, z, None, scale), arrays, {0})
+    rng = np.random.default_rng(9)
+    arrays = [rng.normal(size=(2, 6, 5)), rng.normal(size=(2, 6, 5))]
+    for trainable in ({0}, {0, 1}):
+        _compare_to_ops(lambda z, v: attention(z, z, v, scale),
+                        lambda z, v: attention_by_ops(z, z, v, scale),
+                        arrays, trainable)
 
 
 def test_fused_attention_gradients_and_checks():
     mask = np.triu(np.ones((4, 5), dtype=bool), k=2)
     _check_op(lambda q, k, v: attention(q, k, v, 0.5, mask=mask),
               (2, 4, 3), (2, 5, 3), (2, 5, 2))
-    _check_op(lambda q, k: attention_weights(q, k, 0.5), (4, 3), (5, 3))
     with pytest.raises(DimensionError):
         attention(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 2))),
                   Tensor(np.ones((5, 2))), 1.0)
@@ -224,8 +216,9 @@ def test_fused_attention_gradients_and_checks():
         attention(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 3))),
                   Tensor(np.ones((4, 2))), 1.0)
     with pytest.raises(ConfigError):
-        attention_weights(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), 1.0,
-                          mask=np.array([[True, True], [False, True]]))
+        attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))),
+                  Tensor(np.ones((2, 3))), 1.0,
+                  mask=np.array([[True, True], [False, True]]))
 
 
 @pytest.mark.parametrize("a_shape", [(5, 4), (3, 5, 4), (2, 3, 5, 4)])
@@ -381,46 +374,50 @@ def test_xavier_uniform_bounds():
     assert w.std() > bound / 4  # actually spread out, not collapsed
 
 
-_LIBRARY = Path(__file__).resolve().parent.parent / "src" / "corrstn"
+_REPO = Path(__file__).resolve().parent.parent
+_LIBRARY = _REPO / "src" / "corrstn"
 
-# Public ops no library module calls. softmax stays because
+# Public names nothing outside the tests uses. softmax stays because
 # tests/oracles.attention_by_ops builds the op-by-op reference for the fused
-# attention nodes from it.
+# attention node from it.
 _ORACLE_ONLY_OPS = {"softmax"}
 
 
-def _autodiff_calls(path: Path, own: set[str]) -> set[str]:
-    """Names of autodiff functions one library module calls, as `ad.<op>()`
-    or as a bare `<op>()` after `from .autodiff import` (`own` for
-    autodiff itself)."""
-    tree = ast.parse(path.read_text())
-    aliases, bare = set(), {name: name for name in own}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            for alias in node.names:
-                if node.module is None and alias.name == "autodiff":
-                    aliases.add(alias.asname or alias.name)
-                elif node.module == "autodiff":
-                    bare[alias.asname or alias.name] = alias.name
-    called = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
+def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name a module reads, bare or as `<something>.<name>`, outside
+    the subtree `skip`. Imports alone do not count."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
             continue
-        func = node.func
-        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
-                and func.value.id in aliases):
-            called.add(func.attr)
-        elif isinstance(func, ast.Name) and func.id in bare:
-            called.add(bare[func.id])
-    return called
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
 
 
 def test_every_public_op_has_a_library_caller():
-    source = _LIBRARY / "autodiff.py"
-    ops = {node.name for node in ast.parse(source.read_text()).body
-           if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    called = set()
-    for path in _LIBRARY.glob("*.py"):
-        called |= _autodiff_calls(path, ops if path == source else set())
-    assert "unfold_time" in ops and "matmul" in called
-    assert ops - called == _ORACLE_ONLY_OPS
+    """Each public top-level function and class of the package is used,
+    by name, outside its own definition by library code, a demo or the
+    benchmark; tests and the `__init__` re-exports do not count."""
+    library = [path for path in _LIBRARY.glob("*.py") if path.name != "__init__.py"]
+    users = library + sorted((_REPO / "demos").glob("*.py")) \
+        + sorted((_REPO / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in users}
+    refs = {path: _references(tree) for path, tree in trees.items()}
+    defined, unused = set(), set()
+    for path in library:
+        elsewhere = set().union(*(r for other, r in refs.items() if other != path))
+        for node in trees[path].body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined.add(node.name)
+                # the defining module counts only outside the definition
+                if node.name not in elsewhere | _references(trees[path], node):
+                    unused.add(node.name)
+    assert {"unfold_time", "pairwise_mic", "CIGNN"} <= defined
+    assert {"matmul", "attention"} <= set().union(*refs.values())
+    assert unused == _ORACLE_ONLY_OPS

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrstn import (cli, compute_scorr, load_metric_report, load_scorr,
-                     load_tensor)
+from corrstn import (SCorrTensor, cli, compute_scorr, load_metric_report,
+                     load_scorr, load_tensor, save_scorr)
 
 
 # a 12-step horizon needs the hourly offset >= 12, so 5-minute sampling;
@@ -249,6 +249,21 @@ def test_missing_artifact_names_producer(workdir, tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "corrstn scorr" in err
+
+
+@pytest.mark.parametrize("sensors, attributes", [(3, 1), (4, 2)])
+def test_scorr_for_other_data_is_data_error(workdir, tmp_path, capsys, sensors,
+                                            attributes):
+    # the workdir data has 4 sensors and 1 attribute
+    other = tmp_path / "other.scor"
+    save_scorr(SCorrTensor(np.ones((sensors, sensors, attributes))), other)
+    rc = cli.main(["train", "--data", str(workdir / "data.sttf"),
+                   "--scorr", str(other), "--out-dir", str(tmp_path / "run"),
+                   "--ratios", _RATIOS, "--epochs", "1"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(other) in err and str(workdir / "data.sttf") in err
+    assert not (tmp_path / "run" / "checkpoint.cstn").exists()
 
 
 @pytest.mark.parametrize("cut", [20, 44, 50, 60, -3])

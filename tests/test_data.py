@@ -3,8 +3,8 @@ import pytest
 
 from corrstn import (SpatioTemporalTensor, assemble_samples, denormalize,
                      fit_normalization, generate_synthetic, load_dataset,
-                     load_edges, load_tensor, normalize, sample_count,
-                     save_tensor, save_tensor_csv, split_ranges)
+                     load_edges, load_tensor, normalize, save_tensor,
+                     split_ranges)
 from corrstn.data import iterate_batches
 from corrstn.errors import ConfigError, DataError, DimensionError
 
@@ -53,7 +53,11 @@ def test_binary_rejects_corrupt_header(tmp_path):
 def test_csv_round_trip_and_sensor_ordering(tmp_path):
     x = _tensor(t=6, n=3, c=2)
     path = tmp_path / "series.csv"
-    save_tensor_csv(x, path, sensor_ids=["s10", "s2", "s1"])
+    ids = ["s10", "s2", "s1"]
+    # repr of a Python float parses back to the same bits
+    path.write_text("timestamp,sensor,attr0,attr1\n" + "".join(
+        f"{t},{ids[n]}," + ",".join(repr(float(v)) for v in x.data[t, n]) + "\n"
+        for t in range(6) for n in range(3)))
     ds = load_dataset(path)
     # lexicographic: s1 < s10 < s2 -> columns permuted vs original 0,1,2
     assert ds.sensor_ids == ["s1", "s10", "s2"]
@@ -84,9 +88,11 @@ def test_edges_directed_flag_and_errors(tmp_path):
     adj = load_edges(path, ["a", "b"])
     assert adj[0, 1] == 1.0 and adj[1, 0] == 0.0
     bad = tmp_path / "bad.csv"
-    bad.write_text("from,to\na,zzz\n")
-    with pytest.raises(DataError):
-        load_edges(bad, ["a", "b"])
+    for text in ("from,to\na,zzz\n", "from\na,b\n", "from,to,weight\na,b,nan\n",
+                 "from,to,weight\na,b,inf\n"):
+        bad.write_text(text)
+        with pytest.raises(DataError):
+            load_edges(bad, ["a", "b"])
 
 
 def test_split_ranges_truncation():
@@ -118,7 +124,7 @@ def test_assemble_samples_alignment():
     got = assemble_samples(x, (20, 40), ("hourly", "daily"), offsets, horizon=4)
     # anchors: first 19 (split start - 1), last 35 (39 - horizon)
     assert got.anchors[0] == 19 and got.anchors[-1] == 35
-    assert len(got) == sample_count((20, 40), 16, 4)
+    assert len(got) == 17
     assert got.periods == ("daily", "hourly")   # slow block first
     t = int(got.anchors[0])
     daily = x.data[t - 16 + 1:t - 16 + 5]

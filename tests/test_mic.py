@@ -3,54 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from corrstn import (DEFAULT_ETA, GridSpec, admissible_shapes, mic, mic_full,
-                     mutual_information, pairwise_mic)
-from corrstn.errors import ConfigError, DimensionError
+from corrstn import DEFAULT_ETA, admissible_shapes, mic, mic_full, pairwise_mic
+from corrstn.errors import DimensionError
 from corrstn.mic import MicStats, _GridSearch, _grid_search, _profile, _score
-from oracles import (grid_shapes, mi_with_edges_brute_force, mic_brute_force)
-
-
-def test_grid_spec_validation():
-    GridSpec(2, 2, cell_bound=5.0)
-    with pytest.raises(ConfigError):
-        GridSpec(1, 2, cell_bound=5.0)
-    with pytest.raises(ConfigError):
-        GridSpec(2, 0, cell_bound=5.0)
-    with pytest.raises(ConfigError):
-        GridSpec(2, 3, cell_bound=6.0)  # 6 cells not strictly below 6
-
-
-def test_mutual_information_independent_uniform():
-    # a 4x4 product distribution carries zero information
-    x = np.repeat(np.arange(4), 4).astype(float)
-    y = np.tile(np.arange(4), 4).astype(float)
-    edges = [-0.5, 0.5, 1.5, 2.5, 3.5]
-    got = mutual_information(x, y, GridSpec(4, 4, cell_bound=17.0), edges, edges)
-    assert abs(got) < 1e-15
-
-
-def test_mutual_information_identical_binary():
-    x = np.array([0.0, 0.0, 1.0, 1.0])
-    edges = [-0.5, 0.5, 1.5]
-    got = mutual_information(x, x, GridSpec(2, 2, cell_bound=5.0), edges, edges)
-    assert abs(got - 1.0) < 1e-15
-
-
-def test_mutual_information_matches_loop_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        m = int(rng.integers(8, 40))
-        x = rng.normal(size=m)
-        y = rng.normal(size=m)
-        a = int(rng.integers(2, 5))
-        b = int(rng.integers(2, 5))
-        x_edges = np.quantile(x, np.linspace(0, 1, a + 1))
-        y_edges = np.quantile(y, np.linspace(0, 1, b + 1))
-        got = mutual_information(x, y, GridSpec(a, b, cell_bound=a * b + 1.0),
-                                 x_edges, y_edges)
-        want = mi_with_edges_brute_force(x.tolist(), y.tolist(),
-                                         x_edges.tolist(), y_edges.tolist())
-        assert abs(got - want) < 1e-12
+from oracles import grid_shapes, mic_brute_force
 
 
 def test_admissible_shapes_match_oracle():
@@ -163,6 +119,14 @@ def test_pairwise_mic_matches_scalar_calls():
         for j in range(i + 1, 5):
             assert got[i, j] == got[j, i]
             assert got[i, j] == mic(cols[:, i], cols[:, j])
+
+
+def test_pairwise_mic_refuses_a_list_of_sequences():
+    # converting k sequences would silently read them as (k, m)
+    cols = np.random.default_rng(29).normal(size=(40, 3))
+    for columns in ([cols[:, i] for i in range(3)], cols.T.tolist(), cols[:, 0]):
+        with pytest.raises(DimensionError):
+            pairwise_mic(columns)
 
 
 def test_pairwise_mic_parallel_bit_equal():

@@ -39,6 +39,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(horizon=6)             # the forecast contract is 12 steps
     with pytest.raises(ConfigError):
+        ModelConfig(tau=6)                 # period blocks are horizon-long
+    with pytest.raises(ConfigError):
         ModelConfig(d_model=30, heads=4)
     with pytest.raises(ConfigError):
         ModelConfig(kernel_size=4)

@@ -5,12 +5,10 @@ from corrstn import (CIATT, CIGNN, LayerNorm, Linear, SCorrTensor,
                      TemporalConv, Tensor, TopUSCorr, add_self_loops,
                      causal_mask, ciatt_forward, cignn_forward,
                      conv1d_temporal, identity_topu, laplacian_normalize,
-                     reconstruct_keys, spatial_dynamic_weights,
-                     top_u_normalize, topu_mixing_matrix)
+                     reconstruct_keys, top_u_normalize, topu_mixing_matrix)
 from corrstn.errors import ConfigError, DataError, DimensionError
-from oracles import (attention_by_ops, finite_difference_gradient,
-                     gradient_gap, multi_head_attention, plain_gnn,
-                     softmax_rows)
+from oracles import (finite_difference_gradient, gradient_gap,
+                     multi_head_attention, plain_gnn, softmax_rows)
 
 
 def _random_scorr(n, c, seed=0):
@@ -66,29 +64,6 @@ def test_causal_mask_pattern():
 
 # ---------------------------------------------------------------------------
 # functional layers
-
-def test_spatial_dynamic_weights_match_manual_softmax():
-    rng = np.random.default_rng(1)
-    z = rng.normal(size=(2, 5, 4))
-    got = spatial_dynamic_weights(Tensor(z)).data
-    want = softmax_rows(z @ z.transpose(0, 2, 1) / np.sqrt(4))
-    assert got.shape == (2, 5, 5)
-    assert np.allclose(got, want, atol=1e-12)
-    assert np.allclose(got.sum(axis=-1), 1.0, atol=1e-12)
-
-
-def test_spatial_dynamic_weights_match_op_by_op():
-    z0 = np.random.default_rng(11).normal(size=(2, 3, 5, 4))
-    seed_grad = np.random.default_rng(12).normal(size=(2, 3, 5, 5))
-    fused_z, ops_z = (Tensor(z0.copy(), requires_grad=True) for _ in range(2))
-    fused = spatial_dynamic_weights(fused_z)
-    ops = attention_by_ops(ops_z, ops_z, None, 1.0 / np.sqrt(4))
-    assert np.array_equal(fused.data, ops.data)
-    fused.backward(seed_grad)
-    ops.backward(seed_grad)
-    assert np.max(np.abs(fused_z.grad - ops_z.grad)) <= \
-        1e-12 * np.max(np.abs(ops_z.grad))
-
 
 def _cignn_reference(z, scorr, adj, w, psi, omega):
     s_w = softmax_rows(z @ np.swapaxes(z, -1, -2) / np.sqrt(z.shape[-1]))

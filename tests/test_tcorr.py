@@ -5,9 +5,8 @@ import pytest
 
 from corrstn import (DEFAULT_ETA, PERIODS, PeriodSpec, SpatioTemporalTensor,
                      TCorrWeights, anchor_positions, build_tcorr_report,
-                     combine_verdicts, compute_tcorr, extract_periodic_windows,
-                     load_report, mic, save_report, select_periods,
-                     weighted_tcorr)
+                     combine_verdicts, compute_tcorr, load_report, mic,
+                     save_report, select_periods, weighted_tcorr)
 from corrstn.errors import (ConfigError, DimensionError, EmptyAnchorError,
                             OutOfRangeError)
 from corrstn.mic import MicStats, _GridSearch
@@ -49,28 +48,15 @@ def test_weights_defaults_and_validation():
         TCorrWeights(weekly=1.2)
 
 
-def test_extract_windows_are_views_with_exact_slices():
+def test_compute_tcorr_refuses_anchors_out_of_range():
     spec = PeriodSpec.from_interval(60, tau=3)  # offsets 1 / 24 / 168
-    x = _tensor(t=400)
-    t = 200
-    blocks = extract_periodic_windows(x, t, spec)
-    assert np.shares_memory(blocks["hourly"], x.data)
-    # window for offset P covers [t-P+1, t-P+tau]
-    assert np.array_equal(blocks["hourly"], x.data[200:203])
-    assert np.array_equal(blocks["daily"], x.data[177:180])
-    assert np.array_equal(blocks["weekly"], x.data[33:36])
-    assert np.array_equal(blocks["target"], x.data[201:204])
-
-
-def test_extract_windows_bounds():
-    spec = PeriodSpec.from_interval(60, tau=3)
     x = _tensor(t=200)
     with pytest.raises(OutOfRangeError):
-        extract_periodic_windows(x, 100, spec)          # weekly underflows
+        compute_tcorr(x, x, spec, "weekly", anchors=[150, 166])  # window starts at -1
     with pytest.raises(OutOfRangeError):
-        extract_periodic_windows(x, 198, spec)          # target overflows
-    blocks = extract_periodic_windows(x, 100, spec, periods=("hourly", "daily"))
-    assert set(blocks) == {"hourly", "daily", "target"}
+        compute_tcorr(x, x, spec, "hourly", anchors=[100, 197])  # target ends at 200
+    # the last in-range anchor on each side
+    compute_tcorr(x, x, spec, "weekly", anchors=[167, 196])
 
 
 def test_anchor_positions_step_tau():
@@ -87,11 +73,11 @@ def test_compute_tcorr_single_anchor_matches_mic():
     x = _tensor(t=400, n=3, c=2, seed=1, interval=60)
     t = 250
     got = compute_tcorr(x, x, spec, "daily", anchors=[t])
-    blocks = extract_periodic_windows(x, t, spec)
+    # the window for offset P covers [t-P+1, t-P+tau], the target [t+1, t+tau]
+    daily, target = x.data[227:235], x.data[251:259]
     for i in range(3):
         for a in range(2):
-            want = mic(blocks["daily"][:, i, a], blocks["target"][:, i, a])
-            assert got[i, a] == want
+            assert got[i, a] == mic(daily[:, i, a], target[:, i, a])
 
 
 def test_compute_tcorr_averages_over_anchors():
