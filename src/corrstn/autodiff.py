@@ -2,7 +2,8 @@
 
 Only what the forecaster needs: broadcasted arithmetic, batched matmul,
 relu/abs, masked softmax and layer norm (fused, last axis), the fused
-attention core, reductions, shape ops, the temporal unfold, and dropout.
+attention core (plain or row-independent), reductions, shape ops, zero
+padding, the temporal unfold, and dropout.
 Graphs are built eagerly; backward() walks a topological order once, computes
 a gradient only for an operand that requires one, and accumulates into .grad.
 Only the root and the leaves keep .grad afterwards: each inner node's gradient
@@ -271,6 +272,24 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _result(a.data[index].copy(), (a,), backward)
 
 
+def pad_to(a: Tensor, axis: int, length: int) -> Tensor:
+    """Zero rows appended along one axis up to `length`; a itself when it
+    already has that length."""
+    axis = axis % a.ndim
+    if length < a.shape[axis]:
+        raise DimensionError(f"cannot pad an axis of {a.shape[axis]} to {length}")
+    if length == a.shape[axis]:
+        return a
+    index = tuple(slice(None) if i != axis else slice(0, a.shape[axis])
+                  for i in range(a.ndim))
+    out = np.zeros(a.shape[:axis] + (length,) + a.shape[axis + 1:])
+    out[index] = a.data
+
+    def backward(g):
+        _accumulate(a, g[index])
+    return _result(out, (a,), backward)
+
+
 def unfold_time(x: Tensor, k: int) -> Tensor:
     """The k centred, zero-padded windows along axis -2, side by side:
     (..., T, d) -> (..., T, k*d), where block o of row t is row t + o - (k-1)//2
@@ -302,14 +321,14 @@ def unfold_time(x: Tensor, k: int) -> Tensor:
 # fused nonlinearities
 
 def _masked_softmax(z: np.ndarray, mask: np.ndarray | None, axis: int) -> np.ndarray:
-    """Softmax of z along one axis; True entries of mask get probability exactly 0."""
+    """Softmax of z along one axis, computed in place in z, which the caller
+    owns; True entries of mask get probability exactly 0."""
     if mask is not None:
         mask = np.broadcast_to(mask, z.shape)
         if bool(np.all(mask, axis=axis).any()):
             raise ConfigError("softmax row fully masked")
-        z = np.where(mask, -np.inf, z)
-    # a fresh array from here on, so the rest runs in place
-    z = z - z.max(axis=axis, keepdims=True)
+        np.copyto(z, -np.inf, where=mask)
+    z -= z.max(axis=axis, keepdims=True)
     with np.errstate(invalid="ignore"):
         np.exp(z, out=z)
     z /= z.sum(axis=axis, keepdims=True)
@@ -324,28 +343,39 @@ def _softmax_backward(p: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
 
 def softmax(a: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Tensor:
     """Softmax along one axis; True entries of mask get probability exactly 0."""
-    p = _masked_softmax(a.data, mask, axis)
+    p = _masked_softmax(a.data.copy(), mask, axis)
 
     def backward(g):
         _accumulate(a, _softmax_backward(p, g, axis))
     return _result(p, (a,), backward)
 
 
+def _product(a: np.ndarray, b: np.ndarray, rowwise: bool) -> np.ndarray:
+    """a @ b, or with rowwise one (1, n) @ (n, m) product per row of a."""
+    if rowwise:
+        return (a[..., :, None, :] @ b[..., None, :, :])[..., 0, :]
+    return a @ b
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
-              mask: np.ndarray | None = None) -> Tensor:
+              mask: np.ndarray | None = None, rowwise: bool = False) -> Tensor:
     """softmax(q k^T * scale) v as one node that keeps only the weights.
 
     q is (..., L_q, d), k (..., L_k, d) and v (..., L_k, d_v); q may be k
-    itself. mask (L_q, L_k) blocks True positions.
+    itself. mask (L_q, L_k) blocks True positions. With rowwise, each query
+    row is its own (1, d) product against the keys, then its own (1, L_k)
+    product against the values, so a row has the same bits for any L_q;
+    plain GEMMs over L_q do not promise that. Backward is the same either way.
     """
     if q.ndim < 2 or k.ndim < 2 or q.shape[-1] != k.shape[-1]:
         raise DimensionError(f"attention scores need (..., L, d) operands, "
                              f"got {q.shape} and {k.shape}")
     if v.ndim < 2 or v.shape[-2] != k.shape[-2]:
         raise DimensionError(f"values {v.shape} do not match keys {k.shape}")
-    scores = q.data @ np.swapaxes(k.data, -1, -2)
+    scores = _product(q.data, np.swapaxes(k.data, -1, -2), rowwise)
     scores *= scale
     p = _masked_softmax(scores, mask, -1)
+    out = _product(p, v.data, rowwise)
 
     def backward(g):
         if v.requires_grad:
@@ -360,7 +390,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
         if k.requires_grad:
             dk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2)
             _accumulate(k, _unbroadcast(dk, k.shape))
-    return _result(p @ v.data, (q, k, v), backward)
+    return _result(out, (q, k, v), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

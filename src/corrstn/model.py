@@ -1,12 +1,17 @@
 """Encoder-decoder forecaster over correlation attention and graph layers.
 
-Layout conventions: batches are (B, T, N, C); attention runs per sensor over
-time in (B, N, L, d_model); the graph layer runs per time step over sensors.
-Training uses teacher forcing; inference rolls the decoder autoregressively
-from the last observed step. The encoder output and each decoder layer's
-cross-attention keys and values do not change during a rollout, so inference
-computes them once per batch chunk and re-runs only the decoder over the
-growing prefix at each step.
+Layout conventions: batches are (B, T, N, C) and activations (B, T, N,
+d_model). Linear maps run there, one (N, d) product per position; attention
+splits into heads (B, N, H, L, d_head) only around its core, and the graph
+layer runs per time step over sensors. Training uses teacher forcing;
+inference rolls the decoder autoregressively from the last observed step.
+The encoder output and each decoder layer's cross-attention keys and values
+do not change during a rollout, so inference computes them once per batch
+chunk. The decoder computes every row independently of the others, and its
+self-attention always spans all horizon key rows, zero and masked where not
+yet written, so each rollout step decodes only the new position against
+cached keys and values and still matches a forward pass over its prefix bit
+for bit.
 """
 
 from __future__ import annotations
@@ -130,10 +135,8 @@ class EncoderLayer(Module):
         self.norm_graph = LayerNorm(config.d_model)
 
     def __call__(self, x, rng=None):
-        # x: (B, T, N, d); attention wants (B, N, T, d)
-        xa = ad.permute(x, (0, 2, 1, 3))
-        att = ad.permute(self.attn(xa, xa, rng=rng), (0, 2, 1, 3))
-        x = self.norm_attn(ad.add(x, att))
+        # x: (B, T, N, d)
+        x = self.norm_attn(ad.add(x, self.attn(x, x, rng=rng)))
         x = self.norm_graph(ad.add(x, self.graph(x)))
         return x
 
@@ -154,14 +157,26 @@ class DecoderLayer(Module):
 
     def memory_kv(self, memory):
         """Cross-attention keys and values of the encoder memory (B, T, N, d)."""
-        return self.cross_attn.keys_values(ad.permute(memory, (0, 2, 1, 3)))
+        return self.cross_attn.keys_values(memory)
 
-    def __call__(self, y, memory_kv, mask, rng=None):
-        ya = ad.permute(y, (0, 2, 1, 3))
-        att = ad.permute(self.self_attn(ya, ya, mask=mask, rng=rng), (0, 2, 1, 3))
+    def __call__(self, y, memory_kv, mask, start=0, cache=None, rng=None):
+        """Decoder rows [start, start + L) of y (B, L, N, d). Self-attention
+        always spans mask.shape[1] key rows; rows past the last one written
+        are zero and masked. A cache holds (B, N, H, rows, d/H) key and value
+        buffers: the new rows are written into them and attention reads them
+        whole. Attention runs row-independently, so each output row has the
+        same bits whichever rows are decoded with it."""
+        rows = mask.shape[1]
+        kv = self.self_attn.keys_values(y)
+        if cache is None:
+            kv = tuple(ad.pad_to(t, -2, rows) for t in kv)
+        else:
+            for buffer, new in zip(cache, kv):
+                buffer[..., start:start + y.shape[1], :] = new.data
+            kv = tuple(Tensor(buffer) for buffer in cache)
+        att = self.self_attn.attend(y, kv, mask=mask, rng=rng, rowwise=True)
         y = self.norm_self(ad.add(y, att))
-        ya = ad.permute(y, (0, 2, 1, 3))
-        att = ad.permute(self.cross_attn.attend(ya, memory_kv, rng=rng), (0, 2, 1, 3))
+        att = self.cross_attn.attend(y, memory_kv, rng=rng, rowwise=True)
         y = self.norm_cross(ad.add(y, att))
         y = self.norm_graph(ad.add(y, self.graph(y)))
         return y
@@ -200,9 +215,10 @@ class CorrSTN(Module):
         self.training = False
         self._rng = np.random.default_rng(seed + 1)
 
-    def _embed(self, raw, proj, pos: Parameter, length: int) -> Tensor:
+    def _embed(self, raw, proj, pos: Parameter, start: int = 0) -> Tensor:
+        length = raw.shape[1]
         x = proj(Tensor(raw))
-        pos_slice = ad.narrow(pos, 0, 0, length)
+        pos_slice = ad.narrow(pos, 0, start, length)
         pos_bcast = ad.reshape(pos_slice, (length, 1, pos.shape[1]))
         return ad.add(ad.add(x, self.spatial_emb), pos_bcast)
 
@@ -238,7 +254,7 @@ class CorrSTN(Module):
         return self._decode(dec, self._memory_kv(memory), rng)
 
     def _encode(self, enc, rng=None) -> Tensor:
-        x = self._embed(enc, self.enc_proj, self.enc_pos, enc.shape[1])
+        x = self._embed(enc, self.enc_proj, self.enc_pos)
         for layer in self.encoder:
             x = layer(x, rng=rng)
         return x
@@ -246,11 +262,16 @@ class CorrSTN(Module):
     def _memory_kv(self, memory: Tensor) -> list:
         return [layer.memory_kv(memory) for layer in self.decoder]
 
-    def _decode(self, dec, memory_kv, rng=None) -> Tensor:
-        mask = causal_mask(dec.shape[1])
-        y = self._embed(dec, self.dec_proj, self.dec_pos, dec.shape[1])
-        for layer, kv in zip(self.decoder, memory_kv):
-            y = layer(y, kv, mask, rng=rng)
+    def _decode(self, dec, memory_kv, rng=None, start=0, cache=None) -> Tensor:
+        """Outputs of decoder positions [start, start + L) for dec (B, L, N, C).
+        Self-attention spans all horizon positions, masked causally; with a
+        cache (one key and one value buffer per layer) earlier positions'
+        keys and values come from it."""
+        mask = causal_mask(self.config.horizon)[start:start + dec.shape[1]]
+        y = self._embed(dec, self.dec_proj, self.dec_pos, start)
+        caches = [None] * len(self.decoder) if cache is None else cache
+        for layer, kv, layer_cache in zip(self.decoder, memory_kv, caches):
+            y = layer(y, kv, mask, start=start, cache=layer_cache, rng=rng)
         return self.head(y)
 
     def forecast(self, encoder_input, chunk: int = 64) -> np.ndarray:
@@ -261,9 +282,12 @@ class CorrSTN(Module):
         remaining attributes are held at their last observed values.
 
         Each chunk of the batch is encoded once, and each decoder layer's
-        cross-attention keys and values are computed once from that memory;
-        every step then re-runs only the decoder over the growing prefix.
-        The result is bit-identical to calling `forward` on each prefix.
+        cross-attention keys and values are computed once from that memory.
+        Each step then decodes only the new position: its self-attention
+        keys and values are written into per-layer buffers, from which it
+        reads those of the earlier positions. Every decoder op gives a row
+        the same bits however many rows it is computed with, so the result
+        is bit-identical to calling `forward` on each prefix.
         Dropout is off during the rollout and no autograph is built; the
         training flag is restored.
         """
@@ -271,21 +295,23 @@ class CorrSTN(Module):
                                 "encoder input")
         was_training = self.training
         self.set_training(False)
-        horizon = self.config.horizon
+        horizon, heads = self.config.horizon, self.config.heads
         outputs = np.empty((enc.shape[0], horizon, self.n_sensors, 1))
         try:
             with ad.no_grad():
                 for start in range(0, enc.shape[0], chunk):
                     block = enc[start:start + chunk]
                     memory_kv = self._memory_kv(self._encode(block))
-                    dec = block[:, -1:].copy()
+                    shape = (block.shape[0], self.n_sensors, heads, horizon,
+                             self.config.d_model // heads)
+                    cache = [(np.zeros(shape), np.zeros(shape))
+                             for _ in self.decoder]
+                    row = block[:, -1:].copy()
                     for step in range(horizon):
-                        pred = self._decode(dec, memory_kv).data
-                        outputs[start:start + block.shape[0], step] = pred[:, -1]
-                        if step + 1 < horizon:
-                            nxt = dec[:, -1:].copy()
-                            nxt[:, 0, :, 0] = pred[:, -1, :, 0]
-                            dec = np.concatenate([dec, nxt], axis=1)
+                        pred = self._decode(row, memory_kv, start=step,
+                                            cache=cache).data
+                        outputs[start:start + block.shape[0], step] = pred[:, 0]
+                        row[:, 0, :, 0] = pred[:, 0, :, 0]
         finally:
             self.set_training(was_training)
         return outputs
@@ -433,7 +459,7 @@ def train(model: CorrSTN, data: TrainingData, config: ModelConfig,
         model.set_training(False)
         val_mae, val_rmse, val_mape = _teacher_forced_metrics(
             model, data.val, data.norm_params)
-        row = EpochRow(epoch=epoch, train_mae=loss_sum / seen * scale,
+        row = EpochRow(epoch=epoch, train_mae=float(loss_sum / seen * scale),
                        val_mae=val_mae, val_rmse=val_rmse, val_mape=val_mape,
                        seconds=time.perf_counter() - started)
         log.rows.append(row)

@@ -72,62 +72,77 @@ def cignn_forward(z: Tensor, scorr: SCorrTensor, adj: NormalizedAdjacency,
     return ad.add(out, structural)
 
 
-def reconstruct_keys(topu: TopUSCorr, k: Tensor) -> Tensor:
+def _swap_last_but_one(ndim: int) -> tuple:
+    """Axes that swap positions -3 and -2: (..., N, L, d) <-> (..., L, N, d)."""
+    return (*range(ndim - 3), ndim - 2, ndim - 3, ndim - 1)
+
+
+def reconstruct_keys(topu: TopUSCorr, k: Tensor, sensor_axis: int = -3) -> Tensor:
     """Replace each sensor's keys with the weighted blend of its top-U peers:
     out_i = (1/C) sum_c sum_u weights[i,u,c] * k[indices[i,u,c]].
-    k has shape (..., N, L, d); output shape is identical."""
+    k has shape (..., N, L, d), or (..., L, N, d) with sensor_axis=-2, where
+    the blend is one (N, N) @ (N, d) product per position; output shape is
+    identical."""
     n = topu.indices.shape[0]
-    if k.ndim < 3 or k.shape[-3] != n:
-        raise DimensionError(f"keys must be (..., {n}, L, d), got {k.shape}")
+    if sensor_axis not in (-3, -2):
+        raise ConfigError(f"sensor_axis must be -3 or -2, got {sensor_axis}")
+    if k.ndim < 3 or k.shape[sensor_axis] != n:
+        raise DimensionError(f"keys must have {n} sensors on axis {sensor_axis}, "
+                             f"got {k.shape}")
     if int(topu.indices.min()) < 0 or int(topu.indices.max()) >= n:
         raise DimensionError("top-U indices out of range")
     mixing = Tensor(topu_mixing_matrix(topu))
-    swap = (*range(k.ndim - 3), k.ndim - 2, k.ndim - 3, k.ndim - 1)
-    mixed = ad.matmul(mixing, ad.permute(k, swap))
-    return ad.permute(mixed, swap)
+    if sensor_axis == -2:
+        return ad.matmul(mixing, k)
+    swap = _swap_last_but_one(k.ndim)
+    return ad.permute(ad.matmul(mixing, ad.permute(k, swap)), swap)
 
 
 def split_heads(x: Tensor, heads: int) -> Tensor:
-    """(..., L, d) -> (..., H, L, d/H)."""
+    """(..., L, N, d) -> (..., N, H, L, d/H)."""
     d = x.shape[-1]
     if d % heads != 0:
         raise ConfigError(f"d_model {d} not divisible by {heads} heads")
-    parts = x.shape[:-1] + (heads, d // heads)
-    split = ad.reshape(x, parts)
-    swap = (*range(split.ndim - 3), split.ndim - 2, split.ndim - 3, split.ndim - 1)
-    return ad.permute(split, swap)
+    split = ad.reshape(x, x.shape[:-1] + (heads, d // heads))
+    m = split.ndim
+    return ad.permute(split, (*range(m - 4), m - 3, m - 2, m - 4, m - 1))
 
 
 def merge_heads(x: Tensor) -> Tensor:
-    """(..., H, L, d/H) -> (..., L, d)."""
-    swap = (*range(x.ndim - 3), x.ndim - 2, x.ndim - 3, x.ndim - 1)
-    merged = ad.permute(x, swap)
+    """(..., N, H, L, d/H) -> (..., L, N, d)."""
+    m = x.ndim
+    merged = ad.permute(x, (*range(m - 4), m - 2, m - 4, m - 3, m - 1))
     return ad.reshape(merged, merged.shape[:-2] + (merged.shape[-2] * merged.shape[-1],))
 
 
 def key_value_heads(topu: TopUSCorr, k: Tensor, v: Tensor,
                     heads: int) -> tuple[Tensor, Tensor]:
     """Key/value half of the attention: blend keys across correlated sensors,
-    then split keys and values (..., N, L, d_model) into heads. It reads no
-    query, so a decoder can compute it once per encoder memory."""
+    then split keys and values (..., L, N, d_model) into heads
+    (..., N, H, L, d_head). It reads no query, so a decoder can compute it
+    once per encoder memory."""
     if k.shape != v.shape:
         raise DimensionError(f"projection shapes disagree: k {k.shape}, v {v.shape}")
-    return split_heads(reconstruct_keys(topu, k), heads), split_heads(v, heads)
+    return (split_heads(reconstruct_keys(topu, k, sensor_axis=-2), heads),
+            split_heads(v, heads))
 
 
 def attend_heads(q: Tensor, kh: Tensor, vh: Tensor, w_out: Tensor,
-                 b_out: Tensor | None = None,
-                 mask: np.ndarray | None = None) -> Tensor:
-    """Query half: each head of q (..., N, L_q, d_model) attends over the
+                 b_out: Tensor | None = None, mask: np.ndarray | None = None,
+                 rowwise: bool = False) -> Tensor:
+    """Query half: each head of q (..., L_q, N, d_model) attends over the
     split keys/values kh, vh (..., N, H, L_k, d_head) with
     softmax(Q K~^T / sqrt(d_head)); head outputs are concatenated and
-    linearly projected. mask (L_q, L_k) blocks True positions."""
+    linearly projected. mask (L_q, L_k) blocks True positions; rowwise
+    selects the row-independent attention core. Every product outside the
+    core runs once per position, so with rowwise an output row has the same
+    bits however many query rows come with it."""
     heads, d_head = kh.shape[-3], kh.shape[-1]
     if q.shape[-1] != heads * d_head:
         raise DimensionError(
             f"projection shapes disagree: q {q.shape}, keys {kh.shape}")
     mixed = ad.attention(split_heads(q, heads), kh, vh, 1.0 / np.sqrt(d_head),
-                         mask=mask)
+                         mask=mask, rowwise=rowwise)
     return ad.linear(merge_heads(mixed), w_out, b_out)
 
 
@@ -140,11 +155,13 @@ def ciatt_forward(q: Tensor, k: Tensor, v: Tensor, topu: TopUSCorr, heads: int,
     time with softmax(Q K~^T / sqrt(d_head)); head outputs are concatenated
     and linearly projected. mask (L_q, L_k) blocks True positions.
     """
-    if q.shape[-1] != k.shape[-1] or k.shape != v.shape:
-        raise DimensionError(
-            f"projection shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
-    kh, vh = key_value_heads(topu, k, v, heads)
-    return attend_heads(q, kh, vh, w_out, b_out, mask=mask)
+    if q.ndim < 3 or q.shape[-1] != k.shape[-1] or k.shape != v.shape:
+        raise DimensionError(f"q/k/v must be (..., N, L, d) and agree: "
+                             f"q {q.shape}, k {k.shape}, v {v.shape}")
+    swap = _swap_last_but_one(q.ndim)
+    kh, vh = key_value_heads(topu, ad.permute(k, swap), ad.permute(v, swap), heads)
+    out = attend_heads(ad.permute(q, swap), kh, vh, w_out, b_out, mask=mask)
+    return ad.permute(out, swap)
 
 
 def conv1d_temporal(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -202,7 +219,8 @@ class TemporalConv(Module):
 
 class CIATT(Module):
     """Correlation attention block: projections, optional temporal conv on
-    Q/K, key reconstruction, multi-head attention, output projection."""
+    Q/K, key reconstruction, multi-head attention, output projection. Inputs
+    are position-major, (..., L, N, d_model)."""
 
     def __init__(self, d_model: int, heads: int, topu: TopUSCorr,
                  rng: np.random.Generator, conv_kernel: int | None = None,
@@ -220,22 +238,29 @@ class CIATT(Module):
         self.dropout = dropout
         self.training = False
 
+    @staticmethod
+    def _project(x: Tensor, linear: Linear, conv: TemporalConv | None) -> Tensor:
+        out = linear(x)
+        if conv is None:
+            return out
+        # the conv runs along axis -2, so time moves there and back
+        swap = _swap_last_but_one(out.ndim)
+        return ad.permute(conv(ad.permute(out, swap)), swap)
+
     def keys_values(self, x_kv: Tensor) -> tuple[Tensor, Tensor]:
-        """Split keys and values of x_kv (..., N, L, d_model); they depend on
+        """Split keys and values of x_kv (..., L, N, d_model); they depend on
         x_kv alone, so cross-attention can reuse them for every query."""
-        k = self.wk(x_kv)
-        if self.k_conv is not None:
-            k = self.k_conv(k)
-        return key_value_heads(self.topu, k, self.wv(x_kv), self.heads)
+        return key_value_heads(self.topu, self._project(x_kv, self.wk, self.k_conv),
+                               self.wv(x_kv), self.heads)
 
     def attend(self, x_q: Tensor, kv: tuple[Tensor, Tensor],
                mask: np.ndarray | None = None,
-               rng: np.random.Generator | None = None) -> Tensor:
+               rng: np.random.Generator | None = None,
+               rowwise: bool = False) -> Tensor:
         """Queries of x_q attend over keys/values from `keys_values`."""
-        q = self.wq(x_q)
-        if self.q_conv is not None:
-            q = self.q_conv(q)
-        out = attend_heads(q, *kv, self.w_out.weight, self.w_out.bias, mask=mask)
+        q = self._project(x_q, self.wq, self.q_conv)
+        out = attend_heads(q, *kv, self.w_out.weight, self.w_out.bias, mask=mask,
+                           rowwise=rowwise)
         if self.training and self.dropout > 0.0:
             out = ad.dropout(out, self.dropout, rng)
         return out

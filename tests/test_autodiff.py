@@ -7,8 +7,8 @@ import pytest
 from corrstn import Module, Parameter, Tensor, xavier_uniform
 from corrstn.autodiff import (abs_, add, attention, dropout, layer_norm,
                               linear, matmul, mean, mul, mul_scalar, narrow,
-                              no_grad, permute, relu, reshape, softmax, sub,
-                              sum_, unfold_time)
+                              no_grad, pad_to, permute, relu, reshape,
+                              softmax, sub, sum_, unfold_time)
 from corrstn.errors import ConfigError, DimensionError
 from oracles import (attention_by_ops, broadcast_weight_grad,
                      finite_difference_gradient, gradient_gap)
@@ -97,8 +97,18 @@ def test_shape_op_gradients():
     _check_op(lambda a: reshape(a, (6, 2)), (3, 4))
     _check_op(lambda a: permute(a, (2, 0, 1)), (2, 3, 4))
     _check_op(lambda a: narrow(a, 1, 1, 2), (3, 4))
+    _check_op(lambda a: pad_to(a, -2, 5), (2, 3, 4))
     _check_op(lambda a: unfold_time(a, 3), (2, 5, 3))
     _check_op(lambda a: unfold_time(a, 5), (3, 2))   # windows wider than T
+
+
+def test_pad_to_values_and_checks():
+    a = Tensor(np.arange(6.0).reshape(2, 3))
+    assert np.array_equal(pad_to(a, 0, 4).data,
+                          np.vstack([a.data, np.zeros((2, 3))]))
+    assert pad_to(a, 1, 3) is a
+    with pytest.raises(DimensionError):
+        pad_to(a, 1, 2)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
@@ -162,10 +172,10 @@ def _grad_close(got, want):
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-def _compare_to_ops(fused, oracle, arrays, trainable):
+def _compare_to_ops(fused, oracle, arrays, trainable, exact=True):
     """Run fused and oracle on the same operands with only the `trainable`
-    slots requiring a gradient: bit-equal forward, gradients to 1e-12, and
-    no gradient on the other slots."""
+    slots requiring a gradient: forward bit-equal (within 1e-12 unless
+    exact), gradients to 1e-12, and no gradient on the other slots."""
     outputs, grads = [], []
     for build in (fused, oracle):
         tensors = [Tensor(a.copy(), requires_grad=(i in trainable))
@@ -174,7 +184,10 @@ def _compare_to_ops(fused, oracle, arrays, trainable):
         out.backward(np.random.default_rng(len(trainable)).normal(size=out.shape))
         outputs.append(out.data)
         grads.append([t.grad for t in tensors])
-    assert np.array_equal(outputs[0], outputs[1])
+    if exact:
+        assert np.array_equal(outputs[0], outputs[1])
+    else:
+        _grad_close(outputs[0], outputs[1])
     for slot, (got, want) in enumerate(zip(*grads)):
         if slot in trainable:
             _grad_close(got, want)
@@ -182,16 +195,46 @@ def _compare_to_ops(fused, oracle, arrays, trainable):
             assert got is None and want is None
 
 
+def _attention_case_operands(l_q, l_k):
+    rng = np.random.default_rng(l_q * 10 + l_k)
+    return [rng.normal(size=(2, 3, l_q, 4)), rng.normal(size=(2, 3, l_k, 4)),
+            rng.normal(size=(2, 3, l_k, 6))]
+
+
 @pytest.mark.parametrize("l_q, l_k, mask", _ATTENTION_CASES)
 def test_fused_attention_matches_op_by_op(l_q, l_k, mask):
-    rng = np.random.default_rng(l_q * 10 + l_k)
-    arrays = [rng.normal(size=(2, 3, l_q, 4)), rng.normal(size=(2, 3, l_k, 4)),
-              rng.normal(size=(2, 3, l_k, 6))]
     scale = 1.0 / np.sqrt(4)
     for trainable in ({0}, {1}, {2}, {0, 1, 2}):
         _compare_to_ops(lambda q, k, v: attention(q, k, v, scale, mask=mask),
                         lambda q, k, v: attention_by_ops(q, k, v, scale, mask=mask),
-                        arrays, trainable)
+                        _attention_case_operands(l_q, l_k), trainable)
+
+
+@pytest.mark.parametrize("l_q, l_k, mask", _ATTENTION_CASES)
+def test_rowwise_attention_matches_op_by_op(l_q, l_k, mask):
+    # its per-row products may round differently from the oracle's GEMMs
+    scale = 1.0 / np.sqrt(4)
+    for trainable in ({0}, {1}, {2}, {0, 1, 2}):
+        _compare_to_ops(
+            lambda q, k, v: attention(q, k, v, scale, mask=mask, rowwise=True),
+            lambda q, k, v: attention_by_ops(q, k, v, scale, mask=mask),
+            _attention_case_operands(l_q, l_k), trainable, exact=False)
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_rowwise_attention_rows_do_not_depend_on_query_count(causal):
+    rng = np.random.default_rng(41)
+    q = rng.normal(size=(2, 3, 12, 8))
+    k = rng.normal(size=(2, 3, 12, 8))
+    v = rng.normal(size=(2, 3, 12, 8))
+    mask = np.triu(np.ones((12, 12), dtype=bool), k=1) if causal else None
+    together = attention(Tensor(q), Tensor(k), Tensor(v), 0.35, mask=mask,
+                         rowwise=True).data
+    for t in range(12):
+        alone = attention(Tensor(q[..., t:t + 1, :]), Tensor(k), Tensor(v), 0.35,
+                          mask=None if mask is None else mask[t:t + 1],
+                          rowwise=True).data
+        assert np.array_equal(alone[..., 0, :], together[..., t, :]), t
 
 
 def test_fused_attention_of_one_operand_matches_op_by_op():
@@ -208,6 +251,8 @@ def test_fused_attention_of_one_operand_matches_op_by_op():
 def test_fused_attention_gradients_and_checks():
     mask = np.triu(np.ones((4, 5), dtype=bool), k=2)
     _check_op(lambda q, k, v: attention(q, k, v, 0.5, mask=mask),
+              (2, 4, 3), (2, 5, 3), (2, 5, 2))
+    _check_op(lambda q, k, v: attention(q, k, v, 0.5, mask=mask, rowwise=True),
               (2, 4, 3), (2, 5, 3), (2, 5, 2))
     with pytest.raises(DimensionError):
         attention(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 2))),

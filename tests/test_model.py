@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,33 @@ def test_forecast_matches_prefix_rollout_across_chunks():
     assert np.array_equal(model.forecast(enc, chunk=2), _prefix_rollout(model, enc))
 
 
+@pytest.mark.parametrize("overrides", [{}, _ALL_PERIODS], ids=["tiny", "all-periods"])
+def test_decoder_rows_do_not_depend_on_prefix_length(overrides):
+    cfg, model = _tiny_model(seed=31, **overrides)
+    rng = np.random.default_rng(32)
+    enc = rng.normal(size=(2, cfg.encoder_length, 3, 2))
+    dec = rng.normal(size=(2, 12, 3, 2))
+    full = model.forward(enc, dec).data
+    for length in range(1, 13):
+        assert np.array_equal(model.forward(enc, dec[:, :length]).data,
+                              full[:, :length]), length
+
+
+def test_forecast_decodes_one_row_per_step(monkeypatch):
+    cfg, model = _tiny_model(seed=33, **_ALL_PERIODS)
+    shapes = []
+    original = model_mod.CorrSTN._decode
+
+    def recorded(net, dec, *args, **kwargs):
+        shapes.append(np.shape(dec))
+        return original(net, dec, *args, **kwargs)
+
+    monkeypatch.setattr(model_mod.CorrSTN, "_decode", recorded)
+    enc = np.random.default_rng(34).normal(size=(5, 36, 3, 2))
+    model.forecast(enc, chunk=3)
+    assert shapes == [(3, 1, 3, 2)] * 12 + [(2, 1, 3, 2)] * 12
+
+
 def test_forecast_in_training_mode_has_no_dropout_and_keeps_flag():
     cfg, model = _tiny_model(seed=25, dropout=0.5, **_ALL_PERIODS)
     _, reference = _tiny_model(seed=25, dropout=0.5, **_ALL_PERIODS)
@@ -316,6 +345,20 @@ def test_train_improves_and_logs(tmp_path):
     lines = log_path.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_mae,val_mae,val_rmse,val_mape,seconds"
     assert len(lines) == 9
+
+
+def test_train_log_fields_are_numbers(tmp_path):
+    x_norm, params, train_s, val_s = _training_setup()
+    cfg, model = _tiny_model(seed=12, n=3, c=1, learning_rate=0.01)
+    log_path = tmp_path / "log.csv"
+    train(model, TrainingData(train_s, val_s, params), cfg,
+          epochs=2, patience=2, seed=0, log_path=log_path)
+    with open(log_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 3
+    for row in rows[1:]:
+        assert len(row) == 6
+        assert all(np.isfinite(float(field)) for field in row)
 
 
 def test_train_is_deterministic():

@@ -151,6 +151,11 @@ def test_reconstruct_keys_matches_loop():
     assert np.allclose(
         got, np.einsum("ij,bjld->bild", topu_mixing_matrix(topu), k),
         atol=1e-12)
+    # position-major keys, as the attention layers pass them
+    moved = reconstruct_keys(topu, Tensor(k.swapaxes(1, 2).copy()), sensor_axis=-2)
+    assert np.allclose(moved.data.swapaxes(1, 2), want, atol=1e-12)
+    with pytest.raises(ConfigError):
+        reconstruct_keys(topu, Tensor(k), sensor_axis=-1)
 
 
 def test_reconstruct_keys_identity_topu_is_noop():
@@ -340,8 +345,8 @@ def test_ciatt_module_structure():
     names = {n for n, _ in att.named_parameters()}
     assert names == {"wq.weight", "wq.bias", "wk.weight", "wk.bias",
                      "wv.weight", "wv.bias", "w_out.weight", "w_out.bias"}
-    x = Tensor(np.random.default_rng(0).normal(size=(3, 4, 8)))
-    assert att(x, x).shape == (3, 4, 8)
+    x = Tensor(np.random.default_rng(0).normal(size=(4, 3, 8)))
+    assert att(x, x).shape == (4, 3, 8)
 
     conv_att = CIATT(8, 2, topu, rng, conv_kernel=3, dropout=0.5)
     assert conv_att.q_conv is not None and conv_att.k_conv is not None
