@@ -2,8 +2,8 @@
 
 Only what the forecaster needs: broadcasted arithmetic, batched matmul,
 relu/abs, masked softmax and layer norm (fused, last axis), the fused
-attention core (plain or row-independent), reductions, shape ops, zero
-padding, the temporal unfold, and dropout.
+attention core (plain or row-independent), reductions, shape ops, the
+temporal unfold, and dropout.
 Graphs are built eagerly; backward() walks a topological order once, computes
 a gradient only for an operand that requires one, and accumulates into .grad.
 Only the root and the leaves keep .grad afterwards: each inner node's gradient
@@ -270,24 +270,6 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         full[index] = g
         _accumulate(a, full)
     return _result(a.data[index].copy(), (a,), backward)
-
-
-def pad_to(a: Tensor, axis: int, length: int) -> Tensor:
-    """Zero rows appended along one axis up to `length`; a itself when it
-    already has that length."""
-    axis = axis % a.ndim
-    if length < a.shape[axis]:
-        raise DimensionError(f"cannot pad an axis of {a.shape[axis]} to {length}")
-    if length == a.shape[axis]:
-        return a
-    index = tuple(slice(None) if i != axis else slice(0, a.shape[axis])
-                  for i in range(a.ndim))
-    out = np.zeros(a.shape[:axis] + (length,) + a.shape[axis + 1:])
-    out[index] = a.data
-
-    def backward(g):
-        _accumulate(a, g[index])
-    return _result(out, (a,), backward)
 
 
 def unfold_time(x: Tensor, k: int) -> Tensor:

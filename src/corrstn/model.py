@@ -8,10 +8,11 @@ inference rolls the decoder autoregressively from the last observed step.
 The encoder output and each decoder layer's cross-attention keys and values
 do not change during a rollout, so inference computes them once per batch
 chunk. The decoder computes every row independently of the others, and its
-self-attention always spans all horizon key rows, zero and masked where not
-yet written, so each rollout step decodes only the new position against
-cached keys and values and still matches a forward pass over its prefix bit
-for bit.
+self-attention always spans all horizon key rows, masked causally: a forward
+pass over a shorter prefix pads the decoder input with zero rows, and a
+rollout step attends over cached keys and values, zero where not yet
+written. So each rollout step decodes only the new position and still
+matches a forward pass over its prefix bit for bit.
 """
 
 from __future__ import annotations
@@ -161,16 +162,17 @@ class DecoderLayer(Module):
 
     def __call__(self, y, memory_kv, mask, start=0, cache=None, rng=None):
         """Decoder rows [start, start + L) of y (B, L, N, d). Self-attention
-        always spans mask.shape[1] key rows; rows past the last one written
-        are zero and masked. A cache holds (B, N, H, rows, d/H) key and value
-        buffers: the new rows are written into them and attention reads them
-        whole. Attention runs row-independently, so each output row has the
-        same bits whichever rows are decoded with it."""
-        rows = mask.shape[1]
+        spans mask.shape[1] key rows, which y itself must supply unless a
+        cache is given. A cache is a list that the first call fills with
+        zeroed key and value buffers of mask.shape[1] rows; every call writes
+        its rows into them and attends over them whole, the rows not yet
+        written masked. Attention runs row-independently, so each output row
+        has the same bits whichever rows are decoded with it."""
         kv = self.self_attn.keys_values(y)
-        if cache is None:
-            kv = tuple(ad.pad_to(t, -2, rows) for t in kv)
-        else:
+        if cache is not None:
+            if not cache:
+                cache.extend(np.zeros(t.shape[:-2] + (mask.shape[1], t.shape[-1]))
+                             for t in kv)
             for buffer, new in zip(cache, kv):
                 buffer[..., start:start + y.shape[1], :] = new.data
             kv = tuple(Tensor(buffer) for buffer in cache)
@@ -251,7 +253,13 @@ class CorrSTN(Module):
                 f"{self.n_sensors}, {self.n_attributes}), got {dec.shape}")
         rng = self._rng if self.training else None
         memory = self._encode(enc, rng)
-        return self._decode(dec, self._memory_kv(memory), rng)
+        # self-attention spans the whole horizon: rows past the prefix are
+        # zero input, masked from the prefix's rows, and cut off again
+        length = dec.shape[1]
+        padded = np.zeros((dec.shape[0], self.config.horizon) + dec.shape[2:])
+        padded[:, :length] = dec
+        return ad.narrow(self._decode(padded, self._memory_kv(memory), rng),
+                         1, 0, length)
 
     def _encode(self, enc, rng=None) -> Tensor:
         x = self._embed(enc, self.enc_proj, self.enc_pos)
@@ -264,9 +272,9 @@ class CorrSTN(Module):
 
     def _decode(self, dec, memory_kv, rng=None, start=0, cache=None) -> Tensor:
         """Outputs of decoder positions [start, start + L) for dec (B, L, N, C).
-        Self-attention spans all horizon positions, masked causally; with a
-        cache (one key and one value buffer per layer) earlier positions'
-        keys and values come from it."""
+        Self-attention spans all horizon positions, masked causally: without
+        caches dec holds all of them, with caches (one list per layer, see
+        DecoderLayer) earlier positions' keys and values come from those."""
         mask = causal_mask(self.config.horizon)[start:start + dec.shape[1]]
         y = self._embed(dec, self.dec_proj, self.dec_pos, start)
         caches = [None] * len(self.decoder) if cache is None else cache
@@ -295,17 +303,14 @@ class CorrSTN(Module):
                                 "encoder input")
         was_training = self.training
         self.set_training(False)
-        horizon, heads = self.config.horizon, self.config.heads
+        horizon = self.config.horizon
         outputs = np.empty((enc.shape[0], horizon, self.n_sensors, 1))
         try:
             with ad.no_grad():
                 for start in range(0, enc.shape[0], chunk):
                     block = enc[start:start + chunk]
                     memory_kv = self._memory_kv(self._encode(block))
-                    shape = (block.shape[0], self.n_sensors, heads, horizon,
-                             self.config.d_model // heads)
-                    cache = [(np.zeros(shape), np.zeros(shape))
-                             for _ in self.decoder]
+                    cache = [[] for _ in self.decoder]
                     row = block[:, -1:].copy()
                     for step in range(horizon):
                         pred = self._decode(row, memory_kv, start=step,

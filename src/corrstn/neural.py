@@ -77,25 +77,26 @@ def _swap_last_but_one(ndim: int) -> tuple:
     return (*range(ndim - 3), ndim - 2, ndim - 3, ndim - 1)
 
 
-def reconstruct_keys(topu: TopUSCorr, k: Tensor, sensor_axis: int = -3) -> Tensor:
-    """Replace each sensor's keys with the weighted blend of its top-U peers:
-    out_i = (1/C) sum_c sum_u weights[i,u,c] * k[indices[i,u,c]].
-    k has shape (..., N, L, d), or (..., L, N, d) with sensor_axis=-2, where
-    the blend is one (N, N) @ (N, d) product per position; output shape is
-    identical."""
+def _mix_sensors(topu: TopUSCorr, k: Tensor) -> Tensor:
+    """The top-U key blend on position-major keys (..., L, N, d): one
+    (N, N) @ (N, d) product per position."""
     n = topu.indices.shape[0]
-    if sensor_axis not in (-3, -2):
-        raise ConfigError(f"sensor_axis must be -3 or -2, got {sensor_axis}")
-    if k.ndim < 3 or k.shape[sensor_axis] != n:
-        raise DimensionError(f"keys must have {n} sensors on axis {sensor_axis}, "
-                             f"got {k.shape}")
+    if k.ndim < 3 or k.shape[-2] != n:
+        raise DimensionError(f"keys must be (..., L, {n}, d), got {k.shape}")
     if int(topu.indices.min()) < 0 or int(topu.indices.max()) >= n:
         raise DimensionError("top-U indices out of range")
-    mixing = Tensor(topu_mixing_matrix(topu))
-    if sensor_axis == -2:
-        return ad.matmul(mixing, k)
+    return ad.matmul(Tensor(topu_mixing_matrix(topu)), k)
+
+
+def reconstruct_keys(topu: TopUSCorr, k: Tensor) -> Tensor:
+    """Replace each sensor's keys with the weighted blend of its top-U peers:
+    out_i = (1/C) sum_c sum_u weights[i,u,c] * k[indices[i,u,c]].
+    k has shape (..., N, L, d); output shape is identical."""
+    n = topu.indices.shape[0]
+    if k.ndim < 3 or k.shape[-3] != n:
+        raise DimensionError(f"keys must be (..., {n}, L, d), got {k.shape}")
     swap = _swap_last_but_one(k.ndim)
-    return ad.permute(ad.matmul(mixing, ad.permute(k, swap)), swap)
+    return ad.permute(_mix_sensors(topu, ad.permute(k, swap)), swap)
 
 
 def split_heads(x: Tensor, heads: int) -> Tensor:
@@ -123,8 +124,7 @@ def key_value_heads(topu: TopUSCorr, k: Tensor, v: Tensor,
     once per encoder memory."""
     if k.shape != v.shape:
         raise DimensionError(f"projection shapes disagree: k {k.shape}, v {v.shape}")
-    return (split_heads(reconstruct_keys(topu, k, sensor_axis=-2), heads),
-            split_heads(v, heads))
+    return split_heads(_mix_sensors(topu, k), heads), split_heads(v, heads)
 
 
 def attend_heads(q: Tensor, kh: Tensor, vh: Tensor, w_out: Tensor,
@@ -159,7 +159,8 @@ def ciatt_forward(q: Tensor, k: Tensor, v: Tensor, topu: TopUSCorr, heads: int,
         raise DimensionError(f"q/k/v must be (..., N, L, d) and agree: "
                              f"q {q.shape}, k {k.shape}, v {v.shape}")
     swap = _swap_last_but_one(q.ndim)
-    kh, vh = key_value_heads(topu, ad.permute(k, swap), ad.permute(v, swap), heads)
+    kh = split_heads(ad.permute(reconstruct_keys(topu, k), swap), heads)
+    vh = split_heads(ad.permute(v, swap), heads)
     out = attend_heads(ad.permute(q, swap), kh, vh, w_out, b_out, mask=mask)
     return ad.permute(out, swap)
 

@@ -7,8 +7,8 @@ import pytest
 from corrstn import Module, Parameter, Tensor, xavier_uniform
 from corrstn.autodiff import (abs_, add, attention, dropout, layer_norm,
                               linear, matmul, mean, mul, mul_scalar, narrow,
-                              no_grad, pad_to, permute, relu, reshape,
-                              softmax, sub, sum_, unfold_time)
+                              no_grad, permute, relu, reshape, softmax, sub,
+                              sum_, unfold_time)
 from corrstn.errors import ConfigError, DimensionError
 from oracles import (attention_by_ops, broadcast_weight_grad,
                      finite_difference_gradient, gradient_gap)
@@ -97,18 +97,8 @@ def test_shape_op_gradients():
     _check_op(lambda a: reshape(a, (6, 2)), (3, 4))
     _check_op(lambda a: permute(a, (2, 0, 1)), (2, 3, 4))
     _check_op(lambda a: narrow(a, 1, 1, 2), (3, 4))
-    _check_op(lambda a: pad_to(a, -2, 5), (2, 3, 4))
     _check_op(lambda a: unfold_time(a, 3), (2, 5, 3))
     _check_op(lambda a: unfold_time(a, 5), (3, 2))   # windows wider than T
-
-
-def test_pad_to_values_and_checks():
-    a = Tensor(np.arange(6.0).reshape(2, 3))
-    assert np.array_equal(pad_to(a, 0, 4).data,
-                          np.vstack([a.data, np.zeros((2, 3))]))
-    assert pad_to(a, 1, 3) is a
-    with pytest.raises(DimensionError):
-        pad_to(a, 1, 2)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])

@@ -151,11 +151,6 @@ def test_reconstruct_keys_matches_loop():
     assert np.allclose(
         got, np.einsum("ij,bjld->bild", topu_mixing_matrix(topu), k),
         atol=1e-12)
-    # position-major keys, as the attention layers pass them
-    moved = reconstruct_keys(topu, Tensor(k.swapaxes(1, 2).copy()), sensor_axis=-2)
-    assert np.allclose(moved.data.swapaxes(1, 2), want, atol=1e-12)
-    with pytest.raises(ConfigError):
-        reconstruct_keys(topu, Tensor(k), sensor_axis=-1)
 
 
 def test_reconstruct_keys_identity_topu_is_noop():
