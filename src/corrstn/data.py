@@ -100,8 +100,9 @@ def load_tensor(path) -> SpatioTemporalTensor:
 
 def _load_tensor_csv(path) -> tuple[SpatioTemporalTensor, list[str]]:
     """CSV rows: timestamp,sensor,attr0[,attr1...]. Sensors are ordered by id
-    (lexicographic) so the layout does not depend on row order."""
-    rows = []
+    (lexicographic) so the layout does not depend on row order. A repeated
+    (timestamp, sensor) row is a DataError."""
+    rows = {}
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if len(header) < 3 or header[0] != "timestamp" or header[1] != "sensor":
@@ -115,18 +116,23 @@ def _load_tensor_csv(path) -> tuple[SpatioTemporalTensor, list[str]]:
             if len(parts) != 2 + n_attr:
                 raise DataError(f"{path}:{lineno}: expected {2 + n_attr} fields")
             try:
-                rows.append((int(parts[0]), parts[1], [float(v) for v in parts[2:]]))
+                key = (int(parts[0]), parts[1])
+                values = [float(v) for v in parts[2:]]
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
+            if key in rows:
+                raise DataError(f"{path}:{lineno}: duplicate row for timestamp "
+                                f"{key[0]}, sensor {key[1]}")
+            rows[key] = values
     if not rows:
         raise DataError(f"{path}: no data rows")
-    sensor_ids = sorted({r[1] for r in rows})
+    sensor_ids = sorted({sensor for _, sensor in rows})
     sensor_pos = {s: i for i, s in enumerate(sensor_ids)}
-    n_t = max(r[0] for r in rows) + 1
-    if min(r[0] for r in rows) < 0:
+    n_t = max(t for t, _ in rows) + 1
+    if min(t for t, _ in rows) < 0:
         raise DataError(f"{path}: negative timestamp")
     data = np.full((n_t, len(sensor_ids), n_attr), np.nan)
-    for t, sensor, values in rows:
+    for (t, sensor), values in rows.items():
         data[t, sensor_pos[sensor], :] = values
     if np.isnan(data).any():
         raise DataError(f"{path}: missing (timestamp, sensor) combinations")

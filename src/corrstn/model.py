@@ -224,33 +224,26 @@ class CorrSTN(Module):
         pos_bcast = ad.reshape(pos_slice, (length, 1, pos.shape[1]))
         return ad.add(ad.add(x, self.spatial_emb), pos_bcast)
 
-    def _check_input(self, arr, length, what):
+    def _check_input(self, arr, lengths: range, what):
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim == 3:
             arr = arr[None]
-        if arr.ndim != 4 or arr.shape[2] != self.n_sensors \
-                or arr.shape[3] != self.n_attributes:
+        if arr.ndim != 4 or arr.shape[1] not in lengths \
+                or arr.shape[2:] != (self.n_sensors, self.n_attributes):
+            span = lengths[0] if len(lengths) == 1 else f"{lengths[0]}..{lengths[-1]}"
             raise DimensionError(
-                f"{what} must be (B, {length}, {self.n_sensors}, "
+                f"{what} must be (B, {span}, {self.n_sensors}, "
                 f"{self.n_attributes}), got {arr.shape}")
-        if arr.shape[1] != length:
-            raise DimensionError(
-                f"{what} length {arr.shape[1]} != expected {length}")
         return arr
 
     def forward(self, encoder_input, decoder_input) -> Tensor:
         """Teacher-forced pass. decoder_input may be any length 1..horizon;
         outputs align one step ahead of decoder positions."""
-        enc = self._check_input(encoder_input, self.config.encoder_length,
+        enc_len = self.config.encoder_length
+        enc = self._check_input(encoder_input, range(enc_len, enc_len + 1),
                                 "encoder input")
-        dec = np.asarray(decoder_input, dtype=np.float64)
-        if dec.ndim == 3:
-            dec = dec[None]
-        if dec.ndim != 4 or not 1 <= dec.shape[1] <= self.config.horizon \
-                or dec.shape[2] != self.n_sensors or dec.shape[3] != self.n_attributes:
-            raise DimensionError(
-                f"decoder input must be (B, 1..{self.config.horizon}, "
-                f"{self.n_sensors}, {self.n_attributes}), got {dec.shape}")
+        dec = self._check_input(decoder_input, range(1, self.config.horizon + 1),
+                                "decoder input")
         rng = self._rng if self.training else None
         memory = self._encode(enc, rng)
         # self-attention spans the whole horizon: rows past the prefix are
@@ -299,7 +292,8 @@ class CorrSTN(Module):
         Dropout is off during the rollout and no autograph is built; the
         training flag is restored.
         """
-        enc = self._check_input(encoder_input, self.config.encoder_length,
+        enc_len = self.config.encoder_length
+        enc = self._check_input(encoder_input, range(enc_len, enc_len + 1),
                                 "encoder input")
         was_training = self.training
         self.set_training(False)

@@ -53,6 +53,9 @@ def cignn_forward(z: Tensor, scorr: SCorrTensor, adj: NormalizedAdjacency,
     """Sum over attributes of psi_c * relu(SCorr_c @ S_w @ Z @ W), plus the
     structural route omega * relu(A @ Z @ W). S_w @ Z @ W, with the dynamic
     weights S_w = softmax(Z Z^T / sqrt(d_model)), is one attention node.
+    All C routes are one product: the degrees stacked attribute-first as
+    (C, 1..., N, N) times S_w Z W, then one relu, one psi scaling and one
+    sum over axis 0 in attribute order, so the graph does not grow with C.
     Shapes: z (..., N, d_model), w (d, d), psi (C,), omega (1,)."""
     n = z.shape[-2]
     c = scorr.n_attributes
@@ -63,11 +66,12 @@ def cignn_forward(z: Tensor, scorr: SCorrTensor, adj: NormalizedAdjacency,
         raise DimensionError(f"psi must have shape ({c},), got {psi.shape}")
     zw = ad.matmul(z, w)
     base = ad.attention(z, z, zw, 1.0 / np.sqrt(z.shape[-1]))
-    out = None
-    for attr in range(c):
-        route = ad.relu(ad.matmul(Tensor(scorr.degrees[:, :, attr]), base))
-        scaled = ad.mul(route, ad.narrow(psi, 0, attr, 1))
-        out = scaled if out is None else ad.add(out, scaled)
+    # one unit axis per leading axis of base; a contiguous stack keeps the
+    # product's backward as fast as one (N, N) product per attribute
+    lead = (1,) * (base.ndim - 2)
+    stack = np.ascontiguousarray(np.moveaxis(scorr.degrees, 2, 0))
+    routes = ad.relu(ad.matmul(Tensor(stack.reshape((c,) + lead + (n, n))), base))
+    out = ad.sum_(ad.mul(routes, ad.reshape(psi, (c,) + lead + (1, 1))), axis=0)
     structural = ad.mul(ad.relu(ad.matmul(Tensor(adj.matrix), zw)), omega)
     return ad.add(out, structural)
 
@@ -75,17 +79,6 @@ def cignn_forward(z: Tensor, scorr: SCorrTensor, adj: NormalizedAdjacency,
 def _swap_last_but_one(ndim: int) -> tuple:
     """Axes that swap positions -3 and -2: (..., N, L, d) <-> (..., L, N, d)."""
     return (*range(ndim - 3), ndim - 2, ndim - 3, ndim - 1)
-
-
-def _mix_sensors(topu: TopUSCorr, k: Tensor) -> Tensor:
-    """The top-U key blend on position-major keys (..., L, N, d): one
-    (N, N) @ (N, d) product per position."""
-    n = topu.indices.shape[0]
-    if k.ndim < 3 or k.shape[-2] != n:
-        raise DimensionError(f"keys must be (..., L, {n}, d), got {k.shape}")
-    if int(topu.indices.min()) < 0 or int(topu.indices.max()) >= n:
-        raise DimensionError("top-U indices out of range")
-    return ad.matmul(Tensor(topu_mixing_matrix(topu)), k)
 
 
 def reconstruct_keys(topu: TopUSCorr, k: Tensor) -> Tensor:
@@ -96,7 +89,8 @@ def reconstruct_keys(topu: TopUSCorr, k: Tensor) -> Tensor:
     if k.ndim < 3 or k.shape[-3] != n:
         raise DimensionError(f"keys must be (..., {n}, L, d), got {k.shape}")
     swap = _swap_last_but_one(k.ndim)
-    return ad.permute(_mix_sensors(topu, ad.permute(k, swap)), swap)
+    mixed = ad.matmul(Tensor(topu_mixing_matrix(topu)), ad.permute(k, swap))
+    return ad.permute(mixed, swap)
 
 
 def split_heads(x: Tensor, heads: int) -> Tensor:
@@ -116,15 +110,18 @@ def merge_heads(x: Tensor) -> Tensor:
     return ad.reshape(merged, merged.shape[:-2] + (merged.shape[-2] * merged.shape[-1],))
 
 
-def key_value_heads(topu: TopUSCorr, k: Tensor, v: Tensor,
+def key_value_heads(mixing: Tensor, k: Tensor, v: Tensor,
                     heads: int) -> tuple[Tensor, Tensor]:
-    """Key/value half of the attention: blend keys across correlated sensors,
-    then split keys and values (..., L, N, d_model) into heads
-    (..., N, H, L, d_head). It reads no query, so a decoder can compute it
-    once per encoder memory."""
-    if k.shape != v.shape:
-        raise DimensionError(f"projection shapes disagree: k {k.shape}, v {v.shape}")
-    return split_heads(_mix_sensors(topu, k), heads), split_heads(v, heads)
+    """Key/value half of the attention: blend keys (..., L, N, d_model)
+    across correlated sensors with the (N, N) top-U mixing matrix, one
+    (N, N) @ (N, d) product per position, then split keys and values into
+    heads (..., N, H, L, d_head). It reads no query, so a decoder can compute
+    it once per encoder memory."""
+    n = mixing.shape[0]
+    if k.shape != v.shape or k.ndim < 3 or k.shape[-2] != n:
+        raise DimensionError(f"keys and values must be (..., L, {n}, d) and "
+                             f"agree: k {k.shape}, v {v.shape}")
+    return split_heads(ad.matmul(mixing, k), heads), split_heads(v, heads)
 
 
 def attend_heads(q: Tensor, kh: Tensor, vh: Tensor, w_out: Tensor,
@@ -235,7 +232,8 @@ class CIATT(Module):
         self.q_conv = TemporalConv(conv_kernel, d_model, rng) if conv_kernel else None
         self.k_conv = TemporalConv(conv_kernel, d_model, rng) if conv_kernel else None
         self.heads = heads
-        self.topu = topu
+        # topu is fixed for the layer's life, so its mixing matrix is too
+        self.mixing = Tensor(topu_mixing_matrix(topu))
         self.dropout = dropout
         self.training = False
 
@@ -251,7 +249,7 @@ class CIATT(Module):
     def keys_values(self, x_kv: Tensor) -> tuple[Tensor, Tensor]:
         """Split keys and values of x_kv (..., L, N, d_model); they depend on
         x_kv alone, so cross-attention can reuse them for every query."""
-        return key_value_heads(self.topu, self._project(x_kv, self.wk, self.k_conv),
+        return key_value_heads(self.mixing, self._project(x_kv, self.wk, self.k_conv),
                                self.wv(x_kv), self.heads)
 
     def attend(self, x_q: Tensor, kv: tuple[Tensor, Tensor],

@@ -112,9 +112,12 @@ def topu_mixing_matrix(topu: TopUSCorr) -> np.ndarray:
     """Dense N x N row-mixing matrix equivalent to the top-U key reconstruction.
 
     Row i holds the attribute-averaged softmax weights of sensor i's selected
-    neighbours, so mixed[i] = sum_j R[i, j] * original[j].
+    neighbours, so mixed[i] = sum_j R[i, j] * original[j]. An index outside
+    [0, N) is a DimensionError.
     """
     n, u, c = topu.indices.shape
+    if int(topu.indices.min()) < 0 or int(topu.indices.max()) >= n:
+        raise DimensionError("top-U indices out of range")
     mixing = np.zeros((n, n), dtype=np.float64)
     rows = np.repeat(np.arange(n), u * c)
     np.add.at(mixing, (rows, topu.indices.reshape(-1)), topu.weights.reshape(-1) / c)

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import SpatioTemporalTensor
-from .errors import (ConfigError, DataError, DimensionError, EmptyAnchorError,
-                     OutOfRangeError)
+from .errors import ConfigError, DataError, EmptyAnchorError, OutOfRangeError
 from .mic import DEFAULT_ETA, MicStats, _grid_search, _profile, _score
 
 PERIODS = ("hourly", "daily", "weekly")
@@ -82,14 +81,13 @@ def anchor_positions(n_timestamps: int, spec: PeriodSpec) -> np.ndarray:
     return np.arange(spec.weekly_offset - 1, n_timestamps - spec.tau + 1, spec.tau)
 
 
-def compute_tcorr(period_window_source: SpatioTemporalTensor,
-                  x: SpatioTemporalTensor, spec: PeriodSpec, period: str,
+def compute_tcorr(x: SpatioTemporalTensor, spec: PeriodSpec, period: str,
                   eta: float = DEFAULT_ETA, anchors=None, *,
                   stats: MicStats | None = None) -> np.ndarray:
     """Unweighted temporal correlation degrees, shape (N, C).
 
-    For each anchor t the period block is sliced from period_window_source
-    and the target block from x; entry (i, c) is the anchor-average of
+    For each anchor t, the period block before it and the target block
+    after it are both sliced from x; entry (i, c) is the anchor-average of
     mic(block[:, i, c], target[:, i, c]). Anchors default to
     anchor_positions over the length of x. Windows are scored in batches of
     whole anchors and accumulated in anchor order, so results are
@@ -98,10 +96,6 @@ def compute_tcorr(period_window_source: SpatioTemporalTensor,
     """
     if period not in PERIODS:
         raise ConfigError(f"unknown period {period!r}")
-    if period_window_source.data.shape != x.data.shape:
-        raise DimensionError(
-            f"window source shape {period_window_source.data.shape} != "
-            f"target source shape {x.data.shape}")
     t_total, n, c = x.data.shape
     if anchors is None:
         anchors = anchor_positions(t_total, spec)
@@ -126,9 +120,8 @@ def compute_tcorr(period_window_source: SpatioTemporalTensor,
         windows = t.size * per_anchor
         # (2 * anchors, tau, N, C) -> one tau-long row per window: every
         # (anchor, sensor, attribute) period block, then its target block
-        blocks = np.concatenate([
-            period_window_source.data[(t - offset + 1)[:, None] + steps],
-            x.data[(t + 1)[:, None] + steps]])
+        starts = np.concatenate([t - offset + 1, t + 1])
+        blocks = x.data[starts[:, None] + steps]
         rows = blocks.transpose(0, 2, 3, 1).reshape(2 * windows, tau)
         values, grids, degenerate = _score(
             search, _profile(rows), np.arange(windows),
@@ -209,7 +202,7 @@ def build_tcorr_report(x: SpatioTemporalTensor, spec: PeriodSpec,
     per_sensor = {}
     averages = {}
     for p in PERIODS:
-        raw = compute_tcorr(x, x, spec, p, eta=eta, anchors=anchors, stats=stats)
+        raw = compute_tcorr(x, spec, p, eta=eta, anchors=anchors, stats=stats)
         per_sensor[p] = weighted_tcorr(raw, p, weights)
         averages[p] = per_sensor[p].mean(axis=0)
     deltas = {

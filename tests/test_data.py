@@ -73,6 +73,16 @@ def test_csv_missing_combination(tmp_path):
         load_dataset(path)
 
 
+def test_csv_duplicate_row_names_its_line(tmp_path):
+    # a repeated (timestamp, sensor) row must not silently replace the first
+    path = tmp_path / "dup.csv"
+    path.write_text("timestamp,sensor,flow\n0,a,1.0\n0,b,2.0\n1,a,3.0\n"
+                    "1,b,4.0\n1,a,9.0\n")
+    for load in (load_tensor, load_dataset):
+        with pytest.raises(DataError, match=r"dup\.csv:6: duplicate row"):
+            load(path)
+
+
 def test_edges_undirected_default(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("from,to,weight\na,b,2.0\nb,c,0.5\n")

@@ -8,8 +8,10 @@ from corrstn import (Adam, ModelConfig, PRESETS, SCorrTensor, Tensor,
                      build_model, config_hash, denormalize, fit_normalization,
                      generate_synthetic, laplacian_normalize, load_checkpoint,
                      load_config, mae_loss, normalize, predict,
-                     save_checkpoint, save_config, split_ranges, train)
+                     save_checkpoint, save_config, split_ranges,
+                     topu_mixing_matrix, train)
 from corrstn import model as model_mod
+from corrstn import neural as neural_mod
 from corrstn.autodiff import Parameter
 from corrstn.data import SampleSet, SpatioTemporalTensor
 from corrstn.errors import ConfigError, DataError, DimensionError
@@ -121,6 +123,24 @@ def test_forward_shapes_and_input_checks():
         model.forward(enc, dec[:, :, :2])   # wrong sensor count
     with pytest.raises(DimensionError):
         model.forward(enc, np.zeros((2, 13, 3, 2)))
+
+
+def test_forecast_builds_no_mixing_matrix(monkeypatch):
+    # each attention layer builds its top-U mixing matrix once, when made
+    calls = []
+
+    def counted(topu):
+        calls.append(topu)
+        return topu_mixing_matrix(topu)
+
+    monkeypatch.setattr(neural_mod, "topu_mixing_matrix", counted)
+    cfg, n, c = ModelConfig(), 4, 2    # 2 encoder and 2 decoder layers
+    model = build_model(cfg, _scorr(n, c), _adj(n), n, seed=0)
+    assert len(calls) == 2 + 2 * 2
+    calls.clear()
+    enc = np.random.default_rng(0).normal(size=(1, cfg.encoder_length, n, c))
+    model.forecast(enc)
+    assert calls == []
 
 
 def test_decoder_is_causal_even_with_qk_conv():

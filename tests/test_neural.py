@@ -332,6 +332,30 @@ def test_temporal_conv_node_count_does_not_grow_with_kernel():
     assert counts == [4, 4]
 
 
+def test_cignn_node_count_does_not_grow_with_attributes():
+    rng = np.random.default_rng(26)
+    n, d = 4, 3
+    adj = laplacian_normalize(np.eye(n))
+    z = Tensor(rng.normal(size=(2, n, d)), requires_grad=True)
+    counts = [_graph_nodes(CIGNN(d, _random_scorr(n, c, seed=c), adj, rng)(z))
+              for c in (1, 2, 3)]
+    # z @ W, attention; the stacked routes' matmul, relu, psi reshape, mul
+    # and sum; the structural matmul, relu and mul; the final add
+    assert counts == [11, 11, 11]
+
+
+def test_out_of_range_topu_index_fails_when_the_matrix_is_built():
+    good = identity_topu(3)
+    for bad in (3, -1):
+        indices = good.indices.copy()
+        indices[1, 0, 0] = bad
+        topu = TopUSCorr(indices=indices, weights=good.weights)
+        with pytest.raises(DimensionError):
+            topu_mixing_matrix(topu)
+        with pytest.raises(DimensionError):
+            CIATT(4, 2, topu, np.random.default_rng(0))
+
+
 def test_ciatt_module_structure():
     rng = np.random.default_rng(22)
     topu = identity_topu(3)

@@ -7,8 +7,7 @@ from corrstn import (DEFAULT_ETA, PERIODS, PeriodSpec, SpatioTemporalTensor,
                      TCorrWeights, anchor_positions, build_tcorr_report,
                      combine_verdicts, compute_tcorr, load_report, mic,
                      save_report, select_periods, weighted_tcorr)
-from corrstn.errors import (ConfigError, DimensionError, EmptyAnchorError,
-                            OutOfRangeError)
+from corrstn.errors import ConfigError, EmptyAnchorError, OutOfRangeError
 from corrstn.mic import MicStats, _GridSearch
 from oracles import tcorr_per_window
 
@@ -52,11 +51,11 @@ def test_compute_tcorr_refuses_anchors_out_of_range():
     spec = PeriodSpec.from_interval(60, tau=3)  # offsets 1 / 24 / 168
     x = _tensor(t=200)
     with pytest.raises(OutOfRangeError):
-        compute_tcorr(x, x, spec, "weekly", anchors=[150, 166])  # window starts at -1
+        compute_tcorr(x, spec, "weekly", anchors=[150, 166])  # window starts at -1
     with pytest.raises(OutOfRangeError):
-        compute_tcorr(x, x, spec, "hourly", anchors=[100, 197])  # target ends at 200
+        compute_tcorr(x, spec, "hourly", anchors=[100, 197])  # target ends at 200
     # the last in-range anchor on each side
-    compute_tcorr(x, x, spec, "weekly", anchors=[167, 196])
+    compute_tcorr(x, spec, "weekly", anchors=[167, 196])
 
 
 def test_anchor_positions_step_tau():
@@ -72,7 +71,7 @@ def test_compute_tcorr_single_anchor_matches_mic():
     spec = PeriodSpec.from_interval(60, tau=8)
     x = _tensor(t=400, n=3, c=2, seed=1, interval=60)
     t = 250
-    got = compute_tcorr(x, x, spec, "daily", anchors=[t])
+    got = compute_tcorr(x, spec, "daily", anchors=[t])
     # the window for offset P covers [t-P+1, t-P+tau], the target [t+1, t+tau]
     daily, target = x.data[227:235], x.data[251:259]
     for i in range(3):
@@ -83,9 +82,9 @@ def test_compute_tcorr_single_anchor_matches_mic():
 def test_compute_tcorr_averages_over_anchors():
     spec = PeriodSpec.from_interval(60, tau=6)
     x = _tensor(t=420, n=2, c=1, seed=3, interval=60)
-    single = [compute_tcorr(x, x, spec, "hourly", anchors=[t])
+    single = [compute_tcorr(x, spec, "hourly", anchors=[t])
               for t in (200, 230, 260)]
-    combined = compute_tcorr(x, x, spec, "hourly", anchors=[200, 230, 260])
+    combined = compute_tcorr(x, spec, "hourly", anchors=[200, 230, 260])
     assert np.allclose(combined, sum(single) / 3, atol=1e-15)
 
 
@@ -97,42 +96,28 @@ def test_compute_tcorr_matches_per_window_loop_across_batches():
     rng = np.random.default_rng(9)
     t_total = spec.weekly_offset + spec.tau * 201
     scale = np.where(np.arange(10) < 4, 0.3, 2.0)[None, :, None]
-    source = np.round(rng.normal(size=(t_total, 10, 3)) * scale)
-    target = np.round(rng.normal(size=(t_total, 10, 3)) * scale)
+    series = np.round(rng.normal(size=(t_total, 10, 3)) * scale)
     anchors = anchor_positions(t_total, spec)
     windows = anchors.size * 30
     assert windows > _GridSearch(spec.tau, DEFAULT_ETA).batch
     stats = MicStats()
-    got = compute_tcorr(SpatioTemporalTensor(source, interval_minutes=60),
-                        SpatioTemporalTensor(target, interval_minutes=60),
+    got = compute_tcorr(SpatioTemporalTensor(series, interval_minutes=60),
                         spec, "daily", stats=stats)
     offset = spec.daily_offset
-    want = tcorr_per_window(source, target, offset, spec.tau, anchors)
+    want = tcorr_per_window(series, series, offset, spec.tau, anchors)
     assert np.array_equal(got, want)
-    flat = sum(int(np.ptp(source[t - offset + 1:t - offset + 1 + spec.tau, i, a]) == 0
-                   or np.ptp(target[t + 1:t + 1 + spec.tau, i, a]) == 0)
+    flat = sum(int(np.ptp(series[t - offset + 1:t - offset + 1 + spec.tau, i, a]) == 0
+                   or np.ptp(series[t + 1:t + 1 + spec.tau, i, a]) == 0)
                for t in anchors for i in range(10) for a in range(3))
     assert flat > 0
     assert (stats.scored, stats.degenerate) == (windows, flat)
     assert stats.grid_shapes == {(2, 2): windows - flat}
 
 
-def test_compute_tcorr_two_source_tensors():
-    # period windows can come from a different tensor than the targets
-    spec = PeriodSpec.from_interval(60, tau=6)
-    source = _tensor(t=420, seed=5, interval=60)
-    x = _tensor(t=420, seed=6, interval=60)
-    mixed = compute_tcorr(source, x, spec, "hourly", anchors=[300])
-    same = compute_tcorr(x, x, spec, "hourly", anchors=[300])
-    assert not np.array_equal(mixed, same)
-    with pytest.raises(DimensionError):
-        compute_tcorr(_tensor(t=100, interval=60), x, spec, "hourly")
-
-
 def test_compute_tcorr_empty_anchors():
     spec = PeriodSpec.from_interval(5)
     with pytest.raises(EmptyAnchorError):
-        compute_tcorr(_tensor(t=500), _tensor(t=500), spec, "hourly")
+        compute_tcorr(_tensor(t=500), spec, "hourly")
 
 
 def test_weighted_tcorr_applies_exact_weights():
