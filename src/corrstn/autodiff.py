@@ -4,12 +4,16 @@ Only what the forecaster needs: broadcasted arithmetic, batched matmul,
 relu/abs, masked softmax and layer norm (fused, last axis), the fused
 attention core (plain or row-independent), reductions, shape ops, the
 temporal unfold, and dropout.
-Graphs are built eagerly; backward() walks a topological order once, computes
-a gradient only for an operand that requires one, and accumulates into .grad.
-Only the root and the leaves keep .grad afterwards: each inner node's gradient
-is dropped as soon as its own backward has run. Gradient arrays are shared
-between nodes and never updated in place. Inside `no_grad()` no graph is
-built at all.
+Graphs are built eagerly. A graph vertex is a `_Node` (parent nodes, backward
+closure, gradient), apart from the `Tensor` that holds the op's output, and
+each closure keeps only the arrays its backward reads, for the operands that
+need a gradient. An intermediate output that no backward reads is therefore
+freed as soon as the forward code drops its tensor, while the graph lives on.
+backward() walks a topological order once and accumulates each closure's
+gradients into the parent nodes. Only the root and the leaves keep .grad
+afterwards: each inner node's gradient is dropped as soon as its own backward
+has run. Gradient arrays are shared between nodes and never updated in place.
+Inside `no_grad()` no graph is built at all.
 """
 
 from __future__ import annotations
@@ -21,15 +25,37 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 
 
+class _Node:
+    """One autograph vertex. parents holds one entry per operand: its node,
+    or None for an operand that needs no gradient. backward(g) returns one
+    gradient per parent, None where the parent is None."""
+
+    __slots__ = ("parents", "backward", "grad")
+
+    def __init__(self, parents: tuple = (), backward=None):
+        self.parents = parents
+        self.backward = backward
+        self.grad = None
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._parents: tuple = ()
-        self._backward = None
+        self._node = _Node() if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        self._node.grad = value
 
     @property
     def shape(self):
@@ -60,9 +86,12 @@ class Tensor:
             if grad.shape != self.data.shape:
                 raise DimensionError(
                     f"seed shape {grad.shape} != tensor shape {self.data.shape}")
+        root = self._node
+        if root is None:
+            return
         order = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -72,20 +101,18 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
+            for p in node.parents:
+                if p is not None and id(p) not in seen:
                     stack.append((p, False))
-        self.grad = grad if self.grad is None else self.grad + grad
+        root.grad = grad if root.grad is None else root.grad + grad
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                if node is not self:
+            if node.backward is not None and node.grad is not None:
+                grads = node.backward(node.grad)
+                for parent, g in zip(node.parents, grads):
+                    if parent is not None:
+                        parent.grad = g if parent.grad is None else parent.grad + g
+                if node is not root:
                     node.grad = None
-
-
-def _accumulate(t: Tensor, grad: np.ndarray) -> None:
-    if t.requires_grad:
-        t.grad = grad if t.grad is None else t.grad + grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -120,47 +147,59 @@ def _transposed(x: np.ndarray) -> np.ndarray:
 
 
 def _result(data, parents, backward) -> Tensor:
+    """Wrap an op's output; it gets a node when grad mode is on and some
+    operand needs a gradient. The node keeps the operands' nodes, never
+    the operand tensors, so it does not hold their arrays."""
     out = Tensor(data)
-    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._backward = backward
+    if _grad_enabled:
+        nodes = tuple(p._node for p in parents)
+        if any(n is not None for n in nodes):
+            out._node = _Node(nodes, backward)
     return out
 
 
 # ---------------------------------------------------------------------------
 # arithmetic
+#
+# Each backward closure captures, at forward time, the arrays and shapes its
+# gradients read, and only for operands that need a gradient; it never
+# captures an operand tensor.
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    a_shape = a.shape if a.requires_grad else None
+    b_shape = b.shape if b.requires_grad else None
+
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
+        return (None if a_shape is None else _unbroadcast(g, a_shape),
+                None if b_shape is None else _unbroadcast(g, b_shape))
     return _result(a.data + b.data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
+    a_shape = a.shape if a.requires_grad else None
+    b_shape = b.shape if b.requires_grad else None
+
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.shape))
+        return (None if a_shape is None else _unbroadcast(g, a_shape),
+                None if b_shape is None else _unbroadcast(-g, b_shape))
     return _result(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    # each factor's gradient reads the other factor
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
+
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        return (None if b_data is None else _unbroadcast(g * b_data, a_shape),
+                None if a_data is None else _unbroadcast(g * a_data, b_shape))
     return _result(a.data * b.data, (a, b), backward)
 
 
 def mul_scalar(a: Tensor, s: float) -> Tensor:
     def backward(g):
-        _accumulate(a, g * s)
+        return (g * s,)
     return _result(a.data * s, (a,), backward)
 
 
@@ -171,18 +210,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul needs >= 2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul mismatch: {a.shape} @ {b.shape}")
+    # each operand's gradient reads the other operand
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ _transposed(b.data), a.shape))
-        if not b.requires_grad:
-            return
-        if b.ndim == 2 and a.ndim > 2:
-            # a weight shared by every slice: one GEMM over the stacked rows
-            rows = a.data.reshape(-1, a.shape[-1])
-            _accumulate(b, rows.T @ g.reshape(-1, g.shape[-1]))
-        else:
-            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        ga = gb = None
+        if b_data is not None:
+            ga = _unbroadcast(g @ _transposed(b_data), a_shape)
+        if a_data is not None:
+            if len(b_shape) == 2 and len(a_shape) > 2:
+                # a weight shared by every slice: one GEMM over the stacked rows
+                rows = a_data.reshape(-1, a_shape[-1])
+                gb = rows.T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape)
+        return ga, gb
     return _result(a.data @ b.data, (a, b), backward)
 
 
@@ -195,7 +239,7 @@ def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
     def backward(g):
-        _accumulate(a, g * mask)
+        return (g * mask,)
     return _result(np.where(mask, a.data, 0.0), (a,), backward)
 
 
@@ -204,7 +248,7 @@ def abs_(a: Tensor) -> Tensor:
     sign = np.sign(a.data)
 
     def backward(g):
-        _accumulate(a, g * sign)
+        return (g * sign,)
     return _result(np.abs(a.data), (a,), backward)
 
 
@@ -221,12 +265,13 @@ def _normalize_axes(axis, ndim):
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _normalize_axes(axis, a.ndim)
+    a_shape = a.shape
 
     def backward(g):
         if not keepdims:
             for ax in sorted(axes):
                 g = np.expand_dims(g, ax)
-        _accumulate(a, np.broadcast_to(g, a.shape).copy())
+        return (np.broadcast_to(g, a_shape).copy(),)
     return _result(a.data.sum(axis=axes, keepdims=keepdims), (a,), backward)
 
 
@@ -241,9 +286,10 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
+    a_shape = a.shape
 
     def backward(g):
-        _accumulate(a, g.reshape(a.shape))
+        return (g.reshape(a_shape),)
     return _result(a.data.reshape(shape), (a,), backward)
 
 
@@ -252,7 +298,7 @@ def permute(a: Tensor, axes) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        _accumulate(a, np.transpose(g, inverse))
+        return (np.transpose(g, inverse),)
     return _result(np.transpose(a.data, axes), (a,), backward)
 
 
@@ -264,11 +310,12 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
             f"narrow [{start}, {start + length}) outside axis of {a.shape[axis]}")
     index = tuple(slice(None) if i != axis else slice(start, start + length)
                   for i in range(a.ndim))
+    a_shape = a.shape
 
     def backward(g):
-        full = np.zeros(a.shape)
+        full = np.zeros(a_shape)
         full[index] = g
-        _accumulate(a, full)
+        return (full,)
     return _result(a.data[index].copy(), (a,), backward)
 
 
@@ -290,12 +337,13 @@ def unfold_time(x: Tensor, k: int) -> Tensor:
     out = np.zeros(x.shape[:-1] + (k * d,))
     for columns, rows, source in blocks:
         out[..., rows, columns] = x.data[..., source, :]
+    x_shape = x.shape
 
     def backward(g):
-        folded = np.zeros(x.shape)
+        folded = np.zeros(x_shape)
         for columns, rows, source in blocks:
             folded[..., source, :] += g[..., rows, columns]
-        _accumulate(x, folded)
+        return (folded,)
     return _result(out, (x,), backward)
 
 
@@ -328,7 +376,7 @@ def softmax(a: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Tensor
     p = _masked_softmax(a.data.copy(), mask, axis)
 
     def backward(g):
-        _accumulate(a, _softmax_backward(p, g, axis))
+        return (_softmax_backward(p, g, axis),)
     return _result(p, (a,), backward)
 
 
@@ -341,7 +389,8 @@ def _product(a: np.ndarray, b: np.ndarray, rowwise: bool) -> np.ndarray:
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
               mask: np.ndarray | None = None, rowwise: bool = False) -> Tensor:
-    """softmax(q k^T * scale) v as one node that keeps only the weights.
+    """softmax(q k^T * scale) v as one node that keeps only the weights and
+    the operands its gradients read.
 
     q is (..., L_q, d), k (..., L_k, d) and v (..., L_k, d_v); q may be k
     itself. mask (L_q, L_k) blocks True positions. With rowwise, each query
@@ -358,20 +407,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     scores *= scale
     p = _masked_softmax(scores, mask, -1)
     out = _product(p, v.data, rowwise)
+    # v's gradient reads the weights; q's reads k and v, k's reads q and v
+    q_shape, k_shape, v_shape = q.shape, k.shape, v.shape
+    need_v = v.requires_grad
+    q_data = q.data if k.requires_grad else None
+    k_data = k.data if q.requires_grad else None
+    v_data = v.data if q.requires_grad or k.requires_grad else None
 
     def backward(g):
-        if v.requires_grad:
-            _accumulate(v, _unbroadcast(np.swapaxes(p, -1, -2) @ g, v.shape))
-        if not (q.requires_grad or k.requires_grad):
-            return
-        # push d(weights) back through softmax(q k^T * scale) into q and k
-        ds = _softmax_backward(p, g @ _transposed(v.data), -1)
-        ds *= scale
-        if q.requires_grad:
-            _accumulate(q, _unbroadcast(ds @ k.data, q.shape))
-        if k.requires_grad:
-            dk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2)
-            _accumulate(k, _unbroadcast(dk, k.shape))
+        gq = gk = gv = None
+        if need_v:
+            gv = _unbroadcast(np.swapaxes(p, -1, -2) @ g, v_shape)
+        if v_data is not None:
+            # push d(weights) back through softmax(q k^T * scale) into q and k
+            ds = _softmax_backward(p, g @ _transposed(v_data), -1)
+            ds *= scale
+            if k_data is not None:
+                gq = _unbroadcast(ds @ k_data, q_shape)
+            if q_data is not None:
+                dk = np.swapaxes(np.swapaxes(q_data, -1, -2) @ ds, -1, -2)
+                gk = _unbroadcast(dk, k_shape)
+        return gq, gk, gv
     return _result(out, (q, k, v), backward)
 
 
@@ -386,19 +442,27 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
+    out = xhat * gain.data + bias.data
+    # the gain's gradient reads xhat; x's reads xhat, inv_std and the gain
+    need_gain, need_bias = gain.requires_grad, bias.requires_grad
+    x_saved = (inv_std, gain.data) if x.requires_grad else None
+    xhat_saved = xhat if x.requires_grad or need_gain else None
 
     def backward(g):
-        if gain.requires_grad:
-            axes = tuple(range(g.ndim - 1))
-            _accumulate(gain, (g * xhat).sum(axis=axes))
-        if bias.requires_grad:
-            _accumulate(bias, g.sum(axis=tuple(range(g.ndim - 1))))
-        if x.requires_grad:
-            gx = g * gain.data
+        axes = tuple(range(g.ndim - 1))
+        gx = ggain = gbias = None
+        if need_gain:
+            ggain = (g * xhat_saved).sum(axis=axes)
+        if need_bias:
+            gbias = g.sum(axis=axes)
+        if x_saved is not None:
+            inv_std, gain_data = x_saved
+            gx = g * gain_data
             term = gx - gx.mean(axis=-1, keepdims=True) \
-                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, term * inv_std)
-    return _result(xhat * gain.data + bias.data, (x, gain, bias), backward)
+                - xhat_saved * (gx * xhat_saved).mean(axis=-1, keepdims=True)
+            gx = term * inv_std
+        return gx, ggain, gbias
+    return _result(out, (x, gain, bias), backward)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
@@ -411,7 +475,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     scale = 1.0 / (1.0 - p)
 
     def backward(g):
-        _accumulate(x, g * keep * scale)
+        return (g * keep * scale,)
     return _result(x.data * keep * scale, (x,), backward)
 
 

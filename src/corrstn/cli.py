@@ -2,8 +2,9 @@
 
 Subcommands: synth, scorr, tcorr, select, train, predict, evaluate,
 export-plot-data. Every run writes a manifest JSON recording the resolved
-arguments, seed, build version, and stage timings. Exit codes: 0 success,
-2 configuration error, 3 data error, 4 compute error.
+arguments, seed, build version, stage timings and peak resident memory;
+train, predict and evaluate also record their sample counts. Exit codes:
+0 success, 2 configuration error, 3 data error, 4 compute error.
 
 CORRSTN_WORKERS sets the default worker count for scorr, the only subcommand
 that runs worker processes.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -66,6 +68,11 @@ class Manifest:
         self.payload["outputs"].append(str(path))
 
     def write(self, path) -> None:
+        # the largest resident set of this process or of a child it waited
+        # for (scorr's pool workers); ru_maxrss is in KiB on Linux
+        self.payload["peak_rss_bytes"] = 1024 * max(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
         with open(path, "w") as fh:
             json.dump(self.payload, fh, indent=2, default=str)
             fh.write("\n")
@@ -299,6 +306,8 @@ def cmd_train(args) -> int:
                                               offsets, config.horizon)
     val_samples = data_mod.assemble_samples(x_norm, ranges[1], config.periods,
                                             offsets, config.horizon)
+    manifest.payload["samples"] = {"train": len(train_samples),
+                                   "val": len(val_samples)}
     model = _build_from_artifacts(args, config, dataset, args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     log_path = os.path.join(args.out_dir, "train_log.csv")
@@ -342,6 +351,7 @@ def _restore_model(args):
 def cmd_predict(args) -> int:
     manifest = Manifest("predict", args)
     dataset, samples, model = _restore_model(args)
+    manifest.payload["samples"] = {args.split: len(samples)}
     manifest.start("predict")
     pred = model_mod.predict(model, samples.encoder_input, dataset.norm_params)
     manifest.stop("predict")
@@ -356,6 +366,7 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     manifest = Manifest("evaluate", args)
     dataset, samples, model = _restore_model(args)
+    manifest.payload["samples"] = {args.split: len(samples)}
     manifest.start("evaluate")
     report = metrics_mod.evaluate(model, samples, dataset)
     manifest.stop("evaluate")

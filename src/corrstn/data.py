@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, DimensionError
 
@@ -131,11 +132,13 @@ def _load_tensor_csv(path) -> tuple[SpatioTemporalTensor, list[str]]:
     n_t = max(t for t, _ in rows) + 1
     if min(t for t, _ in rows) < 0:
         raise DataError(f"{path}: negative timestamp")
-    data = np.full((n_t, len(sensor_ids), n_attr), np.nan)
+    # rows are unique, so a hole is a grid cell no row fills; a NaN value
+    # read from the file is not a hole and fails the finiteness check below
+    if len(rows) != n_t * len(sensor_ids):
+        raise DataError(f"{path}: missing (timestamp, sensor) combinations")
+    data = np.empty((n_t, len(sensor_ids), n_attr))
     for (t, sensor), values in rows.items():
         data[t, sensor_pos[sensor], :] = values
-    if np.isnan(data).any():
-        raise DataError(f"{path}: missing (timestamp, sensor) combinations")
     return SpatioTemporalTensor(data), sensor_ids
 
 
@@ -252,7 +255,9 @@ def denormalize(values: np.ndarray, norm_params: np.ndarray,
 class SampleSet:
     """Stacked training samples. encoder_input is the concatenation of the
     selected period blocks in slow-to-fast order (weekly, daily, hourly).
-    decoder_input covers [t, t+L-1]; target holds attribute 0 over [t+1, t+L]."""
+    decoder_input covers [t, t+L-1]; target holds attribute 0 over [t+1, t+L].
+    From assemble_samples, decoder_input and target are read-only views of
+    the series."""
 
     encoder_input: np.ndarray   # (S, T_enc, N, C)
     decoder_input: np.ndarray   # (S, L, N, C)
@@ -295,17 +300,14 @@ def assemble_samples(x: SpatioTemporalTensor, split_range: tuple[int, int],
         raise DataError(
             f"split {split_range} yields no samples: lookback {deepest} and "
             f"horizon {horizon} leave no admissible anchor")
-    anchors = np.arange(first, last + 1)
-    enc_parts = []
-    for p in periods:
-        start = anchors[:, None] - offsets[p] + 1 + np.arange(horizon)[None, :]
-        enc_parts.append(x.data[start])          # (S, L, N, C)
-    encoder = np.concatenate(enc_parts, axis=1)
-    dec_idx = anchors[:, None] + np.arange(horizon)[None, :]
-    decoder = x.data[dec_idx]
-    target = x.data[dec_idx + 1][:, :, :, :1]
-    return SampleSet(encoder_input=encoder, decoder_input=decoder, target=target,
-                     anchors=anchors, periods=periods)
+    # windows[t] is the read-only view x[t:t + horizon], (L, N, C)
+    windows = np.moveaxis(sliding_window_view(x.data, horizon, axis=0), -1, 1)
+    encoder = np.concatenate([windows[first - offsets[p] + 1:last - offsets[p] + 2]
+                              for p in periods], axis=1)
+    return SampleSet(encoder_input=encoder,
+                     decoder_input=windows[first:last + 1],
+                     target=windows[first + 1:last + 2, ..., :1],
+                     anchors=np.arange(first, last + 1), periods=periods)
 
 
 def iterate_batches(samples: SampleSet, batch_size: int, rng=None):

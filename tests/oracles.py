@@ -8,6 +8,8 @@ over windows: it checks how compute_tcorr batches and averages windows, while
 core from separate autodiff nodes (matmul, scale, softmax, matmul): it checks
 the fused attention node's hand-written backward against the chain rule the
 engine applies op by op, while the finite-difference checks test both.
+`graph_nodes` is not an oracle: it is the one autograph walk that the
+graph-structure tests share.
 """
 
 import math
@@ -196,3 +198,17 @@ def broadcast_weight_grad(a, g):
     for index in np.ndindex(*a.shape[:-2]):
         total += a[index].T @ g[index]
     return total
+
+
+def graph_nodes(out):
+    """The autograph nodes with a backward closure that are reachable from
+    tensor out, found by walking `_node.parents`; empty when out has none."""
+    seen, stack, nodes = set(), [out._node], []
+    while stack:
+        node = stack.pop()
+        if node is not None and id(node) not in seen:
+            seen.add(id(node))
+            if node.backward is not None:
+                nodes.append(node)
+            stack.extend(node.parents)
+    return nodes

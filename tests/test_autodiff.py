@@ -1,10 +1,11 @@
 import ast
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from corrstn import Module, Parameter, Tensor, xavier_uniform
+from corrstn import Module, Parameter, Tensor, autodiff, xavier_uniform
 from corrstn.autodiff import (abs_, add, attention, dropout, layer_norm,
                               linear, matmul, mean, mul, mul_scalar, narrow,
                               no_grad, permute, relu, reshape, softmax, sub,
@@ -309,6 +310,46 @@ def test_freed_gradients_leave_leaf_gradients_exact():
     assert np.array_equal(c.grad, 2 * (b.data + c.data))
 
 
+def test_graph_frees_outputs_that_no_backward_reads(monkeypatch):
+    rng = np.random.default_rng(41)
+    params = [Tensor(rng.normal(size=shape), requires_grad=True)
+              for shape in ((2, 3, 5), (5, 5), (5,), (5,), (5,))]
+    x, w, b, gain, shift = params
+    products = []
+
+    def recorded(a, c):
+        out = matmul(a, c)
+        products.append(weakref.ref(out.data))
+        return out
+    monkeypatch.setattr(autodiff, "matmul", recorded)
+    hidden = relu(x)
+    residual = add(linear(hidden, w, b), hidden)
+    hidden_ref, residual_ref = weakref.ref(hidden.data), weakref.ref(residual.data)
+    loss = sum_(layer_norm(residual, gain, shift))
+    del hidden, residual
+    # the product under the bias add and the residual sum under layer_norm
+    # are read by no backward: both are freed while the loss graph lives
+    assert products[0]() is None and residual_ref() is None
+    # the weight's gradient reads the linear's input, which stays alive
+    assert hidden_ref() is not None
+    loss.backward()
+    grads = [p.grad for p in params]
+    del loss
+    assert hidden_ref() is None
+
+    # op by op, with every intermediate kept, the gradients are the same
+    for p in params:
+        p.grad = None
+    kept = [relu(x)]
+    kept.append(matmul(kept[0], w))
+    kept.append(add(kept[1], b))
+    kept.append(add(kept[2], kept[0]))
+    kept.append(layer_norm(kept[3], gain, shift))
+    kept.append(sum_(kept[4]))
+    kept[-1].backward()
+    assert all(np.array_equal(p.grad, g) for p, g in zip(params, grads))
+
+
 def test_no_grad_builds_no_graph_and_restores_flag():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
     with no_grad():
@@ -318,13 +359,13 @@ def test_no_grad_builds_no_graph_and_restores_flag():
         inner = add(out, w)
     for t in (out, inner):
         assert not t.requires_grad
-        assert t._parents == () and t._backward is None
+        assert t._node is None
     assert matmul(w, w).requires_grad
     with pytest.raises(RuntimeError):
         with no_grad():
             raise RuntimeError("inside no_grad")
     tracked = matmul(w, w)
-    assert tracked.requires_grad and tracked._parents == (w, w)
+    assert tracked.requires_grad and tracked._node.parents == (w._node, w._node)
 
 
 def test_layer_norm_values_and_gradients():

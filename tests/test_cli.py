@@ -175,6 +175,27 @@ def test_predict_writes_forecasts(workdir):
     assert pred.ndim == 4 and pred.shape[1:] == (12, 4, 1)
 
 
+def test_manifests_record_peak_rss_and_sample_counts(workdir, tmp_path):
+    run = workdir / "run"
+    manifest = json.loads((run / "manifest.json").read_text())
+    # 4032 steps split 0.1/0.1/0.8 with a 12-step hourly lookback and horizon:
+    # train anchors 11..390, val anchors 402..793
+    assert manifest["samples"] == {"train": 380, "val": 392}
+    assert manifest["peak_rss_bytes"] > 2**20
+    for command, out in (("predict", tmp_path / "pred.npy"),
+                         ("evaluate", tmp_path / "metrics.json")):
+        assert cli.main([command, "--data", str(workdir / "data.sttf"),
+                         "--edges", str(workdir / "edges.csv"),
+                         "--scorr", str(workdir / "corr.scor"),
+                         "--config", str(run / "config.json"),
+                         "--checkpoint", str(run / "checkpoint.cstn"),
+                         "--out", str(out), "--split", "val",
+                         "--ratios", _RATIOS]) == 0
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        assert manifest["samples"] == {"val": 392}
+        assert manifest["peak_rss_bytes"] > 2**20
+
+
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
 def test_unknown_split_is_refused(workdir, tmp_path, command):
     run = workdir / "run"

@@ -73,6 +73,17 @@ def test_csv_missing_combination(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_csv_non_finite_value_is_not_a_hole(tmp_path, value):
+    # every (timestamp, sensor) combination is present; one value is not finite
+    path = tmp_path / "series.csv"
+    path.write_text(f"timestamp,sensor,flow\n0,a,1.0\n0,b,{value}\n"
+                    "1,a,3.0\n1,b,4.0\n")
+    for load in (load_tensor, load_dataset):
+        with pytest.raises(DataError, match="NaN or infinite"):
+            load(path)
+
+
 def test_csv_duplicate_row_names_its_line(tmp_path):
     # a repeated (timestamp, sensor) row must not silently replace the first
     path = tmp_path / "dup.csv"
@@ -143,6 +154,24 @@ def test_assemble_samples_alignment():
     assert np.array_equal(got.encoder_input[0, 4:], hourly)
     assert np.array_equal(got.decoder_input[0], x.data[t:t + 4])
     assert np.array_equal(got.target[0], x.data[t + 1:t + 5, :, :1])
+
+
+@pytest.mark.parametrize("periods", [("hourly",), ("daily", "hourly"),
+                                     ("weekly", "daily", "hourly")])
+def test_assemble_samples_are_views_equal_to_gathers(periods):
+    x = _tensor(t=70, n=3, c=2, seed=8)
+    offsets = {"hourly": 4, "daily": 9, "weekly": 21}
+    got = assemble_samples(x, (30, 55), periods, offsets, horizon=4)
+    # the per-anchor gathers the samples replace
+    steps = got.anchors[:, None] + np.arange(4)[None, :]
+    encoder = np.concatenate([x.data[steps - offsets[p] + 1] for p in got.periods],
+                             axis=1)
+    assert np.array_equal(got.encoder_input, encoder)
+    assert np.array_equal(got.decoder_input, x.data[steps])
+    assert np.array_equal(got.target, x.data[steps + 1][..., :1])
+    for view in (got.decoder_input, got.target):
+        assert np.shares_memory(view, x.data)
+        assert not view.flags.writeable
 
 
 def test_assemble_samples_guards():

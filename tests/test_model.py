@@ -15,6 +15,7 @@ from corrstn import neural as neural_mod
 from corrstn.autodiff import Parameter
 from corrstn.data import SampleSet, SpatioTemporalTensor
 from corrstn.errors import ConfigError, DataError, DimensionError
+from oracles import graph_nodes
 
 
 def _scorr(n, c, seed=0):
@@ -284,9 +285,25 @@ def test_forecast_and_validation_build_no_autograph(monkeypatch):
     model_mod._teacher_forced_metrics(model, samples,
                                       np.array([[0.0, 2.0], [0.0, 2.0]]))
     assert len(outputs) == 13
-    assert all(not out.requires_grad and out._parents == () for out in outputs)
+    assert all(not out.requires_grad and not graph_nodes(out) for out in outputs)
     # outside those passes the model still builds its graph
     assert model.forward(enc, dec).requires_grad
+
+
+def test_training_graph_keeps_arrays_not_tensors():
+    # a backward closure keeps the arrays it reads, never an operand tensor,
+    # so an output that no backward reads is freed with its tensor
+    _, model = _tiny_model(seed=31, dropout=0.1)
+    model.set_training(True)
+    rng = np.random.default_rng(32)
+    pred = model.forward(rng.normal(size=(2, 12, 3, 2)),
+                         rng.normal(size=(2, 12, 3, 2)))
+    nodes = graph_nodes(mae_loss(pred, rng.normal(size=(2, 12, 3, 1))))
+    kept = [cell.cell_contents for node in nodes
+            for cell in node.backward.__closure__ or ()]
+    kept += [item for value in kept if isinstance(value, tuple) for item in value]
+    assert len(nodes) > 100
+    assert not any(isinstance(value, Tensor) for value in kept)
 
 
 def test_state_dict_round_trip_and_mismatch():

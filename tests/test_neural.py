@@ -7,7 +7,7 @@ from corrstn import (CIATT, CIGNN, LayerNorm, Linear, SCorrTensor,
                      conv1d_temporal, identity_topu, laplacian_normalize,
                      reconstruct_keys, top_u_normalize, topu_mixing_matrix)
 from corrstn.errors import ConfigError, DataError, DimensionError
-from oracles import (finite_difference_gradient, gradient_gap,
+from oracles import (finite_difference_gradient, gradient_gap, graph_nodes,
                      multi_head_attention, plain_gnn, softmax_rows)
 
 
@@ -312,22 +312,10 @@ def test_temporal_conv_module_rejects_even_kernel():
     assert conv(Tensor(np.ones((2, 6, 4)))).shape == (2, 6, 4)
 
 
-def _graph_nodes(out: Tensor) -> int:
-    """Nodes with a backward closure reachable from out."""
-    seen, stack, count = set(), [out], 0
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            count += node._backward is not None
-            stack.extend(node._parents)
-    return count
-
-
 def test_temporal_conv_node_count_does_not_grow_with_kernel():
     rng = np.random.default_rng(23)
     x = Tensor(rng.normal(size=(2, 6, 4)), requires_grad=True)
-    counts = [_graph_nodes(TemporalConv(k, 4, rng)(x)) for k in (3, 5)]
+    counts = [len(graph_nodes(TemporalConv(k, 4, rng)(x))) for k in (3, 5)]
     # unfold, kernel reshape, matmul, bias add
     assert counts == [4, 4]
 
@@ -337,7 +325,7 @@ def test_cignn_node_count_does_not_grow_with_attributes():
     n, d = 4, 3
     adj = laplacian_normalize(np.eye(n))
     z = Tensor(rng.normal(size=(2, n, d)), requires_grad=True)
-    counts = [_graph_nodes(CIGNN(d, _random_scorr(n, c, seed=c), adj, rng)(z))
+    counts = [len(graph_nodes(CIGNN(d, _random_scorr(n, c, seed=c), adj, rng)(z)))
               for c in (1, 2, 3)]
     # z @ W, attention; the stacked routes' matmul, relu, psi reshape, mul
     # and sum; the structural matmul, relu and mul; the final add
