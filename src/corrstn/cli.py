@@ -3,7 +3,8 @@
 Subcommands: synth, scorr, tcorr, select, train, predict, evaluate,
 export-plot-data. Every run writes a manifest JSON recording the resolved
 arguments, seed, build version, stage timings and peak resident memory;
-train, predict and evaluate also record their sample counts. Exit codes:
+train, predict and evaluate also record their sample counts, and train
+prints one progress line per epoch to stderr. Exit codes:
 0 success, 2 configuration error, 3 data error, 4 compute error.
 
 CORRSTN_WORKERS sets the default worker count for scorr, the only subcommand
@@ -298,6 +299,13 @@ def _build_from_artifacts(args, config, dataset, seed: int):
                                  seed=seed)
 
 
+def _print_epoch(row) -> None:
+    """One progress line per epoch, on stderr so stdout stays as it was."""
+    print(f"epoch {row.epoch}: train MAE {row.train_mae:.6f}, "
+          f"val MAE {row.val_mae:.6f}, {row.seconds:.2f} s",
+          file=sys.stderr, flush=True)
+
+
 def cmd_train(args) -> int:
     manifest = Manifest("train", args)
     config = _resolve_config(args)
@@ -316,7 +324,7 @@ def cmd_train(args) -> int:
         model, model_mod.TrainingData(train_samples, val_samples,
                                       dataset.norm_params),
         config, epochs=args.epochs, patience=args.patience, seed=args.seed,
-        log_path=log_path)
+        log_path=log_path, on_epoch=_print_epoch)
     manifest.stop("train")
     ckpt_path = os.path.join(args.out_dir, "checkpoint.cstn")
     model_mod.save_checkpoint(model, config, ckpt_path)

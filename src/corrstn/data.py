@@ -1,11 +1,16 @@
 """Dataset ingestion, normalization, splitting, sample assembly, synthesis.
 
+Assembled samples copy nothing from the series: decoder inputs and targets
+are read-only sliding-window views, and the encoder input (the period blocks
+side by side) is gathered per batch or chunk from the rows it is indexed with.
+
 Binary series layout (.sttf): 'STTF', version u32, T u32, N u32, C u32,
 interval_minutes u32, then timestamp-major little-endian float64 values.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -209,8 +214,8 @@ def load_dataset(tensor_path, edges_path=None, name: str = "") -> TrafficDataset
 def split_ranges(n_timestamps: int,
                  ratios=(0.6, 0.2, 0.2)) -> tuple[tuple[int, int], ...]:
     """Contiguous (start, end) half-open index ranges for train/val/test."""
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ConfigError(f"need three positive ratios, got {ratios}")
+    if len(ratios) != 3 or not all(math.isfinite(r) and r > 0 for r in ratios):
+        raise ConfigError(f"need three positive finite ratios, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {sum(ratios)}")
     b1 = int(n_timestamps * ratios[0])
@@ -251,15 +256,62 @@ def denormalize(values: np.ndarray, norm_params: np.ndarray,
 # ---------------------------------------------------------------------------
 # sample assembly
 
+class EncoderWindows:
+    """Read-only (S, P * L, N, C) encoder input that stays in the series.
+
+    Sample s is the L rows starting at starts[p] + s for each period p, side
+    by side along the time axis. Indexing the sample axis (an int, a slice or
+    an int array, optionally followed by indices into the gathered rows)
+    gathers only the selected samples into a fresh C-contiguous array;
+    `np.asarray` gathers them all. `nbytes` is the size a gathered copy of
+    the whole set would have, as numpy reports it for a view.
+    """
+
+    ndim = 4
+
+    def __init__(self, series: np.ndarray, starts, length: int, count: int):
+        # steps[p * length + j] = starts[p] + j: sample s reads series[s + steps]
+        self._series = series
+        self._steps = (np.asarray(starts)[:, None] + np.arange(length)).ravel()
+        self.shape = (count, self._steps.size) + series.shape[1:]
+        self.dtype = series.dtype
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        return math.prod(self.shape) * self.dtype.itemsize
+
+    def __getitem__(self, key):
+        key, rest = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
+        if key is Ellipsis or any(not isinstance(k, (int, np.integer, slice))
+                                  and k is not Ellipsis for k in rest):
+            raise IndexError("the first index must select samples, and only "
+                             "it may be an array")
+        rows = np.arange(self.shape[0])[key]
+        out = self._series[np.add.outer(rows, self._steps)]
+        out = out[(slice(None),) * rows.ndim + rest]
+        return out if out.flags.c_contiguous else out.copy()
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("encoder windows cannot be read without a copy")
+        out = self[:]
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
 @dataclass
 class SampleSet:
     """Stacked training samples. encoder_input is the concatenation of the
     selected period blocks in slow-to-fast order (weekly, daily, hourly).
     decoder_input covers [t, t+L-1]; target holds attribute 0 over [t+1, t+L].
-    From assemble_samples, decoder_input and target are read-only views of
-    the series."""
+    From assemble_samples nothing is copied: encoder_input is an
+    EncoderWindows that gathers the rows of the samples it is indexed with,
+    and decoder_input and target are read-only views of the series. Any
+    field may also be a plain ndarray."""
 
-    encoder_input: np.ndarray   # (S, T_enc, N, C)
+    encoder_input: np.ndarray | EncoderWindows   # (S, T_enc, N, C)
     decoder_input: np.ndarray   # (S, L, N, C)
     target: np.ndarray          # (S, L, N, 1)
     anchors: np.ndarray         # (S,) anchor timestamps
@@ -302,8 +354,8 @@ def assemble_samples(x: SpatioTemporalTensor, split_range: tuple[int, int],
             f"horizon {horizon} leave no admissible anchor")
     # windows[t] is the read-only view x[t:t + horizon], (L, N, C)
     windows = np.moveaxis(sliding_window_view(x.data, horizon, axis=0), -1, 1)
-    encoder = np.concatenate([windows[first - offsets[p] + 1:last - offsets[p] + 2]
-                              for p in periods], axis=1)
+    encoder = EncoderWindows(x.data, [first - offsets[p] + 1 for p in periods],
+                             horizon, last - first + 1)
     return SampleSet(encoder_input=encoder,
                      decoder_input=windows[first:last + 1],
                      target=windows[first + 1:last + 2, ..., :1],

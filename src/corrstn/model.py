@@ -225,7 +225,11 @@ class CorrSTN(Module):
         return ad.add(ad.add(x, self.spatial_emb), pos_bcast)
 
     def _check_input(self, arr, lengths: range, what):
-        arr = np.asarray(arr, dtype=np.float64)
+        """arr with a batch axis, its shape checked. An ndarray or an
+        EncoderWindows is returned as it is, so no encoder rows are gathered
+        here; anything without a shape goes through np.asarray."""
+        if not hasattr(arr, "shape"):
+            arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim == 3:
             arr = arr[None]
         if arr.ndim != 4 or arr.shape[1] not in lengths \
@@ -290,7 +294,9 @@ class CorrSTN(Module):
         the same bits however many rows it is computed with, so the result
         is bit-identical to calling `forward` on each prefix.
         Dropout is off during the rollout and no autograph is built; the
-        training flag is restored.
+        training flag is restored. The input may be an EncoderWindows: only
+        its shape is read up front, and each chunk's rows are gathered when
+        that chunk is encoded, so at most one chunk of encoder input is held.
         """
         enc_len = self.config.encoder_length
         enc = self._check_input(encoder_input, range(enc_len, enc_len + 1),
@@ -302,7 +308,7 @@ class CorrSTN(Module):
         try:
             with ad.no_grad():
                 for start in range(0, enc.shape[0], chunk):
-                    block = enc[start:start + chunk]
+                    block = np.asarray(enc[start:start + chunk], dtype=np.float64)
                     memory_kv = self._memory_kv(self._encode(block))
                     cache = [[] for _ in self.decoder]
                     row = block[:, -1:].copy()
@@ -423,10 +429,11 @@ def _teacher_forced_metrics(model, samples: SampleSet, norm_params,
 
 def train(model: CorrSTN, data: TrainingData, config: ModelConfig,
           epochs: int = 100, patience: int = 20, seed: int = 0,
-          log_path=None) -> TrainingLog:
+          log_path=None, on_epoch=None) -> TrainingLog:
     """MAE loss, Adam, teacher forcing; keeps and restores the parameters of
     the best validation epoch; stops after `patience` epochs without
-    improvement. Deterministic for fixed seed and data."""
+    improvement. Deterministic for fixed seed and data. `on_epoch`, if
+    given, is called with each EpochRow as soon as the epoch is scored."""
     if len(data.train) == 0 or len(data.val) == 0:
         raise DataError("empty training or validation sample set")
     rng = np.random.default_rng(seed)
@@ -462,6 +469,8 @@ def train(model: CorrSTN, data: TrainingData, config: ModelConfig,
                        val_mae=val_mae, val_rmse=val_rmse, val_mape=val_mape,
                        seconds=time.perf_counter() - started)
         log.rows.append(row)
+        if on_epoch is not None:
+            on_epoch(row)
         if val_mae < log.best_val_mae:
             log.best_val_mae = val_mae
             log.best_epoch = epoch

@@ -91,6 +91,18 @@ def tcorr_per_window(source, target, offset, tau, anchors, eta=0.6):
     return acc / len(anchors)
 
 
+def encoder_by_gather(series, anchors, periods, offsets, horizon):
+    """Encoder input one anchor at a time: for anchor t, each period's block
+    series[t - offset + 1 : t - offset + 1 + horizon], side by side along
+    the time axis in the order `periods` lists them."""
+    samples = []
+    for t in anchors:
+        blocks = [series[t - offsets[p] + 1:t - offsets[p] + 1 + horizon]
+                  for p in periods]
+        samples.append(np.concatenate(blocks))
+    return np.stack(samples)
+
+
 def metrics_brute_force(pred, truth):
     """Point-by-point MAE, RMSE, and zero-target-masked MAPE."""
     pred = list(pred)

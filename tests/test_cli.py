@@ -257,6 +257,46 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["scorr", "tcorr"])
+def test_non_finite_split_ratio_is_config_error(workdir, tmp_path, capsys,
+                                                command):
+    rc = cli.main([command, "--data", str(workdir / "data.sttf"),
+                   "--out", str(tmp_path / "out"), "--ratios", "nan,0.5,0.5"])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_train_prints_one_progress_line_per_epoch(workdir, tmp_path, capsys):
+    # a learning rate this large makes validation oscillate, so patience 1
+    # stops the second run early
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "encoder_layers": 1, "decoder_layers": 1, "d_model": 8, "heads": 2,
+        "top_u": 2, "periods": ["hourly"], "learning_rate": 1.0,
+        "batch_size": 16}))
+    for epochs, patience, early in ((3, 5, False), (8, 1, True)):
+        run = tmp_path / f"run{epochs}"
+        assert cli.main(["train", "--data", str(workdir / "data.sttf"),
+                         "--edges", str(workdir / "edges.csv"),
+                         "--scorr", str(workdir / "corr.scor"),
+                         "--config", str(config), "--out-dir", str(run),
+                         "--seed", "1", "--ratios", _RATIOS,
+                         "--epochs", str(epochs),
+                         "--patience", str(patience)]) == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        logged = (run / "train_log.csv").read_text().splitlines()[1:]
+        assert ("stopped early" in captured.out) == early
+        assert len(lines) == len(logged)
+        assert len(logged) < epochs if early else len(logged) == epochs
+        for k, (line, row) in enumerate(zip(lines, logged), start=1):
+            train_mae, val_mae = (float(v) for v in row.split(",")[1:3])
+            assert line.startswith(f"epoch {k}: train MAE {train_mae:.6f}, "
+                                   f"val MAE {val_mae:.6f}, ")
+            assert line.endswith(" s")
+        assert "train MAE" not in captured.out
+
+
 def test_exit_code_missing_data(tmp_path, capsys):
     rc = cli.main(["scorr", "--data", str(tmp_path / "nope.sttf"),
                    "--out", str(tmp_path / "out.scor")])

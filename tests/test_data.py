@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ from corrstn import (SpatioTemporalTensor, assemble_samples, denormalize,
                      fit_normalization, generate_synthetic, load_dataset,
                      load_edges, load_tensor, normalize, save_tensor,
                      split_ranges)
-from corrstn.data import iterate_batches
+from corrstn.data import EncoderWindows, iterate_batches
 from corrstn.errors import ConfigError, DataError, DimensionError
+from oracles import encoder_by_gather
 
 
 def _tensor(t=40, n=3, c=2, seed=0):
@@ -124,6 +127,15 @@ def test_split_ranges_truncation():
         split_ranges(10, (0.5, 0.2, 0.2))
 
 
+@pytest.mark.parametrize("ratios", [(float("nan"), 0.5, 0.5),
+                                    (0.5, float("nan"), 0.5),
+                                    (float("inf"), 0.5, 0.5)])
+def test_split_ranges_refuses_non_finite_ratios(ratios):
+    # NaN compares false both ways, so a range check alone lets it through
+    with pytest.raises(ConfigError, match="finite"):
+        split_ranges(100, ratios)
+
+
 def test_normalize_round_trip_and_train_only_fit():
     x = _tensor(t=50, n=2, c=2, seed=3)
     params = fit_normalization(x, (0, 30))
@@ -162,16 +174,70 @@ def test_assemble_samples_are_views_equal_to_gathers(periods):
     x = _tensor(t=70, n=3, c=2, seed=8)
     offsets = {"hourly": 4, "daily": 9, "weekly": 21}
     got = assemble_samples(x, (30, 55), periods, offsets, horizon=4)
-    # the per-anchor gathers the samples replace
     steps = got.anchors[:, None] + np.arange(4)[None, :]
-    encoder = np.concatenate([x.data[steps - offsets[p] + 1] for p in got.periods],
-                             axis=1)
+    encoder = encoder_by_gather(x.data, got.anchors, got.periods, offsets, 4)
+    assert isinstance(got.encoder_input, EncoderWindows)
     assert np.array_equal(got.encoder_input, encoder)
     assert np.array_equal(got.decoder_input, x.data[steps])
     assert np.array_equal(got.target, x.data[steps + 1][..., :1])
     for view in (got.decoder_input, got.target):
         assert np.shares_memory(view, x.data)
         assert not view.flags.writeable
+
+
+_INDEX_KINDS = [0, 7, -1, -22, slice(None), slice(3, 17), slice(2, None, 3),
+                slice(None, None, -4), np.array([4, 0, 4, -1, 11]), [2, 1],
+                np.arange(22) % 2 == 0, (0, slice(None, 4)), (slice(None), 0, 0, 0),
+                (np.array([5, 3]), slice(4, None), 1), (-2, Ellipsis, 1),
+                (slice(1, 9, 2), -1, slice(None), slice(0, 1))]
+
+
+@pytest.mark.parametrize("periods", [("hourly",), ("daily", "hourly"),
+                                     ("weekly", "daily", "hourly")])
+def test_encoder_windows_gather_like_the_oracle(periods):
+    x = _tensor(t=70, n=3, c=2, seed=9)
+    offsets = {"hourly": 4, "daily": 9, "weekly": 21}
+    samples = assemble_samples(x, (30, 55), periods, offsets, horizon=4)
+    got = samples.encoder_input
+    want = encoder_by_gather(x.data, samples.anchors, samples.periods, offsets, 4)
+    assert got.shape == want.shape == (22, 4 * len(periods), 3, 2)
+    assert (got.ndim, got.dtype, len(got)) == (4, np.float64, 22)
+    assert got.nbytes == want.nbytes
+    for key in _INDEX_KINDS:
+        rows = got[key]
+        assert isinstance(rows, np.ndarray)
+        assert rows.flags.c_contiguous and rows.dtype == np.float64
+        assert not np.shares_memory(rows, x.data)
+        assert np.array_equal(rows, want[key]) and rows.shape == want[key].shape
+    whole = np.asarray(got)
+    assert np.array_equal(whole, want) and not np.shares_memory(whole, x.data)
+    with pytest.raises(IndexError):
+        got[22]
+    with pytest.raises(IndexError):
+        got[0, [0, 1]]
+    with pytest.raises(IndexError):
+        got[..., 0]
+    with pytest.raises(ValueError):
+        np.asarray(got, copy=False)
+
+
+def test_assembling_bench_sized_splits_copies_no_encoder_rows():
+    # the benchmark's train-pems08 shape: 3 weeks at 5 minutes, N = 96, C = 3;
+    # its train and val encoder inputs come to 221.5 MiB when materialized
+    x = SpatioTemporalTensor(np.zeros((3 * 2016, 96, 3)), interval_minutes=5)
+    ranges = split_ranges(x.n_timestamps)
+    periods = ("hourly", "daily", "weekly")
+    offsets = {"hourly": 12, "daily": 288, "weekly": 2016}
+    tracemalloc.start()
+    try:
+        splits = [assemble_samples(x, ranges[k], periods, offsets, 12)
+                  for k in (0, 1)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(s) for s in splits] == [1601, 1199]
+    assert sum(s.encoder_input.nbytes for s in splits) == 232_243_200
+    assert peak < 2 ** 20
 
 
 def test_assemble_samples_guards():

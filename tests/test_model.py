@@ -1,4 +1,6 @@
 import csv
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,10 +12,11 @@ from corrstn import (Adam, ModelConfig, PRESETS, SCorrTensor, Tensor,
                      load_config, mae_loss, normalize, predict,
                      save_checkpoint, save_config, split_ranges,
                      topu_mixing_matrix, train)
+from corrstn import metrics as metrics_mod
 from corrstn import model as model_mod
 from corrstn import neural as neural_mod
 from corrstn.autodiff import Parameter
-from corrstn.data import SampleSet, SpatioTemporalTensor
+from corrstn.data import EncoderWindows, SampleSet, SpatioTemporalTensor
 from corrstn.errors import ConfigError, DataError, DimensionError
 from oracles import graph_nodes
 
@@ -429,6 +432,64 @@ def test_train_early_stops():
                 epochs=50, patience=2, seed=3)
     assert log.stopped_early
     assert len(log.rows) < 50
+
+
+def _materialized(samples):
+    return SampleSet(np.asarray(samples.encoder_input), samples.decoder_input,
+                     samples.target, samples.anchors, samples.periods)
+
+
+def test_training_on_encoder_windows_matches_materialized_samples():
+    x_norm, params, train_s, val_s = _training_setup()
+    assert isinstance(train_s.encoder_input, EncoderWindows)
+    runs = []
+    for sets in ((train_s, val_s), (_materialized(train_s), _materialized(val_s))):
+        cfg, model = _tiny_model(seed=17, n=3, c=1, learning_rate=0.01,
+                                 batch_size=8)
+        log = train(model, TrainingData(*sets, params), cfg,
+                    epochs=2, patience=2, seed=5)
+        runs.append(([(r.train_mae, r.val_mae, r.val_rmse) for r in log.rows],
+                     model.state_dict()))
+    (rows, state), (dense_rows, dense_state) = runs
+    assert rows == dense_rows
+    assert state.keys() == dense_state.keys()
+    assert all(state[k].tobytes() == dense_state[k].tobytes() for k in state)
+
+
+def test_forecast_and_evaluate_on_encoder_windows_match_materialized_input():
+    x_norm, params, train_s, val_s = _training_setup()
+    cfg, model = _tiny_model(seed=18, n=3, c=1)
+    dense = _materialized(val_s)
+    got = model.forecast(val_s.encoder_input, chunk=7)
+    assert got.tobytes() == model.forecast(dense.encoder_input, chunk=7).tobytes()
+    dataset = SimpleNamespace(norm_params=params)
+    assert (metrics_mod.evaluate(model, val_s, dataset).per_horizon.tobytes()
+            == metrics_mod.evaluate(model, dense, dataset).per_horizon.tobytes())
+
+
+def test_forecast_holds_one_chunk_of_encoder_input():
+    n, c = 8, 3
+    cfg, model = _tiny_model(seed=19, n=n, c=c,
+                             periods=("hourly", "daily", "weekly"))
+    x = SpatioTemporalTensor(np.random.default_rng(20).normal(size=(260, n, c)))
+    offsets = {"hourly": 12, "daily": 24, "weekly": 48}
+    windows = assemble_samples(x, (48, 259), cfg.periods, offsets, 12).encoder_input
+    dense = np.asarray(windows)
+
+    def peak(encoder_input):
+        tracemalloc.start()
+        try:
+            model.forecast(encoder_input)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    model.forecast(dense[:1])
+    chunk_bytes = 64 * windows.nbytes // len(windows)
+    assert len(windows) == 200 and windows.nbytes > 3 * chunk_bytes
+    # the dense input is allocated before tracing, so the difference is
+    # what forecast gathers from the windows
+    assert peak(windows) - peak(dense) <= 1.1 * chunk_bytes
 
 
 def test_predict_denormalizes():
