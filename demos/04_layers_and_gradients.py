@@ -2,14 +2,18 @@
 
 Shows reverse-mode gradients agreeing with finite differences, the key
 reconstruction collapsing to plain attention under an identity top-U, and the
-graph layer separating its correlation and structural branches.
+graph layer separating its correlation and structural branches. Attention
+runs the model's own path: `key_value_heads` blends the keys across
+correlated sensors and splits heads, `attend_heads` runs the queries against
+them, both on position-major (L, N, d) inputs.
 """
 
 import numpy as np
 
-from corrstn import (SCorrTensor, Tensor, add_self_loops, causal_mask,
-                     ciatt_forward, cignn_forward, identity_topu,
-                     laplacian_normalize, top_u_normalize)
+from corrstn import (SCorrTensor, Tensor, add_self_loops, attend_heads,
+                     causal_mask, cignn_forward, identity_topu,
+                     key_value_heads, laplacian_normalize, top_u_normalize,
+                     topu_mixing_matrix)
 from corrstn.autodiff import matmul, mean, relu
 
 rng = np.random.default_rng(0)
@@ -30,10 +34,16 @@ print(f"dloss/dw[1,2]: reverse mode {w.grad[1, 2]:+.8f}, "
 
 # --- attention with correlation-reconstructed keys ----------------------
 n, length, d = 4, 6, 8
-q, k, v = (Tensor(rng.normal(size=(n, length, d))) for _ in range(3))
+q, k, v = (Tensor(rng.normal(size=(length, n, d))) for _ in range(3))
 w_out = Tensor(rng.normal(size=(d, d)))
 
-plain = ciatt_forward(q, k, v, identity_topu(n), 2, w_out)
+
+def ciatt(topu, q, k, v, mask=None):
+    mixing = Tensor(topu_mixing_matrix(topu))
+    return attend_heads(q, *key_value_heads(mixing, k, v, 2), w_out, mask=mask)
+
+
+plain = ciatt(identity_topu(n), q, k, v)
 print(f"\nidentity top-U leaves keys untouched -> plain attention, "
       f"output {plain.shape}")
 
@@ -42,17 +52,16 @@ degrees = (degrees + degrees.transpose(1, 0, 2)) / 2
 for a in range(1):
     np.fill_diagonal(degrees[:, :, a], 1.0)
 topu = top_u_normalize(SCorrTensor(degrees), u=2)
-mixed = ciatt_forward(q, k, v, topu, 2, w_out)
+mixed = ciatt(topu, q, k, v)
 gap = float(np.abs(mixed.data - plain.data).max())
 print(f"top-2 reconstruction changes the output (max |delta| = {gap:.3f})")
 
 # under a causal mask, position 0 may only attend to itself, so shortening
 # the sequence to one step must reproduce its output exactly
-masked = ciatt_forward(q, k, v, topu, 2, w_out, mask=causal_mask(length))
-first = ciatt_forward(Tensor(q.data[:, :1]), Tensor(k.data[:, :1]),
-                      Tensor(v.data[:, :1]), topu, 2, w_out)
+masked = ciatt(topu, q, k, v, mask=causal_mask(length))
+first = ciatt(topu, Tensor(q.data[:1]), Tensor(k.data[:1]), Tensor(v.data[:1]))
 print(f"causal mask keeps position 0 blind to the future: "
-      f"{np.allclose(masked.data[:, 0], first.data[:, 0])}")
+      f"{np.allclose(masked.data[0], first.data[0])}")
 
 # --- graph layer ---------------------------------------------------------
 z = Tensor(rng.normal(size=(n, d)))

@@ -24,8 +24,8 @@ from .data import (SpatioTemporalTensor, TrafficDataset, SampleSet,
                    assemble_samples, generate_synthetic)
 from .autodiff import Tensor, Parameter, Module, xavier_uniform
 from .neural import (NormalizedAdjacency, add_self_loops, laplacian_normalize,
-                     causal_mask, cignn_forward, reconstruct_keys,
-                     ciatt_forward, conv1d_temporal,
+                     causal_mask, cignn_forward, key_value_heads,
+                     attend_heads, conv1d_temporal,
                      Linear, LayerNorm, TemporalConv, CIATT, CIGNN)
 from .model import (ModelConfig, PRESETS, config_hash, save_config,
                     load_config, CorrSTN, build_model, Adam, mae_loss,
@@ -54,7 +54,7 @@ __all__ = [
     "assemble_samples", "generate_synthetic",
     "Tensor", "Parameter", "Module", "xavier_uniform",
     "NormalizedAdjacency", "add_self_loops", "laplacian_normalize",
-    "causal_mask", "cignn_forward", "reconstruct_keys", "ciatt_forward",
+    "causal_mask", "cignn_forward", "key_value_heads", "attend_heads",
     "conv1d_temporal",
     "Linear", "LayerNorm", "TemporalConv", "CIATT", "CIGNN",
     "ModelConfig", "PRESETS", "config_hash", "save_config", "load_config",

@@ -97,14 +97,15 @@ def _scorr_workers(requested: int | None) -> int:
     return requested
 
 
-def _parse_ratios(text: str):
+def _three_numbers(text: str, what: str) -> tuple:
+    """--ratios and --weights: three comma-separated numbers."""
     parts = text.split(",")
     if len(parts) != 3:
-        raise ConfigError(f"expected three comma-separated ratios, got {text!r}")
+        raise ConfigError(f"expected three comma-separated {what}, got {text!r}")
     try:
         return tuple(float(p) for p in parts)
     except ValueError:
-        raise ConfigError(f"ratios must be numbers, got {text!r}")
+        raise ConfigError(f"{what} must be numbers, got {text!r}")
 
 
 _SPLITS = ("train", "val", "test")
@@ -113,7 +114,7 @@ _SPLITS = ("train", "val", "test")
 def _load_split(args) -> data_mod.SpatioTemporalTensor:
     """scorr/tcorr input: the --split piece of --data under --ratios."""
     x = data_mod.load_tensor(args.data)
-    ranges = data_mod.split_ranges(x.n_timestamps, _parse_ratios(args.ratios))
+    ranges = data_mod.split_ranges(x.n_timestamps, _three_numbers(args.ratios, "ratios"))
     if args.split == "all":
         return x
     if args.split not in _SPLITS:
@@ -192,22 +193,12 @@ def cmd_scorr(args) -> int:
     return 0
 
 
-def _parse_weights(text: str) -> tcorr_mod.TCorrWeights:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"expected hourly,daily,weekly weights, got {text!r}")
-    try:
-        h, d, w = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"weights must be numbers, got {text!r}")
-    return tcorr_mod.TCorrWeights(hourly=h, daily=d, weekly=w)
-
-
 def cmd_tcorr(args) -> int:
     manifest = Manifest("tcorr", args)
     piece = _load_split(args)
     spec = tcorr_mod.PeriodSpec.from_interval(piece.interval_minutes, tau=args.tau)
-    weights = _parse_weights(args.weights)
+    weights = tcorr_mod.TCorrWeights(
+        *_three_numbers(args.weights, "hourly,daily,weekly weights"))
     stats = MicStats()
     manifest.start("tcorr")
     report = tcorr_mod.build_tcorr_report(
@@ -248,6 +239,7 @@ def cmd_select(args) -> int:
                        "combined_verdict": list(combined)}, fh, indent=2)
             fh.write("\n")
         manifest.add_output(args.out)
+    if args.out or args.manifest:
         manifest.write(_manifest_path(args, args.out))
     return 0
 
@@ -273,7 +265,7 @@ def _load_pipeline(args, config):
     """Shared train/predict/evaluate plumbing: load, split, normalize."""
     dataset = data_mod.load_dataset(args.data, args.edges)
     x = dataset.tensor
-    ranges = data_mod.split_ranges(x.n_timestamps, _parse_ratios(args.ratios))
+    ranges = data_mod.split_ranges(x.n_timestamps, _three_numbers(args.ratios, "ratios"))
     dataset.norm_params = data_mod.fit_normalization(x, ranges[0])
     x_norm = data_mod.SpatioTemporalTensor(
         data_mod.normalize(x.data, dataset.norm_params),

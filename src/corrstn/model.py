@@ -434,6 +434,8 @@ def train(model: CorrSTN, data: TrainingData, config: ModelConfig,
     the best validation epoch; stops after `patience` epochs without
     improvement. Deterministic for fixed seed and data. `on_epoch`, if
     given, is called with each EpochRow as soon as the epoch is scored."""
+    if epochs < 1 or patience < 1:
+        raise ConfigError(f"need epochs >= 1 and patience >= 1, got {epochs}, {patience}")
     if len(data.train) == 0 or len(data.val) == 0:
         raise DataError("empty training or validation sample set")
     rng = np.random.default_rng(seed)

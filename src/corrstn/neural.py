@@ -4,7 +4,8 @@ The graph layer mixes each time slice across sensors through three routes:
 per-attribute correlation matrices modulated by input-dependent spatial
 weights, and the normalized structural adjacency. The attention layer runs
 per-sensor multi-head attention over time with keys reconstructed from each
-sensor's top-U correlated peers.
+sensor's top-U correlated peers, through one path on (..., L, N, d_model)
+inputs: `key_value_heads` blends and splits keys, `attend_heads` attends.
 """
 
 from __future__ import annotations
@@ -81,18 +82,6 @@ def _swap_last_but_one(ndim: int) -> tuple:
     return (*range(ndim - 3), ndim - 2, ndim - 3, ndim - 1)
 
 
-def reconstruct_keys(topu: TopUSCorr, k: Tensor) -> Tensor:
-    """Replace each sensor's keys with the weighted blend of its top-U peers:
-    out_i = (1/C) sum_c sum_u weights[i,u,c] * k[indices[i,u,c]].
-    k has shape (..., N, L, d); output shape is identical."""
-    n = topu.indices.shape[0]
-    if k.ndim < 3 or k.shape[-3] != n:
-        raise DimensionError(f"keys must be (..., {n}, L, d), got {k.shape}")
-    swap = _swap_last_but_one(k.ndim)
-    mixed = ad.matmul(Tensor(topu_mixing_matrix(topu)), ad.permute(k, swap))
-    return ad.permute(mixed, swap)
-
-
 def split_heads(x: Tensor, heads: int) -> Tensor:
     """(..., L, N, d) -> (..., N, H, L, d/H)."""
     d = x.shape[-1]
@@ -141,25 +130,6 @@ def attend_heads(q: Tensor, kh: Tensor, vh: Tensor, w_out: Tensor,
     mixed = ad.attention(split_heads(q, heads), kh, vh, 1.0 / np.sqrt(d_head),
                          mask=mask, rowwise=rowwise)
     return ad.linear(merge_heads(mixed), w_out, b_out)
-
-
-def ciatt_forward(q: Tensor, k: Tensor, v: Tensor, topu: TopUSCorr, heads: int,
-                  w_out: Tensor, b_out: Tensor | None = None,
-                  mask: np.ndarray | None = None) -> Tensor:
-    """Correlation attention on projected q/k/v of shape (..., N, L, d_model).
-
-    Keys are blended across correlated sensors, then each head attends over
-    time with softmax(Q K~^T / sqrt(d_head)); head outputs are concatenated
-    and linearly projected. mask (L_q, L_k) blocks True positions.
-    """
-    if q.ndim < 3 or q.shape[-1] != k.shape[-1] or k.shape != v.shape:
-        raise DimensionError(f"q/k/v must be (..., N, L, d) and agree: "
-                             f"q {q.shape}, k {k.shape}, v {v.shape}")
-    swap = _swap_last_but_one(q.ndim)
-    kh = split_heads(ad.permute(reconstruct_keys(topu, k), swap), heads)
-    vh = split_heads(ad.permute(v, swap), heads)
-    out = attend_heads(ad.permute(q, swap), kh, vh, w_out, b_out, mask=mask)
-    return ad.permute(out, swap)
 
 
 def conv1d_temporal(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:

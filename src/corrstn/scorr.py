@@ -29,8 +29,9 @@ class SCorrTensor:
         d = self.degrees
         if d.ndim != 3 or d.shape[0] != d.shape[1]:
             raise DimensionError(f"degrees must be N x N x C, got {d.shape}")
-        if d.min() < 0.0 or d.max() > 1.0:
-            raise DataError("correlation degrees outside [0, 1]")
+        # written so that NaN, which fails every comparison, is refused too
+        if not np.all((d >= 0.0) & (d <= 1.0)):
+            raise DataError("correlation degrees NaN or outside [0, 1]")
 
     @property
     def n_sensors(self) -> int:
@@ -157,7 +158,10 @@ def load_scorr(path) -> SCorrTensor:
         raw = np.frombuffer(fh.read(), dtype="<f8")
     if raw.size != n * n * c:
         raise DataError(f"{path}: expected {n * n * c} values, got {raw.size}")
-    return SCorrTensor(np.transpose(raw.reshape(c, n, n), (1, 2, 0)).copy())
+    try:
+        return SCorrTensor(np.transpose(raw.reshape(c, n, n), (1, 2, 0)).copy())
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def export_scorr_csv(s: SCorrTensor, path) -> None:

@@ -19,19 +19,21 @@ import pytest
 
 from corrstn import (ModelConfig, PERIODS, PeriodSpec, SCorrTensor, Tensor,
                      TCorrWeights, TrainingData, add_self_loops,
-                     assemble_samples, build_model, build_tcorr_report,
-                     causal_mask, ciatt_forward, cignn_forward, compute_report,
-                     compute_scorr, fit_normalization, generate_synthetic,
-                     identity_topu, laplacian_normalize, load_tensor, mae_loss,
-                     mic, normalize, save_tensor, select_periods,
-                     split_ranges, top_u_normalize, train, weighted_tcorr)
+                     assemble_samples, attend_heads, build_model,
+                     build_tcorr_report, causal_mask, cignn_forward,
+                     compute_report, compute_scorr, fit_normalization,
+                     generate_synthetic, identity_topu, key_value_heads,
+                     laplacian_normalize, load_tensor, mae_loss, mic,
+                     normalize, save_tensor, select_periods, split_ranges,
+                     top_u_normalize, topu_mixing_matrix, train,
+                     weighted_tcorr)
 from corrstn import metrics as metrics_mod
 from corrstn.autodiff import (abs_, add, dropout, layer_norm, linear, matmul,
                               mean, mul, mul_scalar, narrow, permute, relu,
                               reshape, softmax, sub, sum_, unfold_time)
 from corrstn.cli import main as cli_main
 from corrstn.data import SampleSet, SpatioTemporalTensor
-from corrstn.neural import conv1d_temporal, reconstruct_keys
+from corrstn.neural import conv1d_temporal
 from oracles import (finite_difference_gradient, gradient_gap,
                      metrics_brute_force, mic_brute_force,
                      multi_head_attention, plain_gnn)
@@ -281,19 +283,26 @@ def _layer_catalog(seed):
     for a in range(c):
         np.fill_diagonal(deg[:, :, a], 1.0)
     scorr = SCorrTensor(deg)
-    topu = top_u_normalize(scorr, u=2)
+    mixing = Tensor(topu_mixing_matrix(top_u_normalize(scorr, u=2)))
     adj = laplacian_normalize(add_self_loops(np.ones((n, n)) - np.eye(n)))
-    mask = causal_mask(length)
+    causal = causal_mask(length)
+
+    def ciatt(q, k, v, w_out, b_out=None, mask=None, rowwise=False):
+        # the draws are sensor-major (n, length, d); the model's attention
+        # path is position-major, so the row permutes in and back out
+        q, k, v = (permute(t, (1, 0, 2)) for t in (q, k, v))
+        out = attend_heads(q, *key_value_heads(mixing, k, v, 2), w_out, b_out,
+                           mask=mask, rowwise=rowwise)
+        return permute(out, (1, 0, 2))
+
     return [
         (lambda z, w, psi, omega: cignn_forward(z, scorr, adj, w, psi, omega),
          [(n, d), (d, d), (c,), (1,)], "cignn"),
-        (lambda q, k, v, w_out, b_out:
-         ciatt_forward(q, k, v, topu, 2, w_out, b_out),
-         [(n, length, d)] * 3 + [(d, d), (d,)], "ciatt"),
-        (lambda q, k, v, w_out:
-         ciatt_forward(q, k, v, topu, 2, w_out, mask=mask),
+        (ciatt, [(n, length, d)] * 3 + [(d, d), (d,)], "ciatt"),
+        (lambda q, k, v, w_out: ciatt(q, k, v, w_out, mask=causal),
          [(n, length, d)] * 3 + [(d, d)], "ciatt masked"),
-        (lambda k: reconstruct_keys(topu, k), [(n, length, d)], "reconstruct"),
+        (lambda q, k, v, w_out: ciatt(q, k, v, w_out, mask=causal, rowwise=True),
+         [(n, length, d)] * 3 + [(d, d)], "ciatt rowwise"),
         (lambda x, k, b: conv1d_temporal(x, k, b),
          [(6, 3), (3, 3, 5), (5,)], "temporal conv"),
     ]
@@ -359,19 +368,26 @@ def test_criterion_06_gradient_soundness():
 # 7: the correlation layers collapse to their plain counterparts
 
 def test_criterion_07_reduction_identities():
-    with verdict(7, "identity top-U attention == plain multi-head attention "
-                    "and psi=0/omega=1 graph layer == relu(A Z W), tol 1e-12"):
+    with verdict(7, "identity top-U attention (the model's path, both "
+                    "cores) == plain multi-head attention and psi=0/omega=1 "
+                    "graph layer == relu(A Z W), tol 1e-12"):
         rng = np.random.default_rng(707)
         n, length, d = 5, 6, 8
         q, k, v = (rng.normal(size=(n, length, d)) for _ in range(3))
         w_out = rng.normal(size=(d, d))
         b_out = rng.normal(size=d)
+        identity = Tensor(topu_mixing_matrix(identity_topu(n)))
+        # the model's attention path is position-major (length, n, d)
+        kv = key_value_heads(identity, Tensor(np.swapaxes(k, 0, 1)),
+                             Tensor(np.swapaxes(v, 0, 1)), 2)
         for mask in (None, causal_mask(length)):
-            ours = ciatt_forward(Tensor(q), Tensor(k), Tensor(v),
-                                 identity_topu(n), 2, Tensor(w_out),
-                                 Tensor(b_out), mask=mask)
             ref = multi_head_attention(q, k, v, 2, w_out, b_out, mask=mask)
-            assert np.abs(ours.data - ref).max() <= 1e-12
+            for rowwise in (False, True):
+                ours = attend_heads(Tensor(np.swapaxes(q, 0, 1)), *kv,
+                                    Tensor(w_out), Tensor(b_out), mask=mask,
+                                    rowwise=rowwise)
+                gap = np.abs(np.swapaxes(ours.data, 0, 1) - ref).max()
+                assert gap <= 1e-12, (mask is None, rowwise, gap)
         z = rng.normal(size=(n, d))
         w = rng.normal(size=(d, d))
         deg = rng.uniform(0.1, 0.9, size=(n, n, 2))

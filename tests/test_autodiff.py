@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import corrstn
 from corrstn import Module, Parameter, Tensor, autodiff, xavier_uniform
 from corrstn.autodiff import (abs_, add, attention, dropout, layer_norm,
                               linear, matmul, mean, mul, mul_scalar, narrow,
@@ -473,6 +474,15 @@ def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
             names.add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
     return names
+
+
+def test_public_names_resolve():
+    """Every name in `__all__` exists, so a star import succeeds."""
+    missing = [name for name in corrstn.__all__ if not hasattr(corrstn, name)]
+    assert missing == []
+    namespace = {}
+    exec("from corrstn import *", namespace)
+    assert set(corrstn.__all__) <= set(namespace)
 
 
 def test_every_public_op_has_a_library_caller():

@@ -131,6 +131,15 @@ def test_tcorr_report_and_select(workdir, capsys):
     assert verdict["combined_verdict"] == report["combined_verdict"]
 
 
+def test_select_writes_manifest_without_out(workdir, tmp_path):
+    manifest = tmp_path / "sel.manifest.json"
+    assert cli.main(["select", "--report", str(workdir / "tcorr.json"),
+                     "--manifest", str(manifest)]) == 0
+    payload = json.loads(manifest.read_text())
+    assert payload["command"] == "select"
+    assert payload["outputs"] == []
+
+
 def test_train_artifacts(workdir):
     run = workdir / "run"
     assert (run / "checkpoint.cstn").exists()
@@ -266,6 +275,15 @@ def test_non_finite_split_ratio_is_config_error(workdir, tmp_path, capsys,
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weights", ["0.9,0.9", "0.9,0.9,x", "0.9,0.9,2"])
+def test_bad_tcorr_weights_are_config_error(workdir, tmp_path, capsys, weights):
+    rc = cli.main(["tcorr", "--data", str(workdir / "data.sttf"),
+                   "--out", str(tmp_path / "out"), "--weights", weights])
+    assert rc == 2
+    assert "weight" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_prints_one_progress_line_per_epoch(workdir, tmp_path, capsys):
     # a learning rate this large makes validation oscillate, so patience 1
     # stops the second run early
@@ -295,6 +313,45 @@ def test_train_prints_one_progress_line_per_epoch(workdir, tmp_path, capsys):
                                    f"val MAE {val_mae:.6f}, ")
             assert line.endswith(" s")
         assert "train MAE" not in captured.out
+
+
+@pytest.mark.parametrize("epochs, patience", [(0, 20), (-3, -1), (2, 0)])
+def test_train_refuses_fewer_than_one_epoch_or_patience(workdir, tmp_path,
+                                                        capsys, epochs, patience):
+    run = tmp_path / "run"
+    rc = cli.main(["train", "--data", str(workdir / "data.sttf"),
+                   "--edges", str(workdir / "edges.csv"),
+                   "--scorr", str(workdir / "corr.scor"),
+                   "--config", str(workdir / "config.json"),
+                   "--out-dir", str(run), "--ratios", _RATIOS,
+                   "--epochs", str(epochs), "--patience", str(patience)])
+    assert rc == 2
+    assert "need epochs >= 1 and patience >= 1" in capsys.readouterr().err
+    assert not (run / "checkpoint.cstn").exists()
+    assert not (run / "train_log.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+def test_nan_correlation_degree_is_data_error(workdir, tmp_path, capsys,
+                                              command):
+    bad = tmp_path / "nan.scor"
+    raw = bytearray((workdir / "corr.scor").read_bytes())
+    raw[28:36] = np.array([np.nan], dtype="<f8").tobytes()   # degree (0, 1)
+    bad.write_bytes(bytes(raw))
+    run = workdir / "run"
+    args = {"train": ["--out-dir", str(tmp_path / "run")],
+            "evaluate": ["--checkpoint", str(run / "checkpoint.cstn"),
+                         "--out", str(tmp_path / "m.json")],
+            "predict": ["--checkpoint", str(run / "checkpoint.cstn"),
+                        "--out", str(tmp_path / "f.npy")]}[command]
+    rc = cli.main([command, "--data", str(workdir / "data.sttf"),
+                   "--edges", str(workdir / "edges.csv"), "--scorr", str(bad),
+                   "--config", str(run / "config.json"), "--ratios", _RATIOS,
+                   *args])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and "NaN" in err
+    assert not (tmp_path / "run" / "checkpoint.cstn").exists()
 
 
 def test_exit_code_missing_data(tmp_path, capsys):

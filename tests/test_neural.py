@@ -3,9 +3,9 @@ import pytest
 
 from corrstn import (CIATT, CIGNN, LayerNorm, Linear, SCorrTensor,
                      TemporalConv, Tensor, TopUSCorr, add_self_loops,
-                     causal_mask, ciatt_forward, cignn_forward,
-                     conv1d_temporal, identity_topu, laplacian_normalize,
-                     reconstruct_keys, top_u_normalize, topu_mixing_matrix)
+                     attend_heads, causal_mask, cignn_forward,
+                     conv1d_temporal, identity_topu, key_value_heads,
+                     laplacian_normalize, top_u_normalize, topu_mixing_matrix)
 from corrstn.errors import ConfigError, DataError, DimensionError
 from oracles import (finite_difference_gradient, gradient_gap, graph_nodes,
                      multi_head_attention, plain_gnn, softmax_rows)
@@ -135,12 +135,16 @@ def test_cignn_gradients():
         assert gradient_gap(target.grad, numeric) < 1e-6, slot
 
 
-def test_reconstruct_keys_matches_loop():
+def test_key_value_heads_blends_keys_like_loop():
     rng = np.random.default_rng(8)
     n, u, c = 5, 2, 3
     topu = top_u_normalize(_random_scorr(n, c, seed=9), u)
     k = rng.normal(size=(2, n, 4, 3))
-    got = reconstruct_keys(topu, Tensor(k)).data
+    # one head: the split keys (2, n, 1, 4, 3) are the blended sensor-major k
+    kh, vh = key_value_heads(Tensor(topu_mixing_matrix(topu)),
+                             Tensor(np.swapaxes(k, 1, 2)),
+                             Tensor(np.swapaxes(k, 1, 2)), 1)
+    got = kh.data[:, :, 0]
     want = np.zeros_like(k)
     for i in range(n):
         for attr in range(c):
@@ -151,13 +155,16 @@ def test_reconstruct_keys_matches_loop():
     assert np.allclose(
         got, np.einsum("ij,bjld->bild", topu_mixing_matrix(topu), k),
         atol=1e-12)
+    assert np.array_equal(vh.data[:, :, 0], k)
 
 
-def test_reconstruct_keys_identity_topu_is_noop():
+def test_key_value_heads_identity_topu_is_noop():
     rng = np.random.default_rng(10)
     k = rng.normal(size=(3, 4, 2))
-    got = reconstruct_keys(identity_topu(3, c=2), Tensor(k)).data
-    assert np.array_equal(got, k)
+    kh, _ = key_value_heads(Tensor(topu_mixing_matrix(identity_topu(3, c=2))),
+                            Tensor(np.swapaxes(k, 0, 1)),
+                            Tensor(np.swapaxes(k, 0, 1)), 1)
+    assert np.array_equal(kh.data[:, 0], k)
 
 
 def test_ciatt_identity_topu_equals_plain_attention():
@@ -166,21 +173,25 @@ def test_ciatt_identity_topu_equals_plain_attention():
     q, k, v = (rng.normal(size=(2, n, length, d)) for _ in range(3))
     w_out = rng.normal(size=(d, d))
     b_out = rng.normal(size=d)
-    got = ciatt_forward(Tensor(q), Tensor(k), Tensor(v), identity_topu(n),
-                        heads, Tensor(w_out), Tensor(b_out)).data
+    kv = key_value_heads(Tensor(topu_mixing_matrix(identity_topu(n))),
+                         Tensor(np.swapaxes(k, 1, 2)),
+                         Tensor(np.swapaxes(v, 1, 2)), heads)
+    got = attend_heads(Tensor(np.swapaxes(q, 1, 2)), *kv, Tensor(w_out),
+                       Tensor(b_out)).data
     want = multi_head_attention(q, k, v, heads, w_out, b_out)
-    assert np.allclose(got, want, atol=1e-12)
+    assert np.allclose(np.swapaxes(got, 1, 2), want, atol=1e-12)
 
 
 def test_ciatt_single_key_is_projection_of_value():
     rng = np.random.default_rng(12)
     n, d = 4, 6
-    q = rng.normal(size=(n, 1, d))
-    k = rng.normal(size=(n, 1, d))
-    v = rng.normal(size=(n, 1, d))
+    q = np.swapaxes(rng.normal(size=(n, 1, d)), 0, 1)
+    k = np.swapaxes(rng.normal(size=(n, 1, d)), 0, 1)
+    v = np.swapaxes(rng.normal(size=(n, 1, d)), 0, 1)
     w_out = rng.normal(size=(d, d))
-    got = ciatt_forward(Tensor(q), Tensor(k), Tensor(v),
-                        identity_topu(n), 2, Tensor(w_out)).data
+    kv = key_value_heads(Tensor(topu_mixing_matrix(identity_topu(n))),
+                         Tensor(k), Tensor(v), 2)
+    got = attend_heads(Tensor(q), *kv, Tensor(w_out)).data
     # with one key the attention weights are exactly 1
     assert np.allclose(got, v @ w_out, atol=1e-12)
 
@@ -188,40 +199,49 @@ def test_ciatt_single_key_is_projection_of_value():
 def test_ciatt_causal_mask_blocks_future():
     rng = np.random.default_rng(13)
     n, length, d = 2, 6, 4
-    topu = top_u_normalize(_random_scorr(n, 1, seed=14), 2)
-    q = rng.normal(size=(n, length, d))
-    kv = rng.normal(size=(n, length, d))
-    w_out = rng.normal(size=(d, d))
+    mixing = Tensor(topu_mixing_matrix(
+        top_u_normalize(_random_scorr(n, 1, seed=14), 2)))
+    q = Tensor(np.swapaxes(rng.normal(size=(n, length, d)), 0, 1))
+    kv = np.swapaxes(rng.normal(size=(n, length, d)), 0, 1)
+    w_out = Tensor(rng.normal(size=(d, d)))
     mask = causal_mask(length)
-    base = ciatt_forward(Tensor(q), Tensor(kv), Tensor(kv), topu, 2,
-                         Tensor(w_out), mask=mask).data
+
+    def run(keys, rowwise):
+        heads = key_value_heads(mixing, Tensor(keys), Tensor(keys), 2)
+        return attend_heads(q, *heads, w_out, mask=mask, rowwise=rowwise).data
+
     bumped = kv.copy()
-    bumped[:, 4:] += 10.0
-    moved = ciatt_forward(Tensor(q), Tensor(bumped), Tensor(bumped), topu, 2,
-                          Tensor(w_out), mask=mask).data
-    assert np.allclose(base[:, :4], moved[:, :4], atol=1e-12)
-    assert not np.allclose(base[:, 4:], moved[:, 4:], atol=1e-3)
+    bumped[4:] += 10.0
+    for rowwise in (False, True):
+        base, moved = run(kv, rowwise), run(bumped, rowwise)
+        assert np.allclose(base[:4], moved[:4], atol=1e-12)
+        assert not np.allclose(base[4:], moved[4:], atol=1e-3)
 
 
 def test_ciatt_gradients():
     rng = np.random.default_rng(15)
     n, length, d, heads = 2, 3, 4, 2
-    topu = top_u_normalize(_random_scorr(n, 2, seed=16), 2)
-    slots = [rng.normal(size=(n, length, d)) for _ in range(3)]
+    mixing = Tensor(topu_mixing_matrix(
+        top_u_normalize(_random_scorr(n, 2, seed=16), 2)))
+    # contiguous, so that the finite-difference probe's flat view writes
+    # through to the array it perturbs
+    slots = [np.ascontiguousarray(np.swapaxes(rng.normal(size=(n, length, d)), 0, 1))
+             for _ in range(3)]
     slots.append(rng.normal(size=(d, d)))
+
+    def ciatt(q, k, v, w_out):
+        return attend_heads(q, *key_value_heads(mixing, k, v, heads), w_out)
 
     for slot in range(4):
         tensors = [Tensor(a.copy(), requires_grad=(i == slot))
                    for i, a in enumerate(slots)]
-        out = ciatt_forward(tensors[0], tensors[1], tensors[2], topu, heads,
-                            tensors[3])
+        out = ciatt(*tensors)
         out.backward(np.ones_like(out.data))
 
         def scalar(a, slot=slot):
             probe = [Tensor(s.copy()) for s in slots]
             probe[slot] = Tensor(a)
-            return float(ciatt_forward(probe[0], probe[1], probe[2], topu,
-                                       heads, probe[3]).data.sum())
+            return float(ciatt(*probe).data.sum())
 
         numeric = finite_difference_gradient(scalar, slots[slot])
         assert gradient_gap(tensors[slot].grad, numeric) < 1e-6, slot

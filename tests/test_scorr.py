@@ -24,6 +24,8 @@ def test_scorr_tensor_validation():
         SCorrTensor(np.zeros((3, 4, 2)))
     with pytest.raises(DataError):
         SCorrTensor(np.full((3, 3, 1), 1.5))
+    with pytest.raises(DataError):
+        SCorrTensor(np.full((3, 3, 1), np.nan))
 
 
 def test_compute_scorr_structure():
@@ -193,6 +195,17 @@ def test_load_rejects_wrong_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(DataError):
         load_scorr(path)
+
+
+def test_load_rejects_nan_degree(tmp_path):
+    path = tmp_path / "corr.scor"
+    save_scorr(compute_scorr(_make_tensor(t=48, n=3, c=1, seed=5)), path)
+    raw = bytearray(path.read_bytes())
+    raw[28:36] = np.array([np.nan], dtype="<f8").tobytes()   # degree (0, 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="NaN") as err:
+        load_scorr(path)
+    assert str(path) in str(err.value)
 
 
 def test_csv_export_round_trips_values(tmp_path):
