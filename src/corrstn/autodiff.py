@@ -68,9 +68,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def backward(self, grad=None) -> None:
         """Accumulate d(self)/d(leaf) into .grad across the graph.
 
@@ -513,17 +510,6 @@ class Module:
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.grad = None
-
-    def set_training(self, flag: bool) -> None:
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                value.set_training(flag)
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        item.set_training(flag)
-        if hasattr(self, "training"):
-            self.training = flag
 
 
 def xavier_uniform(rng: np.random.Generator, shape, fan_in: int,

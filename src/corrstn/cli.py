@@ -156,6 +156,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_scorr(args) -> int:
+    if args.window and args.csv_out:
+        raise ConfigError("--csv-out exports one matrix and cannot be combined "
+                          "with --window")
     args.workers = _scorr_workers(args.workers)
     manifest = Manifest("scorr", args)
     piece = _load_split(args)
@@ -299,6 +302,7 @@ def _print_epoch(row) -> None:
 
 
 def cmd_train(args) -> int:
+    model_mod.check_schedule(args.epochs, args.patience)
     manifest = Manifest("train", args)
     config = _resolve_config(args)
     dataset, x_norm, ranges, offsets = _load_pipeline(args, config)
@@ -385,14 +389,21 @@ def cmd_evaluate(args) -> int:
 
 def cmd_export_plot_data(args) -> int:
     manifest = Manifest("export-plot-data", args)
-    os.makedirs(args.out_dir, exist_ok=True)
-    wrote = []
-    if args.metric_reports:
-        reports = [metrics_mod.load_metric_report(p) for p in args.metric_reports]
+    # every input is loaded and checked before any output is written
+    reports = [metrics_mod.load_metric_report(p) for p in args.metric_reports or ()]
+    if reports:
         labels = args.labels.split(",") if args.labels else \
             [os.path.basename(p) for p in args.metric_reports]
         if len(labels) != len(reports):
             raise ConfigError(f"{len(labels)} labels for {len(reports)} reports")
+    tcorr_report = tcorr_mod.load_report(args.tcorr_report) if args.tcorr_report \
+        else None
+    if not reports and tcorr_report is None:
+        raise ConfigError("nothing to export: pass --metric-reports and/or "
+                          "--tcorr-report")
+    os.makedirs(args.out_dir, exist_ok=True)
+    wrote = []
+    if reports:
         path = os.path.join(args.out_dir, "horizon_curves.csv")
         with open(path, "w") as fh:
             fh.write("label,horizon,mae,rmse,mape\n")
@@ -421,13 +432,12 @@ def cmd_export_plot_data(args) -> int:
             print(f"across {len(reports)} runs: "
                   f"MAE {m[0]:.4f} +/- {s[0]:.4f}, RMSE {m[1]:.4f} +/- {s[1]:.4f}, "
                   f"MAPE {m[2] * 100:.2f}% +/- {s[2] * 100:.2f}%")
-    if args.tcorr_report:
-        report = tcorr_mod.load_report(args.tcorr_report)
+    if tcorr_report is not None:
         path = os.path.join(args.out_dir, "tcorr_scatter.csv")
         with open(path, "w") as fh:
             fh.write("period,sensor,attribute,weighted_degree\n")
             for period in tcorr_mod.PERIODS:
-                values = report.per_sensor[period]
+                values = tcorr_report.per_sensor[period]
                 for i in range(values.shape[0]):
                     for a in range(values.shape[1]):
                         fh.write(f"{period},{i},{a},{float(values[i, a])!r}\n")
@@ -436,12 +446,9 @@ def cmd_export_plot_data(args) -> int:
         with open(path, "w") as fh:
             fh.write("period,attribute,mean\n")
             for period in tcorr_mod.PERIODS:
-                for a, v in enumerate(report.averages[period]):
+                for a, v in enumerate(tcorr_report.averages[period]):
                     fh.write(f"{period},{a},{float(v)!r}\n")
         wrote.append(path)
-    if not wrote:
-        raise ConfigError("nothing to export: pass --metric-reports and/or "
-                          "--tcorr-report")
     for path in wrote:
         manifest.add_output(path)
         print(f"wrote {path}")

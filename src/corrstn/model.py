@@ -5,6 +5,8 @@ d_model). Linear maps run there, one (N, d) product per position; attention
 splits into heads (B, N, H, L, d_head) only around its core, and the graph
 layer runs per time step over sensors. Training uses teacher forcing;
 inference rolls the decoder autoregressively from the last observed step.
+A pass applies dropout exactly when it is given an rng: `train` passes its
+own dropout stream, and the rollout and validation pass none.
 The encoder output and each decoder layer's cross-attention keys and values
 do not change during a rollout, so inference computes them once per batch
 chunk. The decoder computes every row independently of the others, and its
@@ -55,6 +57,13 @@ class ModelConfig:
     qk_conv: bool = False
 
     def __post_init__(self):
+        for name in ("encoder_layers", "decoder_layers", "d_model", "heads",
+                     "top_u", "kernel_size", "tau", "horizon", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.qk_conv, bool):
+            raise ConfigError(f"qk_conv must be true or false, got {self.qk_conv!r}")
         for name in ("encoder_layers", "decoder_layers", "d_model", "heads",
                      "top_u", "batch_size", "tau"):
             if getattr(self, name) < 1:
@@ -214,8 +223,6 @@ class CorrSTN(Module):
         self.decoder = [DecoderLayer(config, self.topu, scorr, adj, rng)
                         for _ in range(config.decoder_layers)]
         self.head = Linear(d, 1, rng)
-        self.training = False
-        self._rng = np.random.default_rng(seed + 1)
 
     def _embed(self, raw, proj, pos: Parameter, start: int = 0) -> Tensor:
         length = raw.shape[1]
@@ -240,15 +247,15 @@ class CorrSTN(Module):
                 f"{self.n_attributes}), got {arr.shape}")
         return arr
 
-    def forward(self, encoder_input, decoder_input) -> Tensor:
+    def forward(self, encoder_input, decoder_input, rng=None) -> Tensor:
         """Teacher-forced pass. decoder_input may be any length 1..horizon;
-        outputs align one step ahead of decoder positions."""
+        outputs align one step ahead of decoder positions. Dropout draws its
+        masks from rng and is off without one."""
         enc_len = self.config.encoder_length
         enc = self._check_input(encoder_input, range(enc_len, enc_len + 1),
                                 "encoder input")
         dec = self._check_input(decoder_input, range(1, self.config.horizon + 1),
                                 "decoder input")
-        rng = self._rng if self.training else None
         memory = self._encode(enc, rng)
         # self-attention spans the whole horizon: rows past the prefix are
         # zero input, masked from the prefix's rows, and cut off again
@@ -293,32 +300,27 @@ class CorrSTN(Module):
         reads those of the earlier positions. Every decoder op gives a row
         the same bits however many rows it is computed with, so the result
         is bit-identical to calling `forward` on each prefix.
-        Dropout is off during the rollout and no autograph is built; the
-        training flag is restored. The input may be an EncoderWindows: only
-        its shape is read up front, and each chunk's rows are gathered when
-        that chunk is encoded, so at most one chunk of encoder input is held.
+        No rng is passed, so dropout is off, and no autograph is built. The
+        input may be an EncoderWindows: only its shape is read up front, and
+        each chunk's rows are gathered when that chunk is encoded, so at most
+        one chunk of encoder input is held.
         """
         enc_len = self.config.encoder_length
         enc = self._check_input(encoder_input, range(enc_len, enc_len + 1),
                                 "encoder input")
-        was_training = self.training
-        self.set_training(False)
         horizon = self.config.horizon
         outputs = np.empty((enc.shape[0], horizon, self.n_sensors, 1))
-        try:
-            with ad.no_grad():
-                for start in range(0, enc.shape[0], chunk):
-                    block = np.asarray(enc[start:start + chunk], dtype=np.float64)
-                    memory_kv = self._memory_kv(self._encode(block))
-                    cache = [[] for _ in self.decoder]
-                    row = block[:, -1:].copy()
-                    for step in range(horizon):
-                        pred = self._decode(row, memory_kv, start=step,
-                                            cache=cache).data
-                        outputs[start:start + block.shape[0], step] = pred[:, 0]
-                        row[:, 0, :, 0] = pred[:, 0, :, 0]
-        finally:
-            self.set_training(was_training)
+        with ad.no_grad():
+            for start in range(0, enc.shape[0], chunk):
+                block = np.asarray(enc[start:start + chunk], dtype=np.float64)
+                memory_kv = self._memory_kv(self._encode(block))
+                cache = [[] for _ in self.decoder]
+                row = block[:, -1:].copy()
+                for step in range(horizon):
+                    pred = self._decode(row, memory_kv, start=step,
+                                        cache=cache).data
+                    outputs[start:start + block.shape[0], step] = pred[:, 0]
+                    row[:, 0, :, 0] = pred[:, 0, :, 0]
         return outputs
 
     def state_dict(self) -> dict:
@@ -427,18 +429,26 @@ def _teacher_forced_metrics(model, samples: SampleSet, norm_params,
             metrics_mod.mape(pred, truth))
 
 
+def check_schedule(epochs: int, patience: int) -> None:
+    """Refuses fewer than one epoch or one epoch of patience."""
+    if epochs < 1 or patience < 1:
+        raise ConfigError(f"need epochs >= 1 and patience >= 1, got {epochs}, {patience}")
+
+
 def train(model: CorrSTN, data: TrainingData, config: ModelConfig,
           epochs: int = 100, patience: int = 20, seed: int = 0,
           log_path=None, on_epoch=None) -> TrainingLog:
     """MAE loss, Adam, teacher forcing; keeps and restores the parameters of
     the best validation epoch; stops after `patience` epochs without
-    improvement. Deterministic for fixed seed and data. `on_epoch`, if
-    given, is called with each EpochRow as soon as the epoch is scored."""
-    if epochs < 1 or patience < 1:
-        raise ConfigError(f"need epochs >= 1 and patience >= 1, got {epochs}, {patience}")
+    improvement. Shuffling draws from default_rng(seed) and dropout from
+    default_rng(seed + 1); validation draws none. Deterministic for fixed
+    seed and data. `on_epoch`, if given, is called with each EpochRow as
+    soon as the epoch is scored."""
+    check_schedule(epochs, patience)
     if len(data.train) == 0 or len(data.val) == 0:
         raise DataError("empty training or validation sample set")
     rng = np.random.default_rng(seed)
+    dropout_rng = np.random.default_rng(seed + 1)
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
     # MAE is linear in scale, so the normalized loss converts exactly
     lo, hi = data.norm_params[0]
@@ -448,12 +458,11 @@ def train(model: CorrSTN, data: TrainingData, config: ModelConfig,
     since_best = 0
     for epoch in range(1, epochs + 1):
         started = time.perf_counter()
-        model.set_training(True)
         loss_sum = 0.0
         seen = 0
         for enc, dec, target in iterate_batches(data.train, config.batch_size, rng):
             model.zero_grad()
-            pred = model.forward(enc, dec)
+            pred = model.forward(enc, dec, rng=dropout_rng)
             loss = mae_loss(pred, target)
             if not np.isfinite(loss.data):
                 raise ComputeError(
@@ -464,7 +473,6 @@ def train(model: CorrSTN, data: TrainingData, config: ModelConfig,
             seen += enc.shape[0]
             # free this step's autograph before the next forward builds one
             del pred, loss
-        model.set_training(False)
         val_mae, val_rmse, val_mape = _teacher_forced_metrics(
             model, data.val, data.norm_params)
         row = EpochRow(epoch=epoch, train_mae=float(loss_sum / seen * scale),

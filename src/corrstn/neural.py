@@ -205,7 +205,6 @@ class CIATT(Module):
         # topu is fixed for the layer's life, so its mixing matrix is too
         self.mixing = Tensor(topu_mixing_matrix(topu))
         self.dropout = dropout
-        self.training = False
 
     @staticmethod
     def _project(x: Tensor, linear: Linear, conv: TemporalConv | None) -> Tensor:
@@ -226,11 +225,12 @@ class CIATT(Module):
                mask: np.ndarray | None = None,
                rng: np.random.Generator | None = None,
                rowwise: bool = False) -> Tensor:
-        """Queries of x_q attend over keys/values from `keys_values`."""
+        """Queries of x_q attend over keys/values from `keys_values`. Dropout
+        applies exactly when an rng is given, which only training does."""
         q = self._project(x_q, self.wq, self.q_conv)
         out = attend_heads(q, *kv, self.w_out.weight, self.w_out.bias, mask=mask,
                            rowwise=rowwise)
-        if self.training and self.dropout > 0.0:
+        if rng is not None:
             out = ad.dropout(out, self.dropout, rng)
         return out
 

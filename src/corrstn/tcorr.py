@@ -238,9 +238,12 @@ def report_to_dict(report: TCorrReport) -> dict:
 def report_from_dict(payload: dict) -> TCorrReport:
     weights = TCorrWeights(**payload["weights"])
     return TCorrReport(
-        per_sensor={p: np.asarray(payload["per_sensor"][p]) for p in PERIODS},
-        averages={p: np.asarray(payload["per_period_means"][p]) for p in PERIODS},
-        deltas={k: np.asarray(payload["deltas"][k]) for k in ("hd", "hw", "dw")},
+        per_sensor={p: np.asarray(payload["per_sensor"][p], dtype=np.float64)
+                    for p in PERIODS},
+        averages={p: np.asarray(payload["per_period_means"][p], dtype=np.float64)
+                  for p in PERIODS},
+        deltas={k: np.asarray(payload["deltas"][k], dtype=np.float64)
+                for k in ("hd", "hw", "dw")},
         verdict=[tuple(v) for v in payload["verdict"]],
         eta=payload["eta"], weights=weights, tau=payload["tau"],
         dataset=payload["dataset"])
@@ -253,15 +256,22 @@ def save_report(report: TCorrReport, path) -> None:
 
 
 def load_report(path) -> TCorrReport:
-    """A report saved by `save_report`; bad JSON or a missing field is a
-    DataError."""
+    """A report saved by `save_report`; bad JSON, a missing field or an
+    array whose shape does not fit the verdict's C attributes is a DataError:
+    per-sensor degrees must be (N, C), means and deltas (C,)."""
     with open(path) as fh:
         try:
             report = report_from_dict(json.load(fh))
         except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"{path}: malformed tcorr report ({exc!r})") from None
     n_attr = len(report.verdict)
-    if any(np.shape(v) != (n_attr,) for v in report.deltas.values()):
-        raise DataError(f"{path}: malformed tcorr report (deltas do not match "
-                        f"the verdict's {n_attr} attributes)")
+    for field_name, arrays, ndim in (("per_sensor", report.per_sensor, 2),
+                                     ("per_period_means", report.averages, 1),
+                                     ("deltas", report.deltas, 1)):
+        for key, v in arrays.items():
+            if v.ndim != ndim or v.shape[-1] != n_attr:
+                raise DataError(
+                    f"{path}: malformed tcorr report ({field_name} {key} has "
+                    f"shape {v.shape}, expected {'(N, C)' if ndim == 2 else '(C,)'} "
+                    f"with C = {n_attr}, the verdict's attribute count)")
     return report

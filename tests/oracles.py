@@ -119,10 +119,11 @@ def metrics_brute_force(pred, truth):
 def finite_difference_gradient(f, x, h=1e-5):
     """Central-difference gradient of a scalar function of one array.
 
-    f takes an ndarray and returns a float; x is perturbed one element at a
-    time with a step scaled to the element's magnitude.
+    f takes an ndarray and returns a float. A private contiguous float64
+    copy of x is perturbed one element at a time, with a step scaled to the
+    element's magnitude, and passed to f; a non-contiguous view works too.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.array(x, dtype=np.float64, order="C")
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
     out = grad.reshape(-1)

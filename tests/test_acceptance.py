@@ -318,7 +318,6 @@ def _e2e_fd_gap(seed):
                       top_u=2, periods=("hourly",))
     adj = laplacian_normalize(add_self_loops(np.ones((n, n)) - np.eye(n)))
     model = build_model(cfg, SCorrTensor(deg), adj, n, seed=seed)
-    model.set_training(False)
     enc = rng.normal(size=(1, 12, n, c))
     dec = rng.normal(size=(1, 12, n, c))
     # targets sit far from the predictions so the absolute-error loss is

@@ -398,6 +398,15 @@ def test_diamond_graph_accumulates():
     assert np.allclose(a.grad, [7.0], atol=1e-15)
 
 
+def test_finite_difference_oracle_on_a_non_contiguous_view():
+    base = np.arange(1.0, 7.0).reshape(2, 3)
+    view = np.swapaxes(base, 0, 1)
+    numeric = finite_difference_gradient(lambda a: float(np.sum(a ** 2)), view)
+    assert numeric.shape == view.shape
+    assert np.allclose(numeric, 2 * view, rtol=1e-8, atol=0)
+    assert np.array_equal(base, np.arange(1.0, 7.0).reshape(2, 3))
+
+
 def test_deep_chain_avoids_recursion_limit():
     t = Tensor(np.array([1.0]), requires_grad=True)
     out = t
@@ -413,14 +422,6 @@ def test_backward_seed_rules():
         sum_(t, axis=0).backward()        # non-scalar needs a seed
     with pytest.raises(DimensionError):
         sum_(t).backward(np.ones(3))      # wrong seed shape
-
-
-def test_detach_blocks_gradient():
-    a = Tensor(np.array([2.0]), requires_grad=True)
-    b = mul(a, a).detach()
-    c = mul(b, b)
-    c.backward()
-    assert a.grad is None
 
 
 def test_module_parameter_walk():
@@ -486,9 +487,10 @@ def test_public_names_resolve():
 
 
 def test_every_public_op_has_a_library_caller():
-    """Each public top-level function and class of the package is used,
-    by name, outside its own definition by library code, a demo or the
-    benchmark; tests and the `__init__` re-exports do not count."""
+    """Each public top-level function and class of the package, and each
+    public method of those classes, is used, by name, outside its own
+    definition by library code, a demo or the benchmark; tests and the
+    `__init__` re-exports do not count."""
     library = [path for path in _LIBRARY.glob("*.py") if path.name != "__init__.py"]
     users = library + sorted((_REPO / "demos").glob("*.py")) \
         + sorted((_REPO / "bench").glob("*.py"))
@@ -498,12 +500,17 @@ def test_every_public_op_has_a_library_caller():
     for path in library:
         elsewhere = set().union(*(r for other, r in refs.items() if other != path))
         for node in trees[path].body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defined.add(node.name)
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            methods = [m for m in node.body if isinstance(m, ast.FunctionDef)
+                       and not m.name.startswith("_")] \
+                if isinstance(node, ast.ClassDef) else []
+            for member in [node] + methods:
+                defined.add(member.name)
                 # the defining module counts only outside the definition
-                if node.name not in elsewhere | _references(trees[path], node):
-                    unused.add(node.name)
-    assert {"unfold_time", "pairwise_mic", "CIGNN"} <= defined
+                if member.name not in elsewhere | _references(trees[path], member):
+                    unused.add(member.name)
+    assert {"unfold_time", "pairwise_mic", "CIGNN", "keys_values", "forecast"} <= defined
     assert {"matmul", "attention"} <= set().union(*refs.values())
     assert unused == _ORACLE_ONLY_OPS

@@ -9,6 +9,7 @@ import pytest
 
 from corrstn import (SCorrTensor, cli, compute_scorr, load_metric_report,
                      load_scorr, load_tensor, save_scorr)
+from corrstn.metrics import compute_report, save_metric_report
 
 
 # a 12-step horizon needs the hourly offset >= 12, so 5-minute sampling;
@@ -230,6 +231,18 @@ def test_scorr_tcorr_unknown_split_is_config_error(workdir, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("data", ["data.sttf", "absent.sttf"])
+def test_scorr_refuses_csv_out_with_window(workdir, tmp_path, capsys, data):
+    # the windowed run writes one matrix per window, never the CSV; the
+    # refusal comes before the data is read, so a missing file gives it too
+    rc = cli.main(["scorr", "--data", str(workdir / data),
+                   "--out", str(tmp_path / "w.scor"), "--window", "500",
+                   "--stride", "500", "--csv-out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert "--csv-out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scorr_split_all_reads_the_whole_series(workdir, tmp_path):
     out = tmp_path / "all.scor"
     assert cli.main(["scorr", "--data", str(workdir / "data.sttf"),
@@ -327,8 +340,8 @@ def test_train_refuses_fewer_than_one_epoch_or_patience(workdir, tmp_path,
                    "--epochs", str(epochs), "--patience", str(patience)])
     assert rc == 2
     assert "need epochs >= 1 and patience >= 1" in capsys.readouterr().err
-    assert not (run / "checkpoint.cstn").exists()
-    assert not (run / "train_log.csv").exists()
+    # refused before any set-up: no output directory is created
+    assert not run.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
@@ -408,6 +421,32 @@ def test_malformed_report_is_data_error(tmp_path, capsys, text):
     assert "malformed tcorr report" in capsys.readouterr().err
     assert cli.main(["export-plot-data", "--metric-reports", str(report),
                      "--out-dir", str(tmp_path / "plots")]) == 3
+
+
+@pytest.mark.parametrize("field, value", [
+    ("per_sensor", [0.1, 0.2]),                 # (N,) instead of (N, C)
+    ("per_sensor", [[0.1, 0.2], [0.3, 0.4]]),   # C = 2 against one verdict
+    ("per_period_means", [[0.1]]),              # (1, 1) instead of (C,)
+    ("per_period_means", [0.1, 0.2]),           # two means for C = 1
+    ("per_sensor", [["a"]] * 4),                # not numbers
+])
+def test_export_refuses_misshapen_tcorr_report_before_writing(
+        workdir, tmp_path, capsys, field, value):
+    payload = json.loads((workdir / "tcorr.json").read_text())
+    payload[field]["hourly"] = value
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))
+    rng = np.random.default_rng(0)
+    metrics = tmp_path / "metrics.json"
+    save_metric_report(compute_report(rng.uniform(1, 2, (3, 12, 4)),
+                                      rng.uniform(1, 2, (3, 12, 4))), metrics)
+    plots = tmp_path / "plots"
+    rc = cli.main(["export-plot-data", "--metric-reports", str(metrics),
+                   "--tcorr-report", str(report), "--out-dir", str(plots)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "malformed tcorr report" in err and str(report) in err
+    assert not plots.exists()
 
 
 def test_select_refuses_report_with_mismatched_attributes(workdir, tmp_path,

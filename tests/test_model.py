@@ -1,4 +1,5 @@
 import csv
+import json
 import tracemalloc
 from types import SimpleNamespace
 
@@ -41,6 +42,20 @@ _TINY = dict(encoder_layers=1, decoder_layers=1, d_model=8, heads=2, top_u=2,
 def _tiny_model(seed=1, n=3, c=2, **overrides):
     cfg = ModelConfig(**{**_TINY, **overrides})
     return cfg, build_model(cfg, _scorr(n, c), _adj(n), n, seed=seed)
+
+
+@pytest.mark.parametrize("fields", [
+    {"d_model": 32.0}, {"d_model": True, "heads": True}, {"qk_conv": "no"},
+    {"qk_conv": 1}, {"encoder_layers": 2.5}, {"kernel_size": 3.0},
+    {"tau": "12"}, {"horizon": 12.0}, {"batch_size": None}, {"top_u": False},
+])
+def test_config_refuses_non_integer_fields(tmp_path, fields):
+    with pytest.raises(ConfigError):
+        ModelConfig(**fields)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fields))
+    with pytest.raises(ConfigError):
+        load_config(path)
 
 
 def test_config_validation():
@@ -236,17 +251,17 @@ def test_forecast_decodes_one_row_per_step(monkeypatch):
     assert shapes == [(3, 1, 3, 2)] * 12 + [(2, 1, 3, 2)] * 12
 
 
-def test_forecast_in_training_mode_has_no_dropout_and_keeps_flag():
+def test_forecast_draws_no_dropout():
     cfg, model = _tiny_model(seed=25, dropout=0.5, **_ALL_PERIODS)
-    _, reference = _tiny_model(seed=25, dropout=0.5, **_ALL_PERIODS)
     enc = np.random.default_rng(26).normal(size=(3, 36, 3, 2))
-    model.set_training(True)
     got = model.forecast(enc)
-    assert model.training
-    assert model.encoder[0].attn.training and model.decoder[0].cross_attn.training
-    # an eval-mode twin draws no dropout masks at all
-    assert np.array_equal(got, reference.forecast(enc))
     assert np.array_equal(got, model.forecast(enc))
+    # the rollout is the rng-less forward passes over its prefixes
+    assert np.array_equal(got, _prefix_rollout(model, enc))
+    # while a pass given an rng draws masks
+    dec = np.random.default_rng(27).normal(size=(3, 12, 3, 2))
+    dropped = model.forward(enc, dec, rng=np.random.default_rng(28)).data
+    assert not np.array_equal(dropped, model.forward(enc, dec).data)
 
 
 def test_forecast_encodes_once_per_chunk(monkeypatch):
@@ -297,10 +312,9 @@ def test_training_graph_keeps_arrays_not_tensors():
     # a backward closure keeps the arrays it reads, never an operand tensor,
     # so an output that no backward reads is freed with its tensor
     _, model = _tiny_model(seed=31, dropout=0.1)
-    model.set_training(True)
     rng = np.random.default_rng(32)
     pred = model.forward(rng.normal(size=(2, 12, 3, 2)),
-                         rng.normal(size=(2, 12, 3, 2)))
+                         rng.normal(size=(2, 12, 3, 2)), rng=rng)
     nodes = graph_nodes(mae_loss(pred, rng.normal(size=(2, 12, 3, 1))))
     kept = [cell.cell_contents for node in nodes
             for cell in node.backward.__closure__ or ()]
