@@ -3,9 +3,12 @@
 Shows reverse-mode gradients agreeing with finite differences, the key
 reconstruction collapsing to plain attention under an identity top-U, and the
 graph layer separating its correlation and structural branches. Attention
-runs the model's own path: `key_value_heads` blends the keys across
-correlated sensors and splits heads, `attend_heads` runs the queries against
-them, both on position-major (L, N, d) inputs.
+runs the model's own path on position-major (L, N, d) inputs:
+`key_value_heads` blends the keys across correlated sensors, and
+`attend_heads` runs the queries' heads against them and projects the output.
+Heads are split inside the one attention node, on views of its operands, so
+neither function adds a layout op to the graph; the output projection, like
+every linear map, is one fused node.
 """
 
 import numpy as np
@@ -40,7 +43,7 @@ w_out = Tensor(rng.normal(size=(d, d)))
 
 def ciatt(topu, q, k, v, mask=None):
     mixing = Tensor(topu_mixing_matrix(topu))
-    return attend_heads(q, *key_value_heads(mixing, k, v, 2), w_out, mask=mask)
+    return attend_heads(q, *key_value_heads(mixing, k, v, 2), 2, w_out, mask=mask)
 
 
 plain = ciatt(identity_topu(n), q, k, v)

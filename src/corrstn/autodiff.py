@@ -1,9 +1,10 @@
 """Reverse-mode autodiff over dense float64 numpy arrays.
 
 Only what the forecaster needs: broadcasted arithmetic, batched matmul,
-relu/abs, masked softmax and layer norm (fused, last axis), the fused
-attention core (plain or row-independent), reductions, shape ops, the
-temporal unfold, and dropout.
+the fused linear (matmul and bias add in one node), relu/abs, masked
+softmax and layer norm (fused, last axis), the fused attention core (plain
+or row-independent, with any head split done on views inside the node),
+reductions, shape ops, the temporal unfold, and dropout.
 Graphs are built eagerly. A graph vertex is a `_Node` (parent nodes, backward
 closure, gradient), apart from the `Tensor` that holds the op's output, and
 each closure keeps only the arrays its backward reads, for the operands that
@@ -228,8 +229,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    out = matmul(x, weight)
-    return out if bias is None else add(out, bias)
+    """x @ weight + bias for a (d_in, d_out) weight, as one node with the
+    bits of matmul followed by add. Its backward returns all three
+    gradients; it keeps x for the weight's gradient and the weight for x's."""
+    if x.ndim < 2 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
+        raise DimensionError(f"linear needs (..., d_in) @ (d_in, d_out), "
+                             f"got {x.shape} @ {weight.shape}")
+    has_bias = bias is not None
+    if has_bias and bias.shape != weight.shape[1:]:
+        raise DimensionError(f"bias {bias.shape} does not match weight {weight.shape}")
+    out = x.data @ weight.data
+    if has_bias:
+        out += bias.data
+    d_in = weight.shape[0]
+    x_data = x.data if weight.requires_grad else None
+    w_data = weight.data if x.requires_grad else None
+    need_bias = has_bias and bias.requires_grad
+
+    def backward(g):
+        gx = gw = gb = None
+        if w_data is not None:
+            gx = g @ _transposed(w_data)
+        if x_data is not None:
+            # one GEMM over the stacked rows of every leading axis
+            gw = x_data.reshape(-1, d_in).T @ g.reshape(-1, g.shape[-1])
+        if need_bias:
+            gb = _unbroadcast(g, (g.shape[-1],))
+        return (gx, gw, gb) if has_bias else (gx, gw)
+    return _result(out, (x, weight, bias) if has_bias else (x, weight), backward)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -347,84 +374,127 @@ def unfold_time(x: Tensor, k: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # fused nonlinearities
 
-def _masked_softmax(z: np.ndarray, mask: np.ndarray | None, axis: int) -> np.ndarray:
-    """Softmax of z along one axis, computed in place in z, which the caller
-    owns; True entries of mask get probability exactly 0."""
+def _masked_softmax(z: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """Softmax of z along its last axis, computed in place in z, which the
+    caller owns; True entries of mask, which broadcasts against z, get
+    probability exactly 0."""
     if mask is not None:
-        mask = np.broadcast_to(mask, z.shape)
-        if bool(np.all(mask, axis=axis).any()):
+        # checked as given: a row broadcast across z is fully masked in z too
+        if np.logical_and.reduce(mask, axis=-1).any():
             raise ConfigError("softmax row fully masked")
         np.copyto(z, -np.inf, where=mask)
-    z -= z.max(axis=axis, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        np.exp(z, out=z)
-    z /= z.sum(axis=axis, keepdims=True)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
-def _softmax_backward(p: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    out = g - (g * p).sum(axis=axis, keepdims=True)
+def _softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    out = g - np.add.reduce(g * p, axis=-1, keepdims=True)
     out *= p
     return out
 
 
 def softmax(a: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Tensor:
-    """Softmax along one axis; True entries of mask get probability exactly 0."""
-    p = _masked_softmax(a.data.copy(), mask, axis)
+    """Softmax along the last axis, the only one `axis` may name; True
+    entries of mask get probability exactly 0."""
+    if axis % a.ndim != a.ndim - 1:
+        raise DimensionError(f"softmax runs along the last axis, got axis {axis}")
+    p = _masked_softmax(a.data.copy(), mask)
 
     def backward(g):
-        return (_softmax_backward(p, g, axis),)
+        return (_softmax_backward(p, g),)
     return _result(p, (a,), backward)
 
 
 def _product(a: np.ndarray, b: np.ndarray, rowwise: bool) -> np.ndarray:
-    """a @ b, or with rowwise one (1, n) @ (n, m) product per row of a."""
-    if rowwise:
+    """a @ b, or with rowwise one (1, n) @ (n, m) product per row of a; a
+    single row is such a product already."""
+    if rowwise and a.shape[-2] > 1:
         return (a[..., :, None, :] @ b[..., None, :, :])[..., 0, :]
     return a @ b
 
 
+def _split_heads(x: np.ndarray, heads: int | None) -> np.ndarray:
+    """A view of position-major x (..., L, S, H*d) as (..., S, H, L, d); x
+    itself without heads."""
+    if heads is None:
+        return x
+    split = x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads))
+    m = split.ndim
+    return split.transpose(*range(m - 4), m - 3, m - 2, m - 4, m - 1)
+
+
+def _merge_heads(x: np.ndarray, heads: int | None) -> np.ndarray:
+    """The inverse of `_split_heads`, as a new position-major array."""
+    if heads is None:
+        return x
+    m = x.ndim
+    merged = x.transpose(*range(m - 4), m - 2, m - 4, m - 3, m - 1)
+    return merged.reshape(merged.shape[:-2] + (heads * x.shape[-1],))
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
-              mask: np.ndarray | None = None, rowwise: bool = False) -> Tensor:
+              heads: int | None = None, mask: np.ndarray | None = None,
+              rowwise: bool = False) -> Tensor:
     """softmax(q k^T * scale) v as one node that keeps only the weights and
     the operands its gradients read.
 
-    q is (..., L_q, d), k (..., L_k, d) and v (..., L_k, d_v); q may be k
-    itself. mask (L_q, L_k) blocks True positions. With rowwise, each query
+    Without heads, q is (..., L_q, d), k (..., L_k, d) and v (..., L_k, d_v),
+    and attention runs over axis -2. With heads, the operands are
+    position-major, q (..., L_q, S, d), k (..., L_k, S, d) and v
+    (..., L_k, S, d_v): each of the S positions' `heads` heads attends over
+    axis -3 on its own d/heads columns, through views of the operands, and
+    the head outputs come back side by side as (..., L_q, S, d_v). q may be
+    k itself. mask (L_q, L_k) blocks True positions. With rowwise, each query
     row is its own (1, d) product against the keys, then its own (1, L_k)
     product against the values, so a row has the same bits for any L_q;
     plain GEMMs over L_q do not promise that. Backward is the same either way.
     """
-    if q.ndim < 2 or k.ndim < 2 or q.shape[-1] != k.shape[-1]:
+    if heads is not None:
+        if q.ndim < 3 or k.ndim < 3 or v.ndim < 3:
+            raise DimensionError(f"attention heads need (..., L, S, d) operands, "
+                                 f"got {q.shape}, {k.shape} and {v.shape}")
+        if not q.shape[-2] == k.shape[-2] == v.shape[-2]:
+            raise DimensionError(f"attention heads need one position axis S, "
+                                 f"got {q.shape}, {k.shape} and {v.shape}")
+        if q.shape[-1] % heads or k.shape[-1] % heads or v.shape[-1] % heads:
+            raise ConfigError(f"widths {q.shape[-1]}, {k.shape[-1]} and "
+                              f"{v.shape[-1]} do not split into {heads} heads")
+    qs, ks, vs = (_split_heads(t.data, heads) for t in (q, k, v))
+    if qs.ndim < 2 or ks.ndim < 2 or qs.shape[-1] != ks.shape[-1]:
         raise DimensionError(f"attention scores need (..., L, d) operands, "
                              f"got {q.shape} and {k.shape}")
-    if v.ndim < 2 or v.shape[-2] != k.shape[-2]:
+    if vs.ndim < 2 or vs.shape[-2] != ks.shape[-2]:
         raise DimensionError(f"values {v.shape} do not match keys {k.shape}")
-    scores = _product(q.data, np.swapaxes(k.data, -1, -2), rowwise)
+    scores = _product(qs, ks.swapaxes(-1, -2), rowwise)
     scores *= scale
-    p = _masked_softmax(scores, mask, -1)
-    out = _product(p, v.data, rowwise)
-    # v's gradient reads the weights; q's reads k and v, k's reads q and v
-    q_shape, k_shape, v_shape = q.shape, k.shape, v.shape
+    p = _masked_softmax(scores, mask)
+    out = _merge_heads(_product(p, vs, rowwise), heads)
+    # v's gradient reads the weights; q's reads k and v, k's reads q and v.
+    # The split views keep the operands' own arrays, never a second copy.
+    q_shape, k_shape, v_shape = qs.shape, ks.shape, vs.shape
     need_v = v.requires_grad
-    q_data = q.data if k.requires_grad else None
-    k_data = k.data if q.requires_grad else None
-    v_data = v.data if q.requires_grad or k.requires_grad else None
+    q_data = qs if k.requires_grad else None
+    k_data = ks if q.requires_grad else None
+    v_data = vs if q.requires_grad or k.requires_grad else None
 
     def backward(g):
+        g = _split_heads(g, heads)
         gq = gk = gv = None
         if need_v:
             gv = _unbroadcast(np.swapaxes(p, -1, -2) @ g, v_shape)
         if v_data is not None:
             # push d(weights) back through softmax(q k^T * scale) into q and k
-            ds = _softmax_backward(p, g @ _transposed(v_data), -1)
+            ds = _softmax_backward(p, g @ _transposed(v_data))
             ds *= scale
             if k_data is not None:
                 gq = _unbroadcast(ds @ k_data, q_shape)
             if q_data is not None:
                 dk = np.swapaxes(np.swapaxes(q_data, -1, -2) @ ds, -1, -2)
                 gk = _unbroadcast(dk, k_shape)
-        return gq, gk, gv
+        return tuple(None if grad is None else _merge_heads(grad, heads)
+                     for grad in (gq, gk, gv))
     return _result(out, (q, k, v), backward)
 
 
@@ -434,12 +504,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
             f"layer_norm affine params must be ({d},), got {gain.shape}/{bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    # np.add.reduce / d has the bits of .mean without numpy's Python wrapper
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    xhat = x.data - mu
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out = xhat * gain.data + bias.data
+    xhat *= inv_std
+    out = xhat * gain.data
+    out += bias.data
     # the gain's gradient reads xhat; x's reads xhat, inv_std and the gain
     need_gain, need_bias = gain.requires_grad, bias.requires_grad
     x_saved = (inv_std, gain.data) if x.requires_grad else None
@@ -455,8 +527,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if x_saved is not None:
             inv_std, gain_data = x_saved
             gx = g * gain_data
-            term = gx - gx.mean(axis=-1, keepdims=True) \
-                - xhat_saved * (gx * xhat_saved).mean(axis=-1, keepdims=True)
+            mean_gx = np.add.reduce(gx, axis=-1, keepdims=True) / d
+            mean_proj = np.add.reduce(gx * xhat_saved, axis=-1, keepdims=True) / d
+            term = gx - mean_gx - xhat_saved * mean_proj
             gx = term * inv_std
         return gx, ggain, gbias
     return _result(out, (x, gain, bias), backward)

@@ -1,9 +1,11 @@
 """Encoder-decoder forecaster over correlation attention and graph layers.
 
 Layout conventions: batches are (B, T, N, C) and activations (B, T, N,
-d_model). Linear maps run there, one (N, d) product per position; attention
-splits into heads (B, N, H, L, d_head) only around its core, and the graph
-layer runs per time step over sensors. Training uses teacher forcing;
+d_model). Linear maps run there, one (N, d) product per position, each one
+fused node; attention keys and values stay in that layout too, and the
+attention node splits them and the queries into heads (B, N, H, L, d_head)
+as views inside itself, so the graph holds no layout ops for heads. The
+graph layer runs per time step over sensors. Training uses teacher forcing;
 inference rolls the decoder autoregressively from the last observed step.
 A pass applies dropout exactly when it is given an rng: `train` passes its
 own dropout stream, and the rollout and validation pass none.
@@ -62,6 +64,10 @@ class ModelConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "dropout"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if not isinstance(self.qk_conv, bool):
             raise ConfigError(f"qk_conv must be true or false, got {self.qk_conv!r}")
         for name in ("encoder_layers", "decoder_layers", "d_model", "heads",
@@ -80,8 +86,9 @@ class ModelConfig:
         if self.tau != self.horizon:
             raise ConfigError(f"tau must equal the horizon {self.horizon}, "
                               f"got {self.tau}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < float("inf"):
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         periods = tuple(self.periods)
@@ -173,17 +180,18 @@ class DecoderLayer(Module):
         """Decoder rows [start, start + L) of y (B, L, N, d). Self-attention
         spans mask.shape[1] key rows, which y itself must supply unless a
         cache is given. A cache is a list that the first call fills with
-        zeroed key and value buffers of mask.shape[1] rows; every call writes
-        its rows into them and attends over them whole, the rows not yet
-        written masked. Attention runs row-independently, so each output row
-        has the same bits whichever rows are decoded with it."""
+        zeroed key and value buffers (B, mask.shape[1], N, d), laid out as
+        the keys and values themselves; every call writes its rows into them
+        and attends over them whole, the rows not yet written masked.
+        Attention runs row-independently, so each output row has the same
+        bits whichever rows are decoded with it."""
         kv = self.self_attn.keys_values(y)
         if cache is not None:
             if not cache:
-                cache.extend(np.zeros(t.shape[:-2] + (mask.shape[1], t.shape[-1]))
+                cache.extend(np.zeros((t.shape[0], mask.shape[1]) + t.shape[2:])
                              for t in kv)
             for buffer, new in zip(cache, kv):
-                buffer[..., start:start + y.shape[1], :] = new.data
+                buffer[:, start:start + y.shape[1]] = new.data
             kv = tuple(Tensor(buffer) for buffer in cache)
         att = self.self_attn.attend(y, kv, mask=mask, rng=rng, rowwise=True)
         y = self.norm_self(ad.add(y, att))
@@ -223,6 +231,7 @@ class CorrSTN(Module):
         self.decoder = [DecoderLayer(config, self.topu, scorr, adj, rng)
                         for _ in range(config.decoder_layers)]
         self.head = Linear(d, 1, rng)
+        self.causal = causal_mask(config.horizon)
 
     def _embed(self, raw, proj, pos: Parameter, start: int = 0) -> Tensor:
         length = raw.shape[1]
@@ -279,7 +288,7 @@ class CorrSTN(Module):
         Self-attention spans all horizon positions, masked causally: without
         caches dec holds all of them, with caches (one list per layer, see
         DecoderLayer) earlier positions' keys and values come from those."""
-        mask = causal_mask(self.config.horizon)[start:start + dec.shape[1]]
+        mask = self.causal[start:start + dec.shape[1]]
         y = self._embed(dec, self.dec_proj, self.dec_pos, start)
         caches = [None] * len(self.decoder) if cache is None else cache
         for layer, kv, layer_cache in zip(self.decoder, memory_kv, caches):

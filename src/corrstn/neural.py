@@ -4,8 +4,11 @@ The graph layer mixes each time slice across sensors through three routes:
 per-attribute correlation matrices modulated by input-dependent spatial
 weights, and the normalized structural adjacency. The attention layer runs
 per-sensor multi-head attention over time with keys reconstructed from each
-sensor's top-U correlated peers, through one path on (..., L, N, d_model)
-inputs: `key_value_heads` blends and splits keys, `attend_heads` attends.
+sensor's top-U correlated peers, through one path on position-major
+(..., L, N, d_model) inputs: `key_value_heads` blends the keys, and
+`attend_heads` runs the attention node, which splits every operand into
+heads (..., N, H, L, d_head) on views inside itself, then one fused linear
+output projection. No layout op for heads enters the graph.
 """
 
 from __future__ import annotations
@@ -49,6 +52,13 @@ def causal_mask(length: int) -> np.ndarray:
     return np.triu(np.ones((length, length), dtype=bool), k=1)
 
 
+def _degree_stack(scorr: SCorrTensor) -> np.ndarray:
+    """The correlation degrees stacked attribute-first, (C, N, N), contiguous
+    so that the graph layer's product runs as fast backward as one (N, N)
+    product per attribute."""
+    return np.ascontiguousarray(np.moveaxis(scorr.degrees, 2, 0))
+
+
 def cignn_forward(z: Tensor, scorr: SCorrTensor, adj: NormalizedAdjacency,
                   w: Tensor, psi: Tensor, omega: Tensor) -> Tensor:
     """Sum over attributes of psi_c * relu(SCorr_c @ S_w @ Z @ W), plus the
@@ -59,21 +69,25 @@ def cignn_forward(z: Tensor, scorr: SCorrTensor, adj: NormalizedAdjacency,
     sum over axis 0 in attribute order, so the graph does not grow with C.
     Shapes: z (..., N, d_model), w (d, d), psi (C,), omega (1,)."""
     n = z.shape[-2]
-    c = scorr.n_attributes
     if scorr.n_sensors != n or adj.matrix.shape != (n, n):
         raise DimensionError(
             f"{n} sensors vs scorr {scorr.n_sensors}, adj {adj.matrix.shape}")
+    return _cignn(z, _degree_stack(scorr), adj.matrix, w, psi, omega)
+
+
+def _cignn(z: Tensor, stack: np.ndarray, adj: np.ndarray, w: Tensor,
+           psi: Tensor, omega: Tensor) -> Tensor:
+    """`cignn_forward` on the degrees as `_degree_stack` lays them out."""
+    c, n = stack.shape[0], stack.shape[-1]
     if psi.shape != (c,):
         raise DimensionError(f"psi must have shape ({c},), got {psi.shape}")
     zw = ad.matmul(z, w)
     base = ad.attention(z, z, zw, 1.0 / np.sqrt(z.shape[-1]))
-    # one unit axis per leading axis of base; a contiguous stack keeps the
-    # product's backward as fast as one (N, N) product per attribute
+    # one unit axis per leading axis of base
     lead = (1,) * (base.ndim - 2)
-    stack = np.ascontiguousarray(np.moveaxis(scorr.degrees, 2, 0))
     routes = ad.relu(ad.matmul(Tensor(stack.reshape((c,) + lead + (n, n))), base))
     out = ad.sum_(ad.mul(routes, ad.reshape(psi, (c,) + lead + (1, 1))), axis=0)
-    structural = ad.mul(ad.relu(ad.matmul(Tensor(adj.matrix), zw)), omega)
+    structural = ad.mul(ad.relu(ad.matmul(Tensor(adj), zw)), omega)
     return ad.add(out, structural)
 
 
@@ -82,54 +96,36 @@ def _swap_last_but_one(ndim: int) -> tuple:
     return (*range(ndim - 3), ndim - 2, ndim - 3, ndim - 1)
 
 
-def split_heads(x: Tensor, heads: int) -> Tensor:
-    """(..., L, N, d) -> (..., N, H, L, d/H)."""
-    d = x.shape[-1]
-    if d % heads != 0:
-        raise ConfigError(f"d_model {d} not divisible by {heads} heads")
-    split = ad.reshape(x, x.shape[:-1] + (heads, d // heads))
-    m = split.ndim
-    return ad.permute(split, (*range(m - 4), m - 3, m - 2, m - 4, m - 1))
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """(..., N, H, L, d/H) -> (..., L, N, d)."""
-    m = x.ndim
-    merged = ad.permute(x, (*range(m - 4), m - 2, m - 4, m - 3, m - 1))
-    return ad.reshape(merged, merged.shape[:-2] + (merged.shape[-2] * merged.shape[-1],))
-
-
 def key_value_heads(mixing: Tensor, k: Tensor, v: Tensor,
                     heads: int) -> tuple[Tensor, Tensor]:
     """Key/value half of the attention: blend keys (..., L, N, d_model)
     across correlated sensors with the (N, N) top-U mixing matrix, one
-    (N, N) @ (N, d) product per position, then split keys and values into
-    heads (..., N, H, L, d_head). It reads no query, so a decoder can compute
-    it once per encoder memory."""
+    (N, N) @ (N, d) product per position. Keys and values stay
+    position-major: the attention node splits them into `heads` heads on
+    views, so this only checks that they split. It reads no query, so a
+    decoder can compute it once per encoder memory."""
     n = mixing.shape[0]
     if k.shape != v.shape or k.ndim < 3 or k.shape[-2] != n:
         raise DimensionError(f"keys and values must be (..., L, {n}, d) and "
                              f"agree: k {k.shape}, v {v.shape}")
-    return split_heads(ad.matmul(mixing, k), heads), split_heads(v, heads)
+    if k.shape[-1] % heads != 0:
+        raise ConfigError(f"d_model {k.shape[-1]} not divisible by {heads} heads")
+    return ad.matmul(mixing, k), v
 
 
-def attend_heads(q: Tensor, kh: Tensor, vh: Tensor, w_out: Tensor,
+def attend_heads(q: Tensor, k: Tensor, v: Tensor, heads: int, w_out: Tensor,
                  b_out: Tensor | None = None, mask: np.ndarray | None = None,
                  rowwise: bool = False) -> Tensor:
-    """Query half: each head of q (..., L_q, N, d_model) attends over the
-    split keys/values kh, vh (..., N, H, L_k, d_head) with
-    softmax(Q K~^T / sqrt(d_head)); head outputs are concatenated and
-    linearly projected. mask (L_q, L_k) blocks True positions; rowwise
-    selects the row-independent attention core. Every product outside the
-    core runs once per position, so with rowwise an output row has the same
-    bits however many query rows come with it."""
-    heads, d_head = kh.shape[-3], kh.shape[-1]
-    if q.shape[-1] != heads * d_head:
-        raise DimensionError(
-            f"projection shapes disagree: q {q.shape}, keys {kh.shape}")
-    mixed = ad.attention(split_heads(q, heads), kh, vh, 1.0 / np.sqrt(d_head),
-                         mask=mask, rowwise=rowwise)
-    return ad.linear(merge_heads(mixed), w_out, b_out)
+    """Query half: each of the `heads` heads of q (..., L_q, N, d_model)
+    attends over the keys/values k, v (..., L_k, N, d_model) from
+    `key_value_heads` with softmax(Q K~^T / sqrt(d_head)); head outputs are
+    concatenated and linearly projected. mask (L_q, L_k) blocks True
+    positions; rowwise selects the row-independent attention core. Every
+    product outside the core runs once per position, so with rowwise an
+    output row has the same bits however many query rows come with it."""
+    scale = 1.0 / np.sqrt(q.shape[-1] // heads)
+    mixed = ad.attention(q, k, v, scale, heads=heads, mask=mask, rowwise=rowwise)
+    return ad.linear(mixed, w_out, b_out)
 
 
 def conv1d_temporal(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -216,8 +212,9 @@ class CIATT(Module):
         return ad.permute(conv(ad.permute(out, swap)), swap)
 
     def keys_values(self, x_kv: Tensor) -> tuple[Tensor, Tensor]:
-        """Split keys and values of x_kv (..., L, N, d_model); they depend on
-        x_kv alone, so cross-attention can reuse them for every query."""
+        """Keys and values of x_kv (..., L, N, d_model), position-major; they
+        depend on x_kv alone, so cross-attention can reuse them for every
+        query."""
         return key_value_heads(self.mixing, self._project(x_kv, self.wk, self.k_conv),
                                self.wv(x_kv), self.heads)
 
@@ -228,8 +225,8 @@ class CIATT(Module):
         """Queries of x_q attend over keys/values from `keys_values`. Dropout
         applies exactly when an rng is given, which only training does."""
         q = self._project(x_q, self.wq, self.q_conv)
-        out = attend_heads(q, *kv, self.w_out.weight, self.w_out.bias, mask=mask,
-                           rowwise=rowwise)
+        out = attend_heads(q, *kv, self.heads, self.w_out.weight, self.w_out.bias,
+                           mask=mask, rowwise=rowwise)
         if rng is not None:
             out = ad.dropout(out, self.dropout, rng)
         return out
@@ -245,11 +242,15 @@ class CIGNN(Module):
     def __init__(self, d_model: int, scorr: SCorrTensor, adj: NormalizedAdjacency,
                  rng: np.random.Generator):
         c = scorr.n_attributes
+        n = scorr.n_sensors
+        if adj.matrix.shape != (n, n):
+            raise DimensionError(f"{n} sensors vs adj {adj.matrix.shape}")
         self.w = Parameter(ad.xavier_uniform(rng, (d_model, d_model), d_model, d_model))
         self.psi = Parameter(np.full(c, 1.0 / c))
         self.omega = Parameter(np.ones(1))
-        self.scorr = scorr
-        self.adj = adj
+        # scorr and adj are fixed for the layer's life, so the stack is too
+        self.stack = _degree_stack(scorr)
+        self.adj = adj.matrix
 
     def __call__(self, z: Tensor) -> Tensor:
-        return cignn_forward(z, self.scorr, self.adj, self.w, self.psi, self.omega)
+        return _cignn(z, self.stack, self.adj, self.w, self.psi, self.omega)

@@ -291,7 +291,7 @@ def _layer_catalog(seed):
         # the draws are sensor-major (n, length, d); the model's attention
         # path is position-major, so the row permutes in and back out
         q, k, v = (permute(t, (1, 0, 2)) for t in (q, k, v))
-        out = attend_heads(q, *key_value_heads(mixing, k, v, 2), w_out, b_out,
+        out = attend_heads(q, *key_value_heads(mixing, k, v, 2), 2, w_out, b_out,
                            mask=mask, rowwise=rowwise)
         return permute(out, (1, 0, 2))
 
@@ -382,7 +382,7 @@ def test_criterion_07_reduction_identities():
         for mask in (None, causal_mask(length)):
             ref = multi_head_attention(q, k, v, 2, w_out, b_out, mask=mask)
             for rowwise in (False, True):
-                ours = attend_heads(Tensor(np.swapaxes(q, 0, 1)), *kv,
+                ours = attend_heads(Tensor(np.swapaxes(q, 0, 1)), *kv, 2,
                                     Tensor(w_out), Tensor(b_out), mask=mask,
                                     rowwise=rowwise)
                 gap = np.abs(np.swapaxes(ours.data, 0, 1) - ref).max()

@@ -258,6 +258,72 @@ def test_fused_attention_gradients_and_checks():
                   mask=np.array([[True, True], [False, True]]))
 
 
+def _split_by_ops(x, heads):
+    """(..., L, S, d) -> (..., S, H, L, d/H) through reshape and permute nodes."""
+    split = reshape(x, x.shape[:-1] + (heads, x.shape[-1] // heads))
+    m = split.ndim
+    return permute(split, (*range(m - 4), m - 3, m - 2, m - 4, m - 1))
+
+
+def _merge_by_ops(x):
+    """(..., S, H, L, d) -> (..., L, S, H*d) through permute and reshape nodes."""
+    m = x.ndim
+    merged = permute(x, (*range(m - 4), m - 2, m - 4, m - 3, m - 1))
+    return reshape(merged, merged.shape[:-2] + (merged.shape[-2] * merged.shape[-1],))
+
+
+@pytest.mark.parametrize("rowwise", [False, True])
+@pytest.mark.parametrize("l_q, l_k, mask", _ATTENTION_CASES)
+def test_head_split_attention_matches_op_by_op(l_q, l_k, mask, rowwise):
+    # position-major operands (B, L, S, d) with 2 heads, against the oracle
+    # on heads split explicitly by graph ops; the rowwise core's per-row
+    # products may round differently from the oracle's GEMMs
+    scale = 1.0 / np.sqrt(2)
+    rng = np.random.default_rng(l_q * 10 + l_k)
+    arrays = [rng.normal(size=(2, l_q, 3, 4)), rng.normal(size=(2, l_k, 3, 4)),
+              rng.normal(size=(2, l_k, 3, 6))]
+
+    def oracle(q, k, v):
+        split = (_split_by_ops(t, 2) for t in (q, k, v))
+        return _merge_by_ops(attention_by_ops(*split, scale, mask=mask))
+    for trainable in ({0}, {1}, {2}, {0, 1, 2}):
+        _compare_to_ops(lambda q, k, v: attention(q, k, v, scale, heads=2, mask=mask,
+                                                  rowwise=rowwise),
+                        oracle, arrays, trainable, exact=not rowwise)
+
+
+def test_head_split_attention_checks():
+    ones = Tensor(np.ones((2, 3, 4)))
+    with pytest.raises(ConfigError):      # 4 columns do not split into 3 heads
+        attention(ones, ones, ones, 1.0, heads=3)
+    with pytest.raises(DimensionError):   # keys for another number of positions
+        attention(ones, Tensor(np.ones((2, 5, 4))), Tensor(np.ones((2, 5, 4))),
+                  1.0, heads=2)
+    with pytest.raises(DimensionError):   # no position axis
+        attention(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))),
+                  Tensor(np.ones((2, 4))), 1.0, heads=2)
+
+
+@pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 5, 4)])
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_fused_linear_matches_matmul_then_add(x_shape, with_bias):
+    rng = np.random.default_rng(len(x_shape))
+    arrays = [rng.normal(size=x_shape), rng.normal(size=(4, 6))]
+    if with_bias:
+        arrays.append(rng.normal(size=6))
+
+    def by_ops(x, w, b=None):
+        out = matmul(x, w)
+        return out if b is None else add(out, b)
+    for trainable in (set(), {0}, {1}, {2}, {0, 1}, {0, 1, 2}):
+        if max(trainable, default=0) < len(arrays):
+            _compare_to_ops(linear, by_ops, arrays, trainable)
+    with pytest.raises(DimensionError):
+        linear(Tensor(arrays[0]), Tensor(np.ones((3, 6))))
+    with pytest.raises(DimensionError):
+        linear(Tensor(arrays[0]), Tensor(arrays[1]), Tensor(np.ones(5)))
+
+
 @pytest.mark.parametrize("a_shape", [(5, 4), (3, 5, 4), (2, 3, 5, 4)])
 def test_broadcast_matmul_weight_gradient_matches_slice_loop(a_shape):
     rng = np.random.default_rng(len(a_shape))
@@ -311,26 +377,22 @@ def test_freed_gradients_leave_leaf_gradients_exact():
     assert np.array_equal(c.grad, 2 * (b.data + c.data))
 
 
-def test_graph_frees_outputs_that_no_backward_reads(monkeypatch):
+def test_graph_frees_outputs_that_no_backward_reads():
     rng = np.random.default_rng(41)
     params = [Tensor(rng.normal(size=shape), requires_grad=True)
               for shape in ((2, 3, 5), (5, 5), (5,), (5,), (5,))]
     x, w, b, gain, shift = params
-    products = []
-
-    def recorded(a, c):
-        out = matmul(a, c)
-        products.append(weakref.ref(out.data))
-        return out
-    monkeypatch.setattr(autodiff, "matmul", recorded)
     hidden = relu(x)
-    residual = add(linear(hidden, w, b), hidden)
+    projected = linear(hidden, w, b)
+    residual = add(projected, hidden)
+    projected_ref = weakref.ref(projected.data)
     hidden_ref, residual_ref = weakref.ref(hidden.data), weakref.ref(residual.data)
     loss = sum_(layer_norm(residual, gain, shift))
-    del hidden, residual
-    # the product under the bias add and the residual sum under layer_norm
-    # are read by no backward: both are freed while the loss graph lives
-    assert products[0]() is None and residual_ref() is None
+    del hidden, projected, residual
+    # the linear's output under the residual add and the residual sum under
+    # layer_norm are read by no backward: both are freed while the loss
+    # graph lives
+    assert projected_ref() is None and residual_ref() is None
     # the weight's gradient reads the linear's input, which stays alive
     assert hidden_ref() is not None
     loss.backward()
