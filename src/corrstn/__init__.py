@@ -22,10 +22,10 @@ from .data import (SpatioTemporalTensor, TrafficDataset, SampleSet,
                    save_tensor, load_tensor, load_edges, load_dataset,
                    split_ranges, fit_normalization, normalize, denormalize,
                    assemble_samples, generate_synthetic)
-from .autodiff import Tensor, Parameter, Module, xavier_uniform
+from .autodiff import Tensor, Parameter, Module, conv1d_temporal, xavier_uniform
 from .neural import (NormalizedAdjacency, add_self_loops, laplacian_normalize,
                      causal_mask, cignn_forward, key_value_heads,
-                     attend_heads, conv1d_temporal,
+                     attend_heads,
                      Linear, LayerNorm, TemporalConv, CIATT, CIGNN)
 from .model import (ModelConfig, PRESETS, config_hash, save_config,
                     load_config, CorrSTN, build_model, Adam, mae_loss,

@@ -1,15 +1,19 @@
 """Reverse-mode autodiff over dense float64 numpy arrays.
 
 Only what the forecaster needs: broadcasted arithmetic, batched matmul,
-the fused linear (matmul and bias add in one node), relu/abs, masked
-softmax and layer norm (fused, last axis), the fused attention core (plain
-or row-independent, with any head split done on views inside the node),
-reductions, shape ops, the temporal unfold, and dropout.
+the fused linear (matmul and bias add in one node), relu/abs, layer norm
+(fused, last axis), the fused attention core (plain or row-independent, with
+any head split done on views inside the node, run over blocks of its leading
+axes), the graph layer's rectified route sum, reductions, shape ops, the
+temporal convolution, and dropout.
 Graphs are built eagerly. A graph vertex is a `_Node` (parent nodes, backward
 closure, gradient), apart from the `Tensor` that holds the op's output, and
 each closure keeps only the arrays its backward reads, for the operands that
 need a gradient. An intermediate output that no backward reads is therefore
 freed as soon as the forward code drops its tensor, while the graph lives on.
+A fused node's transients (the temporal unfolding, a route's relu mask, a
+block's attention scores) are never kept: backward rebuilds them from what
+the node keeps.
 backward() walks a topological order once and accumulates each closure's
 gradients into the parent nodes. Only the root and the leaves keep .grad
 afterwards: each inner node's gradient is dropped as soon as its own backward
@@ -19,6 +23,7 @@ Inside `no_grad()` no graph is built at all.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -114,9 +119,10 @@ class Tensor:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcasted gradient back to the operand's shape."""
+    """Reduce a broadcasted gradient back to the operand's shape. A size-1
+    leading axis is dropped as a view: summing one slice copies it."""
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = grad[0] if grad.shape[0] == 1 else grad.sum(axis=0)
     for axis, extent in enumerate(shape):
         if extent == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
@@ -343,14 +349,13 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _result(a.data[index].copy(), (a,), backward)
 
 
-def unfold_time(x: Tensor, k: int) -> Tensor:
-    """The k centred, zero-padded windows along axis -2, side by side:
-    (..., T, d) -> (..., T, k*d), where block o of row t is row t + o - (k-1)//2
-    of x, or zeros outside [0, T). Backward folds the blocks back."""
-    if x.ndim < 2:
-        raise DimensionError(f"unfold_time needs (..., T, d), got {x.shape}")
-    t_len, d = x.shape[-2], x.shape[-1]
-    # (block columns, output rows, input rows) of every offset with an overlap
+# ---------------------------------------------------------------------------
+# temporal convolution
+
+def _time_blocks(t_len: int, k: int, d: int) -> list:
+    """(block columns, output rows, input rows) of every offset o of k
+    centred windows along a time axis of t_len rows whose source row
+    t + o - (k-1)//2 overlaps [0, t_len)."""
     blocks = []
     for o in range(k):
         shift = o - (k - 1) // 2
@@ -358,30 +363,117 @@ def unfold_time(x: Tensor, k: int) -> Tensor:
         if lo < hi:
             blocks.append((slice(o * d, (o + 1) * d), slice(lo, hi),
                            slice(lo + shift, hi + shift)))
-    out = np.zeros(x.shape[:-1] + (k * d,))
+    return blocks
+
+
+def _unfold_time(x: np.ndarray, blocks: list, width: int) -> np.ndarray:
+    """The windows of x (..., T, d) side by side, (..., T, width), zero
+    outside [0, T)."""
+    out = np.zeros(x.shape[:-1] + (width,))
     for columns, rows, source in blocks:
-        out[..., rows, columns] = x.data[..., source, :]
+        out[..., rows, columns] = x[..., source, :]
+    return out
+
+
+def conv1d_temporal(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Same-length convolution along axis -2 of x (..., T, d_in) with a
+    (k, d_in, d_out) kernel, as one node: one projection per temporal
+    offset. The k centred, zero-padded windows are unfolded side by side
+    (block o of row t is row t + o - (k-1)//2 of x) and multiplied by the
+    kernel reshaped to (k * d_in, d_out) in one GEMM. The node keeps x, not
+    its k times wider unfolding: backward unfolds x again for the kernel's
+    gradient and folds x's gradient back block by block.
+    """
+    if x.ndim < 2:
+        raise DimensionError(f"need (..., T, d), got {x.shape}")
+    if kernel.ndim != 3:
+        raise DimensionError(f"kernel must be (k, d_in, d_out), got {kernel.shape}")
+    k, d_in, d_out = kernel.shape
+    if d_in != x.shape[-1]:
+        raise DimensionError(f"kernel d_in {d_in} != feature width {x.shape[-1]}")
+    has_bias = bias is not None
+    if has_bias and bias.shape != (d_out,):
+        raise DimensionError(f"bias {bias.shape} does not match kernel {kernel.shape}")
+    width = k * d_in
+    blocks = _time_blocks(x.shape[-2], k, d_in)
+    weight = kernel.data.reshape(width, d_out)
+    out = _unfold_time(x.data, blocks, width) @ weight
+    if has_bias:
+        out += bias.data
+    # the kernel's gradient reads x; x's reads the kernel
     x_shape = x.shape
+    x_data = x.data if kernel.requires_grad else None
+    w_data = weight if x.requires_grad else None
+    need_bias = has_bias and bias.requires_grad
 
     def backward(g):
-        folded = np.zeros(x_shape)
-        for columns, rows, source in blocks:
-            folded[..., source, :] += g[..., rows, columns]
-        return (folded,)
-    return _result(out, (x,), backward)
+        gx = gk = gb = None
+        if w_data is not None:
+            unfolded = g @ _transposed(w_data)
+            gx = np.zeros(x_shape)
+            for columns, rows, source in blocks:
+                gx[..., source, :] += unfolded[..., rows, columns]
+        if x_data is not None:
+            # one GEMM over the stacked rows of every leading axis
+            rows = _unfold_time(x_data, blocks, width).reshape(-1, width)
+            gk = (rows.T @ g.reshape(-1, d_out)).reshape(k, d_in, d_out)
+        if need_bias:
+            gb = _unbroadcast(g, (d_out,))
+        return (gx, gk, gb) if has_bias else (gx, gk)
+    return _result(out, (x, kernel, bias) if has_bias else (x, kernel), backward)
 
 
 # ---------------------------------------------------------------------------
 # fused nonlinearities
+
+def relu_routes(stack: np.ndarray, x: Tensor, weights: Tensor) -> Tensor:
+    """The sum over c of weights[c] * relu(stack[c] @ x), for a constant
+    (C, M, K) stack, x (..., K, d) and weights (C,), as one node that runs
+    route by route and adds the routes in order c = 0, 1, ... onto zeros,
+    with the bits of one broadcast matmul, relu, scaling and sum over the
+    stacked routes (except that a NaN route stays NaN, where relu gave 0).
+    Under `no_grad` it holds one route at a time; building a graph it keeps
+    the C rectified routes, from which backward derives the relu mask, and
+    the weights."""
+    if stack.ndim != 3 or x.ndim < 2 or stack.shape[-1] != x.shape[-2]:
+        raise DimensionError(f"routes need (C, M, K) @ (..., K, d), "
+                             f"got {stack.shape} @ {x.shape}")
+    c = stack.shape[0]
+    if weights.shape != (c,):
+        raise DimensionError(f"route weights must have shape ({c},), got {weights.shape}")
+    need_x, need_w = x.requires_grad, weights.requires_grad
+    shape = x.shape[:-2] + (stack.shape[1], x.shape[-1])
+    routes = np.empty((c,) + shape) if _grad_enabled and (need_x or need_w) else None
+    out = np.zeros(shape)
+    route = None
+    for i in range(c):
+        if routes is not None:
+            route = routes[i]
+        route = np.matmul(stack[i], x.data, out=route)
+        np.maximum(route, 0.0, out=route)
+        out += route * weights.data[i]
+    x_shape = x.shape
+    w_data = weights.data if need_x else None
+
+    def backward(g):
+        gx = gw = None
+        if need_w:
+            gw = np.array([_unbroadcast(g * r, (1,) * g.ndim).item() for r in routes])
+        if need_x:
+            gx = np.zeros(x_shape)
+            for i in range(c):
+                gr = g * w_data[i]
+                gr *= routes[i] > 0
+                gx += np.swapaxes(stack[i], -1, -2) @ gr
+        return gx, gw
+    return _result(out, (x, weights), backward)
+
 
 def _masked_softmax(z: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     """Softmax of z along its last axis, computed in place in z, which the
     caller owns; True entries of mask, which broadcasts against z, get
     probability exactly 0."""
     if mask is not None:
-        # checked as given: a row broadcast across z is fully masked in z too
-        if np.logical_and.reduce(mask, axis=-1).any():
-            raise ConfigError("softmax row fully masked")
         np.copyto(z, -np.inf, where=mask)
     z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
@@ -389,30 +481,25 @@ def _masked_softmax(z: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return z
 
 
-def _softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    out = g - np.add.reduce(g * p, axis=-1, keepdims=True)
-    out *= p
-    return out
+def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """The softmax input's gradient for weights p and their gradient dp,
+    computed in place in dp, which the caller owns."""
+    dp -= np.add.reduce(dp * p, axis=-1, keepdims=True)
+    dp *= p
+    return dp
 
 
-def softmax(a: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Tensor:
-    """Softmax along the last axis, the only one `axis` may name; True
-    entries of mask get probability exactly 0."""
-    if axis % a.ndim != a.ndim - 1:
-        raise DimensionError(f"softmax runs along the last axis, got axis {axis}")
-    p = _masked_softmax(a.data.copy(), mask)
-
-    def backward(g):
-        return (_softmax_backward(p, g),)
-    return _result(p, (a,), backward)
-
-
-def _product(a: np.ndarray, b: np.ndarray, rowwise: bool) -> np.ndarray:
+def _product(a: np.ndarray, b: np.ndarray, rowwise: bool,
+             out: np.ndarray | None = None) -> np.ndarray:
     """a @ b, or with rowwise one (1, n) @ (n, m) product per row of a; a
-    single row is such a product already."""
+    single row is such a product already. Written into out when given."""
     if rowwise and a.shape[-2] > 1:
-        return (a[..., :, None, :] @ b[..., None, :, :])[..., 0, :]
-    return a @ b
+        product = (a[..., :, None, :] @ b[..., None, :, :])[..., 0, :]
+        if out is None:
+            return product
+        out[...] = product
+        return out
+    return a @ b if out is None else np.matmul(a, b, out=out)
 
 
 def _split_heads(x: np.ndarray, heads: int | None) -> np.ndarray:
@@ -434,11 +521,74 @@ def _merge_heads(x: np.ndarray, heads: int | None) -> np.ndarray:
     return merged.reshape(merged.shape[:-2] + (heads * x.shape[-1],))
 
 
+# Score bytes per block of the attention core, measured once: of 256 KiB to
+# 4 MiB, 1 MiB ran the pems08 preset's cores at N=96 and N=170 fastest (Xeon
+# with a 4 MiB L2 per core, one OpenBLAS thread). A block's scores and
+# softmax passes then stay in cache; the whole (B, N, 8, 36, 36) head scores,
+# 14 MB per sample at N=170, do not.
+_BLOCK_BYTES = 1 << 20
+_ONE_BLOCK = ((),)
+
+
+def _blocks(lead: tuple, slice_bytes: int) -> list:
+    """Index tuples that cut the leading axes `lead` of the core into
+    blocks of whole (L_q, L_k) score slices, slice_bytes each: runs of rows
+    of the outermost axis whose inner slices all fit in _BLOCK_BYTES (one
+    row at least), for every index of the axes before it. One empty index
+    when everything fits."""
+    if math.prod(lead) * slice_bytes <= _BLOCK_BYTES:
+        return _ONE_BLOCK
+    fit = max(1, _BLOCK_BYTES // slice_bytes)
+    inner = 1
+    for axis in range(len(lead) - 1, -1, -1):
+        if inner * lead[axis] > fit:
+            step = max(1, fit // inner)
+            return [outer + (slice(start, start + step),)
+                    for outer in np.ndindex(*lead[:axis])
+                    for start in range(0, lead[axis], step)]
+        inner *= lead[axis]
+    return _ONE_BLOCK
+
+
+def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
+            mask: np.ndarray | None, rowwise: bool, p: np.ndarray | None = None,
+            out: np.ndarray | None = None) -> tuple:
+    """Weights softmax(q kt * scale), computed in place in the scores, and
+    their product with v, for one block of the core; written into p and out
+    when given."""
+    p = _product(q, kt, rowwise, p)
+    p *= scale
+    _masked_softmax(p, mask)
+    return p, _product(p, v, rowwise, out)
+
+
+def _attend_backward(p: np.ndarray, g: np.ndarray, q, k, v, scale: float,
+                     need_v: bool, out: tuple = (None, None, None)) -> tuple:
+    """Gradients of one block of the core for its output gradient g: v's
+    when need_v, and with v given, q's when k is given and k's when q is.
+    Each is written into its entry of out (q's, k's, v's) when given."""
+    gq_out, gk_out, gv_out = out
+    gq = gk = gv = None
+    if need_v:
+        gv = np.matmul(np.swapaxes(p, -1, -2), g, out=gv_out)
+    if v is not None:
+        # push d(weights) back through softmax(q k^T * scale) into q and k
+        ds = _softmax_backward(p, g @ _transposed(v))
+        ds *= scale
+        if k is not None:
+            gq = np.matmul(ds, k, out=gq_out)
+        if q is not None:
+            gk = np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2)
+            if gk_out is not None:
+                gk_out[...] = gk
+    return gq, gk, gv
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
               heads: int | None = None, mask: np.ndarray | None = None,
               rowwise: bool = False) -> Tensor:
-    """softmax(q k^T * scale) v as one node that keeps only the weights and
-    the operands its gradients read.
+    """softmax(q k^T * scale) v as one node that keeps only the weights,
+    and only when it builds a graph, and the operands its gradients read.
 
     Without heads, q is (..., L_q, d), k (..., L_k, d) and v (..., L_k, d_v),
     and attention runs over axis -2. With heads, the operands are
@@ -450,6 +600,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     row is its own (1, d) product against the keys, then its own (1, L_k)
     product against the values, so a row has the same bits for any L_q;
     plain GEMMs over L_q do not promise that. Backward is the same either way.
+
+    Every slice of the leading axes (with heads: ..., S, H) is independent,
+    so when the operands share their leading axes, forward and backward run
+    over blocks of whole slices whose scores fit in _BLOCK_BYTES, and write
+    each block's outputs, heads merged, straight into the full arrays. No
+    row's arithmetic changes. The headed core multiplies each block by a
+    contiguous copy of its transposed keys, which gives the strided
+    product's bits and runs faster; the core without heads and the rowwise
+    core keep the strided view, since the copy changes their bits.
+    Operands with broadcast leading axes run as one block.
     """
     if heads is not None:
         if q.ndim < 3 or k.ndim < 3 or v.ndim < 3:
@@ -467,13 +627,32 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
                              f"got {q.shape} and {k.shape}")
     if vs.ndim < 2 or vs.shape[-2] != ks.shape[-2]:
         raise DimensionError(f"values {v.shape} do not match keys {k.shape}")
-    scores = _product(qs, ks.swapaxes(-1, -2), rowwise)
-    scores *= scale
-    p = _masked_softmax(scores, mask)
-    out = _merge_heads(_product(p, vs, rowwise), heads)
+    # checked as given: a row broadcast across the scores is fully masked too
+    if mask is not None and np.logical_and.reduce(mask, axis=-1).any():
+        raise ConfigError("softmax row fully masked")
+    lead = qs.shape[:-2]
+    blocks = _ONE_BLOCK
+    if ks.shape[:-2] == lead == vs.shape[:-2]:
+        blocks = _blocks(lead, 8 * qs.shape[-2] * ks.shape[-2])
+    if blocks is _ONE_BLOCK:
+        p, out = _attend(qs, ks.swapaxes(-1, -2), vs, scale, mask, rowwise)
+        out = _merge_heads(out, heads)
+        # the gradients' shapes before their heads are merged
+        shapes = (qs.shape, ks.shape, vs.shape)
+    else:
+        shapes = (q.shape, k.shape, v.shape)
+        keep = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+        p = np.empty(lead + (qs.shape[-2], ks.shape[-2])) if keep else None
+        out = np.empty(q.shape[:-1] + (v.shape[-1],))
+        out_split = _split_heads(out, heads)
+        for index in blocks:
+            kt = ks[index].swapaxes(-1, -2)
+            if heads is not None and not rowwise:
+                kt = np.ascontiguousarray(kt)
+            _attend(qs[index], kt, vs[index], scale, mask, rowwise,
+                    None if p is None else p[index], out_split[index])
     # v's gradient reads the weights; q's reads k and v, k's reads q and v.
     # The split views keep the operands' own arrays, never a second copy.
-    q_shape, k_shape, v_shape = qs.shape, ks.shape, vs.shape
     need_v = v.requires_grad
     q_data = qs if k.requires_grad else None
     k_data = ks if q.requires_grad else None
@@ -481,20 +660,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
 
     def backward(g):
         g = _split_heads(g, heads)
-        gq = gk = gv = None
-        if need_v:
-            gv = _unbroadcast(np.swapaxes(p, -1, -2) @ g, v_shape)
-        if v_data is not None:
-            # push d(weights) back through softmax(q k^T * scale) into q and k
-            ds = _softmax_backward(p, g @ _transposed(v_data))
-            ds *= scale
-            if k_data is not None:
-                gq = _unbroadcast(ds @ k_data, q_shape)
-            if q_data is not None:
-                dk = np.swapaxes(np.swapaxes(q_data, -1, -2) @ ds, -1, -2)
-                gk = _unbroadcast(dk, k_shape)
-        return tuple(None if grad is None else _merge_heads(grad, heads)
-                     for grad in (gq, gk, gv))
+        if blocks is _ONE_BLOCK:
+            grads = _attend_backward(p, g, q_data, k_data, v_data, scale, need_v)
+            return tuple(None if grad is None
+                         else _merge_heads(_unbroadcast(grad, shape), heads)
+                         for grad, shape in zip(grads, shapes))
+        # the leading axes are shared, so no block's gradient needs reducing
+        needs = (k_data is not None, q_data is not None, need_v)
+        grads = tuple(np.empty(shape) if need else None
+                      for shape, need in zip(shapes, needs))
+        splits = [None if grad is None else _split_heads(grad, heads) for grad in grads]
+        for index in blocks:
+            _attend_backward(p[index], g[index],
+                             *(None if t is None else t[index]
+                               for t in (q_data, k_data, v_data)), scale, need_v,
+                             tuple(None if t is None else t[index] for t in splits))
+        return grads
     return _result(out, (q, k, v), backward)
 
 

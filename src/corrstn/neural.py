@@ -2,13 +2,16 @@
 
 The graph layer mixes each time slice across sensors through three routes:
 per-attribute correlation matrices modulated by input-dependent spatial
-weights, and the normalized structural adjacency. The attention layer runs
+weights, and the normalized structural adjacency; the correlation routes of
+all attributes are one `relu_routes` node. The attention layer runs
 per-sensor multi-head attention over time with keys reconstructed from each
 sensor's top-U correlated peers, through one path on position-major
 (..., L, N, d_model) inputs: `key_value_heads` blends the keys, and
 `attend_heads` runs the attention node, which splits every operand into
 heads (..., N, H, L, d_head) on views inside itself, then one fused linear
-output projection. No layout op for heads enters the graph.
+output projection. No layout op for heads enters the graph. The optional
+temporal convolution on queries and keys is the one-node
+`autodiff.conv1d_temporal`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Module, Parameter, Tensor
+from .autodiff import Module, Parameter, Tensor, conv1d_temporal
 from .errors import ConfigError, DataError, DimensionError
 from .scorr import SCorrTensor, TopUSCorr, topu_mixing_matrix
 
@@ -64,10 +67,10 @@ def cignn_forward(z: Tensor, scorr: SCorrTensor, adj: NormalizedAdjacency,
     """Sum over attributes of psi_c * relu(SCorr_c @ S_w @ Z @ W), plus the
     structural route omega * relu(A @ Z @ W). S_w @ Z @ W, with the dynamic
     weights S_w = softmax(Z Z^T / sqrt(d_model)), is one attention node.
-    All C routes are one product: the degrees stacked attribute-first as
-    (C, 1..., N, N) times S_w Z W, then one relu, one psi scaling and one
-    sum over axis 0 in attribute order, so the graph does not grow with C.
-    Shapes: z (..., N, d_model), w (d, d), psi (C,), omega (1,)."""
+    All C routes are one `relu_routes` node over the degrees stacked
+    attribute-first, which adds them in attribute order, so the graph does
+    not grow with C. Shapes: z (..., N, d_model), w (d, d), psi (C,),
+    omega (1,)."""
     n = z.shape[-2]
     if scorr.n_sensors != n or adj.matrix.shape != (n, n):
         raise DimensionError(
@@ -78,15 +81,9 @@ def cignn_forward(z: Tensor, scorr: SCorrTensor, adj: NormalizedAdjacency,
 def _cignn(z: Tensor, stack: np.ndarray, adj: np.ndarray, w: Tensor,
            psi: Tensor, omega: Tensor) -> Tensor:
     """`cignn_forward` on the degrees as `_degree_stack` lays them out."""
-    c, n = stack.shape[0], stack.shape[-1]
-    if psi.shape != (c,):
-        raise DimensionError(f"psi must have shape ({c},), got {psi.shape}")
     zw = ad.matmul(z, w)
     base = ad.attention(z, z, zw, 1.0 / np.sqrt(z.shape[-1]))
-    # one unit axis per leading axis of base
-    lead = (1,) * (base.ndim - 2)
-    routes = ad.relu(ad.matmul(Tensor(stack.reshape((c,) + lead + (n, n))), base))
-    out = ad.sum_(ad.mul(routes, ad.reshape(psi, (c,) + lead + (1, 1))), axis=0)
+    out = ad.relu_routes(stack, base, psi)
     structural = ad.mul(ad.relu(ad.matmul(Tensor(adj), zw)), omega)
     return ad.add(out, structural)
 
@@ -126,22 +123,6 @@ def attend_heads(q: Tensor, k: Tensor, v: Tensor, heads: int, w_out: Tensor,
     scale = 1.0 / np.sqrt(q.shape[-1] // heads)
     mixed = ad.attention(q, k, v, scale, heads=heads, mask=mask, rowwise=rowwise)
     return ad.linear(mixed, w_out, b_out)
-
-
-def conv1d_temporal(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Same-length convolution along axis -2 of x (..., T, d_in) with a
-    (k, d_in, d_out) kernel: one projection per temporal offset. The k
-    centred windows are unfolded side by side and multiplied by the kernel
-    reshaped to (k * d_in, d_out) in one GEMM.
-    """
-    if x.ndim < 2:
-        raise DimensionError(f"need (..., T, d), got {x.shape}")
-    if kernel.ndim != 3:
-        raise DimensionError(f"kernel must be (k, d_in, d_out), got {kernel.shape}")
-    k, d_in, d_out = kernel.shape
-    if d_in != x.shape[-1]:
-        raise DimensionError(f"kernel d_in {d_in} != feature width {x.shape[-1]}")
-    return ad.linear(ad.unfold_time(x, k), ad.reshape(kernel, (k * d_in, d_out)), bias)
 
 
 # ---------------------------------------------------------------------------

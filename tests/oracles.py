@@ -5,9 +5,10 @@ shares no code path with the vectorized library implementations it checks.
 There are two exceptions. `tcorr_per_window` loops the one-pair `mic_full`
 over windows: it checks how compute_tcorr batches and averages windows, while
 `mic_brute_force` checks MIC itself. `attention_by_ops` composes the attention
-core from separate autodiff nodes (matmul, scale, softmax, matmul): it checks
-the fused attention node's hand-written backward against the chain rule the
-engine applies op by op, while the finite-difference checks test both.
+core from separate autodiff nodes (matmul, scale, a softmax node written here
+in numpy, matmul): it checks the fused attention node's hand-written backward
+against the chain rule the engine applies op by op, while the
+finite-difference checks test both.
 `graph_nodes` is not an oracle: it is the one autograph walk that the
 graph-structure tests share.
 """
@@ -195,11 +196,25 @@ def plain_gnn(adjacency, z, w):
     return np.maximum(pre, 0.0)
 
 
+def _softmax_node(scores, mask=None):
+    """Softmax along the last axis of a tensor as one autodiff node, in
+    numpy; True entries of mask get probability exactly 0."""
+    z = scores.data.copy()
+    if mask is not None:
+        z[np.broadcast_to(mask, z.shape)] = -np.inf
+    z = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = z / z.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
+    return ad._result(p, (scores,), backward)
+
+
 def attention_by_ops(q, k, v, scale, mask=None):
     """softmax(q k^T * scale) v built from one autodiff node per step."""
     swap = (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)
     scores = ad.mul_scalar(ad.matmul(q, ad.permute(k, swap)), scale)
-    return ad.matmul(ad.softmax(scores, mask=mask, axis=-1), v)
+    return ad.matmul(_softmax_node(scores, mask), v)
 
 
 def broadcast_weight_grad(a, g):

@@ -28,12 +28,11 @@ from corrstn import (ModelConfig, PERIODS, PeriodSpec, SCorrTensor, Tensor,
                      top_u_normalize, topu_mixing_matrix, train,
                      weighted_tcorr)
 from corrstn import metrics as metrics_mod
-from corrstn.autodiff import (abs_, add, dropout, layer_norm, linear, matmul,
-                              mean, mul, mul_scalar, narrow, permute, relu,
-                              reshape, softmax, sub, sum_, unfold_time)
+from corrstn.autodiff import (abs_, add, conv1d_temporal, dropout, layer_norm,
+                              linear, matmul, mean, mul, mul_scalar, narrow,
+                              permute, relu, relu_routes, reshape, sub, sum_)
 from corrstn.cli import main as cli_main
 from corrstn.data import SampleSet, SpatioTemporalTensor
-from corrstn.neural import conv1d_temporal
 from oracles import (finite_difference_gradient, gradient_gap,
                      metrics_brute_force, mic_brute_force,
                      multi_head_attention, plain_gnn)
@@ -227,7 +226,7 @@ def test_criterion_05_selection_oracle_on_synthetic_regimes():
 # ---------------------------------------------------------------------------
 # 6: finite differences against every op, both layers, and the full model
 
-_MASK4 = np.triu(np.ones((4, 4), dtype=bool), k=1)
+_ROUTE_STACK = np.random.default_rng(6000).uniform(0.1, 0.9, size=(3, 4, 4))
 
 # (builder, input shapes, offset nudging inputs away from relu/abs kinks)
 _OP_CATALOG = [
@@ -246,9 +245,8 @@ _OP_CATALOG = [
     (lambda a: reshape(a, (6, 2)), [(3, 4)], 0.0),
     (lambda a: permute(a, (2, 0, 1)), [(2, 3, 4)], 0.0),
     (lambda a: narrow(a, 1, 1, 2), [(3, 4)], 0.0),
-    (lambda a: unfold_time(a, 3), [(2, 5, 3)], 0.0),
-    (softmax, [(4, 5)], 0.0),
-    (lambda a: softmax(a, mask=_MASK4), [(2, 4, 4)], 0.0),
+    (lambda x, k, b: conv1d_temporal(x, k, b), [(2, 5, 3), (3, 3, 2), (2,)], 0.0),
+    (lambda x, w: relu_routes(_ROUTE_STACK, x, w), [(2, 4, 3), (3,)], 0.9),
     (lambda a, g, b: layer_norm(a, g, b), [(3, 6), (6,), (6,)], 0.0),
     # a fresh identically-seeded rng per call pins the dropout mask, so the
     # finite-difference probes see a deterministic function

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -7,10 +8,10 @@ import pytest
 
 import corrstn
 from corrstn import Module, Parameter, Tensor, autodiff, xavier_uniform
-from corrstn.autodiff import (abs_, add, attention, dropout, layer_norm,
-                              linear, matmul, mean, mul, mul_scalar, narrow,
-                              no_grad, permute, relu, reshape, softmax, sub,
-                              sum_, unfold_time)
+from corrstn.autodiff import (abs_, add, attention, conv1d_temporal, dropout,
+                              layer_norm, linear, matmul, mean, mul, mul_scalar,
+                              narrow, no_grad, permute, relu, relu_routes,
+                              reshape, sub, sum_)
 from corrstn.errors import ConfigError, DimensionError
 from oracles import (attention_by_ops, broadcast_weight_grad,
                      finite_difference_gradient, gradient_gap)
@@ -99,54 +100,97 @@ def test_shape_op_gradients():
     _check_op(lambda a: reshape(a, (6, 2)), (3, 4))
     _check_op(lambda a: permute(a, (2, 0, 1)), (2, 3, 4))
     _check_op(lambda a: narrow(a, 1, 1, 2), (3, 4))
-    _check_op(lambda a: unfold_time(a, 3), (2, 5, 3))
-    _check_op(lambda a: unfold_time(a, 5), (3, 2))   # windows wider than T
+
+
+def test_temporal_conv_gradients():
+    _check_op(lambda x, k, b: conv1d_temporal(x, k, b), (2, 5, 3), (3, 3, 4), (4,))
+    # windows wider than T
+    _check_op(lambda x, k: conv1d_temporal(x, k), (3, 2), (5, 2, 3))
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
-def test_unfold_time_matches_loop(k):
+def test_temporal_conv_matches_loop(k):
+    # one (d_in, d_out) product per offset and row, zero outside [0, T)
     rng = np.random.default_rng(k)
     x = rng.normal(size=(2, 6, 3))
-    g = rng.normal(size=(2, 6, k * 3))
-    want = np.zeros((2, 6, k * 3))
-    want_grad = np.zeros_like(x)
+    kernel = rng.normal(size=(k, 3, 4))
+    bias = rng.normal(size=4)
+    g = rng.normal(size=(2, 6, 4))
+    want = np.broadcast_to(bias, (2, 6, 4)).copy()
+    want_x, want_kernel = np.zeros_like(x), np.zeros_like(kernel)
     for t in range(6):
         for o in range(k):
             source = t + o - (k - 1) // 2
             if 0 <= source < 6:
-                want[:, t, o * 3:(o + 1) * 3] = x[:, source]
-                want_grad[:, source] += g[:, t, o * 3:(o + 1) * 3]
-    tensor = Tensor(x, requires_grad=True)
-    out = unfold_time(tensor, k)
-    assert np.array_equal(out.data, want)
+                want[:, t] += x[:, source] @ kernel[o]
+                want_x[:, source] += g[:, t] @ kernel[o].T
+                want_kernel[o] += x[:, source].T @ g[:, t]
+    tensors = [Tensor(a, requires_grad=True) for a in (x, kernel, bias)]
+    out = conv1d_temporal(*tensors)
+    assert np.allclose(out.data, want, rtol=0, atol=1e-12)
     out.backward(g)
-    assert np.allclose(tensor.grad, want_grad, rtol=0, atol=1e-12)
+    for tensor, grad in zip(tensors, (want_x, want_kernel, g.sum(axis=(0, 1)))):
+        assert np.allclose(tensor.grad, grad, rtol=0, atol=1e-12)
     with pytest.raises(DimensionError):
-        unfold_time(Tensor(np.ones(4)), k)
+        conv1d_temporal(Tensor(np.ones(4)), Tensor(kernel))
+    with pytest.raises(DimensionError):
+        conv1d_temporal(Tensor(x), Tensor(kernel), Tensor(np.ones(3)))
 
 
-def test_softmax_values_and_gradients():
-    _check_op(lambda a: softmax(a), (4, 5))
-    rng = np.random.default_rng(3)
-    s = softmax(Tensor(rng.normal(size=(6, 7)) * 30))  # large logits stay stable
-    assert np.allclose(s.data.sum(axis=-1), 1.0, atol=1e-12)
-    assert np.all(s.data >= 0)
+def _kept_arrays(node):
+    """The arrays a node's backward closure holds, directly or in a tuple."""
+    kept = [cell.cell_contents for cell in node.backward.__closure__ or ()]
+    kept += [item for value in kept if isinstance(value, tuple) for item in value]
+    return [value for value in kept if isinstance(value, np.ndarray)]
 
 
-def test_softmax_mask_zeroes_entries():
-    rng = np.random.default_rng(4)
-    scores = rng.normal(size=(2, 3, 3))
-    mask = np.triu(np.ones((3, 3), dtype=bool), k=1)
-    s = softmax(Tensor(scores), mask=mask)
-    assert np.all(s.data[..., mask] == 0.0)
-    assert np.allclose(s.data.sum(axis=-1), 1.0, atol=1e-12)
-    with pytest.raises(ConfigError):
-        softmax(Tensor(scores), mask=np.ones((3, 3), dtype=bool))
+def test_temporal_conv_keeps_x_not_its_unfolding(monkeypatch):
+    unfoldings = []
+    unfold = autodiff._unfold_time
+
+    def recorded(x, blocks, width):
+        out = unfold(x, blocks, width)
+        unfoldings.append(weakref.ref(out))
+        return out
+    monkeypatch.setattr(autodiff, "_unfold_time", recorded)
+    rng = np.random.default_rng(12)
+    x, kernel, bias = (Tensor(rng.normal(size=shape), requires_grad=True)
+                       for shape in ((2, 6, 3), (3, 3, 4), (4,)))
+    out = conv1d_temporal(x, kernel, bias)
+    # the graph lives, and the (2, 6, 9) unfolding is gone already
+    assert len(unfoldings) == 1 and unfoldings[0]() is None
+    kept = _kept_arrays(out._node)
+    assert any(a is x.data for a in kept)
+    assert all(a.shape[-1] != 9 for a in kept)
+    out.backward(rng.normal(size=out.shape))
+    assert len(unfoldings) == 2 and unfoldings[1]() is None
 
 
-def test_masked_softmax_gradients():
-    mask = np.triu(np.ones((4, 4), dtype=bool), k=1)
-    _check_op(lambda a: softmax(a, mask=mask), (2, 4, 4))
+def test_route_sum_matches_stacked_ops_and_keeps_no_mask():
+    # sum over c of psi_c * relu(stack_c @ x), against the broadcast ops
+    rng = np.random.default_rng(13)
+    stack = rng.normal(size=(3, 4, 4))
+    arrays = [rng.normal(size=(2, 5, 4, 3)), rng.uniform(0.2, 1.0, size=3)]
+
+    def by_ops(x, psi):
+        routes = relu(matmul(Tensor(stack.reshape(3, 1, 1, 4, 4)), x))
+        return sum_(mul(routes, reshape(psi, (3, 1, 1, 1, 1))), axis=0)
+    for trainable in ({0}, {1}, {0, 1}):
+        _compare_to_ops(lambda x, psi: relu_routes(stack, x, psi), by_ops,
+                        arrays, trainable)
+    x, psi = (Tensor(a, requires_grad=True) for a in arrays)
+    out = relu_routes(stack, x, psi)
+    kept = _kept_arrays(out._node)
+    # the rectified routes, not a copy beside a bool mask
+    assert not any(a.dtype == bool for a in kept)
+    assert sum(a.nbytes for a in kept if a.ndim == 5) == 3 * x.data.nbytes
+    _check_op(lambda x, psi: relu_routes(stack, x, psi), (2, 4, 3), (3,), offset=0.5)
+    with no_grad():
+        assert relu_routes(stack, x, psi)._node is None
+    with pytest.raises(DimensionError):
+        relu_routes(stack, x, Tensor(np.ones(2)))
+    with pytest.raises(DimensionError):
+        relu_routes(stack, Tensor(np.ones((2, 3, 3))), psi)
 
 
 # (L_q, L_k, mask): square, rectangular, causal and a rectangular mask that
@@ -302,6 +346,89 @@ def test_head_split_attention_checks():
     with pytest.raises(DimensionError):   # no position axis
         attention(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))),
                   Tensor(np.ones((2, 4))), 1.0, heads=2)
+
+
+def _attention_outputs(arrays, trainable, seed_grad, **kwargs):
+    """The output of one attention call and the gradients of its trainable
+    operands."""
+    tensors = [Tensor(a, requires_grad=(i in trainable)) for i, a in enumerate(arrays)]
+    out = attention(*tensors, 0.4, **kwargs)
+    out.backward(seed_grad)
+    return [out.data] + [t.grad for t in tensors if t.requires_grad]
+
+
+_CAUSAL6 = np.triu(np.ones((6, 6), dtype=bool), k=1)
+
+# (heads, mask, rowwise): the graph layer's plain core, the encoder's headed
+# core, and masked and rowwise cores as the decoder runs them
+_CORES = [(None, None, False), (2, None, False), (2, _CAUSAL6, False),
+          (2, _CAUSAL6, True), (None, _CAUSAL6, True)]
+
+
+@pytest.mark.parametrize("block_bytes", [1, 700, 2000])
+@pytest.mark.parametrize("heads, mask, rowwise", _CORES)
+def test_blocked_attention_is_bit_equal_to_one_block(monkeypatch, block_bytes,
+                                                     heads, mask, rowwise):
+    # 6 x 6 score slices of 288 bytes, 30 of them: blocks of one slice, of
+    # one position's two heads (or two rows) and of several positions
+    rng = np.random.default_rng(block_bytes)
+    shape = (3, 6, 5, 4) if heads else (3, 5, 6, 4)
+    arrays = [rng.normal(size=shape) for _ in range(3)]
+    seed_grad = rng.normal(size=shape)
+    counts = []
+    blocks = autodiff._blocks
+
+    def counted(lead, slice_bytes):
+        found = blocks(lead, slice_bytes)
+        counts.append(len(found))
+        return found
+    monkeypatch.setattr(autodiff, "_blocks", counted)
+    for trainable in ({0}, {1}, {2}, {0, 1, 2}):
+        runs = []
+        for size in (1 << 40, block_bytes):
+            monkeypatch.setattr(autodiff, "_BLOCK_BYTES", size)
+            runs.append([a.tobytes() for a in _attention_outputs(
+                arrays, trainable, seed_grad, heads=heads, mask=mask, rowwise=rowwise)])
+        assert runs[0] == runs[1]
+    assert set(counts[::2]) == {1} and min(counts[1::2]) >= 3
+
+
+def test_blocked_attention_under_no_grad_keeps_no_full_weights(monkeypatch):
+    rng = np.random.default_rng(14)
+    arrays = [rng.normal(size=(8, 64, 2)) for _ in range(3)]
+    weights_bytes = 8 * 64 * 64 * 8
+    # one 64 x 64 slice per block, eight blocks
+    monkeypatch.setattr(autodiff, "_BLOCK_BYTES", 64 * 64 * 8)
+
+    def peak_bytes():
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        tracemalloc.start()
+        try:
+            out = attention(*tensors, 0.5)
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+    with no_grad():
+        peak, out = peak_bytes()
+    assert peak < weights_bytes / 2
+    # building a graph keeps them, which the measurement sees
+    peak, graphed = peak_bytes()
+    assert peak >= weights_bytes
+    assert np.array_equal(out.data, graphed.data)
+
+
+@pytest.mark.parametrize("shapes", [[(5, 4), (6, 4), (6, 3)],
+                                    [(2, 3, 5, 4), (1, 3, 6, 4), (3, 6, 3)]])
+def test_attention_on_unshared_leading_axes_runs_as_one_block(monkeypatch, shapes):
+    # no leading axes at all, and keys and values broadcast over the
+    # queries' leading axes: neither can be blocked, and both run whole
+    monkeypatch.setattr(autodiff, "_BLOCK_BYTES", 1)
+    rng = np.random.default_rng(len(shapes[0]))
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    for trainable in ({0}, {1}, {2}, {0, 1, 2}):
+        _compare_to_ops(lambda q, k, v: attention(q, k, v, 0.5),
+                        lambda q, k, v: attention_by_ops(q, k, v, 0.5),
+                        arrays, trainable)
 
 
 @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 5, 4)])
@@ -517,11 +644,6 @@ def test_xavier_uniform_bounds():
 _REPO = Path(__file__).resolve().parent.parent
 _LIBRARY = _REPO / "src" / "corrstn"
 
-# Public names nothing outside the tests uses. softmax stays because
-# tests/oracles.attention_by_ops builds the op-by-op reference for the fused
-# attention node from it.
-_ORACLE_ONLY_OPS = {"softmax"}
-
 
 def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     """Every name a module reads, bare or as `<something>.<name>`, outside
@@ -573,6 +695,7 @@ def test_every_public_op_has_a_library_caller():
                 # the defining module counts only outside the definition
                 if member.name not in elsewhere | _references(trees[path], member):
                     unused.add(member.name)
-    assert {"unfold_time", "pairwise_mic", "CIGNN", "keys_values", "forecast"} <= defined
+    assert {"conv1d_temporal", "relu_routes", "pairwise_mic", "CIGNN",
+            "keys_values", "forecast"} <= defined
     assert {"matmul", "attention"} <= set().union(*refs.values())
-    assert unused == _ORACLE_ONLY_OPS
+    assert unused == set()

@@ -241,6 +241,40 @@ def test_forecast_matches_prefix_rollout_across_chunks():
     assert np.array_equal(model.forecast(enc, chunk=2), _prefix_rollout(model, enc))
 
 
+def test_blocked_attention_cores_leave_the_model_bits_unchanged(monkeypatch):
+    # every attention core of a qk_conv, 3-attribute model runs in blocks
+    # of one or two score slices: the graph layers' plain core, the
+    # encoder's headed core and the decoder's masked and unmasked rowwise
+    # cores, in training and in the rollout
+    cfg, model = _tiny_model(seed=41, n=4, c=3, qk_conv=True, dropout=0.1)
+    rng = np.random.default_rng(42)
+    enc = rng.normal(size=(3, cfg.encoder_length, 4, 3))
+    dec = rng.normal(size=(3, 12, 4, 3))
+    target = rng.normal(size=(3, 12, 4, 1))
+    counts = []
+    blocks = autodiff._blocks
+
+    def counted(lead, slice_bytes):
+        found = blocks(lead, slice_bytes)
+        counts.append(len(found))
+        return found
+    monkeypatch.setattr(autodiff, "_blocks", counted)
+
+    def run(block_bytes):
+        monkeypatch.setattr(autodiff, "_BLOCK_BYTES", block_bytes)
+        counts.clear()
+        model.zero_grad()
+        pred = model.forward(enc, dec, rng=np.random.default_rng(43))
+        mae_loss(pred, target).backward()
+        bits = [pred.data.tobytes()] + [p.grad.tobytes() for p in model.parameters()]
+        return bits + [model.forecast(enc).tobytes()], list(counts)
+    whole, whole_counts = run(1 << 40)
+    blocked, blocked_counts = run(200)
+    assert set(whole_counts) == {1} and min(blocked_counts) >= 3
+    assert len(blocked_counts) == len(whole_counts) > 30
+    assert blocked == whole
+
+
 @pytest.mark.parametrize("overrides", [{}, _ALL_PERIODS], ids=["tiny", "all-periods"])
 def test_decoder_rows_do_not_depend_on_prefix_length(overrides):
     cfg, model = _tiny_model(seed=31, **overrides)

@@ -336,8 +336,8 @@ def test_temporal_conv_node_count_does_not_grow_with_kernel():
     rng = np.random.default_rng(23)
     x = Tensor(rng.normal(size=(2, 6, 4)), requires_grad=True)
     counts = [len(graph_nodes(TemporalConv(k, 4, rng)(x))) for k in (3, 5)]
-    # unfold, kernel reshape, fused linear
-    assert counts == [3, 3]
+    # the convolution is one node
+    assert counts == [1, 1]
 
 
 def test_cignn_node_count_does_not_grow_with_attributes():
@@ -347,9 +347,9 @@ def test_cignn_node_count_does_not_grow_with_attributes():
     z = Tensor(rng.normal(size=(2, n, d)), requires_grad=True)
     counts = [len(graph_nodes(CIGNN(d, _random_scorr(n, c, seed=c), adj, rng)(z)))
               for c in (1, 2, 3)]
-    # z @ W, attention; the stacked routes' matmul, relu, psi reshape, mul
-    # and sum; the structural matmul, relu and mul; the final add
-    assert counts == [11, 11, 11]
+    # z @ W, attention; the one node of the C correlation routes; the
+    # structural matmul, relu and mul; the final add
+    assert counts == [7, 7, 7]
 
 
 def test_out_of_range_topu_index_fails_when_the_matrix_is_built():
