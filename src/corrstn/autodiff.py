@@ -13,7 +13,9 @@ need a gradient. An intermediate output that no backward reads is therefore
 freed as soon as the forward code drops its tensor, while the graph lives on.
 A fused node's transients (the temporal unfolding, a route's relu mask, a
 block's attention scores) are never kept: backward rebuilds them from what
-the node keeps.
+the node keeps. The attention core keeps its softmax weights only in its
+rowwise form; otherwise it keeps each weights row's max and sum, and
+backward rebuilds the weights from q and k with the forward's bits.
 backward() walks a topological order once and accumulates each closure's
 gradients into the parent nodes. Only the root and the leaves keep .grad
 afterwards: each inner node's gradient is dropped as soon as its own backward
@@ -469,16 +471,26 @@ def relu_routes(stack: np.ndarray, x: Tensor, weights: Tensor) -> Tensor:
     return _result(out, (x, weights), backward)
 
 
-def _masked_softmax(z: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+def _masked_softmax(z: np.ndarray, mask: np.ndarray | None,
+                    stats: tuple | None = None) -> tuple:
     """Softmax of z along its last axis, computed in place in z, which the
     caller owns; True entries of mask, which broadcasts against z, get
-    probability exactly 0."""
+    probability exactly 0. Returns each row's max and sum of exponentials,
+    shape (..., 1). Given the stats an earlier call returned for the same
+    scores, it uses them instead of reducing, and so gives that call's
+    weights bit for bit."""
     if mask is not None:
         np.copyto(z, -np.inf, where=mask)
-    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    if stats is None:
+        top = np.maximum.reduce(z, axis=-1, keepdims=True)
+    else:
+        top, total = stats
+    z -= top
     np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=-1, keepdims=True)
-    return z
+    if stats is None:
+        total = np.add.reduce(z, axis=-1, keepdims=True)
+    z /= total
+    return top, total
 
 
 def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
@@ -550,16 +562,36 @@ def _blocks(lead: tuple, slice_bytes: int) -> list:
     return _ONE_BLOCK
 
 
-def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
-            mask: np.ndarray | None, rowwise: bool, p: np.ndarray | None = None,
-            out: np.ndarray | None = None) -> tuple:
-    """Weights softmax(q kt * scale), computed in place in the scores, and
-    their product with v, for one block of the core; written into p and out
-    when given."""
+def _weights(q: np.ndarray, kt: np.ndarray, scale: float, mask: np.ndarray | None,
+             rowwise: bool, p: np.ndarray | None = None,
+             stats: tuple | None = None) -> tuple:
+    """Weights softmax(q kt * scale) of one block of the core, computed in
+    place in the scores (written into p when given), then each row's max and
+    sum of exponentials. Given the stats of the forward that made the
+    weights, the same q and kt rebuild those weights bit for bit."""
     p = _product(q, kt, rowwise, p)
     p *= scale
-    _masked_softmax(p, mask)
+    return (p,) + _masked_softmax(p, mask, stats)
+
+
+def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
+            mask: np.ndarray | None, rowwise: bool, p: np.ndarray | None = None,
+            out: np.ndarray | None = None, stats: tuple | None = None) -> tuple:
+    """The weights of one block of the core and their product with v;
+    written into p and out when given. Each weights row's max and sum are
+    written into the pair of arrays stats when given, and are dropped with
+    the block otherwise."""
+    p, *rows = _weights(q, kt, scale, mask, rowwise, p)
+    if stats is not None:
+        for kept, row in zip(stats, rows):
+            kept[...] = row
     return p, _product(p, v, rowwise, out)
+
+
+def _keys(ks: np.ndarray, index: tuple, contiguous: bool) -> np.ndarray:
+    """The transposed keys of one block, as a contiguous copy if asked."""
+    kt = ks[index].swapaxes(-1, -2)
+    return np.ascontiguousarray(kt) if contiguous else kt
 
 
 def _attend_backward(p: np.ndarray, g: np.ndarray, q, k, v, scale: float,
@@ -587,8 +619,12 @@ def _attend_backward(p: np.ndarray, g: np.ndarray, q, k, v, scale: float,
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
               heads: int | None = None, mask: np.ndarray | None = None,
               rowwise: bool = False) -> Tensor:
-    """softmax(q k^T * scale) v as one node that keeps only the weights,
-    and only when it builds a graph, and the operands its gradients read.
+    """softmax(q k^T * scale) v as one node. When it builds a graph it keeps
+    the operands its gradients read, q and k, and each weights row's softmax
+    max and sum, shape (..., L_q, 1), never the (L_q, L_k) weights: backward
+    rebuilds each block's weights from q and k through the forward's own
+    steps, so they have the forward's bits. The rowwise core keeps its
+    weights instead. Under `no_grad` it keeps nothing.
 
     Without heads, q is (..., L_q, d), k (..., L_k, d) and v (..., L_k, d_v),
     and attention runs over axis -2. With heads, the operands are
@@ -634,23 +670,36 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     blocks = _ONE_BLOCK
     if ks.shape[:-2] == lead == vs.shape[:-2]:
         blocks = _blocks(lead, 8 * qs.shape[-2] * ks.shape[-2])
+    contiguous = heads is not None and not rowwise and blocks is not _ONE_BLOCK
+    keep = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    # one entry per query row of the (broadcast) scores
+    row_shape = np.broadcast_shapes(lead, ks.shape[:-2]) + (qs.shape[-2], 1)
+    stats = (np.empty(row_shape), np.empty(row_shape)) if keep and not rowwise else None
     if blocks is _ONE_BLOCK:
-        p, out = _attend(qs, ks.swapaxes(-1, -2), vs, scale, mask, rowwise)
+        p, out = _attend(qs, _keys(ks, (), contiguous), vs, scale, mask, rowwise,
+                         stats=stats)
         out = _merge_heads(out, heads)
         # the gradients' shapes before their heads are merged
         shapes = (qs.shape, ks.shape, vs.shape)
     else:
         shapes = (q.shape, k.shape, v.shape)
-        keep = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
-        p = np.empty(lead + (qs.shape[-2], ks.shape[-2])) if keep else None
+        p = np.empty(row_shape[:-1] + (ks.shape[-2],)) if keep and rowwise else None
         out = np.empty(q.shape[:-1] + (v.shape[-1],))
         out_split = _split_heads(out, heads)
         for index in blocks:
-            kt = ks[index].swapaxes(-1, -2)
-            if heads is not None and not rowwise:
-                kt = np.ascontiguousarray(kt)
-            _attend(qs[index], kt, vs[index], scale, mask, rowwise,
-                    None if p is None else p[index], out_split[index])
+            _attend(qs[index], _keys(ks, index, contiguous), vs[index], scale, mask,
+                    rowwise, None if p is None else p[index], out_split[index],
+                    None if stats is None else (stats[0][index], stats[1][index]))
+    # The rowwise core keeps its weights: rebuilding them costs one
+    # (1, d) @ (d, L_k) product per row again. For the pems08 preset's
+    # cross-attention at N=96 (12 query rows, 36 keys, 8 heads, B=1) that
+    # took the node's forward plus backward from 11.7 to 19.5 ms (median of
+    # 15, one OpenBLAS thread) to save 2.65 MB. The other cores keep q, k
+    # and the row stats, and rebuild their weights in backward.
+    if rowwise:
+        rebuild = None
+    else:
+        p, rebuild = None, (qs, ks, stats)
     # v's gradient reads the weights; q's reads k and v, k's reads q and v.
     # The split views keep the operands' own arrays, never a second copy.
     need_v = v.requires_grad
@@ -658,10 +707,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     k_data = ks if q.requires_grad else None
     v_data = vs if q.requires_grad or k.requires_grad else None
 
+    def weights(index):
+        if rebuild is None:
+            return p[index]
+        q_all, k_all, (top, total) = rebuild
+        return _weights(q_all[index], _keys(k_all, index, contiguous), scale, mask,
+                        False, stats=(top[index], total[index]))[0]
+
     def backward(g):
         g = _split_heads(g, heads)
         if blocks is _ONE_BLOCK:
-            grads = _attend_backward(p, g, q_data, k_data, v_data, scale, need_v)
+            grads = _attend_backward(weights(()), g, q_data, k_data, v_data, scale,
+                                     need_v)
             return tuple(None if grad is None
                          else _merge_heads(_unbroadcast(grad, shape), heads)
                          for grad, shape in zip(grads, shapes))
@@ -671,7 +728,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
                       for shape, need in zip(shapes, needs))
         splits = [None if grad is None else _split_heads(grad, heads) for grad in grads]
         for index in blocks:
-            _attend_backward(p[index], g[index],
+            _attend_backward(weights(index), g[index],
                              *(None if t is None else t[index]
                                for t in (q_data, k_data, v_data)), scale, need_v,
                              tuple(None if t is None else t[index] for t in splits))

@@ -57,9 +57,15 @@ class MicStats:
         """Count a batch: (P, 2) winning shapes and (P,) degenerate flags."""
         self.scored += int(degenerate.size)
         self.degenerate += int(degenerate.sum())
-        won, counts = np.unique(grids[~degenerate], axis=0, return_counts=True)
-        for (a, b), count in zip(won.tolist(), counts.tolist()):
-            self.grid_shapes[(a, b)] += count
+        live = grids[~degenerate]
+        if not live.size:
+            return
+        # one integer code a * width + b per shape: a bincount of codes is
+        # far cheaper than np.unique over (P, 2) rows
+        width = int(live[:, 1].max()) + 1
+        counts = np.bincount(live[:, 0] * width + live[:, 1])
+        for code in np.flatnonzero(counts).tolist():
+            self.grid_shapes[divmod(code, width)] += int(counts[code])
 
     def to_dict(self, unit: str) -> dict:
         """Manifest form; `unit` names what was scored (pairs, windows)."""

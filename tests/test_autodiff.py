@@ -393,28 +393,76 @@ def test_blocked_attention_is_bit_equal_to_one_block(monkeypatch, block_bytes,
     assert set(counts[::2]) == {1} and min(counts[1::2]) >= 3
 
 
+@pytest.mark.parametrize("block_bytes", [1, 700, 1 << 40])
+@pytest.mark.parametrize("heads, mask, rowwise", _CORES)
+def test_attention_gradients_match_backward_on_the_forward_weights(
+        monkeypatch, block_bytes, heads, mask, rowwise):
+    # whether the node keeps its weights or rebuilds them, its gradients are
+    # those of the whole core's backward run on the weights the forward made
+    rng = np.random.default_rng(block_bytes % 1000)
+    shape = (3, 6, 5, 4) if heads else (3, 5, 6, 4)
+    arrays = [rng.normal(size=shape) for _ in range(3)]
+    seed_grad = rng.normal(size=shape)
+    monkeypatch.setattr(autodiff, "_BLOCK_BYTES", block_bytes)
+    indices, made = [], []
+    blocks, attend = autodiff._blocks, autodiff._attend
+
+    def recorded_blocks(lead, slice_bytes):
+        found = blocks(lead, slice_bytes)
+        indices[:] = found
+        return found
+
+    def recorded_attend(*args, **kwargs):
+        p, out = attend(*args, **kwargs)
+        made.append(p.copy())
+        return p, out
+    monkeypatch.setattr(autodiff, "_blocks", recorded_blocks)
+    monkeypatch.setattr(autodiff, "_attend", recorded_attend)
+    q, k, v = (autodiff._split_heads(a, heads) for a in arrays)
+    for trainable in ({0}, {1}, {2}, {0, 1, 2}):
+        made.clear()
+        got = _attention_outputs(arrays, trainable, seed_grad, heads=heads,
+                                 mask=mask, rowwise=rowwise)[1:]
+        assert len(made) == len(indices)
+        assert (len(indices) == 1) == (block_bytes == 1 << 40)
+        weights = np.empty(q.shape[:-1] + (k.shape[-2],))
+        for index, block in zip(indices, made):
+            weights[index] = block
+        want = autodiff._attend_backward(
+            weights, autodiff._split_heads(seed_grad, heads),
+            q if 1 in trainable else None, k if 0 in trainable else None,
+            v if trainable & {0, 1} else None, 0.4, 2 in trainable)
+        assert [g.tobytes() for g in got] == [
+            autodiff._merge_heads(w, heads).tobytes() for w in want if w is not None]
+
+
 def test_blocked_attention_under_no_grad_keeps_no_full_weights(monkeypatch):
     rng = np.random.default_rng(14)
     arrays = [rng.normal(size=(8, 64, 2)) for _ in range(3)]
+    # position-major, two heads of one position: eight 64 x 64 slices too
+    headed = [rng.normal(size=(4, 64, 1, 4)) for _ in range(3)]
     weights_bytes = 8 * 64 * 64 * 8
     # one 64 x 64 slice per block, eight blocks
     monkeypatch.setattr(autodiff, "_BLOCK_BYTES", 64 * 64 * 8)
 
-    def peak_bytes():
+    def peak_bytes(arrays, **kwargs):
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
         tracemalloc.start()
         try:
-            out = attention(*tensors, 0.5)
+            out = attention(*tensors, 0.5, **kwargs)
             return tracemalloc.get_traced_memory()[1], out
         finally:
             tracemalloc.stop()
     with no_grad():
-        peak, out = peak_bytes()
+        peak, out = peak_bytes(arrays)
     assert peak < weights_bytes / 2
-    # building a graph keeps them, which the measurement sees
-    peak, graphed = peak_bytes()
-    assert peak >= weights_bytes
+    # building a graph, the plain and headed cores keep each weights row's
+    # max and sum, not the weights; the rowwise core keeps its weights
+    peak, graphed = peak_bytes(arrays)
+    assert peak < weights_bytes / 2
     assert np.array_equal(out.data, graphed.data)
+    assert peak_bytes(headed, heads=2)[0] < weights_bytes / 2
+    assert peak_bytes(arrays, rowwise=True)[0] >= weights_bytes
 
 
 @pytest.mark.parametrize("shapes", [[(5, 4), (6, 4), (6, 3)],

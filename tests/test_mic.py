@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -155,6 +156,37 @@ def test_pairwise_mic_stack_equals_per_slice_calls(workers):
         assert np.array_equal(got[:, :, s], want)
     assert stack_stats == slice_stats
     assert (stack_stats.scored, stack_stats.degenerate) == (30, 4)
+
+
+def _unique_row_count(grids, degenerate):
+    """The grid-shape count as np.unique over the live (P, 2) rows."""
+    won, counts = np.unique(grids[~degenerate], axis=0, return_counts=True)
+    return Counter({(a, b): n for (a, b), n in zip(won.tolist(), counts.tolist())})
+
+
+def test_stats_count_shapes_as_unique_rows():
+    # winners of a scored batch with degenerate pairs (shape (0, 0)) among
+    # them, then shapes far apart on both sides, then a degenerate-only batch
+    rng = np.random.default_rng(61)
+    cols = rng.normal(size=(60, 8))
+    cols[:, 3] = 1.0                                   # zero variance
+    cols[:, 5] = np.round(cols[:, 0])                  # tied, dependent
+    i, j = np.triu_indices(8, 1)
+    _, scored, flat = _score(_GridSearch(60, DEFAULT_ETA), _profile(cols.T), i, j)
+    spread = rng.integers(2, 140, size=(500, 2))
+    spread[::7] = 0
+    batches = [(scored, flat), (spread, spread[:, 0] == 0),
+               (scored[flat], flat[flat])]
+    assert flat.any() and not flat.all()
+    stats, want = MicStats(), Counter()
+    for grids, degenerate in batches:
+        stats.add(grids, degenerate)
+        want += _unique_row_count(grids, degenerate)
+    assert stats.grid_shapes == want
+    assert all(type(a) is int and type(b) is int for a, b in stats.grid_shapes)
+    assert stats.scored == sum(d.size for _, d in batches)
+    assert stats.degenerate == sum(int(d.sum()) for _, d in batches)
+    assert sum(stats.grid_shapes.values()) == stats.scored - stats.degenerate
 
 
 @pytest.mark.parametrize("m", [3, 4, 12, 97, 3001])

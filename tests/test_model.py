@@ -275,6 +275,54 @@ def test_blocked_attention_cores_leave_the_model_bits_unchanged(monkeypatch):
     assert blocked == whole
 
 
+def _held_arrays(fn):
+    """Every array a closure holds, through tuples, lists and the closures
+    of the functions it holds."""
+    arrays, stack, seen = [], [fn], set()
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, (tuple, list)):
+            stack.extend(value)
+        elif getattr(value, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in value.__closure__)
+    return arrays
+
+
+def test_training_graph_keeps_no_weights_of_the_non_rowwise_cores(monkeypatch):
+    # the graph layers' plain core and the encoder's headed core keep no
+    # (L_q, L_k) array, nor a view of one; the decoder's rowwise cores do
+    cfg, model = _tiny_model(seed=51, n=4, c=3, qk_conv=True, dropout=0.1)
+    rng = np.random.default_rng(52)
+    enc = rng.normal(size=(2, cfg.encoder_length, 4, 3))
+    dec = rng.normal(size=(2, 12, 4, 3))
+    cores = []
+    attention = autodiff.attention
+
+    def recorded(q, k, v, scale, heads=None, mask=None, rowwise=False):
+        out = attention(q, k, v, scale, heads=heads, mask=mask, rowwise=rowwise)
+        axis = -2 if heads is None else -3
+        cores.append((out._node, rowwise, (q.shape[axis], k.shape[axis])))
+        return out
+    monkeypatch.setattr(autodiff, "attention", recorded)
+    pred = model.forward(enc, dec, rng=np.random.default_rng(53))
+    kept = {False: 0, True: 0}
+    for node, rowwise, scores in cores:
+        arrays = _held_arrays(node.backward)
+        weights = [a for a in arrays + [a.base for a in arrays if a.base is not None]
+                   if a.dtype == np.float64 and a.shape[-2:] == scores]
+        kept[rowwise] += bool(weights)
+    # the encoder's headed core and both layers' graph cores
+    assert sum(not rowwise for _, rowwise, _ in cores) == 3
+    assert kept == {False: 0, True: sum(rowwise for _, rowwise, _ in cores)}
+    mae_loss(pred, np.zeros(pred.shape)).backward()
+    assert all(np.isfinite(p.grad).all() for p in model.parameters())
+
+
 @pytest.mark.parametrize("overrides", [{}, _ALL_PERIODS], ids=["tiny", "all-periods"])
 def test_decoder_rows_do_not_depend_on_prefix_length(overrides):
     cfg, model = _tiny_model(seed=31, **overrides)
