@@ -4,6 +4,13 @@ Assembled samples copy nothing from the series: decoder inputs and targets
 are read-only sliding-window views, and the encoder input (the period blocks
 side by side) is gathered per batch or chunk from the rows it is indexed with.
 
+Synthetic series are sums of seeded sines. By sin(w t + phi) =
+sin(w t) cos(phi) + cos(w t) sin(phi) they come from one (T, 2K) basis of
+the K harmonics shared by every series, times each series' 2K coefficients:
+one matrix product instead of a sine pass per harmonic and series. Values
+agree with the per-sine sum to within 1e-11 (rounding only), and the random
+draws keep the per-sine form's order: per series, its phases, then its noise.
+
 Binary series layout (.sttf): 'STTF', version u32, T u32, N u32, C u32,
 interval_minutes u32, then timestamp-major little-endian float64 values.
 """
@@ -11,6 +18,7 @@ interval_minutes u32, then timestamp-major little-endian float64 values.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -385,42 +393,74 @@ _DAILY_HARMONICS = (1, 2, 3, 5, 7, 11, 13, 23, 29, 41, 47)
 _WEEKLY_HARMONICS = (1, 3, 5, 9, 27, 81, 165, 243, 339, 453)
 
 
+# bytes of one row block's basis and product together; kept small so the
+# working space adds little to peak memory even when the series is small
+_SYNTH_BLOCK_BYTES = 1 << 17
+
+
 def generate_synthetic(n_sensors: int, weeks: int, daily_amplitude: float = 1.0,
                        weekly_amplitude: float = 0.0, noise_sigma: float = 0.1,
                        seed: int = 0, interval_minutes: int = 5,
                        n_attributes: int = 1, base: float = 10.0) -> TrafficDataset:
     """Ring-graph dataset whose dominant periodicity is controlled by the two
-    amplitudes. Deterministic for a given seed."""
-    if n_sensors < 1:
-        raise ConfigError(f"n_sensors must be >= 1, got {n_sensors}")
-    if weeks < 2:
-        raise ConfigError(f"need >= 2 weeks for a weekly lookback, got {weeks}")
+    amplitudes. Deterministic for a given seed.
+
+    Series (s, a) is base + sum_k scale * sin(w_k t + phi_k) + noise, with
+    scale = amplitude / sqrt(K) for each of the K daily (then weekly)
+    harmonics, skipped when its amplitude is 0. It is built through
+    sin(w t + phi) = sin(w t) cos(phi) + cos(w t) sin(phi): one shared
+    (T, 2K) basis of sin(w t) and cos(w t), made block by block over the
+    rows, times a (2K, N * C) matrix of scale * cos(phi) and scale * sin(phi).
+    This agrees with summing one sine per harmonic to within 1e-11 at a few
+    weeks, and is bit-equal to it when both amplitudes are 0.
+
+    Draw order: series by series (sensor-major, then attribute), each draws
+    its daily phases, then its weekly phases (one `uniform(0, 2 pi)` each),
+    then its T noise values (one `normal(0, noise_sigma, T)`, skipped when
+    noise_sigma is 0).
+    """
+    for name, value, low in (("n_sensors", n_sensors, 1), ("weeks", weeks, 2),
+                             ("interval_minutes", interval_minutes, 1),
+                             ("n_attributes", n_attributes, 1)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
     if 60 % interval_minutes != 0:
         raise ConfigError(f"interval_minutes must divide 60, got {interval_minutes}")
+    for name, value in (("daily_amplitude", daily_amplitude),
+                        ("weekly_amplitude", weekly_amplitude), ("base", base)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     per_day = 24 * 60 // interval_minutes
     per_week = 7 * per_day
     t_total = weeks * per_week
+    # per active harmonic: 2 pi k, its period in steps and its scale
+    two_pi_k, periods, scales = [], [], []
+    for amplitude, harmonics, period in (
+            (daily_amplitude, _DAILY_HARMONICS, per_day),
+            (weekly_amplitude, _WEEKLY_HARMONICS, per_week)):
+        if amplitude != 0.0:
+            ks = [k for k in harmonics if k <= period // 3]
+            two_pi_k += [2.0 * np.pi * k for k in ks]
+            periods += [period] * len(ks)
+            scales += [amplitude / np.sqrt(len(ks))] * len(ks)
+    # column s * C + a of out is series (s, a); noise lands in it as drawn
+    n_series = n_sensors * n_attributes
+    phases = np.empty((n_series, len(scales)))
+    noisy = noise_sigma > 0.0
+    out = (np.empty if noisy else np.zeros)((t_total, n_series))
     rng = np.random.default_rng(seed)
-    tt = np.arange(t_total, dtype=np.float64)
-    data = np.empty((t_total, n_sensors, n_attributes))
-    daily_ks = [k for k in _DAILY_HARMONICS if k <= per_day // 3]
-    weekly_ks = [k for k in _WEEKLY_HARMONICS if k <= per_week // 3]
-    for s in range(n_sensors):
-        for a in range(n_attributes):
-            wave = np.full(t_total, base)
-            if daily_amplitude != 0.0:
-                scale = daily_amplitude / np.sqrt(len(daily_ks))
-                for k in daily_ks:
-                    phase = rng.uniform(0.0, 2.0 * np.pi)
-                    wave = wave + scale * np.sin(2.0 * np.pi * k * tt / per_day + phase)
-            if weekly_amplitude != 0.0:
-                scale = weekly_amplitude / np.sqrt(len(weekly_ks))
-                for k in weekly_ks:
-                    phase = rng.uniform(0.0, 2.0 * np.pi)
-                    wave = wave + scale * np.sin(2.0 * np.pi * k * tt / per_week + phase)
-            if noise_sigma > 0.0:
-                wave = wave + rng.normal(0.0, noise_sigma, t_total)
-            data[:, s, a] = wave
+    for j in range(n_series):
+        phases[j] = [rng.uniform(0.0, 2.0 * np.pi) for _ in scales]
+        if noisy:
+            out[:, j] = rng.normal(0.0, noise_sigma, t_total)
+    coef = np.concatenate([scales * np.cos(phases), scales * np.sin(phases)], axis=1)
+    _add_waves(out, base, np.array(two_pi_k), np.array(periods, dtype=np.float64),
+               np.ascontiguousarray(coef.T))
+    data = out.reshape(t_total, n_sensors, n_attributes)
     adjacency = np.zeros((n_sensors, n_sensors))
     if n_sensors > 1:
         for i in range(n_sensors):
@@ -429,3 +469,23 @@ def generate_synthetic(n_sensors: int, weeks: int, daily_amplitude: float = 1.0,
     tensor = SpatioTemporalTensor(data, interval_minutes=interval_minutes)
     return TrafficDataset(tensor=tensor, adjacency=adjacency,
                           name=f"synthetic-{n_sensors}x{weeks}w-seed{seed}")
+
+
+def _add_waves(out, base, two_pi_k, periods, coef):
+    """Add base + basis @ coef to the (T, S) array out in place, one block
+    of rows at a time, where basis row t is [sin(w t), cos(w t)] with
+    w t = two_pi_k * t / periods, rounded as the per-sine form rounds it."""
+    t_total, n_series = out.shape
+    n_waves = two_pi_k.size
+    rows = min(t_total, max(1, _SYNTH_BLOCK_BYTES // (8 * (n_series + 2 * n_waves))))
+    basis = np.empty((rows, 2 * n_waves))
+    waves = np.empty((rows, n_series))
+    for r0 in range(0, t_total, rows):
+        n = min(rows, t_total - r0)
+        angles = np.multiply.outer(np.arange(r0, r0 + n, dtype=np.float64), two_pi_k)
+        angles /= periods
+        np.sin(angles, out=basis[:n, :n_waves])
+        np.cos(angles, out=basis[:n, n_waves:])
+        block = np.matmul(basis[:n], coef, out=waves[:n])
+        block += base
+        out[r0:r0 + n] += block

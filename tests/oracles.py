@@ -9,6 +9,9 @@ core from separate autodiff nodes (matmul, scale, a softmax node written here
 in numpy, matmul): it checks the fused attention node's hand-written backward
 against the chain rule the engine applies op by op, while the
 finite-difference checks test both.
+`synthetic_by_sines` is the synthetic generator as one sine pass per
+harmonic and series, the form `generate_synthetic` replaced with a shared
+basis; it takes the harmonic tables from the library.
 `graph_nodes` is not an oracle: it is the one autograph walk that the
 graph-structure tests share.
 """
@@ -19,6 +22,7 @@ import numpy as np
 
 from corrstn import autodiff as ad
 from corrstn import mic_full
+from corrstn.data import _DAILY_HARMONICS, _WEEKLY_HARMONICS
 
 
 def stable_ranks(values):
@@ -102,6 +106,37 @@ def encoder_by_gather(series, anchors, periods, offsets, horizon):
                   for p in periods]
         samples.append(np.concatenate(blocks))
     return np.stack(samples)
+
+
+def synthetic_by_sines(n_sensors, weeks, daily_amplitude=1.0,
+                       weekly_amplitude=0.0, noise_sigma=0.1, seed=0,
+                       interval_minutes=5, n_attributes=1, base=10.0):
+    """The (T, N, C) series of generate_synthetic, one np.sin per harmonic."""
+    per_day = 24 * 60 // interval_minutes
+    per_week = 7 * per_day
+    t_total = weeks * per_week
+    rng = np.random.default_rng(seed)
+    tt = np.arange(t_total, dtype=np.float64)
+    data = np.empty((t_total, n_sensors, n_attributes))
+    daily_ks = [k for k in _DAILY_HARMONICS if k <= per_day // 3]
+    weekly_ks = [k for k in _WEEKLY_HARMONICS if k <= per_week // 3]
+    for s in range(n_sensors):
+        for a in range(n_attributes):
+            wave = np.full(t_total, base)
+            if daily_amplitude != 0.0:
+                scale = daily_amplitude / np.sqrt(len(daily_ks))
+                for k in daily_ks:
+                    phase = rng.uniform(0.0, 2.0 * np.pi)
+                    wave = wave + scale * np.sin(2.0 * np.pi * k * tt / per_day + phase)
+            if weekly_amplitude != 0.0:
+                scale = weekly_amplitude / np.sqrt(len(weekly_ks))
+                for k in weekly_ks:
+                    phase = rng.uniform(0.0, 2.0 * np.pi)
+                    wave = wave + scale * np.sin(2.0 * np.pi * k * tt / per_week + phase)
+            if noise_sigma > 0.0:
+                wave = wave + rng.normal(0.0, noise_sigma, t_total)
+            data[:, s, a] = wave
+    return data
 
 
 def metrics_brute_force(pred, truth):

@@ -279,6 +279,19 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [
+    ["--interval", "0"], ["--interval", "-5"], ["--noise", "-0.1"],
+    ["--noise", "nan"], ["--attributes", "0"], ["--daily-amplitude", "inf"],
+    ["--weekly-amplitude", "nan"], ["--base", "nan"]])
+def test_synth_refuses_bad_arguments(tmp_path, capsys, extra):
+    out = tmp_path / "x.sttf"
+    rc = cli.main(["synth", "--out", str(out), "--sensors", "4", "--weeks", "2",
+                   *extra])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["scorr", "tcorr"])
 def test_non_finite_split_ratio_is_config_error(workdir, tmp_path, capsys,
                                                 command):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,7 @@ from corrstn import (SpatioTemporalTensor, assemble_samples, denormalize,
                      split_ranges)
 from corrstn.data import EncoderWindows, iterate_batches
 from corrstn.errors import ConfigError, DataError, DimensionError
-from oracles import encoder_by_gather
+from oracles import encoder_by_gather, synthetic_by_sines
 
 
 def _tensor(t=40, n=3, c=2, seed=0):
@@ -291,3 +293,59 @@ def test_synthetic_daily_signal_dominates():
     offset_corr = np.corrcoef(series[:-(day // 2)], series[day // 2:])[0, 1]
     assert daily_corr > 0.9
     assert daily_corr > offset_corr + 0.3
+
+
+# N, C and weeks cycle through the amplitude, noise and interval cases so
+# that each size, attribute count and length meets both noise settings
+_SYNTH_CASES = [
+    dict(n_sensors=(1, 16, 3, 7, 12)[i % 5], n_attributes=1 + i % 3,
+         weeks=2 + i // 2 % 2, interval_minutes=interval,
+         daily_amplitude=daily, weekly_amplitude=weekly, noise_sigma=noise,
+         seed=100 + i)
+    for i, (interval, (daily, weekly), noise) in enumerate(itertools.product(
+        (5, 15, 30), ((0.0, 0.0), (1.0, 0.0), (0.0, 0.7), (1.3, 0.6)), (0.0, 0.2)))]
+
+
+@pytest.mark.parametrize("kwargs", _SYNTH_CASES,
+                         ids=lambda k: "-".join(str(v) for v in k.values()))
+def test_synthetic_matches_the_per_sine_oracle(kwargs):
+    got = generate_synthetic(**kwargs).tensor.data
+    want = synthetic_by_sines(**kwargs)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-11
+    if kwargs["daily_amplitude"] == kwargs["weekly_amplitude"] == 0.0:
+        # noise only (or base only): no rounding to differ by
+        assert got.tobytes() == want.tobytes()
+
+
+def test_synthetic_same_seed_gives_equal_bytes():
+    kwargs = dict(n_sensors=6, weeks=3, weekly_amplitude=0.5, seed=17,
+                  n_attributes=3, interval_minutes=15)
+    first = generate_synthetic(**kwargs).tensor.data
+    assert first.tobytes() == generate_synthetic(**kwargs).tensor.data.tobytes()
+
+
+def test_synthetic_peak_memory_is_the_output_plus_a_block():
+    kwargs = dict(n_sensors=96, weeks=3, weekly_amplitude=0.5, seed=1,
+                  n_attributes=3)
+    tracemalloc.start()
+    try:
+        data = generate_synthetic(**kwargs).tensor.data
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= data.nbytes + 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("bad", [
+    dict(interval_minutes=0), dict(interval_minutes=-5),
+    dict(interval_minutes=7), dict(noise_sigma=-0.1),
+    dict(noise_sigma=math.nan), dict(n_attributes=0), dict(n_sensors=0),
+    dict(weeks=2.5), dict(weeks=True), dict(daily_amplitude=math.inf),
+    dict(weekly_amplitude=math.nan), dict(base=-math.inf)])
+def test_synthetic_refuses_bad_arguments_before_drawing(bad, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking the arguments")
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ConfigError):
+        generate_synthetic(**{"n_sensors": 3, "weeks": 2, **bad})
