@@ -4,18 +4,20 @@ Only what the forecaster needs: broadcasted arithmetic, batched matmul,
 the fused linear (matmul and bias add in one node), relu/abs, layer norm
 (fused, last axis), the fused attention core (plain or row-independent, with
 any head split done on views inside the node, run over blocks of its leading
-axes), the graph layer's rectified route sum, reductions, shape ops, the
-temporal convolution, and dropout.
+axes), the graph layer's rectified route sum (its correlation routes and its
+structural route in one node), reductions, shape ops, the temporal
+convolution, and dropout.
 Graphs are built eagerly. A graph vertex is a `_Node` (parent nodes, backward
 closure, gradient), apart from the `Tensor` that holds the op's output, and
 each closure keeps only the arrays its backward reads, for the operands that
 need a gradient. An intermediate output that no backward reads is therefore
 freed as soon as the forward code drops its tensor, while the graph lives on.
-A fused node's transients (the temporal unfolding, a route's relu mask, a
-block's attention scores) are never kept: backward rebuilds them from what
-the node keeps. The attention core keeps its softmax weights only in its
-rowwise form; otherwise it keeps each weights row's max and sum, and
-backward rebuilds the weights from q and k with the forward's bits.
+A fused node's transients (the temporal unfolding, the graph routes and
+their relu masks, a block's attention scores) are never kept: backward
+rebuilds them from what the node keeps. The attention core keeps its
+softmax weights only in its rowwise form; otherwise it keeps each weights
+row's max and sum, and backward rebuilds the weights from q and k with the
+forward's bits.
 backward() walks a topological order once and accumulates each closure's
 gradients into the parent nodes. Only the root and the leaves keep .grad
 afterwards: each inner node's gradient is dropped as soon as its own backward
@@ -189,18 +191,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         return (None if a_shape is None else _unbroadcast(g, a_shape),
                 None if b_shape is None else _unbroadcast(-g, b_shape))
     return _result(a.data - b.data, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    # each factor's gradient reads the other factor
-    a_shape, b_shape = a.shape, b.shape
-    a_data = a.data if b.requires_grad else None
-    b_data = b.data if a.requires_grad else None
-
-    def backward(g):
-        return (None if b_data is None else _unbroadcast(g * b_data, a_shape),
-                None if a_data is None else _unbroadcast(g * a_data, b_shape))
-    return _result(a.data * b.data, (a, b), backward)
 
 
 def mul_scalar(a: Tensor, s: float) -> Tensor:
@@ -383,8 +373,10 @@ def conv1d_temporal(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Te
     offset. The k centred, zero-padded windows are unfolded side by side
     (block o of row t is row t + o - (k-1)//2 of x) and multiplied by the
     kernel reshaped to (k * d_in, d_out) in one GEMM. The node keeps x, not
-    its k times wider unfolding: backward unfolds x again for the kernel's
-    gradient and folds x's gradient back block by block.
+    its k times wider unfolding, and backward makes nothing that wide: it
+    folds one product per offset into x's gradient, and unfolds x one
+    offset's window at a time for that block of the kernel's gradient, with
+    the bits of the whole unfolding's GEMMs.
     """
     if x.ndim < 2:
         raise DimensionError(f"need (..., T, d), got {x.shape}")
@@ -411,14 +403,21 @@ def conv1d_temporal(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Te
     def backward(g):
         gx = gk = gb = None
         if w_data is not None:
-            unfolded = g @ _transposed(w_data)
+            # one product per offset, folded straight into x's rows
+            wt = _transposed(w_data)
             gx = np.zeros(x_shape)
             for columns, rows, source in blocks:
-                gx[..., source, :] += unfolded[..., rows, columns]
+                gx[..., source, :] += g[..., rows, :] @ wt[:, columns]
         if x_data is not None:
-            # one GEMM over the stacked rows of every leading axis
-            rows = _unfold_time(x_data, blocks, width).reshape(-1, width)
-            gk = (rows.T @ g.reshape(-1, d_out)).reshape(k, d_in, d_out)
+            # per offset, one GEMM over the stacked rows of every leading
+            # axis of that offset's window of x, its zero rows included
+            g_rows = g.reshape(-1, d_out)
+            gk = np.zeros((width, d_out))
+            for columns, rows, source in blocks:
+                block = [(slice(0, d_in), rows, source)]
+                gk[columns] = (_unfold_time(x_data, block, d_in).reshape(-1, d_in).T
+                               @ g_rows)
+            gk = gk.reshape(k, d_in, d_out)
         if need_bias:
             gb = _unbroadcast(g, (d_out,))
         return (gx, gk, gb) if has_bias else (gx, gk)
@@ -428,47 +427,77 @@ def conv1d_temporal(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Te
 # ---------------------------------------------------------------------------
 # fused nonlinearities
 
-def relu_routes(stack: np.ndarray, x: Tensor, weights: Tensor) -> Tensor:
-    """The sum over c of weights[c] * relu(stack[c] @ x), for a constant
-    (C, M, K) stack, x (..., K, d) and weights (C,), as one node that runs
-    route by route and adds the routes in order c = 0, 1, ... onto zeros,
-    with the bits of one broadcast matmul, relu, scaling and sum over the
-    stacked routes (except that a NaN route stays NaN, where relu gave 0).
-    Under `no_grad` it holds one route at a time; building a graph it keeps
-    the C rectified routes, from which backward derives the relu mask, and
-    the weights."""
+def graph_routes(stack: np.ndarray, x: Tensor, psi: Tensor, adj: np.ndarray,
+                 y: Tensor, omega: Tensor) -> Tensor:
+    """The graph layer's route sum, sum over c of psi[c] * relu(stack[c] @ x)
+    plus omega * relu(adj @ y), for a constant (C, M, K) stack and (M, K)
+    adjacency, x and y (..., K, d), psi (C,) and omega (1,), as one node. It
+    adds the routes in order c = 0, 1, ... onto zeros, then the structural
+    route, each made in one reused buffer, with the bits of a matmul, relu
+    and scaling per route and their sum (except that a NaN route stays NaN,
+    where relu gave 0). Building a graph it keeps x and y, never a route or
+    a relu mask: backward rebuilds each route with the forward's own product
+    and derives its mask from it. Under `no_grad` it keeps nothing."""
     if stack.ndim != 3 or x.ndim < 2 or stack.shape[-1] != x.shape[-2]:
         raise DimensionError(f"routes need (C, M, K) @ (..., K, d), "
                              f"got {stack.shape} @ {x.shape}")
+    if adj.shape != stack.shape[1:] or y.shape != x.shape:
+        raise DimensionError(f"structural route {adj.shape} @ {y.shape} does not "
+                             f"match the routes {stack.shape} @ {x.shape}")
     c = stack.shape[0]
-    if weights.shape != (c,):
-        raise DimensionError(f"route weights must have shape ({c},), got {weights.shape}")
-    need_x, need_w = x.requires_grad, weights.requires_grad
-    shape = x.shape[:-2] + (stack.shape[1], x.shape[-1])
-    routes = np.empty((c,) + shape) if _grad_enabled and (need_x or need_w) else None
-    out = np.zeros(shape)
-    route = None
-    for i in range(c):
-        if routes is not None:
-            route = routes[i]
-        route = np.matmul(stack[i], x.data, out=route)
-        np.maximum(route, 0.0, out=route)
-        out += route * weights.data[i]
+    if psi.shape != (c,) or omega.shape != (1,):
+        raise DimensionError(f"route weights must have shapes ({c},) and (1,), "
+                             f"got {psi.shape} and {omega.shape}")
+    # route c is the structural one
+    matrices = list(stack) + [adj]
+    scales = list(psi.data) + [omega.data[0]]
+
+    def route(i, operand, buffer=None):
+        buffer = np.matmul(matrices[i], operand, out=buffer)
+        return np.maximum(buffer, 0.0, out=buffer)
+
+    out = np.zeros(x.shape[:-2] + (stack.shape[1], x.shape[-1]))
+    r = None
+    for i in range(c + 1):
+        r = route(i, x.data if i < c else y.data, r)
+        r *= scales[i]
+        out += r
+    # psi's and x's gradients read x; omega's and y's read y
+    need_x, need_psi = x.requires_grad, psi.requires_grad
+    need_y, need_omega = y.requires_grad, omega.requires_grad
+    x_data = x.data if need_x or need_psi else None
+    y_data = y.data if need_y or need_omega else None
     x_shape = x.shape
-    w_data = weights.data if need_x else None
+
+    def masked(g, i, r):
+        # the gradient reaching route i's product
+        gr = g * scales[i]
+        gr *= r > 0
+        return np.swapaxes(matrices[i], -1, -2) @ gr
 
     def backward(g):
-        gx = gw = None
-        if need_w:
-            gw = np.array([_unbroadcast(g * r, (1,) * g.ndim).item() for r in routes])
-        if need_x:
-            gx = np.zeros(x_shape)
+        gx = gpsi = gy = gomega = None
+        r = None
+        if x_data is not None:
+            if need_x:
+                gx = np.zeros(x_shape)
+            weights = []
             for i in range(c):
-                gr = g * w_data[i]
-                gr *= routes[i] > 0
-                gx += np.swapaxes(stack[i], -1, -2) @ gr
-        return gx, gw
-    return _result(out, (x, weights), backward)
+                r = route(i, x_data, r)
+                if need_psi:
+                    weights.append(_unbroadcast(g * r, (1,) * g.ndim).item())
+                if need_x:
+                    gx += masked(g, i, r)
+            if need_psi:
+                gpsi = np.array(weights)
+        if y_data is not None:
+            r = route(c, y_data, r)
+            if need_omega:
+                gomega = _unbroadcast(g * r, (1,))
+            if need_y:
+                gy = masked(g, c, r)
+        return gx, gpsi, gy, gomega
+    return _result(out, (x, psi, y, omega), backward)
 
 
 def _masked_softmax(z: np.ndarray, mask: np.ndarray | None,

@@ -415,9 +415,9 @@ def generate_synthetic(n_sensors: int, weeks: int, daily_amplitude: float = 1.0,
     weeks, and is bit-equal to it when both amplitudes are 0.
 
     Draw order: series by series (sensor-major, then attribute), each draws
-    its daily phases, then its weekly phases (one `uniform(0, 2 pi)` each),
-    then its T noise values (one `normal(0, noise_sigma, T)`, skipped when
-    noise_sigma is 0).
+    its daily phases, then its weekly phases (one `uniform(0, 2 pi, K)` for
+    all K, which draws what K scalar calls would), then its T noise values
+    (one `normal(0, noise_sigma, T)`, skipped when noise_sigma is 0).
     """
     for name, value, low in (("n_sensors", n_sensors, 1), ("weeks", weeks, 2),
                              ("interval_minutes", interval_minutes, 1),
@@ -454,7 +454,7 @@ def generate_synthetic(n_sensors: int, weeks: int, daily_amplitude: float = 1.0,
     out = (np.empty if noisy else np.zeros)((t_total, n_series))
     rng = np.random.default_rng(seed)
     for j in range(n_series):
-        phases[j] = [rng.uniform(0.0, 2.0 * np.pi) for _ in scales]
+        phases[j] = rng.uniform(0.0, 2.0 * np.pi, len(scales))
         if noisy:
             out[:, j] = rng.normal(0.0, noise_sigma, t_total)
     coef = np.concatenate([scales * np.cos(phases), scales * np.sin(phases)], axis=1)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import struct
 import time
 from dataclasses import dataclass, field, asdict
@@ -312,8 +313,12 @@ class CorrSTN(Module):
         No rng is passed, so dropout is off, and no autograph is built. The
         input may be an EncoderWindows: only its shape is read up front, and
         each chunk's rows are gathered when that chunk is encoded, so at most
-        one chunk of encoder input is held.
+        one chunk of encoder input is held. chunk must be a positive
+        integer; anything else is refused with ConfigError before any work.
         """
+        if isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral) \
+                or chunk < 1:
+            raise ConfigError(f"chunk must be a positive integer, got {chunk!r}")
         enc_len = self.config.encoder_length
         enc = self._check_input(encoder_input, range(enc_len, enc_len + 1),
                                 "encoder input")

@@ -3,7 +3,8 @@
 The graph layer mixes each time slice across sensors through three routes:
 per-attribute correlation matrices modulated by input-dependent spatial
 weights, and the normalized structural adjacency; the correlation routes of
-all attributes are one `relu_routes` node. The attention layer runs
+all attributes and the structural route are one `graph_routes` node, after
+the one attention node of the dynamic weights. The attention layer runs
 per-sensor multi-head attention over time with keys reconstructed from each
 sensor's top-U correlated peers, through one path on position-major
 (..., L, N, d_model) inputs: `key_value_heads` blends the keys, and
@@ -67,10 +68,12 @@ def cignn_forward(z: Tensor, scorr: SCorrTensor, adj: NormalizedAdjacency,
     """Sum over attributes of psi_c * relu(SCorr_c @ S_w @ Z @ W), plus the
     structural route omega * relu(A @ Z @ W). S_w @ Z @ W, with the dynamic
     weights S_w = softmax(Z Z^T / sqrt(d_model)), is one attention node.
-    All C routes are one `relu_routes` node over the degrees stacked
-    attribute-first, which adds them in attribute order, so the graph does
-    not grow with C. Shapes: z (..., N, d_model), w (d, d), psi (C,),
-    omega (1,)."""
+    The C correlation routes and the structural route are one
+    `graph_routes` node over the degrees stacked attribute-first, which adds
+    them in attribute order and then the structural route, so the graph
+    does not grow with C. It keeps S_w @ Z @ W and Z @ W, which the
+    attention node keeps as its values anyway, and rebuilds the routes in
+    backward. Shapes: z (..., N, d_model), w (d, d), psi (C,), omega (1,)."""
     n = z.shape[-2]
     if scorr.n_sensors != n or adj.matrix.shape != (n, n):
         raise DimensionError(
@@ -83,9 +86,7 @@ def _cignn(z: Tensor, stack: np.ndarray, adj: np.ndarray, w: Tensor,
     """`cignn_forward` on the degrees as `_degree_stack` lays them out."""
     zw = ad.matmul(z, w)
     base = ad.attention(z, z, zw, 1.0 / np.sqrt(z.shape[-1]))
-    out = ad.relu_routes(stack, base, psi)
-    structural = ad.mul(ad.relu(ad.matmul(Tensor(adj), zw)), omega)
-    return ad.add(out, structural)
+    return ad.graph_routes(stack, base, psi, adj, zw, omega)
 
 
 def _swap_last_but_one(ndim: int) -> tuple:

@@ -245,6 +245,19 @@ def _softmax_node(scores, mask=None):
     return ad._result(p, (scores,), backward)
 
 
+def mul(a, b):
+    """Broadcast elementwise product as one autodiff node, for the op-by-op
+    oracles; the engine multiplies two tensors only inside its fused nodes.
+    Each factor's gradient reads the other factor."""
+    a_shape, b_shape = a.shape, b.shape
+    a_data, b_data = a.data, b.data
+
+    def backward(g):
+        return (ad._unbroadcast(g * b_data, a_shape),
+                ad._unbroadcast(g * a_data, b_shape))
+    return ad._result(a_data * b_data, (a, b), backward)
+
+
 def attention_by_ops(q, k, v, scale, mask=None):
     """softmax(q k^T * scale) v built from one autodiff node per step."""
     swap = (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)
@@ -275,3 +288,20 @@ def graph_nodes(out):
                 nodes.append(node)
             stack.extend(node.parents)
     return nodes
+
+
+def kept_values(node):
+    """Every value a node's backward closure holds: directly, in a list or
+    tuple, or through a function it holds."""
+    found, seen, todo = [], set(), [node.backward]
+    while todo:
+        value = todo.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        found.append(value)
+        if isinstance(value, (list, tuple)):
+            todo.extend(value)
+        elif callable(value) and getattr(value, "__closure__", None):
+            todo.extend(cell.cell_contents for cell in value.__closure__)
+    return found

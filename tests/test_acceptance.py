@@ -28,14 +28,14 @@ from corrstn import (ModelConfig, PERIODS, PeriodSpec, SCorrTensor, Tensor,
                      top_u_normalize, topu_mixing_matrix, train,
                      weighted_tcorr)
 from corrstn import metrics as metrics_mod
-from corrstn.autodiff import (abs_, add, conv1d_temporal, dropout, layer_norm,
-                              linear, matmul, mean, mul, mul_scalar, narrow,
-                              permute, relu, relu_routes, reshape, sub, sum_)
+from corrstn.autodiff import (abs_, add, conv1d_temporal, dropout, graph_routes,
+                              layer_norm, linear, matmul, mean, mul_scalar,
+                              narrow, permute, relu, reshape, sub, sum_)
 from corrstn.cli import main as cli_main
 from corrstn.data import SampleSet, SpatioTemporalTensor
 from oracles import (finite_difference_gradient, gradient_gap,
                      metrics_brute_force, mic_brute_force,
-                     multi_head_attention, plain_gnn)
+                     mul, multi_head_attention, plain_gnn)
 
 
 @contextlib.contextmanager
@@ -227,6 +227,7 @@ def test_criterion_05_selection_oracle_on_synthetic_regimes():
 # 6: finite differences against every op, both layers, and the full model
 
 _ROUTE_STACK = np.random.default_rng(6000).uniform(0.1, 0.9, size=(3, 4, 4))
+_ROUTE_ADJ = np.random.default_rng(6001).uniform(0.1, 0.9, size=(4, 4))
 
 # (builder, input shapes, offset nudging inputs away from relu/abs kinks)
 _OP_CATALOG = [
@@ -246,7 +247,8 @@ _OP_CATALOG = [
     (lambda a: permute(a, (2, 0, 1)), [(2, 3, 4)], 0.0),
     (lambda a: narrow(a, 1, 1, 2), [(3, 4)], 0.0),
     (lambda x, k, b: conv1d_temporal(x, k, b), [(2, 5, 3), (3, 3, 2), (2,)], 0.0),
-    (lambda x, w: relu_routes(_ROUTE_STACK, x, w), [(2, 4, 3), (3,)], 0.9),
+    (lambda x, psi, y, omega: graph_routes(_ROUTE_STACK, x, psi, _ROUTE_ADJ, y, omega),
+     [(2, 4, 3), (3,), (2, 4, 3), (1,)], 0.9),
     (lambda a, g, b: layer_norm(a, g, b), [(3, 6), (6,), (6,)], 0.0),
     # a fresh identically-seeded rng per call pins the dropout mask, so the
     # finite-difference probes see a deterministic function

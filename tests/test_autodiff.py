@@ -1,4 +1,5 @@
 import ast
+import itertools
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -9,12 +10,12 @@ import pytest
 import corrstn
 from corrstn import Module, Parameter, Tensor, autodiff, xavier_uniform
 from corrstn.autodiff import (abs_, add, attention, conv1d_temporal, dropout,
-                              layer_norm, linear, matmul, mean, mul, mul_scalar,
-                              narrow, no_grad, permute, relu, relu_routes,
+                              graph_routes, layer_norm, linear, matmul, mean,
+                              mul_scalar, narrow, no_grad, permute, relu,
                               reshape, sub, sum_)
 from corrstn.errors import ConfigError, DimensionError
 from oracles import (attention_by_ops, broadcast_weight_grad,
-                     finite_difference_gradient, gradient_gap)
+                     finite_difference_gradient, gradient_gap, kept_values, mul)
 
 
 def _check_op(build, *shapes, seed=0, tol=1e-6, offset=0.0):
@@ -138,10 +139,8 @@ def test_temporal_conv_matches_loop(k):
 
 
 def _kept_arrays(node):
-    """The arrays a node's backward closure holds, directly or in a tuple."""
-    kept = [cell.cell_contents for cell in node.backward.__closure__ or ()]
-    kept += [item for value in kept if isinstance(value, tuple) for item in value]
-    return [value for value in kept if isinstance(value, np.ndarray)]
+    """The arrays a node's backward closure holds, however deep."""
+    return [value for value in kept_values(node) if isinstance(value, np.ndarray)]
 
 
 def test_temporal_conv_keeps_x_not_its_unfolding(monkeypatch):
@@ -150,7 +149,7 @@ def test_temporal_conv_keeps_x_not_its_unfolding(monkeypatch):
 
     def recorded(x, blocks, width):
         out = unfold(x, blocks, width)
-        unfoldings.append(weakref.ref(out))
+        unfoldings.append((out.shape, weakref.ref(out)))
         return out
     monkeypatch.setattr(autodiff, "_unfold_time", recorded)
     rng = np.random.default_rng(12)
@@ -158,39 +157,80 @@ def test_temporal_conv_keeps_x_not_its_unfolding(monkeypatch):
                        for shape in ((2, 6, 3), (3, 3, 4), (4,)))
     out = conv1d_temporal(x, kernel, bias)
     # the graph lives, and the (2, 6, 9) unfolding is gone already
-    assert len(unfoldings) == 1 and unfoldings[0]() is None
+    assert [shape for shape, _ in unfoldings] == [(2, 6, 9)]
+    assert unfoldings[0][1]() is None
     kept = _kept_arrays(out._node)
     assert any(a is x.data for a in kept)
     assert all(a.shape[-1] != 9 for a in kept)
     out.backward(rng.normal(size=out.shape))
-    assert len(unfoldings) == 2 and unfoldings[1]() is None
+    # backward unfolds one offset's window at a time, each as wide as x
+    assert [shape for shape, _ in unfoldings[1:]] == [(2, 6, 3)] * 3
+    assert all(ref() is None for _, ref in unfoldings)
+
+
+_ROUTE_STACK = np.random.default_rng(13).normal(size=(3, 4, 4))
+_ROUTE_ADJ = np.random.default_rng(14).uniform(0.0, 1.0, size=(4, 4))
+
+
+def _routes_by_ops(x, psi, y, omega):
+    """The graph routes as separate ops: one broadcast matmul, relu, scaling
+    and sum over the stacked correlation routes, then the structural route's
+    matmul, relu and scaling, then the add."""
+    routes = relu(matmul(Tensor(_ROUTE_STACK.reshape(3, 1, 1, 4, 4)), x))
+    out = sum_(mul(routes, reshape(psi, (3, 1, 1, 1, 1))), axis=0)
+    return add(out, mul(relu(matmul(Tensor(_ROUTE_ADJ), y)), omega))
+
+
+def _graph_routes(x, psi, y, omega):
+    return graph_routes(_ROUTE_STACK, x, psi, _ROUTE_ADJ, y, omega)
+
+
+def _route_operands(seed):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(2, 5, 4, 3)), rng.uniform(0.2, 1.0, size=3),
+            rng.normal(size=(2, 5, 4, 3)), rng.uniform(0.2, 1.0, size=1)]
 
 
 def test_route_sum_matches_stacked_ops_and_keeps_no_mask():
-    # sum over c of psi_c * relu(stack_c @ x), against the broadcast ops
-    rng = np.random.default_rng(13)
-    stack = rng.normal(size=(3, 4, 4))
-    arrays = [rng.normal(size=(2, 5, 4, 3)), rng.uniform(0.2, 1.0, size=3)]
-
-    def by_ops(x, psi):
-        routes = relu(matmul(Tensor(stack.reshape(3, 1, 1, 4, 4)), x))
-        return sum_(mul(routes, reshape(psi, (3, 1, 1, 1, 1))), axis=0)
-    for trainable in ({0}, {1}, {0, 1}):
-        _compare_to_ops(lambda x, psi: relu_routes(stack, x, psi), by_ops,
-                        arrays, trainable)
-    x, psi = (Tensor(a, requires_grad=True) for a in arrays)
-    out = relu_routes(stack, x, psi)
-    kept = _kept_arrays(out._node)
-    # the rectified routes, not a copy beside a bool mask
+    # forward bit-equal to the composed ops, gradients to 1e-12, for every
+    # subset of trainable operands
+    arrays = _route_operands(15)
+    for size in range(5):
+        for trainable in itertools.combinations(range(4), size):
+            _compare_to_ops(_graph_routes, _routes_by_ops, arrays, set(trainable))
+    x, psi, y, omega = (Tensor(a, requires_grad=True) for a in arrays)
+    kept = _kept_arrays(_graph_routes(x, psi, y, omega)._node)
     assert not any(a.dtype == bool for a in kept)
-    assert sum(a.nbytes for a in kept if a.ndim == 5) == 3 * x.data.nbytes
-    _check_op(lambda x, psi: relu_routes(stack, x, psi), (2, 4, 3), (3,), offset=0.5)
+    _check_op(_graph_routes, (2, 4, 3), (3,), (2, 4, 3), (1,), offset=0.5)
     with no_grad():
-        assert relu_routes(stack, x, psi)._node is None
+        assert _graph_routes(x, psi, y, omega)._node is None
     with pytest.raises(DimensionError):
-        relu_routes(stack, x, Tensor(np.ones(2)))
+        _graph_routes(x, Tensor(np.ones(2)), y, omega)
     with pytest.raises(DimensionError):
-        relu_routes(stack, Tensor(np.ones((2, 3, 3))), psi)
+        _graph_routes(Tensor(np.ones((2, 3, 3))), psi, y, omega)
+    with pytest.raises(DimensionError):
+        _graph_routes(x, psi, Tensor(np.ones((2, 5, 4, 2))), omega)
+    with pytest.raises(DimensionError):
+        graph_routes(_ROUTE_STACK, x, psi, np.eye(3), y, omega)
+
+
+@pytest.mark.parametrize("trainable", [(0, 1, 2, 3), (1,), (0,), (3,), (2,)])
+def test_graph_routes_keep_x_and_y_only(trainable):
+    # no route, relu mask or product of the route shape outlives the
+    # forward: backward rebuilds them from x (for psi's and x's gradients)
+    # and y (for omega's and y's)
+    tensors = [Tensor(a, requires_grad=i in trainable)
+               for i, a in enumerate(_route_operands(16))]
+    x, _, y, _ = tensors
+    out = _graph_routes(*tensors)
+    wide = [a for a in _kept_arrays(out._node) if a.size >= x.data.size]
+    want = [x.data] * bool({0, 1} & set(trainable)) \
+        + [y.data] * bool({2, 3} & set(trainable))
+    assert len(wide) == len(want) and all(any(a is w for a in wide) for w in want)
+    # backward leaves the node's closure as it was
+    out.backward(np.ones(out.shape))
+    assert len([a for a in _kept_arrays(out._node)
+                if a.size >= x.data.size]) == len(want)
 
 
 # (L_q, L_k, mask): square, rectangular, causal and a rectangular mask that
@@ -743,7 +783,7 @@ def test_every_public_op_has_a_library_caller():
                 # the defining module counts only outside the definition
                 if member.name not in elsewhere | _references(trees[path], member):
                     unused.add(member.name)
-    assert {"conv1d_temporal", "relu_routes", "pairwise_mic", "CIGNN",
+    assert {"conv1d_temporal", "graph_routes", "pairwise_mic", "CIGNN",
             "keys_values", "forecast"} <= defined
     assert {"matmul", "attention"} <= set().union(*refs.values())
     assert unused == set()

@@ -347,9 +347,9 @@ def test_cignn_node_count_does_not_grow_with_attributes():
     z = Tensor(rng.normal(size=(2, n, d)), requires_grad=True)
     counts = [len(graph_nodes(CIGNN(d, _random_scorr(n, c, seed=c), adj, rng)(z)))
               for c in (1, 2, 3)]
-    # z @ W, attention; the one node of the C correlation routes; the
-    # structural matmul, relu and mul; the final add
-    assert counts == [7, 7, 7]
+    # z @ W, attention, and the one node of the C correlation routes and
+    # the structural route
+    assert counts == [3, 3, 3]
 
 
 def test_out_of_range_topu_index_fails_when_the_matrix_is_built():
