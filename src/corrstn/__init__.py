@@ -8,7 +8,7 @@ forecaster whose attention and graph layers are correlation-aware.
 
 from .errors import (CorrstnError, ConfigError, DimensionError,
                      DataError, OutOfRangeError, EmptyAnchorError,
-                     ComputeError)
+                     ComputeError, GraphError)
 from .mic import (DEFAULT_ETA, MicResult, admissible_shapes, mic, mic_full,
                   pairwise_mic)
 from .scorr import (SCorrTensor, TopUSCorr, compute_scorr, windowed_scorr,
@@ -39,7 +39,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CorrstnError", "ConfigError", "DimensionError", "DataError",
-    "OutOfRangeError", "EmptyAnchorError", "ComputeError",
+    "OutOfRangeError", "EmptyAnchorError", "ComputeError", "GraphError",
     "DEFAULT_ETA", "MicResult", "admissible_shapes", "mic", "mic_full",
     "pairwise_mic",
     "SCorrTensor", "TopUSCorr", "compute_scorr", "windowed_scorr",

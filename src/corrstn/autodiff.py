@@ -5,23 +5,27 @@ the fused linear (matmul and bias add in one node), relu/abs, layer norm
 (fused, last axis), the fused attention core (plain or row-independent, with
 any head split done on views inside the node, run over blocks of its leading
 axes), the graph layer's rectified route sum (its correlation routes and its
-structural route in one node), reductions, shape ops, the temporal
-convolution, and dropout.
+structural route in one node), reductions, reshape and narrow, the temporal
+convolution, alone or over a linear projection in one node, and dropout.
 Graphs are built eagerly. A graph vertex is a `_Node` (parent nodes, backward
 closure, gradient), apart from the `Tensor` that holds the op's output, and
 each closure keeps only the arrays its backward reads, for the operands that
 need a gradient. An intermediate output that no backward reads is therefore
 freed as soon as the forward code drops its tensor, while the graph lives on.
-A fused node's transients (the temporal unfolding, the graph routes and
-their relu masks, a block's attention scores) are never kept: backward
-rebuilds them from what the node keeps. The attention core keeps its
-softmax weights only in its rowwise form; otherwise it keeps each weights
-row's max and sum, and backward rebuilds the weights from q and k with the
-forward's bits.
+A fused node's transients (the temporal unfolding, the projection under the
+temporal convolution, the graph routes and their relu masks, a block's
+attention scores) are never kept: backward rebuilds them from what the node
+keeps. The attention core keeps its softmax weights only in its rowwise
+form; otherwise it keeps each weights row's max and sum, and backward
+rebuilds the weights from q and k with the forward's bits.
 backward() walks a topological order once and accumulates each closure's
-gradients into the parent nodes. Only the root and the leaves keep .grad
-afterwards: each inner node's gradient is dropped as soon as its own backward
-has run. Gradient arrays are shared between nodes and never updated in place.
+gradients into the parent nodes. It consumes the graph as it goes: once a
+node's backward has run, the node drops its closure, its parents and, unless
+it is the root, its gradient, so what only that node kept is freed before the
+walk goes on, and the backward's peak stays near the forward's. Only the root
+and the leaves keep .grad afterwards. A second backward() through a consumed
+node raises GraphError; there is no option to keep the graph. Gradient
+arrays are shared between nodes and never updated in place.
 Inside `no_grad()` no graph is built at all.
 """
 
@@ -32,7 +36,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, GraphError
 
 
 class _Node:
@@ -81,7 +85,12 @@ class Tensor:
     def backward(self, grad=None) -> None:
         """Accumulate d(self)/d(leaf) into .grad across the graph.
 
-        A seed gradient is required unless self is a single element.
+        A seed gradient is required unless self is a single element. The
+        walk consumes the graph: as soon as a node's backward has run, or
+        is skipped because no gradient reached it, the node drops its
+        closure and its parents, and with them every array that only it
+        kept. A later backward() that reaches a consumed node raises
+        GraphError before it changes any gradient.
         """
         if grad is None:
             if self.data.size != 1:
@@ -106,6 +115,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node.backward is _consumed:
+                _consumed(None)     # raises, before any gradient changes
             seen.add(id(node))
             stack.append((node, True))
             for p in node.parents:
@@ -113,13 +124,31 @@ class Tensor:
                     stack.append((p, False))
         root.grad = grad if root.grad is None else root.grad + grad
         for node in reversed(order):
-            if node.backward is not None and node.grad is not None:
-                grads = node.backward(node.grad)
-                for parent, g in zip(node.parents, grads):
-                    if parent is not None:
-                        parent.grad = g if parent.grad is None else parent.grad + g
-                if node is not root:
-                    node.grad = None
+            # leaves keep their gradients and have nothing to consume
+            if node.backward is not None:
+                _consume(node, node is root)
+
+
+def _consumed(g):
+    """The backward of a node whose backward has already run."""
+    raise GraphError("backward() reached a node that an earlier backward() "
+                     "consumed; each backward() frees the graph it walks, so "
+                     "run the forward pass again")
+
+
+def _consume(node: _Node, keep_grad: bool) -> None:
+    """Run node's backward into its parents' gradients, if a gradient
+    reached it, then drop its closure, its parents and, unless keep_grad,
+    its gradient. The locals die with the call, so nothing the node kept
+    outlives it."""
+    backward, parents, g = node.backward, node.parents, node.grad
+    node.backward, node.parents = _consumed, ()
+    if not keep_grad:
+        node.grad = None
+    if g is not None:
+        for parent, pg in zip(parents, backward(g)):
+            if parent is not None:
+                parent.grad = pg if parent.grad is None else parent.grad + pg
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -315,15 +344,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _result(a.data.reshape(shape), (a,), backward)
 
 
-def permute(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        return (np.transpose(g, inverse),)
-    return _result(np.transpose(a.data, axes), (a,), backward)
-
-
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along one axis."""
     axis = axis % a.ndim
@@ -367,6 +387,50 @@ def _unfold_time(x: np.ndarray, blocks: list, width: int) -> np.ndarray:
     return out
 
 
+def _check_conv(d_in: int, kernel: Tensor, bias: Tensor | None) -> None:
+    """Refuses a kernel that is not (k, d_in, d_out) for inputs of width
+    d_in, or a bias that is not (d_out,)."""
+    if kernel.ndim != 3:
+        raise DimensionError(f"kernel must be (k, d_in, d_out), got {kernel.shape}")
+    if kernel.shape[1] != d_in:
+        raise DimensionError(f"kernel d_in {kernel.shape[1]} != feature width {d_in}")
+    if bias is not None and bias.shape != kernel.shape[2:]:
+        raise DimensionError(f"bias {bias.shape} does not match kernel {kernel.shape}")
+
+
+def _conv(x: np.ndarray, weight: np.ndarray, blocks: list) -> np.ndarray:
+    """The convolution of x (..., T, d_in) along axis -2 by the kernel as a
+    (k * d_in, d_out) matrix: the unfolded windows times the matrix, in one
+    GEMM. The unfolding dies with the call."""
+    return _unfold_time(x, blocks, weight.shape[0]) @ weight
+
+
+def _conv_input_grad(g: np.ndarray, weight: np.ndarray, blocks: list,
+                     x_shape: tuple) -> np.ndarray:
+    """The conv input's gradient for output gradient g: one product per
+    offset, folded straight into the input's rows."""
+    wt = _transposed(weight)
+    gx = np.zeros(x_shape)
+    for columns, rows, source in blocks:
+        gx[..., source, :] += g[..., rows, :] @ wt[:, columns]
+    return gx
+
+
+def _conv_kernel_grad(g: np.ndarray, x: np.ndarray, blocks: list,
+                      kernel_shape: tuple) -> np.ndarray:
+    """The kernel's gradient for output gradient g and input x: per offset,
+    one GEMM over the stacked rows of every leading axis of that offset's
+    window of x, its zero rows included, with the bits of the whole
+    unfolding's GEMMs."""
+    k, d_in, d_out = kernel_shape
+    g_rows = g.reshape(-1, d_out)
+    gk = np.zeros((k * d_in, d_out))
+    for columns, rows, source in blocks:
+        block = [(slice(0, d_in), rows, source)]
+        gk[columns] = _unfold_time(x, block, d_in).reshape(-1, d_in).T @ g_rows
+    return gk.reshape(kernel_shape)
+
+
 def conv1d_temporal(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     """Same-length convolution along axis -2 of x (..., T, d_in) with a
     (k, d_in, d_out) kernel, as one node: one projection per temporal
@@ -380,18 +444,12 @@ def conv1d_temporal(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Te
     """
     if x.ndim < 2:
         raise DimensionError(f"need (..., T, d), got {x.shape}")
-    if kernel.ndim != 3:
-        raise DimensionError(f"kernel must be (k, d_in, d_out), got {kernel.shape}")
+    _check_conv(x.shape[-1], kernel, bias)
     k, d_in, d_out = kernel.shape
-    if d_in != x.shape[-1]:
-        raise DimensionError(f"kernel d_in {d_in} != feature width {x.shape[-1]}")
     has_bias = bias is not None
-    if has_bias and bias.shape != (d_out,):
-        raise DimensionError(f"bias {bias.shape} does not match kernel {kernel.shape}")
-    width = k * d_in
     blocks = _time_blocks(x.shape[-2], k, d_in)
-    weight = kernel.data.reshape(width, d_out)
-    out = _unfold_time(x.data, blocks, width) @ weight
+    weight = kernel.data.reshape(k * d_in, d_out)
+    out = _conv(x.data, weight, blocks)
     if has_bias:
         out += bias.data
     # the kernel's gradient reads x; x's reads the kernel
@@ -403,25 +461,76 @@ def conv1d_temporal(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Te
     def backward(g):
         gx = gk = gb = None
         if w_data is not None:
-            # one product per offset, folded straight into x's rows
-            wt = _transposed(w_data)
-            gx = np.zeros(x_shape)
-            for columns, rows, source in blocks:
-                gx[..., source, :] += g[..., rows, :] @ wt[:, columns]
+            gx = _conv_input_grad(g, w_data, blocks, x_shape)
         if x_data is not None:
-            # per offset, one GEMM over the stacked rows of every leading
-            # axis of that offset's window of x, its zero rows included
-            g_rows = g.reshape(-1, d_out)
-            gk = np.zeros((width, d_out))
-            for columns, rows, source in blocks:
-                block = [(slice(0, d_in), rows, source)]
-                gk[columns] = (_unfold_time(x_data, block, d_in).reshape(-1, d_in).T
-                               @ g_rows)
-            gk = gk.reshape(k, d_in, d_out)
+            gk = _conv_kernel_grad(g, x_data, blocks, (k, d_in, d_out))
         if need_bias:
             gb = _unbroadcast(g, (d_out,))
         return (gx, gk, gb) if has_bias else (gx, gk)
     return _result(out, (x, kernel, bias) if has_bias else (x, kernel), backward)
+
+
+def linear_conv1d_temporal(x: Tensor, weight: Tensor, bias: Tensor, kernel: Tensor,
+                           conv_bias: Tensor) -> Tensor:
+    """`conv1d_temporal` along axis -3 of linear(x, weight, bias), for
+    position-major x (..., T, S, d_in), a (d_in, d) weight, a (k, d, d_out)
+    kernel and biases (d,) and (d_out,), as one node with the bits of linear,
+    a swap of axes -3 and -2, the conv and the swap back. The node keeps x,
+    the weight and the bias, never their (..., T, S, d) projection: backward
+    rebuilds it with the forward's own product when the kernel needs a
+    gradient. Its output, like the composed ops', is a (..., T, S, d_out)
+    view of the conv's (..., S, T, d_out) array."""
+    if x.ndim < 3 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
+        raise DimensionError(f"projection needs (..., T, S, d_in) @ (d_in, d), "
+                             f"got {x.shape} @ {weight.shape}")
+    if bias.shape != weight.shape[1:]:
+        raise DimensionError(f"bias {bias.shape} does not match weight {weight.shape}")
+    d_in, d = weight.shape
+    _check_conv(d, kernel, conv_bias)
+    k, _, d_out = kernel.shape
+    blocks = _time_blocks(x.shape[-3], k, d)
+    conv_weight = kernel.data.reshape(k * d, d_out)
+
+    def project(x_data, w_data, b_data):
+        projection = x_data @ w_data
+        projection += b_data
+        return np.swapaxes(projection, -3, -2)
+
+    out = _conv(project(x.data, weight.data, bias.data), conv_weight, blocks)
+    out += conv_bias.data
+    # the kernel's gradient reads the projection, rebuilt from x, the weight
+    # and the bias; the projection's reads the kernel, and from there the
+    # weight's gradient reads x and x's the weight
+    need_x, need_w, need_b = x.requires_grad, weight.requires_grad, bias.requires_grad
+    need_kernel, need_conv_bias = kernel.requires_grad, conv_bias.requires_grad
+    need_projection = need_x or need_w or need_b
+    x_data = x.data if need_kernel or need_w else None
+    w_data = weight.data if need_kernel or need_x else None
+    b_data = bias.data if need_kernel else None
+    k_data = conv_weight if need_projection else None
+    # the projection's shape with time on axis -2, as the conv sees it
+    swapped = x.shape[:-3] + (x.shape[-2], x.shape[-3], d)
+
+    def backward(g):
+        g = np.swapaxes(g, -3, -2)
+        gx = gw = gb = gk = gcb = None
+        if need_kernel:
+            gk = _conv_kernel_grad(g, project(x_data, w_data, b_data), blocks,
+                                   (k, d, d_out))
+        if need_conv_bias:
+            gcb = _unbroadcast(g, (d_out,))
+        if need_projection:
+            gp = np.swapaxes(_conv_input_grad(g, k_data, blocks, swapped), -3, -2)
+            if need_x:
+                gx = gp @ _transposed(w_data)
+            if need_w:
+                # one GEMM over the stacked rows of every leading axis
+                gw = x_data.reshape(-1, d_in).T @ gp.reshape(-1, d)
+            if need_b:
+                gb = _unbroadcast(gp, (d,))
+        return gx, gw, gb, gk, gcb
+    return _result(np.swapaxes(out, -3, -2), (x, weight, bias, kernel, conv_bias),
+                   backward)
 
 
 # ---------------------------------------------------------------------------

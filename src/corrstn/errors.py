@@ -30,3 +30,8 @@ class EmptyAnchorError(DataError):
 
 class ComputeError(CorrstnError):
     """Numerical failure during a computation (NaN loss, divergence)."""
+
+
+class GraphError(CorrstnError):
+    """backward() reached an autograph node that an earlier backward()
+    already consumed."""

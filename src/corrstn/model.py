@@ -430,7 +430,13 @@ class TrainingLog:
 
 
 def _teacher_forced_metrics(model, samples: SampleSet, norm_params,
-                            chunk: int = 128) -> tuple[float, float, float]:
+                            chunk: int = 16) -> tuple[float, float, float]:
+    """Validation MAE, RMSE and MAPE of teacher-forced passes over chunks of
+    at most `chunk` windows. A chunk's activations, not the training step,
+    set the peak of `corrstn train`: with the pems08 preset at N=96 one
+    chunk's forward peaked at 1,350 MB of RSS with 64 windows and 379 MB
+    with 16. The rows are independent, and the metrics came out bit-equal
+    for chunks of 1 to 128 windows."""
     preds = []
     with ad.no_grad():
         for start in range(0, len(samples), chunk):

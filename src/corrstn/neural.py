@@ -10,9 +10,9 @@ sensor's top-U correlated peers, through one path on position-major
 (..., L, N, d_model) inputs: `key_value_heads` blends the keys, and
 `attend_heads` runs the attention node, which splits every operand into
 heads (..., N, H, L, d_head) on views inside itself, then one fused linear
-output projection. No layout op for heads enters the graph. The optional
-temporal convolution on queries and keys is the one-node
-`autodiff.conv1d_temporal`.
+output projection. No layout op for heads enters the graph. With the
+optional temporal convolution, a query or key projection and its
+convolution along time are one `autodiff.linear_conv1d_temporal` node.
 """
 
 from __future__ import annotations
@@ -89,11 +89,6 @@ def _cignn(z: Tensor, stack: np.ndarray, adj: np.ndarray, w: Tensor,
     return ad.graph_routes(stack, base, psi, adj, zw, omega)
 
 
-def _swap_last_but_one(ndim: int) -> tuple:
-    """Axes that swap positions -3 and -2: (..., N, L, d) <-> (..., L, N, d)."""
-    return (*range(ndim - 3), ndim - 2, ndim - 3, ndim - 1)
-
-
 def key_value_heads(mixing: Tensor, k: Tensor, v: Tensor,
                     heads: int) -> tuple[Tensor, Tensor]:
     """Key/value half of the attention: blend keys (..., L, N, d_model)
@@ -166,7 +161,10 @@ class TemporalConv(Module):
 class CIATT(Module):
     """Correlation attention block: projections, optional temporal conv on
     Q/K, key reconstruction, multi-head attention, output projection. Inputs
-    are position-major, (..., L, N, d_model)."""
+    are position-major, (..., L, N, d_model). With the conv, each Q or K
+    projection and its conv along L are one `linear_conv1d_temporal` node
+    that keeps the block's input, not the projection; `q_conv` and `k_conv`
+    hold that node's kernels and biases."""
 
     def __init__(self, d_model: int, heads: int, topu: TopUSCorr,
                  rng: np.random.Generator, conv_kernel: int | None = None,
@@ -186,12 +184,10 @@ class CIATT(Module):
 
     @staticmethod
     def _project(x: Tensor, linear: Linear, conv: TemporalConv | None) -> Tensor:
-        out = linear(x)
         if conv is None:
-            return out
-        # the conv runs along axis -2, so time moves there and back
-        swap = _swap_last_but_one(out.ndim)
-        return ad.permute(conv(ad.permute(out, swap)), swap)
+            return linear(x)
+        return ad.linear_conv1d_temporal(x, linear.weight, linear.bias, conv.kernel,
+                                         conv.bias)
 
     def keys_values(self, x_kv: Tensor) -> tuple[Tensor, Tensor]:
         """Keys and values of x_kv (..., L, N, d_model), position-major; they

@@ -12,6 +12,8 @@ finite-difference checks test both.
 `synthetic_by_sines` is the synthetic generator as one sine pass per
 harmonic and series, the form `generate_synthetic` replaced with a shared
 basis; it takes the harmonic tables from the library.
+`mul` and `permute` are autodiff nodes for ops that the engine runs only
+inside its fused nodes, so that the op-by-op oracles can compose them.
 `graph_nodes` is not an oracle: it is the one autograph walk that the
 graph-structure tests share.
 """
@@ -258,10 +260,21 @@ def mul(a, b):
     return ad._result(a_data * b_data, (a, b), backward)
 
 
+def permute(a, axes):
+    """Axes of a reordered, as one autodiff node, for the op-by-op oracles;
+    the engine reorders axes only on views inside its fused nodes."""
+    axes = tuple(axes)
+    inverse = tuple(np.argsort(axes))
+
+    def backward(g):
+        return (np.transpose(g, inverse),)
+    return ad._result(np.transpose(a.data, axes), (a,), backward)
+
+
 def attention_by_ops(q, k, v, scale, mask=None):
     """softmax(q k^T * scale) v built from one autodiff node per step."""
     swap = (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)
-    scores = ad.mul_scalar(ad.matmul(q, ad.permute(k, swap)), scale)
+    scores = ad.mul_scalar(ad.matmul(q, permute(k, swap)), scale)
     return ad.matmul(_softmax_node(scores, mask), v)
 
 

@@ -29,13 +29,14 @@ from corrstn import (ModelConfig, PERIODS, PeriodSpec, SCorrTensor, Tensor,
                      weighted_tcorr)
 from corrstn import metrics as metrics_mod
 from corrstn.autodiff import (abs_, add, conv1d_temporal, dropout, graph_routes,
-                              layer_norm, linear, matmul, mean, mul_scalar,
-                              narrow, permute, relu, reshape, sub, sum_)
+                              layer_norm, linear, linear_conv1d_temporal,
+                              matmul, mean, mul_scalar, narrow, relu, reshape,
+                              sub, sum_)
 from corrstn.cli import main as cli_main
 from corrstn.data import SampleSet, SpatioTemporalTensor
 from oracles import (finite_difference_gradient, gradient_gap,
                      metrics_brute_force, mic_brute_force,
-                     mul, multi_head_attention, plain_gnn)
+                     mul, multi_head_attention, permute, plain_gnn)
 
 
 @contextlib.contextmanager
@@ -244,9 +245,9 @@ _OP_CATALOG = [
     (lambda a: sum_(a, axis=1), [(3, 4)], 0.0),
     (lambda a: mean(a, axis=0), [(3, 4)], 0.0),
     (lambda a: reshape(a, (6, 2)), [(3, 4)], 0.0),
-    (lambda a: permute(a, (2, 0, 1)), [(2, 3, 4)], 0.0),
     (lambda a: narrow(a, 1, 1, 2), [(3, 4)], 0.0),
     (lambda x, k, b: conv1d_temporal(x, k, b), [(2, 5, 3), (3, 3, 2), (2,)], 0.0),
+    (linear_conv1d_temporal, [(1, 4, 2, 3), (3, 2), (2,), (3, 2, 2), (2,)], 0.0),
     (lambda x, psi, y, omega: graph_routes(_ROUTE_STACK, x, psi, _ROUTE_ADJ, y, omega),
      [(2, 4, 3), (3,), (2, 4, 3), (1,)], 0.9),
     (lambda a, g, b: layer_norm(a, g, b), [(3, 6), (6,), (6,)], 0.0),

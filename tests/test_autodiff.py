@@ -10,12 +10,14 @@ import pytest
 import corrstn
 from corrstn import Module, Parameter, Tensor, autodiff, xavier_uniform
 from corrstn.autodiff import (abs_, add, attention, conv1d_temporal, dropout,
-                              graph_routes, layer_norm, linear, matmul, mean,
-                              mul_scalar, narrow, no_grad, permute, relu,
-                              reshape, sub, sum_)
-from corrstn.errors import ConfigError, DimensionError
+                              graph_routes, layer_norm, linear,
+                              linear_conv1d_temporal, matmul, mean,
+                              mul_scalar, narrow, no_grad, relu, reshape, sub,
+                              sum_)
+from corrstn.errors import ConfigError, DimensionError, GraphError
 from oracles import (attention_by_ops, broadcast_weight_grad,
-                     finite_difference_gradient, gradient_gap, kept_values, mul)
+                     finite_difference_gradient, gradient_gap, kept_values, mul,
+                     permute)
 
 
 def _check_op(build, *shapes, seed=0, tol=1e-6, offset=0.0):
@@ -168,6 +170,89 @@ def test_temporal_conv_keeps_x_not_its_unfolding(monkeypatch):
     assert all(ref() is None for _, ref in unfoldings)
 
 
+def _linear_conv_by_ops(x, w, b, kernel, conv_bias):
+    """The fused node as linear, a swap of axes -3 and -2, the conv and the
+    swap back."""
+    swap = (*range(x.ndim - 3), x.ndim - 2, x.ndim - 3, x.ndim - 1)
+    return permute(conv1d_temporal(permute(linear(x, w, b), swap), kernel, conv_bias),
+                   swap)
+
+
+def _linear_conv_operands(seed):
+    """x (B, T, S, d_in) = (2, 5, 3, 4), a (4, 6) weight and a (3, 6, 7)
+    kernel: d_in, the projection's width and d_out all differ, so a kept
+    array of the projection's shape cannot pass for x."""
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=shape)
+            for shape in ((2, 5, 3, 4), (4, 6), (6,), (3, 6, 7), (7,))]
+
+
+def test_linear_conv_matches_composed_ops():
+    # forward bit-equal to linear, permute, conv1d_temporal, permute, and
+    # gradients to 1e-12, for every subset of trainable operands
+    arrays = _linear_conv_operands(17)
+    for size in range(6):
+        for trainable in itertools.combinations(range(5), size):
+            _compare_to_ops(linear_conv1d_temporal, _linear_conv_by_ops, arrays,
+                            set(trainable))
+    _check_op(linear_conv1d_temporal, (1, 4, 2, 3), (3, 2), (2,), (3, 2, 2), (2,))
+    x, w, b, kernel, conv_bias = (Tensor(a) for a in arrays)
+    with pytest.raises(DimensionError):     # no position axis
+        linear_conv1d_temporal(Tensor(np.ones((5, 4))), w, b, kernel, conv_bias)
+    with pytest.raises(DimensionError):     # the weight does not take x
+        linear_conv1d_temporal(x, Tensor(np.ones((3, 6))), b, kernel, conv_bias)
+    with pytest.raises(DimensionError):     # the kernel does not take the projection
+        linear_conv1d_temporal(x, w, b, Tensor(np.ones((3, 4, 7))), conv_bias)
+    with pytest.raises(DimensionError):
+        linear_conv1d_temporal(x, w, Tensor(np.ones(7)), kernel, conv_bias)
+    with pytest.raises(DimensionError):
+        linear_conv1d_temporal(x, w, b, kernel, Tensor(np.ones(6)))
+
+
+@pytest.mark.parametrize("trainable", [(0, 1, 2, 3, 4), (3,), (0,), (1, 2)])
+def test_linear_conv_keeps_x_not_the_projection(monkeypatch, trainable):
+    unfoldings = []
+    unfold = autodiff._unfold_time
+
+    def recorded(x, blocks, width):
+        out = unfold(x, blocks, width)
+        unfoldings.append(weakref.ref(out))
+        return out
+    monkeypatch.setattr(autodiff, "_unfold_time", recorded)
+    tensors = [Tensor(a, requires_grad=i in trainable)
+               for i, a in enumerate(_linear_conv_operands(18))]
+    x = tensors[0]
+    out = linear_conv1d_temporal(*tensors)
+    # neither the projection, in either layout, nor its unfolding outlives
+    # the forward; the node keeps x when the kernel's or the weight's
+    # gradient reads it
+    kept = _kept_arrays(out._node)
+    assert all(a.size < 2 * 5 * 3 * 6 for a in kept)
+    assert any(a is x.data for a in kept) == bool({1, 3} & set(trainable))
+    assert all(ref() is None for ref in unfoldings)
+    out.backward(np.ones(out.shape))
+    assert all(ref() is None for ref in unfoldings)
+    with no_grad():
+        assert linear_conv1d_temporal(*tensors)._node is None
+
+
+def test_second_backward_through_a_consumed_graph_raises():
+    rng = np.random.default_rng(19)
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2,)), requires_grad=True)
+    hidden = linear(Tensor(rng.normal(size=(4, 3))), w, b)
+    loss = sum_(relu(hidden))
+    other = mean(hidden)
+    loss.backward()
+    grads = [t.grad.tobytes() for t in (loss, w, b)]
+    # the same root, and another root whose graph shares a consumed node
+    for root in (loss, other):
+        with pytest.raises(GraphError, match="consumed"):
+            root.backward()
+        assert [t.grad.tobytes() for t in (loss, w, b)] == grads
+    assert other.grad is None
+
+
 _ROUTE_STACK = np.random.default_rng(13).normal(size=(3, 4, 4))
 _ROUTE_ADJ = np.random.default_rng(14).uniform(0.0, 1.0, size=(4, 4))
 
@@ -227,10 +312,9 @@ def test_graph_routes_keep_x_and_y_only(trainable):
     want = [x.data] * bool({0, 1} & set(trainable)) \
         + [y.data] * bool({2, 3} & set(trainable))
     assert len(wide) == len(want) and all(any(a is w for a in wide) for w in want)
-    # backward leaves the node's closure as it was
+    # backward releases the node's closure, and with it x and y
     out.backward(np.ones(out.shape))
-    assert len([a for a in _kept_arrays(out._node)
-                if a.size >= x.data.size]) == len(want)
+    assert _kept_arrays(out._node) == [] and out._node.parents == ()
 
 
 # (L_q, L_k, mask): square, rectangular, causal and a rectangular mask that
@@ -783,7 +867,7 @@ def test_every_public_op_has_a_library_caller():
                 # the defining module counts only outside the definition
                 if member.name not in elsewhere | _references(trees[path], member):
                     unused.add(member.name)
-    assert {"conv1d_temporal", "graph_routes", "pairwise_mic", "CIGNN",
-            "keys_values", "forecast"} <= defined
+    assert {"conv1d_temporal", "linear_conv1d_temporal", "graph_routes",
+            "pairwise_mic", "CIGNN", "keys_values", "forecast"} <= defined
     assert {"matmul", "attention"} <= set().union(*refs.values())
     assert unused == set()

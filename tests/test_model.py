@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import tracemalloc
 from types import SimpleNamespace
@@ -461,6 +462,48 @@ def test_training_graph_keeps_arrays_not_tensors():
     kept = [value for node in nodes for value in kept_values(node)]
     assert len(nodes) > 50
     assert not any(isinstance(value, Tensor) for value in kept)
+
+
+def test_backward_leaves_no_array_in_the_step_graph():
+    # one pems08-preset step (dropout on, Q/K conv on) at N=4: once the
+    # loss's backward has run, no node of its graph keeps an array, a
+    # parent or, apart from the root, a gradient
+    n = 4
+    cfg = dataclasses.replace(PRESETS["pems08"], dropout=0.1)
+    model = build_model(cfg, _scorr(n, 2), _adj(n), n, seed=36)
+    rng = np.random.default_rng(37)
+    loss = mae_loss(model.forward(rng.normal(size=(1, cfg.encoder_length, n, 2)),
+                                  rng.normal(size=(1, 12, n, 2)), rng=rng),
+                    rng.normal(size=(1, 12, n, 1)))
+    nodes = graph_nodes(loss)
+    assert len(nodes) > 150
+    assert any(isinstance(value, np.ndarray)
+               for node in nodes for value in kept_values(node))
+    loss.backward()
+    assert all(p.grad is not None for p in model.parameters())
+    assert not any(isinstance(value, np.ndarray)
+                   for node in nodes for value in kept_values(node))
+    assert all(node.parents == () for node in nodes)
+    assert all(node.grad is None for node in nodes if node is not loss._node)
+
+
+def test_validation_runs_in_chunks_of_16_windows(monkeypatch):
+    # with the pems08 preset a validation chunk of 128 windows peaked at
+    # 2.7 GB of RSS at N=96; the metrics do not depend on the chunk
+    _, params, _, val_s = _training_setup()
+    cfg, model = _tiny_model(seed=38, n=3, c=1)
+    sizes = []
+    forward = model_mod.CorrSTN.forward
+
+    def recorded(net, enc, dec, rng=None):
+        sizes.append(len(enc))
+        return forward(net, enc, dec, rng)
+    monkeypatch.setattr(model_mod.CorrSTN, "forward", recorded)
+    assert len(val_s) > 16
+    want = model_mod._teacher_forced_metrics(model, val_s, params)
+    assert max(sizes) == 16 and sum(sizes) == len(val_s)
+    for chunk in (1, 7, 64, 128):
+        assert model_mod._teacher_forced_metrics(model, val_s, params, chunk) == want
 
 
 def test_state_dict_round_trip_and_mismatch():
