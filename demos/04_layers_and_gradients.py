@@ -1,6 +1,7 @@
 """The autodiff engine and the two correlation-aware layers.
 
-Shows reverse-mode gradients agreeing with finite differences, the key
+Shows reverse-mode gradients of the training loss, the MAE as one node over
+a fused linear map, agreeing with finite differences, the key
 reconstruction collapsing to plain attention under an identity top-U, and the
 graph layer separating its correlation and structural branches. Attention
 runs the model's own path on position-major (L, N, d) inputs:
@@ -15,22 +16,23 @@ import numpy as np
 
 from corrstn import (SCorrTensor, Tensor, add_self_loops, attend_heads,
                      causal_mask, cignn_forward, identity_topu,
-                     key_value_heads, laplacian_normalize, top_u_normalize,
-                     topu_mixing_matrix)
-from corrstn.autodiff import matmul, mean, relu
+                     key_value_heads, laplacian_normalize, mae_loss,
+                     top_u_normalize, topu_mixing_matrix)
+from corrstn.autodiff import linear
 
 rng = np.random.default_rng(0)
 
 # --- reverse mode vs a finite difference probe --------------------------
 w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
 x = Tensor(rng.normal(size=(5, 3)))
-loss = mean(relu(matmul(x, w)))
+target = rng.normal(size=(5, 3))
+loss = mae_loss(linear(x, w), target)
 loss.backward()
 
 h = 1e-6
 probe = w.data.copy()
 probe[1, 2] += h
-bumped = float(np.mean(np.maximum(x.data @ probe, 0.0)))
+bumped = float(np.mean(np.abs(x.data @ probe - target)))
 fd = (bumped - float(loss.data)) / h
 print(f"dloss/dw[1,2]: reverse mode {w.grad[1, 2]:+.8f}, "
       f"forward difference {fd:+.8f}")

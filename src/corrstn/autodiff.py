@@ -1,19 +1,19 @@
 """Reverse-mode autodiff over dense float64 numpy arrays.
 
-Only what the forecaster needs: broadcasted arithmetic, batched matmul,
-the fused linear (matmul and bias add in one node), relu/abs, layer norm
-(fused, last axis), the fused attention core (plain or row-independent, with
-any head split done on views inside the node, run over blocks of its leading
-axes), the graph layer's rectified route sum (its correlation routes and its
-structural route in one node), reductions, reshape and narrow, the temporal
-convolution, alone or over a linear projection in one node, and dropout.
+Only what the forecaster runs: broadcasted add, batched matmul, the fused
+linear (matmul and bias add in one node), layer norm (fused, last axis), the
+fused attention core (plain or row-independent, with any head split done on
+views inside the node, run over blocks of its leading axes), the graph
+layer's rectified route sum (its correlation routes and its structural route
+in one node), reshape and narrow, a linear projection and its temporal
+convolution in one node, dropout, and the MAE loss as one node.
 Graphs are built eagerly. A graph vertex is a `_Node` (parent nodes, backward
 closure, gradient), apart from the `Tensor` that holds the op's output, and
 each closure keeps only the arrays its backward reads, for the operands that
 need a gradient. An intermediate output that no backward reads is therefore
 freed as soon as the forward code drops its tensor, while the graph lives on.
-A fused node's transients (the temporal unfolding, the projection under the
-temporal convolution, the graph routes and their relu masks, a block's
+A fused node's transients (the projection under the temporal convolution
+and its unfolding, the graph routes and their relu masks, a block's
 attention scores) are never kept: backward rebuilds them from what the node
 keeps. The attention core keeps its softmax weights only in its rowwise
 form; otherwise it keeps each weights row's max and sum, and backward
@@ -212,22 +212,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data + b.data, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a_shape = a.shape if a.requires_grad else None
-    b_shape = b.shape if b.requires_grad else None
-
-    def backward(g):
-        return (None if a_shape is None else _unbroadcast(g, a_shape),
-                None if b_shape is None else _unbroadcast(-g, b_shape))
-    return _result(a.data - b.data, (a, b), backward)
-
-
-def mul_scalar(a: Tensor, s: float) -> Tensor:
-    def backward(g):
-        return (g * s,)
-    return _result(a.data * s, (a,), backward)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product with broadcasting over leading axes."""
     if a.ndim < 2 or b.ndim < 2:
@@ -286,52 +270,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _result(out, (x, weight, bias) if has_bias else (x, weight), backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-
-    def backward(g):
-        return (g * mask,)
-    return _result(np.where(mask, a.data, 0.0), (a,), backward)
-
-
-def abs_(a: Tensor) -> Tensor:
-    # subgradient 0 at exactly 0
-    sign = np.sign(a.data)
-
-    def backward(g):
-        return (g * sign,)
-    return _result(np.abs(a.data), (a,), backward)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-def _normalize_axes(axis, ndim):
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
-
-
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _normalize_axes(axis, a.ndim)
-    a_shape = a.shape
-
-    def backward(g):
-        if not keepdims:
-            for ax in sorted(axes):
-                g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, a_shape).copy(),)
-    return _result(a.data.sum(axis=axes, keepdims=keepdims), (a,), backward)
-
-
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _normalize_axes(axis, a.ndim)
-    count = int(np.prod([a.shape[ax] for ax in axes])) if axes else 1
-    return mul_scalar(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
 # ---------------------------------------------------------------------------
 # shape ops
 
@@ -387,24 +325,6 @@ def _unfold_time(x: np.ndarray, blocks: list, width: int) -> np.ndarray:
     return out
 
 
-def _check_conv(d_in: int, kernel: Tensor, bias: Tensor | None) -> None:
-    """Refuses a kernel that is not (k, d_in, d_out) for inputs of width
-    d_in, or a bias that is not (d_out,)."""
-    if kernel.ndim != 3:
-        raise DimensionError(f"kernel must be (k, d_in, d_out), got {kernel.shape}")
-    if kernel.shape[1] != d_in:
-        raise DimensionError(f"kernel d_in {kernel.shape[1]} != feature width {d_in}")
-    if bias is not None and bias.shape != kernel.shape[2:]:
-        raise DimensionError(f"bias {bias.shape} does not match kernel {kernel.shape}")
-
-
-def _conv(x: np.ndarray, weight: np.ndarray, blocks: list) -> np.ndarray:
-    """The convolution of x (..., T, d_in) along axis -2 by the kernel as a
-    (k * d_in, d_out) matrix: the unfolded windows times the matrix, in one
-    GEMM. The unfolding dies with the call."""
-    return _unfold_time(x, blocks, weight.shape[0]) @ weight
-
-
 def _conv_input_grad(g: np.ndarray, weight: np.ndarray, blocks: list,
                      x_shape: tuple) -> np.ndarray:
     """The conv input's gradient for output gradient g: one product per
@@ -431,62 +351,31 @@ def _conv_kernel_grad(g: np.ndarray, x: np.ndarray, blocks: list,
     return gk.reshape(kernel_shape)
 
 
-def conv1d_temporal(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Same-length convolution along axis -2 of x (..., T, d_in) with a
-    (k, d_in, d_out) kernel, as one node: one projection per temporal
-    offset. The k centred, zero-padded windows are unfolded side by side
-    (block o of row t is row t + o - (k-1)//2 of x) and multiplied by the
-    kernel reshaped to (k * d_in, d_out) in one GEMM. The node keeps x, not
-    its k times wider unfolding, and backward makes nothing that wide: it
-    folds one product per offset into x's gradient, and unfolds x one
-    offset's window at a time for that block of the kernel's gradient, with
-    the bits of the whole unfolding's GEMMs.
-    """
-    if x.ndim < 2:
-        raise DimensionError(f"need (..., T, d), got {x.shape}")
-    _check_conv(x.shape[-1], kernel, bias)
-    k, d_in, d_out = kernel.shape
-    has_bias = bias is not None
-    blocks = _time_blocks(x.shape[-2], k, d_in)
-    weight = kernel.data.reshape(k * d_in, d_out)
-    out = _conv(x.data, weight, blocks)
-    if has_bias:
-        out += bias.data
-    # the kernel's gradient reads x; x's reads the kernel
-    x_shape = x.shape
-    x_data = x.data if kernel.requires_grad else None
-    w_data = weight if x.requires_grad else None
-    need_bias = has_bias and bias.requires_grad
-
-    def backward(g):
-        gx = gk = gb = None
-        if w_data is not None:
-            gx = _conv_input_grad(g, w_data, blocks, x_shape)
-        if x_data is not None:
-            gk = _conv_kernel_grad(g, x_data, blocks, (k, d_in, d_out))
-        if need_bias:
-            gb = _unbroadcast(g, (d_out,))
-        return (gx, gk, gb) if has_bias else (gx, gk)
-    return _result(out, (x, kernel, bias) if has_bias else (x, kernel), backward)
-
-
 def linear_conv1d_temporal(x: Tensor, weight: Tensor, bias: Tensor, kernel: Tensor,
                            conv_bias: Tensor) -> Tensor:
-    """`conv1d_temporal` along axis -3 of linear(x, weight, bias), for
-    position-major x (..., T, S, d_in), a (d_in, d) weight, a (k, d, d_out)
-    kernel and biases (d,) and (d_out,), as one node with the bits of linear,
-    a swap of axes -3 and -2, the conv and the swap back. The node keeps x,
-    the weight and the bias, never their (..., T, S, d) projection: backward
-    rebuilds it with the forward's own product when the kernel needs a
-    gradient. Its output, like the composed ops', is a (..., T, S, d_out)
-    view of the conv's (..., S, T, d_out) array."""
+    """A same-length convolution along axis -3 of linear(x, weight, bias),
+    for position-major x (..., T, S, d_in), a (d_in, d) weight, a (k, d,
+    d_out) kernel and biases (d,) and (d_out,), as one node. With time
+    swapped onto axis -2, the projection's k centred, zero-padded windows are
+    unfolded side by side (block o of row t is row t + o - (k-1)//2) and
+    multiplied by the kernel reshaped to (k * d, d_out) in one GEMM; the
+    unfolding is a transient. The node keeps x, the weight and the bias,
+    never their (..., T, S, d) projection or its k times wider unfolding,
+    and backward makes nothing that wide: it folds one product per offset
+    into the projection's gradient, and, when the kernel needs a gradient,
+    rebuilds the projection with the forward's own product and unfolds it one
+    offset's window at a time, with the bits of the whole unfolding's GEMMs.
+    Its output is a (..., T, S, d_out) view of a (..., S, T, d_out) array."""
     if x.ndim < 3 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
         raise DimensionError(f"projection needs (..., T, S, d_in) @ (d_in, d), "
                              f"got {x.shape} @ {weight.shape}")
     if bias.shape != weight.shape[1:]:
         raise DimensionError(f"bias {bias.shape} does not match weight {weight.shape}")
     d_in, d = weight.shape
-    _check_conv(d, kernel, conv_bias)
+    if kernel.ndim != 3 or kernel.shape[1] != d:
+        raise DimensionError(f"kernel must be (k, {d}, d_out), got {kernel.shape}")
+    if conv_bias.shape != kernel.shape[2:]:
+        raise DimensionError(f"bias {conv_bias.shape} does not match kernel {kernel.shape}")
     k, _, d_out = kernel.shape
     blocks = _time_blocks(x.shape[-3], k, d)
     conv_weight = kernel.data.reshape(k * d, d_out)
@@ -496,7 +385,8 @@ def linear_conv1d_temporal(x: Tensor, weight: Tensor, bias: Tensor, kernel: Tens
         projection += b_data
         return np.swapaxes(projection, -3, -2)
 
-    out = _conv(project(x.data, weight.data, bias.data), conv_weight, blocks)
+    out = _unfold_time(project(x.data, weight.data, bias.data), blocks, k * d) \
+        @ conv_weight
     out += conv_bias.data
     # the kernel's gradient reads the projection, rebuilt from x, the weight
     # and the bias; the projection's reads the kernel, and from there the
@@ -923,6 +813,27 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     def backward(g):
         return (g * keep * scale,)
     return _result(x.data * keep * scale, (x,), backward)
+
+
+# ---------------------------------------------------------------------------
+# loss
+
+def mae_loss(pred: Tensor, target) -> Tensor:
+    """Mean absolute error of pred against a constant target of its shape, as
+    one node with the bits of a difference, abs, a sum over every axis and a
+    scaling by 1/size. It keeps only the difference's sign, so the
+    subgradient at exactly 0 is 0."""
+    target = np.asarray(target, dtype=np.float64)
+    if pred.shape != target.shape:
+        raise DimensionError(f"loss shapes: pred {pred.shape}, target {target.shape}")
+    shape, scale = pred.shape, 1.0 / pred.data.size
+    diff = pred.data - target
+    sign = np.sign(diff)
+
+    def backward(g):
+        return (np.broadcast_to(g * scale, shape) * sign,)
+    total = np.abs(diff).sum(axis=tuple(range(diff.ndim)))
+    return _result(total * scale, (pred,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import metrics as metrics_mod
-from .autodiff import Module, Parameter, Tensor
+from .autodiff import Module, Parameter, Tensor, mae_loss
 from .data import SampleSet, denormalize, iterate_batches
 from .errors import ComputeError, ConfigError, DataError, DimensionError
 from .neural import (CIATT, CIGNN, LayerNorm, Linear, NormalizedAdjacency,
@@ -386,12 +386,6 @@ class Adam:
             m += (1.0 - self.beta1) * (g - m)
             v += (1.0 - self.beta2) * (g * g - v)
             p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-def mae_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    if pred.shape != target.shape:
-        raise DimensionError(f"loss shapes: pred {pred.shape}, target {target.shape}")
-    return ad.mean(ad.abs_(ad.sub(pred, Tensor(target))))
 
 
 # ---------------------------------------------------------------------------

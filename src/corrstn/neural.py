@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Module, Parameter, Tensor, conv1d_temporal
+from .autodiff import Module, Parameter, Tensor
 from .errors import ConfigError, DataError, DimensionError
 from .scorr import SCorrTensor, TopUSCorr, topu_mixing_matrix
 
@@ -145,7 +145,10 @@ class LayerNorm(Module):
 
 
 class TemporalConv(Module):
-    """Local-context projection along the time axis, same output length."""
+    """The kernel (k, d_model, d_model) and bias (d_model,) of a
+    same-length convolution along time, k odd. It has no forward of its own:
+    `CIATT` runs it with the projection under it as one
+    `autodiff.linear_conv1d_temporal` node."""
 
     def __init__(self, kernel_size: int, d_model: int, rng: np.random.Generator):
         if kernel_size < 1 or kernel_size % 2 == 0:
@@ -154,9 +157,6 @@ class TemporalConv(Module):
             rng, (kernel_size, d_model, d_model), kernel_size * d_model, d_model))
         self.bias = Parameter(np.zeros(d_model))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv1d_temporal(x, self.kernel, self.bias)
-
 
 class CIATT(Module):
     """Correlation attention block: projections, optional temporal conv on
@@ -164,7 +164,7 @@ class CIATT(Module):
     are position-major, (..., L, N, d_model). With the conv, each Q or K
     projection and its conv along L are one `linear_conv1d_temporal` node
     that keeps the block's input, not the projection; `q_conv` and `k_conv`
-    hold that node's kernels and biases."""
+    are `TemporalConv` holders of that node's kernels and biases."""
 
     def __init__(self, d_model: int, heads: int, topu: TopUSCorr,
                  rng: np.random.Generator, conv_kernel: int | None = None,

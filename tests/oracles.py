@@ -12,8 +12,8 @@ finite-difference checks test both.
 `synthetic_by_sines` is the synthetic generator as one sine pass per
 harmonic and series, the form `generate_synthetic` replaced with a shared
 basis; it takes the harmonic tables from the library.
-`mul` and `permute` are autodiff nodes for ops that the engine runs only
-inside its fused nodes, so that the op-by-op oracles can compose them.
+`mul`, `permute` and `relu` are autodiff nodes for ops that the engine runs
+only inside its fused nodes, so that the op-by-op oracles can compose them.
 `graph_nodes` is not an oracle: it is the one autograph walk that the
 graph-structure tests share.
 """
@@ -271,11 +271,41 @@ def permute(a, axes):
     return ad._result(np.transpose(a.data, axes), (a,), backward)
 
 
+def relu(a):
+    """max(a, 0) as one autodiff node, for the op-by-op oracles; the engine
+    rectifies only inside its graph-routes node."""
+    mask = a.data > 0
+
+    def backward(g):
+        return (g * mask,)
+    return ad._result(np.where(mask, a.data, 0.0), (a,), backward)
+
+
 def attention_by_ops(q, k, v, scale, mask=None):
     """softmax(q k^T * scale) v built from one autodiff node per step."""
     swap = (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)
-    scores = ad.mul_scalar(ad.matmul(q, permute(k, swap)), scale)
+    scores = mul(ad.matmul(q, permute(k, swap)), ad.Tensor(scale))
     return ad.matmul(_softmax_node(scores, mask), v)
+
+
+def temporal_conv_by_loop(x, kernel, bias, g):
+    """Same-length convolution along axis -3 of x (..., T, S, d_in) by a
+    (k, d_in, d_out) kernel, zero outside [0, T), one (d_in, d_out) product
+    per offset and row. Returns the output and, for output gradient g, the
+    gradients of x, the kernel and the bias."""
+    k, d_in, d_out = kernel.shape
+    t_len = x.shape[-3]
+    out = np.broadcast_to(bias, x.shape[:-1] + (d_out,)).copy()
+    gx, gk = np.zeros_like(x), np.zeros_like(kernel)
+    for t in range(t_len):
+        for o in range(k):
+            source = t + o - (k - 1) // 2
+            if 0 <= source < t_len:
+                out[..., t, :, :] += x[..., source, :, :] @ kernel[o]
+                gx[..., source, :, :] += g[..., t, :, :] @ kernel[o].T
+                gk[o] += (x[..., source, :, :].reshape(-1, d_in).T
+                          @ g[..., t, :, :].reshape(-1, d_out))
+    return out, gx, gk, g.reshape(-1, d_out).sum(axis=0)
 
 
 def broadcast_weight_grad(a, g):

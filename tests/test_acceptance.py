@@ -25,15 +25,13 @@ from corrstn import (ModelConfig, PERIODS, PeriodSpec, SCorrTensor, Tensor,
                      generate_synthetic, identity_topu, key_value_heads,
                      laplacian_normalize, load_tensor, mae_loss, mic,
                      normalize, save_tensor, select_periods, split_ranges,
-                     top_u_normalize, topu_mixing_matrix, train,
-                     weighted_tcorr)
+                     top_u_normalize, topu_mixing_matrix, train)
 from corrstn import metrics as metrics_mod
-from corrstn.autodiff import (abs_, add, conv1d_temporal, dropout, graph_routes,
-                              layer_norm, linear, linear_conv1d_temporal,
-                              matmul, mean, mul_scalar, narrow, relu, reshape,
-                              sub, sum_)
+from corrstn.autodiff import (add, dropout, graph_routes, layer_norm, linear,
+                              linear_conv1d_temporal, matmul, narrow, reshape)
 from corrstn.cli import main as cli_main
 from corrstn.data import SampleSet, SpatioTemporalTensor
+from corrstn.tcorr import weighted_tcorr
 from oracles import (finite_difference_gradient, gradient_gap,
                      metrics_brute_force, mic_brute_force,
                      mul, multi_head_attention, permute, plain_gnn)
@@ -229,24 +227,20 @@ def test_criterion_05_selection_oracle_on_synthetic_regimes():
 
 _ROUTE_STACK = np.random.default_rng(6000).uniform(0.1, 0.9, size=(3, 4, 4))
 _ROUTE_ADJ = np.random.default_rng(6001).uniform(0.1, 0.9, size=(4, 4))
+_LOSS_TARGET = np.random.default_rng(6002).normal(size=(4, 4))
 
-# (builder, input shapes, offset nudging inputs away from relu/abs kinks)
+# (builder, input shapes, offset nudging inputs away from the kinks of the
+# routes' relu and the loss's absolute value)
 _OP_CATALOG = [
     (add, [(3, 4), (3, 4)], 0.0),
     (add, [(2, 3, 4), (4,)], 0.0),
-    (sub, [(3, 4), (1, 4)], 0.0),
     (mul, [(3, 4), (3, 4)], 0.0),
-    (lambda a: mul_scalar(a, -2.5), [(3, 4)], 0.0),
     (matmul, [(3, 4), (4, 5)], 0.0),
     (matmul, [(2, 1, 3, 4), (2, 6, 4, 5)], 0.0),
     (lambda x, w, b: linear(x, w, b), [(4, 3), (3, 2), (2,)], 0.0),
-    (relu, [(4, 4)], 0.9),
-    (abs_, [(4, 4)], 0.9),
-    (lambda a: sum_(a, axis=1), [(3, 4)], 0.0),
-    (lambda a: mean(a, axis=0), [(3, 4)], 0.0),
     (lambda a: reshape(a, (6, 2)), [(3, 4)], 0.0),
     (lambda a: narrow(a, 1, 1, 2), [(3, 4)], 0.0),
-    (lambda x, k, b: conv1d_temporal(x, k, b), [(2, 5, 3), (3, 3, 2), (2,)], 0.0),
+    (lambda a: mae_loss(a, _LOSS_TARGET), [(4, 4)], 0.0),
     (linear_conv1d_temporal, [(1, 4, 2, 3), (3, 2), (2,), (3, 2, 2), (2,)], 0.0),
     (lambda x, psi, y, omega: graph_routes(_ROUTE_STACK, x, psi, _ROUTE_ADJ, y, omega),
      [(2, 4, 3), (3,), (2, 4, 3), (1,)], 0.9),
@@ -304,8 +298,8 @@ def _layer_catalog(seed):
          [(n, length, d)] * 3 + [(d, d)], "ciatt masked"),
         (lambda q, k, v, w_out: ciatt(q, k, v, w_out, mask=causal, rowwise=True),
          [(n, length, d)] * 3 + [(d, d)], "ciatt rowwise"),
-        (lambda x, k, b: conv1d_temporal(x, k, b),
-         [(6, 3), (3, 3, 5), (5,)], "temporal conv"),
+        (linear_conv1d_temporal, [(6, 2, 3), (3, 3), (3,), (3, 3, 5), (5,)],
+         "temporal conv"),
     ]
 
 

@@ -7,9 +7,8 @@ import pytest
 
 from corrstn import (SpatioTemporalTensor, assemble_samples, denormalize,
                      fit_normalization, generate_synthetic, load_dataset,
-                     load_edges, load_tensor, normalize, save_tensor,
-                     split_ranges)
-from corrstn.data import EncoderWindows, iterate_batches
+                     load_tensor, normalize, save_tensor, split_ranges)
+from corrstn.data import EncoderWindows, iterate_batches, load_edges
 from corrstn.errors import ConfigError, DataError, DimensionError
 from oracles import encoder_by_gather, synthetic_by_sines
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from corrstn import (MetricReport, compute_report, export_horizon_csv,
-                     load_metric_report, mae, mape, rmse, save_metric_report)
+from corrstn import (compute_report, export_horizon_csv, load_metric_report,
+                     mae, mape, rmse, save_metric_report)
 from corrstn.errors import DataError, DimensionError
 from oracles import metrics_brute_force
 

@@ -4,9 +4,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from corrstn import DEFAULT_ETA, admissible_shapes, mic, mic_full, pairwise_mic
+from corrstn import admissible_shapes, mic, mic_full, pairwise_mic
 from corrstn.errors import DimensionError
-from corrstn.mic import MicStats, _GridSearch, _grid_search, _profile, _score
+from corrstn.mic import (DEFAULT_ETA, MicStats, _GridSearch, _grid_search,
+                         _profile, _score)
 from oracles import grid_shapes, mic_brute_force
 
 

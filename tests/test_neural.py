@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from corrstn import (CIATT, CIGNN, LayerNorm, Linear, SCorrTensor,
-                     TemporalConv, Tensor, TopUSCorr, add_self_loops,
-                     attend_heads, causal_mask, cignn_forward,
-                     conv1d_temporal, identity_topu, key_value_heads,
+from corrstn import (CIATT, CIGNN, LayerNorm, SCorrTensor, TemporalConv,
+                     Tensor, add_self_loops, attend_heads, causal_mask,
+                     cignn_forward, identity_topu, key_value_heads,
                      laplacian_normalize, top_u_normalize, topu_mixing_matrix)
+from corrstn.autodiff import linear_conv1d_temporal
 from corrstn.errors import ConfigError, DataError, DimensionError
+from corrstn.neural import Linear
+from corrstn.scorr import TopUSCorr
 from oracles import (finite_difference_gradient, gradient_gap, graph_nodes,
                      multi_head_attention, plain_gnn, softmax_rows)
 
@@ -248,20 +250,31 @@ def test_ciatt_gradients():
 
 
 # ---------------------------------------------------------------------------
-# temporal convolution
+# temporal convolution, through the fused node under an identity projection
+
+def _conv1d(x, kernel):
+    """The same-length convolution of x (..., T, d_in) along its time axis,
+    as the fused node runs it over one position under the identity
+    projection, whose product gives x's own bits."""
+    d_in, d_out = x.shape[-1], kernel.shape[-1]
+    out = linear_conv1d_temporal(Tensor(x[..., None, :]), Tensor(np.eye(d_in)),
+                                 Tensor(np.zeros(d_in)), Tensor(kernel),
+                                 Tensor(np.zeros(d_out)))
+    return out.data[..., 0, :]
+
 
 def test_conv1d_delta_kernel_is_identity():
     rng = np.random.default_rng(17)
     x = rng.normal(size=(2, 7, 3))
     kernel = np.zeros((5, 3, 3))
     kernel[2] = np.eye(3)  # centered delta
-    got = conv1d_temporal(Tensor(x), Tensor(kernel)).data
+    got = _conv1d(x, kernel)
     assert np.allclose(got, x, atol=1e-15)
 
 
 def test_conv1d_scalar_kernel_matches_manual():
     x = np.arange(5.0).reshape(1, 5, 1)
-    got = conv1d_temporal(Tensor(x), Tensor(np.ones((3, 1, 1)))).data
+    got = _conv1d(x, np.ones((3, 1, 1)))
     # zero padding on both sides, window sums
     assert np.allclose(got[0, :, 0], [1.0, 3.0, 6.0, 9.0, 7.0], atol=1e-15)
 
@@ -271,7 +284,7 @@ def test_conv1d_matrix_kernel_matches_loop():
     t_len, d_in, d_out, ksize = 6, 3, 2, 3
     x = rng.normal(size=(t_len, d_in))
     kernel = rng.normal(size=(ksize, d_in, d_out))
-    got = conv1d_temporal(Tensor(x), Tensor(kernel)).data
+    got = _conv1d(x[None], kernel)[0]
     padded = np.vstack([np.zeros((1, d_in)), x, np.zeros((1, d_in))])
     want = np.zeros((t_len, d_out))
     for t in range(t_len):
@@ -282,32 +295,34 @@ def test_conv1d_matrix_kernel_matches_loop():
 
 def test_conv1d_gradients():
     rng = np.random.default_rng(19)
-    x0 = rng.normal(size=(2, 5, 3))
+    x0 = rng.normal(size=(2, 5, 1, 3))
     k0 = rng.normal(size=(3, 3, 2))
+    w, b, cb = Tensor(np.eye(3)), Tensor(np.zeros(3)), Tensor(np.zeros(2))
 
     for slot in range(2):
         arrs = [x0, k0]
         tensors = [Tensor(a.copy(), requires_grad=(i == slot))
                    for i, a in enumerate(arrs)]
-        out = conv1d_temporal(tensors[0], tensors[1])
+        out = linear_conv1d_temporal(tensors[0], w, b, tensors[1], cb)
         out.backward(np.ones_like(out.data))
 
         def scalar(a, slot=slot):
             probe = [Tensor(v.copy()) for v in arrs]
             probe[slot] = Tensor(a)
-            return float(conv1d_temporal(probe[0], probe[1]).data.sum())
+            return float(linear_conv1d_temporal(probe[0], w, b, probe[1], cb).data.sum())
 
         numeric = finite_difference_gradient(scalar, arrs[slot])
         assert gradient_gap(tensors[slot].grad, numeric) < 1e-6, slot
 
 
 def test_conv1d_kernel_validation():
+    x, w, b = Tensor(np.ones((4, 1, 3))), Tensor(np.eye(3)), Tensor(np.zeros(3))
     with pytest.raises(DimensionError):
-        conv1d_temporal(Tensor(np.ones((4, 3))), Tensor(np.ones((2, 2))))
+        linear_conv1d_temporal(x, w, b, Tensor(np.ones((2, 2))), Tensor(np.zeros(2)))
     with pytest.raises(DimensionError):
-        conv1d_temporal(Tensor(np.ones((4, 3))), Tensor(np.ones((3, 5, 2))))
+        linear_conv1d_temporal(x, w, b, Tensor(np.ones((3, 5, 2))), Tensor(np.zeros(2)))
     with pytest.raises(DimensionError):   # no scalar (k,) kernel mode
-        conv1d_temporal(Tensor(np.ones((4, 3))), Tensor(np.ones(3)))
+        linear_conv1d_temporal(x, w, b, Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +343,20 @@ def test_temporal_conv_module_rejects_even_kernel():
     rng = np.random.default_rng(21)
     with pytest.raises(ConfigError):
         TemporalConv(2, 4, rng)
+    # a holder of the fused node's kernel and bias, under the names that
+    # checkpoints store
     conv = TemporalConv(3, 4, rng)
-    assert conv(Tensor(np.ones((2, 6, 4)))).shape == (2, 6, 4)
+    assert [(name, p.shape) for name, p in conv.named_parameters()] == [
+        ("kernel", (3, 4, 4)), ("bias", (4,))]
 
 
 def test_temporal_conv_node_count_does_not_grow_with_kernel():
     rng = np.random.default_rng(23)
-    x = Tensor(rng.normal(size=(2, 6, 4)), requires_grad=True)
-    counts = [len(graph_nodes(TemporalConv(k, 4, rng)(x))) for k in (3, 5)]
-    # the convolution is one node
+    x = Tensor(rng.normal(size=(2, 6, 3, 4)), requires_grad=True)
+    counts = [len(graph_nodes(CIATT._project(x, Linear(4, 4, rng),
+                                             TemporalConv(k, 4, rng))))
+              for k in (3, 5)]
+    # the projection and its convolution are one node
     assert counts == [1, 1]
 
 

@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from corrstn import (DEFAULT_ETA, PERIODS, PeriodSpec, SpatioTemporalTensor,
-                     TCorrWeights, anchor_positions, build_tcorr_report,
-                     combine_verdicts, compute_tcorr, load_report, mic,
-                     save_report, select_periods, weighted_tcorr)
+from corrstn import (PERIODS, PeriodSpec, SpatioTemporalTensor, TCorrWeights,
+                     anchor_positions, build_tcorr_report, combine_verdicts,
+                     compute_tcorr, load_report, mic, save_report,
+                     select_periods)
 from corrstn.errors import ConfigError, EmptyAnchorError, OutOfRangeError
-from corrstn.mic import MicStats, _GridSearch
+from corrstn.mic import DEFAULT_ETA, MicStats, _GridSearch
+from corrstn.tcorr import weighted_tcorr
 from oracles import tcorr_per_window
 
 
