@@ -15,9 +15,9 @@ freed as soon as the forward code drops its tensor, while the graph lives on.
 A fused node's transients (the projection under the temporal convolution
 and its unfolding, the graph routes and their relu masks, a block's
 attention scores) are never kept: backward rebuilds them from what the node
-keeps. The attention core keeps its softmax weights only in its rowwise
-form; otherwise it keeps each weights row's max and sum, and backward
-rebuilds the weights from q and k with the forward's bits.
+keeps. No attention core keeps its softmax weights: each keeps every
+weights row's max and sum, and backward rebuilds the weights from q and k
+with the forward's own products, so they have the forward's bits.
 backward() walks a topological order once and accumulates each closure's
 gradients into the parent nodes. It consumes the graph as it goes: once a
 node's backward has run, the node drops its closure, its parents and, unless
@@ -591,25 +591,24 @@ def _blocks(lead: tuple, slice_bytes: int) -> list:
 
 
 def _weights(q: np.ndarray, kt: np.ndarray, scale: float, mask: np.ndarray | None,
-             rowwise: bool, p: np.ndarray | None = None,
-             stats: tuple | None = None) -> tuple:
+             rowwise: bool, stats: tuple | None = None) -> tuple:
     """Weights softmax(q kt * scale) of one block of the core, computed in
-    place in the scores (written into p when given), then each row's max and
-    sum of exponentials. Given the stats of the forward that made the
-    weights, the same q and kt rebuild those weights bit for bit."""
-    p = _product(q, kt, rowwise, p)
+    place in the scores, then each row's max and sum of exponentials. Given
+    the stats of the forward that made the weights, the same q, kt and
+    rowwise rebuild those weights bit for bit."""
+    p = _product(q, kt, rowwise)
     p *= scale
     return (p,) + _masked_softmax(p, mask, stats)
 
 
 def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
-            mask: np.ndarray | None, rowwise: bool, p: np.ndarray | None = None,
-            out: np.ndarray | None = None, stats: tuple | None = None) -> tuple:
-    """The weights of one block of the core and their product with v;
-    written into p and out when given. Each weights row's max and sum are
+            mask: np.ndarray | None, rowwise: bool, out: np.ndarray | None = None,
+            stats: tuple | None = None) -> tuple:
+    """The weights of one block of the core and their product with v, the
+    product written into out when given. Each weights row's max and sum are
     written into the pair of arrays stats when given, and are dropped with
     the block otherwise."""
-    p, *rows = _weights(q, kt, scale, mask, rowwise, p)
+    p, *rows = _weights(q, kt, scale, mask, rowwise)
     if stats is not None:
         for kept, row in zip(stats, rows):
             kept[...] = row
@@ -651,8 +650,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     the operands its gradients read, q and k, and each weights row's softmax
     max and sum, shape (..., L_q, 1), never the (L_q, L_k) weights: backward
     rebuilds each block's weights from q and k through the forward's own
-    steps, so they have the forward's bits. The rowwise core keeps its
-    weights instead. Under `no_grad` it keeps nothing.
+    steps (the rowwise core's with its per-row products), so they have the
+    forward's bits. Under `no_grad` it keeps nothing.
 
     Without heads, q is (..., L_q, d), k (..., L_k, d) and v (..., L_k, d_v),
     and attention runs over axis -2. With heads, the operands are
@@ -702,32 +701,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     keep = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
     # one entry per query row of the (broadcast) scores
     row_shape = np.broadcast_shapes(lead, ks.shape[:-2]) + (qs.shape[-2], 1)
-    stats = (np.empty(row_shape), np.empty(row_shape)) if keep and not rowwise else None
+    stats = (np.empty(row_shape), np.empty(row_shape)) if keep else None
     if blocks is _ONE_BLOCK:
-        p, out = _attend(qs, _keys(ks, (), contiguous), vs, scale, mask, rowwise,
-                         stats=stats)
+        out = _attend(qs, _keys(ks, (), contiguous), vs, scale, mask, rowwise,
+                      stats=stats)[1]
         out = _merge_heads(out, heads)
         # the gradients' shapes before their heads are merged
         shapes = (qs.shape, ks.shape, vs.shape)
     else:
         shapes = (q.shape, k.shape, v.shape)
-        p = np.empty(row_shape[:-1] + (ks.shape[-2],)) if keep and rowwise else None
         out = np.empty(q.shape[:-1] + (v.shape[-1],))
         out_split = _split_heads(out, heads)
         for index in blocks:
             _attend(qs[index], _keys(ks, index, contiguous), vs[index], scale, mask,
-                    rowwise, None if p is None else p[index], out_split[index],
+                    rowwise, out_split[index],
                     None if stats is None else (stats[0][index], stats[1][index]))
-    # The rowwise core keeps its weights: rebuilding them costs one
-    # (1, d) @ (d, L_k) product per row again. For the pems08 preset's
-    # cross-attention at N=96 (12 query rows, 36 keys, 8 heads, B=1) that
-    # took the node's forward plus backward from 11.7 to 19.5 ms (median of
-    # 15, one OpenBLAS thread) to save 2.65 MB. The other cores keep q, k
-    # and the row stats, and rebuild their weights in backward.
-    if rowwise:
-        rebuild = None
-    else:
-        p, rebuild = None, (qs, ks, stats)
     # v's gradient reads the weights; q's reads k and v, k's reads q and v.
     # The split views keep the operands' own arrays, never a second copy.
     need_v = v.requires_grad
@@ -735,12 +723,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     k_data = ks if q.requires_grad else None
     v_data = vs if q.requires_grad or k.requires_grad else None
 
+    # Rebuilding the rowwise core's weights runs its per-row products again.
+    # For the pems08 preset's cross-attention at N=96 (12 query rows, 36
+    # keys, 8 heads, B=1) the node's forward plus backward takes 23.3 ms,
+    # against 14.4 ms when it keeps its 2.65 MB of weights (median of 20,
+    # one OpenBLAS thread).
     def weights(index):
-        if rebuild is None:
-            return p[index]
-        q_all, k_all, (top, total) = rebuild
-        return _weights(q_all[index], _keys(k_all, index, contiguous), scale, mask,
-                        False, stats=(top[index], total[index]))[0]
+        top, total = stats
+        return _weights(qs[index], _keys(ks, index, contiguous), scale, mask,
+                        rowwise, stats=(top[index], total[index]))[0]
 
     def backward(g):
         g = _split_heads(g, heads)

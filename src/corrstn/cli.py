@@ -3,8 +3,9 @@
 Subcommands: synth, scorr, tcorr, select, train, predict, evaluate,
 export-plot-data. Every run writes a manifest JSON recording the resolved
 arguments, seed, build version, stage timings and peak resident memory;
-train, predict and evaluate also record their sample counts, and train
-prints one progress line per epoch to stderr. Exit codes:
+train, predict and evaluate also record their sample counts and the byte
+budget of a forecast or validation chunk with the windows it gives, and
+train prints one progress line per epoch to stderr. Exit codes:
 0 success, 2 configuration error, 3 data error, 4 compute error.
 
 CORRSTN_WORKERS sets the default worker count for scorr, the only subcommand
@@ -294,6 +295,14 @@ def _build_from_artifacts(args, config, dataset, seed: int):
                                  seed=seed)
 
 
+def _record_chunks(manifest: Manifest, model) -> None:
+    """The byte budget of one forecast or validation chunk, and the windows
+    per chunk that it gives this model."""
+    manifest.payload["chunk"] = {
+        "budget_bytes": model_mod.CHUNK_BYTES,
+        "windows": model_mod.chunk_windows(model.config, model.n_sensors)}
+
+
 def _print_epoch(row) -> None:
     """One progress line per epoch, on stderr so stdout stays as it was."""
     print(f"epoch {row.epoch}: train MAE {row.train_mae:.6f}, "
@@ -313,6 +322,7 @@ def cmd_train(args) -> int:
     manifest.payload["samples"] = {"train": len(train_samples),
                                    "val": len(val_samples)}
     model = _build_from_artifacts(args, config, dataset, args.seed)
+    _record_chunks(manifest, model)
     os.makedirs(args.out_dir, exist_ok=True)
     log_path = os.path.join(args.out_dir, "train_log.csv")
     manifest.start("train")
@@ -356,6 +366,7 @@ def cmd_predict(args) -> int:
     manifest = Manifest("predict", args)
     dataset, samples, model = _restore_model(args)
     manifest.payload["samples"] = {args.split: len(samples)}
+    _record_chunks(manifest, model)
     manifest.start("predict")
     pred = model_mod.predict(model, samples.encoder_input, dataset.norm_params)
     manifest.stop("predict")
@@ -371,6 +382,7 @@ def cmd_evaluate(args) -> int:
     manifest = Manifest("evaluate", args)
     dataset, samples, model = _restore_model(args)
     manifest.payload["samples"] = {args.split: len(samples)}
+    _record_chunks(manifest, model)
     manifest.start("evaluate")
     report = metrics_mod.evaluate(model, samples, dataset)
     manifest.stop("evaluate")

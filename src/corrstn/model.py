@@ -133,11 +133,35 @@ def save_config(config: ModelConfig, path) -> None:
 
 
 def load_config(path) -> ModelConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return ModelConfig.from_dict(json.load(fh))
-        except (TypeError, json.JSONDecodeError) as exc:
+        except (TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+
+
+# Bytes that one forecast or validation chunk may add to the process's peak.
+# Its windows come from `chunk_windows`.
+CHUNK_BYTES = 256 << 20
+# What one window of a no-grad pass adds to the peak RSS, in encoder
+# activations (L, N, d). An activation is the widest per-window array such a
+# pass holds whole: the attention scores (L·N·H·L) and the graph weights
+# (L·N·N) run in blocks of at most 1 MiB. Measured as peak RSS over chunks
+# of 1 to 1,024 windows (2 vCPUs, numpy 2.4.6, one OpenBLAS thread): 22.6
+# activations per window for the pems08 preset at N=170 over 64 chunks of 4
+# (the Q/K conv's 3-wide unfolding among them), 11.2 for the default config
+# with all three periods at N=16 and 14.5 for the default config at N=16.
+_WINDOW_ACTIVATIONS = 24
+
+
+def chunk_windows(config: ModelConfig, n_sensors: int) -> int:
+    """Windows per forecast or validation chunk: CHUNK_BYTES over what one
+    window of a pass takes, and at least one. 3 windows for the pems08
+    preset at N=170 and 6 at N=96, 75 for the default config with all three
+    periods at N=16 and 227 for the default config at N=16. Every window's
+    bits are the same for any chunk, so the count only sets the peak."""
+    activation = 8 * config.encoder_length * n_sensors * config.d_model
+    return max(1, CHUNK_BYTES // (_WINDOW_ACTIVATIONS * activation))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +320,7 @@ class CorrSTN(Module):
             y = layer(y, kv, mask, start=start, cache=layer_cache, rng=rng)
         return self.head(y)
 
-    def forecast(self, encoder_input, chunk: int = 64) -> np.ndarray:
+    def forecast(self, encoder_input, chunk: int | None = None) -> np.ndarray:
         """Autoregressive rollout, normalized space, shape (B, L, N, 1).
 
         The decoder starts from the last encoder timestamp (the current
@@ -313,10 +337,19 @@ class CorrSTN(Module):
         No rng is passed, so dropout is off, and no autograph is built. The
         input may be an EncoderWindows: only its shape is read up front, and
         each chunk's rows are gathered when that chunk is encoded, so at most
-        one chunk of encoder input is held. chunk must be a positive
-        integer; anything else is refused with ConfigError before any work.
+        one chunk of encoder input is held.
+
+        A chunk has `chunk_windows` windows, from the CHUNK_BYTES budget
+        (256 MiB): 3 for the pems08 preset at N=170, where `evaluate` over
+        256 windows peaked at 314 MB of RSS and took 0.55 s per window (64
+        windows in one chunk took 2,149 MB and 0.70 s per window), and 75
+        for the default config with all three periods at N=16. An explicit
+        chunk overrides it; it must be a positive integer, and anything else
+        is refused with ConfigError before any work.
         """
-        if isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral) \
+        if chunk is None:
+            chunk = chunk_windows(self.config, self.n_sensors)
+        elif isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral) \
                 or chunk < 1:
             raise ConfigError(f"chunk must be a positive integer, got {chunk!r}")
         enc_len = self.config.encoder_length
@@ -424,13 +457,16 @@ class TrainingLog:
 
 
 def _teacher_forced_metrics(model, samples: SampleSet, norm_params,
-                            chunk: int = 16) -> tuple[float, float, float]:
+                            chunk: int | None = None) -> tuple[float, float, float]:
     """Validation MAE, RMSE and MAPE of teacher-forced passes over chunks of
-    at most `chunk` windows. A chunk's activations, not the training step,
-    set the peak of `corrstn train`: with the pems08 preset at N=96 one
-    chunk's forward peaked at 1,350 MB of RSS with 64 windows and 379 MB
-    with 16. The rows are independent, and the metrics came out bit-equal
-    for chunks of 1 to 128 windows."""
+    `chunk` windows, by default `chunk_windows` from the CHUNK_BYTES budget
+    (256 MiB): 3 for the pems08 preset at N=170, where validating 16 windows
+    peaked at 168 MB of RSS, below a batch-1 training step's 274 MB (chunks
+    of 16 windows took 628 MB), and 75 for the default config with all three
+    periods at N=16. The rows are independent, and the metrics come out
+    bit-equal for any chunk."""
+    if chunk is None:
+        chunk = chunk_windows(model.config, model.n_sensors)
     preds = []
     with ad.no_grad():
         for start in range(0, len(samples), chunk):
@@ -533,9 +569,9 @@ def save_checkpoint(model: CorrSTN, config: ModelConfig, path) -> None:
 
 
 def load_checkpoint(path, config: ModelConfig) -> dict:
-    """Parameters saved by `save_checkpoint`. A file that is not a checkpoint
-    or ends early is a DataError; a checkpoint of another config is a
-    ConfigError."""
+    """Parameters saved by `save_checkpoint`. A file that is not a checkpoint,
+    ends early or holds a name that is not UTF-8 is a DataError; a
+    checkpoint of another config is a ConfigError."""
     with open(path, "rb") as fh:
         def read(size: int, what: str) -> bytes:
             raw = fh.read(size)
@@ -557,7 +593,11 @@ def load_checkpoint(path, config: ModelConfig) -> dict:
                 f"{path}: checkpoint was produced by a different model config")
         state = {}
         for _ in range(unpack(1, "block count")[0]):
-            name = read(unpack(1, "name length")[0], "name").decode()
+            raw = read(unpack(1, "name length")[0], "name")
+            try:
+                name = raw.decode()
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: parameter name is not UTF-8 ({exc})") from exc
             shape = unpack(unpack(1, f"{name} rank")[0], f"{name} shape")
             size = int(np.prod(shape)) if shape else 1
             payload = np.frombuffer(read(8 * size, f"block {name}"), dtype="<f8")

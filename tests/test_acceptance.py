@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from corrstn import (ModelConfig, PERIODS, PeriodSpec, SCorrTensor, Tensor,
+from corrstn import (ModelConfig, PeriodSpec, SCorrTensor, Tensor,
                      TCorrWeights, TrainingData, add_self_loops,
                      assemble_samples, attend_heads, build_model,
                      build_tcorr_report, causal_mask, cignn_forward,

@@ -575,13 +575,18 @@ def test_blocked_attention_under_no_grad_keeps_no_full_weights(monkeypatch):
     with no_grad():
         peak, out = peak_bytes(arrays)
     assert peak < weights_bytes / 2
-    # building a graph, the plain and headed cores keep each weights row's
-    # max and sum, not the weights; the rowwise core keeps its weights
+    # building a graph, every core keeps each weights row's max and sum,
+    # not the weights, so no (L_q, L_k) array outlives a block
     peak, graphed = peak_bytes(arrays)
     assert peak < weights_bytes / 2
     assert np.array_equal(out.data, graphed.data)
-    assert peak_bytes(headed, heads=2)[0] < weights_bytes / 2
-    assert peak_bytes(arrays, rowwise=True)[0] >= weights_bytes
+    for rowwise in (False, True):
+        assert peak_bytes(headed, heads=2, rowwise=rowwise)[0] < weights_bytes / 2
+    peak, graphed = peak_bytes(arrays, rowwise=True)
+    assert peak < weights_bytes / 2
+    with no_grad():
+        assert graphed.data.tobytes() == attention(
+            *(Tensor(a) for a in arrays), 0.5, rowwise=True).data.tobytes()
 
 
 @pytest.mark.parametrize("shapes", [[(5, 4), (6, 4), (6, 3)],

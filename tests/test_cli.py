@@ -9,6 +9,7 @@ import pytest
 
 from corrstn import (SCorrTensor, cli, compute_scorr, load_metric_report,
                      load_scorr, load_tensor, save_scorr)
+from corrstn import model as model_mod
 from corrstn.metrics import compute_report, save_metric_report
 
 
@@ -192,6 +193,12 @@ def test_manifests_record_peak_rss_and_sample_counts(workdir, tmp_path):
     # train anchors 11..390, val anchors 402..793
     assert manifest["samples"] == {"train": 380, "val": 392}
     assert manifest["peak_rss_bytes"] > 2**20
+    # the budget and the windows it gives the fixture's config at N=4
+    config = model_mod.load_config(run / "config.json")
+    chunk = {"budget_bytes": model_mod.CHUNK_BYTES,
+             "windows": model_mod.chunk_windows(config, 4)}
+    assert chunk["windows"] >= 64
+    assert manifest["chunk"] == chunk
     for command, out in (("predict", tmp_path / "pred.npy"),
                          ("evaluate", tmp_path / "metrics.json")):
         assert cli.main([command, "--data", str(workdir / "data.sttf"),
@@ -204,6 +211,7 @@ def test_manifests_record_peak_rss_and_sample_counts(workdir, tmp_path):
         manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
         assert manifest["samples"] == {"val": 392}
         assert manifest["peak_rss_bytes"] > 2**20
+        assert manifest["chunk"] == chunk
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
@@ -423,6 +431,35 @@ def test_truncated_checkpoint_is_data_error(workdir, tmp_path, capsys, cut):
                    "--ratios", _RATIOS])
     assert rc == 3
     assert "truncated checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_non_utf8_checkpoint_name_or_config_is_refused(workdir, tmp_path, capsys,
+                                                      command):
+    # both once escaped as UnicodeDecodeError: a traceback and exit 1
+    run = workdir / "run"
+    raw = bytearray((run / "checkpoint.cstn").read_bytes())
+    # magic and version, config hash, block count, first name's length
+    assert raw[48:52] == b"enc_"
+    raw[48] = 0xFF
+    ckpt = tmp_path / "bad.cstn"
+    ckpt.write_bytes(bytes(raw))
+    config = tmp_path / "bad.json"
+    config.write_bytes(b"\xff" + (run / "config.json").read_bytes())
+    common = [command, "--data", str(workdir / "data.sttf"),
+              "--edges", str(workdir / "edges.csv"),
+              "--scorr", str(workdir / "corr.scor"),
+              "--out", str(tmp_path / "out"), "--ratios", _RATIOS]
+    rc = cli.main(common + ["--config", str(run / "config.json"),
+                            "--checkpoint", str(ckpt)])
+    assert rc == 3
+    assert str(ckpt) in capsys.readouterr().err
+    rc = cli.main(common + ["--config", str(config),
+                            "--checkpoint", str(run / "checkpoint.cstn")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(config) in err and "can't decode" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text", ['{"verdict": [[', "{}", "[]",

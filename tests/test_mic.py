@@ -1,4 +1,3 @@
-import math
 from collections import Counter
 
 import numpy as np

@@ -243,6 +243,50 @@ def test_forecast_matches_prefix_rollout_across_chunks():
     assert np.array_equal(model.forecast(enc, chunk=2), _prefix_rollout(model, enc))
 
 
+def _budget_for(windows, cfg, n):
+    """A CHUNK_BYTES under which `chunk_windows` gives `windows` windows."""
+    return windows * model_mod._WINDOW_ACTIVATIONS * 8 * cfg.encoder_length * n \
+        * cfg.d_model
+
+
+def test_chunk_windows_follow_the_byte_budget(monkeypatch):
+    # the default config at N=16, with the hourly period alone and with all
+    # three, gets at least the 64 windows a forecast chunk used to have
+    for periods in (("hourly",), ("hourly", "daily", "weekly")):
+        assert model_mod.chunk_windows(ModelConfig(periods=periods), 16) >= 64
+    # the pems08 preset at N=170 gets a few, and far more sensors still one
+    pems08 = PRESETS["pems08"]
+    assert 1 < model_mod.chunk_windows(pems08, 170) <= 8
+    assert model_mod.chunk_windows(pems08, 10_000) == 1
+    counts = [model_mod.chunk_windows(pems08, n) for n in (16, 96, 170, 307)]
+    assert counts == sorted(counts, reverse=True)
+    # the budget is read at call time
+    monkeypatch.setattr(model_mod, "CHUNK_BYTES", _budget_for(3, pems08, 170))
+    assert model_mod.chunk_windows(pems08, 170) == 3
+
+
+def test_forecast_is_byte_equal_across_budgets(monkeypatch):
+    cfg, model = _tiny_model(seed=43, **_ALL_PERIODS)
+    enc = np.random.default_rng(44).normal(size=(5, 36, 3, 2))
+    sizes = []
+    encode = model_mod.CorrSTN._encode
+
+    def recorded(net, block, rng=None):
+        sizes.append(len(block))
+        return encode(net, block, rng)
+    monkeypatch.setattr(model_mod.CorrSTN, "_encode", recorded)
+    want = model.forecast(enc)
+    assert sizes == [5]
+    for windows, chunks in ((1, [1] * 5), (2, [2, 2, 1]), (4, [4, 1])):
+        sizes.clear()
+        monkeypatch.setattr(model_mod, "CHUNK_BYTES", _budget_for(windows, cfg, 3))
+        assert model.forecast(enc).tobytes() == want.tobytes()
+        assert sizes == chunks
+    # a budget below one window still runs one window per chunk
+    monkeypatch.setattr(model_mod, "CHUNK_BYTES", 1)
+    assert model.forecast(enc).tobytes() == want.tobytes()
+
+
 def test_blocked_attention_cores_leave_the_model_bits_unchanged(monkeypatch):
     # every attention core of a qk_conv, 3-attribute model runs in blocks
     # of one or two score slices: the graph layers' plain core, the
@@ -296,8 +340,9 @@ def _held_arrays(fn):
 
 
 def test_training_graph_keeps_no_weights_of_the_non_rowwise_cores(monkeypatch):
-    # the graph layers' plain core and the encoder's headed core keep no
-    # (L_q, L_k) array, nor a view of one; the decoder's rowwise cores do
+    # no core keeps an (L_q, L_k) array, nor a view of one, after its
+    # forward: not the graph layers' plain cores, the encoder's headed core
+    # or the decoder's rowwise cores
     cfg, model = _tiny_model(seed=51, n=4, c=3, qk_conv=True, dropout=0.1)
     rng = np.random.default_rng(52)
     enc = rng.normal(size=(2, cfg.encoder_length, 4, 3))
@@ -320,7 +365,9 @@ def test_training_graph_keeps_no_weights_of_the_non_rowwise_cores(monkeypatch):
         kept[rowwise] += bool(weights)
     # the encoder's headed core and both layers' graph cores
     assert sum(not rowwise for _, rowwise, _ in cores) == 3
-    assert kept == {False: 0, True: sum(rowwise for _, rowwise, _ in cores)}
+    # each decoder layer's self- and cross-attention
+    assert sum(rowwise for _, rowwise, _ in cores) == 2
+    assert kept == {False: 0, True: 0}
     mae_loss(pred, np.zeros(pred.shape)).backward()
     assert all(np.isfinite(p.grad).all() for p in model.parameters())
 
@@ -365,7 +412,7 @@ def test_forecast_draws_no_dropout():
     assert not np.array_equal(dropped, model.forward(enc, dec).data)
 
 
-@pytest.mark.parametrize("chunk", [-1, 0, True, False, 2.0, "2", None])
+@pytest.mark.parametrize("chunk", [-1, 0, True, False, 2.0, "2"])
 def test_forecast_refuses_a_chunk_that_is_not_a_positive_integer(monkeypatch, chunk):
     # chunk=-1 once returned the uninitialized output, chunk=0 raised a bare
     # ValueError from range, and chunk=True ran as 1
@@ -489,7 +536,7 @@ def test_backward_leaves_no_array_in_the_step_graph():
     assert all(node.grad is None for node in nodes if node is not loss._node)
 
 
-def test_validation_runs_in_chunks_of_16_windows(monkeypatch):
+def test_validation_runs_in_chunks_the_budget_sizes(monkeypatch):
     # with the pems08 preset a validation chunk of 128 windows peaked at
     # 2.7 GB of RSS at N=96; the metrics do not depend on the chunk
     _, params, _, val_s = _training_setup()
@@ -501,9 +548,13 @@ def test_validation_runs_in_chunks_of_16_windows(monkeypatch):
         sizes.append(len(enc))
         return forward(net, enc, dec, rng)
     monkeypatch.setattr(model_mod.CorrSTN, "forward", recorded)
-    assert len(val_s) > 16
+    # the tiny model's budget covers the whole split in one chunk
     want = model_mod._teacher_forced_metrics(model, val_s, params)
-    assert max(sizes) == 16 and sum(sizes) == len(val_s)
+    assert model_mod.chunk_windows(cfg, 3) > len(val_s) and sizes == [len(val_s)]
+    monkeypatch.setattr(model_mod, "CHUNK_BYTES", _budget_for(16, cfg, 3))
+    sizes.clear()
+    assert model_mod._teacher_forced_metrics(model, val_s, params) == want
+    assert len(val_s) > 16 and max(sizes) == 16 and sum(sizes) == len(val_s)
     for chunk in (1, 7, 64, 128):
         assert model_mod._teacher_forced_metrics(model, val_s, params, chunk) == want
 
@@ -666,10 +717,12 @@ def test_forecast_and_evaluate_on_encoder_windows_match_materialized_input():
             == metrics_mod.evaluate(model, dense, dataset).per_horizon.tobytes())
 
 
-def test_forecast_holds_one_chunk_of_encoder_input():
+def test_forecast_holds_one_chunk_of_encoder_input(monkeypatch):
     n, c = 8, 3
     cfg, model = _tiny_model(seed=19, n=n, c=c,
                              periods=("hourly", "daily", "weekly"))
+    # a budget worth 64 windows; the default one holds all 200 in one chunk
+    monkeypatch.setattr(model_mod, "CHUNK_BYTES", _budget_for(64, cfg, n))
     x = SpatioTemporalTensor(np.random.default_rng(20).normal(size=(260, n, c)))
     offsets = {"hourly": 12, "daily": 24, "weekly": 48}
     windows = assemble_samples(x, (48, 259), cfg.periods, offsets, 12).encoder_input

@@ -1,5 +1,4 @@
 import importlib
-import math
 
 import numpy as np
 import pytest
