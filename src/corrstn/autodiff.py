@@ -3,10 +3,11 @@
 Only what the forecaster runs: broadcasted add, batched matmul, the fused
 linear (matmul and bias add in one node), layer norm (fused, last axis), the
 fused attention core (plain or row-independent, with any head split done on
-views inside the node, run over blocks of its leading axes), the graph
-layer's rectified route sum (its correlation routes and its structural route
-in one node), reshape and narrow, a linear projection and its temporal
-convolution in one node, dropout, and the MAE loss as one node.
+views inside the node, run over blocks of the leading axes its operands must
+share: unshared ones raise DimensionError), the graph layer's rectified
+route sum (its correlation routes and its structural route in one node),
+reshape and narrow, a linear projection and its temporal convolution in one
+node, dropout, and the MAE loss as one node.
 Graphs are built eagerly. A graph vertex is a `_Node` (parent nodes, backward
 closure, gradient), apart from the `Tensor` that holds the op's output, and
 each closure keeps only the arrays its backward reads, for the operands that
@@ -31,7 +32,6 @@ Inside `no_grad()` no graph is built at all.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -552,22 +552,12 @@ def _split_heads(x: np.ndarray, heads: int | None) -> np.ndarray:
     return split.transpose(*range(m - 4), m - 3, m - 2, m - 4, m - 1)
 
 
-def _merge_heads(x: np.ndarray, heads: int | None) -> np.ndarray:
-    """The inverse of `_split_heads`, as a new position-major array."""
-    if heads is None:
-        return x
-    m = x.ndim
-    merged = x.transpose(*range(m - 4), m - 2, m - 4, m - 3, m - 1)
-    return merged.reshape(merged.shape[:-2] + (heads * x.shape[-1],))
-
-
 # Score bytes per block of the attention core, measured once: of 256 KiB to
 # 4 MiB, 1 MiB ran the pems08 preset's cores at N=96 and N=170 fastest (Xeon
 # with a 4 MiB L2 per core, one OpenBLAS thread). A block's scores and
 # softmax passes then stay in cache; the whole (B, N, 8, 36, 36) head scores,
 # 14 MB per sample at N=170, do not.
 _BLOCK_BYTES = 1 << 20
-_ONE_BLOCK = ((),)
 
 
 def _blocks(lead: tuple, slice_bytes: int) -> list:
@@ -576,8 +566,6 @@ def _blocks(lead: tuple, slice_bytes: int) -> list:
     of the outermost axis whose inner slices all fit in _BLOCK_BYTES (one
     row at least), for every index of the axes before it. One empty index
     when everything fits."""
-    if math.prod(lead) * slice_bytes <= _BLOCK_BYTES:
-        return _ONE_BLOCK
     fit = max(1, _BLOCK_BYTES // slice_bytes)
     inner = 1
     for axis in range(len(lead) - 1, -1, -1):
@@ -587,7 +575,7 @@ def _blocks(lead: tuple, slice_bytes: int) -> list:
                     for outer in np.ndindex(*lead[:axis])
                     for start in range(0, lead[axis], step)]
         inner *= lead[axis]
-    return _ONE_BLOCK
+    return [()]
 
 
 def _weights(q: np.ndarray, kt: np.ndarray, scale: float, mask: np.ndarray | None,
@@ -602,12 +590,11 @@ def _weights(q: np.ndarray, kt: np.ndarray, scale: float, mask: np.ndarray | Non
 
 
 def _attend(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float,
-            mask: np.ndarray | None, rowwise: bool, out: np.ndarray | None = None,
+            mask: np.ndarray | None, rowwise: bool, out: np.ndarray,
             stats: tuple | None = None) -> tuple:
     """The weights of one block of the core and their product with v, the
-    product written into out when given. Each weights row's max and sum are
-    written into the pair of arrays stats when given, and are dropped with
-    the block otherwise."""
+    product written into out. Each weights row's max and sum are written
+    into the pair of arrays stats when given, and dropped otherwise."""
     p, *rows = _weights(q, kt, scale, mask, rowwise)
     if stats is not None:
         for kept, row in zip(stats, rows):
@@ -665,14 +652,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     plain GEMMs over L_q do not promise that. Backward is the same either way.
 
     Every slice of the leading axes (with heads: ..., S, H) is independent,
-    so when the operands share their leading axes, forward and backward run
-    over blocks of whole slices whose scores fit in _BLOCK_BYTES, and write
-    each block's outputs, heads merged, straight into the full arrays. No
-    row's arithmetic changes. The headed core multiplies each block by a
-    contiguous copy of its transposed keys, which gives the strided
-    product's bits and runs faster; the core without heads and the rowwise
-    core keep the strided view, since the copy changes their bits.
-    Operands with broadcast leading axes run as one block.
+    so forward and backward run over blocks of whole slices whose scores
+    fit in _BLOCK_BYTES, and write each block's outputs, heads merged,
+    straight into the full arrays. No row's arithmetic changes. The headed
+    core multiplies each block by a contiguous copy of its transposed keys,
+    which gives the strided product's bits and runs faster; the core without
+    heads and the rowwise core keep the strided view, since the copy changes
+    their bits. Operands whose leading axes differ raise DimensionError.
     """
     if heads is not None:
         if q.ndim < 3 or k.ndim < 3 or v.ndim < 3:
@@ -690,32 +676,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
                              f"got {q.shape} and {k.shape}")
     if vs.ndim < 2 or vs.shape[-2] != ks.shape[-2]:
         raise DimensionError(f"values {v.shape} do not match keys {k.shape}")
+    lead = qs.shape[:-2]
+    if not ks.shape[:-2] == lead == vs.shape[:-2]:
+        raise DimensionError(f"attention operands need shared leading axes, "
+                             f"got {q.shape}, {k.shape} and {v.shape}")
     # checked as given: a row broadcast across the scores is fully masked too
     if mask is not None and np.logical_and.reduce(mask, axis=-1).any():
         raise ConfigError("softmax row fully masked")
-    lead = qs.shape[:-2]
-    blocks = _ONE_BLOCK
-    if ks.shape[:-2] == lead == vs.shape[:-2]:
-        blocks = _blocks(lead, 8 * qs.shape[-2] * ks.shape[-2])
-    contiguous = heads is not None and not rowwise and blocks is not _ONE_BLOCK
+    blocks = _blocks(lead, 8 * qs.shape[-2] * ks.shape[-2])
+    contiguous = heads is not None and not rowwise
     keep = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
-    # one entry per query row of the (broadcast) scores
-    row_shape = np.broadcast_shapes(lead, ks.shape[:-2]) + (qs.shape[-2], 1)
+    row_shape = lead + (qs.shape[-2], 1)
     stats = (np.empty(row_shape), np.empty(row_shape)) if keep else None
-    if blocks is _ONE_BLOCK:
-        out = _attend(qs, _keys(ks, (), contiguous), vs, scale, mask, rowwise,
-                      stats=stats)[1]
-        out = _merge_heads(out, heads)
-        # the gradients' shapes before their heads are merged
-        shapes = (qs.shape, ks.shape, vs.shape)
-    else:
-        shapes = (q.shape, k.shape, v.shape)
-        out = np.empty(q.shape[:-1] + (v.shape[-1],))
-        out_split = _split_heads(out, heads)
-        for index in blocks:
-            _attend(qs[index], _keys(ks, index, contiguous), vs[index], scale, mask,
-                    rowwise, out_split[index],
-                    None if stats is None else (stats[0][index], stats[1][index]))
+    shapes = (q.shape, k.shape, v.shape)
+    out = np.empty(q.shape[:-1] + (v.shape[-1],))
+    out_split = _split_heads(out, heads)
+    for index in blocks:
+        _attend(qs[index], _keys(ks, index, contiguous), vs[index], scale, mask,
+                rowwise, out_split[index],
+                None if stats is None else (stats[0][index], stats[1][index]))
     # v's gradient reads the weights; q's reads k and v, k's reads q and v.
     # The split views keep the operands' own arrays, never a second copy.
     need_v = v.requires_grad
@@ -735,13 +714,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
 
     def backward(g):
         g = _split_heads(g, heads)
-        if blocks is _ONE_BLOCK:
-            grads = _attend_backward(weights(()), g, q_data, k_data, v_data, scale,
-                                     need_v)
-            return tuple(None if grad is None
-                         else _merge_heads(_unbroadcast(grad, shape), heads)
-                         for grad, shape in zip(grads, shapes))
-        # the leading axes are shared, so no block's gradient needs reducing
         needs = (k_data is not None, q_data is not None, need_v)
         grads = tuple(np.empty(shape) if need else None
                       for shape, need in zip(shapes, needs))

@@ -6,7 +6,8 @@ arguments, seed, build version, stage timings and peak resident memory;
 train, predict and evaluate also record their sample counts and the byte
 budget of a forecast or validation chunk with the windows it gives, and
 train prints one progress line per epoch to stderr. Exit codes:
-0 success, 2 configuration error, 3 data error, 4 compute error.
+0 success, 2 configuration error, 3 data error (any OSError too), 4 compute
+error.
 
 CORRSTN_WORKERS sets the default worker count for scorr, the only subcommand
 that runs worker processes.
@@ -112,14 +113,23 @@ def _three_numbers(text: str, what: str) -> tuple:
 _SPLITS = ("train", "val", "test")
 
 
+def _load_data(args) -> tuple:
+    """Every subcommand's --data (with --edges where it takes them) and the
+    ranges --ratios cuts it into; None for --split all, the whole series."""
+    dataset = data_mod.load_dataset(args.data, getattr(args, "edges", None))
+    split = getattr(args, "split", "train")
+    if split not in _SPLITS + ("all",):
+        raise ConfigError(f"split must be train/val/test/all, got {split!r}")
+    return dataset, None if split == "all" else data_mod.split_ranges(
+        dataset.tensor.n_timestamps, _three_numbers(args.ratios, "ratios"))
+
+
 def _load_split(args) -> data_mod.SpatioTemporalTensor:
-    """scorr/tcorr input: the --split piece of --data under --ratios."""
-    x = data_mod.load_tensor(args.data)
-    ranges = data_mod.split_ranges(x.n_timestamps, _three_numbers(args.ratios, "ratios"))
-    if args.split == "all":
+    """scorr/tcorr input: the --split piece of --data."""
+    dataset, ranges = _load_data(args)
+    x = dataset.tensor
+    if ranges is None:
         return x
-    if args.split not in _SPLITS:
-        raise ConfigError(f"split must be train/val/test/all, got {args.split!r}")
     s0, s1 = ranges[_SPLITS.index(args.split)]
     return data_mod.SpatioTemporalTensor(x.data[s0:s1],
                                          interval_minutes=x.interval_minutes)
@@ -267,9 +277,8 @@ def _resolve_config(args) -> model_mod.ModelConfig:
 
 def _load_pipeline(args, config):
     """Shared train/predict/evaluate plumbing: load, split, normalize."""
-    dataset = data_mod.load_dataset(args.data, args.edges)
+    dataset, ranges = _load_data(args)
     x = dataset.tensor
-    ranges = data_mod.split_ranges(x.n_timestamps, _three_numbers(args.ratios, "ratios"))
     dataset.norm_params = data_mod.fit_normalization(x, ranges[0])
     x_norm = data_mod.SpatioTemporalTensor(
         data_mod.normalize(x.data, dataset.norm_params),
@@ -577,7 +586,7 @@ def main(argv=None) -> int:
     except (ComputeError, CorrstnError) as exc:
         print(f"compute error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import struct
 import time
 from dataclasses import dataclass, field, asdict
@@ -108,6 +107,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelConfig":
+        if not isinstance(payload, dict):
+            raise TypeError(f"a config must be a JSON object, not {type(payload).__name__}")
         payload = dict(payload)
         payload["periods"] = tuple(payload.get("periods", ("hourly",)))
         return cls(**payload)
@@ -320,7 +321,7 @@ class CorrSTN(Module):
             y = layer(y, kv, mask, start=start, cache=layer_cache, rng=rng)
         return self.head(y)
 
-    def forecast(self, encoder_input, chunk: int | None = None) -> np.ndarray:
+    def forecast(self, encoder_input) -> np.ndarray:
         """Autoregressive rollout, normalized space, shape (B, L, N, 1).
 
         The decoder starts from the last encoder timestamp (the current
@@ -343,15 +344,9 @@ class CorrSTN(Module):
         (256 MiB): 3 for the pems08 preset at N=170, where `evaluate` over
         256 windows peaked at 314 MB of RSS and took 0.55 s per window (64
         windows in one chunk took 2,149 MB and 0.70 s per window), and 75
-        for the default config with all three periods at N=16. An explicit
-        chunk overrides it; it must be a positive integer, and anything else
-        is refused with ConfigError before any work.
+        for the default config with all three periods at N=16.
         """
-        if chunk is None:
-            chunk = chunk_windows(self.config, self.n_sensors)
-        elif isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral) \
-                or chunk < 1:
-            raise ConfigError(f"chunk must be a positive integer, got {chunk!r}")
+        chunk = chunk_windows(self.config, self.n_sensors)
         enc_len = self.config.encoder_length
         enc = self._check_input(encoder_input, range(enc_len, enc_len + 1),
                                 "encoder input")
@@ -456,17 +451,15 @@ class TrainingLog:
                          f"{r.val_rmse!r},{r.val_mape!r},{r.seconds:.3f}\n")
 
 
-def _teacher_forced_metrics(model, samples: SampleSet, norm_params,
-                            chunk: int | None = None) -> tuple[float, float, float]:
+def _teacher_forced_metrics(model, samples: SampleSet,
+                            norm_params) -> tuple[float, float, float]:
     """Validation MAE, RMSE and MAPE of teacher-forced passes over chunks of
-    `chunk` windows, by default `chunk_windows` from the CHUNK_BYTES budget
-    (256 MiB): 3 for the pems08 preset at N=170, where validating 16 windows
-    peaked at 168 MB of RSS, below a batch-1 training step's 274 MB (chunks
-    of 16 windows took 628 MB), and 75 for the default config with all three
-    periods at N=16. The rows are independent, and the metrics come out
-    bit-equal for any chunk."""
-    if chunk is None:
-        chunk = chunk_windows(model.config, model.n_sensors)
+    `chunk_windows` windows, from the CHUNK_BYTES budget (256 MiB): 3 for the
+    pems08 preset at N=170, where validating 16 windows peaked at 168 MB of
+    RSS, below a batch-1 training step's 274 MB (chunks of 16 windows took
+    628 MB), and 75 for the default config with all three periods at N=16.
+    The rows are independent, and the metrics are bit-equal for any chunk."""
+    chunk = chunk_windows(model.config, model.n_sensors)
     preds = []
     with ad.no_grad():
         for start in range(0, len(samples), chunk):

@@ -551,8 +551,8 @@ def test_attention_gradients_match_backward_on_the_forward_weights(
             weights, autodiff._split_heads(seed_grad, heads),
             q if 1 in trainable else None, k if 0 in trainable else None,
             v if trainable & {0, 1} else None, 0.4, 2 in trainable)
-        assert [g.tobytes() for g in got] == [
-            autodiff._merge_heads(w, heads).tobytes() for w in want if w is not None]
+        assert [autodiff._split_heads(g, heads).tobytes() for g in got] == [
+            w.tobytes() for w in want if w is not None]
 
 
 def test_blocked_attention_under_no_grad_keeps_no_full_weights(monkeypatch):
@@ -589,18 +589,27 @@ def test_blocked_attention_under_no_grad_keeps_no_full_weights(monkeypatch):
             *(Tensor(a) for a in arrays), 0.5, rowwise=True).data.tobytes()
 
 
-@pytest.mark.parametrize("shapes", [[(5, 4), (6, 4), (6, 3)],
-                                    [(2, 3, 5, 4), (1, 3, 6, 4), (3, 6, 3)]])
-def test_attention_on_unshared_leading_axes_runs_as_one_block(monkeypatch, shapes):
-    # no leading axes at all, and keys and values broadcast over the
-    # queries' leading axes: neither can be blocked, and both run whole
+def test_attention_without_leading_axes_runs_as_one_block(monkeypatch):
+    # (L, d) operands have no leading axis to cut, so even a budget below
+    # one score slice runs them whole
     monkeypatch.setattr(autodiff, "_BLOCK_BYTES", 1)
-    rng = np.random.default_rng(len(shapes[0]))
-    arrays = [rng.normal(size=shape) for shape in shapes]
+    rng = np.random.default_rng(2)
+    arrays = [rng.normal(size=shape) for shape in ((5, 4), (6, 4), (6, 3))]
+    assert autodiff._blocks((), 8 * 5 * 6) == [()]
     for trainable in ({0}, {1}, {2}, {0, 1, 2}):
         _compare_to_ops(lambda q, k, v: attention(q, k, v, 0.5),
                         lambda q, k, v: attention_by_ops(q, k, v, 0.5),
                         arrays, trainable)
+
+
+@pytest.mark.parametrize("shapes, heads", [
+    ([(2, 3, 5, 4), (1, 3, 6, 4), (3, 6, 3)], None),    # broadcast keys, values
+    ([(2, 5, 4), (3, 6, 4), (3, 6, 3)], None),          # other leading axes
+    ([(2, 5, 3, 4), (1, 6, 3, 4), (1, 6, 3, 4)], 2)])   # broadcast heads
+def test_attention_refuses_unshared_leading_axes(shapes, heads):
+    tensors = [Tensor(np.ones(shape), requires_grad=True) for shape in shapes]
+    with pytest.raises(DimensionError, match="leading axes"):
+        attention(*tensors, 0.5, heads=heads)
 
 
 @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 5, 4)])

@@ -259,6 +259,15 @@ def test_scorr_split_all_reads_the_whole_series(workdir, tmp_path):
     assert np.array_equal(load_scorr(out).degrees, want.degrees)
 
 
+@pytest.mark.parametrize("command", ["scorr", "tcorr"])
+def test_split_all_does_not_parse_ratios(workdir, tmp_path, command):
+    # the whole series is never cut, so ratios that do not sum to 1 are no
+    # reason to refuse it
+    assert cli.main([command, "--data", str(workdir / "data.sttf"),
+                     "--out", str(tmp_path / "out"), "--split", "all",
+                     "--ratios", "0.5,0.5,0.5"]) == 0
+
+
 def test_export_plot_data_aggregates(workdir, capsys):
     plots = workdir / "plots"
     rc = cli.main(["export-plot-data",
@@ -460,6 +469,33 @@ def test_non_utf8_checkpoint_name_or_config_is_refused(workdir, tmp_path, capsys
     err = capsys.readouterr().err
     assert str(config) in err and "can't decode" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ['"ab"', "[]", "3"])
+def test_config_that_is_not_a_json_object_is_config_error(workdir, tmp_path, capsys,
+                                                          text):
+    # "ab" once escaped from dict() as a bare ValueError, a traceback and
+    # exit 1, and [] ran as the default config
+    config = tmp_path / "bad.json"
+    config.write_text(text)
+    rc = cli.main(["train", "--data", str(workdir / "data.sttf"),
+                   "--scorr", str(workdir / "corr.scor"), "--config", str(config),
+                   "--out-dir", str(tmp_path / "run"), "--ratios", _RATIOS,
+                   "--epochs", "1"])
+    assert rc == 2
+    assert str(config) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flag", ["--data", "--out"])
+def test_a_directory_as_data_or_out_is_data_error(workdir, tmp_path, capsys, flag):
+    # IsADirectoryError once escaped as a traceback and exit 1
+    paths = {"--data": str(workdir / "data.sttf"), "--out": str(tmp_path / "s.scor"),
+             flag: str(tmp_path)}
+    rc = cli.main(["scorr", "--data", paths["--data"], "--out", paths["--out"]])
+    assert rc == 3
+    assert "data error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("text", ['{"verdict": [[', "{}", "[]",

@@ -195,7 +195,7 @@ def test_decoder_is_causal_even_with_qk_conv():
         assert diff[bump] > 1e-9, bump
 
 
-def test_forecast_matches_manual_rollout():
+def test_forecast_matches_manual_rollout(monkeypatch):
     cfg, model = _tiny_model(seed=7)
     rng = np.random.default_rng(8)
     enc = rng.normal(size=(3, 12, 3, 2))
@@ -210,7 +210,8 @@ def test_forecast_matches_manual_rollout():
         dec = np.concatenate([dec, nxt], axis=1)[:, :12]
         if dec.shape[1] == 12 and step >= 11:
             break
-    assert np.array_equal(model.forecast(enc, chunk=2), got)
+    monkeypatch.setattr(model_mod, "CHUNK_BYTES", _budget_for(2, cfg, 3))
+    assert np.array_equal(model.forecast(enc), got)
 
 
 _ALL_PERIODS = dict(periods=("hourly", "daily", "weekly"), qk_conv=True,
@@ -236,11 +237,12 @@ def test_forecast_matches_prefix_rollout_with_qk_conv_and_all_periods():
     assert np.array_equal(model.forecast(enc), _prefix_rollout(model, enc))
 
 
-def test_forecast_matches_prefix_rollout_across_chunks():
+def test_forecast_matches_prefix_rollout_across_chunks(monkeypatch):
     cfg, model = _tiny_model(seed=23, **_ALL_PERIODS)
     enc = np.random.default_rng(24).normal(size=(5, 36, 3, 2))
     # chunks of 2, 2 and 1 samples
-    assert np.array_equal(model.forecast(enc, chunk=2), _prefix_rollout(model, enc))
+    monkeypatch.setattr(model_mod, "CHUNK_BYTES", _budget_for(2, cfg, 3))
+    assert np.array_equal(model.forecast(enc), _prefix_rollout(model, enc))
 
 
 def _budget_for(windows, cfg, n):
@@ -395,7 +397,8 @@ def test_forecast_decodes_one_row_per_step(monkeypatch):
 
     monkeypatch.setattr(model_mod.CorrSTN, "_decode", recorded)
     enc = np.random.default_rng(34).normal(size=(5, 36, 3, 2))
-    model.forecast(enc, chunk=3)
+    monkeypatch.setattr(model_mod, "CHUNK_BYTES", _budget_for(3, cfg, 3))
+    model.forecast(enc)
     assert shapes == [(3, 1, 3, 2)] * 12 + [(2, 1, 3, 2)] * 12
 
 
@@ -412,28 +415,6 @@ def test_forecast_draws_no_dropout():
     assert not np.array_equal(dropped, model.forward(enc, dec).data)
 
 
-@pytest.mark.parametrize("chunk", [-1, 0, True, False, 2.0, "2"])
-def test_forecast_refuses_a_chunk_that_is_not_a_positive_integer(monkeypatch, chunk):
-    # chunk=-1 once returned the uninitialized output, chunk=0 raised a bare
-    # ValueError from range, and chunk=True ran as 1
-    _, model = _tiny_model(seed=29)
-    enc = np.random.default_rng(30).normal(size=(3, 12, 3, 2))
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("forecast started work")
-    monkeypatch.setattr(model_mod.CorrSTN, "_check_input", no_work)
-    monkeypatch.setattr(model_mod.CorrSTN, "_encode", no_work)
-    with pytest.raises(ConfigError, match="chunk"):
-        model.forecast(enc, chunk=chunk)
-
-
-def test_forecast_takes_a_numpy_integer_chunk():
-    _, model = _tiny_model(seed=29)
-    enc = np.random.default_rng(30).normal(size=(3, 12, 3, 2))
-    assert np.array_equal(model.forecast(enc, chunk=np.int64(2)),
-                          model.forecast(enc, chunk=2))
-
-
 def test_forecast_encodes_once_per_chunk(monkeypatch):
     cfg, model = _tiny_model(seed=27, **_ALL_PERIODS)
     calls = []
@@ -445,11 +426,12 @@ def test_forecast_encodes_once_per_chunk(monkeypatch):
 
     monkeypatch.setattr(model_mod.EncoderLayer, "__call__", counted)
     enc = np.random.default_rng(28).normal(size=(5, 36, 3, 2))
-    model.forecast(enc, chunk=2)
-    assert len(calls) == cfg.encoder_layers * 3     # 3 chunks, not 3 x 12
-    calls.clear()
     model.forecast(enc)
     assert len(calls) == cfg.encoder_layers
+    calls.clear()
+    monkeypatch.setattr(model_mod, "CHUNK_BYTES", _budget_for(2, cfg, 3))
+    model.forecast(enc)
+    assert len(calls) == cfg.encoder_layers * 3     # 3 chunks, not 3 x 12
 
 
 def test_forecast_and_validation_build_no_autograph(monkeypatch):
@@ -555,8 +537,9 @@ def test_validation_runs_in_chunks_the_budget_sizes(monkeypatch):
     sizes.clear()
     assert model_mod._teacher_forced_metrics(model, val_s, params) == want
     assert len(val_s) > 16 and max(sizes) == 16 and sum(sizes) == len(val_s)
-    for chunk in (1, 7, 64, 128):
-        assert model_mod._teacher_forced_metrics(model, val_s, params, chunk) == want
+    for windows in (1, 7, 64, 128):
+        monkeypatch.setattr(model_mod, "CHUNK_BYTES", _budget_for(windows, cfg, 3))
+        assert model_mod._teacher_forced_metrics(model, val_s, params) == want
 
 
 def test_state_dict_round_trip_and_mismatch():
@@ -706,12 +689,14 @@ def test_training_on_encoder_windows_matches_materialized_samples():
     assert all(state[k].tobytes() == dense_state[k].tobytes() for k in state)
 
 
-def test_forecast_and_evaluate_on_encoder_windows_match_materialized_input():
+def test_forecast_and_evaluate_on_encoder_windows_match_materialized_input(
+        monkeypatch):
     x_norm, params, train_s, val_s = _training_setup()
     cfg, model = _tiny_model(seed=18, n=3, c=1)
     dense = _materialized(val_s)
-    got = model.forecast(val_s.encoder_input, chunk=7)
-    assert got.tobytes() == model.forecast(dense.encoder_input, chunk=7).tobytes()
+    monkeypatch.setattr(model_mod, "CHUNK_BYTES", _budget_for(7, cfg, 3))
+    got = model.forecast(val_s.encoder_input)
+    assert got.tobytes() == model.forecast(dense.encoder_input).tobytes()
     dataset = SimpleNamespace(norm_params=params)
     assert (metrics_mod.evaluate(model, val_s, dataset).per_horizon.tobytes()
             == metrics_mod.evaluate(model, dense, dataset).per_horizon.tobytes())
