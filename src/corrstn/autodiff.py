@@ -609,25 +609,21 @@ def _keys(ks: np.ndarray, index: tuple, contiguous: bool) -> np.ndarray:
 
 
 def _attend_backward(p: np.ndarray, g: np.ndarray, q, k, v, scale: float,
-                     need_v: bool, out: tuple = (None, None, None)) -> tuple:
-    """Gradients of one block of the core for its output gradient g: v's
-    when need_v, and with v given, q's when k is given and k's when q is.
-    Each is written into its entry of out (q's, k's, v's) when given."""
-    gq_out, gk_out, gv_out = out
-    gq = gk = gv = None
-    if need_v:
-        gv = np.matmul(np.swapaxes(p, -1, -2), g, out=gv_out)
+                     out: tuple) -> None:
+    """Gradients of one block of the core for its output gradient g, each
+    written into its entry of out (q's, k's, v's) that is not None: v's from
+    the weights p, and with v given, q's from k and k's from q."""
+    gq, gk, gv = out
+    if gv is not None:
+        np.matmul(np.swapaxes(p, -1, -2), g, out=gv)
     if v is not None:
         # push d(weights) back through softmax(q k^T * scale) into q and k
         ds = _softmax_backward(p, g @ _transposed(v))
         ds *= scale
         if k is not None:
-            gq = np.matmul(ds, k, out=gq_out)
+            np.matmul(ds, k, out=gq)
         if q is not None:
-            gk = np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2)
-            if gk_out is not None:
-                gk_out[...] = gk
-    return gq, gk, gv
+            gk[...] = np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
@@ -697,7 +693,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
                 None if stats is None else (stats[0][index], stats[1][index]))
     # v's gradient reads the weights; q's reads k and v, k's reads q and v.
     # The split views keep the operands' own arrays, never a second copy.
-    need_v = v.requires_grad
+    needs = (q.requires_grad, k.requires_grad, v.requires_grad)
     q_data = qs if k.requires_grad else None
     k_data = ks if q.requires_grad else None
     v_data = vs if q.requires_grad or k.requires_grad else None
@@ -714,21 +710,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
 
     def backward(g):
         g = _split_heads(g, heads)
-        needs = (k_data is not None, q_data is not None, need_v)
         grads = tuple(np.empty(shape) if need else None
                       for shape, need in zip(shapes, needs))
         splits = [None if grad is None else _split_heads(grad, heads) for grad in grads]
         for index in blocks:
             _attend_backward(weights(index), g[index],
                              *(None if t is None else t[index]
-                               for t in (q_data, k_data, v_data)), scale, need_v,
+                               for t in (q_data, k_data, v_data)), scale,
                              tuple(None if t is None else t[index] for t in splits))
         return grads
     return _result(out, (q, k, v), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance, then scale + shift."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean, unit variance (eps 1e-5), scale, shift."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
@@ -737,7 +732,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     xhat = x.data - mu
     var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat *= inv_std
     out = xhat * gain.data
     out += bias.data
@@ -803,11 +798,10 @@ def mae_loss(pred: Tensor, target) -> Tensor:
 # parameters and modules
 
 class Parameter(Tensor):
-    __slots__ = ("name",)
+    __slots__ = ()
 
-    def __init__(self, data, name: str = ""):
+    def __init__(self, data):
         super().__init__(data, requires_grad=True)
-        self.name = name
 
 
 class Module:
@@ -827,8 +821,6 @@ class Module:
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         yield from item.named_parameters(f"{name}.{i}.")
-                    elif isinstance(item, Parameter):
-                        yield f"{name}.{i}", item
 
     def zero_grad(self) -> None:
         for p in self.parameters():

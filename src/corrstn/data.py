@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -70,7 +71,6 @@ class TrafficDataset:
     sensor_ids: list[str] = field(default_factory=list)
     # per-attribute (min, max) fitted on the training split; None until fitted
     norm_params: Optional[np.ndarray] = None
-    name: str = ""
 
     def __post_init__(self):
         n = self.tensor.n_sensors
@@ -112,12 +112,22 @@ def load_tensor(path) -> SpatioTemporalTensor:
     return SpatioTemporalTensor(raw.reshape(t, n, c).copy(), interval_minutes=interval)
 
 
+@contextmanager
+def _utf8_text(path):
+    """path as UTF-8 text; a byte in it that does not decode is a DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 ({exc})") from exc
+
+
 def _load_tensor_csv(path) -> tuple[SpatioTemporalTensor, list[str]]:
     """CSV rows: timestamp,sensor,attr0[,attr1...]. Sensors are ordered by id
     (lexicographic) so the layout does not depend on row order. A repeated
     (timestamp, sensor) row is a DataError."""
     rows = {}
-    with open(path) as fh:
+    with _utf8_text(path) as fh:
         header = fh.readline().strip().split(",")
         if len(header) < 3 or header[0] != "timestamp" or header[1] != "sensor":
             raise DataError(f"{path}: expected header timestamp,sensor,attr...")
@@ -162,7 +172,7 @@ def load_edges(path, sensor_ids: list[str]) -> np.ndarray:
     adj = np.zeros((len(sensor_ids), len(sensor_ids)), dtype=np.float64)
     directed = False
     saw_header = False
-    with open(path) as fh:
+    with _utf8_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -201,7 +211,7 @@ def load_edges(path, sensor_ids: list[str]) -> np.ndarray:
     return adj
 
 
-def load_dataset(tensor_path, edges_path=None, name: str = "") -> TrafficDataset:
+def load_dataset(tensor_path, edges_path=None) -> TrafficDataset:
     tensor_path = str(tensor_path)
     if tensor_path.endswith(".csv"):
         tensor, sensor_ids = _load_tensor_csv(tensor_path)
@@ -212,8 +222,7 @@ def load_dataset(tensor_path, edges_path=None, name: str = "") -> TrafficDataset
         adjacency = load_edges(edges_path, sensor_ids)
     else:
         adjacency = np.zeros((tensor.n_sensors, tensor.n_sensors))
-    return TrafficDataset(tensor=tensor, adjacency=adjacency,
-                          sensor_ids=sensor_ids, name=name)
+    return TrafficDataset(tensor=tensor, adjacency=adjacency, sensor_ids=sensor_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +277,10 @@ class EncoderWindows:
     """Read-only (S, P * L, N, C) encoder input that stays in the series.
 
     Sample s is the L rows starting at starts[p] + s for each period p, side
-    by side along the time axis. Indexing the sample axis (an int, a slice or
-    an int array, optionally followed by indices into the gathered rows)
-    gathers only the selected samples into a fresh C-contiguous array;
-    `np.asarray` gathers them all. `nbytes` is the size a gathered copy of
-    the whole set would have, as numpy reports it for a view.
+    by side along the time axis. Indexing the sample axis (an int, a slice, an
+    int or bool array; never a tuple) gathers the selected samples into a fresh
+    C-contiguous array; `np.asarray` gathers them all. `nbytes` is the size a
+    gathered copy of the whole set would have, as numpy reports it for a view.
     """
 
     ndim = 4
@@ -292,15 +300,9 @@ class EncoderWindows:
         return math.prod(self.shape) * self.dtype.itemsize
 
     def __getitem__(self, key):
-        key, rest = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
-        if key is Ellipsis or any(not isinstance(k, (int, np.integer, slice))
-                                  and k is not Ellipsis for k in rest):
-            raise IndexError("the first index must select samples, and only "
-                             "it may be an array")
-        rows = np.arange(self.shape[0])[key]
-        out = self._series[np.add.outer(rows, self._steps)]
-        out = out[(slice(None),) * rows.ndim + rest]
-        return out if out.flags.c_contiguous else out.copy()
+        if isinstance(key, tuple):
+            raise IndexError("encoder windows index the sample axis only")
+        return self._series[np.add.outer(np.arange(self.shape[0])[key], self._steps)]
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
@@ -467,8 +469,7 @@ def generate_synthetic(n_sensors: int, weeks: int, daily_amplitude: float = 1.0,
             j = (i + 1) % n_sensors
             adjacency[i, j] = adjacency[j, i] = 1.0
     tensor = SpatioTemporalTensor(data, interval_minutes=interval_minutes)
-    return TrafficDataset(tensor=tensor, adjacency=adjacency,
-                          name=f"synthetic-{n_sensors}x{weeks}w-seed{seed}")
+    return TrafficDataset(tensor=tensor, adjacency=adjacency)
 
 
 def _add_waves(out, base, two_pi_k, periods, coef):

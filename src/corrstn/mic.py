@@ -294,9 +294,9 @@ def mic_full(x, y, eta: float = DEFAULT_ETA) -> MicResult:
     return MicResult(float(values[0]), False, tuple(grids[0].tolist()))
 
 
-def mic(x, y, eta: float = DEFAULT_ETA) -> float:
-    """Maximal information coefficient of two equal-length sequences, in [0, 1]."""
-    return mic_full(x, y, eta).value
+def mic(x, y) -> float:
+    """MIC of two equal-length sequences at eta = DEFAULT_ETA, in [0, 1]."""
+    return mic_full(x, y).value
 
 
 # ---------------------------------------------------------------------------

@@ -198,10 +198,6 @@ class DecoderLayer(Module):
         self.graph = CIGNN(config.d_model, scorr, adj, rng)
         self.norm_graph = LayerNorm(config.d_model)
 
-    def memory_kv(self, memory):
-        """Cross-attention keys and values of the encoder memory (B, T, N, d)."""
-        return self.cross_attn.keys_values(memory)
-
     def __call__(self, y, memory_kv, mask, start=0, cache=None, rng=None):
         """Decoder rows [start, start + L) of y (B, L, N, d). Self-attention
         spans mask.shape[1] key rows, which y itself must supply unless a
@@ -307,7 +303,7 @@ class CorrSTN(Module):
         return x
 
     def _memory_kv(self, memory: Tensor) -> list:
-        return [layer.memory_kv(memory) for layer in self.decoder]
+        return [layer.cross_attn.keys_values(memory) for layer in self.decoder]
 
     def _decode(self, dec, memory_kv, rng=None, start=0, cache=None) -> Tensor:
         """Outputs of decoder positions [start, start + L) for dec (B, L, N, C).
@@ -378,8 +374,7 @@ class CorrSTN(Module):
         for name, p in own.items():
             arr = np.asarray(state[name], dtype=np.float64)
             if arr.shape != p.data.shape:
-                raise DimensionError(
-                    f"{name}: shape {arr.shape} != {p.data.shape}")
+                raise DataError(f"{name}: shape {arr.shape} != {p.data.shape}")
             p.data = arr.copy()
 
 
@@ -392,28 +387,24 @@ def build_model(config: ModelConfig, scorr: SCorrTensor, adj: NormalizedAdjacenc
 # optimization
 
 class Adam:
-    def __init__(self, params, lr: float = 0.001, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    """Adam, betas 0.9 and 0.999, eps 1e-8. Each parameter must have a gradient."""
+
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - 0.9 ** self.t
+        bc2 = 1.0 - 0.999 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
-                continue
             g = p.grad
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m += (1.0 - 0.9) * (g - m)
+            v += (1.0 - 0.999) * (g * g - v)
+            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -125,23 +125,21 @@ def attend_heads(q: Tensor, k: Tensor, v: Tensor, heads: int, w_out: Tensor,
 # module classes
 
 class Linear(Module):
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
-                 bias: bool = True):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         self.weight = Parameter(ad.xavier_uniform(rng, (d_in, d_out), d_in, d_out))
-        self.bias = Parameter(np.zeros(d_out)) if bias else None
+        self.bias = Parameter(np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
-    def __init__(self, d: int, eps: float = 1e-5):
+    def __init__(self, d: int):
         self.gain = Parameter(np.ones(d))
         self.bias = Parameter(np.zeros(d))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gain, self.bias, eps=self.eps)
+        return ad.layer_norm(x, self.gain, self.bias)
 
 
 class TemporalConv(Module):

@@ -196,13 +196,15 @@ class TCorrReport:
 def build_tcorr_report(x: SpatioTemporalTensor, spec: PeriodSpec,
                        eta: float = DEFAULT_ETA,
                        weights: TCorrWeights | None = None,
-                       dataset: str = "", anchors=None, *,
+                       dataset: str = "", *,
                        stats: MicStats | None = None) -> TCorrReport:
+    """Weighted tcorr of every period over all anchor_positions of x, its sensor
+    averages and their deltas, and the periods each attribute's deltas select."""
     weights = weights or TCorrWeights()
     per_sensor = {}
     averages = {}
     for p in PERIODS:
-        raw = compute_tcorr(x, spec, p, eta=eta, anchors=anchors, stats=stats)
+        raw = compute_tcorr(x, spec, p, eta=eta, stats=stats)
         per_sensor[p] = weighted_tcorr(raw, p, weights)
         averages[p] = per_sensor[p].mean(axis=0)
     deltas = {

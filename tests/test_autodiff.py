@@ -547,10 +547,12 @@ def test_attention_gradients_match_backward_on_the_forward_weights(
         weights = np.empty(q.shape[:-1] + (k.shape[-2],))
         for index, block in zip(indices, made):
             weights[index] = block
-        want = autodiff._attend_backward(
+        want = [np.empty(t.shape) if i in trainable else None
+                for i, t in enumerate((q, k, v))]
+        autodiff._attend_backward(
             weights, autodiff._split_heads(seed_grad, heads),
             q if 1 in trainable else None, k if 0 in trainable else None,
-            v if trainable & {0, 1} else None, 0.4, 2 in trainable)
+            v if trainable & {0, 1} else None, 0.4, tuple(want))
         assert [autodiff._split_heads(g, heads).tobytes() for g in got] == [
             w.tobytes() for w in want if w is not None]
 
@@ -798,16 +800,17 @@ def test_backward_seed_rules():
 def test_module_parameter_walk():
     class Block(Module):
         def __init__(self):
-            self.w = Parameter(np.zeros((2, 2)), name="w")
+            self.w = Parameter(np.zeros((2, 2)))
 
     class Net(Module):
         def __init__(self):
-            self.emb = Parameter(np.zeros(3), name="emb")
+            self.emb = Parameter(np.zeros(3))
             self.blocks = [Block(), Block()]
 
     net = Net()
     names = [n for n, _ in net.named_parameters()]
     assert names == ["emb", "blocks.0.w", "blocks.1.w"]
+    assert not hasattr(net.emb, "__dict__")
     for p in net.parameters():
         p.grad = np.ones_like(p.data)
     net.zero_grad()
@@ -883,3 +886,69 @@ def test_every_public_op_has_a_library_caller():
             "pairwise_mic", "CIGNN", "keys_values", "forecast"} <= defined
     assert {"matmul", "attention"} <= set().union(*refs.values())
     assert unused == set()
+
+
+def _settable(tree: ast.Module) -> dict[str, list[tuple[int | None, str]]]:
+    """The keyword parameters with a default of each public top-level
+    function, public method and public class's constructor (under the class
+    name), as (position or None when keyword-only, name) pairs. Positions
+    count from the first argument a caller passes."""
+    found = {}
+
+    def add(name, fn, skip):
+        args = fn.args
+        positional = (args.posonlyargs + args.args)[skip:]
+        defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                     if i >= len(positional) - len(args.defaults)]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        found.setdefault(name, []).extend(defaulted)
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            add(node.name, node, 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                if fn.name == "__init__":
+                    add(node.name, fn, 1)
+                elif not fn.name.startswith("_"):
+                    add(fn.name, fn, 0 if static else 1)
+    return found
+
+
+def test_every_public_option_is_set_somewhere():
+    """Every keyword parameter with a default, on a public function, public
+    method or public class's constructor in the package, is set by keyword
+    or by position in at least one call, by name, in the library, a demo,
+    the benchmark or a test. Tests count: they set oracle-sized values. A
+    call with *args or **kwargs sets every position or keyword."""
+    library = [path for path in _LIBRARY.glob("*.py") if path.name != "__init__.py"]
+    users = library + [path for folder in ("demos", "bench", "tests")
+                       for path in sorted((_REPO / folder).glob("*.py"))]
+    options = {}
+    for path in library:
+        for name, params in _settable(ast.parse(path.read_text())).items():
+            options.setdefault(name, set()).update(params)
+    scanned = {(name, param) for name, params in options.items() for _, param in params}
+    # the options only tests set are found too
+    assert {("compute_tcorr", "anchors"), ("identity_topu", "c"),
+            ("mic_full", "eta")} <= scanned
+    unset = set(scanned)
+    for path in users:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            for position, param in options.get(name, ()):
+                if (param in keywords or None in keywords
+                        or position is not None
+                        and (starred or position < len(node.args))):
+                    unset.discard((name, param))
+    assert unset == set()

@@ -427,6 +427,42 @@ def test_scorr_for_other_data_is_data_error(workdir, tmp_path, capsys, sensors,
     assert not (tmp_path / "run" / "checkpoint.cstn").exists()
 
 
+def test_checkpoint_for_other_sensor_count_is_data_error(workdir, tmp_path, capsys):
+    # the config hash leaves out the sensor count, so the config check passes
+    # and only the parameter shapes tell the 4-sensor checkpoint apart
+    data, scorr = tmp_path / "six.sttf", tmp_path / "six.scor"
+    assert cli.main(["synth", "--out", str(data), "--sensors", "6", "--weeks", "2",
+                     "--interval", "5", "--seed", "3"]) == 0
+    assert cli.main(["scorr", "--data", str(data), "--out", str(scorr)]) == 0
+    run = workdir / "run"
+    rc = cli.main(["evaluate", "--data", str(data), "--scorr", str(scorr),
+                   "--config", str(run / "config.json"),
+                   "--checkpoint", str(run / "checkpoint.cstn"),
+                   "--out", str(tmp_path / "m.json"), "--ratios", _RATIOS])
+    assert rc == 3
+    assert "data error: spatial_emb: shape" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("which", ["series", "edges"])
+def test_file_that_is_not_utf8_is_data_error(workdir, tmp_path, capsys, which):
+    # both once escaped as UnicodeDecodeError: a traceback and exit 1
+    if which == "series":
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"timestamp,sensor,flow\n0,a\xff,1.0\n1,a\xff,2.0\n")
+        argv = ["scorr", "--data", str(bad), "--out", str(tmp_path / "out.scor")]
+    else:
+        bad = tmp_path / "bad_edges.csv"
+        bad.write_bytes(b"from,to\n0,1\n1,\xff\n")
+        argv = ["train", "--data", str(workdir / "data.sttf"), "--edges", str(bad),
+                "--scorr", str(workdir / "corr.scor"), "--ratios", _RATIOS,
+                "--epochs", "1", "--out-dir", str(tmp_path / "run")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and "not UTF-8" in err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 @pytest.mark.parametrize("cut", [20, 44, 50, 60, -3])
 def test_truncated_checkpoint_is_data_error(workdir, tmp_path, capsys, cut):
     run = workdir / "run"

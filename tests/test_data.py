@@ -163,8 +163,8 @@ def test_assemble_samples_alignment():
     t = int(got.anchors[0])
     daily = x.data[t - 16 + 1:t - 16 + 5]
     hourly = x.data[t - 4 + 1:t - 4 + 5]
-    assert np.array_equal(got.encoder_input[0, :4], daily)
-    assert np.array_equal(got.encoder_input[0, 4:], hourly)
+    assert np.array_equal(got.encoder_input[0][:4], daily)
+    assert np.array_equal(got.encoder_input[0][4:], hourly)
     assert np.array_equal(got.decoder_input[0], x.data[t:t + 4])
     assert np.array_equal(got.target[0], x.data[t + 1:t + 5, :, :1])
 
@@ -188,9 +188,11 @@ def test_assemble_samples_are_views_equal_to_gathers(periods):
 
 _INDEX_KINDS = [0, 7, -1, -22, slice(None), slice(3, 17), slice(2, None, 3),
                 slice(None, None, -4), np.array([4, 0, 4, -1, 11]), [2, 1],
-                np.arange(22) % 2 == 0, (0, slice(None, 4)), (slice(None), 0, 0, 0),
-                (np.array([5, 3]), slice(4, None), 1), (-2, Ellipsis, 1),
-                (slice(1, 9, 2), -1, slice(None), slice(0, 1))]
+                np.arange(22) % 2 == 0]
+# a sample index, then an index into the gathered rows
+_THEN_KINDS = [(0, np.s_[:4]), (slice(None), np.s_[:, 0, 0, 0]),
+               (np.array([5, 3]), np.s_[:, 4:, 1]), (-2, np.s_[..., 1]),
+               (slice(1, 9, 2), np.s_[:, -1, :, 0:1])]
 
 
 @pytest.mark.parametrize("periods", [("hourly",), ("daily", "hourly"),
@@ -210,14 +212,18 @@ def test_encoder_windows_gather_like_the_oracle(periods):
         assert rows.flags.c_contiguous and rows.dtype == np.float64
         assert not np.shares_memory(rows, x.data)
         assert np.array_equal(rows, want[key]) and rows.shape == want[key].shape
+    for key, then in _THEN_KINDS:
+        rows = got[key][then]
+        assert np.array_equal(rows, want[key][then]) and rows.shape == want[key][then].shape
     whole = np.asarray(got)
     assert np.array_equal(whole, want) and not np.shares_memory(whole, x.data)
     with pytest.raises(IndexError):
         got[22]
-    with pytest.raises(IndexError):
-        got[0, [0, 1]]
-    with pytest.raises(IndexError):
-        got[..., 0]
+    # only the sample axis is indexed; the caller slices the gathered rows
+    for key in [(0, [0, 1]), (Ellipsis, 0), (0, slice(None, 4)),
+                (slice(None), 0, 0, 0), (np.array([5, 3]), Ellipsis, 1)]:
+        with pytest.raises(IndexError):
+            got[key]
     with pytest.raises(ValueError):
         np.asarray(got, copy=False)
 
@@ -258,7 +264,7 @@ def test_iterate_batches_cover_everything():
     for enc, dec, tgt in iterate_batches(samples, 4, np.random.default_rng(0)):
         assert enc.shape[0] == dec.shape[0] == tgt.shape[0] <= 4
         seen.extend(enc[:, 0, 0, 0].tolist())
-    assert sorted(seen) == sorted(samples.encoder_input[:, 0, 0, 0].tolist())
+    assert sorted(seen) == sorted(samples.encoder_input[:][:, 0, 0, 0].tolist())
 
 
 def test_synthetic_determinism_and_shape():
