@@ -9,8 +9,9 @@ train prints one progress line per epoch to stderr. Exit codes:
 0 success, 2 configuration error, 3 data error (any OSError too), 4 compute
 error.
 
-CORRSTN_WORKERS sets the default worker count for scorr, the only subcommand
-that runs worker processes.
+scorr and tcorr score MIC at its one grid bound, m^0.6, and tcorr at the
+model's 12-step window. scorr is the only subcommand that runs worker
+processes: --workers of them (default 1), at most one per usable CPU.
 """
 
 from __future__ import annotations
@@ -86,19 +87,6 @@ def _manifest_path(args, primary_output) -> str:
     return getattr(args, "manifest", None) or str(primary_output) + ".manifest.json"
 
 
-def _scorr_workers(requested: int | None) -> int:
-    """--workers, else CORRSTN_WORKERS, else 1; a count below 1 is refused."""
-    if requested is None:
-        raw = os.environ.get("CORRSTN_WORKERS", "1")
-        try:
-            requested = int(raw)
-        except ValueError:
-            raise ConfigError(f"CORRSTN_WORKERS must be an integer, got {raw!r}")
-    if requested < 1:
-        raise ConfigError(f"workers must be at least 1, got {requested}")
-    return requested
-
-
 def _three_numbers(text: str, what: str) -> tuple:
     """--ratios and --weights: three comma-separated numbers."""
     parts = text.split(",")
@@ -170,7 +158,8 @@ def cmd_scorr(args) -> int:
     if args.window and args.csv_out:
         raise ConfigError("--csv-out exports one matrix and cannot be combined "
                           "with --window")
-    args.workers = _scorr_workers(args.workers)
+    if args.workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {args.workers}")
     manifest = Manifest("scorr", args)
     piece = _load_split(args)
     n, c = piece.n_sensors, piece.n_attributes
@@ -179,8 +168,7 @@ def cmd_scorr(args) -> int:
     manifest.start("scorr")
     if args.window:
         tensors = scorr_mod.windowed_scorr(piece, args.window, args.stride,
-                                           eta=args.eta, workers=args.workers,
-                                           stats=stats)
+                                           workers=args.workers, stats=stats)
         manifest.stop("scorr")
         base, ext = os.path.splitext(args.out)
         for i, s in enumerate(tensors):
@@ -190,8 +178,7 @@ def cmd_scorr(args) -> int:
         elapsed = manifest.payload["timings"]["scorr"]
         print(f"{len(tensors)} windows of {pair_attrs} pair-attrs in {elapsed:.3f}s")
     else:
-        s = scorr_mod.compute_scorr(piece, eta=args.eta, workers=args.workers,
-                                    stats=stats)
+        s = scorr_mod.compute_scorr(piece, workers=args.workers, stats=stats)
         manifest.stop("scorr")
         scorr_mod.save_scorr(s, args.out)
         manifest.add_output(args.out)
@@ -210,13 +197,13 @@ def cmd_scorr(args) -> int:
 def cmd_tcorr(args) -> int:
     manifest = Manifest("tcorr", args)
     piece = _load_split(args)
-    spec = tcorr_mod.PeriodSpec.from_interval(piece.interval_minutes, tau=args.tau)
+    spec = tcorr_mod.PeriodSpec.from_interval(piece.interval_minutes)
     weights = tcorr_mod.TCorrWeights(
         *_three_numbers(args.weights, "hourly,daily,weekly weights"))
     stats = MicStats()
     manifest.start("tcorr")
     report = tcorr_mod.build_tcorr_report(
-        piece, spec, eta=args.eta, weights=weights,
+        piece, spec, weights=weights,
         dataset=args.dataset_name or os.path.basename(args.data), stats=stats)
     manifest.stop("tcorr")
     manifest.payload["mic"] = stats.to_dict("windows")
@@ -239,10 +226,7 @@ def cmd_tcorr(args) -> int:
 def cmd_select(args) -> int:
     manifest = Manifest("select", args)
     report = tcorr_mod.load_report(args.report)
-    verdicts = [tcorr_mod.select_periods(float(report.deltas["hd"][a]),
-                                         float(report.deltas["hw"][a]),
-                                         float(report.deltas["dw"][a]))
-                for a in range(len(report.verdict))]
+    verdicts = tcorr_mod.attribute_verdicts(report.deltas)
     combined = tcorr_mod.combine_verdicts(verdicts)
     for a, v in enumerate(verdicts):
         print(f"attribute {a}: {','.join(v)}")
@@ -506,8 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--csv-out", default=None)
-    p.add_argument("--eta", type=float, default=0.6)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--split", default="train")
@@ -518,8 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tcorr", help="temporal correlation report")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--eta", type=float, default=0.6)
-    p.add_argument("--tau", type=int, default=12)
     p.add_argument("--weights", default="0.95,0.95,0.85")
     p.add_argument("--dataset-name", default=None)
     p.add_argument("--split", default="train")

@@ -96,9 +96,6 @@ def save_tensor(x: SpatioTemporalTensor, path) -> None:
 
 
 def load_tensor(path) -> SpatioTemporalTensor:
-    path = str(path)
-    if path.endswith(".csv"):
-        return _load_tensor_csv(path)[0]
     with open(path, "rb") as fh:
         header = fh.read(24)
         if len(header) != 24 or header[:4] != _STTF_MAGIC:
@@ -262,11 +259,8 @@ def normalize(values: np.ndarray, norm_params: np.ndarray) -> np.ndarray:
 
 
 def denormalize(values: np.ndarray, norm_params: np.ndarray,
-                attribute: Optional[int] = None) -> np.ndarray:
-    if attribute is None:
-        lo, hi = norm_params[:, 0], norm_params[:, 1]
-    else:
-        lo, hi = norm_params[attribute]
+                attribute: int) -> np.ndarray:
+    lo, hi = norm_params[attribute]
     return (values + 1.0) * (hi - lo) / 2.0 + lo
 
 

@@ -1,7 +1,9 @@
 """Maximal information coefficient (MIC) between equal-length scalar sequences.
 
 The coefficient is the maximum, over admissible grid shapes (a, b) with
-a*b < m**eta, of the grid mutual information normalized by log2(min(a, b)).
+a*b < m**ETA, of the grid mutual information normalized by log2(min(a, b)).
+ETA = 0.6 is the standard grid bound B(m) = m^0.6 of Reshef et al. (Science
+2011); SCorr and TCorr both run at it, so it is a constant, not an option.
 For every shape the cell boundaries are placed at equal-count rank quantiles
 of each axis independently, which makes the statistic deterministic and
 invariant under strictly monotone transformations of either sequence. This is
@@ -25,14 +27,15 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError
+from .errors import DataError, DimensionError
 
-DEFAULT_ETA = 0.6
+ETA = 0.6
 
 
 @dataclass(frozen=True)
@@ -85,15 +88,13 @@ def _as_sequence(values, name="sequence") -> np.ndarray:
     return arr
 
 
-def admissible_shapes(m: int, eta: float) -> list[tuple[int, int]]:
-    """All grid shapes (a, b) with a, b >= 2 and a*b strictly below m**eta.
+def admissible_shapes(m: int) -> list[tuple[int, int]]:
+    """All grid shapes (a, b) with a, b >= 2 and a*b strictly below m**ETA.
 
     Falls back to the minimal 2x2 grid when the bound admits no shape at all
     (very short sequences), so MIC stays defined for every m >= 2.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ConfigError(f"eta must be in (0, 1], got {eta}")
-    bound = float(m) ** eta
+    bound = float(m) ** ETA
     shapes = []
     a = 2
     while a * 2 < bound:
@@ -144,19 +145,19 @@ class _ShapeGroup:
 
 
 class _GridSearch:
-    """Precomputed tables of the equal-count grid search at fixed (m, eta).
+    """Precomputed tables of the equal-count grid search at length m.
 
     Shapes are grouped by their shorter side n. The long-side blocks of every
     shape in a group are unions of one finest partition, so one count table
     over (finest block, n-block) gives every table of the group by prefix
     sums. Shapes with b <= a read the pair's sigma; shapes with a < b read
     its inverse and score the transposed table, which has the same MI. All
-    tables depend only on m and eta, never on the data.
+    tables depend only on m, never on the data.
     """
 
-    def __init__(self, m: int, eta: float):
+    def __init__(self, m: int):
         self.m = m
-        shapes = admissible_shapes(m, eta)
+        shapes = admissible_shapes(m)
         # b-major, a ascending: `best` keeps the first maximum in this order
         order = sorted(shapes, key=lambda s: (s[1], s[0]))
         self.shapes = np.array(order, dtype=np.int64)
@@ -235,10 +236,10 @@ class _GridSearch:
 
 
 @functools.lru_cache(maxsize=16)
-def _grid_search(m: int, eta: float) -> _GridSearch:
-    """The grid-search tables for (m, eta), built once and shared read-only.
+def _grid_search(m: int) -> _GridSearch:
+    """The grid-search tables for length m, built once and shared read-only.
     Building them is most of a one-off `mic` call's cost at any length."""
-    return _GridSearch(m, eta)
+    return _GridSearch(m)
 
 
 def _profile(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -280,13 +281,13 @@ def _score(search: _GridSearch, profile, i: np.ndarray,
     return values, grids, degenerate
 
 
-def mic_full(x, y, eta: float = DEFAULT_ETA) -> MicResult:
+def mic_full(x, y) -> MicResult:
     """MIC with diagnostics. Zero-variance input yields value 0, flagged."""
     x = _as_sequence(x, "x")
     y = _as_sequence(y, "y")
     if x.size != y.size:
         raise DimensionError(f"length mismatch: {x.size} vs {y.size}")
-    values, grids, degenerate = _score(_grid_search(x.size, eta),
+    values, grids, degenerate = _score(_grid_search(x.size),
                                        _profile(np.stack([x, y])),
                                        np.array([0]), np.array([1]))
     if degenerate[0]:
@@ -295,7 +296,7 @@ def mic_full(x, y, eta: float = DEFAULT_ETA) -> MicResult:
 
 
 def mic(x, y) -> float:
-    """MIC of two equal-length sequences at eta = DEFAULT_ETA, in [0, 1]."""
+    """MIC of two equal-length sequences, in [0, 1]."""
     return mic_full(x, y).value
 
 
@@ -305,8 +306,16 @@ def mic(x, y) -> float:
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(stack, eta):
-    _WORKER_STATE.update(stack=stack, search=_grid_search(stack.shape[0], eta),
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_init(stack):
+    _WORKER_STATE.update(stack=stack, search=_grid_search(stack.shape[0]),
                          slice=None, profile=None)
 
 
@@ -321,14 +330,15 @@ def _worker_chunk(task):
     return _score(state["search"], state["profile"], i, j)
 
 
-def pairwise_mic(columns, eta: float = DEFAULT_ETA, workers: int = 1, *,
+def pairwise_mic(columns, workers: int = 1, *,
                  stats: MicStats | None = None) -> np.ndarray:
     """Symmetric matrix of MIC values between all column pairs.
 
     `columns` is an (m, k) array, giving a (k, k) matrix, or an (m, k, c)
     stack of c such arrays, giving a (k, k, c) stack with slice s scored from
     columns[:, :, s] alone. A stack runs in one pool of `workers` processes
-    shared by all its slices.
+    shared by all its slices, at most one per usable CPU: more would only
+    contend for the same cores.
     The diagonal is 1 by convention; pairs involving a zero-variance column
     are 0. Results are bit-identical for any worker count because each cell
     is a pure function of its two columns. `stats`, when given, counts the
@@ -350,16 +360,17 @@ def pairwise_mic(columns, eta: float = DEFAULT_ETA, workers: int = 1, *,
 
     result = np.repeat(np.eye(k)[:, :, None], c, axis=2)
     i, j = np.triu_indices(k, 1)
+    workers = min(workers, _usable_cpus())
     if i.size and c:
         if workers <= 1 or i.size * c < 2:
-            search = _grid_search(m, eta)
+            search = _grid_search(m)
             scored = [_score(search, _profile(stack[:, :, s].T), i, j)
                       for s in range(c)]
         else:
             chunks = np.array_split(np.arange(i.size), min(i.size, workers * 8))
             tasks = [(s, i[p], j[p]) for s in range(c) for p in chunks]
             with multiprocessing.Pool(workers, initializer=_worker_init,
-                                      initargs=(stack, eta)) as pool:
+                                      initargs=(stack,)) as pool:
                 scored = pool.map(_worker_chunk, tasks)
         values, grids, degenerate = (np.concatenate(part) for part in zip(*scored))
         values = values.reshape(c, i.size).T

@@ -263,19 +263,15 @@ class CorrSTN(Module):
         return ad.add(ad.add(x, self.spatial_emb), pos_bcast)
 
     def _check_input(self, arr, lengths: range, what):
-        """arr with a batch axis, its shape checked. An ndarray or an
-        EncoderWindows is returned as it is, so no encoder rows are gathered
-        here; anything without a shape goes through np.asarray."""
-        if not hasattr(arr, "shape"):
-            arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim == 3:
-            arr = arr[None]
-        if arr.ndim != 4 or arr.shape[1] not in lengths \
+        """arr, a 4-D ndarray or an EncoderWindows, its shape checked and
+        returned as it is, so no encoder rows are gathered here."""
+        if getattr(arr, "ndim", None) != 4 or arr.shape[1] not in lengths \
                 or arr.shape[2:] != (self.n_sensors, self.n_attributes):
             span = lengths[0] if len(lengths) == 1 else f"{lengths[0]}..{lengths[-1]}"
             raise DimensionError(
                 f"{what} must be (B, {span}, {self.n_sensors}, "
-                f"{self.n_attributes}), got {arr.shape}")
+                f"{self.n_attributes}), got "
+                f"{getattr(arr, 'shape', type(arr).__name__)}")
         return arr
 
     def forward(self, encoder_input, decoder_input, rng=None) -> Tensor:

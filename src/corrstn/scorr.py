@@ -2,6 +2,7 @@
 
 Static form (full series), windowed form (one tensor per sliding window), and
 the softmax-normalized top-U form consumed by the correlation attention layer.
+Every degree is a MIC score at the fixed grid bound m^0.6 (`mic.ETA`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .data import SpatioTemporalTensor
 from .errors import ConfigError, DataError, DimensionError
-from .mic import DEFAULT_ETA, MicStats, pairwise_mic
+from .mic import MicStats, pairwise_mic
 
 _SCOR_MAGIC = b"SCOR"
 _SCOR_VERSION = 1
@@ -54,20 +55,20 @@ class TopUSCorr:
         return self.indices.shape[1]
 
 
-def compute_scorr(x: SpatioTemporalTensor, eta: float = DEFAULT_ETA,
-                  workers: int = 1, *, stats: MicStats | None = None) -> SCorrTensor:
+def compute_scorr(x: SpatioTemporalTensor, workers: int = 1, *,
+                  stats: MicStats | None = None) -> SCorrTensor:
     """MIC between the full T-length series of every sensor pair, per attribute.
 
     Diagonal is 1 by convention; pairs involving a flatlined (zero-variance)
-    sensor are 0. All attributes share one pool of `workers` processes, and
-    output is bit-identical for any worker count. `stats`, when given, counts
-    the pairs scored.
+    sensor are 0. All attributes share one pool of `workers` processes (at
+    most one per usable CPU), and output is bit-identical for any worker
+    count. `stats`, when given, counts the pairs scored.
     """
-    return SCorrTensor(pairwise_mic(x.data, eta=eta, workers=workers, stats=stats))
+    return SCorrTensor(pairwise_mic(x.data, workers=workers, stats=stats))
 
 
 def windowed_scorr(x: SpatioTemporalTensor, window: int, stride: int = 1,
-                   eta: float = DEFAULT_ETA, workers: int = 1, *,
+                   workers: int = 1, *,
                    stats: MicStats | None = None) -> list[SCorrTensor]:
     """One correlation tensor per sliding window position over the time axis.
 
@@ -86,7 +87,7 @@ def windowed_scorr(x: SpatioTemporalTensor, window: int, stride: int = 1,
     for first in range(0, len(starts), per_call):
         group = starts[first:first + per_call]
         stack = np.concatenate([x.data[s:s + window] for s in group], axis=2)
-        degrees = pairwise_mic(stack, eta=eta, workers=workers, stats=stats)
+        degrees = pairwise_mic(stack, workers=workers, stats=stats)
         out += [SCorrTensor(degrees[:, :, i * c:(i + 1) * c])
                 for i in range(len(group))]
     return out

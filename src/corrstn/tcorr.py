@@ -1,9 +1,10 @@
 """Temporal correlation of periodic history with the prediction window.
 
 For each sensor and attribute, the hourly/daily/weekly block preceding an
-anchor timestamp is compared (via MIC) against the block immediately after
-it; averaging over anchors and weighting by period type gives the statistics
-that drive the periodic-data selection verdict.
+anchor timestamp is compared (via MIC at the fixed grid bound m^0.6,
+`mic.ETA`) against the block immediately after it; averaging over anchors and
+weighting by period type gives the statistics that drive the periodic-data
+selection verdict.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .data import SpatioTemporalTensor
 from .errors import ConfigError, DataError, EmptyAnchorError, OutOfRangeError
-from .mic import DEFAULT_ETA, MicStats, _grid_search, _profile, _score
+from .mic import ETA, MicStats, _grid_search, _profile, _score
 
 PERIODS = ("hourly", "daily", "weekly")
 
@@ -82,7 +83,7 @@ def anchor_positions(n_timestamps: int, spec: PeriodSpec) -> np.ndarray:
 
 
 def compute_tcorr(x: SpatioTemporalTensor, spec: PeriodSpec, period: str,
-                  eta: float = DEFAULT_ETA, anchors=None, *,
+                  anchors=None, *,
                   stats: MicStats | None = None) -> np.ndarray:
     """Unweighted temporal correlation degrees, shape (N, C).
 
@@ -110,7 +111,7 @@ def compute_tcorr(x: SpatioTemporalTensor, spec: PeriodSpec, period: str,
     if bad.any():
         raise OutOfRangeError(
             f"anchor {anchors[bad][0]} leaves no room for {period} window")
-    search = _grid_search(tau, eta)
+    search = _grid_search(tau)
     per_anchor = n * c
     steps = np.arange(tau)
     acc = np.zeros(per_anchor, dtype=np.float64)
@@ -163,6 +164,12 @@ def select_periods(delta_hd: float, delta_hw: float, delta_dw: float) -> tuple[s
     return ("hourly",)
 
 
+def attribute_verdicts(deltas: dict[str, np.ndarray]) -> list[tuple[str, ...]]:
+    """`select_periods` of each attribute's 'hd'/'hw'/'dw' deltas."""
+    return [select_periods(float(hd), float(hw), float(dw))
+            for hd, hw, dw in zip(deltas["hd"], deltas["hw"], deltas["dw"])]
+
+
 def combine_verdicts(verdicts: list[tuple[str, ...]]) -> tuple[str, ...]:
     """Single verdict for the model: strict majority across attributes, ties
     toward fewer periods. Hourly is always present."""
@@ -183,7 +190,6 @@ class TCorrReport:
     averages: dict[str, np.ndarray]          # period -> (C,)
     deltas: dict[str, np.ndarray]            # 'hd'/'hw'/'dw' -> (C,)
     verdict: list[tuple[str, ...]]           # one subset per attribute
-    eta: float = DEFAULT_ETA
     weights: TCorrWeights = field(default_factory=TCorrWeights)
     tau: int = 12
     dataset: str = ""
@@ -194,7 +200,6 @@ class TCorrReport:
 
 
 def build_tcorr_report(x: SpatioTemporalTensor, spec: PeriodSpec,
-                       eta: float = DEFAULT_ETA,
                        weights: TCorrWeights | None = None,
                        dataset: str = "", *,
                        stats: MicStats | None = None) -> TCorrReport:
@@ -204,7 +209,7 @@ def build_tcorr_report(x: SpatioTemporalTensor, spec: PeriodSpec,
     per_sensor = {}
     averages = {}
     for p in PERIODS:
-        raw = compute_tcorr(x, spec, p, eta=eta, stats=stats)
+        raw = compute_tcorr(x, spec, p, stats=stats)
         per_sensor[p] = weighted_tcorr(raw, p, weights)
         averages[p] = per_sensor[p].mean(axis=0)
     deltas = {
@@ -212,12 +217,9 @@ def build_tcorr_report(x: SpatioTemporalTensor, spec: PeriodSpec,
         "hw": averages["weekly"] - averages["hourly"],
         "dw": averages["weekly"] - averages["daily"],
     }
-    n_attr = x.data.shape[2]
-    verdict = [select_periods(float(deltas["hd"][a]), float(deltas["hw"][a]),
-                              float(deltas["dw"][a])) for a in range(n_attr)]
     return TCorrReport(per_sensor=per_sensor, averages=averages, deltas=deltas,
-                       verdict=verdict, eta=eta, weights=weights, tau=spec.tau,
-                       dataset=dataset)
+                       verdict=attribute_verdicts(deltas), weights=weights,
+                       tau=spec.tau, dataset=dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +228,7 @@ def build_tcorr_report(x: SpatioTemporalTensor, spec: PeriodSpec,
 def report_to_dict(report: TCorrReport) -> dict:
     return {
         "dataset": report.dataset,
-        "eta": report.eta,
+        "eta": ETA,
         "tau": report.tau,
         "weights": {p: report.weights.for_period(p) for p in PERIODS},
         "per_period_means": {p: report.averages[p].tolist() for p in PERIODS},
@@ -247,7 +249,7 @@ def report_from_dict(payload: dict) -> TCorrReport:
         deltas={k: np.asarray(payload["deltas"][k], dtype=np.float64)
                 for k in ("hd", "hw", "dw")},
         verdict=[tuple(v) for v in payload["verdict"]],
-        eta=payload["eta"], weights=weights, tau=payload["tau"],
+        weights=weights, tau=payload["tau"],
         dataset=payload["dataset"])
 
 

@@ -84,7 +84,7 @@ def mic_brute_force(x, y, eta=0.6):
     return min(max(best, 0.0), 1.0)
 
 
-def tcorr_per_window(source, target, offset, tau, anchors, eta=0.6):
+def tcorr_per_window(source, target, offset, tau, anchors):
     """Anchor-average of mic_full(period block, target block) for every
     sensor and attribute, one window at a time, summed in anchor order."""
     _, n, c = target.shape
@@ -94,7 +94,7 @@ def tcorr_per_window(source, target, offset, tau, anchors, eta=0.6):
         after = target[t + 1:t + 1 + tau]
         for i in range(n):
             for a in range(c):
-                acc[i, a] += mic_full(block[:, i, a], after[:, i, a], eta=eta).value
+                acc[i, a] += mic_full(block[:, i, a], after[:, i, a]).value
     return acc / len(anchors)
 
 

@@ -934,8 +934,7 @@ def test_every_public_option_is_set_somewhere():
             options.setdefault(name, set()).update(params)
     scanned = {(name, param) for name, params in options.items() for _, param in params}
     # the options only tests set are found too
-    assert {("compute_tcorr", "anchors"), ("identity_topu", "c"),
-            ("mic_full", "eta")} <= scanned
+    assert {("compute_tcorr", "anchors"), ("identity_topu", "c")} <= scanned
     unset = set(scanned)
     for path in users:
         for node in ast.walk(ast.parse(path.read_text())):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -72,20 +73,11 @@ def test_scorr_output_and_throughput(workdir, capsys):
     assert diagnostics["degenerate"] + sum(diagnostics["grid_shapes"].values()) == 6
 
 
-def test_workers_setting_only_matters_to_scorr(workdir, tmp_path, monkeypatch):
-    # select has no workers, so a bad CORRSTN_WORKERS must not stop it
-    monkeypatch.setenv("CORRSTN_WORKERS", "abc")
-    assert cli.main(["select", "--report", str(workdir / "tcorr.json"),
-                     "--out", str(tmp_path / "verdict.json")]) == 0
-
-
-@pytest.mark.parametrize("env, flag", [("abc", []), ("0", []),
-                                       ("2", ["--workers", "-3"])])
-def test_bad_scorr_worker_count_is_config_error(workdir, tmp_path, monkeypatch,
-                                                capsys, env, flag):
-    monkeypatch.setenv("CORRSTN_WORKERS", env)
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_bad_scorr_worker_count_is_config_error(workdir, tmp_path, capsys,
+                                                workers):
     rc = cli.main(["scorr", "--data", str(workdir / "data.sttf"),
-                   "--out", str(tmp_path / "out.scor")] + flag)
+                   "--out", str(tmp_path / "out.scor"), "--workers", workers])
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "out.scor").exists()
@@ -96,7 +88,6 @@ def test_scorr_pool_through_entry_point(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    env.pop("CORRSTN_WORKERS", None)
     data = tmp_path / "data.sttf"
     assert cli.main(["synth", "--out", str(data), "--sensors", "6",
                      "--weeks", "2", "--interval", "60", "--attributes", "2",
@@ -130,7 +121,10 @@ def test_tcorr_report_and_select(workdir, capsys):
     assert rc == 0
     assert "combined:" in capsys.readouterr().out
     verdict = json.loads((workdir / "verdict.json").read_text())
-    assert verdict["combined_verdict"] == report["combined_verdict"]
+    assert verdict == {"verdict": report["verdict"],
+                       "combined_verdict": report["combined_verdict"]}
+    # the report records the fixed MIC grid bound and the model's window
+    assert (report["eta"], report["tau"]) == (0.6, 12)
 
 
 def test_select_writes_manifest_without_out(workdir, tmp_path):
@@ -595,3 +589,42 @@ def test_console_script_entry_point(workdir, tmp_path):
         [sys.executable, "-m", "corrstn.cli", "--version"],
         capture_output=True, text=True)
     assert result.returncode == 0
+
+
+@pytest.mark.parametrize("argv", [["scorr", "--eta", "0.6"],
+                                  ["tcorr", "--eta", "0.6"],
+                                  ["tcorr", "--tau", "12"]])
+def test_mic_bound_and_tcorr_window_are_not_options(workdir, tmp_path, capsys,
+                                                    argv):
+    # MIC runs at its one grid bound and tcorr at the model's 12-step window
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv + ["--data", str(workdir / "data.sttf"), "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _parser_flags() -> set:
+    """(subcommand, flag) for every flag a `corrstn` subcommand accepts."""
+    subcommands = next(a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    return {(name, flag) for name, sub in subcommands.choices.items()
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings}
+
+
+def test_readme_cli_reference_documents_every_flag():
+    # rows of the flag table: | `--flag ARG` | command, command | meaning | default |
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI reference\n", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0].startswith("`--"):
+            flag = cells[0].strip("`").split()[0]
+            documented |= {(name.strip(), flag) for name in cells[1].split(",")}
+    flags = _parser_flags()
+    assert sorted(flags - documented) == [], "missing from the README"
+    assert sorted(documented - flags) == [], "in the README but not the parser"

@@ -83,9 +83,8 @@ def test_csv_non_finite_value_is_not_a_hole(tmp_path, value):
     path = tmp_path / "series.csv"
     path.write_text(f"timestamp,sensor,flow\n0,a,1.0\n0,b,{value}\n"
                     "1,a,3.0\n1,b,4.0\n")
-    for load in (load_tensor, load_dataset):
-        with pytest.raises(DataError, match="NaN or infinite"):
-            load(path)
+    with pytest.raises(DataError, match="NaN or infinite"):
+        load_dataset(path)
 
 
 def test_csv_duplicate_row_names_its_line(tmp_path):
@@ -93,9 +92,8 @@ def test_csv_duplicate_row_names_its_line(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("timestamp,sensor,flow\n0,a,1.0\n0,b,2.0\n1,a,3.0\n"
                     "1,b,4.0\n1,a,9.0\n")
-    for load in (load_tensor, load_dataset):
-        with pytest.raises(DataError, match=r"dup\.csv:6: duplicate row"):
-            load(path)
+    with pytest.raises(DataError, match=r"dup\.csv:6: duplicate row"):
+        load_dataset(path)
 
 
 def test_edges_undirected_default(tmp_path):
@@ -145,7 +143,9 @@ def test_normalize_round_trip_and_train_only_fit():
     train = scaled[:30]
     # train block exactly fills [-1, 1]; later rows may exceed it
     assert abs(train.min() + 1.0) < 1e-12 and abs(train.max() - 1.0) < 1e-12
-    assert np.allclose(denormalize(scaled, params), x.data, atol=1e-12)
+    for a in range(2):
+        assert np.allclose(denormalize(scaled[..., a], params, attribute=a),
+                           x.data[..., a], atol=1e-12)
     flat = x.data.copy()
     flat[:, :, 1] = 7.0
     with pytest.raises(DataError):

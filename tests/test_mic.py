@@ -5,23 +5,22 @@ import pytest
 
 from corrstn import admissible_shapes, mic, mic_full, pairwise_mic
 from corrstn.errors import DimensionError
-from corrstn.mic import (DEFAULT_ETA, MicStats, _GridSearch, _grid_search,
-                         _profile, _score)
+from corrstn.mic import MicStats, _GridSearch, _grid_search, _profile, _score
 from oracles import grid_shapes, mic_brute_force
 
 
 def test_admissible_shapes_match_oracle():
     for m in [4, 5, 8, 12, 16, 19, 36, 64, 100, 255]:
-        got = admissible_shapes(m, DEFAULT_ETA)
-        want = grid_shapes(m, DEFAULT_ETA)
+        got = admissible_shapes(m)
+        want = grid_shapes(m, 0.6)
         assert sorted(got) == sorted(want), m
 
 
 def test_admissible_shapes_strict_bound():
-    # 16**0.5 == 4 exactly, so (2, 2) is NOT admissible under a strict <
-    shapes = admissible_shapes(16, 0.5)
-    assert shapes == [(2, 2)]  # fallback, not an admissible hit
-    assert all(a * b < 16 ** 0.6 for a, b in admissible_shapes(16, 0.6))
+    # 32**0.6 is 8 in exact arithmetic: no grid of 8 or more cells is admissible
+    shapes = admissible_shapes(32)
+    assert (2, 3) in shapes and (2, 4) not in shapes and (4, 2) not in shapes
+    assert all(a * b < 16 ** 0.6 for a, b in admissible_shapes(16))
 
 
 def test_mic_against_brute_force():
@@ -172,7 +171,7 @@ def test_stats_count_shapes_as_unique_rows():
     cols[:, 3] = 1.0                                   # zero variance
     cols[:, 5] = np.round(cols[:, 0])                  # tied, dependent
     i, j = np.triu_indices(8, 1)
-    _, scored, flat = _score(_GridSearch(60, DEFAULT_ETA), _profile(cols.T), i, j)
+    _, scored, flat = _score(_GridSearch(60), _profile(cols.T), i, j)
     spread = rng.integers(2, 140, size=(500, 2))
     spread[::7] = 0
     batches = [(scored, flat), (spread, spread[:, 0] == 0),
@@ -201,7 +200,7 @@ def test_pair_result_independent_of_batch(m):
     cols[:, 4] = rng.integers(0, 2, size=m)            # heavy ties
     i, j = np.triu_indices(6, 1)
     alone = [mic_full(cols[:, a], cols[:, b]) for a, b in zip(i, j)]
-    search = _GridSearch(m, DEFAULT_ETA)
+    search = _GridSearch(m)
     profile = _profile(cols.T)
     for batch in (1, 2, 4, search.batch):
         search.batch = batch
@@ -224,20 +223,19 @@ def test_pair_result_independent_of_batch(m):
 
 
 def test_cached_grid_tables_leave_results_unchanged():
-    # the tables are built once per (m, eta); repeated and interleaved calls
-    # at several lengths and etas match freshly built tables bit for bit
+    # the tables are built once per length; repeated and interleaved calls
+    # at several lengths match freshly built tables bit for bit
     rng = np.random.default_rng(41)
     lengths = (12, 97, 12, 3001, 97, 12, 3001)
     pairs = {m: rng.normal(size=(2, m)) for m in set(lengths)}
-    for eta in (DEFAULT_ETA, 0.5, DEFAULT_ETA):
-        for m in lengths:
-            x, y = pairs[m][0], np.exp(pairs[m][0]) + 0.3 * pairs[m][1]
-            got = mic_full(x, y, eta)
-            fresh = _GridSearch(m, eta)
-            assert np.array_equal(_grid_search(m, eta).shapes, fresh.shapes)
-            values, grids, _ = _score(fresh, _profile(np.stack([x, y])),
-                                      np.array([0]), np.array([1]))
-            assert got.value == values[0]
-            assert got.grid_shape == tuple(grids[0].tolist())
-    assert _grid_search(97, DEFAULT_ETA) is _grid_search(97, DEFAULT_ETA)
-    assert _grid_search(97, 0.5) is not _grid_search(97, DEFAULT_ETA)
+    for m in lengths:
+        x, y = pairs[m][0], np.exp(pairs[m][0]) + 0.3 * pairs[m][1]
+        got = mic_full(x, y)
+        fresh = _GridSearch(m)
+        assert np.array_equal(_grid_search(m).shapes, fresh.shapes)
+        values, grids, _ = _score(fresh, _profile(np.stack([x, y])),
+                                  np.array([0]), np.array([1]))
+        assert got.value == values[0]
+        assert got.grid_shape == tuple(grids[0].tolist())
+    assert _grid_search(97) is _grid_search(97)
+    assert _grid_search(97) is not _grid_search(12)

@@ -153,8 +153,11 @@ def test_forward_shapes_and_input_checks():
     enc = rng.normal(size=(2, 12, 3, 2))
     dec = rng.normal(size=(2, 12, 3, 2))
     assert model.forward(enc, dec).shape == (2, 12, 3, 1)
-    assert model.forward(enc[0], dec[0]).shape == (1, 12, 3, 1)   # promoted
     assert model.forward(enc, dec[:, :5]).shape == (2, 5, 3, 1)   # short decode
+    with pytest.raises(DimensionError):
+        model.forward(enc[0], dec[0])       # no batch axis
+    with pytest.raises(DimensionError):
+        model.forward(enc.tolist(), dec)    # not an array
     with pytest.raises(DimensionError):
         model.forward(enc[:, :7], dec)
     with pytest.raises(DimensionError):

@@ -57,19 +57,69 @@ def test_compute_scorr_serial_parallel_identical():
                           compute_scorr(x, workers=3).degrees)
 
 
+# the package's `mic` name is the function, so the module comes from the
+# import system
+_mic = importlib.import_module("corrstn.mic")
+
+
 def _count_pools(monkeypatch) -> list:
-    """Record every pool the MIC kernel opens; the package's `mic` name is
-    the function, so the module comes from the import system."""
-    multiprocessing = importlib.import_module("corrstn.mic").multiprocessing
+    """Record every pool the MIC kernel opens. Two usable CPUs are reported,
+    so a 2-worker pool opens on a host with fewer too."""
     opened = []
-    real_pool = multiprocessing.Pool
+    real_pool = _mic.multiprocessing.Pool
 
     def counting_pool(*args, **kwargs):
         opened.append(args)
         return real_pool(*args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    monkeypatch.setattr(_mic.multiprocessing, "Pool", counting_pool)
+    monkeypatch.setattr(_mic, "_usable_cpus", lambda: 2)
     return opened
+
+
+class _InlinePool:
+    """A `multiprocessing.Pool` stand-in that runs the initializer and every
+    task in this process, so no worker process starts."""
+
+    def __init__(self, processes, initializer, initargs):
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, tasks):
+        return [func(task) for task in tasks]
+
+
+def test_pool_opens_at_most_one_worker_per_usable_cpu(monkeypatch):
+    opened = []
+
+    def inline_pool(processes, **kwargs):
+        opened.append(processes)
+        return _InlinePool(processes, **kwargs)
+
+    monkeypatch.setattr(_mic.multiprocessing, "Pool", inline_pool)
+    monkeypatch.setattr(_mic, "_WORKER_STATE", {})   # the stand-in's workers
+    monkeypatch.setattr(_mic, "_usable_cpus", lambda: 3)
+    x = _make_tensor(t=60, n=5, c=2, seed=8)
+    capped = compute_scorr(x, workers=100_000)
+    assert opened == [3]
+    assert np.array_equal(capped.degrees, compute_scorr(x, workers=1).degrees)
+    # one usable CPU: no pool at all
+    monkeypatch.setattr(_mic, "_usable_cpus", lambda: 1)
+    assert np.array_equal(compute_scorr(x, workers=4).degrees, capped.degrees)
+    assert opened == [3]
+
+
+def test_usable_cpus_reads_affinity_else_cpu_count(monkeypatch):
+    if hasattr(_mic.os, "sched_getaffinity"):
+        assert _mic._usable_cpus() == len(_mic.os.sched_getaffinity(0))
+        monkeypatch.delattr(_mic.os, "sched_getaffinity")
+    monkeypatch.setattr(_mic.os, "cpu_count", lambda: 5)
+    assert _mic._usable_cpus() == 5
 
 
 def test_compute_scorr_opens_one_pool(monkeypatch):

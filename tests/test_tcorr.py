@@ -6,7 +6,7 @@ from corrstn import (PERIODS, PeriodSpec, SpatioTemporalTensor, TCorrWeights,
                      compute_tcorr, load_report, mic, save_report,
                      select_periods)
 from corrstn.errors import ConfigError, EmptyAnchorError, OutOfRangeError
-from corrstn.mic import DEFAULT_ETA, MicStats, _GridSearch
+from corrstn.mic import MicStats, _GridSearch
 from corrstn.tcorr import weighted_tcorr
 from oracles import tcorr_per_window
 
@@ -98,7 +98,7 @@ def test_compute_tcorr_matches_per_window_loop_across_batches():
     series = np.round(rng.normal(size=(t_total, 10, 3)) * scale)
     anchors = anchor_positions(t_total, spec)
     windows = anchors.size * 30
-    assert windows > _GridSearch(spec.tau, DEFAULT_ETA).batch
+    assert windows > _GridSearch(spec.tau).batch
     stats = MicStats()
     got = compute_tcorr(SpatioTemporalTensor(series, interval_minutes=60),
                         spec, "daily", stats=stats)
