@@ -9,9 +9,9 @@ forecaster whose attention and graph layers are correlation-aware.
 from .errors import (CorrstnError, ConfigError, DataError, ComputeError,
                      GraphError)
 from .mic import admissible_shapes, mic, mic_full, pairwise_mic
-from .scorr import (SCorrTensor, compute_scorr, windowed_scorr,
-                    top_u_normalize, topu_mixing_matrix, identity_topu,
-                    save_scorr, load_scorr, export_scorr_csv)
+from .scorr import (SCorrTensor, compute_scorr, top_u_normalize,
+                    topu_mixing_matrix, identity_topu, save_scorr, load_scorr,
+                    export_scorr_csv)
 from .tcorr import (PERIODS, PeriodSpec, TCorrWeights, anchor_positions,
                     compute_tcorr, select_periods, combine_verdicts,
                     build_tcorr_report, save_report, load_report)
@@ -34,9 +34,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CorrstnError", "ConfigError", "DataError", "ComputeError", "GraphError",
     "admissible_shapes", "mic", "mic_full", "pairwise_mic",
-    "SCorrTensor", "compute_scorr", "windowed_scorr",
-    "top_u_normalize", "topu_mixing_matrix", "identity_topu",
-    "save_scorr", "load_scorr", "export_scorr_csv",
+    "SCorrTensor", "compute_scorr", "top_u_normalize",
+    "topu_mixing_matrix", "identity_topu", "save_scorr", "load_scorr",
+    "export_scorr_csv",
     "PERIODS", "PeriodSpec", "TCorrWeights", "anchor_positions",
     "compute_tcorr", "select_periods", "combine_verdicts",
     "build_tcorr_report", "save_report", "load_report",

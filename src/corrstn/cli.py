@@ -11,7 +11,8 @@ error.
 
 scorr and tcorr score MIC at its one grid bound, m^0.6, and tcorr at the
 model's 12-step window. scorr is the only subcommand that runs worker
-processes: --workers of them (default 1), at most one per usable CPU.
+processes: --workers of them (default 1), forked, at most one per usable CPU;
+it prints and records the count that ran.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from . import __version__, data as data_mod, metrics as metrics_mod
 from . import model as model_mod, scorr as scorr_mod, tcorr as tcorr_mod
 from .errors import (ComputeError, ConfigError, CorrstnError, DataError)
-from .mic import MicStats
+from .mic import MicStats, pool_workers
 from .neural import add_self_loops, laplacian_normalize
 
 EXIT_CONFIG = 2
@@ -155,40 +156,27 @@ def cmd_synth(args) -> int:
 
 
 def cmd_scorr(args) -> int:
-    if args.window and args.csv_out:
-        raise ConfigError("--csv-out exports one matrix and cannot be combined "
-                          "with --window")
     if args.workers < 1:
         raise ConfigError(f"workers must be at least 1, got {args.workers}")
     manifest = Manifest("scorr", args)
     piece = _load_split(args)
     n, c = piece.n_sensors, piece.n_attributes
     pair_attrs = n * (n - 1) // 2 * c
+    workers = pool_workers(args.workers, pair_attrs)
     stats = MicStats()
     manifest.start("scorr")
-    if args.window:
-        tensors = scorr_mod.windowed_scorr(piece, args.window, args.stride,
-                                           workers=args.workers, stats=stats)
-        manifest.stop("scorr")
-        base, ext = os.path.splitext(args.out)
-        for i, s in enumerate(tensors):
-            path = f"{base}.{i:04d}{ext}"
-            scorr_mod.save_scorr(s, path)
-            manifest.add_output(path)
-        elapsed = manifest.payload["timings"]["scorr"]
-        print(f"{len(tensors)} windows of {pair_attrs} pair-attrs in {elapsed:.3f}s")
-    else:
-        s = scorr_mod.compute_scorr(piece, workers=args.workers, stats=stats)
-        manifest.stop("scorr")
-        scorr_mod.save_scorr(s, args.out)
-        manifest.add_output(args.out)
-        if args.csv_out:
-            scorr_mod.export_scorr_csv(s, args.csv_out)
-            manifest.add_output(args.csv_out)
-        elapsed = manifest.payload["timings"]["scorr"]
-        rate = pair_attrs / elapsed if elapsed > 0 else float("inf")
-        print(f"{pair_attrs} pair-attrs (N={n}, C={c}, T={piece.n_timestamps}) in "
-              f"{elapsed:.3f}s with {args.workers} workers: {rate:.1f} pair-attrs/s")
+    s = scorr_mod.compute_scorr(piece, workers=workers, stats=stats)
+    manifest.stop("scorr")
+    scorr_mod.save_scorr(s, args.out)
+    manifest.add_output(args.out)
+    if args.csv_out:
+        scorr_mod.export_scorr_csv(s, args.csv_out)
+        manifest.add_output(args.csv_out)
+    elapsed = manifest.payload["timings"]["scorr"]
+    rate = pair_attrs / elapsed if elapsed > 0 else float("inf")
+    print(f"{pair_attrs} pair-attrs (N={n}, C={c}, T={piece.n_timestamps}) in "
+          f"{elapsed:.3f}s with {workers} workers: {rate:.1f} pair-attrs/s")
+    manifest.payload["workers_run"] = workers
     manifest.payload["mic"] = stats.to_dict("pairs")
     manifest.write(_manifest_path(args, args.out))
     return 0
@@ -491,8 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--csv-out", default=None)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--stride", type=int, default=1)
     p.add_argument("--split", default="train")
     p.add_argument("--ratios", default="0.6,0.2,0.2")
     p.add_argument("--manifest", default=None)

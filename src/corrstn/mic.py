@@ -314,6 +314,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def pool_workers(workers: int, pair_attrs: int) -> int:
+    """Workers `pairwise_mic` runs with: `workers`, capped at one per usable
+    CPU, or 1 (no pool) for fewer than 2 pair-attributes (`pair_attrs`)."""
+    return 1 if pair_attrs < 2 else min(workers, _usable_cpus())
+
+
 def _worker_init(stack):
     _WORKER_STATE.update(stack=stack, search=_grid_search(stack.shape[0]),
                          slice=None, profile=None)
@@ -337,8 +343,8 @@ def pairwise_mic(columns, workers: int = 1, *,
     `columns` is an (m, k) array, giving a (k, k) matrix, or an (m, k, c)
     stack of c such arrays, giving a (k, k, c) stack with slice s scored from
     columns[:, :, s] alone. A stack runs in one pool of `workers` processes
-    shared by all its slices, at most one per usable CPU: more would only
-    contend for the same cores.
+    shared by all its slices, sized by `pool_workers`. The pool forks its
+    workers on every Python version and platform default.
     The diagonal is 1 by convention; pairs involving a zero-variance column
     are 0. Results are bit-identical for any worker count because each cell
     is a pure function of its two columns. `stats`, when given, counts the
@@ -360,17 +366,19 @@ def pairwise_mic(columns, workers: int = 1, *,
 
     result = np.repeat(np.eye(k)[:, :, None], c, axis=2)
     i, j = np.triu_indices(k, 1)
-    workers = min(workers, _usable_cpus())
+    workers = pool_workers(workers, i.size * c)
     if i.size and c:
-        if workers <= 1 or i.size * c < 2:
+        if workers <= 1:
             search = _grid_search(m)
             scored = [_score(search, _profile(stack[:, :, s].T), i, j)
                       for s in range(c)]
         else:
             chunks = np.array_split(np.arange(i.size), min(i.size, workers * 8))
             tasks = [(s, i[p], j[p]) for s in range(c) for p in chunks]
-            with multiprocessing.Pool(workers, initializer=_worker_init,
-                                      initargs=(stack,)) as pool:
+            # fork on every Python (3.14 defaults to forkserver): workers
+            # inherit the stack and stay this process's children
+            with multiprocessing.get_context("fork").Pool(
+                    workers, initializer=_worker_init, initargs=(stack,)) as pool:
                 scored = pool.map(_worker_chunk, tasks)
         values, grids, degenerate = (np.concatenate(part) for part in zip(*scored))
         values = values.reshape(c, i.size).T

@@ -1,7 +1,7 @@
 """Spatial correlation tensor: per-attribute MIC degrees between all sensor pairs.
 
-Static form (full series), windowed form (one tensor per sliding window), and
-the softmax-normalized top-U form consumed by the correlation attention layer.
+One static tensor over the full series, and the softmax-normalized top-U form
+consumed by the correlation attention layer.
 Every degree is a MIC score at the fixed grid bound m^0.6 (`mic.ETA`).
 """
 
@@ -60,37 +60,11 @@ def compute_scorr(x: SpatioTemporalTensor, workers: int = 1, *,
     """MIC between the full T-length series of every sensor pair, per attribute.
 
     Diagonal is 1 by convention; pairs involving a flatlined (zero-variance)
-    sensor are 0. All attributes share one pool of `workers` processes (at
-    most one per usable CPU), and output is bit-identical for any worker
-    count. `stats`, when given, counts the pairs scored.
+    sensor are 0. All attributes share one pool of forked workers, sized by
+    `mic.pool_workers`, and output is bit-identical for any worker count.
+    `stats`, when given, counts the pairs scored.
     """
     return SCorrTensor(pairwise_mic(x.data, workers=workers, stats=stats))
-
-
-def windowed_scorr(x: SpatioTemporalTensor, window: int, stride: int = 1,
-                   workers: int = 1, *,
-                   stats: MicStats | None = None) -> list[SCorrTensor]:
-    """One correlation tensor per sliding window position over the time axis.
-
-    Windows are scored as slices of `pairwise_mic` stacks, T // window of them
-    per call, so a stack is no larger than x and its slices share one pool.
-    Each tensor is bit-identical to `compute_scorr` on its window alone.
-    """
-    t, _, c = x.data.shape
-    if window < 2 or window > t:
-        raise DimensionError(f"window must be in [2, {t}], got {window}")
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
-    starts = range(0, t - window + 1, stride)
-    per_call = max(1, t // window)
-    out = []
-    for first in range(0, len(starts), per_call):
-        group = starts[first:first + per_call]
-        stack = np.concatenate([x.data[s:s + window] for s in group], axis=2)
-        degrees = pairwise_mic(stack, workers=workers, stats=stats)
-        out += [SCorrTensor(degrees[:, :, i * c:(i + 1) * c])
-                for i in range(len(group))]
-    return out
 
 
 def top_u_normalize(s: SCorrTensor, u: int) -> TopUSCorr:

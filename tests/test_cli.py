@@ -12,6 +12,7 @@ from corrstn import (SCorrTensor, cli, compute_scorr, load_metric_report,
                      load_scorr, load_tensor, save_scorr)
 from corrstn import model as model_mod
 from corrstn.metrics import compute_report, save_metric_report
+from test_scorr import _FORK, _InlinePool, _mic
 
 
 # a 12-step horizon needs the hourly offset >= 12, so 5-minute sampling;
@@ -100,12 +101,37 @@ def test_scorr_pool_through_entry_point(tmp_path):
              "--out", str(out), "--workers", workers],
             env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr[-2000:]
-        assert f"with {workers} workers" in done.stdout
+        ran = min(int(workers), _mic._usable_cpus())
+        assert f"with {ran} workers" in done.stdout
         manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
         assert manifest["args"]["workers"] == int(workers)
+        assert manifest["workers_run"] == ran
         assert manifest["mic"]["pairs"] == 2 * 6 * 5 // 2
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_scorr_reports_the_workers_that_ran(workdir, tmp_path, capsys,
+                                            monkeypatch):
+    # --workers 4 on two usable CPUs runs, prints and records a 2-worker
+    # pool; the stand-in pool runs its tasks here, so no process starts
+    opened = []
+
+    def inline_pool(processes, **kwargs):
+        opened.append(processes)
+        return _InlinePool(processes, **kwargs)
+
+    monkeypatch.setattr(_FORK, "Pool", inline_pool)
+    monkeypatch.setattr(_mic, "_WORKER_STATE", {})
+    monkeypatch.setattr(_mic, "_usable_cpus", lambda: 2)
+    out = tmp_path / "w4.scor"
+    assert cli.main(["scorr", "--data", str(workdir / "data.sttf"),
+                     "--out", str(out), "--workers", "4"]) == 0
+    assert opened == [2]
+    assert "with 2 workers" in capsys.readouterr().out
+    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+    assert (manifest["args"]["workers"], manifest["workers_run"]) == (4, 2)
+    assert out.read_bytes() == (workdir / "corr.scor").read_bytes()
 
 
 def test_tcorr_report_and_select(workdir, capsys):
@@ -231,18 +257,6 @@ def test_scorr_tcorr_unknown_split_is_config_error(workdir, tmp_path, capsys,
     assert rc == 2
     assert "split must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("data", ["data.sttf", "absent.sttf"])
-def test_scorr_refuses_csv_out_with_window(workdir, tmp_path, capsys, data):
-    # the windowed run writes one matrix per window, never the CSV; the
-    # refusal comes before the data is read, so a missing file gives it too
-    rc = cli.main(["scorr", "--data", str(workdir / data),
-                   "--out", str(tmp_path / "w.scor"), "--window", "500",
-                   "--stride", "500", "--csv-out", str(tmp_path / "s.csv")])
-    assert rc == 2
-    assert "--csv-out" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_scorr_split_all_reads_the_whole_series(workdir, tmp_path):

@@ -1,14 +1,17 @@
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from corrstn import (SCorrTensor, SpatioTemporalTensor, compute_scorr,
                      export_scorr_csv, identity_topu, load_scorr, mic,
-                     save_scorr, top_u_normalize, topu_mixing_matrix,
-                     windowed_scorr)
+                     save_scorr, top_u_normalize, topu_mixing_matrix)
 from corrstn.errors import ConfigError, DataError, DimensionError
-from corrstn.mic import MicStats
 
 
 def _make_tensor(t=96, n=5, c=2, seed=0):
@@ -60,25 +63,27 @@ def test_compute_scorr_serial_parallel_identical():
 # the package's `mic` name is the function, so the module comes from the
 # import system
 _mic = importlib.import_module("corrstn.mic")
+# the one context the MIC kernel opens its pool from
+_FORK = _mic.multiprocessing.get_context("fork")
 
 
 def _count_pools(monkeypatch) -> list:
     """Record every pool the MIC kernel opens. Two usable CPUs are reported,
     so a 2-worker pool opens on a host with fewer too."""
     opened = []
-    real_pool = _mic.multiprocessing.Pool
+    real_pool = _FORK.Pool
 
     def counting_pool(*args, **kwargs):
         opened.append(args)
         return real_pool(*args, **kwargs)
 
-    monkeypatch.setattr(_mic.multiprocessing, "Pool", counting_pool)
+    monkeypatch.setattr(_FORK, "Pool", counting_pool)
     monkeypatch.setattr(_mic, "_usable_cpus", lambda: 2)
     return opened
 
 
 class _InlinePool:
-    """A `multiprocessing.Pool` stand-in that runs the initializer and every
+    """A fork-context `Pool` stand-in that runs the initializer and every
     task in this process, so no worker process starts."""
 
     def __init__(self, processes, initializer, initargs):
@@ -101,9 +106,12 @@ def test_pool_opens_at_most_one_worker_per_usable_cpu(monkeypatch):
         opened.append(processes)
         return _InlinePool(processes, **kwargs)
 
-    monkeypatch.setattr(_mic.multiprocessing, "Pool", inline_pool)
+    monkeypatch.setattr(_FORK, "Pool", inline_pool)
     monkeypatch.setattr(_mic, "_WORKER_STATE", {})   # the stand-in's workers
     monkeypatch.setattr(_mic, "_usable_cpus", lambda: 3)
+    assert _mic.pool_workers(100_000, 20) == 3
+    assert _mic.pool_workers(2, 20) == 2
+    assert _mic.pool_workers(4, 1) == 1   # one pair-attribute: no pool
     x = _make_tensor(t=60, n=5, c=2, seed=8)
     capped = compute_scorr(x, workers=100_000)
     assert opened == [3]
@@ -132,42 +140,38 @@ def test_compute_scorr_opens_one_pool(monkeypatch):
     assert len(opened) == 1
 
 
-def test_windowed_scorr_positions():
-    x = _make_tensor(t=50, n=3, c=1)
-    tensors = windowed_scorr(x, window=20, stride=10)
-    # starts 0, 10, 20, 30 all fit a 20-step window into 50 steps
-    assert len(tensors) == 4
-    direct = compute_scorr(SpatioTemporalTensor(x.data[10:30],
-                                                interval_minutes=5))
-    assert np.array_equal(tensors[1].degrees, direct.degrees)
+_SPAWN_DEFAULT = """
+import importlib, json, multiprocessing
+import numpy as np
+mic = importlib.import_module("corrstn.mic")
+multiprocessing.set_start_method("spawn")
+fork = multiprocessing.get_context("fork")
+real_pool, opened = fork.Pool, []
+def pool(*args, **kwargs):
+    opened.append(args)
+    return real_pool(*args, **kwargs)
+fork.Pool = pool
+mic._usable_cpus = lambda: 2
+columns = np.random.default_rng(9).normal(size=(40, 5, 2))
+serial = mic.pairwise_mic(columns, workers=1)
+pooled = mic.pairwise_mic(columns, workers=2)
+print(json.dumps({"default": multiprocessing.get_start_method(),
+                  "fork_pools": len(opened),
+                  "equal": pooled.tobytes() == serial.tobytes()}))
+"""
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_windowed_scorr_equals_per_window_scorr(workers):
-    x = _make_tensor(t=50, n=4, c=2, seed=6)
-    data = x.data.copy()
-    data[12:30, 2, 1] = 3.0   # sensor 2 is flat in the window at 12
-    x = SpatioTemporalTensor(data, interval_minutes=5)
-    stats = MicStats()
-    tensors = windowed_scorr(x, window=16, stride=4, workers=workers,
-                             stats=stats)
-    want_stats = MicStats()
-    starts = range(0, 50 - 16 + 1, 4)
-    assert len(tensors) == len(starts)
-    for s, got in zip(starts, tensors):
-        piece = SpatioTemporalTensor(data[s:s + 16], interval_minutes=5)
-        want = compute_scorr(piece, stats=want_stats)
-        assert np.array_equal(got.degrees, want.degrees)
-    assert want_stats.degenerate > 0
-    assert stats == want_stats
-
-
-def test_windowed_scorr_shares_pools(monkeypatch):
-    opened = _count_pools(monkeypatch)
-    x = _make_tensor(t=40, n=4, c=2, seed=7)
-    tensors = windowed_scorr(x, window=20, stride=20, workers=2)
-    assert len(tensors) == 2
-    assert len(opened) == 1
+def test_pool_forks_whatever_the_default_start_method():
+    # a fresh process whose default is spawn, as forkserver is on Python
+    # 3.14: the kernel still opens its one pool from the fork context
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _SPAWN_DEFAULT],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout) == {"default": "spawn", "fork_pools": 1,
+                                       "equal": True}
 
 
 def test_top_u_normalize_selects_largest():
