@@ -18,6 +18,7 @@ it prints and records the count that ran.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import resource
@@ -38,7 +39,9 @@ EXIT_DATA = 3
 EXIT_COMPUTE = 4
 
 
+@functools.lru_cache(maxsize=None)
 def _git_describe() -> str:
+    """The build version, from one git run per process at most."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
                              capture_output=True, text=True, timeout=10,
@@ -56,7 +59,7 @@ class Manifest:
             "command": command,
             "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
             "seed": getattr(args, "seed", None),
-            "version": _git_describe(),
+            "version": None,    # resolved when the manifest is written
             "outputs": [],
             "timings": {},
         }
@@ -78,6 +81,7 @@ class Manifest:
         self.payload["peak_rss_bytes"] = 1024 * max(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
             resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+        self.payload["version"] = _git_describe()
         with open(path, "w") as fh:
             json.dump(self.payload, fh, indent=2, default=str)
             fh.write("\n")

@@ -90,12 +90,22 @@ def evaluate(model, samples, dataset) -> MetricReport:
 # ---------------------------------------------------------------------------
 # report IO
 
+def _json_number(value):
+    """A metric for plain JSON: an undefined one (NaN) is null."""
+    value = float(value)
+    return None if np.isnan(value) else value
+
+
+def _metric(value) -> float:
+    return float("nan") if value is None else value
+
+
 def report_to_dict(report: MetricReport) -> dict:
     return {
-        "overall": {k: float(v) for k, v in report.overall.items()},
+        "overall": {k: _json_number(v) for k, v in report.overall.items()},
         "per_horizon": [
-            {"horizon": h + 1, "mae": float(r[0]), "rmse": float(r[1]),
-             "mape": float(r[2])}
+            {"horizon": h + 1, "mae": _json_number(r[0]),
+             "rmse": _json_number(r[1]), "mape": _json_number(r[2])}
             for h, r in enumerate(report.per_horizon)
         ],
         "n_points": report.n_points,
@@ -104,16 +114,17 @@ def report_to_dict(report: MetricReport) -> dict:
 
 
 def report_from_dict(payload: dict) -> MetricReport:
-    rows = np.array([[r["mae"], r["rmse"], r["mape"]]
-                     for r in payload["per_horizon"]])
-    return MetricReport(overall=dict(payload["overall"]), per_horizon=rows,
+    rows = np.array([[_metric(r[k]) for k in ("mae", "rmse", "mape")]
+                     for r in payload["per_horizon"]], dtype=np.float64)
+    overall = {k: _metric(v) for k, v in dict(payload["overall"]).items()}
+    return MetricReport(overall=overall, per_horizon=rows,
                         n_points=payload["n_points"],
                         mape_masked=payload["mape_masked"])
 
 
 def save_metric_report(report: MetricReport, path) -> None:
     with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
+        json.dump(report_to_dict(report), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -35,8 +35,8 @@ from .autodiff import Module, Parameter, Tensor, mae_loss
 from .data import SampleSet, denormalize, iterate_batches
 from .errors import ComputeError, ConfigError, DataError, DimensionError
 from .neural import (CIATT, CIGNN, LayerNorm, Linear, NormalizedAdjacency,
-                     causal_mask)
-from .scorr import SCorrTensor, top_u_normalize
+                     _degree_stack, causal_mask)
+from .scorr import SCorrTensor, top_u_normalize, topu_mixing_matrix
 
 _CKPT_MAGIC = b"CSTN"
 _CKPT_VERSION = 1
@@ -169,12 +169,12 @@ def chunk_windows(config: ModelConfig, n_sensors: int) -> int:
 # network
 
 class EncoderLayer(Module):
-    def __init__(self, config, topu, scorr, adj, rng):
+    def __init__(self, config, mixing, stack, adj, rng):
         kernel = config.kernel_size if config.qk_conv else None
-        self.attn = CIATT(config.d_model, config.heads, topu, rng,
+        self.attn = CIATT(config.d_model, config.heads, mixing, rng,
                           conv_kernel=kernel, dropout=config.dropout)
         self.norm_attn = LayerNorm(config.d_model)
-        self.graph = CIGNN(config.d_model, scorr, adj, rng)
+        self.graph = CIGNN(config.d_model, stack, adj, rng)
         self.norm_graph = LayerNorm(config.d_model)
 
     def __call__(self, x, rng=None):
@@ -185,17 +185,17 @@ class EncoderLayer(Module):
 
 
 class DecoderLayer(Module):
-    def __init__(self, config, topu, scorr, adj, rng):
+    def __init__(self, config, mixing, stack, adj, rng):
         # the centered Q/K conv reads one step ahead, which in the decoder
         # would let teacher-forced training peek at the label; decoder
         # attention therefore never convolves
-        self.self_attn = CIATT(config.d_model, config.heads, topu, rng,
+        self.self_attn = CIATT(config.d_model, config.heads, mixing, rng,
                                dropout=config.dropout)
         self.norm_self = LayerNorm(config.d_model)
-        self.cross_attn = CIATT(config.d_model, config.heads, topu, rng,
+        self.cross_attn = CIATT(config.d_model, config.heads, mixing, rng,
                                 dropout=config.dropout)
         self.norm_cross = LayerNorm(config.d_model)
-        self.graph = CIGNN(config.d_model, scorr, adj, rng)
+        self.graph = CIGNN(config.d_model, stack, adj, rng)
         self.norm_graph = LayerNorm(config.d_model)
 
     def __call__(self, y, memory_kv, mask, start=0, cache=None, rng=None):
@@ -224,7 +224,8 @@ class DecoderLayer(Module):
 
 
 class CorrSTN(Module):
-    """Correlation-informed spatiotemporal transformer."""
+    """Correlation-informed spatiotemporal transformer. Only it turns SCorr
+    into operators: one mixing matrix and one degree stack for all layers."""
 
     def __init__(self, config: ModelConfig, scorr: SCorrTensor,
                  adj: NormalizedAdjacency, n_sensors: int, seed: int = 0):
@@ -242,15 +243,16 @@ class CorrSTN(Module):
         self.config = config
         self.n_sensors = n_sensors
         self.n_attributes = n_attr
-        self.topu = top_u_normalize(scorr, config.top_u)
+        mixing = topu_mixing_matrix(top_u_normalize(scorr, config.top_u))
+        stack = _degree_stack(scorr)
         self.enc_proj = Linear(n_attr, d, rng)
         self.dec_proj = Linear(n_attr, d, rng)
         self.spatial_emb = Parameter(ad.xavier_uniform(rng, (n_sensors, d), d, d))
         self.enc_pos = Parameter(ad.xavier_uniform(rng, (config.encoder_length, d), d, d))
         self.dec_pos = Parameter(ad.xavier_uniform(rng, (config.horizon, d), d, d))
-        self.encoder = [EncoderLayer(config, self.topu, scorr, adj, rng)
+        self.encoder = [EncoderLayer(config, mixing, stack, adj, rng)
                         for _ in range(config.encoder_layers)]
-        self.decoder = [DecoderLayer(config, self.topu, scorr, adj, rng)
+        self.decoder = [DecoderLayer(config, mixing, stack, adj, rng)
                         for _ in range(config.decoder_layers)]
         self.head = Linear(d, 1, rng)
         self.causal = causal_mask(config.horizon)

@@ -13,6 +13,7 @@ heads (..., N, H, L, d_head) on views inside itself, then one fused linear
 output projection. No layout op for heads enters the graph. With the
 optional temporal convolution, a query or key projection and its
 convolution along time are one `autodiff.linear_conv1d_temporal` node.
+Layers read the mixing matrix and degree stack that a model builds once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Module, Parameter, Tensor
 from .errors import ConfigError, DataError, DimensionError
-from .scorr import SCorrTensor, TopUSCorr, topu_mixing_matrix
+from .scorr import SCorrTensor
 
 
 @dataclass(frozen=True)
@@ -158,13 +159,13 @@ class TemporalConv(Module):
 
 class CIATT(Module):
     """Correlation attention block: projections, optional temporal conv on
-    Q/K, key reconstruction, multi-head attention, output projection. Inputs
-    are position-major, (..., L, N, d_model). With the conv, each Q or K
-    projection and its conv along L are one `linear_conv1d_temporal` node
-    that keeps the block's input, not the projection; `q_conv` and `k_conv`
-    are `TemporalConv` holders of that node's kernels and biases."""
+    Q/K, keys blended by the (N, N) top-U `mixing`, multi-head attention,
+    output projection, on position-major (..., L, N, d_model) inputs. With
+    the conv, each Q or K projection and its conv along L are one
+    `linear_conv1d_temporal` node that keeps the block's input, not the
+    projection; `q_conv` and `k_conv` hold that node's kernels and biases."""
 
-    def __init__(self, d_model: int, heads: int, topu: TopUSCorr,
+    def __init__(self, d_model: int, heads: int, mixing: np.ndarray,
                  rng: np.random.Generator, conv_kernel: int | None = None,
                  dropout: float = 0.0):
         if d_model % heads != 0:
@@ -176,8 +177,7 @@ class CIATT(Module):
         self.q_conv = TemporalConv(conv_kernel, d_model, rng) if conv_kernel else None
         self.k_conv = TemporalConv(conv_kernel, d_model, rng) if conv_kernel else None
         self.heads = heads
-        # topu is fixed for the layer's life, so its mixing matrix is too
-        self.mixing = Tensor(topu_mixing_matrix(topu))
+        self.mixing = Tensor(mixing)
         self.dropout = dropout
 
     @staticmethod
@@ -213,19 +213,15 @@ class CIATT(Module):
 
 
 class CIGNN(Module):
-    """Correlation graph block over the sensor axis of (..., N, d_model)."""
+    """Correlation graph block over the sensor axis of (..., N, d_model),
+    with `stack` the (C, N, N) degrees as `_degree_stack` lays them out."""
 
-    def __init__(self, d_model: int, scorr: SCorrTensor, adj: NormalizedAdjacency,
+    def __init__(self, d_model: int, stack: np.ndarray, adj: NormalizedAdjacency,
                  rng: np.random.Generator):
-        c = scorr.n_attributes
-        n = scorr.n_sensors
-        if adj.matrix.shape != (n, n):
-            raise DimensionError(f"{n} sensors vs adj {adj.matrix.shape}")
         self.w = Parameter(ad.xavier_uniform(rng, (d_model, d_model), d_model, d_model))
-        self.psi = Parameter(np.full(c, 1.0 / c))
+        self.psi = Parameter(np.full(len(stack), 1.0 / len(stack)))
         self.omega = Parameter(np.ones(1))
-        # scorr and adj are fixed for the layer's life, so the stack is too
-        self.stack = _degree_stack(scorr)
+        self.stack = stack
         self.adj = adj.matrix
 
     def __call__(self, z: Tensor) -> Tensor:

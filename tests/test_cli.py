@@ -162,6 +162,32 @@ def test_select_writes_manifest_without_out(workdir, tmp_path):
     assert payload["outputs"] == []
 
 
+def test_git_runs_once_per_process_and_only_for_a_manifest(workdir, tmp_path,
+                                                           monkeypatch):
+    runs = []
+    real_run = subprocess.run
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli.subprocess, "run", counted)
+    cli._git_describe.cache_clear()
+    report = str(workdir / "tcorr.json")
+    # select with neither --out nor --manifest writes nothing
+    assert cli.main(["select", "--report", report]) == 0
+    assert runs == []
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert cli.main(["select", "--report", report, "--out", str(out)]) == 0
+    assert len(runs) == 1
+    payloads = [json.loads(Path(f"{out}.manifest.json").read_text())
+                for out in outs]
+    assert list(payloads[0])[:6] == ["command", "args", "seed", "version",
+                                     "outputs", "timings"]
+    assert payloads[0]["version"] == payloads[1]["version"] == cli._git_describe()
+
+
 def test_train_artifacts(workdir):
     run = workdir / "run"
     assert (run / "checkpoint.cstn").exists()

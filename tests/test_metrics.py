@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -75,12 +76,21 @@ def test_report_round_trip_and_csv(tmp_path):
     rng = np.random.default_rng(3)
     pred = rng.normal(size=(6, 12, 2))
     truth = rng.normal(size=(6, 12, 2))
+    truth[:, 5] = 0.0    # horizon 6 has no defined MAPE
     report = compute_report(pred, truth)
+    assert np.isnan(report.per_horizon[5, 2]) and report.mape_defined
     path = tmp_path / "report.json"
     save_metric_report(report, path)
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON number {constant}")
+
+    # plain JSON: the undefined MAPE is null, not NaN
+    strict = json.loads(path.read_text(), parse_constant=refuse)
+    assert strict["per_horizon"][5]["mape"] is None
     loaded = load_metric_report(path)
     assert loaded.overall == report.overall
-    assert np.array_equal(loaded.per_horizon, report.per_horizon)
+    assert np.array_equal(loaded.per_horizon, report.per_horizon, equal_nan=True)
     assert loaded.n_points == report.n_points
 
     csv_path = tmp_path / "horizons.csv"
@@ -91,3 +101,4 @@ def test_report_round_trip_and_csv(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert float(first[1]) == report.per_horizon[0, 0]
+    assert lines[6].split(",")[3] == "nan"    # CSV keeps writing nan

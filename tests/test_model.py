@@ -17,7 +17,6 @@ from corrstn import (Adam, ModelConfig, PRESETS, SCorrTensor, Tensor,
 from corrstn import autodiff
 from corrstn import metrics as metrics_mod
 from corrstn import model as model_mod
-from corrstn import neural as neural_mod
 from corrstn.autodiff import Parameter
 from corrstn.data import EncoderWindows, SampleSet, SpatioTemporalTensor
 from corrstn.errors import ConfigError, DataError, DimensionError
@@ -167,21 +166,37 @@ def test_forward_shapes_and_input_checks():
 
 
 def test_forecast_builds_no_mixing_matrix(monkeypatch):
-    # each attention layer builds its top-U mixing matrix once, when made
+    # the model builds its one top-U mixing matrix once, when made
     calls = []
 
     def counted(topu):
         calls.append(topu)
         return topu_mixing_matrix(topu)
 
-    monkeypatch.setattr(neural_mod, "topu_mixing_matrix", counted)
+    monkeypatch.setattr(model_mod, "topu_mixing_matrix", counted)
     cfg, n, c = ModelConfig(), 4, 2    # 2 encoder and 2 decoder layers
     model = build_model(cfg, _scorr(n, c), _adj(n), n, seed=0)
-    assert len(calls) == 2 + 2 * 2
+    assert len(calls) == 1
     calls.clear()
     enc = np.random.default_rng(0).normal(size=(1, cfg.encoder_length, n, c))
     model.forecast(enc)
     assert calls == []
+
+
+@pytest.mark.parametrize("cfg, n, c", [(ModelConfig(), 4, 2),
+                                       (PRESETS["pems08"], 8, 2)])
+def test_layers_share_one_mixing_matrix_and_one_degree_stack(cfg, n, c):
+    model = build_model(cfg, _scorr(n, c), _adj(n), n, seed=0)
+    attns = [layer.attn for layer in model.encoder]
+    attns += [a for layer in model.decoder
+              for a in (layer.self_attn, layer.cross_attn)]
+    graphs = [layer.graph for layer in model.encoder + model.decoder]
+    assert len(attns) == cfg.encoder_layers + 2 * cfg.decoder_layers
+    assert all(a.mixing.data is attns[0].mixing.data for a in attns)
+    assert all(g.stack is graphs[0].stack for g in graphs)
+    assert attns[0].mixing.data.shape == (n, n)
+    assert graphs[0].stack.shape == (c, n, n)
+    assert not hasattr(model, "topu")
 
 
 def test_decoder_is_causal_even_with_qk_conv():
