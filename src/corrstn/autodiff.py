@@ -10,8 +10,10 @@ reshape and narrow, a linear projection and its temporal convolution in one
 node, dropout, and the MAE loss as one node.
 Graphs are built eagerly. A graph vertex is a `_Node` (parent nodes, backward
 closure, gradient), apart from the `Tensor` that holds the op's output, and
-each closure keeps only the arrays its backward reads, for the operands that
-need a gradient. An intermediate output that no backward reads is therefore
+each closure keeps only the arrays its backward reads. `linear` and `matmul`
+skip a constant operand's gradient, and the arrays only it would read,
+because the model passes them constants; every other node computes every
+gradient. An intermediate output that no backward reads is therefore
 freed as soon as the forward code drops its tensor, while the graph lives on.
 A fused node's transients (the projection under the temporal convolution
 and its unfolding, the graph routes and their relu masks, a block's
@@ -42,7 +44,7 @@ from .errors import ConfigError, DimensionError, GraphError
 class _Node:
     """One autograph vertex. parents holds one entry per operand: its node,
     or None for an operand that needs no gradient. backward(g) returns one
-    gradient per parent, None where the parent is None."""
+    gradient per parent, which may be None where the parent is None."""
 
     __slots__ = ("parents", "backward", "grad")
 
@@ -199,16 +201,16 @@ def _result(data, parents, backward) -> Tensor:
 # arithmetic
 #
 # Each backward closure captures, at forward time, the arrays and shapes its
-# gradients read, and only for operands that need a gradient; it never
-# captures an operand tensor.
+# gradients read; it never captures an operand tensor. linear and matmul
+# skip a constant operand's gradient and the arrays only it would read, as
+# the model passes them constants; every other node computes every
+# gradient, and _consume drops those whose operand is constant.
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a_shape = a.shape if a.requires_grad else None
-    b_shape = b.shape if b.requires_grad else None
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        return (None if a_shape is None else _unbroadcast(g, a_shape),
-                None if b_shape is None else _unbroadcast(g, b_shape))
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
     return _result(a.data + b.data, (a, b), backward)
 
 
@@ -362,8 +364,8 @@ def linear_conv1d_temporal(x: Tensor, weight: Tensor, bias: Tensor, kernel: Tens
     unfolding is a transient. The node keeps x, the weight and the bias,
     never their (..., T, S, d) projection or its k times wider unfolding,
     and backward makes nothing that wide: it folds one product per offset
-    into the projection's gradient, and, when the kernel needs a gradient,
-    rebuilds the projection with the forward's own product and unfolds it one
+    into the projection's gradient, and, for the kernel's gradient, rebuilds
+    the projection with the forward's own product and unfolds it one
     offset's window at a time, with the bits of the whole unfolding's GEMMs.
     Its output is a (..., T, S, d_out) view of a (..., S, T, d_out) array."""
     if x.ndim < 3 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
@@ -391,33 +393,20 @@ def linear_conv1d_temporal(x: Tensor, weight: Tensor, bias: Tensor, kernel: Tens
     # the kernel's gradient reads the projection, rebuilt from x, the weight
     # and the bias; the projection's reads the kernel, and from there the
     # weight's gradient reads x and x's the weight
-    need_x, need_w, need_b = x.requires_grad, weight.requires_grad, bias.requires_grad
-    need_kernel, need_conv_bias = kernel.requires_grad, conv_bias.requires_grad
-    need_projection = need_x or need_w or need_b
-    x_data = x.data if need_kernel or need_w else None
-    w_data = weight.data if need_kernel or need_x else None
-    b_data = bias.data if need_kernel else None
-    k_data = conv_weight if need_projection else None
+    x_data, w_data, b_data = x.data, weight.data, bias.data
     # the projection's shape with time on axis -2, as the conv sees it
     swapped = x.shape[:-3] + (x.shape[-2], x.shape[-3], d)
 
     def backward(g):
         g = np.swapaxes(g, -3, -2)
-        gx = gw = gb = gk = gcb = None
-        if need_kernel:
-            gk = _conv_kernel_grad(g, project(x_data, w_data, b_data), blocks,
-                                   (k, d, d_out))
-        if need_conv_bias:
-            gcb = _unbroadcast(g, (d_out,))
-        if need_projection:
-            gp = np.swapaxes(_conv_input_grad(g, k_data, blocks, swapped), -3, -2)
-            if need_x:
-                gx = gp @ _transposed(w_data)
-            if need_w:
-                # one GEMM over the stacked rows of every leading axis
-                gw = x_data.reshape(-1, d_in).T @ gp.reshape(-1, d)
-            if need_b:
-                gb = _unbroadcast(gp, (d,))
+        gk = _conv_kernel_grad(g, project(x_data, w_data, b_data), blocks,
+                               (k, d, d_out))
+        gcb = _unbroadcast(g, (d_out,))
+        gp = np.swapaxes(_conv_input_grad(g, conv_weight, blocks, swapped), -3, -2)
+        gx = gp @ _transposed(w_data)
+        # one GEMM over the stacked rows of every leading axis
+        gw = x_data.reshape(-1, d_in).T @ gp.reshape(-1, d)
+        gb = _unbroadcast(gp, (d,))
         return gx, gw, gb, gk, gcb
     return _result(np.swapaxes(out, -3, -2), (x, weight, bias, kernel, conv_bias),
                    backward)
@@ -462,11 +451,7 @@ def graph_routes(stack: np.ndarray, x: Tensor, psi: Tensor, adj: np.ndarray,
         r *= scales[i]
         out += r
     # psi's and x's gradients read x; omega's and y's read y
-    need_x, need_psi = x.requires_grad, psi.requires_grad
-    need_y, need_omega = y.requires_grad, omega.requires_grad
-    x_data = x.data if need_x or need_psi else None
-    y_data = y.data if need_y or need_omega else None
-    x_shape = x.shape
+    x_data, y_data = x.data, y.data
 
     def masked(g, i, r):
         # the gradient reaching route i's product
@@ -475,27 +460,17 @@ def graph_routes(stack: np.ndarray, x: Tensor, psi: Tensor, adj: np.ndarray,
         return np.swapaxes(matrices[i], -1, -2) @ gr
 
     def backward(g):
-        gx = gpsi = gy = gomega = None
+        gx = np.zeros(x_data.shape)
+        weights = []
         r = None
-        if x_data is not None:
-            if need_x:
-                gx = np.zeros(x_shape)
-            weights = []
-            for i in range(c):
-                r = route(i, x_data, r)
-                if need_psi:
-                    weights.append(_unbroadcast(g * r, (1,) * g.ndim).item())
-                if need_x:
-                    gx += masked(g, i, r)
-            if need_psi:
-                gpsi = np.array(weights)
-        if y_data is not None:
-            r = route(c, y_data, r)
-            if need_omega:
-                gomega = _unbroadcast(g * r, (1,))
-            if need_y:
-                gy = masked(g, c, r)
-        return gx, gpsi, gy, gomega
+        for i in range(c):
+            r = route(i, x_data, r)
+            weights.append(_unbroadcast(g * r, (1,) * g.ndim).item())
+            gx += masked(g, i, r)
+        r = route(c, y_data, r)
+        gomega = _unbroadcast(g * r, (1,))
+        gy = masked(g, c, r)
+        return gx, np.array(weights), gy, gomega
     return _result(out, (x, psi, y, omega), backward)
 
 
@@ -608,29 +583,25 @@ def _keys(ks: np.ndarray, index: tuple, contiguous: bool) -> np.ndarray:
     return np.ascontiguousarray(kt) if contiguous else kt
 
 
-def _attend_backward(p: np.ndarray, g: np.ndarray, q, k, v, scale: float,
-                     out: tuple) -> None:
-    """Gradients of one block of the core for its output gradient g, each
-    written into its entry of out (q's, k's, v's) that is not None: v's from
-    the weights p, and with v given, q's from k and k's from q."""
+def _attend_backward(p: np.ndarray, g: np.ndarray, q: np.ndarray, k: np.ndarray,
+                     v: np.ndarray, scale: float, out: tuple) -> None:
+    """Gradients of one block of the core for its output gradient g, written
+    into the entries of out (q's, k's, v's): v's from the weights p, and
+    through v, q's from k and k's from q."""
     gq, gk, gv = out
-    if gv is not None:
-        np.matmul(np.swapaxes(p, -1, -2), g, out=gv)
-    if v is not None:
-        # push d(weights) back through softmax(q k^T * scale) into q and k
-        ds = _softmax_backward(p, g @ _transposed(v))
-        ds *= scale
-        if k is not None:
-            np.matmul(ds, k, out=gq)
-        if q is not None:
-            gk[...] = np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2)
+    np.matmul(np.swapaxes(p, -1, -2), g, out=gv)
+    # push d(weights) back through softmax(q k^T * scale) into q and k
+    ds = _softmax_backward(p, g @ _transposed(v))
+    ds *= scale
+    np.matmul(ds, k, out=gq)
+    gk[...] = np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
               heads: int | None = None, mask: np.ndarray | None = None,
               rowwise: bool = False) -> Tensor:
     """softmax(q k^T * scale) v as one node. When it builds a graph it keeps
-    the operands its gradients read, q and k, and each weights row's softmax
+    the operands its gradients read, q, k and v, and each weights row's softmax
     max and sum, shape (..., L_q, 1), never the (L_q, L_k) weights: backward
     rebuilds each block's weights from q and k through the forward's own
     steps (the rowwise core's with its per-row products), so they have the
@@ -693,10 +664,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
                 None if stats is None else (stats[0][index], stats[1][index]))
     # v's gradient reads the weights; q's reads k and v, k's reads q and v.
     # The split views keep the operands' own arrays, never a second copy.
-    needs = (q.requires_grad, k.requires_grad, v.requires_grad)
-    q_data = qs if k.requires_grad else None
-    k_data = ks if q.requires_grad else None
-    v_data = vs if q.requires_grad or k.requires_grad else None
 
     # Rebuilding the rowwise core's weights runs its per-row products again.
     # For the pems08 preset's cross-attention at N=96 (12 query rows, 36
@@ -710,14 +677,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
 
     def backward(g):
         g = _split_heads(g, heads)
-        grads = tuple(np.empty(shape) if need else None
-                      for shape, need in zip(shapes, needs))
-        splits = [None if grad is None else _split_heads(grad, heads) for grad in grads]
+        grads = tuple(np.empty(shape) for shape in shapes)
+        splits = [_split_heads(grad, heads) for grad in grads]
         for index in blocks:
-            _attend_backward(weights(index), g[index],
-                             *(None if t is None else t[index]
-                               for t in (q_data, k_data, v_data)), scale,
-                             tuple(None if t is None else t[index] for t in splits))
+            _attend_backward(weights(index), g[index], qs[index], ks[index],
+                             vs[index], scale, tuple(t[index] for t in splits))
         return grads
     return _result(out, (q, k, v), backward)
 
@@ -737,24 +701,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out = xhat * gain.data
     out += bias.data
     # the gain's gradient reads xhat; x's reads xhat, inv_std and the gain
-    need_gain, need_bias = gain.requires_grad, bias.requires_grad
-    x_saved = (inv_std, gain.data) if x.requires_grad else None
-    xhat_saved = xhat if x.requires_grad or need_gain else None
+    gain_data = gain.data
 
     def backward(g):
         axes = tuple(range(g.ndim - 1))
-        gx = ggain = gbias = None
-        if need_gain:
-            ggain = (g * xhat_saved).sum(axis=axes)
-        if need_bias:
-            gbias = g.sum(axis=axes)
-        if x_saved is not None:
-            inv_std, gain_data = x_saved
-            gx = g * gain_data
-            mean_gx = np.add.reduce(gx, axis=-1, keepdims=True) / d
-            mean_proj = np.add.reduce(gx * xhat_saved, axis=-1, keepdims=True) / d
-            term = gx - mean_gx - xhat_saved * mean_proj
-            gx = term * inv_std
+        ggain = (g * xhat).sum(axis=axes)
+        gbias = g.sum(axis=axes)
+        gx = g * gain_data
+        mean_gx = np.add.reduce(gx, axis=-1, keepdims=True) / d
+        mean_proj = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d
+        term = gx - mean_gx - xhat * mean_proj
+        gx = term * inv_std
         return gx, ggain, gbias
     return _result(out, (x, gain, bias), backward)
 

@@ -144,14 +144,7 @@ def cmd_synth(args) -> int:
     data_mod.save_tensor(ds.tensor, args.out)
     manifest.add_output(args.out)
     if args.edges_out:
-        with open(args.edges_out, "w") as fh:
-            fh.write("# directed=false\nfrom,to,weight\n")
-            n = ds.tensor.n_sensors
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if ds.adjacency[i, j] != 0:
-                        fh.write(f"{ds.sensor_ids[i]},{ds.sensor_ids[j]},"
-                                 f"{ds.adjacency[i, j]}\n")
+        data_mod.save_edges(args.edges_out, ds.adjacency, ds.sensor_ids)
         manifest.add_output(args.edges_out)
     t, n, c = ds.tensor.data.shape
     print(f"wrote {args.out}: T={t} N={n} C={c} interval={args.interval}min")
@@ -218,8 +211,7 @@ def cmd_tcorr(args) -> int:
 def cmd_select(args) -> int:
     manifest = Manifest("select", args)
     report = tcorr_mod.load_report(args.report)
-    verdicts = tcorr_mod.attribute_verdicts(report.deltas)
-    combined = tcorr_mod.combine_verdicts(verdicts)
+    verdicts, combined = report.verdict, report.combined_verdict
     for a, v in enumerate(verdicts):
         print(f"attribute {a}: {','.join(v)}")
     print(f"combined: {','.join(combined)}")

@@ -162,6 +162,18 @@ def _load_tensor_csv(path) -> tuple[SpatioTemporalTensor, list[str]]:
     return SpatioTemporalTensor(data), sensor_ids
 
 
+def save_edges(path, adjacency: np.ndarray, sensor_ids: list[str]) -> None:
+    """The nonzero upper triangle of a symmetric adjacency as an undirected
+    edge list CSV, which `load_edges` reads back."""
+    with open(path, "w") as fh:
+        fh.write("# directed=false\nfrom,to,weight\n")
+        n = len(sensor_ids)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if adjacency[i, j] != 0:
+                    fh.write(f"{sensor_ids[i]},{sensor_ids[j]},{adjacency[i, j]}\n")
+
+
 def load_edges(path, sensor_ids: list[str]) -> np.ndarray:
     """Edge list CSV: from,to[,weight]. A '# directed=true|false' comment line
     before the header controls symmetrization (default: undirected)."""

@@ -262,10 +262,15 @@ def save_report(report: TCorrReport, path) -> None:
 def load_report(path) -> TCorrReport:
     """A report saved by `save_report`; bad JSON, a missing field or an
     array whose shape does not fit the verdict's C attributes is a DataError:
-    per-sensor degrees must be (N, C), means and deltas (C,)."""
+    per-sensor degrees must be (N, C), means and deltas (C,). So is a
+    non-finite delta, and a stored verdict or combined verdict that is not
+    the one the deltas select: every reader of a report picks its periods
+    from the deltas, and a stored verdict that says otherwise was edited."""
     with open(path) as fh:
         try:
-            report = report_from_dict(json.load(fh))
+            payload = json.load(fh)
+            report = report_from_dict(payload)
+            stored_combined = tuple(payload["combined_verdict"])
         except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"{path}: malformed tcorr report ({exc!r})") from None
     n_attr = len(report.verdict)
@@ -278,4 +283,16 @@ def load_report(path) -> TCorrReport:
                     f"{path}: malformed tcorr report ({field_name} {key} has "
                     f"shape {v.shape}, expected {'(N, C)' if ndim == 2 else '(C,)'} "
                     f"with C = {n_attr}, the verdict's attribute count)")
+    for key, v in report.deltas.items():
+        if not np.isfinite(v).all():
+            raise DataError(f"{path}: malformed tcorr report (deltas {key} "
+                            f"{v.tolist()} are not all finite)")
+    verdict = attribute_verdicts(report.deltas)
+    combined = combine_verdicts(verdict)
+    if report.verdict != verdict or stored_combined != combined:
+        raise DataError(
+            f"{path}: tcorr report verdict {[list(v) for v in report.verdict]} "
+            f"and combined verdict {list(stored_combined)} disagree with its "
+            f"deltas, which select {[list(v) for v in verdict]} and "
+            f"{list(combined)}")
     return report

@@ -615,6 +615,30 @@ def test_select_refuses_report_with_mismatched_attributes(workdir, tmp_path,
     assert "malformed tcorr report" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["verdict", "combined_verdict"])
+def test_report_whose_verdict_disagrees_with_its_deltas_is_data_error(
+        workdir, tmp_path, capsys, field):
+    # select once re-derived the verdict from the deltas while train read
+    # the stored one, so one edited report gave them different periods
+    payload = json.loads((workdir / "tcorr.json").read_text())
+    other = ["hourly"] if payload["combined_verdict"] != ["hourly"] \
+        else ["hourly", "daily"]
+    payload[field] = [other] if field == "verdict" else other
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))
+    assert cli.main(["select", "--report", str(report)]) == 3
+    assert "disagree with its deltas" in capsys.readouterr().err
+    run = tmp_path / "run"
+    assert cli.main(["train", "--data", str(workdir / "data.sttf"),
+                     "--edges", str(workdir / "edges.csv"),
+                     "--scorr", str(workdir / "corr.scor"),
+                     "--config", str(workdir / "config.json"),
+                     "--tcorr-report", str(report), "--out-dir", str(run),
+                     "--ratios", _RATIOS, "--epochs", "1"]) == 3
+    assert str(report) in capsys.readouterr().err
+    assert not run.exists()
+
+
 def test_unknown_preset_is_config_error(workdir, tmp_path, capsys):
     rc = cli.main(["train", "--data", str(workdir / "data.sttf"),
                    "--scorr", str(workdir / "corr.scor"),

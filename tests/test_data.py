@@ -8,7 +8,7 @@ import pytest
 from corrstn import (SpatioTemporalTensor, assemble_samples, denormalize,
                      fit_normalization, generate_synthetic, load_dataset,
                      load_tensor, normalize, save_tensor, split_ranges)
-from corrstn.data import EncoderWindows, iterate_batches, load_edges
+from corrstn.data import EncoderWindows, iterate_batches, load_edges, save_edges
 from corrstn.errors import ConfigError, DataError, DimensionError
 from oracles import encoder_by_gather, synthetic_by_sines
 
@@ -116,6 +116,17 @@ def test_edges_directed_flag_and_errors(tmp_path):
         bad.write_text(text)
         with pytest.raises(DataError):
             load_edges(bad, ["a", "b"])
+
+
+def test_edges_round_trip(tmp_path):
+    rng = np.random.default_rng(4)
+    weights = rng.uniform(0.1, 3.0, size=(5, 5)) * (rng.random((5, 5)) < 0.6)
+    adjacency = np.triu(weights, k=1) + np.triu(weights, k=1).T
+    ids = ["s3", "s0", "s11", "s2", "s7"]
+    path = tmp_path / "edges.csv"
+    save_edges(path, adjacency, ids)
+    assert path.read_text().startswith("# directed=false\nfrom,to,weight\n")
+    assert np.array_equal(load_edges(path, ids), adjacency)
 
 
 def test_split_ranges_truncation():

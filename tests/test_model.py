@@ -199,6 +199,46 @@ def test_layers_share_one_mixing_matrix_and_one_degree_stack(cfg, n, c):
     assert not hasattr(model, "topu")
 
 
+_GRADIENT_OPS = ("add", "matmul", "linear", "attention", "graph_routes",
+                 "layer_norm", "linear_conv1d_temporal")
+
+
+@pytest.mark.parametrize("cfg, n, c", [
+    (ModelConfig(periods=("hourly", "daily", "weekly"), dropout=0.1), 16, 2),
+    (PRESETS["pems08"], 12, 3)])
+def test_only_linear_and_matmul_get_a_constant_operand(monkeypatch, cfg, n, c):
+    # the fused nodes compute every operand's gradient, so a constant handed
+    # to one would cost a gradient nobody reads. A training step and a
+    # grad-mode forward over a decoder prefix hand a constant only to
+    # linear (the raw input) and matmul (the mixing matrix), first operand
+    seen = {name: set() for name in _GRADIENT_OPS}
+
+    def recorded(name, op):
+        def call(*args, **kwargs):
+            if autodiff._grad_enabled:
+                seen[name].add(tuple(a.requires_grad for a in args
+                                     if isinstance(a, Tensor)))
+            return op(*args, **kwargs)
+        return call
+    for name in _GRADIENT_OPS:
+        monkeypatch.setattr(autodiff, name, recorded(name, getattr(autodiff, name)))
+    model = build_model(cfg, _scorr(n, c), _adj(n), n, seed=0)
+    rng = np.random.default_rng(6)
+    enc = rng.normal(size=(1, cfg.encoder_length, n, c))
+    dec = rng.normal(size=(1, cfg.horizon, n, c))
+    out = model.forward(enc, dec, rng=rng)
+    mae_loss(out, np.zeros(out.shape)).backward()
+    model.forward(enc, dec[:, :3])
+    # the Q/K conv runs only with qk_conv
+    assert all(seen[name] for name in _GRADIENT_OPS
+               if cfg.qk_conv or name != "linear_conv1d_temporal")
+    for name, patterns in seen.items():
+        for flags in patterns:
+            trainable = flags[1:] if name in ("linear", "matmul") else flags
+            assert all(trainable), (name, flags)
+    assert (False, True, True) in seen["linear"] and (False, True) in seen["matmul"]
+
+
 def test_decoder_is_causal_even_with_qk_conv():
     cfg, model = _tiny_model(encoder_layers=2, decoder_layers=2, qk_conv=True)
     rng = np.random.default_rng(3)
