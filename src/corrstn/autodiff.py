@@ -7,7 +7,7 @@ views inside the node, run over blocks of the leading axes its operands must
 share: unshared ones raise DimensionError), the graph layer's rectified
 route sum (its correlation routes and its structural route in one node),
 reshape and narrow, a linear projection and its temporal convolution in one
-node, dropout, and the MAE loss as one node.
+node, and the MAE loss as one node.
 Graphs are built eagerly. A graph vertex is a `_Node` (parent nodes, backward
 closure, gradient), apart from the `Tensor` that holds the op's output, and
 each closure keeps only the arrays its backward reads. `linear` and `matmul`
@@ -714,20 +714,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         gx = term * inv_std
         return gx, ggain, gbias
     return _result(out, (x, gain, bias), backward)
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when p = 0."""
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
-    if p == 0.0:
-        return x
-    keep = rng.random(x.shape) >= p
-    scale = 1.0 / (1.0 - p)
-
-    def backward(g):
-        return (g * keep * scale,)
-    return _result(x.data * keep * scale, (x,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,9 @@ def cmd_scorr(args) -> int:
         raise ConfigError(f"workers must be at least 1, got {args.workers}")
     manifest = Manifest("scorr", args)
     piece = _load_split(args)
+    if piece.n_timestamps < 2:
+        raise DataError(f"{args.data}: the {args.split} split has "
+                        f"{piece.n_timestamps} timestamp, scorr needs at least 2")
     n, c = piece.n_sensors, piece.n_attributes
     pair_attrs = n * (n - 1) // 2 * c
     workers = pool_workers(args.workers, pair_attrs)

@@ -20,10 +20,6 @@ class DataError(CorrstnError):
     """Malformed, non-finite, or otherwise unusable input data."""
 
 
-class OutOfRangeError(DataError):
-    """Requested window reaches outside the available timestamp range."""
-
-
 class EmptyAnchorError(DataError):
     """No valid anchor timestamps for a temporal-correlation average."""
 

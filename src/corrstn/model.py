@@ -7,8 +7,6 @@ attention node splits them and the queries into heads (B, N, H, L, d_head)
 as views inside itself, so the graph holds no layout ops for heads. The
 graph layer runs per time step over sensors. Training uses teacher forcing;
 inference rolls the decoder autoregressively from the last observed step.
-A pass applies dropout exactly when it is given an rng: `train` passes its
-own dropout stream, and the rollout and validation pass none.
 The encoder output and each decoder layer's cross-attention keys and values
 do not change during a rollout, so inference computes them once per batch
 chunk. The decoder computes every row independently of the others, and its
@@ -55,7 +53,6 @@ class ModelConfig:
     horizon: int = 12
     learning_rate: float = 0.001
     batch_size: int = 16
-    dropout: float = 0.0
     qk_conv: bool = False
 
     def __post_init__(self):
@@ -64,10 +61,10 @@ class ModelConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("learning_rate", "dropout"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if isinstance(self.learning_rate, bool) \
+                or not isinstance(self.learning_rate, (int, float)):
+            raise ConfigError(
+                f"learning_rate must be a number, got {self.learning_rate!r}")
         if not isinstance(self.qk_conv, bool):
             raise ConfigError(f"qk_conv must be true or false, got {self.qk_conv!r}")
         for name in ("encoder_layers", "decoder_layers", "d_model", "heads",
@@ -89,8 +86,6 @@ class ModelConfig:
         if not 0 < self.learning_rate < float("inf"):
             raise ConfigError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         periods = tuple(self.periods)
         if "hourly" not in periods or not set(periods) <= {"hourly", "daily", "weekly"}:
             raise ConfigError(f"periods must include hourly, got {periods}")
@@ -101,15 +96,24 @@ class ModelConfig:
         return len(self.periods) * self.tau
 
     def to_dict(self) -> dict:
+        """The fields, with `"dropout": 0.0` before `qk_conv`: `config_hash`,
+        which every checkpoint stores, hashes that key, and saved configs
+        keep their bytes."""
         d = asdict(self)
-        d["periods"] = list(self.periods)
+        qk_conv = d.pop("qk_conv")
+        d.update(periods=list(self.periods), dropout=0.0, qk_conv=qk_conv)
         return d
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelConfig":
+        """A config from `to_dict`'s keys; `dropout` may be left out, and
+        anything but 0 is refused, since the model has no dropout."""
         if not isinstance(payload, dict):
             raise TypeError(f"a config must be a JSON object, not {type(payload).__name__}")
         payload = dict(payload)
+        dropout = payload.pop("dropout", 0.0)
+        if isinstance(dropout, bool) or dropout != 0:
+            raise ConfigError(f"dropout is not supported and must be 0, got {dropout!r}")
         payload["periods"] = tuple(payload.get("periods", ("hourly",)))
         return cls(**payload)
 
@@ -171,15 +175,14 @@ def chunk_windows(config: ModelConfig, n_sensors: int) -> int:
 class EncoderLayer(Module):
     def __init__(self, config, mixing, stack, adj, rng):
         kernel = config.kernel_size if config.qk_conv else None
-        self.attn = CIATT(config.d_model, config.heads, mixing, rng,
-                          conv_kernel=kernel, dropout=config.dropout)
+        self.attn = CIATT(config.d_model, config.heads, mixing, rng, conv_kernel=kernel)
         self.norm_attn = LayerNorm(config.d_model)
         self.graph = CIGNN(config.d_model, stack, adj, rng)
         self.norm_graph = LayerNorm(config.d_model)
 
-    def __call__(self, x, rng=None):
+    def __call__(self, x):
         # x: (B, T, N, d)
-        x = self.norm_attn(ad.add(x, self.attn(x, x, rng=rng)))
+        x = self.norm_attn(ad.add(x, self.attn(x, x)))
         x = self.norm_graph(ad.add(x, self.graph(x)))
         return x
 
@@ -189,16 +192,14 @@ class DecoderLayer(Module):
         # the centered Q/K conv reads one step ahead, which in the decoder
         # would let teacher-forced training peek at the label; decoder
         # attention therefore never convolves
-        self.self_attn = CIATT(config.d_model, config.heads, mixing, rng,
-                               dropout=config.dropout)
+        self.self_attn = CIATT(config.d_model, config.heads, mixing, rng)
         self.norm_self = LayerNorm(config.d_model)
-        self.cross_attn = CIATT(config.d_model, config.heads, mixing, rng,
-                                dropout=config.dropout)
+        self.cross_attn = CIATT(config.d_model, config.heads, mixing, rng)
         self.norm_cross = LayerNorm(config.d_model)
         self.graph = CIGNN(config.d_model, stack, adj, rng)
         self.norm_graph = LayerNorm(config.d_model)
 
-    def __call__(self, y, memory_kv, mask, start=0, cache=None, rng=None):
+    def __call__(self, y, memory_kv, mask, start=0, cache=None):
         """Decoder rows [start, start + L) of y (B, L, N, d). Self-attention
         spans mask.shape[1] key rows, which y itself must supply unless a
         cache is given. A cache is a list that the first call fills with
@@ -215,9 +216,9 @@ class DecoderLayer(Module):
             for buffer, new in zip(cache, kv):
                 buffer[:, start:start + y.shape[1]] = new.data
             kv = tuple(Tensor(buffer) for buffer in cache)
-        att = self.self_attn.attend(y, kv, mask=mask, rng=rng, rowwise=True)
+        att = self.self_attn.attend(y, kv, mask=mask, rowwise=True)
         y = self.norm_self(ad.add(y, att))
-        att = self.cross_attn.attend(y, memory_kv, rng=rng, rowwise=True)
+        att = self.cross_attn.attend(y, memory_kv, rowwise=True)
         y = self.norm_cross(ad.add(y, att))
         y = self.norm_graph(ad.add(y, self.graph(y)))
         return y
@@ -276,34 +277,33 @@ class CorrSTN(Module):
                 f"{getattr(arr, 'shape', type(arr).__name__)}")
         return arr
 
-    def forward(self, encoder_input, decoder_input, rng=None) -> Tensor:
+    def forward(self, encoder_input, decoder_input) -> Tensor:
         """Teacher-forced pass. decoder_input may be any length 1..horizon;
-        outputs align one step ahead of decoder positions. Dropout draws its
-        masks from rng and is off without one."""
+        outputs align one step ahead of decoder positions."""
         enc_len = self.config.encoder_length
         enc = self._check_input(encoder_input, range(enc_len, enc_len + 1),
                                 "encoder input")
         dec = self._check_input(decoder_input, range(1, self.config.horizon + 1),
                                 "decoder input")
-        memory = self._encode(enc, rng)
+        memory = self._encode(enc)
         # self-attention spans the whole horizon: rows past the prefix are
         # zero input, masked from the prefix's rows, and cut off again
         length = dec.shape[1]
         padded = np.zeros((dec.shape[0], self.config.horizon) + dec.shape[2:])
         padded[:, :length] = dec
-        return ad.narrow(self._decode(padded, self._memory_kv(memory), rng),
+        return ad.narrow(self._decode(padded, self._memory_kv(memory)),
                          1, 0, length)
 
-    def _encode(self, enc, rng=None) -> Tensor:
+    def _encode(self, enc) -> Tensor:
         x = self._embed(enc, self.enc_proj, self.enc_pos)
         for layer in self.encoder:
-            x = layer(x, rng=rng)
+            x = layer(x)
         return x
 
     def _memory_kv(self, memory: Tensor) -> list:
         return [layer.cross_attn.keys_values(memory) for layer in self.decoder]
 
-    def _decode(self, dec, memory_kv, rng=None, start=0, cache=None) -> Tensor:
+    def _decode(self, dec, memory_kv, start=0, cache=None) -> Tensor:
         """Outputs of decoder positions [start, start + L) for dec (B, L, N, C).
         Self-attention spans all horizon positions, masked causally: without
         caches dec holds all of them, with caches (one list per layer, see
@@ -312,7 +312,7 @@ class CorrSTN(Module):
         y = self._embed(dec, self.dec_proj, self.dec_pos, start)
         caches = [None] * len(self.decoder) if cache is None else cache
         for layer, kv, layer_cache in zip(self.decoder, memory_kv, caches):
-            y = layer(y, kv, mask, start=start, cache=layer_cache, rng=rng)
+            y = layer(y, kv, mask, start=start, cache=layer_cache)
         return self.head(y)
 
     def forecast(self, encoder_input) -> np.ndarray:
@@ -329,10 +329,9 @@ class CorrSTN(Module):
         reads those of the earlier positions. Every decoder op gives a row
         the same bits however many rows it is computed with, so the result
         is bit-identical to calling `forward` on each prefix.
-        No rng is passed, so dropout is off, and no autograph is built. The
-        input may be an EncoderWindows: only its shape is read up front, and
-        each chunk's rows are gathered when that chunk is encoded, so at most
-        one chunk of encoder input is held.
+        No autograph is built. The input may be an EncoderWindows: only its
+        shape is read up front, and each chunk's rows are gathered when that
+        chunk is encoded, so at most one chunk of encoder input is held.
 
         A chunk has `chunk_windows` windows, from the CHUNK_BYTES budget
         (256 MiB): 3 for the pems08 preset at N=170, where `evaluate` over
@@ -445,7 +444,7 @@ def _teacher_forced_metrics(model, samples: SampleSet,
     """Validation MAE, RMSE and MAPE of teacher-forced passes over chunks of
     `chunk_windows` windows, from the CHUNK_BYTES budget (256 MiB): 3 for the
     pems08 preset at N=170, where validating 16 windows peaked at 168 MB of
-    RSS, below a batch-1 training step's 274 MB (chunks of 16 windows took
+    RSS, below a batch-1 training step's 263 MB (chunks of 16 windows took
     628 MB), and 75 for the default config with all three periods at N=16.
     The rows are independent, and the metrics are bit-equal for any chunk."""
     chunk = chunk_windows(model.config, model.n_sensors)
@@ -472,15 +471,13 @@ def train(model: CorrSTN, data: TrainingData, config: ModelConfig,
           log_path=None, on_epoch=None) -> TrainingLog:
     """MAE loss, Adam, teacher forcing; keeps and restores the parameters of
     the best validation epoch; stops after `patience` epochs without
-    improvement. Shuffling draws from default_rng(seed) and dropout from
-    default_rng(seed + 1); validation draws none. Deterministic for fixed
-    seed and data. `on_epoch`, if given, is called with each EpochRow as
+    improvement. Shuffling draws from default_rng(seed). Deterministic for
+    fixed seed and data. `on_epoch`, if given, is called with each EpochRow as
     soon as the epoch is scored."""
     check_schedule(epochs, patience)
     if len(data.train) == 0 or len(data.val) == 0:
         raise DataError("empty training or validation sample set")
     rng = np.random.default_rng(seed)
-    dropout_rng = np.random.default_rng(seed + 1)
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
     # MAE is linear in scale, so the normalized loss converts exactly
     lo, hi = data.norm_params[0]
@@ -494,7 +491,7 @@ def train(model: CorrSTN, data: TrainingData, config: ModelConfig,
         seen = 0
         for enc, dec, target in iterate_batches(data.train, config.batch_size, rng):
             model.zero_grad()
-            pred = model.forward(enc, dec, rng=dropout_rng)
+            pred = model.forward(enc, dec)
             loss = mae_loss(pred, target)
             if not np.isfinite(loss.data):
                 raise ComputeError(

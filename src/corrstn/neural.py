@@ -166,8 +166,7 @@ class CIATT(Module):
     projection; `q_conv` and `k_conv` hold that node's kernels and biases."""
 
     def __init__(self, d_model: int, heads: int, mixing: np.ndarray,
-                 rng: np.random.Generator, conv_kernel: int | None = None,
-                 dropout: float = 0.0):
+                 rng: np.random.Generator, conv_kernel: int | None = None):
         if d_model % heads != 0:
             raise ConfigError(f"d_model {d_model} not divisible by heads {heads}")
         self.wq = Linear(d_model, d_model, rng)
@@ -178,7 +177,6 @@ class CIATT(Module):
         self.k_conv = TemporalConv(conv_kernel, d_model, rng) if conv_kernel else None
         self.heads = heads
         self.mixing = Tensor(mixing)
-        self.dropout = dropout
 
     @staticmethod
     def _project(x: Tensor, linear: Linear, conv: TemporalConv | None) -> Tensor:
@@ -195,21 +193,15 @@ class CIATT(Module):
                                self.wv(x_kv), self.heads)
 
     def attend(self, x_q: Tensor, kv: tuple[Tensor, Tensor],
-               mask: np.ndarray | None = None,
-               rng: np.random.Generator | None = None,
-               rowwise: bool = False) -> Tensor:
-        """Queries of x_q attend over keys/values from `keys_values`. Dropout
-        applies exactly when an rng is given, which only training does."""
+               mask: np.ndarray | None = None, rowwise: bool = False) -> Tensor:
+        """Queries of x_q attend over keys/values from `keys_values`."""
         q = self._project(x_q, self.wq, self.q_conv)
-        out = attend_heads(q, *kv, self.heads, self.w_out.weight, self.w_out.bias,
-                           mask=mask, rowwise=rowwise)
-        if rng is not None:
-            out = ad.dropout(out, self.dropout, rng)
-        return out
+        return attend_heads(q, *kv, self.heads, self.w_out.weight, self.w_out.bias,
+                            mask=mask, rowwise=rowwise)
 
-    def __call__(self, x_q: Tensor, x_kv: Tensor, mask: np.ndarray | None = None,
-                 rng: np.random.Generator | None = None) -> Tensor:
-        return self.attend(x_q, self.keys_values(x_kv), mask=mask, rng=rng)
+    def __call__(self, x_q: Tensor, x_kv: Tensor,
+                 mask: np.ndarray | None = None) -> Tensor:
+        return self.attend(x_q, self.keys_values(x_kv), mask=mask)
 
 
 class CIGNN(Module):

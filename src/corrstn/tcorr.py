@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import SpatioTemporalTensor
-from .errors import ConfigError, DataError, EmptyAnchorError, OutOfRangeError
+from .errors import ConfigError, DataError, EmptyAnchorError
 from .mic import ETA, MicStats, _grid_search, _profile, _score
 
 PERIODS = ("hourly", "daily", "weekly")
@@ -78,39 +78,32 @@ class TCorrWeights:
 
 def anchor_positions(n_timestamps: int, spec: PeriodSpec) -> np.ndarray:
     """Anchors with full weekly history and a full target window, stepping by
-    tau so successive targets do not overlap."""
-    return np.arange(spec.weekly_offset - 1, n_timestamps - spec.tau + 1, spec.tau)
+    tau so successive targets do not overlap: an anchor t reads rows
+    t - weekly_offset + 1 through t + tau, so t + tau <= n_timestamps - 1."""
+    return np.arange(spec.weekly_offset - 1, n_timestamps - spec.tau, spec.tau)
 
 
-def compute_tcorr(x: SpatioTemporalTensor, spec: PeriodSpec, period: str,
-                  anchors=None, *,
+def compute_tcorr(x: SpatioTemporalTensor, spec: PeriodSpec, period: str, *,
                   stats: MicStats | None = None) -> np.ndarray:
     """Unweighted temporal correlation degrees, shape (N, C).
 
-    For each anchor t, the period block before it and the target block
-    after it are both sliced from x; entry (i, c) is the anchor-average of
-    mic(block[:, i, c], target[:, i, c]). Anchors default to
-    anchor_positions over the length of x. Windows are scored in batches of
-    whole anchors and accumulated in anchor order, so results are
-    bit-reproducible and equal a per-window loop over `mic_full`. `stats`,
-    when given, counts the windows scored.
+    For each of the anchor_positions of x's length, the period block before
+    it and the target block after it are both sliced from x; entry (i, c) is
+    the anchor-average of mic(block[:, i, c], target[:, i, c]). Windows are
+    scored in batches of whole anchors and accumulated in anchor order, so
+    results are bit-reproducible and equal a per-window loop over
+    `mic_full`. `stats`, when given, counts the windows scored.
     """
     if period not in PERIODS:
         raise ConfigError(f"unknown period {period!r}")
     t_total, n, c = x.data.shape
-    if anchors is None:
-        anchors = anchor_positions(t_total, spec)
-    anchors = np.asarray(anchors, dtype=np.int64)
+    anchors = anchor_positions(t_total, spec)
     if anchors.size == 0:
         raise EmptyAnchorError(
             f"no admissible anchors: need >= {spec.weekly_offset + spec.tau} "
             f"timestamps, got {t_total}")
     tau = spec.tau
     offset = spec.offset_for(period)
-    bad = (anchors - offset + 1 < 0) | (anchors + 1 + tau > t_total)
-    if bad.any():
-        raise OutOfRangeError(
-            f"anchor {anchors[bad][0]} leaves no room for {period} window")
     search = _grid_search(tau)
     per_anchor = n * c
     steps = np.arange(tau)
@@ -260,12 +253,13 @@ def save_report(report: TCorrReport, path) -> None:
 
 
 def load_report(path) -> TCorrReport:
-    """A report saved by `save_report`; bad JSON, a missing field or an
-    array whose shape does not fit the verdict's C attributes is a DataError:
-    per-sensor degrees must be (N, C), means and deltas (C,). So is a
-    non-finite delta, and a stored verdict or combined verdict that is not
-    the one the deltas select: every reader of a report picks its periods
-    from the deltas, and a stored verdict that says otherwise was edited."""
+    """A report saved by `save_report`; bad JSON, a missing field, an empty
+    verdict or an array whose shape does not fit the verdict's C attributes
+    is a DataError: per-sensor degrees must be (N, C), means and deltas
+    (C,). So is a non-finite delta, and a stored verdict or combined verdict
+    that is not the one the deltas select: every reader of a report picks
+    its periods from the deltas, and a stored verdict that says otherwise
+    was edited."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -274,6 +268,8 @@ def load_report(path) -> TCorrReport:
         except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"{path}: malformed tcorr report ({exc!r})") from None
     n_attr = len(report.verdict)
+    if n_attr == 0:
+        raise DataError(f"{path}: malformed tcorr report (no attribute verdicts)")
     for field_name, arrays, ndim in (("per_sensor", report.per_sensor, 2),
                                      ("per_period_means", report.averages, 1),
                                      ("deltas", report.deltas, 1)):

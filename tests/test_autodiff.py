@@ -9,7 +9,7 @@ import pytest
 
 import corrstn
 from corrstn import Tensor, autodiff
-from corrstn.autodiff import (Module, Parameter, add, attention, dropout,
+from corrstn.autodiff import (Module, Parameter, add, attention,
                               graph_routes, layer_norm, linear,
                               linear_conv1d_temporal, mae_loss, matmul, narrow,
                               no_grad, reshape, xavier_uniform)
@@ -748,18 +748,6 @@ def test_layer_norm_values_and_gradients():
     _check_op(lambda a, g, b: layer_norm(a, g, b), (3, 6), (6,), (6,))
 
 
-def test_dropout_inverted_scaling():
-    rng = np.random.default_rng(6)
-    x = Tensor(np.ones((1000,)), requires_grad=True)
-    out = dropout(x, 0.25, rng)
-    kept = out.data != 0
-    assert np.allclose(out.data[kept], 1.0 / 0.75, atol=1e-12)
-    assert abs(kept.mean() - 0.75) < 0.05
-    out.backward(np.ones(1000))
-    assert np.array_equal(x.grad != 0, kept)
-    assert np.array_equal(dropout(x, 0.0, rng).data, x.data)
-
-
 def test_diamond_graph_accumulates():
     # y = a*a + a  ->  dy/da = 2a + 1
     a = Tensor(np.array([3.0]), requires_grad=True)
@@ -931,7 +919,7 @@ def test_every_public_option_is_set_somewhere():
             options.setdefault(name, set()).update(params)
     scanned = {(name, param) for name, params in options.items() for _, param in params}
     # the options only tests set are found too
-    assert {("compute_tcorr", "anchors"), ("identity_topu", "c")} <= scanned
+    assert ("identity_topu", "c") in scanned
     unset = set(scanned)
     for path in users:
         for node in ast.walk(ast.parse(path.read_text())):

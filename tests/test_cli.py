@@ -557,6 +557,41 @@ def test_config_that_is_not_a_json_object_is_config_error(workdir, tmp_path, cap
     assert not (tmp_path / "run").exists()
 
 
+def test_config_with_dropout_is_config_error(workdir, tmp_path, capsys):
+    # the model has no dropout; a config that sets one must not train or
+    # evaluate without it
+    saved = json.loads((workdir / "run" / "config.json").read_text())
+    assert saved["dropout"] == 0.0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**saved, "dropout": 0.1}))
+    rc = cli.main(["train", "--data", str(workdir / "data.sttf"),
+                   "--scorr", str(workdir / "corr.scor"), "--config", str(config),
+                   "--out-dir", str(tmp_path / "run"), "--ratios", _RATIOS,
+                   "--epochs", "1"])
+    assert rc == 2
+    assert "dropout" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    rc = cli.main(["evaluate", "--data", str(workdir / "data.sttf"),
+                   "--scorr", str(workdir / "corr.scor"), "--config", str(config),
+                   "--checkpoint", str(workdir / "run" / "checkpoint.cstn"),
+                   "--out", str(tmp_path / "m.json"), "--ratios", _RATIOS])
+    assert rc == 2
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_scorr_on_a_one_timestamp_split_is_data_error(tmp_path, capsys):
+    # 3 timestamps split 0.6/0.2/0.2 leave one in each split; MIC needs two,
+    # and the shortfall once escaped as a compute error, exit 4
+    data = tmp_path / "short.csv"
+    data.write_text("timestamp,sensor,flow\n" + "".join(
+        f"{t},{s},{t + s}.0\n" for t in range(3) for s in range(2)))
+    out = tmp_path / "s.scor"
+    assert cli.main(["scorr", "--data", str(data), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(data) in err and "train split" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--data", "--out"])
 def test_a_directory_as_data_or_out_is_data_error(workdir, tmp_path, capsys, flag):
     # IsADirectoryError once escaped as a traceback and exit 1
@@ -568,8 +603,20 @@ def test_a_directory_as_data_or_out_is_data_error(workdir, tmp_path, capsys, fla
     assert list(tmp_path.iterdir()) == []
 
 
+# a report of zero attributes: every shape check passes, and combining its
+# verdicts once failed as a configuration error, exit 2
+_EMPTY_REPORT = json.dumps({
+    "dataset": "", "eta": 0.6, "tau": 12,
+    "weights": {"hourly": 0.95, "daily": 0.95, "weekly": 0.85},
+    "per_period_means": {"hourly": [], "daily": [], "weekly": []},
+    "deltas": {"hd": [], "hw": [], "dw": []},
+    "verdict": [], "combined_verdict": ["hourly"],
+    "per_sensor": {"hourly": [[], []], "daily": [[], []], "weekly": [[], []]}})
+
+
 @pytest.mark.parametrize("text", ['{"verdict": [[', "{}", "[]",
-                                  '{"deltas": {"hd": [0.1]}}'])
+                                  '{"deltas": {"hd": [0.1]}}',
+                                  pytest.param(_EMPTY_REPORT, id="no-attributes")])
 def test_malformed_report_is_data_error(tmp_path, capsys, text):
     report = tmp_path / "report.json"
     report.write_text(text)

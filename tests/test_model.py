@@ -1,5 +1,5 @@
 import csv
-import dataclasses
+import hashlib
 import json
 import tracemalloc
 from types import SimpleNamespace
@@ -61,8 +61,8 @@ def test_config_refuses_non_integer_fields(tmp_path, fields):
 
 
 @pytest.mark.parametrize("fields", [
-    {"learning_rate": True}, {"dropout": False}, {"learning_rate": "0.1"},
-    {"dropout": "0"}, {"learning_rate": None}, {"dropout": [0.1]},
+    {"learning_rate": True}, {"learning_rate": False}, {"learning_rate": "0.1"},
+    {"learning_rate": "1"}, {"learning_rate": None}, {"learning_rate": [0.1]},
     {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
 ])
 def test_config_refuses_non_numeric_rates(tmp_path, fields):
@@ -73,7 +73,7 @@ def test_config_refuses_non_numeric_rates(tmp_path, fields):
     with pytest.raises(ConfigError):
         load_config(path)
     # an integer rate is a number
-    assert ModelConfig(learning_rate=1, dropout=0).learning_rate == 1
+    assert ModelConfig(learning_rate=1).learning_rate == 1
 
 
 def test_config_validation():
@@ -85,8 +85,6 @@ def test_config_validation():
         ModelConfig(d_model=30, heads=4)
     with pytest.raises(ConfigError):
         ModelConfig(kernel_size=4)
-    with pytest.raises(ConfigError):
-        ModelConfig(dropout=1.0)
     with pytest.raises(ConfigError):
         ModelConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
@@ -106,6 +104,51 @@ def test_pems08_preset():
     assert cfg.kernel_size == 3 and cfg.batch_size == 16
     assert cfg.periods == ("hourly", "daily", "weekly")
     assert cfg.qk_conv
+
+
+# the pems08 preset's config.json as `save_config` has always written it,
+# from when dropout was a field; checkpoints store the sha256 of its
+# canonical JSON as their header
+_SAVED_CONFIG = """{
+  "encoder_layers": 4,
+  "decoder_layers": 4,
+  "d_model": 64,
+  "heads": 8,
+  "top_u": 4,
+  "kernel_size": 3,
+  "periods": [
+    "hourly",
+    "daily",
+    "weekly"
+  ],
+  "tau": 12,
+  "horizon": 12,
+  "learning_rate": 0.001,
+  "batch_size": 16,
+  "dropout": 0.0,
+  "qk_conv": true
+}
+"""
+
+
+def test_saved_config_format_is_pinned(tmp_path):
+    payload = json.loads(_SAVED_CONFIG)
+    cfg = ModelConfig.from_dict(payload)
+    assert cfg == PRESETS["pems08"]
+    canon = json.dumps(payload, sort_keys=True).encode()
+    assert config_hash(cfg) == hashlib.sha256(canon).digest()
+    path = tmp_path / "config.json"
+    save_config(cfg, path)
+    assert path.read_text() == _SAVED_CONFIG
+    # a config without the key loads too; any dropout but 0 is refused
+    del payload["dropout"]
+    assert ModelConfig.from_dict(payload) == cfg
+    for value in (0.1, 1, -0.5, "0", False, None):
+        with pytest.raises(ConfigError):
+            ModelConfig.from_dict({**payload, "dropout": value})
+        path.write_text(json.dumps({**payload, "dropout": value}))
+        with pytest.raises(ConfigError):
+            load_config(path)
 
 
 def test_config_hash_and_io(tmp_path):
@@ -204,7 +247,7 @@ _GRADIENT_OPS = ("add", "matmul", "linear", "attention", "graph_routes",
 
 
 @pytest.mark.parametrize("cfg, n, c", [
-    (ModelConfig(periods=("hourly", "daily", "weekly"), dropout=0.1), 16, 2),
+    (ModelConfig(periods=("hourly", "daily", "weekly")), 16, 2),
     (PRESETS["pems08"], 12, 3)])
 def test_only_linear_and_matmul_get_a_constant_operand(monkeypatch, cfg, n, c):
     # the fused nodes compute every operand's gradient, so a constant handed
@@ -226,7 +269,7 @@ def test_only_linear_and_matmul_get_a_constant_operand(monkeypatch, cfg, n, c):
     rng = np.random.default_rng(6)
     enc = rng.normal(size=(1, cfg.encoder_length, n, c))
     dec = rng.normal(size=(1, cfg.horizon, n, c))
-    out = model.forward(enc, dec, rng=rng)
+    out = model.forward(enc, dec)
     mae_loss(out, np.zeros(out.shape)).backward()
     model.forward(enc, dec[:, :3])
     # the Q/K conv runs only with qk_conv
@@ -331,9 +374,9 @@ def test_forecast_is_byte_equal_across_budgets(monkeypatch):
     sizes = []
     encode = model_mod.CorrSTN._encode
 
-    def recorded(net, block, rng=None):
+    def recorded(net, block):
         sizes.append(len(block))
-        return encode(net, block, rng)
+        return encode(net, block)
     monkeypatch.setattr(model_mod.CorrSTN, "_encode", recorded)
     want = model.forecast(enc)
     assert sizes == [5]
@@ -352,7 +395,7 @@ def test_blocked_attention_cores_leave_the_model_bits_unchanged(monkeypatch):
     # of one or two score slices: the graph layers' plain core, the
     # encoder's headed core and the decoder's masked and unmasked rowwise
     # cores, in training and in the rollout
-    cfg, model = _tiny_model(seed=41, n=4, c=3, qk_conv=True, dropout=0.1)
+    cfg, model = _tiny_model(seed=41, n=4, c=3, qk_conv=True)
     rng = np.random.default_rng(42)
     enc = rng.normal(size=(3, cfg.encoder_length, 4, 3))
     dec = rng.normal(size=(3, 12, 4, 3))
@@ -370,7 +413,7 @@ def test_blocked_attention_cores_leave_the_model_bits_unchanged(monkeypatch):
         monkeypatch.setattr(autodiff, "_BLOCK_BYTES", block_bytes)
         counts.clear()
         model.zero_grad()
-        pred = model.forward(enc, dec, rng=np.random.default_rng(43))
+        pred = model.forward(enc, dec)
         mae_loss(pred, target).backward()
         bits = [pred.data.tobytes()] + [p.grad.tobytes() for p in model.parameters()]
         return bits + [model.forecast(enc).tobytes()], list(counts)
@@ -403,7 +446,7 @@ def test_training_graph_keeps_no_weights_of_the_non_rowwise_cores(monkeypatch):
     # no core keeps an (L_q, L_k) array, nor a view of one, after its
     # forward: not the graph layers' plain cores, the encoder's headed core
     # or the decoder's rowwise cores
-    cfg, model = _tiny_model(seed=51, n=4, c=3, qk_conv=True, dropout=0.1)
+    cfg, model = _tiny_model(seed=51, n=4, c=3, qk_conv=True)
     rng = np.random.default_rng(52)
     enc = rng.normal(size=(2, cfg.encoder_length, 4, 3))
     dec = rng.normal(size=(2, 12, 4, 3))
@@ -416,7 +459,7 @@ def test_training_graph_keeps_no_weights_of_the_non_rowwise_cores(monkeypatch):
         cores.append((out._node, rowwise, (q.shape[axis], k.shape[axis])))
         return out
     monkeypatch.setattr(autodiff, "attention", recorded)
-    pred = model.forward(enc, dec, rng=np.random.default_rng(53))
+    pred = model.forward(enc, dec)
     kept = {False: 0, True: 0}
     for node, rowwise, scores in cores:
         arrays = _held_arrays(node.backward)
@@ -458,19 +501,6 @@ def test_forecast_decodes_one_row_per_step(monkeypatch):
     monkeypatch.setattr(model_mod, "CHUNK_BYTES", _budget_for(3, cfg, 3))
     model.forecast(enc)
     assert shapes == [(3, 1, 3, 2)] * 12 + [(2, 1, 3, 2)] * 12
-
-
-def test_forecast_draws_no_dropout():
-    cfg, model = _tiny_model(seed=25, dropout=0.5, **_ALL_PERIODS)
-    enc = np.random.default_rng(26).normal(size=(3, 36, 3, 2))
-    got = model.forecast(enc)
-    assert np.array_equal(got, model.forecast(enc))
-    # the rollout is the rng-less forward passes over its prefixes
-    assert np.array_equal(got, _prefix_rollout(model, enc))
-    # while a pass given an rng draws masks
-    dec = np.random.default_rng(27).normal(size=(3, 12, 3, 2))
-    dropped = model.forward(enc, dec, rng=np.random.default_rng(28)).data
-    assert not np.array_equal(dropped, model.forward(enc, dec).data)
 
 
 def test_forecast_encodes_once_per_chunk(monkeypatch):
@@ -542,30 +572,30 @@ def test_forecast_request_op_budget(monkeypatch):
 def test_training_graph_keeps_arrays_not_tensors():
     # a backward closure keeps the arrays it reads, never an operand tensor,
     # so an output that no backward reads is freed with its tensor
-    _, model = _tiny_model(seed=31, dropout=0.1)
+    _, model = _tiny_model(seed=31)
     rng = np.random.default_rng(32)
     pred = model.forward(rng.normal(size=(2, 12, 3, 2)),
-                         rng.normal(size=(2, 12, 3, 2)), rng=rng)
+                         rng.normal(size=(2, 12, 3, 2)))
     nodes = graph_nodes(mae_loss(pred, rng.normal(size=(2, 12, 3, 1))))
     kept = [value for node in nodes for value in kept_values(node)]
-    # 49 nodes of the forward and the loss's one
-    assert len(nodes) == 50
+    # 46 nodes of the forward and the loss's one
+    assert len(nodes) == 47
     assert not any(isinstance(value, Tensor) for value in kept)
 
 
 def test_backward_leaves_no_array_in_the_step_graph():
-    # one pems08-preset step (dropout on, Q/K conv on) at N=4: once the
+    # one pems08-preset step (Q/K conv on) at N=4: once the
     # loss's backward has run, no node of its graph keeps an array, a
     # parent or, apart from the root, a gradient
     n = 4
-    cfg = dataclasses.replace(PRESETS["pems08"], dropout=0.1)
+    cfg = PRESETS["pems08"]
     model = build_model(cfg, _scorr(n, 2), _adj(n), n, seed=36)
     rng = np.random.default_rng(37)
     loss = mae_loss(model.forward(rng.normal(size=(1, cfg.encoder_length, n, 2)),
-                                  rng.normal(size=(1, 12, n, 2)), rng=rng),
+                                  rng.normal(size=(1, 12, n, 2))),
                     rng.normal(size=(1, 12, n, 1)))
     nodes = graph_nodes(loss)
-    assert len(nodes) > 150
+    assert len(nodes) > 140
     assert any(isinstance(value, np.ndarray)
                for node in nodes for value in kept_values(node))
     loss.backward()
@@ -584,9 +614,9 @@ def test_validation_runs_in_chunks_the_budget_sizes(monkeypatch):
     sizes = []
     forward = model_mod.CorrSTN.forward
 
-    def recorded(net, enc, dec, rng=None):
+    def recorded(net, enc, dec):
         sizes.append(len(enc))
-        return forward(net, enc, dec, rng)
+        return forward(net, enc, dec)
     monkeypatch.setattr(model_mod.CorrSTN, "forward", recorded)
     # the tiny model's budget covers the whole split in one chunk
     want = model_mod._teacher_forced_metrics(model, val_s, params)

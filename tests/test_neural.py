@@ -394,13 +394,9 @@ def test_ciatt_module_structure():
     x = Tensor(np.random.default_rng(0).normal(size=(4, 3, 8)))
     assert att(x, x).shape == (4, 3, 8)
 
-    conv_att = CIATT(8, 2, mixing, rng, conv_kernel=3, dropout=0.5)
+    conv_att = CIATT(8, 2, mixing, rng, conv_kernel=3)
     assert conv_att.q_conv is not None and conv_att.k_conv is not None
-    # dropout idle without an rng, active with one
-    a = conv_att(x, x).data
-    assert np.array_equal(a, conv_att(x, x).data)
-    b = conv_att(x, x, rng=np.random.default_rng(1)).data
-    assert (b == 0.0).mean() > 0.2
+    assert conv_att(x, x).shape == (4, 3, 8)
 
 
 def test_cignn_module_initial_scales():

@@ -5,7 +5,7 @@ from corrstn import (PERIODS, PeriodSpec, SpatioTemporalTensor, TCorrWeights,
                      anchor_positions, build_tcorr_report, combine_verdicts,
                      compute_tcorr, load_report, mic, save_report,
                      select_periods)
-from corrstn.errors import ConfigError, EmptyAnchorError, OutOfRangeError
+from corrstn.errors import ConfigError, EmptyAnchorError
 from corrstn.mic import MicStats, _GridSearch
 from corrstn.tcorr import weighted_tcorr
 from oracles import tcorr_per_window
@@ -46,33 +46,39 @@ def test_weights_defaults_and_validation():
         TCorrWeights(weekly=1.2)
 
 
-def test_compute_tcorr_refuses_anchors_out_of_range():
-    spec = PeriodSpec.from_interval(60, tau=3)  # offsets 1 / 24 / 168
-    x = _tensor(t=200)
-    with pytest.raises(OutOfRangeError):
-        compute_tcorr(x, spec, "weekly", anchors=[150, 166])  # window starts at -1
-    with pytest.raises(OutOfRangeError):
-        compute_tcorr(x, spec, "hourly", anchors=[100, 197])  # target ends at 200
-    # the last in-range anchor on each side
-    compute_tcorr(x, spec, "weekly", anchors=[167, 196])
-
-
 def test_anchor_positions_step_tau():
     spec = PeriodSpec.from_interval(60, tau=3)  # weekly offset 168
     anchors = anchor_positions(400, spec)
     assert anchors[0] == 167
     assert np.all(np.diff(anchors) == 3)
-    assert anchors[-1] + 3 <= 400 - 1 + 1
-    assert anchors[-1] + spec.tau <= 399 + 1
+    # the next anchor, 398, would need target rows 399-401 of 0-399
+    assert anchors[-1] == 395
+
+
+@pytest.mark.parametrize("t_total", range(188, 206))
+def test_last_anchor_target_ends_inside_the_series(t_total):
+    # hourly data, tau 12: the first anchor is 167, and whenever
+    # t_total - 12 - 167 is a multiple of 12 (191 and 203 here) the last
+    # anchor's target block once needed row t_total
+    spec = PeriodSpec.from_interval(60)
+    anchors = anchor_positions(t_total, spec)
+    assert anchors[0] == 167 and anchors[-1] + spec.tau <= t_total - 1
+    assert anchors[-1] + 2 * spec.tau > t_total - 1
+    x = _tensor(t=t_total, n=2, c=1, seed=t_total, interval=60)
+    for period in PERIODS:
+        offset = spec.offset_for(period)
+        want = tcorr_per_window(x.data, x.data, offset, spec.tau, anchors)
+        assert np.array_equal(compute_tcorr(x, spec, period), want)
 
 
 def test_compute_tcorr_single_anchor_matches_mic():
+    # 176 rows leave one anchor, 167, whose target block ends on row 175
     spec = PeriodSpec.from_interval(60, tau=8)
-    x = _tensor(t=400, n=3, c=2, seed=1, interval=60)
-    t = 250
-    got = compute_tcorr(x, spec, "daily", anchors=[t])
+    x = _tensor(t=176, n=3, c=2, seed=1, interval=60)
+    assert anchor_positions(176, spec).tolist() == [167]
+    got = compute_tcorr(x, spec, "daily")
     # the window for offset P covers [t-P+1, t-P+tau], the target [t+1, t+tau]
-    daily, target = x.data[227:235], x.data[251:259]
+    daily, target = x.data[144:152], x.data[168:176]
     for i in range(3):
         for a in range(2):
             assert got[i, a] == mic(daily[:, i, a], target[:, i, a])
@@ -81,10 +87,12 @@ def test_compute_tcorr_single_anchor_matches_mic():
 def test_compute_tcorr_averages_over_anchors():
     spec = PeriodSpec.from_interval(60, tau=6)
     x = _tensor(t=420, n=2, c=1, seed=3, interval=60)
-    single = [compute_tcorr(x, spec, "hourly", anchors=[t])
-              for t in (200, 230, 260)]
-    combined = compute_tcorr(x, spec, "hourly", anchors=[200, 230, 260])
-    assert np.allclose(combined, sum(single) / 3, atol=1e-15)
+    anchors = anchor_positions(420, spec)
+    assert anchors.size > 30
+    for period in PERIODS:
+        want = tcorr_per_window(x.data, x.data, spec.offset_for(period), spec.tau,
+                                anchors)
+        assert np.array_equal(compute_tcorr(x, spec, period), want)
 
 
 def test_compute_tcorr_matches_per_window_loop_across_batches():
