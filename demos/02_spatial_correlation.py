@@ -2,7 +2,8 @@
 
 Every sensor pair gets a MIC degree per attribute; the tensor is symmetric
 with a unit diagonal. The top-U step keeps each sensor's U most correlated
-peers and softmax-normalizes their degrees, which later drives the key
+peers per attribute, softmax-normalizes their degrees and averages the
+attributes into one row-stochastic mixing matrix, which later drives the key
 reconstruction inside the attention layers.
 """
 
@@ -10,8 +11,7 @@ import time
 
 import numpy as np
 
-from corrstn import (compute_scorr, generate_synthetic, top_u_normalize,
-                     topu_mixing_matrix)
+from corrstn import compute_scorr, generate_synthetic, top_u_normalize
 
 ds = generate_synthetic(n_sensors=8, weeks=2, noise_sigma=0.3, seed=7)
 print(f"dataset: T={ds.tensor.n_timestamps}, N={ds.tensor.n_sensors}, "
@@ -26,13 +26,12 @@ print("so off-diagonal degrees sit well above the noise floor):")
 with np.printoptions(precision=3, suppress=True):
     print(scorr.degrees[:, :, 0])
 
-topu = top_u_normalize(scorr, u=3)
-print("\ntop-3 peers per sensor (attribute 0):")
+mixing = top_u_normalize(scorr, u=3)
+print("\ntop-3 mixing weights per sensor (averaged over the attributes):")
 for i in range(8):
-    peers = topu.indices[i, :, 0].tolist()
-    weights = np.round(topu.weights[i, :, 0], 3).tolist()
-    print(f"  sensor {i}: peers {peers} weights {weights}")
+    peers = np.argsort(-mixing[i], kind="stable")[:np.count_nonzero(mixing[i])]
+    weights = np.round(mixing[i, peers], 3).tolist()
+    print(f"  sensor {i}: peers {peers.tolist()} weights {weights}")
 
-mixing = topu_mixing_matrix(topu)
 print(f"\nmixing matrix rows sum to one: "
       f"{np.allclose(mixing.sum(axis=1), 1.0)}")

@@ -3,21 +3,18 @@
 Shows reverse-mode gradients of the training loss, the MAE as one node over
 a fused linear map, agreeing with finite differences, the key
 reconstruction collapsing to plain attention under an identity top-U, and the
-graph layer separating its correlation and structural branches. Attention
-runs the model's own path on position-major (L, N, d) inputs:
-`key_value_heads` blends the keys across correlated sensors, and
-`attend_heads` runs the queries' heads against them and projects the output.
+graph layer separating its correlation and structural branches. Both layers
+are modules: `CIATT` runs on position-major (L, N, d) inputs, where
+`keys_values` blends the projected keys across correlated sensors and
+`attend` runs the queries' heads against them and projects the output.
 Heads are split inside the one attention node, on views of its operands, so
-neither function adds a layout op to the graph; the output projection, like
-every linear map, is one fused node.
+no layout op enters the graph; every linear map is one fused node.
 """
 
 import numpy as np
 
-from corrstn import (SCorrTensor, Tensor, add_self_loops, attend_heads,
-                     causal_mask, cignn_forward, identity_topu,
-                     key_value_heads, laplacian_normalize, mae_loss,
-                     top_u_normalize, topu_mixing_matrix)
+from corrstn import (CIATT, CIGNN, SCorrTensor, Tensor, add_self_loops,
+                     causal_mask, laplacian_normalize, mae_loss, top_u_normalize)
 from corrstn.autodiff import linear
 
 rng = np.random.default_rng(0)
@@ -26,7 +23,7 @@ rng = np.random.default_rng(0)
 w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
 x = Tensor(rng.normal(size=(5, 3)))
 target = rng.normal(size=(5, 3))
-loss = mae_loss(linear(x, w), target)
+loss = mae_loss(linear(x, w, Tensor(np.zeros(3))), target)
 loss.backward()
 
 h = 1e-6
@@ -39,16 +36,9 @@ print(f"dloss/dw[1,2]: reverse mode {w.grad[1, 2]:+.8f}, "
 
 # --- attention with correlation-reconstructed keys ----------------------
 n, length, d = 4, 6, 8
-q, k, v = (Tensor(rng.normal(size=(length, n, d))) for _ in range(3))
-w_out = Tensor(rng.normal(size=(d, d)))
-
-
-def ciatt(topu, q, k, v, mask=None):
-    mixing = Tensor(topu_mixing_matrix(topu))
-    return attend_heads(q, *key_value_heads(mixing, k, v, 2), 2, w_out, mask=mask)
-
-
-plain = ciatt(identity_topu(n), q, k, v)
+x = Tensor(rng.normal(size=(length, n, d)))
+plain_att = CIATT(d, 2, np.eye(n), np.random.default_rng(1))
+plain = plain_att(x, x)
 print(f"\nidentity top-U leaves keys untouched -> plain attention, "
       f"output {plain.shape}")
 
@@ -56,28 +46,31 @@ degrees = rng.uniform(0.2, 0.9, size=(n, n, 1))
 degrees = (degrees + degrees.transpose(1, 0, 2)) / 2
 for a in range(1):
     np.fill_diagonal(degrees[:, :, a], 1.0)
-topu = top_u_normalize(SCorrTensor(degrees), u=2)
-mixed = ciatt(topu, q, k, v)
+# same seed, so the same projections as the plain layer
+att = CIATT(d, 2, top_u_normalize(SCorrTensor(degrees), u=2),
+            np.random.default_rng(1))
+mixed = att(x, x)
 gap = float(np.abs(mixed.data - plain.data).max())
 print(f"top-2 reconstruction changes the output (max |delta| = {gap:.3f})")
 
 # under a causal mask, position 0 may only attend to itself, so shortening
 # the sequence to one step must reproduce its output exactly
-masked = ciatt(topu, q, k, v, mask=causal_mask(length))
-first = ciatt(topu, Tensor(q.data[:1]), Tensor(k.data[:1]), Tensor(v.data[:1]))
+masked = att(x, x, mask=causal_mask(length))
+first = Tensor(x.data[:1])
 print(f"causal mask keeps position 0 blind to the future: "
-      f"{np.allclose(masked.data[0], first.data[0])}")
+      f"{np.allclose(masked.data[0], att(first, first).data[0])}")
 
 # --- graph layer ---------------------------------------------------------
 z = Tensor(rng.normal(size=(n, d)))
-w_g = Tensor(rng.normal(size=(d, d)))
 adj = laplacian_normalize(add_self_loops(np.ones((n, n)) - np.eye(n)))
-scorr = SCorrTensor(degrees)
+graph = CIGNN(d, np.moveaxis(degrees, 2, 0), adj, rng)
 
-full = cignn_forward(z, scorr, adj, w_g, Tensor(np.ones(1)), Tensor(np.ones(1)))
-corr_only = cignn_forward(z, scorr, adj, w_g, Tensor(np.ones(1)),
-                          Tensor(np.zeros(1)))
-struct_only = cignn_forward(z, scorr, adj, w_g, Tensor(np.zeros(1)),
-                            Tensor(np.ones(1)))
+
+def branches(psi, omega):
+    graph.psi.data, graph.omega.data = np.full(1, psi), np.full(1, omega)
+    return graph(z).data
+
+
+full, corr_only, struct_only = branches(1.0, 1.0), branches(1.0, 0.0), branches(0.0, 1.0)
 print(f"\ngraph layer branches add up: full == corr + structural -> "
-      f"{np.allclose(full.data, corr_only.data + struct_only.data)}")
+      f"{np.allclose(full, corr_only + struct_only)}")

@@ -241,23 +241,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data @ b.data, (a, b), backward)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x @ weight + bias for a (d_in, d_out) weight, as one node with the
     bits of matmul followed by add. Its backward returns all three
     gradients; it keeps x for the weight's gradient and the weight for x's."""
     if x.ndim < 2 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
         raise DimensionError(f"linear needs (..., d_in) @ (d_in, d_out), "
                              f"got {x.shape} @ {weight.shape}")
-    has_bias = bias is not None
-    if has_bias and bias.shape != weight.shape[1:]:
+    if bias.shape != weight.shape[1:]:
         raise DimensionError(f"bias {bias.shape} does not match weight {weight.shape}")
     out = x.data @ weight.data
-    if has_bias:
-        out += bias.data
+    out += bias.data
     d_in = weight.shape[0]
     x_data = x.data if weight.requires_grad else None
     w_data = weight.data if x.requires_grad else None
-    need_bias = has_bias and bias.requires_grad
+    bias_grad = bias.requires_grad
 
     def backward(g):
         gx = gw = gb = None
@@ -266,10 +264,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         if x_data is not None:
             # one GEMM over the stacked rows of every leading axis
             gw = x_data.reshape(-1, d_in).T @ g.reshape(-1, g.shape[-1])
-        if need_bias:
+        if bias_grad:
             gb = _unbroadcast(g, (g.shape[-1],))
-        return (gx, gw, gb) if has_bias else (gx, gw)
-    return _result(out, (x, weight, bias) if has_bias else (x, weight), backward)
+        return gx, gw, gb
+    return _result(out, (x, weight, bias), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,14 @@ def _load_split(args) -> data_mod.SpatioTemporalTensor:
                                          interval_minutes=x.interval_minutes)
 
 
+def _require_timestamps(args, piece, need: int, command: str) -> None:
+    """A split too short for `command`: a DataError naming file and split."""
+    n = piece.n_timestamps
+    if n < need:
+        raise DataError(f"{args.data}: the {args.split} split has {n} "
+                        f"timestamp{'s' * (n != 1)}, {command} needs at least {need}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -157,9 +165,7 @@ def cmd_scorr(args) -> int:
         raise ConfigError(f"workers must be at least 1, got {args.workers}")
     manifest = Manifest("scorr", args)
     piece = _load_split(args)
-    if piece.n_timestamps < 2:
-        raise DataError(f"{args.data}: the {args.split} split has "
-                        f"{piece.n_timestamps} timestamp, scorr needs at least 2")
+    _require_timestamps(args, piece, 2, "scorr")
     n, c = piece.n_sensors, piece.n_attributes
     pair_attrs = n * (n - 1) // 2 * c
     workers = pool_workers(args.workers, pair_attrs)
@@ -186,6 +192,8 @@ def cmd_tcorr(args) -> int:
     manifest = Manifest("tcorr", args)
     piece = _load_split(args)
     spec = tcorr_mod.PeriodSpec.from_interval(piece.interval_minutes)
+    # the first anchor needs a week of history and a target window
+    _require_timestamps(args, piece, spec.weekly_offset + spec.tau, "tcorr")
     weights = tcorr_mod.TCorrWeights(
         *_three_numbers(args.weights, "hourly,daily,weekly weights"))
     stats = MicStats()

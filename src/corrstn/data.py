@@ -103,6 +103,8 @@ def load_tensor(path) -> SpatioTemporalTensor:
         _, version, t, n, c, interval = struct.unpack("<4sIIIII", header)
         if version != _STTF_VERSION:
             raise DataError(f"{path}: unsupported STTF version {version}")
+        if interval < 1 or 60 % interval != 0:
+            raise DataError(f"{path}: interval_minutes must divide 60, got {interval}")
         raw = np.frombuffer(fh.read(), dtype="<f8")
     if raw.size != t * n * c:
         raise DataError(f"{path}: expected {t * n * c} values, got {raw.size}")

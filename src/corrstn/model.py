@@ -33,8 +33,8 @@ from .autodiff import Module, Parameter, Tensor, mae_loss
 from .data import SampleSet, denormalize, iterate_batches
 from .errors import ComputeError, ConfigError, DataError, DimensionError
 from .neural import (CIATT, CIGNN, LayerNorm, Linear, NormalizedAdjacency,
-                     _degree_stack, causal_mask)
-from .scorr import SCorrTensor, top_u_normalize, topu_mixing_matrix
+                     causal_mask)
+from .scorr import SCorrTensor, top_u_normalize
 
 _CKPT_MAGIC = b"CSTN"
 _CKPT_VERSION = 1
@@ -141,7 +141,8 @@ def load_config(path) -> ModelConfig:
     with open(path, encoding="utf-8") as fh:
         try:
             return ModelConfig.from_dict(json.load(fh))
-        except (TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ConfigError, TypeError, UnicodeDecodeError,
+                json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -244,8 +245,10 @@ class CorrSTN(Module):
         self.config = config
         self.n_sensors = n_sensors
         self.n_attributes = n_attr
-        mixing = topu_mixing_matrix(top_u_normalize(scorr, config.top_u))
-        stack = _degree_stack(scorr)
+        mixing = top_u_normalize(scorr, config.top_u)
+        # the degrees stacked attribute-first (C, N, N), contiguous so that the
+        # graph layer's product runs as fast backward as one (N, N) product each
+        stack = np.ascontiguousarray(np.moveaxis(scorr.degrees, 2, 0))
         self.enc_proj = Linear(n_attr, d, rng)
         self.dec_proj = Linear(n_attr, d, rng)
         self.spatial_emb = Parameter(ad.xavier_uniform(rng, (n_sensors, d), d, d))

@@ -1,7 +1,7 @@
 """Spatial correlation tensor: per-attribute MIC degrees between all sensor pairs.
 
-One static tensor over the full series, and the softmax-normalized top-U form
-consumed by the correlation attention layer.
+One static tensor over the full series, and the softmax-normalized top-U
+mixing matrix consumed by the correlation attention layer.
 Every degree is a MIC score at the fixed grid bound m^0.6 (`mic.ETA`).
 """
 
@@ -43,18 +43,6 @@ class SCorrTensor:
         return self.degrees.shape[2]
 
 
-@dataclass(frozen=True)
-class TopUSCorr:
-    """Per (sensor, attribute): the U most correlated sensors and their softmax weights."""
-
-    indices: np.ndarray   # (N, U, C) int
-    weights: np.ndarray   # (N, U, C) float, rows sum to 1
-
-    @property
-    def top_u(self) -> int:
-        return self.indices.shape[1]
-
-
 def compute_scorr(x: SpatioTemporalTensor, workers: int = 1, *,
                   stats: MicStats | None = None) -> SCorrTensor:
     """MIC between the full T-length series of every sensor pair, per attribute.
@@ -67,44 +55,22 @@ def compute_scorr(x: SpatioTemporalTensor, workers: int = 1, *,
     return SCorrTensor(pairwise_mic(x.data, workers=workers, stats=stats))
 
 
-def top_u_normalize(s: SCorrTensor, u: int) -> TopUSCorr:
-    """Select the u largest degrees per (sensor, attribute) and softmax them.
-
-    Ties are broken toward the lower sensor index so repeated runs agree.
-    """
-    n = s.n_sensors
+def top_u_normalize(s: SCorrTensor, u: int) -> np.ndarray:
+    """The (N, N) row-stochastic top-U mixing matrix: per (sensor,
+    attribute) the u largest degrees, ties to the lower sensor index so that
+    runs agree, are softmaxed, and row i holds the attribute-averaged weights
+    of sensor i's peers, so mixed[i] = sum_j R[i, j] * original[j]."""
+    n, c = s.n_sensors, s.n_attributes
     if not 1 <= u <= n:
         raise ConfigError(f"top-u must be in [1, {n}], got {u}")
     # stable argsort on negated degrees: equal degrees keep ascending index
-    order = np.argsort(-s.degrees, axis=1, kind="stable")
-    indices = order[:, :u, :]
-    selected = np.take_along_axis(s.degrees, indices, axis=1)
-    exps = np.exp(selected)
+    indices = np.argsort(-s.degrees, axis=1, kind="stable")[:, :u, :]
+    exps = np.exp(np.take_along_axis(s.degrees, indices, axis=1))
     weights = exps / exps.sum(axis=1, keepdims=True)
-    return TopUSCorr(indices=indices, weights=weights)
-
-
-def topu_mixing_matrix(topu: TopUSCorr) -> np.ndarray:
-    """Dense N x N row-mixing matrix equivalent to the top-U key reconstruction.
-
-    Row i holds the attribute-averaged softmax weights of sensor i's selected
-    neighbours, so mixed[i] = sum_j R[i, j] * original[j]. An index outside
-    [0, N) is a DimensionError.
-    """
-    n, u, c = topu.indices.shape
-    if int(topu.indices.min()) < 0 or int(topu.indices.max()) >= n:
-        raise DimensionError("top-U indices out of range")
     mixing = np.zeros((n, n), dtype=np.float64)
     rows = np.repeat(np.arange(n), u * c)
-    np.add.at(mixing, (rows, topu.indices.reshape(-1)), topu.weights.reshape(-1) / c)
+    np.add.at(mixing, (rows, indices.reshape(-1)), weights.reshape(-1) / c)
     return mixing
-
-
-def identity_topu(n: int, c: int = 1) -> TopUSCorr:
-    """U=1 self-selection with unit weights; mixing with it is a no-op."""
-    indices = np.tile(np.arange(n)[:, None, None], (1, 1, c))
-    weights = np.ones((n, 1, c), dtype=np.float64)
-    return TopUSCorr(indices=indices, weights=weights)
 
 
 # ---------------------------------------------------------------------------

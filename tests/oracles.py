@@ -227,6 +227,23 @@ def multi_head_attention(q, k, v, heads, w_out, b_out=None, mask=None):
     return out
 
 
+def top_u_mixing_by_loop(degrees, u):
+    """The top-U mixing matrix, one sensor and attribute at a time: the u
+    peers of highest degree, ties to the lower index, softmaxed, each weight
+    divided by C and added into the sensor's row. degrees is (N, N, C)."""
+    n, c = len(degrees), len(degrees[0][0])
+    mixing = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for attr in range(c):
+            row = [float(degrees[i][j][attr]) for j in range(n)]
+            peers = sorted(range(n), key=lambda j: (-row[j], j))[:u]
+            exps = [math.exp(row[j]) for j in peers]
+            total = sum(exps)
+            for j, e in zip(peers, exps):
+                mixing[i][j] += e / total / c
+    return np.array(mixing)
+
+
 def plain_gnn(adjacency, z, w):
     """Single graph layer: relu(A Z W) with no correlation branches."""
     pre = np.asarray(adjacency) @ np.asarray(z) @ np.asarray(w)

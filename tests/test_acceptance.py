@@ -17,15 +17,14 @@ import time
 import numpy as np
 import pytest
 
-from corrstn import (ModelConfig, PeriodSpec, SCorrTensor, Tensor,
-                     TCorrWeights, TrainingData, add_self_loops,
-                     assemble_samples, attend_heads, build_model,
-                     build_tcorr_report, causal_mask, cignn_forward,
-                     compute_report, compute_scorr, fit_normalization,
-                     generate_synthetic, identity_topu, key_value_heads,
+from corrstn import (CIATT, CIGNN, ModelConfig, PeriodSpec, SCorrTensor,
+                     Tensor, TCorrWeights, TrainingData, add_self_loops,
+                     assemble_samples, build_model, build_tcorr_report,
+                     causal_mask, compute_report, compute_scorr,
+                     fit_normalization, generate_synthetic,
                      laplacian_normalize, load_tensor, mae_loss, mic,
                      normalize, save_tensor, select_periods, split_ranges,
-                     top_u_normalize, topu_mixing_matrix, train)
+                     top_u_normalize, train)
 from corrstn import metrics as metrics_mod
 from corrstn.autodiff import (add, graph_routes, layer_norm, linear,
                               linear_conv1d_temporal, matmul, narrow, reshape)
@@ -267,6 +266,13 @@ def _fd_check(build, shapes, seed, tol, offset=0.0, label=""):
         assert gap < tol, f"{label} slot {slot} seed {seed}: gap {gap}"
 
 
+def _cignn_layer(d, stack, adj, w, psi, omega):
+    """A CIGNN whose parameters are the checked tensors."""
+    layer = CIGNN(d, stack, adj, np.random.default_rng(0))
+    layer.w, layer.psi, layer.omega = w, psi, omega
+    return layer
+
+
 def _layer_catalog(seed):
     rng = np.random.default_rng(seed + 7000)
     n, length, d, c = 3, 4, 8, 2
@@ -274,27 +280,33 @@ def _layer_catalog(seed):
     deg = (deg + deg.transpose(1, 0, 2)) / 2
     for a in range(c):
         np.fill_diagonal(deg[:, :, a], 1.0)
-    scorr = SCorrTensor(deg)
-    mixing = Tensor(topu_mixing_matrix(top_u_normalize(scorr, u=2)))
+    mixing = top_u_normalize(SCorrTensor(deg), u=2)
+    stack = np.ascontiguousarray(np.moveaxis(deg, 2, 0))
     adj = laplacian_normalize(add_self_loops(np.ones((n, n)) - np.eye(n)))
     causal = causal_mask(length)
 
-    def ciatt(q, k, v, w_out, b_out=None, mask=None, rowwise=False):
-        # the draws are sensor-major (n, length, d); the model's attention
-        # path is position-major, so the row permutes in and back out
-        q, k, v = (permute(t, (1, 0, 2)) for t in (q, k, v))
-        out = attend_heads(q, *key_value_heads(mixing, k, v, 2), 2, w_out, b_out,
-                           mask=mask, rowwise=rowwise)
+    def ciatt(x_q, x_kv, w_v, w_out, b_out=None, mask=None, rowwise=False):
+        # the checked arrays are the value and output projections; the query
+        # and key projections keep the layer's own initialization, which
+        # keeps the scores in the range where central differences resolve
+        # 1e-6. The draws are sensor-major (n, length, d); the model's
+        # attention path is position-major, so the row permutes in and back
+        att = CIATT(d, 2, mixing, np.random.default_rng(seed))
+        att.wv.weight, att.w_out.weight = w_v, w_out
+        if b_out is not None:
+            att.w_out.bias = b_out
+        x_q, x_kv = (permute(t, (1, 0, 2)) for t in (x_q, x_kv))
+        out = att.attend(x_q, att.keys_values(x_kv), mask=mask, rowwise=rowwise)
         return permute(out, (1, 0, 2))
 
+    inputs = [(n, length, d)] * 2 + [(d, d)] * 2
     return [
-        (lambda z, w, psi, omega: cignn_forward(z, scorr, adj, w, psi, omega),
+        (lambda z, w, psi, omega: _cignn_layer(d, stack, adj, w, psi, omega)(z),
          [(n, d), (d, d), (c,), (1,)], "cignn"),
-        (ciatt, [(n, length, d)] * 3 + [(d, d), (d,)], "ciatt"),
-        (lambda q, k, v, w_out: ciatt(q, k, v, w_out, mask=causal),
-         [(n, length, d)] * 3 + [(d, d)], "ciatt masked"),
-        (lambda q, k, v, w_out: ciatt(q, k, v, w_out, mask=causal, rowwise=True),
-         [(n, length, d)] * 3 + [(d, d)], "ciatt rowwise"),
+        (ciatt, inputs + [(d,)], "ciatt"),
+        (lambda *arrays: ciatt(*arrays, mask=causal), inputs, "ciatt masked"),
+        (lambda *arrays: ciatt(*arrays, mask=causal, rowwise=True), inputs,
+         "ciatt rowwise"),
         (linear_conv1d_temporal, [(6, 2, 3), (3, 3), (3,), (3, 3, 5), (5,)],
          "temporal conv"),
     ]
@@ -360,23 +372,27 @@ def test_criterion_06_gradient_soundness():
 
 def test_criterion_07_reduction_identities():
     with verdict(7, "identity top-U attention (the model's path, both "
-                    "cores) == plain multi-head attention and psi=0/omega=1 "
+                    "cores) == plain multi-head attention over the same "
+                    "projections and psi=0/omega=1 "
                     "graph layer == relu(A Z W), tol 1e-12"):
         rng = np.random.default_rng(707)
         n, length, d = 5, 6, 8
-        q, k, v = (rng.normal(size=(n, length, d)) for _ in range(3))
-        w_out = rng.normal(size=(d, d))
-        b_out = rng.normal(size=d)
-        identity = Tensor(topu_mixing_matrix(identity_topu(n)))
+        x_q, x_kv = (rng.normal(size=(n, length, d)) for _ in range(2))
+        att = CIATT(d, 2, np.eye(n), rng)
+        linears = (att.wq, att.wk, att.wv, att.w_out)
+        for linear in linears:
+            linear.bias.data = rng.normal(size=d)
+        (w_q, b_q), (w_k, b_k), (w_v, b_v), (w_out, b_out) = [
+            (linear.weight.data, linear.bias.data) for linear in linears]
         # the model's attention path is position-major (length, n, d)
-        kv = key_value_heads(identity, Tensor(np.swapaxes(k, 0, 1)),
-                             Tensor(np.swapaxes(v, 0, 1)), 2)
+        kv = att.keys_values(Tensor(np.swapaxes(x_kv, 0, 1)))
         for mask in (None, causal_mask(length)):
-            ref = multi_head_attention(q, k, v, 2, w_out, b_out, mask=mask)
+            ref = multi_head_attention(x_q @ w_q + b_q, x_kv @ w_k + b_k,
+                                       x_kv @ w_v + b_v, 2, w_out, b_out,
+                                       mask=mask)
             for rowwise in (False, True):
-                ours = attend_heads(Tensor(np.swapaxes(q, 0, 1)), *kv, 2,
-                                    Tensor(w_out), Tensor(b_out), mask=mask,
-                                    rowwise=rowwise)
+                ours = att.attend(Tensor(np.swapaxes(x_q, 0, 1)), kv, mask=mask,
+                                  rowwise=rowwise)
                 gap = np.abs(np.swapaxes(ours.data, 0, 1) - ref).max()
                 assert gap <= 1e-12, (mask is None, rowwise, gap)
         z = rng.normal(size=(n, d))
@@ -386,8 +402,9 @@ def test_criterion_07_reduction_identities():
         for a in range(2):
             np.fill_diagonal(deg[:, :, a], 1.0)
         adj = laplacian_normalize(add_self_loops(np.ones((n, n)) - np.eye(n)))
-        ours = cignn_forward(Tensor(z), SCorrTensor(deg), adj, Tensor(w),
-                             Tensor(np.zeros(2)), Tensor(np.ones(1)))
+        stack = np.ascontiguousarray(np.moveaxis(deg, 2, 0))
+        ours = _cignn_layer(d, stack, adj, Tensor(w), Tensor(np.zeros(2)),
+                            Tensor(np.ones(1)))(Tensor(z))
         assert np.abs(ours.data - plain_gnn(adj.matrix, z, w)).max() <= 1e-12
 
 

@@ -61,7 +61,6 @@ def test_matmul_gradients():
 
 def test_linear_gradients():
     _check_op(lambda x, w, b: linear(x, w, b), (4, 3), (3, 2), (2,))
-    _check_op(lambda x, w: linear(x, w), (4, 3), (3, 2))
 
 
 def test_relu_and_abs_gradients():
@@ -94,7 +93,7 @@ def test_mae_loss_is_one_node_with_the_chain_bits():
     # 1/size; the gradient is 1/size times the difference's sign
     rng = np.random.default_rng(1)
     w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    pred = linear(Tensor(rng.normal(size=(2, 3, 4))), w)
+    pred = linear(Tensor(rng.normal(size=(2, 3, 4))), w, Tensor(rng.normal(size=5)))
     target = rng.normal(size=(2, 3, 5))
     loss = mae_loss(pred, target)
     assert len(graph_nodes(loss)) == len(graph_nodes(pred)) + 1
@@ -614,19 +613,20 @@ def test_attention_refuses_unshared_leading_axes(shapes, heads):
 @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 5, 4)])
 @pytest.mark.parametrize("with_bias", [False, True])
 def test_fused_linear_matches_matmul_then_add(x_shape, with_bias):
+    # without a bias means a constant zero bias, as a layer's starts: it
+    # adds nothing to the product's bits
     rng = np.random.default_rng(len(x_shape))
-    arrays = [rng.normal(size=x_shape), rng.normal(size=(4, 6))]
-    if with_bias:
-        arrays.append(rng.normal(size=6))
+    arrays = [rng.normal(size=x_shape), rng.normal(size=(4, 6)),
+              rng.normal(size=6) if with_bias else np.zeros(6)]
 
-    def by_ops(x, w, b=None):
+    def by_ops(x, w, b):
         out = matmul(x, w)
-        return out if b is None else add(out, b)
+        return add(out, b) if with_bias else out
     for trainable in (set(), {0}, {1}, {2}, {0, 1}, {0, 1, 2}):
-        if max(trainable, default=0) < len(arrays):
+        if with_bias or 2 not in trainable:
             _compare_to_ops(linear, by_ops, arrays, trainable)
     with pytest.raises(DimensionError):
-        linear(Tensor(arrays[0]), Tensor(np.ones((3, 6))))
+        linear(Tensor(arrays[0]), Tensor(np.ones((3, 6))), Tensor(arrays[2]))
     with pytest.raises(DimensionError):
         linear(Tensor(arrays[0]), Tensor(arrays[1]), Tensor(np.ones(5)))
 
@@ -918,8 +918,18 @@ def test_every_public_option_is_set_somewhere():
         for name, params in _settable(ast.parse(path.read_text())).items():
             options.setdefault(name, set()).update(params)
     scanned = {(name, param) for name, params in options.items() for _, param in params}
-    # the options only tests set are found too
-    assert ("identity_topu", "c") in scanned
+    assert {("CIATT", "conv_kernel"), ("attend", "rowwise")} <= scanned
+    # the scanner on a fixture: functions, constructors and methods, by
+    # position or keyword-only, and nothing private
+    fixture = ast.parse("def f(a, c=1): pass\n"
+                        "def _g(b=2): pass\n"
+                        "class K:\n"
+                        "    def __init__(self, x, y=2): pass\n"
+                        "    @staticmethod\n"
+                        "    def s(p, q=0): pass\n"
+                        "    def m(self, *, z=3): pass\n")
+    assert _settable(fixture) == {"f": [(1, "c")], "K": [(1, "y")],
+                                  "s": [(1, "q")], "m": [(None, "z")]}
     unset = set(scanned)
     for path in users:
         for node in ast.walk(ast.parse(path.read_text())):

@@ -592,6 +592,55 @@ def test_scorr_on_a_one_timestamp_split_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tcorr_on_a_short_split_is_data_error(tmp_path, capsys):
+    # with too few timestamps for one anchor, tcorr once printed "no
+    # admissible anchors" with neither the file nor the split
+    data = tmp_path / "short.csv"
+    data.write_text("timestamp,sensor,flow\n" + "".join(
+        f"{t},{s},{t + s}.0\n" for t in range(3) for s in range(2)))
+    out = tmp_path / "r.json"
+    assert cli.main(["tcorr", "--data", str(data), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(data) in err and "train split" in err
+    assert "has 1 timestamp, tcorr needs at least 2028" in err
+    assert not out.exists()
+
+
+def test_config_error_names_the_config_file(workdir, tmp_path, capsys):
+    # a field that its own check refuses once printed no path, where a
+    # config that is not a JSON object printed one
+    saved = json.loads((workdir / "run" / "config.json").read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**saved, "heads": 5}))
+    rc = cli.main(["evaluate", "--data", str(workdir / "data.sttf"),
+                   "--scorr", str(workdir / "corr.scor"), "--config", str(config),
+                   "--checkpoint", str(workdir / "run" / "checkpoint.cstn"),
+                   "--out", str(tmp_path / "m.json"), "--ratios", _RATIOS])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{config}: d_model {saved['d_model']} not divisible by heads 5" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("interval", [7, 0])
+def test_sttf_interval_that_does_not_divide_an_hour_is_data_error(
+        workdir, tmp_path, capsys, interval):
+    # the interval comes from the file's header: it once loaded, and tcorr
+    # and train then exited 2 with a configuration error and no path
+    data = tmp_path / "odd.sttf"
+    raw = bytearray((workdir / "data.sttf").read_bytes())
+    raw[20:24] = interval.to_bytes(4, "little")
+    data.write_bytes(bytes(raw))
+    for command in (["scorr", "--out", str(tmp_path / "s.scor")],
+                    ["tcorr", "--out", str(tmp_path / "r.json")],
+                    ["train", "--scorr", str(workdir / "corr.scor"),
+                     "--out-dir", str(tmp_path / "run"), "--epochs", "1"]):
+        assert cli.main([command[0], "--data", str(data), *command[1:]]) == 3
+        err = capsys.readouterr().err
+        assert f"{data}: interval_minutes must divide 60, got {interval}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["odd.sttf"]
+
+
 @pytest.mark.parametrize("flag", ["--data", "--out"])
 def test_a_directory_as_data_or_out_is_data_error(workdir, tmp_path, capsys, flag):
     # IsADirectoryError once escaped as a traceback and exit 1

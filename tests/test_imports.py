@@ -39,3 +39,29 @@ def test_unread_import_check_finds_one(tmp_path):
                       "from json import dumps as d, loads\nprint(os.sep, loads)\n")
     assert [hit.split(" ")[1] for hit in _unread_imports(source.resolve())] == [
         "math", "d"]
+
+
+def _package_imports(path: Path) -> set:
+    """The corrstn modules that `path`, a module of the package, imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(f"corrstn.{node.module}")
+            else:
+                found.update(f"corrstn.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("corrstn"):
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names
+                         if alias.name.startswith("corrstn"))
+    return found
+
+
+def test_layers_import_only_the_engine_and_errors():
+    # the layers read the mixing matrix and degree stack that the model
+    # builds, so they never take SCorr or anything above the engine
+    neural = ROOT / "src" / "corrstn" / "neural.py"
+    assert _package_imports(neural) == {"corrstn.autodiff", "corrstn.errors"}
+    model = ROOT / "src" / "corrstn" / "model.py"
+    assert {"corrstn.neural", "corrstn.scorr"} <= _package_imports(model)

@@ -13,7 +13,7 @@ from corrstn import (Adam, ModelConfig, PRESETS, SCorrTensor, Tensor,
                      generate_synthetic, laplacian_normalize, load_checkpoint,
                      load_config, mae_loss, normalize, predict,
                      save_checkpoint, save_config, split_ranges,
-                     topu_mixing_matrix, train)
+                     top_u_normalize, train)
 from corrstn import autodiff
 from corrstn import metrics as metrics_mod
 from corrstn import model as model_mod
@@ -212,11 +212,11 @@ def test_forecast_builds_no_mixing_matrix(monkeypatch):
     # the model builds its one top-U mixing matrix once, when made
     calls = []
 
-    def counted(topu):
-        calls.append(topu)
-        return topu_mixing_matrix(topu)
+    def counted(scorr, u):
+        calls.append(u)
+        return top_u_normalize(scorr, u)
 
-    monkeypatch.setattr(model_mod, "topu_mixing_matrix", counted)
+    monkeypatch.setattr(model_mod, "top_u_normalize", counted)
     cfg, n, c = ModelConfig(), 4, 2    # 2 encoder and 2 decoder layers
     model = build_model(cfg, _scorr(n, c), _adj(n), n, seed=0)
     assert len(calls) == 1

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from corrstn import (CIATT, CIGNN, LayerNorm, SCorrTensor, TemporalConv,
-                     Tensor, add_self_loops, attend_heads, causal_mask,
-                     cignn_forward, identity_topu, key_value_heads,
-                     laplacian_normalize, top_u_normalize, topu_mixing_matrix)
+                     Tensor, add_self_loops, causal_mask, laplacian_normalize,
+                     top_u_normalize)
 from corrstn.autodiff import linear_conv1d_temporal
 from corrstn.errors import ConfigError, DataError, DimensionError
-from corrstn.neural import Linear, _degree_stack
-from corrstn.scorr import TopUSCorr
+from corrstn.neural import Linear
 from oracles import (finite_difference_gradient, gradient_gap, graph_nodes,
-                     multi_head_attention, plain_gnn, softmax_rows)
+                     multi_head_attention, plain_gnn, softmax_rows,
+                     top_u_mixing_by_loop)
 
 
 def _random_scorr(n, c, seed=0):
@@ -20,6 +19,37 @@ def _random_scorr(n, c, seed=0):
     for attr in range(c):
         np.fill_diagonal(degrees[:, :, attr], 1.0)
     return SCorrTensor(degrees)
+
+
+def _stack(scorr):
+    """The degrees stacked attribute-first, as the model lays them out."""
+    return np.ascontiguousarray(np.moveaxis(scorr.degrees, 2, 0))
+
+
+def _cignn(scorr, adj, w, psi, omega):
+    """A CIGNN over scorr and adj whose parameters are the given tensors."""
+    layer = CIGNN(w.shape[0], _stack(scorr), adj, np.random.default_rng(0))
+    layer.w, layer.psi, layer.omega = w, psi, omega
+    return layer
+
+
+def _ciatt(mixing, heads, projections):
+    """A CIATT over the mixing matrix whose q, k, v and output projections
+    are the given (weight, bias) tensor pairs."""
+    d = projections[0][0].shape[0]
+    att = CIATT(d, heads, mixing, np.random.default_rng(0))
+    for linear, (weight, bias) in zip((att.wq, att.wk, att.wv, att.w_out),
+                                      projections):
+        linear.weight, linear.bias = weight, bias
+    return att
+
+
+def _random_projections(rng, d):
+    return [(rng.normal(size=(d, d)), rng.normal(size=d)) for _ in range(4)]
+
+
+def _as_tensors(projections):
+    return [(Tensor(w), Tensor(b)) for w, b in projections]
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +95,7 @@ def test_causal_mask_pattern():
 
 
 # ---------------------------------------------------------------------------
-# functional layers
+# the correlation layers
 
 def _cignn_reference(z, scorr, adj, w, psi, omega):
     s_w = softmax_rows(z @ np.swapaxes(z, -1, -2) / np.sqrt(z.shape[-1]))
@@ -86,8 +116,7 @@ def test_cignn_forward_matches_reference():
     w = rng.normal(size=(d, d))
     psi = rng.uniform(0.1, 1.0, size=c)
     omega = np.array([0.7])
-    got = cignn_forward(Tensor(z), scorr, adj, Tensor(w), Tensor(psi),
-                        Tensor(omega)).data
+    got = _cignn(scorr, adj, Tensor(w), Tensor(psi), Tensor(omega))(Tensor(z)).data
     want = _cignn_reference(z, scorr.degrees, adj.matrix, w, psi, omega)
     assert np.allclose(got, want, atol=1e-12)
 
@@ -100,8 +129,8 @@ def test_cignn_with_zero_psi_is_plain_gnn():
                                               np.arange(n)[None, :]) % 2.0))
     z = rng.normal(size=(n, d))
     w = rng.normal(size=(d, d))
-    got = cignn_forward(Tensor(z), scorr, adj, Tensor(w),
-                        Tensor(np.zeros(2)), Tensor(np.ones(1))).data
+    got = _cignn(scorr, adj, Tensor(w), Tensor(np.zeros(2)),
+                 Tensor(np.ones(1)))(Tensor(z)).data
     assert np.allclose(got, plain_gnn(adj.matrix, z, w), atol=1e-12)
 
 
@@ -119,8 +148,7 @@ def test_cignn_gradients():
     def run(arrs, grad_slot):
         tensors = [Tensor(a.copy(), requires_grad=(i == grad_slot))
                    for i, a in enumerate(arrs)]
-        out = cignn_forward(tensors[0], scorr, adj, tensors[1], tensors[2],
-                            tensors[3])
+        out = _cignn(scorr, adj, *tensors[1:])(tensors[0])
         return out, tensors[grad_slot]
 
     for slot in range(4):
@@ -138,84 +166,86 @@ def test_cignn_gradients():
 
 
 def test_key_value_heads_blends_keys_like_loop():
+    # the key/value half of CIATT: the projected keys blended across each
+    # sensor's top-U peers, the values only projected
     rng = np.random.default_rng(8)
-    n, u, c = 5, 2, 3
-    topu = top_u_normalize(_random_scorr(n, c, seed=9), u)
-    k = rng.normal(size=(2, n, 4, 3))
-    # one head: the split keys (2, n, 1, 4, 3) are the blended sensor-major k
-    kh, vh = key_value_heads(Tensor(topu_mixing_matrix(topu)),
-                             Tensor(np.swapaxes(k, 1, 2)),
-                             Tensor(np.swapaxes(k, 1, 2)), 1)
-    got = np.swapaxes(kh.data, 1, 2)
+    n, u, c, d = 5, 2, 3, 4
+    degrees = _random_scorr(n, c, seed=9).degrees
+    mixing = top_u_normalize(SCorrTensor(degrees), u)
+    projections = _random_projections(rng, d)
+    x = rng.normal(size=(2, 3, n, d))
+    kh, vh = _ciatt(mixing, 1, _as_tensors(projections)).keys_values(Tensor(x))
+    (w_k, b_k), (w_v, b_v) = projections[1:3]
+    k = x @ w_k + b_k
+    peers = top_u_mixing_by_loop(degrees, u)
     want = np.zeros_like(k)
     for i in range(n):
-        for attr in range(c):
-            for slot in range(u):
-                j = topu.indices[i, slot, attr]
-                want[:, i] += topu.weights[i, slot, attr] * k[:, j] / c
-    assert np.allclose(got, want, atol=1e-12)
-    assert np.allclose(
-        got, np.einsum("ij,bjld->bild", topu_mixing_matrix(topu), k),
-        atol=1e-12)
-    assert np.array_equal(np.swapaxes(vh.data, 1, 2), k)
+        for j in range(n):
+            want[:, :, i] += peers[i, j] * k[:, :, j]
+    assert np.allclose(kh.data, want, atol=1e-12)
+    assert np.allclose(kh.data, np.einsum("ij,bljd->blid", mixing, k), atol=1e-12)
+    assert np.array_equal(vh.data, x @ w_v + b_v)
 
 
 def test_key_value_heads_identity_topu_is_noop():
+    # the identity mixing matrix (top-1 self-selection) leaves the keys as
+    # their projection, bit for bit
     rng = np.random.default_rng(10)
-    k = rng.normal(size=(3, 4, 2))
-    kh, _ = key_value_heads(Tensor(topu_mixing_matrix(identity_topu(3, c=2))),
-                            Tensor(np.swapaxes(k, 0, 1)),
-                            Tensor(np.swapaxes(k, 0, 1)), 1)
-    assert np.array_equal(np.swapaxes(kh.data, 0, 1), k)
+    projections = _random_projections(rng, 2)
+    x = rng.normal(size=(4, 3, 2))
+    kh, _ = _ciatt(np.eye(3), 1, _as_tensors(projections)).keys_values(Tensor(x))
+    w_k, b_k = projections[1]
+    assert np.array_equal(kh.data, x @ w_k + b_k)
+
+
+def _plain_attention(x_q, x_kv, heads, projections, mask=None):
+    """Multi-head attention with the projections applied in numpy, on
+    sensor-major (n, L, d) inputs."""
+    (w_q, b_q), (w_k, b_k), (w_v, b_v), (w_out, b_out) = projections
+    return multi_head_attention(x_q @ w_q + b_q, x_kv @ w_k + b_k,
+                                x_kv @ w_v + b_v, heads, w_out, b_out, mask=mask)
 
 
 def test_ciatt_identity_topu_equals_plain_attention():
     rng = np.random.default_rng(11)
     n, length, d, heads = 3, 5, 8, 2
-    q, k, v = (rng.normal(size=(2, n, length, d)) for _ in range(3))
-    w_out = rng.normal(size=(d, d))
-    b_out = rng.normal(size=d)
-    kv = key_value_heads(Tensor(topu_mixing_matrix(identity_topu(n))),
-                         Tensor(np.swapaxes(k, 1, 2)),
-                         Tensor(np.swapaxes(v, 1, 2)), heads)
-    got = attend_heads(Tensor(np.swapaxes(q, 1, 2)), *kv, heads, Tensor(w_out),
-                       Tensor(b_out)).data
-    want = multi_head_attention(q, k, v, heads, w_out, b_out)
+    x_q, x_kv = (rng.normal(size=(2, n, length, d)) for _ in range(2))
+    projections = _random_projections(rng, d)
+    att = _ciatt(np.eye(n), heads, _as_tensors(projections))
+    got = att(Tensor(np.swapaxes(x_q, 1, 2)), Tensor(np.swapaxes(x_kv, 1, 2))).data
+    want = _plain_attention(x_q, x_kv, heads, projections)
     assert np.allclose(np.swapaxes(got, 1, 2), want, atol=1e-12)
 
 
 def test_ciatt_single_key_is_projection_of_value():
     rng = np.random.default_rng(12)
     n, d = 4, 6
-    q = np.swapaxes(rng.normal(size=(n, 1, d)), 0, 1)
-    k = np.swapaxes(rng.normal(size=(n, 1, d)), 0, 1)
-    v = np.swapaxes(rng.normal(size=(n, 1, d)), 0, 1)
-    w_out = rng.normal(size=(d, d))
-    kv = key_value_heads(Tensor(topu_mixing_matrix(identity_topu(n))),
-                         Tensor(k), Tensor(v), 2)
-    got = attend_heads(Tensor(q), *kv, 2, Tensor(w_out)).data
+    x_q, x_kv = (rng.normal(size=(1, n, d)) for _ in range(2))
+    projections = _random_projections(rng, d)
+    att = _ciatt(np.eye(n), 2, _as_tensors(projections))
+    got = att(Tensor(x_q), Tensor(x_kv)).data
+    (w_v, b_v), (w_out, b_out) = projections[2:]
     # with one key the attention weights are exactly 1
-    assert np.allclose(got, v @ w_out, atol=1e-12)
+    assert np.allclose(got, (x_kv @ w_v + b_v) @ w_out + b_out, atol=1e-12)
 
 
 def test_ciatt_causal_mask_blocks_future():
     rng = np.random.default_rng(13)
     n, length, d = 2, 6, 4
-    mixing = Tensor(topu_mixing_matrix(
-        top_u_normalize(_random_scorr(n, 1, seed=14), 2)))
-    q = Tensor(np.swapaxes(rng.normal(size=(n, length, d)), 0, 1))
-    kv = np.swapaxes(rng.normal(size=(n, length, d)), 0, 1)
-    w_out = Tensor(rng.normal(size=(d, d)))
+    mixing = top_u_normalize(_random_scorr(n, 1, seed=14), 2)
+    att = _ciatt(mixing, 2, _as_tensors(_random_projections(rng, d)))
+    x_q = Tensor(rng.normal(size=(length, n, d)))
+    x_kv = rng.normal(size=(length, n, d))
     mask = causal_mask(length)
 
     def run(keys, rowwise):
-        heads = key_value_heads(mixing, Tensor(keys), Tensor(keys), 2)
-        return attend_heads(q, *heads, 2, w_out, mask=mask, rowwise=rowwise).data
+        return att.attend(x_q, att.keys_values(Tensor(keys)), mask=mask,
+                          rowwise=rowwise).data
 
-    bumped = kv.copy()
+    bumped = x_kv.copy()
     bumped[4:] += 10.0
     for rowwise in (False, True):
-        base, moved = run(kv, rowwise), run(bumped, rowwise)
+        base, moved = run(x_kv, rowwise), run(bumped, rowwise)
         assert np.allclose(base[:4], moved[:4], atol=1e-12)
         assert not np.allclose(base[4:], moved[4:], atol=1e-3)
 
@@ -223,18 +253,18 @@ def test_ciatt_causal_mask_blocks_future():
 def test_ciatt_gradients():
     rng = np.random.default_rng(15)
     n, length, d, heads = 2, 3, 4, 2
-    mixing = Tensor(topu_mixing_matrix(
-        top_u_normalize(_random_scorr(n, 2, seed=16), 2)))
-    # contiguous, so that the finite-difference probe's flat view writes
-    # through to the array it perturbs
-    slots = [np.ascontiguousarray(np.swapaxes(rng.normal(size=(n, length, d)), 0, 1))
-             for _ in range(3)]
-    slots.append(rng.normal(size=(d, d)))
+    mixing = top_u_normalize(_random_scorr(n, 2, seed=16), 2)
+    # the query and key/value inputs, then each projection's weight; the
+    # biases stay constant
+    slots = [rng.normal(size=(length, n, d)) for _ in range(2)]
+    slots += [rng.normal(size=(d, d)) for _ in range(4)]
+    biases = [Tensor(rng.normal(size=d)) for _ in range(4)]
 
-    def ciatt(q, k, v, w_out):
-        return attend_heads(q, *key_value_heads(mixing, k, v, heads), heads, w_out)
+    def ciatt(x_q, x_kv, *weights):
+        att = _ciatt(mixing, heads, list(zip(weights, biases)))
+        return att(x_q, x_kv)
 
-    for slot in range(4):
+    for slot in range(len(slots)):
         tensors = [Tensor(a.copy(), requires_grad=(i == slot))
                    for i, a in enumerate(slots)]
         out = ciatt(*tensors)
@@ -365,7 +395,7 @@ def test_cignn_node_count_does_not_grow_with_attributes():
     n, d = 4, 3
     adj = laplacian_normalize(np.eye(n))
     z = Tensor(rng.normal(size=(2, n, d)), requires_grad=True)
-    counts = [len(graph_nodes(CIGNN(d, _degree_stack(_random_scorr(n, c, seed=c)),
+    counts = [len(graph_nodes(CIGNN(d, _stack(_random_scorr(n, c, seed=c)),
                                     adj, rng)(z)))
               for c in (1, 2, 3)]
     # z @ W, attention, and the one node of the C correlation routes and
@@ -373,19 +403,9 @@ def test_cignn_node_count_does_not_grow_with_attributes():
     assert counts == [3, 3, 3]
 
 
-def test_out_of_range_topu_index_fails_when_the_matrix_is_built():
-    good = identity_topu(3)
-    for bad in (3, -1):
-        indices = good.indices.copy()
-        indices[1, 0, 0] = bad
-        topu = TopUSCorr(indices=indices, weights=good.weights)
-        with pytest.raises(DimensionError):
-            topu_mixing_matrix(topu)
-
-
 def test_ciatt_module_structure():
     rng = np.random.default_rng(22)
-    mixing = topu_mixing_matrix(identity_topu(3))
+    mixing = np.eye(3)
     att = CIATT(8, 2, mixing, rng)
     assert att.q_conv is None
     names = {n for n, _ in att.named_parameters()}
@@ -403,7 +423,7 @@ def test_cignn_module_initial_scales():
     rng = np.random.default_rng(23)
     scorr = _random_scorr(4, 3, seed=24)
     adj = laplacian_normalize(np.eye(4))
-    layer = CIGNN(6, _degree_stack(scorr), adj, rng)
+    layer = CIGNN(6, _stack(scorr), adj, rng)
     assert np.allclose(layer.psi.data, 1.0 / 3, atol=1e-15)
     assert np.array_equal(layer.omega.data, np.ones(1))
     out = layer(Tensor(rng.normal(size=(2, 4, 6))))

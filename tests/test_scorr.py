@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from corrstn import (SCorrTensor, SpatioTemporalTensor, compute_scorr,
-                     export_scorr_csv, identity_topu, load_scorr, mic,
-                     save_scorr, top_u_normalize, topu_mixing_matrix)
+                     export_scorr_csv, load_scorr, mic, save_scorr,
+                     top_u_normalize)
 from corrstn.errors import ConfigError, DataError, DimensionError
+from oracles import top_u_mixing_by_loop
 
 
 def _make_tensor(t=96, n=5, c=2, seed=0):
@@ -181,26 +182,40 @@ def test_top_u_normalize_selects_largest():
                      [0.2, 0.8, 1.0, 0.7],
                      [0.5, 0.1, 0.7, 1.0]])
     degrees[:, :, 0] = vals
-    topu = top_u_normalize(SCorrTensor(degrees), u=2)
-    assert topu.indices.shape == (4, 2, 1)
-    assert topu.weights.shape == (4, 2, 1)
-    # row 0: self (1.0) then sensor 1 (0.9)
-    assert topu.indices[0, :, 0].tolist() == [0, 1]
-    assert topu.indices[3, :, 0].tolist() == [3, 2]
-    # softmax over the selected degrees
+    r = top_u_normalize(SCorrTensor(degrees), u=2)
+    assert r.shape == (4, 4) and r.dtype == np.float64
+    # row 0: self (1.0) then sensor 1 (0.9), softmaxed
     e = np.exp([1.0, 0.9])
-    want = e / e.sum()
-    assert np.allclose(topu.weights[0, :, 0], want, atol=1e-15)
-    assert np.allclose(topu.weights.sum(axis=1), 1.0, atol=1e-12)
+    assert np.allclose(r[0], [*(e / e.sum()), 0.0, 0.0], atol=1e-15)
+    # row 3: self, then sensor 2 (0.7)
+    assert np.flatnonzero(r[3]).tolist() == [2, 3]
+    assert r[3, 3] > r[3, 2]
 
 
 def test_top_u_normalize_tie_breaks_to_lower_index():
     degrees = np.ones((3, 3, 1)) * 0.5
     for i in range(3):
         degrees[i, i, 0] = 1.0
-    topu = top_u_normalize(SCorrTensor(degrees), u=2)
+    r = top_u_normalize(SCorrTensor(degrees), u=2)
     # all off-diagonal degrees tie at 0.5; the lower sensor index wins
-    assert topu.indices[2, :, 0].tolist() == [2, 0]
+    assert np.flatnonzero(r[2]).tolist() == [0, 2]
+    assert np.flatnonzero(r[0]).tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("tied", [False, True])
+def test_top_u_normalize_matches_loop_oracle(c, tied):
+    rng = np.random.default_rng(10 * c + tied)
+    for _ in range(5):
+        n = int(rng.integers(2, 8))
+        degrees = rng.uniform(size=(n, n, c))
+        if tied:
+            # one decimal: many equal degrees within a row
+            degrees = np.round(degrees, 1)
+        for u in range(1, n + 1):
+            got = top_u_normalize(SCorrTensor(degrees), u)
+            want = top_u_mixing_by_loop(degrees, u)
+            assert np.abs(got - want).max() <= 1e-15, (n, u)
 
 
 def test_top_u_validation():
@@ -213,8 +228,7 @@ def test_top_u_validation():
 
 def test_mixing_matrix_rows_sum_to_one():
     x = _make_tensor(t=60, n=5, c=3, seed=9)
-    topu = top_u_normalize(compute_scorr(x), u=3)
-    r = topu_mixing_matrix(topu)
+    r = top_u_normalize(compute_scorr(x), u=3)
     assert r.shape == (5, 5)
     assert np.allclose(r.sum(axis=1), 1.0, atol=1e-12)
 
@@ -222,14 +236,18 @@ def test_mixing_matrix_rows_sum_to_one():
 def test_mixing_matrix_averages_attributes():
     degrees = np.ones((2, 2, 2))
     degrees[0, 1, 0] = 0.2    # attr 0 prefers self, attr 1 ties
-    topu = top_u_normalize(SCorrTensor(degrees), u=1)
-    r = topu_mixing_matrix(topu)
+    r = top_u_normalize(SCorrTensor(degrees), u=1)
     # attr 0 row 0 selects sensor 0; attr 1 ties 0 vs 1 -> lower index 0
     assert r[0, 0] == 1.0 and r[0, 1] == 0.0
 
 
 def test_identity_topu_is_noop():
-    r = topu_mixing_matrix(identity_topu(6, c=3))
+    # with the self-degree each row's strict maximum, top-1 selects the
+    # sensor itself: the mixing matrix is the identity
+    degrees = np.random.default_rng(0).uniform(0.1, 0.9, size=(6, 6, 3))
+    for attr in range(3):
+        np.fill_diagonal(degrees[:, :, attr], 1.0)
+    r = top_u_normalize(SCorrTensor(degrees), u=1)
     assert np.array_equal(r, np.eye(6))
     keys = np.random.default_rng(0).normal(size=(6, 4))
     assert np.array_equal(r @ keys, keys)
