@@ -4,10 +4,10 @@ Only what the forecaster runs: broadcasted add, batched matmul, the fused
 linear (matmul and bias add in one node), layer norm (fused, last axis), the
 fused attention core (plain or row-independent, with any head split done on
 views inside the node, run over blocks of the leading axes its operands must
-share: unshared ones raise DimensionError), the graph layer's rectified
-route sum (its correlation routes and its structural route in one node),
-reshape and narrow, a linear projection and its temporal convolution in one
-node, and the MAE loss as one node.
+share: unshared ones raise DimensionError), the whole graph layer (its
+projection, its dynamic weights, its correlation routes and its structural
+route in one node), reshape and narrow, a linear projection and its temporal
+convolution in one node, and the MAE loss as one node.
 Graphs are built eagerly. A graph vertex is a `_Node` (parent nodes, backward
 closure, gradient), apart from the `Tensor` that holds the op's output, and
 each closure keeps only the arrays its backward reads. `linear` and `matmul`
@@ -16,11 +16,12 @@ because the model passes them constants; every other node computes every
 gradient. An intermediate output that no backward reads is therefore
 freed as soon as the forward code drops its tensor, while the graph lives on.
 A fused node's transients (the projection under the temporal convolution
-and its unfolding, the graph routes and their relu masks, a block's
-attention scores) are never kept: backward rebuilds them from what the node
-keeps. No attention core keeps its softmax weights: each keeps every
-weights row's max and sum, and backward rebuilds the weights from q and k
-with the forward's own products, so they have the forward's bits.
+and its unfolding, the graph layer's projection, dynamic route and routes, a
+block's attention scores) are never kept: backward rebuilds them from what
+the node keeps, and the graph layer keeps its relu masks as bits. No
+attention core keeps its softmax weights: each keeps every weights row's max
+and sum, and backward rebuilds the weights from q and k with the forward's
+own products, so they have the forward's bits.
 backward() walks a topological order once and accumulates each closure's
 gradients into the parent nodes. It consumes the graph as it goes: once a
 node's backward has run, the node drops its closure, its parents and, unless
@@ -413,65 +414,6 @@ def linear_conv1d_temporal(x: Tensor, weight: Tensor, bias: Tensor, kernel: Tens
 # ---------------------------------------------------------------------------
 # fused nonlinearities
 
-def graph_routes(stack: np.ndarray, x: Tensor, psi: Tensor, adj: np.ndarray,
-                 y: Tensor, omega: Tensor) -> Tensor:
-    """The graph layer's route sum, sum over c of psi[c] * relu(stack[c] @ x)
-    plus omega * relu(adj @ y), for a constant (C, M, K) stack and (M, K)
-    adjacency, x and y (..., K, d), psi (C,) and omega (1,), as one node. It
-    adds the routes in order c = 0, 1, ... onto zeros, then the structural
-    route, each made in one reused buffer, with the bits of a matmul, relu
-    and scaling per route and their sum (except that a NaN route stays NaN,
-    where relu gave 0). Building a graph it keeps x and y, never a route or
-    a relu mask: backward rebuilds each route with the forward's own product
-    and derives its mask from it. Under `no_grad` it keeps nothing."""
-    if stack.ndim != 3 or x.ndim < 2 or stack.shape[-1] != x.shape[-2]:
-        raise DimensionError(f"routes need (C, M, K) @ (..., K, d), "
-                             f"got {stack.shape} @ {x.shape}")
-    if adj.shape != stack.shape[1:] or y.shape != x.shape:
-        raise DimensionError(f"structural route {adj.shape} @ {y.shape} does not "
-                             f"match the routes {stack.shape} @ {x.shape}")
-    c = stack.shape[0]
-    if psi.shape != (c,) or omega.shape != (1,):
-        raise DimensionError(f"route weights must have shapes ({c},) and (1,), "
-                             f"got {psi.shape} and {omega.shape}")
-    # route c is the structural one
-    matrices = list(stack) + [adj]
-    scales = list(psi.data) + [omega.data[0]]
-
-    def route(i, operand, buffer=None):
-        buffer = np.matmul(matrices[i], operand, out=buffer)
-        return np.maximum(buffer, 0.0, out=buffer)
-
-    out = np.zeros(x.shape[:-2] + (stack.shape[1], x.shape[-1]))
-    r = None
-    for i in range(c + 1):
-        r = route(i, x.data if i < c else y.data, r)
-        r *= scales[i]
-        out += r
-    # psi's and x's gradients read x; omega's and y's read y
-    x_data, y_data = x.data, y.data
-
-    def masked(g, i, r):
-        # the gradient reaching route i's product
-        gr = g * scales[i]
-        gr *= r > 0
-        return np.swapaxes(matrices[i], -1, -2) @ gr
-
-    def backward(g):
-        gx = np.zeros(x_data.shape)
-        weights = []
-        r = None
-        for i in range(c):
-            r = route(i, x_data, r)
-            weights.append(_unbroadcast(g * r, (1,) * g.ndim).item())
-            gx += masked(g, i, r)
-        r = route(c, y_data, r)
-        gomega = _unbroadcast(g * r, (1,))
-        gy = masked(g, c, r)
-        return gx, np.array(weights), gy, gomega
-    return _result(out, (x, psi, y, omega), backward)
-
-
 def _masked_softmax(z: np.ndarray, mask: np.ndarray | None,
                     stats: tuple | None = None) -> tuple:
     """Softmax of z along its last axis, computed in place in z, which the
@@ -682,6 +624,109 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
                              vs[index], scale, tuple(t[index] for t in splits))
         return grads
     return _result(out, (q, k, v), backward)
+
+
+# ---------------------------------------------------------------------------
+# the graph layer
+
+def graph_layer(z: Tensor, w: Tensor, stack: np.ndarray, psi: Tensor,
+                adj: np.ndarray, omega: Tensor) -> Tensor:
+    """The whole graph layer as one node: with ZW = z @ w and the dynamic
+    route X = softmax(z z^T / sqrt(d)) @ ZW, the sum over c of
+    psi[c] * relu(stack[c] @ X) plus omega * relu(adj @ ZW), for z
+    (..., K, d), a (d, d_out) w, a constant (C, M, K) stack and (M, K)
+    adjacency, psi (C,) and omega (1,). Its forward has the bits of matmul,
+    the attention core without heads (through the same blocks and helpers)
+    and the routes, each made in one reused buffer and added onto zeros in
+    order c = 0, 1, ..., then the structural route (except that a NaN route
+    stays NaN, where relu gave 0).
+
+    Building a graph it keeps z, each weights row's softmax max and sum,
+    (..., K, 1), and each route's relu mask packed 8 to a byte along the
+    last axis: never ZW, X, a route or the weights. Backward walks the
+    core's blocks: it rebuilds each block's ZW, its weights from the stats
+    (with the forward's bits) and its X, and takes route c's input gradient
+    as stack[c]^T (g * mask_c), so no route is rebuilt. psi[c]'s gradient
+    follows by the adjoint identity <g * mask_c, stack[c] X> =
+    <stack[c]^T (g * mask_c), X> (omega's likewise, over ZW), summed per
+    slice of the leading axes and reduced once after the walk, so no
+    gradient depends on the blocks. Under `no_grad` it keeps nothing and
+    packs no mask."""
+    if z.ndim < 2 or w.ndim != 2 or z.shape[-1] != w.shape[0]:
+        raise DimensionError(f"graph layer needs (..., K, d) @ (d, d_out), "
+                             f"got {z.shape} @ {w.shape}")
+    if stack.ndim != 3 or stack.shape[-1] != z.shape[-2]:
+        raise DimensionError(f"routes need (C, M, K) over (..., K, d), "
+                             f"got {stack.shape} over {z.shape}")
+    if adj.shape != stack.shape[1:]:
+        raise DimensionError(f"structural route {adj.shape} does not match "
+                             f"the routes {stack.shape}")
+    c = stack.shape[0]
+    if psi.shape != (c,) or omega.shape != (1,):
+        raise DimensionError(f"route weights must have shapes ({c},) and (1,), "
+                             f"got {psi.shape} and {omega.shape}")
+    z_data, w_data = z.data, w.data
+    lead, k_len, d = z.shape[:-2], z.shape[-2], z.shape[-1]
+    scale = 1.0 / np.sqrt(d)
+    # route c is the structural one
+    matrices = list(stack) + [adj]
+    scales = list(psi.data) + [omega.data[0]]
+    blocks = _blocks(lead, 8 * k_len * k_len)
+    keep = _grad_enabled and any(t.requires_grad for t in (z, w, psi, omega))
+    stats = (np.empty(lead + (k_len, 1)), np.empty(lead + (k_len, 1))) if keep else None
+    zw = z_data @ w_data
+    x = np.empty(zw.shape)
+    for index in blocks:
+        _attend(z_data[index], _keys(z_data, index, False), zw[index], scale, None,
+                False, x[index],
+                None if stats is None else (stats[0][index], stats[1][index]))
+    out = np.zeros(lead + (stack.shape[1], zw.shape[-1]))
+    masks = []
+    r = None
+    for i in range(c + 1):
+        r = np.matmul(matrices[i], x if i < c else zw, out=r)
+        np.maximum(r, 0.0, out=r)
+        if keep:
+            masks.append(np.packbits(r > 0, axis=-1))
+        r *= scales[i]
+        out += r
+    # backward reads ZW's shape, not ZW: a closure that named zw or x would
+    # keep them alive with the graph
+    zw_shape = zw.shape
+
+    def backward(g):
+        top, total = stats
+        gz, gzw = np.empty(z_data.shape), np.empty(zw_shape)
+        # per slice of the leading axes: psi's C terms, then omega's
+        partials = np.empty(lead + (c + 1,))
+        for index in blocks:
+            zb = z_data[index]
+            zw_b = zb @ w_data
+            p = _weights(zb, _keys(z_data, index, False), scale, None, False,
+                         stats=(top[index], total[index]))[0]
+            x_b = p @ zw_b
+            gx = np.zeros(x_b.shape)
+            for i in range(c + 1):
+                gr = g[index] * np.unpackbits(masks[i][index], axis=-1,
+                                              count=zw_shape[-1])
+                gr = np.swapaxes(matrices[i], -1, -2) @ gr
+                terms = gr * (x_b if i < c else zw_b)
+                partials[index][..., i] = np.add.reduce(
+                    terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)
+                gr *= scales[i]
+                if i < c:
+                    gx += gr
+            gk = np.empty(zb.shape)
+            _attend_backward(p, gx, zb, zb, zw_b, scale, (gz[index], gk, gzw[index]))
+            gz[index] += gk
+            # gr is the structural route's gradient
+            gzw[index] += gr
+        gz += gzw @ _transposed(w_data)
+        # one GEMM over the stacked rows of every leading axis
+        gw = z_data.reshape(-1, d).T @ gzw.reshape(-1, zw_shape[-1])
+        sums = np.add.reduce(partials.reshape(-1, c + 1), axis=0)
+        return gz, gw, sums[:c], sums[c:]
+    return _result(out, (z, w, psi, omega), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

@@ -172,7 +172,9 @@ class _GridSearch:
             edges = [_block_edges(m, r) for r in rows]
             row_lo = np.array([e for block in edges for e in block[:-1]])
             row_hi = np.array([e for block in edges for e in block[1:]])
-            fine = np.unique(np.append(row_lo, m))
+            # every block edge of the group, sorted: its lows and m. A set,
+            # not np.unique, which imports numpy.ma on its first call
+            fine = np.array(sorted({e for block in edges for e in block}))
             outer = (row_hi - row_lo)[:, None] * np.diff(_block_edges(m, n))[None, :]
             columns = np.arange(n)
             self.groups.append(_ShapeGroup(

@@ -137,9 +137,10 @@ class CIGNN(Module):
     """Correlation graph block over the sensor axis of z (..., N, d_model):
     the sum over attributes c of psi_c * relu(SCorr_c @ S_w @ Z @ W) plus the
     structural route omega * relu(A @ Z @ W), with `stack` the (C, N, N)
-    degrees stacked attribute-first. S_w @ Z @ W, with the dynamic weights
-    S_w = softmax(Z Z^T / sqrt(d_model)), is one attention node, and all
-    routes are one `graph_routes` node, so the graph does not grow with C."""
+    degrees stacked attribute-first and the dynamic weights
+    S_w = softmax(Z Z^T / sqrt(d_model)). The whole layer is one
+    `graph_layer` node that keeps only z, S_w's softmax stats and the relu
+    masks as bits, so the graph does not grow with C."""
 
     def __init__(self, d_model: int, stack: np.ndarray, adj: NormalizedAdjacency,
                  rng: np.random.Generator):
@@ -150,6 +151,4 @@ class CIGNN(Module):
         self.adj = adj.matrix
 
     def __call__(self, z: Tensor) -> Tensor:
-        zw = ad.matmul(z, self.w)
-        base = ad.attention(z, z, zw, 1.0 / np.sqrt(z.shape[-1]))
-        return ad.graph_routes(self.stack, base, self.psi, self.adj, zw, self.omega)
+        return ad.graph_layer(z, self.w, self.stack, self.psi, self.adj, self.omega)

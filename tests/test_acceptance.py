@@ -26,7 +26,7 @@ from corrstn import (CIATT, CIGNN, ModelConfig, PeriodSpec, SCorrTensor,
                      normalize, save_tensor, select_periods, split_ranges,
                      top_u_normalize, train)
 from corrstn import metrics as metrics_mod
-from corrstn.autodiff import (add, graph_routes, layer_norm, linear,
+from corrstn.autodiff import (add, graph_layer, layer_norm, linear,
                               linear_conv1d_temporal, matmul, narrow, reshape)
 from corrstn.cli import main as cli_main
 from corrstn.data import SampleSet, SpatioTemporalTensor
@@ -241,8 +241,8 @@ _OP_CATALOG = [
     (lambda a: narrow(a, 1, 1, 2), [(3, 4)], 0.0),
     (lambda a: mae_loss(a, _LOSS_TARGET), [(4, 4)], 0.0),
     (linear_conv1d_temporal, [(1, 4, 2, 3), (3, 2), (2,), (3, 2, 2), (2,)], 0.0),
-    (lambda x, psi, y, omega: graph_routes(_ROUTE_STACK, x, psi, _ROUTE_ADJ, y, omega),
-     [(2, 4, 3), (3,), (2, 4, 3), (1,)], 0.9),
+    (lambda z, w, psi, omega: graph_layer(z, w, _ROUTE_STACK, psi, _ROUTE_ADJ, omega),
+     [(2, 4, 3), (3, 3), (3,), (1,)], 0.9),
     (lambda a, g, b: layer_norm(a, g, b), [(3, 6), (6,), (6,)], 0.0),
 ]
 
@@ -353,8 +353,9 @@ def _e2e_fd_gap(seed):
 
 
 def test_criterion_06_gradient_soundness():
-    with verdict(6, "central differences across 20 seeds: every op and layer "
-                    "< 1e-6, full model end to end < 1e-5, under 5 min"):
+    with verdict(6, "finite differences across 20 seeds: every op and layer "
+                    "< 1e-6 (five-point stencil), full model end to end "
+                    "< 1e-5 (central), under 5 min"):
         started = time.perf_counter()
         for seed in range(20):
             for i, (build, shapes, offset) in enumerate(_OP_CATALOG):

@@ -10,7 +10,7 @@ import pytest
 import corrstn
 from corrstn import Tensor, autodiff
 from corrstn.autodiff import (Module, Parameter, add, attention,
-                              graph_routes, layer_norm, linear,
+                              graph_layer, layer_norm, linear,
                               linear_conv1d_temporal, mae_loss, matmul, narrow,
                               no_grad, reshape, xavier_uniform)
 from corrstn.errors import ConfigError, DimensionError, GraphError
@@ -254,65 +254,100 @@ _ROUTE_STACK = np.random.default_rng(13).normal(size=(3, 4, 4))
 _ROUTE_ADJ = np.random.default_rng(14).uniform(0.0, 1.0, size=(4, 4))
 
 
-def _routes_by_ops(x, psi, y, omega):
-    """The graph routes as separate ops: each correlation route's matmul,
-    relu and scaling by its entry of psi, added in order, then the
-    structural route's matmul, relu and scaling, then the add."""
+def _graph_layer_by_ops(z, w, psi, omega):
+    """The graph layer as separate ops: matmul for ZW, the attention node
+    for the dynamic route X, then each correlation route's matmul, relu and
+    scaling by its entry of psi, added in order, then the structural
+    route's matmul, relu and scaling over ZW, then the add."""
+    zw = matmul(z, w)
+    x = attention(z, z, zw, 1.0 / np.sqrt(z.shape[-1]))
     out = None
     for c in range(3):
         route = mul(relu(matmul(Tensor(_ROUTE_STACK[c]), x)), narrow(psi, 0, c, 1))
         out = route if out is None else add(out, route)
-    return add(out, mul(relu(matmul(Tensor(_ROUTE_ADJ), y)), omega))
+    return add(out, mul(relu(matmul(Tensor(_ROUTE_ADJ), zw)), omega))
 
 
-def _graph_routes(x, psi, y, omega):
-    return graph_routes(_ROUTE_STACK, x, psi, _ROUTE_ADJ, y, omega)
+def _graph_layer(z, w, psi, omega):
+    return graph_layer(z, w, _ROUTE_STACK, psi, _ROUTE_ADJ, omega)
 
 
-def _route_operands(seed):
+def _graph_layer_operands(seed):
+    """z (2, 5, 4, 3) and a (3, 10) weight: ZW and X are (2, 5, 4, 10), so
+    a kept array of their shape cannot pass for z, and each relu mask packs
+    10 bits into 2 bytes."""
     rng = np.random.default_rng(seed)
-    return [rng.normal(size=(2, 5, 4, 3)), rng.uniform(0.2, 1.0, size=3),
-            rng.normal(size=(2, 5, 4, 3)), rng.uniform(0.2, 1.0, size=1)]
+    return [rng.normal(size=(2, 5, 4, 3)), rng.normal(size=(3, 10)),
+            rng.uniform(0.2, 1.0, size=3), rng.uniform(0.2, 1.0, size=1)]
 
 
-def test_route_sum_matches_stacked_ops_and_keeps_no_mask():
-    # forward bit-equal to the composed ops, gradients to 1e-12, for every
-    # subset of trainable operands
-    arrays = _route_operands(15)
+def test_graph_layer_matches_op_by_op():
+    # forward bit-equal to matmul, attention and the routes as separate
+    # ops, gradients to 1e-12, for every subset of trainable operands
+    arrays = _graph_layer_operands(15)
     for size in range(5):
         for trainable in itertools.combinations(range(4), size):
-            _compare_to_ops(_graph_routes, _routes_by_ops, arrays, set(trainable))
-    x, psi, y, omega = (Tensor(a, requires_grad=True) for a in arrays)
-    kept = _kept_arrays(_graph_routes(x, psi, y, omega)._node)
-    assert not any(a.dtype == bool for a in kept)
-    _check_op(_graph_routes, (2, 4, 3), (3,), (2, 4, 3), (1,), offset=0.5)
-    with no_grad():
-        assert _graph_routes(x, psi, y, omega)._node is None
+            _compare_to_ops(_graph_layer, _graph_layer_by_ops, arrays, set(trainable))
+    _check_op(_graph_layer, (2, 4, 3), (3, 3), (3,), (1,), offset=0.5)
+    z, w, psi, omega = (Tensor(a) for a in arrays)
     with pytest.raises(DimensionError):
-        _graph_routes(x, Tensor(np.ones(2)), y, omega)
+        _graph_layer(z, w, Tensor(np.ones(2)), omega)
     with pytest.raises(DimensionError):
-        _graph_routes(Tensor(np.ones((2, 3, 3))), psi, y, omega)
+        _graph_layer(Tensor(np.ones((2, 3, 3))), Tensor(np.ones((3, 10))), psi, omega)
     with pytest.raises(DimensionError):
-        _graph_routes(x, psi, Tensor(np.ones((2, 5, 4, 2))), omega)
+        _graph_layer(z, Tensor(np.ones((4, 10))), psi, omega)
     with pytest.raises(DimensionError):
-        graph_routes(_ROUTE_STACK, x, psi, np.eye(3), y, omega)
+        graph_layer(z, w, _ROUTE_STACK, psi, np.eye(3), omega)
 
 
-@pytest.mark.parametrize("trainable", [(0, 1, 2, 3), (1,), (0,), (3,), (2,)])
-def test_graph_routes_keep_x_and_y_only(trainable):
-    # no route, relu mask or product of the route shape outlives the
-    # forward: backward rebuilds them from x (for psi's and x's gradients)
-    # and y (for omega's and y's), whichever operands are trainable
+@pytest.mark.parametrize("trainable", [(0, 1, 2, 3), (0,), (1,), (2,), (3,)])
+def test_graph_layer_keeps_z_stats_and_bit_masks(monkeypatch, trainable):
+    # whichever operands are trainable, the node keeps z, each weights
+    # row's softmax max and sum and one relu mask per route packed 8 to a
+    # byte: no float array the size of ZW or of X = S_w ZW, and no route
     tensors = [Tensor(a, requires_grad=i in trainable)
-               for i, a in enumerate(_route_operands(16))]
-    x, _, y, _ = tensors
-    out = _graph_routes(*tensors)
-    wide = [a for a in _kept_arrays(out._node) if a.size >= x.data.size]
-    want = [x.data, y.data]
-    assert len(wide) == len(want) and all(any(a is w for a in wide) for w in want)
-    # backward releases the node's closure, and with it x and y
+               for i, a in enumerate(_graph_layer_operands(16))]
+    z = tensors[0]
+    out = _graph_layer(*tensors)
+    kept = _kept_arrays(out._node)
+    floats = [a for a in kept if a.dtype == np.float64]
+    assert any(a is z.data for a in floats)
+    assert all(a is z.data or a.size < z.data.size for a in floats)
+    assert not any(a.size >= out.data.size for a in floats)
+    assert [a.shape for a in floats if a.shape[-1] == 1] == [(2, 5, 4, 1)] * 2
+    masks = [a for a in kept if a.dtype != np.float64]
+    assert [(a.dtype, a.shape) for a in masks] == [(np.uint8, (2, 5, 4, 2))] * 4
+    # backward releases the node's closure, and with it z, the stats and
+    # the masks
     out.backward(np.ones(out.shape))
     assert _kept_arrays(out._node) == [] and out._node.parents == ()
+    # under no_grad it keeps nothing and packs no mask
+    packed = []
+    packbits = np.packbits
+
+    def counted(*args, **kwargs):
+        packed.append(args)
+        return packbits(*args, **kwargs)
+    monkeypatch.setattr(np, "packbits", counted)
+    with no_grad():
+        assert _graph_layer(*tensors)._node is None
+    assert packed == []
+
+
+def test_blocked_graph_layer_is_bit_equal_to_one_block(monkeypatch):
+    # one block, and blocks of one score slice: the output and every
+    # gradient have the same bits, psi's and omega's too, which sum one
+    # term per slice of the leading axes
+    arrays = _graph_layer_operands(17)
+    g = np.random.default_rng(18).normal(size=(2, 5, 4, 10))
+    runs = []
+    for block_bytes in (1 << 40, 1):
+        monkeypatch.setattr(autodiff, "_BLOCK_BYTES", block_bytes)
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        out = _graph_layer(*tensors)
+        out.backward(g)
+        runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in tensors])
+    assert runs[0] == runs[1]
 
 
 # (L_q, L_k, mask): square, rectangular, causal and a rectangular mask that
@@ -391,7 +426,7 @@ def test_rowwise_attention_rows_do_not_depend_on_query_count(causal):
 
 
 def test_fused_attention_of_one_operand_matches_op_by_op():
-    # Z as queries and keys, as the graph layer's dynamic route uses it
+    # Z as queries and keys, the form of the graph layer's dynamic route
     scale = 1.0 / np.sqrt(5)
     rng = np.random.default_rng(9)
     arrays = [rng.normal(size=(2, 6, 5)), rng.normal(size=(2, 6, 5))]
@@ -867,7 +902,7 @@ def test_every_public_op_has_a_library_caller():
                 # the defining module counts only outside the definition
                 if member.name not in elsewhere | _references(trees[path], member):
                     unused.add(member.name)
-    assert {"mae_loss", "linear_conv1d_temporal", "graph_routes",
+    assert {"mae_loss", "linear_conv1d_temporal", "graph_layer",
             "pairwise_mic", "CIGNN", "keys_values", "forecast"} <= defined
     assert {"matmul", "attention"} <= set().union(*refs.values())
     assert unused == set()

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,3 +243,26 @@ def test_cached_grid_tables_leave_results_unchanged():
         assert got.grid_shape == tuple(grids[0].tolist())
     assert _grid_search(97) is _grid_search(97)
     assert _grid_search(97) is not _grid_search(12)
+
+
+_FRESH_TABLE = """
+import sys
+import numpy as np
+from corrstn import mic_full
+x, y = np.random.default_rng(3).normal(size=(2, 3628))
+mic_full(x, y)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_building_a_table_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, which doubled the first
+    # table build of a process at m = 3628 and added 1.3 MB of RSS; the
+    # first mic_full of a fresh process builds a table and scores a pair
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _FRESH_TABLE],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "False"

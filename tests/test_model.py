@@ -242,7 +242,7 @@ def test_layers_share_one_mixing_matrix_and_one_degree_stack(cfg, n, c):
     assert not hasattr(model, "topu")
 
 
-_GRADIENT_OPS = ("add", "matmul", "linear", "attention", "graph_routes",
+_GRADIENT_OPS = ("add", "matmul", "linear", "attention", "graph_layer",
                  "layer_norm", "linear_conv1d_temporal")
 
 
@@ -445,26 +445,37 @@ def _held_arrays(fn):
 def test_training_graph_keeps_no_weights_of_the_non_rowwise_cores(monkeypatch):
     # no core keeps an (L_q, L_k) array, nor a view of one, after its
     # forward: not the graph layers' plain cores, the encoder's headed core
-    # or the decoder's rowwise cores
+    # or the decoder's rowwise cores. A graph layer's (N, N) scores have the
+    # shape of the degree stack and the adjacency it shares with the model,
+    # which do not count
     cfg, model = _tiny_model(seed=51, n=4, c=3, qk_conv=True)
     rng = np.random.default_rng(52)
     enc = rng.normal(size=(2, cfg.encoder_length, 4, 3))
     dec = rng.normal(size=(2, 12, 4, 3))
     cores = []
-    attention = autodiff.attention
+    attention, graph_layer = autodiff.attention, autodiff.graph_layer
 
     def recorded(q, k, v, scale, heads=None, mask=None, rowwise=False):
         out = attention(q, k, v, scale, heads=heads, mask=mask, rowwise=rowwise)
         axis = -2 if heads is None else -3
         cores.append((out._node, rowwise, (q.shape[axis], k.shape[axis])))
         return out
+
+    def recorded_graph(z, *operands):
+        out = graph_layer(z, *operands)
+        cores.append((out._node, False, (z.shape[-2],) * 2))
+        return out
     monkeypatch.setattr(autodiff, "attention", recorded)
+    monkeypatch.setattr(autodiff, "graph_layer", recorded_graph)
     pred = model.forward(enc, dec)
+    constants = [a for layer in model.encoder + model.decoder
+                 for a in (layer.graph.stack, layer.graph.adj)]
     kept = {False: 0, True: 0}
     for node, rowwise, scores in cores:
         arrays = _held_arrays(node.backward)
         weights = [a for a in arrays + [a.base for a in arrays if a.base is not None]
-                   if a.dtype == np.float64 and a.shape[-2:] == scores]
+                   if a.dtype == np.float64 and a.shape[-2:] == scores
+                   and not any(np.shares_memory(a, c) for c in constants)]
         kept[rowwise] += bool(weights)
     # the encoder's headed core and both layers' graph cores
     assert sum(not rowwise for _, rowwise, _ in cores) == 3
@@ -578,8 +589,8 @@ def test_training_graph_keeps_arrays_not_tensors():
                          rng.normal(size=(2, 12, 3, 2)))
     nodes = graph_nodes(mae_loss(pred, rng.normal(size=(2, 12, 3, 1))))
     kept = [value for node in nodes for value in kept_values(node)]
-    # 46 nodes of the forward and the loss's one
-    assert len(nodes) == 47
+    # 42 nodes of the forward and the loss's one
+    assert len(nodes) == 43
     assert not any(isinstance(value, Tensor) for value in kept)
 
 
@@ -595,7 +606,8 @@ def test_backward_leaves_no_array_in_the_step_graph():
                                   rng.normal(size=(1, 12, n, 2))),
                     rng.normal(size=(1, 12, n, 1)))
     nodes = graph_nodes(loss)
-    assert len(nodes) > 140
+    # 133 nodes, each graph layer one of them
+    assert len(nodes) > 125
     assert any(isinstance(value, np.ndarray)
                for node in nodes for value in kept_values(node))
     loss.backward()

@@ -398,9 +398,9 @@ def test_cignn_node_count_does_not_grow_with_attributes():
     counts = [len(graph_nodes(CIGNN(d, _stack(_random_scorr(n, c, seed=c)),
                                     adj, rng)(z)))
               for c in (1, 2, 3)]
-    # z @ W, attention, and the one node of the C correlation routes and
+    # one node: z @ W, the dynamic weights, the C correlation routes and
     # the structural route
-    assert counts == [3, 3, 3]
+    assert counts == [1, 1, 1]
 
 
 def test_ciatt_module_structure():
