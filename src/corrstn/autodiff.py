@@ -557,6 +557,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     row is its own (1, d) product against the keys, then its own (1, L_k)
     product against the values, so a row has the same bits for any L_q;
     plain GEMMs over L_q do not promise that. Backward is the same either way.
+    The library calls only the headed form; the form without heads is the
+    core graph_layer runs through the same helpers, kept here as the
+    separate op its forward is checked against bit for bit.
 
     Every slice of the leading axes (with heads: ..., S, H) is independent,
     so forward and backward run over blocks of whole slices whose scores

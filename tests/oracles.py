@@ -164,9 +164,10 @@ def finite_difference_gradient(f, x, h=1.5e-4):
     copy of x is perturbed one element at a time, with a step s = h scaled
     to the element's magnitude, and passed to f; a non-contiguous view
     works too. The default h was measured on criterion 6's rows over its 20
-    seeds: its worst gap is 1.3e-7 at h = 1.5e-4, 8.8e-8 at 2e-4 and
-    3.5e-7 at 1e-4, while from 3e-4 up the graph layer row's stencil
-    crosses a relu kink (a route input of 5.7e-4 at seed 11).
+    seeds: the worst gap is 2.7e-7 at h = 1e-4, 1.3e-7 at 1.5e-4, 8.8e-8
+    at 2e-4 and 3.3e-8 at 1e-3, while at 2e-3 the CIGNN layer row's stencil
+    crosses a relu kink (a route input of 8.9e-3). Other callers draw near
+    relus too, so h stays well below that.
     """
     x = np.array(x, dtype=np.float64, order="C")
     grad = np.zeros_like(x)

@@ -249,6 +249,7 @@ _FRESH_TABLE = """
 import sys
 import numpy as np
 from corrstn import mic_full
+print("numpy.ma" in sys.modules)
 x, y = np.random.default_rng(3).normal(size=(2, 3628))
 mic_full(x, y)
 print("numpy.ma" in sys.modules)
@@ -265,4 +266,7 @@ def test_building_a_table_does_not_import_numpy_ma():
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.strip() == "False"
+    at_import, after = done.stdout.split()
+    if at_import == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself (1.x)")
+    assert after == "False"
