@@ -2,12 +2,13 @@
 
 Only what the forecaster runs: broadcasted add, batched matmul, the fused
 linear (matmul and bias add in one node), layer norm (fused, last axis), the
-fused attention core (plain or row-independent, with any head split done on
-views inside the node, run over blocks of the leading axes its operands must
-share: unshared ones raise DimensionError), the whole graph layer (its
-projection, its dynamic weights, its correlation routes and its structural
-route in one node), reshape and narrow, a linear projection and its temporal
-convolution in one node, and the MAE loss as one node.
+fused attention core and its output projection (plain or row-independent,
+with any head split done on views inside the node, run over blocks of the
+leading axes its operands must share: unshared ones raise DimensionError),
+the whole graph layer (its projection, its dynamic weights, its correlation
+routes and its structural route in one node), reshape and narrow, a linear
+projection and its temporal convolution in one node, and the MAE loss as
+one node.
 Graphs are built eagerly. A graph vertex is a `_Node` (parent nodes, backward
 closure, gradient), apart from the `Tensor` that holds the op's output, and
 each closure keeps only the arrays its backward reads. `linear` and `matmul`
@@ -17,11 +18,17 @@ gradient. An intermediate output that no backward reads is therefore
 freed as soon as the forward code drops its tensor, while the graph lives on.
 A fused node's transients (the projection under the temporal convolution
 and its unfolding, the graph layer's projection, dynamic route and routes, a
-block's attention scores) are never kept: backward rebuilds them from what
-the node keeps, and the graph layer keeps its relu masks as bits. No
-attention core keeps its softmax weights: each keeps every weights row's max
-and sum, and backward rebuilds the weights from q and k with the forward's
-own products, so they have the forward's bits.
+block's attention scores, the attention core's output under its projection)
+are never kept: backward rebuilds them from what the node keeps, and the
+graph layer keeps its relu masks as bits. No attention core keeps its
+softmax weights: each keeps every weights row's max and sum, and backward
+rebuilds the weights from q and k with the forward's own products, so they
+have the forward's bits, and their product with v for the projection's
+weight gradient; the attention node keeps nothing of its output's size. Layer
+norm keeps its output, which its consumer keeps anyway, instead of xhat, and
+divides xhat back out in backward; it keeps xhat's values only in the columns
+whose gain is zero or tiny next to its bias, where that division would lose
+bits, and in practice there are none.
 backward() walks a topological order once and accumulates each closure's
 gradients into the parent nodes. It consumes the graph as it goes: once a
 node's backward has run, the node drops its closure, its parents and, unless
@@ -537,29 +544,38 @@ def _attend_backward(p: np.ndarray, g: np.ndarray, q: np.ndarray, k: np.ndarray,
     gk[...] = np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
-              heads: int | None = None, mask: np.ndarray | None = None,
-              rowwise: bool = False) -> Tensor:
-    """softmax(q k^T * scale) v as one node. When it builds a graph it keeps
-    the operands its gradients read, q, k and v, and each weights row's softmax
-    max and sum, shape (..., L_q, 1), never the (L_q, L_k) weights: backward
-    rebuilds each block's weights from q and k through the forward's own
-    steps (the rowwise core's with its per-row products), so they have the
-    forward's bits. Under `no_grad` it keeps nothing.
+def attention(q: Tensor, k: Tensor, v: Tensor, weight: Tensor, bias: Tensor,
+              scale: float, heads: int | None = None,
+              mask: np.ndarray | None = None, rowwise: bool = False) -> Tensor:
+    """softmax(q k^T * scale) v @ weight + bias as one node: the attention
+    core and its (d_v, d_out) output projection, the projection with the bits
+    of `linear` on the core's output. When it builds a graph, which it does
+    when any operand needs a gradient, the projection's alone included, it
+    keeps q, k, v, the weight and each weights row's softmax max and sum,
+    shape (..., L_q, 1): never the (L_q, L_k) weights, and nothing of its
+    output's size. Backward rebuilds each block's weights from q and k
+    through the forward's own steps (the rowwise core's with its per-row
+    products), so they have the forward's bits, and their product with v
+    into a transient array, from which the weight's gradient is one GEMM
+    over the stacked rows, as in `linear`. Under `no_grad` it keeps nothing.
 
     Without heads, q is (..., L_q, d), k (..., L_k, d) and v (..., L_k, d_v),
     and attention runs over axis -2. With heads, the operands are
     position-major, q (..., L_q, S, d), k (..., L_k, S, d) and v
     (..., L_k, S, d_v): each of the S positions' `heads` heads attends over
     axis -3 on its own d/heads columns, through views of the operands, and
-    the head outputs come back side by side as (..., L_q, S, d_v). q may be
-    k itself. mask (L_q, L_k) blocks True positions. With rowwise, each query
-    row is its own (1, d) product against the keys, then its own (1, L_k)
-    product against the values, so a row has the same bits for any L_q;
-    plain GEMMs over L_q do not promise that. Backward is the same either way.
-    The library calls only the headed form; the form without heads is the
-    core graph_layer runs through the same helpers, kept here as the
-    separate op its forward is checked against bit for bit.
+    the head outputs come back side by side as (..., L_q, S, d_v) before the
+    projection. q may be k itself. mask (L_q, L_k) blocks True positions.
+    With rowwise, each query row is its own (1, d) product against the keys,
+    then its own (1, L_k) product against the values, so a core row has the
+    same bits for any L_q; plain GEMMs over L_q do not promise that. With
+    heads the projection is one (S, d_v) product per query row, so an output
+    row keeps that promise; without heads it is one GEMM over the L_q rows.
+    Backward is the same either way.
+    The library calls only the headed form; the form without heads, under an
+    identity projection, is the core graph_layer runs through the same
+    helpers, kept here as the separate op its forward is checked against bit
+    for bit.
 
     Every slice of the leading axes (with heads: ..., S, H) is independent,
     so forward and backward run over blocks of whole slices whose scores
@@ -590,27 +606,38 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     if not ks.shape[:-2] == lead == vs.shape[:-2]:
         raise DimensionError(f"attention operands need shared leading axes, "
                              f"got {q.shape}, {k.shape} and {v.shape}")
+    if weight.ndim != 2 or weight.shape[0] != v.shape[-1]:
+        raise DimensionError(f"output projection needs ({v.shape[-1]}, d_out), "
+                             f"got {weight.shape}")
+    if bias.shape != weight.shape[1:]:
+        raise DimensionError(f"bias {bias.shape} does not match weight {weight.shape}")
     # checked as given: a row broadcast across the scores is fully masked too
     if mask is not None and np.logical_and.reduce(mask, axis=-1).any():
         raise ConfigError("softmax row fully masked")
     blocks = _blocks(lead, 8 * qs.shape[-2] * ks.shape[-2])
     contiguous = heads is not None and not rowwise
-    keep = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    keep = _grad_enabled and any(t.requires_grad for t in (q, k, v, weight, bias))
     row_shape = lead + (qs.shape[-2], 1)
     stats = (np.empty(row_shape), np.empty(row_shape)) if keep else None
     shapes = (q.shape, k.shape, v.shape)
-    out = np.empty(q.shape[:-1] + (v.shape[-1],))
-    out_split = _split_heads(out, heads)
+    mixed_shape = q.shape[:-1] + (v.shape[-1],)
+    mixed = np.empty(mixed_shape)
+    mixed_split = _split_heads(mixed, heads)
     for index in blocks:
         _attend(qs[index], _keys(ks, index, contiguous), vs[index], scale, mask,
-                rowwise, out_split[index],
+                rowwise, mixed_split[index],
                 None if stats is None else (stats[0][index], stats[1][index]))
-    # v's gradient reads the weights; q's reads k and v, k's reads q and v.
-    # The split views keep the operands' own arrays, never a second copy.
+    out = mixed @ weight.data
+    out += bias.data
+    # v's gradient reads the weights; q's reads k and v, k's reads q and v;
+    # the weight's reads the core's output, rebuilt from the weights and v,
+    # and the core's output gradient reads the weight. The split views keep
+    # the operands' own arrays, never a second copy.
+    w_data = weight.data
 
     # Rebuilding the rowwise core's weights runs its per-row products again.
     # For the pems08 preset's cross-attention at N=96 (12 query rows, 36
-    # keys, 8 heads, B=1) the node's forward plus backward takes 23.3 ms,
+    # keys, 8 heads, B=1) the core's forward plus backward takes 23.3 ms,
     # against 14.4 ms when it keeps its 2.65 MB of weights (median of 20,
     # one OpenBLAS thread).
     def weights(index):
@@ -619,14 +646,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
                         rowwise, stats=(top[index], total[index]))[0]
 
     def backward(g):
-        g = _split_heads(g, heads)
+        gw_rows = g.reshape(-1, g.shape[-1])
+        gb = _unbroadcast(g, (g.shape[-1],))
+        g = _split_heads(g @ _transposed(w_data), heads)
         grads = tuple(np.empty(shape) for shape in shapes)
         splits = [_split_heads(grad, heads) for grad in grads]
+        rebuilt = np.empty(mixed_shape)
+        rebuilt_split = _split_heads(rebuilt, heads)
         for index in blocks:
-            _attend_backward(weights(index), g[index], qs[index], ks[index],
-                             vs[index], scale, tuple(t[index] for t in splits))
-        return grads
-    return _result(out, (q, k, v), backward)
+            p = weights(index)
+            _product(p, vs[index], rowwise, rebuilt_split[index])
+            _attend_backward(p, g[index], qs[index], ks[index], vs[index], scale,
+                             tuple(t[index] for t in splits))
+        # one GEMM over the stacked rows of every leading axis
+        gw = rebuilt.reshape(-1, mixed_shape[-1]).T @ gw_rows
+        return grads + (gw, gb)
+    return _result(out, (q, k, v, weight, bias), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +767,22 @@ def graph_layer(z: Tensor, w: Tensor, stack: np.ndarray, psi: Tensor,
     return _result(out, (z, w, psi, omega), backward)
 
 
+# A layer norm column is divided back to xhat = (out - bias) / gain only
+# where its gain is more than 1/16 of its bias in size: the rounding of the
+# bias add, magnified by |bias / gain| < 16, then stays below 2e-15 plus a
+# few units in the last place of xhat.
+_GAIN_TO_BIAS = 1.0 / 16
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance (eps 1e-5), scale, shift."""
+    """Normalize the last axis to zero mean, unit variance (eps 1e-5), scale,
+    shift. When it builds a graph it keeps its output, 1/sigma, the gain and
+    the bias, and backward recovers xhat as (out - bias) / gain: the output
+    is the array its consumer keeps anyway, so xhat costs no bytes of its
+    own. Where a gain is zero, or no more than 1/16 of its bias in size, that
+    division cannot give xhat's bits back, and the node keeps xhat's values
+    for just those columns instead. Under `no_grad` it keeps nothing and
+    takes no column."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
@@ -747,9 +796,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out = xhat * gain.data
     out += bias.data
     # the gain's gradient reads xhat; x's reads xhat, inv_std and the gain
-    gain_data = gain.data
+    # (xhat rebuilt from the output, which the consumer keeps as its input)
+    gain_data, bias_data = gain.data, bias.data
+    kept = ~(np.abs(gain_data) > _GAIN_TO_BIAS * np.abs(bias_data))
+    # a kept column divides by 1 and is then overwritten, so no division
+    # by zero happens
+    divisor = np.where(kept, 1.0, gain_data)
+    keep = _grad_enabled and (x.requires_grad or gain.requires_grad
+                              or bias.requires_grad)
+    kept_xhat = xhat[..., kept] if keep else None
 
     def backward(g):
+        xhat = out - bias_data
+        xhat /= divisor
+        xhat[..., kept] = kept_xhat
         axes = tuple(range(g.ndim - 1))
         ggain = (g * xhat).sum(axis=axes)
         gbias = g.sum(axis=axes)

@@ -84,7 +84,10 @@ class CIATT(Module):
     output projection, on position-major (..., L, N, d_model) inputs. With
     the conv, each Q or K projection and its conv along L are one
     `linear_conv1d_temporal` node that keeps the block's input, not the
-    projection; `q_conv` and `k_conv` hold that node's kernels and biases."""
+    projection; `q_conv` and `k_conv` hold that node's kernels and biases.
+    The multi-head attention and the output projection are one `attention`
+    node, which keeps q, k, v and the softmax stats but not the head
+    outputs: `w_out` holds that node's weight and bias."""
 
     def __init__(self, d_model: int, heads: int, mixing: np.ndarray,
                  rng: np.random.Generator, conv_kernel: int | None = None):
@@ -117,16 +120,17 @@ class CIATT(Module):
     def attend(self, x_q: Tensor, kv: tuple[Tensor, Tensor],
                mask: np.ndarray | None = None, rowwise: bool = False) -> Tensor:
         """Each head of the queries of x_q attends over the keys/values from
-        `keys_values` with softmax(Q K~^T / sqrt(d_head)), the heads split on
-        views inside the attention node, and the head outputs are projected.
+        `keys_values` with softmax(Q K~^T / sqrt(d_head)), and the head
+        outputs are projected by `w_out`, all in one attention node: the
+        heads split on views inside it, and it runs the output projection
+        itself, so the graph keeps nothing of the head outputs' size.
         mask (L_q, L_k) blocks True positions. With rowwise the core is
         row-independent and every other product runs once per position, so
         an output row has the same bits however many query rows come with it."""
         q = self._project(x_q, self.wq, self.q_conv)
         scale = 1.0 / np.sqrt(q.shape[-1] // self.heads)
-        mixed = ad.attention(q, *kv, scale, heads=self.heads, mask=mask,
-                             rowwise=rowwise)
-        return self.w_out(mixed)
+        return ad.attention(q, *kv, self.w_out.weight, self.w_out.bias, scale,
+                            heads=self.heads, mask=mask, rowwise=rowwise)
 
     def __call__(self, x_q: Tensor, x_kv: Tensor,
                  mask: np.ndarray | None = None) -> Tensor:

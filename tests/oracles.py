@@ -15,7 +15,9 @@ basis; it takes the harmonic tables from the library.
 `mul`, `permute` and `relu` are autodiff nodes for ops that the engine runs
 only inside its fused nodes, so that the op-by-op oracles can compose them.
 `graph_nodes` is not an oracle: it is the one autograph walk that the
-graph-structure tests share.
+graph-structure tests share. `graph_route_inputs` and `KINK_MARGIN` are not
+oracles either: they keep the finite-difference draws of a graph layer away
+from its relu kinks.
 """
 
 import math
@@ -166,8 +168,9 @@ def finite_difference_gradient(f, x, h=1.5e-4):
     works too. The default h was measured on criterion 6's rows over its 20
     seeds: the worst gap is 2.7e-7 at h = 1e-4, 1.3e-7 at 1.5e-4, 8.8e-8
     at 2e-4 and 3.3e-8 at 1e-3, while at 2e-3 the CIGNN layer row's stencil
-    crosses a relu kink (a route input of 8.9e-3). Other callers draw near
-    relus too, so h stays well below that.
+    crossed a relu kink (a route input of 8.9e-3) before that row, like the
+    graph layer op row, redrew its inputs away from the kinks. Other callers
+    draw near relus too, so h stays well below that.
     """
     x = np.array(x, dtype=np.float64, order="C")
     grad = np.zeros_like(x)
@@ -257,6 +260,37 @@ def plain_gnn(adjacency, z, w):
     """Single graph layer: relu(A Z W) with no correlation branches."""
     pre = np.asarray(adjacency) @ np.asarray(z) @ np.asarray(w)
     return np.maximum(pre, 0.0)
+
+
+# a finite-difference draw that puts a relu input closer than this to 0 is
+# redrawn, so no stencil point crosses a kink: it is 300 default steps and
+# keeps every graph layer gap under 1e-8 for steps up to 3e-3
+KINK_MARGIN = 0.05
+
+
+def graph_route_inputs(z, w, stack, adj):
+    """The inputs of a graph layer's relus, computed apart from the node:
+    each correlation route stack[c] over softmax(z z^T / sqrt(d)) z w, then
+    the structural route adj over z w, flattened into one array."""
+    zw = z @ w
+    x = softmax_rows(z @ np.swapaxes(z, -1, -2) / np.sqrt(z.shape[-1])) @ zw
+    return np.concatenate([(stack @ x[..., None, :, :]).ravel(),
+                           (adj @ zw).ravel()])
+
+
+def layer_norm_by_xhat(x, gain, bias, g, eps=1e-5):
+    """Layer norm over the last axis and, for output gradient g, the
+    gradients of x, the gain and the bias, from a normalized xhat kept
+    whole: the textbook backward (Ba et al., Layer Normalization, 2016),
+    which never divides by the gain."""
+    centred = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centred ** 2).mean(axis=-1, keepdims=True) + eps)
+    xhat = centred * inv_std
+    scaled = g * gain
+    gx = inv_std * (scaled - scaled.mean(axis=-1, keepdims=True)
+                    - xhat * (scaled * xhat).mean(axis=-1, keepdims=True))
+    axes = tuple(range(x.ndim - 1))
+    return xhat * gain + bias, gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
 
 def _softmax_node(scores, mask=None):

@@ -31,10 +31,9 @@ from corrstn.autodiff import (add, graph_layer, layer_norm, linear,
 from corrstn.cli import main as cli_main
 from corrstn.data import SampleSet, SpatioTemporalTensor
 from corrstn.tcorr import weighted_tcorr
-from oracles import (finite_difference_gradient, gradient_gap,
-                     metrics_brute_force, mic_brute_force,
-                     mul, multi_head_attention, permute, plain_gnn,
-                     softmax_rows)
+from oracles import (KINK_MARGIN, finite_difference_gradient, gradient_gap,
+                     graph_route_inputs, metrics_brute_force, mic_brute_force,
+                     mul, multi_head_attention, permute, plain_gnn)
 
 
 @contextlib.contextmanager
@@ -232,18 +231,9 @@ _LOSS_TARGET = np.random.default_rng(6002).normal(size=(4, 4))
 
 def _route_inputs(z, w, psi, omega):
     """The inputs of the graph layer row's relus, computed apart from the
-    node: each correlation route over softmax(z z^T / sqrt(d)) z w, then the
-    structural route over z w."""
-    zw = z @ w
-    x = softmax_rows(z @ np.swapaxes(z, -1, -2) / np.sqrt(z.shape[-1])) @ zw
-    return np.concatenate([(_ROUTE_STACK @ x[..., None, :, :]).ravel(),
-                           (_ROUTE_ADJ @ zw).ravel()])
+    node."""
+    return graph_route_inputs(z, w, _ROUTE_STACK, _ROUTE_ADJ)
 
-
-# a draw that puts a relu input closer than this to 0 is redrawn, so no
-# stencil point crosses a kink: it is 300 default steps and keeps every
-# graph layer gap under 1e-8 for steps up to 3e-3
-_KINK_MARGIN = 0.05
 
 # (builder, input shapes, and for a row with relus, its relu inputs as a
 # function of the drawn arrays)
@@ -267,7 +257,7 @@ _OP_CATALOG = [
 def _fd_check(build, shapes, seed, tol, kinks=None, label=""):
     rng = np.random.default_rng(seed)
     arrays = [rng.normal(size=s) for s in shapes]
-    while kinks is not None and np.abs(kinks(*arrays)).min() < _KINK_MARGIN:
+    while kinks is not None and np.abs(kinks(*arrays)).min() < KINK_MARGIN:
         arrays = [rng.normal(size=s) for s in shapes]
     for slot in range(len(arrays)):
         tensors = [Tensor(a.copy(), requires_grad=(k == slot))
@@ -319,15 +309,18 @@ def _layer_catalog(seed):
         return permute(out, (1, 0, 2))
 
     inputs = [(n, length, d)] * 2 + [(d, d)] * 2
+    # (builder, input shapes, label, and for a row with relus, its relu
+    # inputs as a function of the drawn arrays)
     return [
         (lambda z, w, psi, omega: _cignn_layer(d, stack, adj, w, psi, omega)(z),
-         [(n, d), (d, d), (c,), (1,)], "cignn"),
-        (ciatt, inputs + [(d,)], "ciatt"),
-        (lambda *arrays: ciatt(*arrays, mask=causal), inputs, "ciatt masked"),
+         [(n, d), (d, d), (c,), (1,)], "cignn",
+         lambda z, w, psi, omega: graph_route_inputs(z, w, stack, adj.matrix)),
+        (ciatt, inputs + [(d,)], "ciatt", None),
+        (lambda *arrays: ciatt(*arrays, mask=causal), inputs, "ciatt masked", None),
         (lambda *arrays: ciatt(*arrays, mask=causal, rowwise=True), inputs,
-         "ciatt rowwise"),
+         "ciatt rowwise", None),
         (linear_conv1d_temporal, [(6, 2, 3), (3, 3), (3,), (3, 3, 5), (5,)],
-         "temporal conv"),
+         "temporal conv", None),
     ]
 
 
@@ -379,8 +372,8 @@ def test_criterion_06_gradient_soundness():
         for seed in range(20):
             for i, (build, shapes, kinks) in enumerate(_OP_CATALOG):
                 _fd_check(build, shapes, seed, 1e-6, kinks, label=f"op{i}")
-            for build, shapes, label in _layer_catalog(seed):
-                _fd_check(build, shapes, seed, 1e-6, label=label)
+            for build, shapes, label, kinks in _layer_catalog(seed):
+                _fd_check(build, shapes, seed, 1e-6, kinks, label=label)
             gap = _e2e_fd_gap(seed)
             assert gap < 1e-5, f"end-to-end seed {seed}: gap {gap}"
         elapsed = time.perf_counter() - started

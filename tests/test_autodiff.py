@@ -14,15 +14,21 @@ from corrstn.autodiff import (Module, Parameter, add, attention,
                               linear_conv1d_temporal, mae_loss, matmul, narrow,
                               no_grad, reshape, xavier_uniform)
 from corrstn.errors import ConfigError, DimensionError, GraphError
-from oracles import (attention_by_ops, broadcast_weight_grad,
-                     finite_difference_gradient, gradient_gap, graph_nodes,
-                     kept_values, mul, permute, relu, temporal_conv_by_loop)
+from oracles import (KINK_MARGIN, attention_by_ops, broadcast_weight_grad,
+                     finite_difference_gradient, gradient_gap,
+                     graph_route_inputs, graph_nodes, kept_values,
+                     layer_norm_by_xhat, mul, permute, relu,
+                     temporal_conv_by_loop)
 
 
-def _check_op(build, *shapes, seed=0, tol=1e-6, offset=0.0):
-    """FD-check d(sum of op output)/d(input) for every input slot."""
+def _check_op(build, *shapes, seed=0, tol=1e-6, offset=0.0, kinks=None):
+    """FD-check d(sum of op output)/d(input) for every input slot. With
+    kinks, a function of the drawn arrays that gives the op's relu inputs,
+    the arrays are redrawn while one lies within KINK_MARGIN of 0."""
     rng = np.random.default_rng(seed)
     arrays = [rng.normal(size=s) + offset for s in shapes]
+    while kinks is not None and np.abs(kinks(*arrays)).min() < KINK_MARGIN:
+        arrays = [rng.normal(size=s) + offset for s in shapes]
     for slot in range(len(arrays)):
         tensors = [Tensor(a.copy(), requires_grad=(k == slot))
                    for k, a in enumerate(arrays)]
@@ -250,6 +256,15 @@ def test_second_backward_through_a_consumed_graph_raises():
     assert other.grad is None
 
 
+def _core(q, k, v, scale, **kwargs):
+    """The attention node under a constant identity output projection, which
+    gives the core's own output and input gradients bit for bit: a product
+    with the identity and an add of zeros round nothing."""
+    width = v.shape[-1]
+    return attention(q, k, v, Tensor(np.eye(width)), Tensor(np.zeros(width)),
+                     scale, **kwargs)
+
+
 _ROUTE_STACK = np.random.default_rng(13).normal(size=(3, 4, 4))
 _ROUTE_ADJ = np.random.default_rng(14).uniform(0.0, 1.0, size=(4, 4))
 
@@ -260,7 +275,7 @@ def _graph_layer_by_ops(z, w, psi, omega):
     scaling by its entry of psi, added in order, then the structural
     route's matmul, relu and scaling over ZW, then the add."""
     zw = matmul(z, w)
-    x = attention(z, z, zw, 1.0 / np.sqrt(z.shape[-1]))
+    x = _core(z, z, zw, 1.0 / np.sqrt(z.shape[-1]))
     out = None
     for c in range(3):
         route = mul(relu(matmul(Tensor(_ROUTE_STACK[c]), x)), narrow(psi, 0, c, 1))
@@ -288,7 +303,9 @@ def test_graph_layer_matches_op_by_op():
     for size in range(5):
         for trainable in itertools.combinations(range(4), size):
             _compare_to_ops(_graph_layer, _graph_layer_by_ops, arrays, set(trainable))
-    _check_op(_graph_layer, (2, 4, 3), (3, 3), (3,), (1,), offset=0.5)
+    _check_op(_graph_layer, (2, 4, 3), (3, 3), (3,), (1,), offset=0.5,
+              kinks=lambda z, w, psi, omega: graph_route_inputs(
+                  z, w, _ROUTE_STACK, _ROUTE_ADJ))
     z, w, psi, omega = (Tensor(a) for a in arrays)
     with pytest.raises(DimensionError):
         _graph_layer(z, w, Tensor(np.ones(2)), omega)
@@ -393,7 +410,7 @@ def _attention_case_operands(l_q, l_k):
 def test_fused_attention_matches_op_by_op(l_q, l_k, mask):
     scale = 1.0 / np.sqrt(4)
     for trainable in ({0}, {1}, {2}, {0, 1, 2}):
-        _compare_to_ops(lambda q, k, v: attention(q, k, v, scale, mask=mask),
+        _compare_to_ops(lambda q, k, v: _core(q, k, v, scale, mask=mask),
                         lambda q, k, v: attention_by_ops(q, k, v, scale, mask=mask),
                         _attention_case_operands(l_q, l_k), trainable)
 
@@ -404,7 +421,7 @@ def test_rowwise_attention_matches_op_by_op(l_q, l_k, mask):
     scale = 1.0 / np.sqrt(4)
     for trainable in ({0}, {1}, {2}, {0, 1, 2}):
         _compare_to_ops(
-            lambda q, k, v: attention(q, k, v, scale, mask=mask, rowwise=True),
+            lambda q, k, v: _core(q, k, v, scale, mask=mask, rowwise=True),
             lambda q, k, v: attention_by_ops(q, k, v, scale, mask=mask),
             _attention_case_operands(l_q, l_k), trainable, exact=False)
 
@@ -416,10 +433,10 @@ def test_rowwise_attention_rows_do_not_depend_on_query_count(causal):
     k = rng.normal(size=(2, 3, 12, 8))
     v = rng.normal(size=(2, 3, 12, 8))
     mask = np.triu(np.ones((12, 12), dtype=bool), k=1) if causal else None
-    together = attention(Tensor(q), Tensor(k), Tensor(v), 0.35, mask=mask,
+    together = _core(Tensor(q), Tensor(k), Tensor(v), 0.35, mask=mask,
                          rowwise=True).data
     for t in range(12):
-        alone = attention(Tensor(q[..., t:t + 1, :]), Tensor(k), Tensor(v), 0.35,
+        alone = _core(Tensor(q[..., t:t + 1, :]), Tensor(k), Tensor(v), 0.35,
                           mask=None if mask is None else mask[t:t + 1],
                           rowwise=True).data
         assert np.array_equal(alone[..., 0, :], together[..., t, :]), t
@@ -431,25 +448,25 @@ def test_fused_attention_of_one_operand_matches_op_by_op():
     rng = np.random.default_rng(9)
     arrays = [rng.normal(size=(2, 6, 5)), rng.normal(size=(2, 6, 5))]
     for trainable in ({0}, {0, 1}):
-        _compare_to_ops(lambda z, v: attention(z, z, v, scale),
+        _compare_to_ops(lambda z, v: _core(z, z, v, scale),
                         lambda z, v: attention_by_ops(z, z, v, scale),
                         arrays, trainable)
 
 
 def test_fused_attention_gradients_and_checks():
     mask = np.triu(np.ones((4, 5), dtype=bool), k=2)
-    _check_op(lambda q, k, v: attention(q, k, v, 0.5, mask=mask),
+    _check_op(lambda q, k, v: _core(q, k, v, 0.5, mask=mask),
               (2, 4, 3), (2, 5, 3), (2, 5, 2))
-    _check_op(lambda q, k, v: attention(q, k, v, 0.5, mask=mask, rowwise=True),
+    _check_op(lambda q, k, v: _core(q, k, v, 0.5, mask=mask, rowwise=True),
               (2, 4, 3), (2, 5, 3), (2, 5, 2))
     with pytest.raises(DimensionError):
-        attention(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 2))),
+        _core(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 2))),
                   Tensor(np.ones((5, 2))), 1.0)
     with pytest.raises(DimensionError):
-        attention(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 3))),
+        _core(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 3))),
                   Tensor(np.ones((4, 2))), 1.0)
     with pytest.raises(ConfigError):
-        attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))),
+        _core(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))),
                   Tensor(np.ones((2, 3))), 1.0,
                   mask=np.array([[True, True], [False, True]]))
 
@@ -483,7 +500,7 @@ def test_head_split_attention_matches_op_by_op(l_q, l_k, mask, rowwise):
         split = (_split_by_ops(t, 2) for t in (q, k, v))
         return _merge_by_ops(attention_by_ops(*split, scale, mask=mask))
     for trainable in ({0}, {1}, {2}, {0, 1, 2}):
-        _compare_to_ops(lambda q, k, v: attention(q, k, v, scale, heads=2, mask=mask,
+        _compare_to_ops(lambda q, k, v: _core(q, k, v, scale, heads=2, mask=mask,
                                                   rowwise=rowwise),
                         oracle, arrays, trainable, exact=not rowwise)
 
@@ -491,12 +508,12 @@ def test_head_split_attention_matches_op_by_op(l_q, l_k, mask, rowwise):
 def test_head_split_attention_checks():
     ones = Tensor(np.ones((2, 3, 4)))
     with pytest.raises(ConfigError):      # 4 columns do not split into 3 heads
-        attention(ones, ones, ones, 1.0, heads=3)
+        _core(ones, ones, ones, 1.0, heads=3)
     with pytest.raises(DimensionError):   # keys for another number of positions
-        attention(ones, Tensor(np.ones((2, 5, 4))), Tensor(np.ones((2, 5, 4))),
+        _core(ones, Tensor(np.ones((2, 5, 4))), Tensor(np.ones((2, 5, 4))),
                   1.0, heads=2)
     with pytest.raises(DimensionError):   # no position axis
-        attention(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))),
+        _core(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))),
                   Tensor(np.ones((2, 4))), 1.0, heads=2)
 
 
@@ -504,7 +521,7 @@ def _attention_outputs(arrays, trainable, seed_grad, **kwargs):
     """The output of one attention call and the gradients of its trainable
     operands."""
     tensors = [Tensor(a, requires_grad=(i in trainable)) for i, a in enumerate(arrays)]
-    out = attention(*tensors, 0.4, **kwargs)
+    out = _core(*tensors, 0.4, **kwargs)
     out.backward(seed_grad)
     return [out.data] + [t.grad for t in tensors if t.requires_grad]
 
@@ -601,7 +618,7 @@ def test_blocked_attention_under_no_grad_keeps_no_full_weights(monkeypatch):
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
         tracemalloc.start()
         try:
-            out = attention(*tensors, 0.5, **kwargs)
+            out = _core(*tensors, 0.5, **kwargs)
             return tracemalloc.get_traced_memory()[1], out
         finally:
             tracemalloc.stop()
@@ -618,7 +635,7 @@ def test_blocked_attention_under_no_grad_keeps_no_full_weights(monkeypatch):
     peak, graphed = peak_bytes(arrays, rowwise=True)
     assert peak < weights_bytes / 2
     with no_grad():
-        assert graphed.data.tobytes() == attention(
+        assert graphed.data.tobytes() == _core(
             *(Tensor(a) for a in arrays), 0.5, rowwise=True).data.tobytes()
 
 
@@ -630,9 +647,60 @@ def test_attention_without_leading_axes_runs_as_one_block(monkeypatch):
     arrays = [rng.normal(size=shape) for shape in ((5, 4), (6, 4), (6, 3))]
     assert autodiff._blocks((), 8 * 5 * 6) == [()]
     for trainable in ({0}, {1}, {2}, {0, 1, 2}):
-        _compare_to_ops(lambda q, k, v: attention(q, k, v, 0.5),
+        _compare_to_ops(lambda q, k, v: _core(q, k, v, 0.5),
                         lambda q, k, v: attention_by_ops(q, k, v, 0.5),
                         arrays, trainable)
+
+
+@pytest.mark.parametrize("heads, mask, rowwise", _CORES)
+def test_attention_projection_matches_core_then_linear(heads, mask, rowwise):
+    # the node against the core under an identity projection followed by
+    # linear: forward bit-equal, gradients to 1e-12, for every subset of
+    # trainable operands, the projection's alone included
+    rng = np.random.default_rng(43)
+    shape = (3, 6, 5, 4) if heads else (3, 5, 6, 4)
+    arrays = [rng.normal(size=shape) for _ in range(3)]
+    arrays += [rng.normal(size=(4, 7)), rng.normal(size=7)]
+    kwargs = dict(heads=heads, mask=mask, rowwise=rowwise)
+
+    def by_ops(q, k, v, w, b):
+        return linear(_core(q, k, v, 0.4, **kwargs), w, b)
+    for size in range(1, 6):
+        for trainable in itertools.combinations(range(5), size):
+            _compare_to_ops(lambda *t: attention(*t, 0.4, **kwargs), by_ops,
+                            arrays, set(trainable))
+
+
+@pytest.mark.parametrize("trainable", [(0, 1, 2, 3, 4), (0,), (3,), (4,)])
+def test_attention_keeps_nothing_of_its_output_size(trainable):
+    # a (4, 7) projection makes the output wider than q, k and v: the node
+    # keeps those, the weight and the stats, and no array the size of its
+    # output or of the core's output under the projection, which is q's
+    rng = np.random.default_rng(45)
+    arrays = [rng.normal(size=(3, 6, 5, 4)) for _ in range(3)]
+    arrays += [rng.normal(size=(4, 7)), rng.normal(size=7)]
+    tensors = [Tensor(a, requires_grad=i in trainable) for i, a in enumerate(arrays)]
+    out = attention(*tensors, 0.4, heads=2)
+    kept = [a for a in _kept_arrays(out._node) if a.size >= arrays[0].size]
+    assert len(kept) == 3
+    assert all(any(np.shares_memory(a, t.data) for t in tensors[:3]) for a in kept)
+    out.backward(np.ones(out.shape))
+    assert _kept_arrays(out._node) == []
+
+
+def test_attention_with_only_the_projection_trainable():
+    # constant q, k and v: the node still keeps its stats, since the
+    # weight's gradient reads the core's output, which backward rebuilds
+    mask = np.triu(np.ones((4, 5), dtype=bool), k=2)
+    rng = np.random.default_rng(44)
+    q, k, v = (Tensor(rng.normal(size=s)) for s in ((2, 4, 3), (2, 5, 3), (2, 5, 2)))
+    _check_op(lambda w, b: attention(q, k, v, w, b, 0.5, mask=mask), (2, 6), (6,))
+    _check_op(lambda w, b: attention(q, k, v, w, b, 0.5, mask=mask, rowwise=True),
+              (2, 6), (6,))
+    with pytest.raises(DimensionError):     # the weight does not take v
+        attention(q, k, v, Tensor(np.ones((3, 6))), Tensor(np.ones(6)), 0.5)
+    with pytest.raises(DimensionError):
+        attention(q, k, v, Tensor(np.ones((2, 6))), Tensor(np.ones(5)), 0.5)
 
 
 @pytest.mark.parametrize("shapes, heads", [
@@ -642,7 +710,7 @@ def test_attention_without_leading_axes_runs_as_one_block(monkeypatch):
 def test_attention_refuses_unshared_leading_axes(shapes, heads):
     tensors = [Tensor(np.ones(shape), requires_grad=True) for shape in shapes]
     with pytest.raises(DimensionError, match="leading axes"):
-        attention(*tensors, 0.5, heads=heads)
+        _core(*tensors, 0.5, heads=heads)
 
 
 @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 5, 4)])
@@ -781,6 +849,73 @@ def test_layer_norm_values_and_gradients():
     assert np.allclose(out.data.mean(axis=-1), 0.0, atol=1e-12)
     assert np.allclose(out.data.std(axis=-1), 1.0, atol=1e-3)  # eps shrinks it
     _check_op(lambda a, g, b: layer_norm(a, g, b), (3, 6), (6,), (6,))
+
+
+# a zero gain, a 1e-12 gain next to a bias of 1, a negative gain, and three
+# gains whose columns divide back
+_LN_GAIN = np.array([0.0, 1e-12, -0.8, 1.3, 0.6, 1.0])
+_LN_BIAS = np.array([0.4, 1.0, 0.3, -0.2, 0.0, 0.0])
+
+
+def test_layer_norm_gradients_at_zero_tiny_and_negative_gains():
+    # against a numpy layer norm that keeps xhat whole, to 1e-12, for every
+    # subset of trainable operands, and against finite differences; numpy
+    # raises on any division by zero or invalid value
+    rng = np.random.default_rng(6)
+    arrays = (rng.normal(size=(2, 3, 6)) * 3 + 1, _LN_GAIN, _LN_BIAS)
+    g = rng.normal(size=(2, 3, 6))
+    want = layer_norm_by_xhat(*arrays, g)
+    with np.errstate(all="raise"):
+        for size in range(1, 4):
+            for trainable in itertools.combinations(range(3), size):
+                tensors = [Tensor(a, requires_grad=i in trainable)
+                           for i, a in enumerate(arrays)]
+                out = layer_norm(*tensors)
+                _grad_close(out.data, want[0])
+                # the node keeps its output, 1/sigma, and xhat only in the
+                # columns of the zero and the 1e-12 gain
+                kept = [a for a in _kept_arrays(out._node) if a.ndim == 3]
+                assert any(a is out.data for a in kept)
+                assert sorted(a.shape for a in kept if a is not out.data) == [
+                    (2, 3, 1), (2, 3, 2)]
+                out.backward(g)
+                for i in trainable:
+                    _grad_close(tensors[i].grad, want[1 + i])
+        for slot in range(3):
+            tensors = [Tensor(a, requires_grad=i == slot) for i, a in enumerate(arrays)]
+            layer_norm(*tensors).backward(g)
+
+            def scalar(a, slot=slot):
+                probe = [Tensor(b) for b in arrays]
+                probe[slot] = Tensor(a)
+                return float(np.sum(layer_norm(*probe).data * g))
+            numeric = finite_difference_gradient(scalar, arrays[slot])
+            assert gradient_gap(tensors[slot].grad, numeric) < 1e-6, slot
+
+
+def test_layer_norm_keeps_its_output_and_under_no_grad_no_column():
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(64, 32, 16)), requires_grad=True)
+    ones, zeros = Tensor(np.ones(16), requires_grad=True), Tensor(np.zeros(16))
+    # at unit gains every column divides back: nothing of x's size is kept
+    # but the output, which the consumer keeps as its input anyway
+    out = layer_norm(x, ones, zeros)
+    assert all(a is out.data or a.size <= 64 * 32 for a in _kept_arrays(out._node))
+    # zero gains keep every column of xhat
+    flat = Tensor(np.zeros(16), requires_grad=True)
+    kept = _kept_arrays(layer_norm(x, flat, zeros)._node)
+    assert sum(a.shape == x.shape for a in kept) == 2
+    # under no_grad the forward takes no column: its peak stays at two
+    # arrays of x's size, where the zero gains' columns would make it three
+    with no_grad():
+        tracemalloc.start()
+        try:
+            result = layer_norm(x, flat, zeros)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert result._node is None
+    assert peak < 2.5 * x.data.nbytes
 
 
 def test_diamond_graph_accumulates():

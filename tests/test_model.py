@@ -455,8 +455,10 @@ def test_training_graph_keeps_no_weights_of_the_non_rowwise_cores(monkeypatch):
     cores = []
     attention, graph_layer = autodiff.attention, autodiff.graph_layer
 
-    def recorded(q, k, v, scale, heads=None, mask=None, rowwise=False):
-        out = attention(q, k, v, scale, heads=heads, mask=mask, rowwise=rowwise)
+    def recorded(q, k, v, weight, bias, scale, heads=None, mask=None,
+                 rowwise=False):
+        out = attention(q, k, v, weight, bias, scale, heads=heads, mask=mask,
+                        rowwise=rowwise)
         axis = -2 if heads is None else -3
         cores.append((out._node, rowwise, (q.shape[axis], k.shape[axis])))
         return out
@@ -589,9 +591,38 @@ def test_training_graph_keeps_arrays_not_tensors():
                          rng.normal(size=(2, 12, 3, 2)))
     nodes = graph_nodes(mae_loss(pred, rng.normal(size=(2, 12, 3, 1))))
     kept = [value for node in nodes for value in kept_values(node)]
-    # 42 nodes of the forward and the loss's one
-    assert len(nodes) == 43
+    # 39 nodes of the forward and the loss's one: 42 before each of the
+    # three attention blocks ran its output projection inside its
+    # attention node
+    assert len(nodes) == 40
     assert not any(isinstance(value, Tensor) for value in kept)
+
+
+def test_training_graph_keeps_at_most_its_pinned_activations():
+    # one pems08-preset step at N=8, B=1: the bytes the graph keeps after
+    # forward, each base array counted once and parameters left out, in
+    # encoder activations (encoder_length, N, d_model). It read 59.8 when
+    # each layer norm kept xhat beside the output its consumer keeps and each
+    # attention block's output projection kept the head outputs, and 41.2
+    # once neither did
+    n = 8
+    cfg = PRESETS["pems08"]
+    model = build_model(cfg, _scorr(n, 3), _adj(n), n, seed=40)
+    rng = np.random.default_rng(41)
+    loss = mae_loss(model.forward(rng.normal(size=(1, cfg.encoder_length, n, 3)),
+                                  rng.normal(size=(1, 12, n, 3))),
+                    rng.normal(size=(1, 12, n, 1)))
+    parameters = {id(p.data) for p in model.parameters()}
+    bases = {}
+    for node in graph_nodes(loss):
+        for value in kept_values(node):
+            if isinstance(value, np.ndarray):
+                while isinstance(value.base, np.ndarray):
+                    value = value.base
+                if id(value) not in parameters:
+                    bases[id(value)] = value
+    activation = 8 * cfg.encoder_length * n * cfg.d_model
+    assert sum(a.nbytes for a in bases.values()) <= 42 * activation
 
 
 def test_backward_leaves_no_array_in_the_step_graph():
@@ -606,8 +637,9 @@ def test_backward_leaves_no_array_in_the_step_graph():
                                   rng.normal(size=(1, 12, n, 2))),
                     rng.normal(size=(1, 12, n, 1)))
     nodes = graph_nodes(loss)
-    # 133 nodes, each graph layer one of them
-    assert len(nodes) > 125
+    # 121 nodes, each graph layer one of them, and each of the 12 attention
+    # blocks one attention node with its output projection (133 before)
+    assert len(nodes) > 120
     assert any(isinstance(value, np.ndarray)
                for node in nodes for value in kept_values(node))
     loss.backward()
