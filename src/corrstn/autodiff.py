@@ -24,19 +24,25 @@ graph layer keeps its relu masks as bits. No attention core keeps its
 softmax weights: each keeps every weights row's max and sum, and backward
 rebuilds the weights from q and k with the forward's own products, so they
 have the forward's bits, and their product with v for the projection's
-weight gradient; the attention node keeps nothing of its output's size. Layer
-norm keeps its output, which its consumer keeps anyway, instead of xhat, and
-divides xhat back out in backward; it keeps xhat's values only in the columns
-whose gain is zero or tiny next to its bias, where that division would lose
-bits, and in practice there are none.
+weight gradient; the attention node keeps nothing of its output's size. Nor
+does it keep q, k or v where the node that made them has a recipe: `linear`,
+`linear_conv1d_temporal` and a constant's `matmul` over either record one, a
+function that remakes their output with the forward's own operations from
+the arrays they keep anyway, and the attention node keeps that recipe and
+runs it once at the start of its backward. Layer norm keeps its output,
+which its consumer keeps anyway, instead of xhat, and divides xhat back out
+in backward; it keeps xhat's values only in the columns whose gain is zero
+or tiny next to its bias, where that division would lose bits, and in
+practice there are none.
 backward() walks a topological order once and accumulates each closure's
 gradients into the parent nodes. It consumes the graph as it goes: once a
-node's backward has run, the node drops its closure, its parents and, unless
-it is the root, its gradient, so what only that node kept is freed before the
-walk goes on, and the backward's peak stays near the forward's. Only the root
-and the leaves keep .grad afterwards. A second backward() through a consumed
-node raises GraphError; there is no option to keep the graph. Gradient
-arrays are shared between nodes and never updated in place.
+node's backward has run, the node drops its closure, its recipe, its parents
+and, unless it is the root, its gradient, so what only that node kept is
+freed before the walk goes on, and the backward's peak stays near the
+forward's. Only the root and the leaves keep .grad afterwards. A second
+backward() through a consumed node raises GraphError; there is no option to
+keep the graph. Gradient arrays are shared between nodes and never updated
+in place.
 Inside `no_grad()` no graph is built at all.
 """
 
@@ -52,14 +58,18 @@ from .errors import ConfigError, DimensionError, GraphError
 class _Node:
     """One autograph vertex. parents holds one entry per operand: its node,
     or None for an operand that needs no gradient. backward(g) returns one
-    gradient per parent, which may be None where the parent is None."""
+    gradient per parent, which may be None where the parent is None. recipe,
+    when set, is a function of no arguments that remakes the op's output
+    with the forward's own operations, from arrays the node keeps anyway and
+    parameters, never from a Tensor."""
 
-    __slots__ = ("parents", "backward", "grad")
+    __slots__ = ("parents", "backward", "grad", "recipe")
 
-    def __init__(self, parents: tuple = (), backward=None):
+    def __init__(self, parents: tuple = (), backward=None, recipe=None):
         self.parents = parents
         self.backward = backward
         self.grad = None
+        self.recipe = recipe
 
 
 class Tensor:
@@ -148,11 +158,11 @@ def _consumed(g):
 
 def _consume(node: _Node, keep_grad: bool) -> None:
     """Run node's backward into its parents' gradients, if a gradient
-    reached it, then drop its closure, its parents and, unless keep_grad,
-    its gradient. The locals die with the call, so nothing the node kept
-    outlives it."""
+    reached it, then drop its closure, its recipe, its parents and, unless
+    keep_grad, its gradient. The locals die with the call, so nothing the
+    node kept outlives it."""
     backward, parents, g = node.backward, node.parents, node.grad
-    node.backward, node.parents = _consumed, ()
+    node.backward, node.parents, node.recipe = _consumed, (), None
     if not keep_grad:
         node.grad = None
     if g is not None:
@@ -193,16 +203,22 @@ def _transposed(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(x, -1, -2))
 
 
-def _result(data, parents, backward) -> Tensor:
+def _result(data, parents, backward, recipe=None) -> Tensor:
     """Wrap an op's output; it gets a node when grad mode is on and some
     operand needs a gradient. The node keeps the operands' nodes, never
-    the operand tensors, so it does not hold their arrays."""
+    the operand tensors, so it does not hold their arrays, and the op's
+    recipe, if it has one."""
     out = Tensor(data)
     if _grad_enabled:
         nodes = tuple(p._node for p in parents)
         if any(n is not None for n in nodes):
-            out._node = _Node(nodes, backward)
+            out._node = _Node(nodes, backward, recipe)
     return out
+
+
+def _recipe(t: Tensor):
+    """The recipe of t's node, or None when t has no node or no recipe."""
+    return None if t._node is None else t._node.recipe
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +239,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product with broadcasting over leading axes."""
+    """Batched matrix product with broadcasting over leading axes. With a
+    constant a, which the node keeps for b's gradient, and a b that has a
+    recipe, the node's recipe is a @ b's recipe."""
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(
             f"matmul needs >= 2-d operands, got {a.shape} @ {b.shape}")
@@ -246,24 +264,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             else:
                 gb = _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape)
         return ga, gb
-    return _result(a.data @ b.data, (a, b), backward)
+    make_b = None if a.requires_grad else _recipe(b)
+    recipe = None if make_b is None else lambda: a_data @ make_b()
+    return _result(a.data @ b.data, (a, b), backward, recipe)
+
+
+def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """x @ weight + bias, the bias added in place."""
+    out = x @ weight
+    out += bias
+    return out
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x @ weight + bias for a (d_in, d_out) weight, as one node with the
     bits of matmul followed by add. Its backward returns all three
-    gradients; it keeps x for the weight's gradient and the weight for x's."""
+    gradients; it keeps x for the weight's gradient and the weight for x's.
+    When it keeps both, its recipe remakes the output from them and the
+    bias."""
     if x.ndim < 2 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
         raise DimensionError(f"linear needs (..., d_in) @ (d_in, d_out), "
                              f"got {x.shape} @ {weight.shape}")
     if bias.shape != weight.shape[1:]:
         raise DimensionError(f"bias {bias.shape} does not match weight {weight.shape}")
-    out = x.data @ weight.data
-    out += bias.data
+    out = _affine(x.data, weight.data, bias.data)
     d_in = weight.shape[0]
     x_data = x.data if weight.requires_grad else None
     w_data = weight.data if x.requires_grad else None
-    bias_grad = bias.requires_grad
+    b_data, bias_grad = bias.data, bias.requires_grad
 
     def backward(g):
         gx = gw = gb = None
@@ -275,7 +303,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if bias_grad:
             gb = _unbroadcast(g, (g.shape[-1],))
         return gx, gw, gb
-    return _result(out, (x, weight, bias), backward)
+    recipe = None if x_data is None or w_data is None \
+        else lambda: _affine(x_data, w_data, b_data)
+    return _result(out, (x, weight, bias), backward, recipe)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +403,7 @@ def linear_conv1d_temporal(x: Tensor, weight: Tensor, bias: Tensor, kernel: Tens
     into the projection's gradient, and, for the kernel's gradient, rebuilds
     the projection with the forward's own product and unfolds it one
     offset's window at a time, with the bits of the whole unfolding's GEMMs.
+    Its recipe runs the whole forward again from what the node keeps.
     Its output is a (..., T, S, d_out) view of a (..., S, T, d_out) array."""
     if x.ndim < 3 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
         raise DimensionError(f"projection needs (..., T, S, d_in) @ (d_in, d), "
@@ -389,17 +420,19 @@ def linear_conv1d_temporal(x: Tensor, weight: Tensor, bias: Tensor, kernel: Tens
     conv_weight = kernel.data.reshape(k * d, d_out)
 
     def project(x_data, w_data, b_data):
-        projection = x_data @ w_data
-        projection += b_data
-        return np.swapaxes(projection, -3, -2)
+        return np.swapaxes(_affine(x_data, w_data, b_data), -3, -2)
 
-    out = _unfold_time(project(x.data, weight.data, bias.data), blocks, k * d) \
-        @ conv_weight
-    out += conv_bias.data
     # the kernel's gradient reads the projection, rebuilt from x, the weight
     # and the bias; the projection's reads the kernel, and from there the
     # weight's gradient reads x and x's the weight
-    x_data, w_data, b_data = x.data, weight.data, bias.data
+    x_data, w_data, b_data, cb_data = x.data, weight.data, bias.data, conv_bias.data
+
+    def convolve():
+        out = _unfold_time(project(x_data, w_data, b_data), blocks, k * d) \
+            @ conv_weight
+        out += cb_data
+        return np.swapaxes(out, -3, -2)
+
     # the projection's shape with time on axis -2, as the conv sees it
     swapped = x.shape[:-3] + (x.shape[-2], x.shape[-3], d)
 
@@ -414,8 +447,8 @@ def linear_conv1d_temporal(x: Tensor, weight: Tensor, bias: Tensor, kernel: Tens
         gw = x_data.reshape(-1, d_in).T @ gp.reshape(-1, d)
         gb = _unbroadcast(gp, (d,))
         return gx, gw, gb, gk, gcb
-    return _result(np.swapaxes(out, -3, -2), (x, weight, bias, kernel, conv_bias),
-                   backward)
+    return _result(convolve(), (x, weight, bias, kernel, conv_bias), backward,
+                   convolve)
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +584,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, weight: Tensor, bias: Tensor,
     core and its (d_v, d_out) output projection, the projection with the bits
     of `linear` on the core's output. When it builds a graph, which it does
     when any operand needs a gradient, the projection's alone included, it
-    keeps q, k, v, the weight and each weights row's softmax max and sum,
-    shape (..., L_q, 1): never the (L_q, L_k) weights, and nothing of its
-    output's size. Backward rebuilds each block's weights from q and k
-    through the forward's own steps (the rowwise core's with its per-row
-    products), so they have the forward's bits, and their product with v
-    into a transient array, from which the weight's gradient is one GEMM
-    over the stacked rows, as in `linear`. Under `no_grad` it keeps nothing.
+    keeps the weight, each weights row's softmax max and sum, shape
+    (..., L_q, 1), and each of q, k and v as the recipe of the node that
+    made it, where that node has one (`linear`, `linear_conv1d_temporal`
+    and a constant's `matmul` over either), or else as its array: never the
+    (L_q, L_k) weights, and nothing of its output's size. Backward first
+    runs those recipes, which remake q, k and v with the forward's bits
+    from arrays their own nodes keep anyway. It then
+    rebuilds each block's weights from q and k through the forward's own
+    steps (the rowwise core's with its per-row products), so they have the
+    forward's bits, and their product with v into a transient array, from
+    which the weight's gradient is one GEMM over the stacked rows, as in
+    `linear`. Under `no_grad` it keeps nothing.
 
     Without heads, q is (..., L_q, d), k (..., L_k, d) and v (..., L_k, d_v),
     and attention runs over axis -2. With heads, the operands are
@@ -631,21 +669,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, weight: Tensor, bias: Tensor,
     out += bias.data
     # v's gradient reads the weights; q's reads k and v, k's reads q and v;
     # the weight's reads the core's output, rebuilt from the weights and v,
-    # and the core's output gradient reads the weight. The split views keep
-    # the operands' own arrays, never a second copy.
+    # and the core's output gradient reads the weight. An operand with a
+    # recipe is kept as its recipe, any other as its own array, never a
+    # second copy.
+    sources = tuple(_recipe(t) or t.data for t in (q, k, v)) if keep else None
     w_data = weight.data
 
-    # Rebuilding the rowwise core's weights runs its per-row products again.
-    # For the pems08 preset's cross-attention at N=96 (12 query rows, 36
-    # keys, 8 heads, B=1) the core's forward plus backward takes 23.3 ms,
-    # against 14.4 ms when it keeps its 2.65 MB of weights (median of 20,
-    # one OpenBLAS thread).
-    def weights(index):
-        top, total = stats
-        return _weights(qs[index], _keys(ks, index, contiguous), scale, mask,
-                        rowwise, stats=(top[index], total[index]))[0]
-
     def backward(g):
+        qs, ks, vs = (_split_heads(s() if callable(s) else s, heads)
+                      for s in sources)
+        top, total = stats
         gw_rows = g.reshape(-1, g.shape[-1])
         gb = _unbroadcast(g, (g.shape[-1],))
         g = _split_heads(g @ _transposed(w_data), heads)
@@ -654,7 +687,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, weight: Tensor, bias: Tensor,
         rebuilt = np.empty(mixed_shape)
         rebuilt_split = _split_heads(rebuilt, heads)
         for index in blocks:
-            p = weights(index)
+            # Rebuilding the rowwise core's weights runs its per-row products
+            # again. For the pems08 preset's cross-attention at N=96 (12 query
+            # rows, 36 keys, 8 heads, B=1) the core's forward plus backward
+            # takes 23.3 ms, against 14.4 ms when it keeps its 2.65 MB of
+            # weights (median of 20, one OpenBLAS thread).
+            p = _weights(qs[index], _keys(ks, index, contiguous), scale, mask,
+                         rowwise, stats=(top[index], total[index]))[0]
             _product(p, vs[index], rowwise, rebuilt_split[index])
             _attend_backward(p, g[index], qs[index], ks[index], vs[index], scale,
                              tuple(t[index] for t in splits))
@@ -783,7 +822,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     bits at unit gain and zero bias. Where a gain is zero, or no more than
     1/16 of its bias in size, the division would divide by zero or magnify
     the bias add's rounding, so the node keeps xhat's values for just those
-    columns. Under `no_grad` it keeps nothing and takes no column."""
+    columns. Under `no_grad` it keeps nothing and finds no such column."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
@@ -796,16 +835,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat *= inv_std
     out = xhat * gain.data
     out += bias.data
-    # the gain's gradient reads xhat; x's reads xhat, inv_std and the gain.
-    # xhat is rebuilt from the output, which its consumer keeps anyway
-    gain_data, bias_data = gain.data, bias.data
-    lossy = ~(np.abs(gain_data) > _GAIN_TO_BIAS * np.abs(bias_data))
-    # a lossy column divides by 1 and is then overwritten, so no division
-    # by zero happens
-    divisor = np.where(lossy, 1.0, gain_data)
     keep = _grad_enabled and (x.requires_grad or gain.requires_grad
                               or bias.requires_grad)
-    lossy_xhat = xhat[..., lossy] if keep else None
+    # the gain's gradient reads xhat; x's reads xhat, inv_std and the gain.
+    # xhat is rebuilt from the output, which its consumer keeps anyway
+    if keep:
+        gain_data, bias_data = gain.data, bias.data
+        lossy = ~(np.abs(gain_data) > _GAIN_TO_BIAS * np.abs(bias_data))
+        # a lossy column divides by 1 and is then overwritten, so no
+        # division by zero happens
+        divisor = np.where(lossy, 1.0, gain_data)
+        lossy_xhat = xhat[..., lossy]
 
     def backward(g):
         xhat = out - bias_data

@@ -86,8 +86,10 @@ class CIATT(Module):
     `linear_conv1d_temporal` node that keeps the block's input, not the
     projection; `q_conv` and `k_conv` hold that node's kernels and biases.
     The multi-head attention and the output projection are one `attention`
-    node, which keeps q, k, v and the softmax stats but not the head
-    outputs: `w_out` holds that node's weight and bias."""
+    node, which keeps the softmax stats but not the head outputs, and in
+    place of q, k and v the recipes of the nodes that made them, which
+    backward runs to remake them: `w_out` holds that node's weight and
+    bias."""
 
     def __init__(self, d_model: int, heads: int, mixing: np.ndarray,
                  rng: np.random.Generator, conv_kernel: int | None = None):

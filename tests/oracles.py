@@ -394,9 +394,9 @@ def graph_nodes(out):
 
 
 def kept_values(node):
-    """Every value a node's backward closure holds: directly, in a list or
-    tuple, or through a function it holds."""
-    found, seen, todo = [], set(), [node.backward]
+    """Every value a node's backward closure or its recipe holds: directly,
+    in a list or tuple, or through a function it holds."""
+    found, seen, todo = [], set(), [node.backward, node.recipe]
     while todo:
         value = todo.pop()
         if id(value) in seen:

@@ -703,6 +703,75 @@ def test_attention_with_only_the_projection_trainable():
         attention(q, k, v, Tensor(np.ones((2, 6))), Tensor(np.ones(5)), 0.5)
 
 
+def _producers(conv):
+    """Functions that make q, k and v from an x (2, 5, 3, 4), as CIATT does:
+    q by a (4, 6) projection, under a temporal conv with conv, k by the same
+    blended by a constant (3, 3) mixing matrix, and v by a projection. Each
+    takes whether its leaves are trainable, and returns the operand and
+    those leaves."""
+    rng = np.random.default_rng(47)
+    x = rng.normal(size=(2, 5, 3, 4))
+    mixing = Tensor(rng.uniform(size=(3, 3)))
+    weights = [(rng.normal(size=(4, 6)), rng.normal(size=6),
+                rng.normal(size=(3, 6, 6)), rng.normal(size=6)) for _ in range(3)]
+
+    def project(arrays, trainable, conv):
+        leaves = [Tensor(a, requires_grad=trainable)
+                  for a in (x,) + (arrays if conv else arrays[:2])]
+        op = linear_conv1d_temporal if conv else linear
+        return op(*leaves), leaves
+
+    def make_k(trainable):
+        out, leaves = project(weights[1], trainable, conv)
+        return matmul(mixing, out), leaves
+    return (lambda trainable: project(weights[0], trainable, conv), make_k,
+            lambda trainable: project(weights[2], trainable, False))
+
+
+@pytest.mark.parametrize("conv", [False, True])
+def test_attention_over_recipes_matches_attention_over_leaves(conv):
+    # q, k and v made by linear, the conv and the mixing product carry
+    # recipes, which the attention node keeps in place of their arrays;
+    # for every subset of trainable operands the node gives the bits of the
+    # same node over leaves holding those operands' arrays, which have none
+    rng = np.random.default_rng(48)
+    w_out, b_out = rng.normal(size=(6, 7)), rng.normal(size=7)
+    seed_grad = rng.normal(size=(2, 5, 3, 7))
+    make = _producers(conv)
+    for size in range(1, 6):
+        for trainable in itertools.combinations(range(5), size):
+            runs = []
+            for leaves_only in (False, True):
+                made = [make[i](i in trainable) for i in range(3)]
+                operands = [operand for operand, _ in made]
+                if leaves_only:
+                    operands = [Tensor(t.data, requires_grad=i in trainable)
+                                for i, t in enumerate(operands)]
+                else:
+                    assert all((autodiff._recipe(t) is not None) == (i in trainable)
+                               for i, t in enumerate(operands))
+                projection = [Tensor(a, requires_grad=i + 3 in trainable)
+                              for i, a in enumerate((w_out, b_out))]
+                out = attention(*operands, *projection, 0.4, heads=2)
+                if not leaves_only:
+                    # the node keeps no trainable operand's array
+                    kept = _kept_arrays(out._node)
+                    assert not any(np.shares_memory(a, operands[i].data)
+                                   for a in kept for i in trainable if i < 3)
+                out.backward(seed_grad)
+                if leaves_only:
+                    # the producers' gradients from the leaves' ones
+                    for (operand, _), leaf in zip(made, operands):
+                        if leaf.requires_grad:
+                            operand.backward(leaf.grad)
+                grads = [t.grad for _, leaves in made for t in leaves]
+                grads += [t.grad for t in projection]
+                runs.append([out.data.tobytes()] + [
+                    None if g is None else g.tobytes() for g in grads])
+            assert runs[0] == runs[1]
+            assert sum(g is not None for g in runs[0]) > 1
+
+
 @pytest.mark.parametrize("shapes, heads", [
     ([(2, 3, 5, 4), (1, 3, 6, 4), (3, 6, 3)], None),    # broadcast keys, values
     ([(2, 5, 4), (3, 6, 4), (3, 6, 3)], None),          # other leading axes

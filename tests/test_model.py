@@ -573,10 +573,10 @@ def test_forecast_request_op_budget(monkeypatch):
     count = 0
     original = autodiff._result
 
-    def counted(data, parents, backward):
+    def counted(*args, **kwargs):
         nonlocal count
         count += 1
-        return original(data, parents, backward)
+        return original(*args, **kwargs)
     monkeypatch.setattr(autodiff, "_result", counted)
     predict(model, window, np.array([[0.0, 2.0], [0.0, 2.0]]))
     assert 0 < count <= 541
@@ -598,13 +598,25 @@ def test_training_graph_keeps_arrays_not_tensors():
     assert not any(isinstance(value, Tensor) for value in kept)
 
 
+def _kept_bases(node):
+    """The base arrays of the arrays a node keeps."""
+    bases = []
+    for value in kept_values(node):
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            bases.append(value)
+    return bases
+
+
 def test_training_graph_keeps_at_most_its_pinned_activations():
     # one pems08-preset step at N=8, B=1: the bytes the graph keeps after
     # forward, each base array counted once and parameters left out, in
     # encoder activations (encoder_length, N, d_model). It read 59.8 when
     # each layer norm kept xhat beside the output its consumer keeps and each
-    # attention block's output projection kept the head outputs, and 41.2
-    # once neither did
+    # attention block's output projection kept the head outputs, 41.2 once
+    # neither did, and 15.9 once each attention node kept recipes of q, k
+    # and v in place of their arrays
     n = 8
     cfg = PRESETS["pems08"]
     model = build_model(cfg, _scorr(n, 3), _adj(n), n, seed=40)
@@ -613,22 +625,47 @@ def test_training_graph_keeps_at_most_its_pinned_activations():
                                   rng.normal(size=(1, 12, n, 3))),
                     rng.normal(size=(1, 12, n, 1)))
     parameters = {id(p.data) for p in model.parameters()}
-    bases = {}
-    for node in graph_nodes(loss):
-        for value in kept_values(node):
-            if isinstance(value, np.ndarray):
-                while isinstance(value.base, np.ndarray):
-                    value = value.base
-                if id(value) not in parameters:
-                    bases[id(value)] = value
+    bases = {id(a): a for node in graph_nodes(loss) for a in _kept_bases(node)
+             if id(a) not in parameters}
     activation = 8 * cfg.encoder_length * n * cfg.d_model
-    assert sum(a.nbytes for a in bases.values()) <= 42 * activation
+    assert sum(a.nbytes for a in bases.values()) <= 16 * activation
+
+
+def test_attention_nodes_keep_recipes_not_their_operands():
+    # one pems08-preset forward (Q/K conv on) at N=6, B=1: each of the 12
+    # attention nodes keeps q, k and v as recipes of the nodes that made
+    # them, which read arrays those nodes keep anyway. So no array that only
+    # an attention node keeps is as large as its smallest operand, a
+    # (1, horizon, N, d_model) query of the decoder
+    n = 6
+    cfg = PRESETS["pems08"]
+    model = build_model(cfg, _scorr(n, 3), _adj(n), n, seed=48)
+    rng = np.random.default_rng(49)
+    loss = mae_loss(model.forward(rng.normal(size=(1, cfg.encoder_length, n, 3)),
+                                  rng.normal(size=(1, 12, n, 3))),
+                    rng.normal(size=(1, 12, n, 1)))
+    nodes = graph_nodes(loss)
+    attentions = [node for node in nodes
+                  if node.backward.__qualname__ == "attention.<locals>.backward"]
+    assert len(attentions) == cfg.encoder_layers + 2 * cfg.decoder_layers
+    shared = {id(p.data) for p in model.parameters()}
+    shared.update(id(a) for node in nodes if node not in attentions
+                  for a in _kept_bases(node))
+    operand = cfg.horizon * n * cfg.d_model
+    for node in attentions:
+        own = [a for a in _kept_bases(node) if id(a) not in shared]
+        assert own and all(a.size < operand for a in own)
+    # a recipe reads arrays and parameters, never a tensor
+    makers = [node for node in nodes if node.recipe is not None]
+    assert len(makers) >= 3 * len(attentions)
+    assert not any(isinstance(value, Tensor)
+                   for node in makers for value in kept_values(node))
 
 
 def test_backward_leaves_no_array_in_the_step_graph():
     # one pems08-preset step (Q/K conv on) at N=4: once the
     # loss's backward has run, no node of its graph keeps an array, a
-    # parent or, apart from the root, a gradient
+    # parent, a recipe or, apart from the root, a gradient
     n = 4
     cfg = PRESETS["pems08"]
     model = build_model(cfg, _scorr(n, 2), _adj(n), n, seed=36)
@@ -647,6 +684,7 @@ def test_backward_leaves_no_array_in_the_step_graph():
     assert not any(isinstance(value, np.ndarray)
                    for node in nodes for value in kept_values(node))
     assert all(node.parents == () for node in nodes)
+    assert all(node.recipe is None for node in nodes)
     assert all(node.grad is None for node in nodes if node is not loss._node)
 
 
