@@ -446,10 +446,12 @@ def _teacher_forced_metrics(model, samples: SampleSet,
                             norm_params) -> tuple[float, float, float]:
     """Validation MAE, RMSE and MAPE of teacher-forced passes over chunks of
     `chunk_windows` windows, from the CHUNK_BYTES budget (256 MiB): 3 for the
-    pems08 preset at N=170, where validating 16 windows peaked at 168 MB of
-    RSS, below a batch-1 training step's 182 MB (chunks of 16 windows took
-    628 MB), and 75 for the default config with all three periods at N=16.
-    The rows are independent, and the metrics are bit-equal for any chunk."""
+    pems08 preset at N=170, where validating 16 windows peaks at 159 MB of
+    RSS (chunks of 16 windows took 628 MB), and 75 for the default config
+    with all three periods at N=16. At N=170 validation sets the peak of a
+    batch-1 `corrstn train`, whose training step peaks at 125 MB; at the
+    preset's batch size of 16 the step does, at 1,295 MB. The rows are
+    independent, and the metrics are bit-equal for any chunk."""
     chunk = chunk_windows(model.config, model.n_sensors)
     preds = []
     with ad.no_grad():

@@ -715,10 +715,10 @@ def _producers(conv):
     weights = [(rng.normal(size=(4, 6)), rng.normal(size=6),
                 rng.normal(size=(3, 6, 6)), rng.normal(size=6)) for _ in range(3)]
 
-    def project(arrays, trainable, conv):
+    def project(arrays, trainable, convolve):
         leaves = [Tensor(a, requires_grad=trainable)
-                  for a in (x,) + (arrays if conv else arrays[:2])]
-        op = linear_conv1d_temporal if conv else linear
+                  for a in (x,) + (arrays if convolve else arrays[:2])]
+        op = linear_conv1d_temporal if convolve else linear
         return op(*leaves), leaves
 
     def make_k(trainable):
@@ -728,8 +728,9 @@ def _producers(conv):
             lambda trainable: project(weights[2], trainable, False))
 
 
+@pytest.mark.parametrize("rowwise", [False, True])
 @pytest.mark.parametrize("conv", [False, True])
-def test_attention_over_recipes_matches_attention_over_leaves(conv):
+def test_attention_over_recipes_matches_attention_over_leaves(conv, rowwise):
     # q, k and v made by linear, the conv and the mixing product carry
     # recipes, which the attention node keeps in place of their arrays;
     # for every subset of trainable operands the node gives the bits of the
@@ -752,7 +753,8 @@ def test_attention_over_recipes_matches_attention_over_leaves(conv):
                                for i, t in enumerate(operands))
                 projection = [Tensor(a, requires_grad=i + 3 in trainable)
                               for i, a in enumerate((w_out, b_out))]
-                out = attention(*operands, *projection, 0.4, heads=2)
+                out = attention(*operands, *projection, 0.4, heads=2,
+                                rowwise=rowwise)
                 if not leaves_only:
                     # the node keeps no trainable operand's array
                     kept = _kept_arrays(out._node)
