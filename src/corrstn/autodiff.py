@@ -125,28 +125,29 @@ class Tensor:
         root = self._node
         if root is None:
             return
-        order = []
-        seen = set()
-        stack = [(root, False)]
+        # each node's consumers inside the graph, one per operand slot; a
+        # leaf has nothing to run, so only nodes with a closure are counted
+        pending = {}
+        stack = [root]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
+            node = stack.pop()
             if node.backward is _consumed:
                 _consumed(None)     # raises, before any gradient changes
-            seen.add(id(node))
-            stack.append((node, True))
             for p in node.parents:
-                if p is not None and id(p) not in seen:
-                    stack.append((p, False))
+                if p is not None and p.backward is not None:
+                    if id(p) not in pending:
+                        pending[id(p)] = 0
+                        stack.append(p)
+                    pending[id(p)] += 1
         root.grad = grad if root.grad is None else root.grad + grad
-        for node in reversed(order):
-            # leaves keep their gradients and have nothing to consume
-            if node.backward is not None:
-                _consume(node, node is root)
+        ready = [root] if root.backward is not None else []
+        while ready:
+            node = ready.pop()
+            for p in _consume(node, node is root):
+                if p is not None and p.backward is not None:
+                    pending[id(p)] -= 1
+                    if not pending[id(p)]:
+                        ready.append(p)
 
 
 def _consumed(g):
@@ -156,11 +157,12 @@ def _consumed(g):
                      "run the forward pass again")
 
 
-def _consume(node: _Node, keep_grad: bool) -> None:
+def _consume(node: _Node, keep_grad: bool) -> tuple:
     """Run node's backward into its parents' gradients, if a gradient
     reached it, then drop its closure, its recipe, its parents and, unless
-    keep_grad, its gradient. The locals die with the call, so nothing the
-    node kept outlives it."""
+    keep_grad, its gradient, and return the parents it had. The other locals
+    die with the call, so nothing the node kept outlives the caller's use of
+    the parents."""
     backward, parents, g = node.backward, node.parents, node.grad
     node.backward, node.parents, node.recipe = _consumed, (), None
     if not keep_grad:
@@ -169,6 +171,7 @@ def _consume(node: _Node, keep_grad: bool) -> None:
         for parent, pg in zip(parents, backward(g)):
             if parent is not None:
                 parent.grad = pg if parent.grad is None else parent.grad + pg
+    return parents
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

@@ -294,8 +294,8 @@ class CorrSTN(Module):
         length = dec.shape[1]
         padded = np.zeros((dec.shape[0], self.config.horizon) + dec.shape[2:])
         padded[:, :length] = dec
-        return ad.narrow(self._decode(padded, self._memory_kv(memory)),
-                         1, 0, length)
+        memory_kv = (layer.cross_attn.keys_values(memory) for layer in self.decoder)
+        return ad.narrow(self._decode(padded, memory_kv), 1, 0, length)
 
     def _encode(self, enc) -> Tensor:
         x = self._embed(enc, self.enc_proj, self.enc_pos)
