@@ -34,12 +34,17 @@ which its consumer keeps anyway, instead of xhat, and divides xhat back out
 in backward; it keeps xhat's values only in the columns whose gain is zero
 or tiny next to its bias, where that division would lose bits, and in
 practice there are none.
-backward() walks a topological order once and accumulates each closure's
-gradients into the parent nodes. It consumes the graph as it goes: once a
-node's backward has run, the node drops its closure, its recipe, its parents
-and, unless it is the root, its gradient, so what only that node kept is
-freed before the walk goes on, and the backward's peak stays near the
-forward's. Only the root and the leaves keep .grad afterwards. A second
+backward() counts each node's consumers in the graph, then runs a node as
+soon as all of them have run, and accumulates each closure's gradients into
+the parent nodes. Ready nodes wait on a stack, onto which each node's
+parents go in operand order, so the last operand runs first: a
+cross-attention's value and key producers run right after its attention
+node, so their gradients fold into the memory's before the walk enters the
+layer below. It consumes the graph as it goes:
+once a node's backward has run, the node drops its closure, its recipe, its
+parents and, unless it is the root, its gradient, so what only that node
+kept is freed before the walk goes on, and the backward's peak stays near
+the forward's. Only the root and the leaves keep .grad afterwards. A second
 backward() through a consumed node raises GraphError; there is no option to
 keep the graph. Gradient arrays are shared between nodes and never updated
 in place.
@@ -105,9 +110,18 @@ class Tensor:
     def backward(self, grad=None) -> None:
         """Accumulate d(self)/d(leaf) into .grad across the graph.
 
-        A seed gradient is required unless self is a single element. The
-        walk consumes the graph: as soon as a node's backward has run, or
-        is skipped because no gradient reached it, the node drops its
+        A seed gradient is required unless self is a single element. A
+        first pass counts each node's consumers in the graph, one per
+        operand slot, so a node given twice to one op waits for both. A
+        stack then runs a node once all of its consumers have run, and
+        pushes the node's parents in operand order, so the last operand runs
+        first. A node's gradient is therefore complete when it runs, and the
+        contributions to it are summed in the order its consumers ran. The
+        order depends only on the graph and its operand order, so a seeded
+        step repeats its gradients bit for bit.
+
+        The walk consumes the graph: as soon as a node's backward has run,
+        or is skipped because no gradient reached it, the node drops its
         closure and its parents, and with them every array that only it
         kept. A later backward() that reaches a consumed node raises
         GraphError before it changes any gradient.

@@ -9,12 +9,13 @@ graph layer runs per time step over sensors. Training uses teacher forcing;
 inference rolls the decoder autoregressively from the last observed step.
 The encoder output and each decoder layer's cross-attention keys and values
 do not change during a rollout, so inference computes them once per batch
-chunk. The decoder computes every row independently of the others, and its
-self-attention always spans all horizon key rows, masked causally: a forward
-pass over a shorter prefix pads the decoder input with zero rows, and a
-rollout step attends over cached keys and values, zero where not yet
-written. So each rollout step decodes only the new position and still
-matches a forward pass over its prefix bit for bit.
+chunk; a teacher-forced pass uses each layer's once, and computes them just
+before that layer runs. The decoder computes every row independently of the
+others, and its self-attention always spans all horizon key rows, masked
+causally: a forward pass over a shorter prefix pads the decoder input with
+zero rows, and a rollout step attends over cached keys and values, zero
+where not yet written. So each rollout step decodes only the new position
+and still matches a forward pass over its prefix bit for bit.
 """
 
 from __future__ import annotations
@@ -282,7 +283,12 @@ class CorrSTN(Module):
 
     def forward(self, encoder_input, decoder_input) -> Tensor:
         """Teacher-forced pass. decoder_input may be any length 1..horizon;
-        outputs align one step ahead of decoder positions."""
+        outputs align one step ahead of decoder positions. Each decoder
+        layer's cross-attention keys and values are computed from the
+        memory just before that layer runs, not all up front: its attention
+        node keeps only their recipes, so each layer's pair is freed once
+        that layer is done, with the same bits as the eager `_memory_kv`
+        list that `forecast` reuses."""
         enc_len = self.config.encoder_length
         enc = self._check_input(encoder_input, range(enc_len, enc_len + 1),
                                 "encoder input")
@@ -294,7 +300,8 @@ class CorrSTN(Module):
         length = dec.shape[1]
         padded = np.zeros((dec.shape[0], self.config.horizon) + dec.shape[2:])
         padded[:, :length] = dec
-        memory_kv = (layer.cross_attn.keys_values(memory) for layer in self.decoder)
+        memory_kv = (layer.cross_attn.keys_values(memory)
+                     for layer in self.decoder)
         return ad.narrow(self._decode(padded, memory_kv), 1, 0, length)
 
     def _encode(self, enc) -> Tensor:
@@ -308,9 +315,13 @@ class CorrSTN(Module):
 
     def _decode(self, dec, memory_kv, start=0, cache=None) -> Tensor:
         """Outputs of decoder positions [start, start + L) for dec (B, L, N, C).
-        Self-attention spans all horizon positions, masked causally: without
-        caches dec holds all of them, with caches (one list per layer, see
-        DecoderLayer) earlier positions' keys and values come from those."""
+        memory_kv is any iterable of one (keys, values) pair per decoder
+        layer, taken one layer at a time as the layers run: a list that a
+        rollout reuses, or a generator that computes each pair when its
+        layer comes. Self-attention spans all horizon positions, masked
+        causally: without caches dec holds all of them, with caches (one list
+        per layer, see DecoderLayer) earlier positions' keys and values come
+        from those."""
         mask = self.causal[start:start + dec.shape[1]]
         y = self._embed(dec, self.dec_proj, self.dec_pos, start)
         caches = [None] * len(self.decoder) if cache is None else cache
@@ -446,12 +457,14 @@ def _teacher_forced_metrics(model, samples: SampleSet,
                             norm_params) -> tuple[float, float, float]:
     """Validation MAE, RMSE and MAPE of teacher-forced passes over chunks of
     `chunk_windows` windows, from the CHUNK_BYTES budget (256 MiB): 3 for the
-    pems08 preset at N=170, where validating 16 windows peaks at 159 MB of
+    pems08 preset at N=170, where validating 16 windows peaks at 128 MB of
     RSS (chunks of 16 windows took 628 MB), and 75 for the default config
-    with all three periods at N=16. At N=170 validation sets the peak of a
-    batch-1 `corrstn train`, whose training step peaks at 125 MB; at the
-    preset's batch size of 16 the step does, at 1,295 MB. The rows are
-    independent, and the metrics are bit-equal for any chunk."""
+    with all three periods at N=16. At N=170 validation still sets the peak
+    of a batch-1 `corrstn train`, whose training step peaks at 117 MB; at
+    the preset's batch size of 16 the step does, at 1,098 MB. Each pass
+    builds one decoder layer's cross-attention keys and values at a time
+    (see `forward`). The rows are independent, and the metrics are
+    bit-equal for any chunk."""
     chunk = chunk_windows(model.config, model.n_sensors)
     preds = []
     with ad.no_grad():

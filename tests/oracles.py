@@ -15,12 +15,14 @@ basis; it takes the harmonic tables from the library.
 `mul`, `permute` and `relu` are autodiff nodes for ops that the engine runs
 only inside its fused nodes, so that the op-by-op oracles can compose them.
 `graph_nodes` is not an oracle: it is the one autograph walk that the
-graph-structure tests share. `graph_route_inputs` and `KINK_MARGIN` are not
-oracles either: they keep the finite-difference draws of a graph layer away
-from its relu kinks.
+graph-structure tests share, and `traced_peak` is the one tracemalloc
+measurement that the memory tests share. `graph_route_inputs` and
+`KINK_MARGIN` are not oracles either: they keep the finite-difference draws
+of a graph layer away from its relu kinks.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -391,6 +393,17 @@ def graph_nodes(out):
                 nodes.append(node)
             stack.extend(node.parents)
     return nodes
+
+
+def traced_peak(fn):
+    """(peak bytes, result) of fn(): the most that tracemalloc saw allocated
+    and not yet freed while fn ran, counting only what fn allocated."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def kept_values(node):

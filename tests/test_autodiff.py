@@ -1,6 +1,5 @@
 import ast
 import itertools
-import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from oracles import (KINK_MARGIN, attention_by_ops, broadcast_weight_grad,
                      finite_difference_gradient, gradient_gap,
                      graph_route_inputs, graph_nodes, kept_values,
                      layer_norm_by_xhat, mul, permute, relu,
-                     temporal_conv_by_loop)
+                     temporal_conv_by_loop, traced_peak)
 
 
 def _check_op(build, *shapes, seed=0, tol=1e-6, offset=0.0, kinks=None):
@@ -453,6 +452,26 @@ def test_fused_attention_of_one_operand_matches_op_by_op():
                         arrays, trainable)
 
 
+def test_attention_of_one_inner_node_as_queries_and_keys_gets_both_gradients():
+    # q is k: the node producing them is listed twice in the attention
+    # node's operands, so the walk must count both consumers before running
+    # it and hand it both contributions
+    scale = 1.0 / np.sqrt(5)
+    rng = np.random.default_rng(10)
+    arrays = [rng.normal(size=(2, 6, 3)), rng.normal(size=(3, 5)),
+              rng.normal(size=(5,)), rng.normal(size=(2, 6, 4))]
+
+    def fused(x, w, b, v):
+        z = linear(x, w, b)
+        return _core(z, z, v, scale)
+
+    def oracle(x, w, b, v):
+        z = linear(x, w, b)
+        return attention_by_ops(z, z, v, scale)
+    for trainable in ({0}, {1, 2}, {0, 1, 2, 3}):
+        _compare_to_ops(fused, oracle, arrays, trainable)
+
+
 def test_fused_attention_gradients_and_checks():
     mask = np.triu(np.ones((4, 5), dtype=bool), k=2)
     _check_op(lambda q, k, v: _core(q, k, v, 0.5, mask=mask),
@@ -616,12 +635,7 @@ def test_blocked_attention_under_no_grad_keeps_no_full_weights(monkeypatch):
 
     def peak_bytes(arrays, **kwargs):
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
-        tracemalloc.start()
-        try:
-            out = _core(*tensors, 0.5, **kwargs)
-            return tracemalloc.get_traced_memory()[1], out
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: _core(*tensors, 0.5, **kwargs))
     with no_grad():
         peak, out = peak_bytes(arrays)
     assert peak < weights_bytes / 2
@@ -979,12 +993,7 @@ def test_layer_norm_keeps_its_output_and_under_no_grad_no_column():
     # under no_grad the forward takes no column: its peak stays at two
     # arrays of x's size, where the zero gains' columns would make it three
     with no_grad():
-        tracemalloc.start()
-        try:
-            result = layer_norm(x, flat, zeros)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, result = traced_peak(lambda: layer_norm(x, flat, zeros))
     assert result._node is None
     assert peak < 2.5 * x.data.nbytes
 

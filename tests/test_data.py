@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from corrstn import (SpatioTemporalTensor, assemble_samples, denormalize,
                      load_tensor, normalize, save_tensor, split_ranges)
 from corrstn.data import EncoderWindows, iterate_batches, load_edges, save_edges
 from corrstn.errors import ConfigError, DataError, DimensionError
-from oracles import encoder_by_gather, synthetic_by_sines
+from oracles import encoder_by_gather, synthetic_by_sines, traced_peak
 
 
 def _tensor(t=40, n=3, c=2, seed=0):
@@ -246,13 +245,8 @@ def test_assembling_bench_sized_splits_copies_no_encoder_rows():
     ranges = split_ranges(x.n_timestamps)
     periods = ("hourly", "daily", "weekly")
     offsets = {"hourly": 12, "daily": 288, "weekly": 2016}
-    tracemalloc.start()
-    try:
-        splits = [assemble_samples(x, ranges[k], periods, offsets, 12)
-                  for k in (0, 1)]
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, splits = traced_peak(lambda: [
+        assemble_samples(x, ranges[k], periods, offsets, 12) for k in (0, 1)])
     assert [len(s) for s in splits] == [1601, 1199]
     assert sum(s.encoder_input.nbytes for s in splits) == 232_243_200
     assert peak < 2 ** 20
@@ -344,12 +338,7 @@ def test_synthetic_same_seed_gives_equal_bytes():
 def test_synthetic_peak_memory_is_the_output_plus_a_block():
     kwargs = dict(n_sensors=96, weeks=3, weekly_amplitude=0.5, seed=1,
                   n_attributes=3)
-    tracemalloc.start()
-    try:
-        data = generate_synthetic(**kwargs).tensor.data
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, data = traced_peak(lambda: generate_synthetic(**kwargs).tensor.data)
     assert peak <= data.nbytes + 4 * 2 ** 20
 
 

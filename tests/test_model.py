@@ -1,7 +1,6 @@
 import csv
 import hashlib
 import json
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +20,7 @@ from corrstn.autodiff import Parameter
 from corrstn.data import EncoderWindows, SampleSet, SpatioTemporalTensor
 from corrstn.errors import ConfigError, DataError, DimensionError
 from corrstn.model import config_hash
-from oracles import graph_nodes, kept_values
+from oracles import graph_nodes, kept_values, traced_peak
 
 
 def _scorr(n, c, seed=0):
@@ -688,6 +687,102 @@ def test_backward_leaves_no_array_in_the_step_graph():
     assert all(node.grad is None for node in nodes if node is not loss._node)
 
 
+def _pems08_loss(model, seed):
+    """The loss of one B=1 forward of model over inputs drawn from seed."""
+    n, length = model.n_sensors, model.config.encoder_length
+    rng = np.random.default_rng(seed)
+    return mae_loss(model.forward(rng.normal(size=(1, length, n, 3)),
+                                  rng.normal(size=(1, 12, n, 3))),
+                    rng.normal(size=(1, 12, n, 1)))
+
+
+def test_backward_runs_cross_attention_producers_before_the_layer_below(
+        monkeypatch):
+    # once a decoder layer's cross-attention node has run, the walk runs the
+    # producers of its keys and values (the value projection, the mixing
+    # product and the key projection under it), so their gradients fold
+    # into the memory's before any node of the decoder layer below runs.
+    # The reversed depth-first order left all of them for after the decoder
+    n = 4
+    model = build_model(PRESETS["pems08"], _scorr(n, 3), _adj(n), n, seed=53)
+    made, layer_nodes, producers, order = [], {}, {}, {}
+    result, consume = autodiff._result, autodiff._consume
+    layer_call = model_mod.DecoderLayer.__call__
+    keys_values = model_mod.CIATT.keys_values
+
+    def recorded_result(*args, **kwargs):
+        out = result(*args, **kwargs)
+        made.append(out._node)
+        return out
+
+    def recorded_layer(layer, *args, **kwargs):
+        first = len(made)
+        out = layer_call(layer, *args, **kwargs)
+        layer_nodes[len(layer_nodes)] = made[first:]
+        return out
+
+    def recorded_keys_values(attn, x):
+        k, v = keys_values(attn, x)
+        if attn in [layer.cross_attn for layer in model.decoder]:
+            producers[len(producers)] = [k._node, k._node.parents[1], v._node]
+        return k, v
+
+    def recorded_consume(node, keep_grad):
+        order[id(node)] = len(order)
+        return consume(node, keep_grad)
+    monkeypatch.setattr(autodiff, "_result", recorded_result)
+    monkeypatch.setattr(model_mod.DecoderLayer, "__call__", recorded_layer)
+    monkeypatch.setattr(model_mod.CIATT, "keys_values", recorded_keys_values)
+    monkeypatch.setattr(autodiff, "_consume", recorded_consume)
+    _pems08_loss(model, seed=54).backward()
+    layers = model.config.decoder_layers
+    assert len(layer_nodes) == len(producers) == layers
+    for i in range(1, layers):
+        assert max(order[id(node)] for node in producers[i]) \
+            < min(order[id(node)] for node in layer_nodes[i - 1]), i
+
+
+def test_backward_order_and_gradients_repeat_within_a_process(monkeypatch):
+    # the walk's order follows the graph and its operand order alone, never
+    # where the nodes sit in memory, so one seeded step gives the same order
+    # and the same gradient bytes with unrelated allocations in between
+    runs = []
+    consume = autodiff._consume
+    for allocations in (0, 997):
+        junk = [np.empty(i % 7 + 1) for i in range(allocations)]
+        junk += [object() for _ in range(allocations)]
+        ran = []
+
+        def recorded_consume(node, keep_grad):
+            ran.append(node.backward.__qualname__)
+            return consume(node, keep_grad)
+        monkeypatch.setattr(autodiff, "_consume", recorded_consume)
+        model = build_model(PRESETS["pems08"], _scorr(4, 3), _adj(4), 4, seed=55)
+        _pems08_loss(model, seed=56).backward()
+        runs.append((ran, [p.grad.tobytes() for p in model.parameters()]))
+    assert runs[0][0] == runs[1][0] and len(runs[0][0]) > 120
+    assert runs[0][1] == runs[1][1]
+
+
+def test_forward_builds_each_layers_keys_and_values_as_it_runs():
+    # one pems08-preset forward at N=8, B=1, traced in encoder activations
+    # (encoder_length, N, d_model): 27.5 when forward built all four decoder
+    # layers' cross-attention keys and values before the first layer ran,
+    # 21.5 once each layer's pair is built just before that layer. The bits
+    # are those of _decode over the eagerly built pairs
+    n = 8
+    cfg = PRESETS["pems08"]
+    model = build_model(cfg, _scorr(n, 3), _adj(n), n, seed=57)
+    rng = np.random.default_rng(58)
+    enc = rng.normal(size=(1, cfg.encoder_length, n, 3))
+    dec = rng.normal(size=(1, 12, n, 3))
+    peak, out = traced_peak(lambda: model.forward(enc, dec))
+    activation = 8 * cfg.encoder_length * n * cfg.d_model
+    assert peak <= 24 * activation
+    eager = model._decode(dec, model._memory_kv(model._encode(enc)))
+    assert out.data.tobytes() == eager.data.tobytes()
+
+
 def test_validation_runs_in_chunks_the_budget_sizes(monkeypatch):
     # with the pems08 preset a validation chunk of 128 windows peaked at
     # 2.7 GB of RSS at N=96; the metrics do not depend on the chunk
@@ -884,12 +979,7 @@ def test_forecast_holds_one_chunk_of_encoder_input(monkeypatch):
     dense = np.asarray(windows)
 
     def peak(encoder_input):
-        tracemalloc.start()
-        try:
-            model.forecast(encoder_input)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: model.forecast(encoder_input))[0]
 
     model.forecast(dense[:1])
     chunk_bytes = 64 * windows.nbytes // len(windows)
