@@ -1,8 +1,9 @@
 """Train the encoder-decoder forecaster on a small synthetic network.
 
 Fits spatial correlations on the training split, trains a one-layer model
-with teacher forcing, then scores true autoregressive forecasts on held-out
-windows. Runs in well under a minute.
+with teacher forcing, picking its best epoch by the MAE of true
+autoregressive forecasts on held-out windows, then reports that epoch's
+forecast errors. Runs in well under a minute.
 """
 
 import numpy as np
@@ -48,12 +49,13 @@ print(f"samples: {len(train_samples)} train, {len(val_samples)} val")
 log = train(model, TrainingData(train_samples, val_samples, ds.norm_params),
             config, epochs=12, patience=12, seed=0)
 first, last = log.rows[0], log.rows[-1]
-print(f"\ntrained {len(log.rows)} epochs: val MAE "
+print(f"\ntrained {len(log.rows)} epochs: autoregressive val MAE "
       f"{first.val_mae:.4f} -> {last.val_mae:.4f} "
       f"(best {log.best_val_mae:.4f} at epoch {log.best_epoch})")
 
 report = evaluate(model, val_samples, ds)
-print(f"\nautoregressive validation forecast, original units:")
+print(f"\nepoch {log.best_epoch}, restored: autoregressive validation "
+      f"forecast, original units:")
 print(f"  MAE  {report.overall['mae']:.4f}")
 print(f"  RMSE {report.overall['rmse']:.4f}")
 print(f"  MAPE {report.overall['mape'] * 100:.2f}%")

@@ -284,8 +284,8 @@ def _build_from_artifacts(args, config, dataset, seed: int):
 
 
 def _record_chunks(manifest: Manifest, model) -> None:
-    """The byte budget of one forecast or validation chunk, and the windows
-    per chunk that it gives this model."""
+    """The byte budget of one forecast chunk, and the windows per chunk that
+    it gives this model."""
     manifest.payload["chunk"] = {
         "budget_bytes": model_mod.CHUNK_BYTES,
         "windows": model_mod.chunk_windows(model.config, model.n_sensors)}

@@ -6,7 +6,8 @@ fused node; attention keys and values stay in that layout too, and the
 attention node splits them and the queries into heads (B, N, H, L, d_head)
 as views inside itself, so the graph holds no layout ops for heads. The
 graph layer runs per time step over sensors. Training uses teacher forcing;
-inference rolls the decoder autoregressively from the last observed step.
+inference, validation included, rolls the decoder autoregressively from the
+last observed step.
 The encoder output and each decoder layer's cross-attention keys and values
 do not change during a rollout, so inference computes them once per batch
 chunk; a teacher-forced pass uses each layer's once, and computes them just
@@ -147,26 +148,29 @@ def load_config(path) -> ModelConfig:
             raise ConfigError(f"{path}: {exc}") from exc
 
 
-# Bytes that one forecast or validation chunk may add to the process's peak.
-# Its windows come from `chunk_windows`.
+# Bytes that one forecast chunk may add to the process's peak. Its windows
+# come from `chunk_windows`.
 CHUNK_BYTES = 256 << 20
-# What one window of a no-grad pass adds to the peak RSS, in encoder
-# activations (L, N, d). An activation is the widest per-window array such a
-# pass holds whole: the attention scores (L·N·H·L) and the graph weights
-# (L·N·N) run in blocks of at most 1 MiB. Measured as peak RSS over chunks
-# of 1 to 1,024 windows (2 vCPUs, numpy 2.4.6, one OpenBLAS thread): 22.6
-# activations per window for the pems08 preset at N=170 over 64 chunks of 4
-# (the Q/K conv's 3-wide unfolding among them), 11.2 for the default config
-# with all three periods at N=16 and 14.5 for the default config at N=16.
+# What one window of a rollout adds to the peak RSS, in encoder activations
+# (L, N, d). An activation is the widest per-window array a rollout holds
+# whole: the attention scores (L·N·H·L) and the graph weights (L·N·N) run in
+# blocks of at most 1 MiB. Decoding sets the peak, since every decoder
+# layer's cross-attention keys and values and self-attention caches live
+# through all 12 steps. Measured as the peak RSS a forecast adds per window
+# (2 vCPUs, numpy 2.4.6, one OpenBLAS thread): 11.5 for the pems08 preset at
+# N=170 over 64 chunks of 4, 7.2 for the default config with all three
+# periods and 9.6 for the default config, both at N=16 over 16 chunks of 64.
+# 24 was sized while each chunk's arrays stayed alive into the next (22.6 for
+# the pems08 preset), and is kept because every chunk size follows from it.
 _WINDOW_ACTIVATIONS = 24
 
 
 def chunk_windows(config: ModelConfig, n_sensors: int) -> int:
-    """Windows per forecast or validation chunk: CHUNK_BYTES over what one
-    window of a pass takes, and at least one. 3 windows for the pems08
-    preset at N=170 and 6 at N=96, 75 for the default config with all three
-    periods at N=16 and 227 for the default config at N=16. Every window's
-    bits are the same for any chunk, so the count only sets the peak."""
+    """Windows per forecast chunk: CHUNK_BYTES over what one window of a
+    rollout takes, and at least one. 3 windows for the pems08 preset at
+    N=170 and 6 at N=96, 75 for the default config with all three periods at
+    N=16 and 227 for the default config at N=16. Every window's bits are the
+    same for any chunk, so the count only sets the peak."""
     activation = 8 * config.encoder_length * n_sensors * config.d_model
     return max(1, CHUNK_BYTES // (_WINDOW_ACTIVATIONS * activation))
 
@@ -348,29 +352,36 @@ class CorrSTN(Module):
         chunk is encoded, so at most one chunk of encoder input is held.
 
         A chunk has `chunk_windows` windows, from the CHUNK_BYTES budget
-        (256 MiB): 3 for the pems08 preset at N=170, where `evaluate` over
-        256 windows peaked at 314 MB of RSS and took 0.55 s per window (64
-        windows in one chunk took 2,149 MB and 0.70 s per window), and 75
-        for the default config with all three periods at N=16.
+        (256 MiB): 3 for the pems08 preset at N=170, and 75 for the default
+        config with all three periods at N=16. Each chunk's arrays are freed
+        before the next chunk encodes, so the peak does not grow with the
+        chunk count: at N=170 a forecast over 258 windows peaked at 190 MB
+        of RSS, 38 MB of it the dense input, and took 0.47 s per window (64
+        windows in one chunk took 2,149 MB and 0.70 s per window).
         """
         chunk = chunk_windows(self.config, self.n_sensors)
         enc_len = self.config.encoder_length
         enc = self._check_input(encoder_input, range(enc_len, enc_len + 1),
                                 "encoder input")
-        horizon = self.config.horizon
-        outputs = np.empty((enc.shape[0], horizon, self.n_sensors, 1))
+        outputs = np.empty((enc.shape[0], self.config.horizon, self.n_sensors, 1))
         with ad.no_grad():
             for start in range(0, enc.shape[0], chunk):
-                block = np.asarray(enc[start:start + chunk], dtype=np.float64)
-                memory_kv = self._memory_kv(self._encode(block))
-                cache = [[] for _ in self.decoder]
-                row = block[:, -1:].copy()
-                for step in range(horizon):
-                    pred = self._decode(row, memory_kv, start=step,
-                                        cache=cache).data
-                    outputs[start:start + block.shape[0], step] = pred[:, 0]
-                    row[:, 0, :, 0] = pred[:, 0, :, 0]
+                self._roll_out(enc[start:start + chunk],
+                               outputs[start:start + chunk])
         return outputs
+
+    def _roll_out(self, windows, out) -> None:
+        """One chunk's rollout, written into out (B, L, N, 1). Its memory,
+        cross-attention keys and values and decoder caches are locals, so
+        they are freed before the next chunk encodes."""
+        block = np.asarray(windows, dtype=np.float64)
+        memory_kv = self._memory_kv(self._encode(block))
+        cache = [[] for _ in self.decoder]
+        row = block[:, -1:].copy()
+        for step in range(self.config.horizon):
+            pred = self._decode(row, memory_kv, start=step, cache=cache).data
+            out[:, step] = pred[:, 0]
+            row[:, 0, :, 0] = pred[:, 0, :, 0]
 
     def state_dict(self) -> dict:
         return {name: p.data.copy() for name, p in self.named_parameters()}
@@ -453,31 +464,6 @@ class TrainingLog:
                          f"{r.val_rmse!r},{r.val_mape!r},{r.seconds:.3f}\n")
 
 
-def _teacher_forced_metrics(model, samples: SampleSet,
-                            norm_params) -> tuple[float, float, float]:
-    """Validation MAE, RMSE and MAPE of teacher-forced passes over chunks of
-    `chunk_windows` windows, from the CHUNK_BYTES budget (256 MiB): 3 for the
-    pems08 preset at N=170, where validating 16 windows peaks at 128 MB of
-    RSS (chunks of 16 windows took 628 MB), and 75 for the default config
-    with all three periods at N=16. At N=170 validation still sets the peak
-    of a batch-1 `corrstn train`, whose training step peaks at 117 MB; at
-    the preset's batch size of 16 the step does, at 1,098 MB. Each pass
-    builds one decoder layer's cross-attention keys and values at a time
-    (see `forward`). The rows are independent, and the metrics are
-    bit-equal for any chunk."""
-    chunk = chunk_windows(model.config, model.n_sensors)
-    preds = []
-    with ad.no_grad():
-        for start in range(0, len(samples), chunk):
-            out = model.forward(samples.encoder_input[start:start + chunk],
-                                samples.decoder_input[start:start + chunk])
-            preds.append(out.data)
-    pred = denormalize(np.concatenate(preds)[..., 0], norm_params, attribute=0)
-    truth = denormalize(samples.target[..., 0], norm_params, attribute=0)
-    return (metrics_mod.mae(pred, truth), metrics_mod.rmse(pred, truth),
-            metrics_mod.mape(pred, truth))
-
-
 def check_schedule(epochs: int, patience: int) -> None:
     """Refuses fewer than one epoch or one epoch of patience."""
     if epochs < 1 or patience < 1:
@@ -487,11 +473,13 @@ def check_schedule(epochs: int, patience: int) -> None:
 def train(model: CorrSTN, data: TrainingData, config: ModelConfig,
           epochs: int = 100, patience: int = 20, seed: int = 0,
           log_path=None, on_epoch=None) -> TrainingLog:
-    """MAE loss, Adam, teacher forcing; keeps and restores the parameters of
-    the best validation epoch; stops after `patience` epochs without
-    improvement. Shuffling draws from default_rng(seed). Deterministic for
-    fixed seed and data. `on_epoch`, if given, is called with each EpochRow as
-    soon as the epoch is scored."""
+    """MAE loss, Adam, teacher forcing. Each epoch is scored on data.val by
+    `metrics.evaluate`, the autoregressive rollout that `corrstn evaluate`
+    reports; keeps and restores the parameters of the epoch with the lowest
+    validation MAE; stops after `patience` epochs without improvement.
+    Shuffling draws from default_rng(seed). Deterministic for fixed seed and
+    data. `on_epoch`, if given, is called with each EpochRow as soon as the
+    epoch is scored."""
     check_schedule(epochs, patience)
     if len(data.train) == 0 or len(data.val) == 0:
         raise DataError("empty training or validation sample set")
@@ -520,16 +508,16 @@ def train(model: CorrSTN, data: TrainingData, config: ModelConfig,
             seen += enc.shape[0]
             # free this step's autograph before the next forward builds one
             del pred, loss
-        val_mae, val_rmse, val_mape = _teacher_forced_metrics(
-            model, data.val, data.norm_params)
+        val = metrics_mod.evaluate(model, data.val, data).overall
         row = EpochRow(epoch=epoch, train_mae=float(loss_sum / seen * scale),
-                       val_mae=val_mae, val_rmse=val_rmse, val_mape=val_mape,
+                       val_mae=val["mae"], val_rmse=val["rmse"],
+                       val_mape=val["mape"],
                        seconds=time.perf_counter() - started)
         log.rows.append(row)
         if on_epoch is not None:
             on_epoch(row)
-        if val_mae < log.best_val_mae:
-            log.best_val_mae = val_mae
+        if row.val_mae < log.best_val_mae:
+            log.best_val_mae = row.val_mae
             log.best_epoch = epoch
             best_state = model.state_dict()
             since_best = 0

@@ -218,6 +218,24 @@ def test_evaluate_and_horizon_export(workdir):
     assert len(lines) == 13 and lines[0] == "horizon,mae,rmse,mape"
 
 
+def test_train_keeps_the_epoch_whose_val_mae_evaluate_reports(workdir, tmp_path):
+    # train scores each epoch with the autoregressive rollout, so the best
+    # logged val_mae is what `evaluate --split val` reports on the checkpoint
+    run = tmp_path / "run"
+    artifacts = ["--data", str(workdir / "data.sttf"),
+                 "--edges", str(workdir / "edges.csv"),
+                 "--scorr", str(workdir / "corr.scor"), "--ratios", _RATIOS]
+    assert cli.main(["train", *artifacts, "--config", str(workdir / "config.json"),
+                     "--out-dir", str(run), "--seed", "2",
+                     "--epochs", "2"]) == 0
+    assert cli.main(["evaluate", *artifacts, "--config", str(run / "config.json"),
+                     "--checkpoint", str(run / "checkpoint.cstn"),
+                     "--out", str(tmp_path / "eval.json"), "--split", "val"]) == 0
+    rows = (run / "train_log.csv").read_text().splitlines()[1:]
+    best = min(float(row.split(",")[2]) for row in rows)
+    assert json.loads((tmp_path / "eval.json").read_text())["overall"]["mae"] == best
+
+
 def test_predict_writes_forecasts(workdir):
     run = workdir / "run"
     out = workdir / "pred.npy"

@@ -534,6 +534,22 @@ def test_forecast_encodes_once_per_chunk(monkeypatch):
     assert len(calls) == cfg.encoder_layers * 3     # 3 chunks, not 3 x 12
 
 
+def test_forecast_frees_each_chunk_before_the_next(monkeypatch):
+    # the pems08 preset at N=8 in 2-window chunks, traced in encoder
+    # activations (encoder_length, N, d_model): 8 chunks peaked at 42.1
+    # against one chunk's 22.3 while each chunk's memory keys and values and
+    # decoder caches stayed alive as the next chunk encoded
+    n = 8
+    cfg = PRESETS["pems08"]
+    model = build_model(cfg, _scorr(n, 3), _adj(n), n, seed=59)
+    enc = np.random.default_rng(60).normal(size=(16, cfg.encoder_length, n, 3))
+    monkeypatch.setattr(model_mod, "CHUNK_BYTES", _budget_for(2, cfg, n))
+    one, first = traced_peak(lambda: model.forecast(enc[:2]))
+    eight, out = traced_peak(lambda: model.forecast(enc))
+    assert eight <= 1.05 * one
+    assert out[:2].tobytes() == first.tobytes()
+
+
 def test_forecast_and_validation_build_no_autograph(monkeypatch):
     cfg, model = _tiny_model(seed=29)
     outputs = []
@@ -552,9 +568,10 @@ def test_forecast_and_validation_build_no_autograph(monkeypatch):
     samples = SampleSet(encoder_input=enc, decoder_input=dec,
                         target=rng.normal(size=(2, 12, 3, 1)),
                         anchors=np.arange(2), periods=("hourly",))
-    model_mod._teacher_forced_metrics(model, samples,
-                                      np.array([[0.0, 2.0], [0.0, 2.0]]))
-    assert len(outputs) == 13
+    # validation is `evaluate`, one more 12-step rollout
+    metrics_mod.evaluate(model, samples, SimpleNamespace(
+        norm_params=np.array([[0.0, 2.0], [0.0, 2.0]])))
+    assert len(outputs) == 24
     assert all(not out.requires_grad and not graph_nodes(out) for out in outputs)
     # outside those passes the model still builds its graph
     assert model.forward(enc, dec).requires_grad
@@ -785,26 +802,21 @@ def test_forward_builds_each_layers_keys_and_values_as_it_runs():
 
 def test_validation_runs_in_chunks_the_budget_sizes(monkeypatch):
     # with the pems08 preset a validation chunk of 128 windows peaked at
-    # 2.7 GB of RSS at N=96; the metrics do not depend on the chunk
-    _, params, _, val_s = _training_setup()
-    cfg, model = _tiny_model(seed=38, n=3, c=1)
-    sizes = []
-    forward = model_mod.CorrSTN.forward
-
-    def recorded(net, enc, dec):
-        sizes.append(len(enc))
-        return forward(net, enc, dec)
-    monkeypatch.setattr(model_mod.CorrSTN, "forward", recorded)
-    # the tiny model's budget covers the whole split in one chunk
-    want = model_mod._teacher_forced_metrics(model, val_s, params)
-    assert model_mod.chunk_windows(cfg, 3) > len(val_s) and sizes == [len(val_s)]
-    monkeypatch.setattr(model_mod, "CHUNK_BYTES", _budget_for(16, cfg, 3))
-    sizes.clear()
-    assert model_mod._teacher_forced_metrics(model, val_s, params) == want
-    assert len(val_s) > 16 and max(sizes) == 16 and sum(sizes) == len(val_s)
-    for windows in (1, 7, 64, 128):
-        monkeypatch.setattr(model_mod, "CHUNK_BYTES", _budget_for(windows, cfg, 3))
-        assert model_mod._teacher_forced_metrics(model, val_s, params) == want
+    # 2.7 GB of RSS at N=96; the logged metrics do not depend on the chunk,
+    # from one chunk for the whole split down to one window each
+    _, params, train_s, val_s = _training_setup()
+    cfg = ModelConfig(**_TINY)
+    assert model_mod.chunk_windows(cfg, 3) > len(val_s) > 16
+    runs = []
+    for windows in (None, 1, 7, 16, 64, 128):
+        if windows is not None:
+            monkeypatch.setattr(model_mod, "CHUNK_BYTES",
+                                _budget_for(windows, cfg, 3))
+        _, model = _tiny_model(seed=38, n=3, c=1)
+        log = train(model, TrainingData(train_s, val_s, params), cfg,
+                    epochs=1, patience=1)
+        runs.append([(r.val_mae, r.val_rmse, r.val_mape) for r in log.rows])
+    assert all(run == runs[0] for run in runs)
 
 
 def test_state_dict_round_trip_and_mismatch():
@@ -917,9 +929,10 @@ def test_train_restores_best_epoch_state():
     cfg, model = _tiny_model(seed=14, n=3, c=1, learning_rate=0.02)
     log = train(model, TrainingData(train_s, val_s, params), cfg,
                 epochs=6, patience=6, seed=2)
-    from corrstn.model import _teacher_forced_metrics
-    val_mae, _, _ = _teacher_forced_metrics(model, val_s, params)
-    assert abs(val_mae - log.best_val_mae) < 1e-12
+    # the kept epoch's score is the rollout `evaluate` reports, bit for bit
+    dataset = SimpleNamespace(norm_params=params)
+    assert metrics_mod.evaluate(model, val_s, dataset).overall["mae"] \
+        == log.best_val_mae == min(r.val_mae for r in log.rows)
 
 
 def test_train_early_stops():
