@@ -3,7 +3,7 @@
 Only what the forecaster runs: broadcasted add, batched matmul, the fused
 linear (matmul and bias add in one node), layer norm (fused, last axis), the
 fused attention core and its output projection (plain or row-independent,
-with any head split done on views inside the node, run over blocks of the
+with its head split done on views inside the node, run over blocks of the
 leading axes its operands must share: unshared ones raise DimensionError),
 the whole graph layer (its projection, its dynamic weights, its correlation
 routes and its structural route in one node), reshape and narrow, a linear
@@ -514,11 +514,8 @@ def _product(a: np.ndarray, b: np.ndarray, rowwise: bool,
     return a @ b if out is None else np.matmul(a, b, out=out)
 
 
-def _split_heads(x: np.ndarray, heads: int | None) -> np.ndarray:
-    """A view of position-major x (..., L, S, H*d) as (..., S, H, L, d); x
-    itself without heads."""
-    if heads is None:
-        return x
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """A view of position-major x (..., L, S, H*d) as (..., S, H, L, d)."""
     split = x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads))
     m = split.ndim
     return split.transpose(*range(m - 4), m - 3, m - 2, m - 4, m - 1)
@@ -595,7 +592,7 @@ def _attend_backward(p: np.ndarray, g: np.ndarray, q: np.ndarray, k: np.ndarray,
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, weight: Tensor, bias: Tensor,
-              scale: float, heads: int | None = None,
+              scale: float, heads: int,
               mask: np.ndarray | None = None, rowwise: bool = False) -> Tensor:
     """softmax(q k^T * scale) v @ weight + bias as one node: the attention
     core and its (d_v, d_out) output projection, the projection with the bits
@@ -614,48 +611,40 @@ def attention(q: Tensor, k: Tensor, v: Tensor, weight: Tensor, bias: Tensor,
     which the weight's gradient is one GEMM over the stacked rows, as in
     `linear`. Under `no_grad` it keeps nothing.
 
-    Without heads, q is (..., L_q, d), k (..., L_k, d) and v (..., L_k, d_v),
-    and attention runs over axis -2. With heads, the operands are
-    position-major, q (..., L_q, S, d), k (..., L_k, S, d) and v
-    (..., L_k, S, d_v): each of the S positions' `heads` heads attends over
-    axis -3 on its own d/heads columns, through views of the operands, and
-    the head outputs come back side by side as (..., L_q, S, d_v) before the
-    projection. q may be k itself. mask (L_q, L_k) blocks True positions.
+    The operands are position-major, q (..., L_q, S, d), k (..., L_k, S, d)
+    and v (..., L_k, S, d_v): each of the S positions' `heads` heads attends
+    over axis -3 on its own d/heads columns, through views of the operands,
+    and the head outputs come back side by side as (..., L_q, S, d_v) before
+    the projection. q may be k itself. mask (L_q, L_k) blocks True positions.
     With rowwise, each query row is its own (1, d) product against the keys,
     then its own (1, L_k) product against the values, so a core row has the
-    same bits for any L_q; plain GEMMs over L_q do not promise that. With
-    heads the projection is one (S, d_v) product per query row, so an output
-    row keeps that promise; without heads it is one GEMM over the L_q rows.
-    Backward is the same either way.
-    The library calls only the headed form; the form without heads, under an
-    identity projection, is the core graph_layer runs through the same
-    helpers, kept here as the separate op its forward is checked against bit
-    for bit.
+    same bits for any L_q; plain GEMMs over L_q do not promise that. The
+    projection is one (S, d_v) product per query row, so an output row keeps
+    that promise. Backward is the same either way.
 
-    Every slice of the leading axes (with heads: ..., S, H) is independent,
-    so forward and backward run over blocks of whole slices whose scores
-    fit in _BLOCK_BYTES, and write each block's outputs, heads merged,
-    straight into the full arrays. No row's arithmetic changes. The headed
+    Every slice of the leading axes (..., S, H) is independent, so forward
+    and backward run over blocks of whole slices whose scores fit in
+    _BLOCK_BYTES, and write each block's outputs, heads merged, straight
+    into the full arrays. No row's arithmetic changes. The plain
     core multiplies each block by a contiguous copy of its transposed keys,
-    which gives the strided product's bits and runs faster; the core without
-    heads and the rowwise core keep the strided view, since the copy changes
-    their bits. Operands whose leading axes differ raise DimensionError.
+    which gives the strided product's bits and runs faster; the rowwise core
+    keeps the strided view, since the copy changes its bits. Operands whose
+    leading axes differ raise DimensionError.
     """
-    if heads is not None:
-        if q.ndim < 3 or k.ndim < 3 or v.ndim < 3:
-            raise DimensionError(f"attention heads need (..., L, S, d) operands, "
-                                 f"got {q.shape}, {k.shape} and {v.shape}")
-        if not q.shape[-2] == k.shape[-2] == v.shape[-2]:
-            raise DimensionError(f"attention heads need one position axis S, "
-                                 f"got {q.shape}, {k.shape} and {v.shape}")
-        if q.shape[-1] % heads or k.shape[-1] % heads or v.shape[-1] % heads:
-            raise ConfigError(f"widths {q.shape[-1]}, {k.shape[-1]} and "
-                              f"{v.shape[-1]} do not split into {heads} heads")
+    if q.ndim < 3 or k.ndim < 3 or v.ndim < 3:
+        raise DimensionError(f"attention heads need (..., L, S, d) operands, "
+                             f"got {q.shape}, {k.shape} and {v.shape}")
+    if not q.shape[-2] == k.shape[-2] == v.shape[-2]:
+        raise DimensionError(f"attention heads need one position axis S, "
+                             f"got {q.shape}, {k.shape} and {v.shape}")
+    if q.shape[-1] % heads or k.shape[-1] % heads or v.shape[-1] % heads:
+        raise ConfigError(f"widths {q.shape[-1]}, {k.shape[-1]} and "
+                          f"{v.shape[-1]} do not split into {heads} heads")
     qs, ks, vs = (_split_heads(t.data, heads) for t in (q, k, v))
-    if qs.ndim < 2 or ks.ndim < 2 or qs.shape[-1] != ks.shape[-1]:
-        raise DimensionError(f"attention scores need (..., L, d) operands, "
-                             f"got {q.shape} and {k.shape}")
-    if vs.ndim < 2 or vs.shape[-2] != ks.shape[-2]:
+    if qs.shape[-1] != ks.shape[-1]:
+        raise DimensionError(f"attention scores need queries and keys of one "
+                             f"width, got {q.shape} and {k.shape}")
+    if vs.shape[-2] != ks.shape[-2]:
         raise DimensionError(f"values {v.shape} do not match keys {k.shape}")
     lead = qs.shape[:-2]
     if not ks.shape[:-2] == lead == vs.shape[:-2]:
@@ -670,7 +659,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, weight: Tensor, bias: Tensor,
     if mask is not None and np.logical_and.reduce(mask, axis=-1).any():
         raise ConfigError("softmax row fully masked")
     blocks = _blocks(lead, 8 * qs.shape[-2] * ks.shape[-2])
-    contiguous = heads is not None and not rowwise
+    contiguous = not rowwise
     keep = _grad_enabled and any(t.requires_grad for t in (q, k, v, weight, bias))
     row_shape = lead + (qs.shape[-2], 1)
     stats = (np.empty(row_shape), np.empty(row_shape)) if keep else None
@@ -730,10 +719,10 @@ def graph_layer(z: Tensor, w: Tensor, stack: np.ndarray, psi: Tensor,
     psi[c] * relu(stack[c] @ X) plus omega * relu(adj @ ZW), for z
     (..., K, d), a (d, d_out) w, a constant (C, M, K) stack and (M, K)
     adjacency, psi (C,) and omega (1,). Its forward has the bits of matmul,
-    the attention core without heads (through the same blocks and helpers)
-    and the routes, each made in one reused buffer and added onto zeros in
-    order c = 0, 1, ..., then the structural route (except that a NaN route
-    stays NaN, where relu gave 0).
+    of softmax(z z^T / sqrt(d)) @ ZW as separate ops and of the routes,
+    each made in one reused buffer and added onto zeros in order
+    c = 0, 1, ..., then the structural route (except that a NaN route stays
+    NaN, where relu gave 0).
 
     Building a graph it keeps z, each weights row's softmax max and sum,
     (..., K, 1), and each route's relu mask packed 8 to a byte along the

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: synth, scorr, tcorr, select, train, predict, evaluate,
-export-plot-data. Every run writes a manifest JSON recording the resolved
-arguments, seed, build version, stage timings and peak resident memory;
+export-plot-data. Every run writes a manifest JSON, except a select run
+without --out or --manifest, recording the resolved arguments, seed, build
+version, stage timings and peak resident memory;
 train, predict and evaluate also record their sample counts and the byte
 budget of a forecast or validation chunk with the windows it gives, and
 train prints one progress line per epoch to stderr. Exit codes:

@@ -214,6 +214,8 @@ def load_edges(path, sensor_ids: list[str]) -> np.ndarray:
                 raise DataError(f"{path}:{lineno}: bad weight") from exc
             if not np.isfinite(weight):
                 raise DataError(f"{path}:{lineno}: weight {weight} is not finite")
+            if weight < 0:
+                raise DataError(f"{path}:{lineno}: weight {weight} is negative")
             adj[pos[src], pos[dst]] = weight
             if not directed:
                 adj[pos[dst], pos[src]] = weight

@@ -555,8 +555,8 @@ def save_checkpoint(model: CorrSTN, config: ModelConfig, path) -> None:
 
 def load_checkpoint(path, config: ModelConfig) -> dict:
     """Parameters saved by `save_checkpoint`. A file that is not a checkpoint,
-    ends early or holds a name that is not UTF-8 is a DataError; a
-    checkpoint of another config is a ConfigError."""
+    ends early, goes on after its last block or holds a name that is not
+    UTF-8 is a DataError; a checkpoint of another config is a ConfigError."""
     with open(path, "rb") as fh:
         def read(size: int, what: str) -> bytes:
             raw = fh.read(size)
@@ -587,6 +587,8 @@ def load_checkpoint(path, config: ModelConfig) -> dict:
             size = int(np.prod(shape)) if shape else 1
             payload = np.frombuffer(read(8 * size, f"block {name}"), dtype="<f8")
             state[name] = payload.reshape(shape).copy()
+        if fh.read(1):
+            raise DataError(f"{path}: bytes after the checkpoint's last block")
     return state
 
 

@@ -253,19 +253,19 @@ def save_report(report: TCorrReport, path) -> None:
 
 
 def load_report(path) -> TCorrReport:
-    """A report saved by `save_report`; bad JSON, a missing field, an empty
-    verdict or an array whose shape does not fit the verdict's C attributes
-    is a DataError: per-sensor degrees must be (N, C), means and deltas
-    (C,). So is a non-finite delta, and a stored verdict or combined verdict
-    that is not the one the deltas select: every reader of a report picks
-    its periods from the deltas, and a stored verdict that says otherwise
-    was edited."""
+    """A report saved by `save_report`; bad JSON, a missing field, a weight
+    outside (0, 1], an empty verdict or an array whose shape does not fit
+    the verdict's C attributes is a DataError: per-sensor degrees must be
+    (N, C), means and deltas (C,). So is a non-finite delta, and a stored
+    verdict or combined verdict that is not the one the deltas select: every
+    reader of a report picks its periods from the deltas, and a stored
+    verdict that says otherwise was edited."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
             report = report_from_dict(payload)
             stored_combined = tuple(payload["combined_verdict"])
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, ConfigError) as exc:
             raise DataError(f"{path}: malformed tcorr report ({exc!r})") from None
     n_attr = len(report.verdict)
     if n_attr == 0:

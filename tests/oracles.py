@@ -8,7 +8,8 @@ over windows: it checks how compute_tcorr batches and averages windows, while
 core from separate autodiff nodes (matmul, scale, a softmax node written here
 in numpy, matmul): it checks the fused attention node's hand-written backward
 against the chain rule the engine applies op by op, while the
-finite-difference checks test both.
+finite-difference checks test both. As the dynamic route of an op-by-op
+graph layer, it is also what `graph_layer`'s forward matches bit for bit.
 `synthetic_by_sines` is the synthetic generator as one sine pass per
 harmonic and series, the form `generate_synthetic` replaced with a shared
 basis; it takes the harmonic tables from the library.

@@ -269,12 +269,12 @@ _ROUTE_ADJ = np.random.default_rng(14).uniform(0.0, 1.0, size=(4, 4))
 
 
 def _graph_layer_by_ops(z, w, psi, omega):
-    """The graph layer as separate ops: matmul for ZW, the attention node
+    """The graph layer as separate ops: matmul for ZW, the attention oracle
     for the dynamic route X, then each correlation route's matmul, relu and
     scaling by its entry of psi, added in order, then the structural
     route's matmul, relu and scaling over ZW, then the add."""
     zw = matmul(z, w)
-    x = _core(z, z, zw, 1.0 / np.sqrt(z.shape[-1]))
+    x = attention_by_ops(z, z, zw, 1.0 / np.sqrt(z.shape[-1]))
     out = None
     for c in range(3):
         route = mul(relu(matmul(Tensor(_ROUTE_STACK[c]), x)), narrow(psi, 0, c, 1))
@@ -399,97 +399,6 @@ def _compare_to_ops(fused, oracle, arrays, trainable, exact=True):
             assert got is None and want is None
 
 
-def _attention_case_operands(l_q, l_k):
-    rng = np.random.default_rng(l_q * 10 + l_k)
-    return [rng.normal(size=(2, 3, l_q, 4)), rng.normal(size=(2, 3, l_k, 4)),
-            rng.normal(size=(2, 3, l_k, 6))]
-
-
-@pytest.mark.parametrize("l_q, l_k, mask", _ATTENTION_CASES)
-def test_fused_attention_matches_op_by_op(l_q, l_k, mask):
-    scale = 1.0 / np.sqrt(4)
-    for trainable in ({0}, {1}, {2}, {0, 1, 2}):
-        _compare_to_ops(lambda q, k, v: _core(q, k, v, scale, mask=mask),
-                        lambda q, k, v: attention_by_ops(q, k, v, scale, mask=mask),
-                        _attention_case_operands(l_q, l_k), trainable)
-
-
-@pytest.mark.parametrize("l_q, l_k, mask", _ATTENTION_CASES)
-def test_rowwise_attention_matches_op_by_op(l_q, l_k, mask):
-    # its per-row products may round differently from the oracle's GEMMs
-    scale = 1.0 / np.sqrt(4)
-    for trainable in ({0}, {1}, {2}, {0, 1, 2}):
-        _compare_to_ops(
-            lambda q, k, v: _core(q, k, v, scale, mask=mask, rowwise=True),
-            lambda q, k, v: attention_by_ops(q, k, v, scale, mask=mask),
-            _attention_case_operands(l_q, l_k), trainable, exact=False)
-
-
-@pytest.mark.parametrize("causal", [False, True])
-def test_rowwise_attention_rows_do_not_depend_on_query_count(causal):
-    rng = np.random.default_rng(41)
-    q = rng.normal(size=(2, 3, 12, 8))
-    k = rng.normal(size=(2, 3, 12, 8))
-    v = rng.normal(size=(2, 3, 12, 8))
-    mask = np.triu(np.ones((12, 12), dtype=bool), k=1) if causal else None
-    together = _core(Tensor(q), Tensor(k), Tensor(v), 0.35, mask=mask,
-                         rowwise=True).data
-    for t in range(12):
-        alone = _core(Tensor(q[..., t:t + 1, :]), Tensor(k), Tensor(v), 0.35,
-                          mask=None if mask is None else mask[t:t + 1],
-                          rowwise=True).data
-        assert np.array_equal(alone[..., 0, :], together[..., t, :]), t
-
-
-def test_fused_attention_of_one_operand_matches_op_by_op():
-    # Z as queries and keys, the form of the graph layer's dynamic route
-    scale = 1.0 / np.sqrt(5)
-    rng = np.random.default_rng(9)
-    arrays = [rng.normal(size=(2, 6, 5)), rng.normal(size=(2, 6, 5))]
-    for trainable in ({0}, {0, 1}):
-        _compare_to_ops(lambda z, v: _core(z, z, v, scale),
-                        lambda z, v: attention_by_ops(z, z, v, scale),
-                        arrays, trainable)
-
-
-def test_attention_of_one_inner_node_as_queries_and_keys_gets_both_gradients():
-    # q is k: the node producing them is listed twice in the attention
-    # node's operands, so the walk must count both consumers before running
-    # it and hand it both contributions
-    scale = 1.0 / np.sqrt(5)
-    rng = np.random.default_rng(10)
-    arrays = [rng.normal(size=(2, 6, 3)), rng.normal(size=(3, 5)),
-              rng.normal(size=(5,)), rng.normal(size=(2, 6, 4))]
-
-    def fused(x, w, b, v):
-        z = linear(x, w, b)
-        return _core(z, z, v, scale)
-
-    def oracle(x, w, b, v):
-        z = linear(x, w, b)
-        return attention_by_ops(z, z, v, scale)
-    for trainable in ({0}, {1, 2}, {0, 1, 2, 3}):
-        _compare_to_ops(fused, oracle, arrays, trainable)
-
-
-def test_fused_attention_gradients_and_checks():
-    mask = np.triu(np.ones((4, 5), dtype=bool), k=2)
-    _check_op(lambda q, k, v: _core(q, k, v, 0.5, mask=mask),
-              (2, 4, 3), (2, 5, 3), (2, 5, 2))
-    _check_op(lambda q, k, v: _core(q, k, v, 0.5, mask=mask, rowwise=True),
-              (2, 4, 3), (2, 5, 3), (2, 5, 2))
-    with pytest.raises(DimensionError):
-        _core(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 2))),
-                  Tensor(np.ones((5, 2))), 1.0)
-    with pytest.raises(DimensionError):
-        _core(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 3))),
-                  Tensor(np.ones((4, 2))), 1.0)
-    with pytest.raises(ConfigError):
-        _core(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))),
-                  Tensor(np.ones((2, 3))), 1.0,
-                  mask=np.array([[True, True], [False, True]]))
-
-
 def _split_by_ops(x, heads):
     """(..., L, S, d) -> (..., S, H, L, d/H) through reshape and permute nodes."""
     split = reshape(x, x.shape[:-1] + (heads, x.shape[-1] // heads))
@@ -504,6 +413,108 @@ def _merge_by_ops(x):
     return reshape(merged, merged.shape[:-2] + (merged.shape[-2] * merged.shape[-1],))
 
 
+def _headed_by_ops(q, k, v, scale, heads, mask=None):
+    """The attention oracle on position-major operands whose heads are split
+    and merged again explicitly by graph ops."""
+    split = (_split_by_ops(t, heads) for t in (q, k, v))
+    return _merge_by_ops(attention_by_ops(*split, scale, mask=mask))
+
+
+def _attention_case_operands(l_q, l_k):
+    """Position-major q (2, L_q, 3, 4), k (2, L_k, 3, 4) and v (2, L_k, 3, 6)."""
+    rng = np.random.default_rng(l_q * 10 + l_k)
+    return [rng.normal(size=(2, l_q, 3, 4)), rng.normal(size=(2, l_k, 3, 4)),
+            rng.normal(size=(2, l_k, 3, 6))]
+
+
+@pytest.mark.parametrize("l_q, l_k, mask", _ATTENTION_CASES)
+def test_fused_attention_matches_op_by_op(l_q, l_k, mask):
+    # one head over all 4 columns of each of the 3 positions
+    scale = 1.0 / np.sqrt(4)
+    for trainable in ({0}, {1}, {2}, {0, 1, 2}):
+        _compare_to_ops(lambda q, k, v: _core(q, k, v, scale, heads=1, mask=mask),
+                        lambda q, k, v: _headed_by_ops(q, k, v, scale, 1, mask),
+                        _attention_case_operands(l_q, l_k), trainable)
+
+
+@pytest.mark.parametrize("l_q, l_k, mask", _ATTENTION_CASES)
+def test_rowwise_attention_matches_op_by_op(l_q, l_k, mask):
+    # its per-row products may round differently from the oracle's GEMMs
+    scale = 1.0 / np.sqrt(4)
+    for trainable in ({0}, {1}, {2}, {0, 1, 2}):
+        _compare_to_ops(
+            lambda q, k, v: _core(q, k, v, scale, heads=1, mask=mask, rowwise=True),
+            lambda q, k, v: _headed_by_ops(q, k, v, scale, 1, mask),
+            _attention_case_operands(l_q, l_k), trainable, exact=False)
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_rowwise_attention_rows_do_not_depend_on_query_count(causal):
+    # position-major (B, L, S, d) with 2 heads, as the decoder runs it: each
+    # query step alone has the bits of the same step among all 12
+    rng = np.random.default_rng(41)
+    q = rng.normal(size=(2, 12, 3, 8))
+    k = rng.normal(size=(2, 12, 3, 8))
+    v = rng.normal(size=(2, 12, 3, 8))
+    mask = np.triu(np.ones((12, 12), dtype=bool), k=1) if causal else None
+    together = _core(Tensor(q), Tensor(k), Tensor(v), 0.35, heads=2, mask=mask,
+                     rowwise=True).data
+    for t in range(12):
+        alone = _core(Tensor(q[:, t:t + 1]), Tensor(k), Tensor(v), 0.35, heads=2,
+                      mask=None if mask is None else mask[t:t + 1],
+                      rowwise=True).data
+        assert np.array_equal(alone[:, 0], together[:, t]), t
+
+
+def test_fused_attention_of_one_operand_matches_op_by_op():
+    # Z as queries and keys of the encoder's headed core
+    scale = 1.0 / np.sqrt(2)
+    rng = np.random.default_rng(9)
+    arrays = [rng.normal(size=(2, 6, 3, 4)), rng.normal(size=(2, 6, 3, 4))]
+    for trainable in ({0}, {0, 1}):
+        _compare_to_ops(lambda z, v: _core(z, z, v, scale, heads=2),
+                        lambda z, v: _headed_by_ops(z, z, v, scale, 2),
+                        arrays, trainable)
+
+
+def test_attention_of_one_inner_node_as_queries_and_keys_gets_both_gradients():
+    # q is k: the node producing them is listed twice in the attention
+    # node's operands, so the walk must count both consumers before running
+    # it and hand it both contributions
+    scale = 1.0 / np.sqrt(2)
+    rng = np.random.default_rng(10)
+    arrays = [rng.normal(size=(2, 6, 3, 3)), rng.normal(size=(3, 4)),
+              rng.normal(size=(4,)), rng.normal(size=(2, 6, 3, 4))]
+
+    def fused(x, w, b, v):
+        z = linear(x, w, b)
+        return _core(z, z, v, scale, heads=2)
+
+    def oracle(x, w, b, v):
+        z = linear(x, w, b)
+        return _headed_by_ops(z, z, v, scale, 2)
+    for trainable in ({0}, {1, 2}, {0, 1, 2, 3}):
+        _compare_to_ops(fused, oracle, arrays, trainable)
+
+
+def test_fused_attention_gradients_and_checks():
+    mask = np.triu(np.ones((4, 5), dtype=bool), k=2)
+    shapes = (2, 4, 3, 4), (2, 5, 3, 4), (2, 5, 3, 2)
+    _check_op(lambda q, k, v: _core(q, k, v, 0.5, heads=2, mask=mask), *shapes)
+    _check_op(lambda q, k, v: _core(q, k, v, 0.5, heads=2, mask=mask, rowwise=True),
+              *shapes)
+    with pytest.raises(DimensionError):     # queries and keys of other widths
+        _core(Tensor(np.ones((4, 1, 3))), Tensor(np.ones((5, 1, 2))),
+              Tensor(np.ones((5, 1, 2))), 1.0, heads=1)
+    with pytest.raises(DimensionError):     # values for another number of keys
+        _core(Tensor(np.ones((4, 1, 3))), Tensor(np.ones((5, 1, 3))),
+              Tensor(np.ones((4, 1, 2))), 1.0, heads=1)
+    with pytest.raises(ConfigError):
+        _core(Tensor(np.ones((2, 1, 3))), Tensor(np.ones((2, 1, 3))),
+              Tensor(np.ones((2, 1, 3))), 1.0, heads=1,
+              mask=np.array([[True, True], [False, True]]))
+
+
 @pytest.mark.parametrize("rowwise", [False, True])
 @pytest.mark.parametrize("l_q, l_k, mask", _ATTENTION_CASES)
 def test_head_split_attention_matches_op_by_op(l_q, l_k, mask, rowwise):
@@ -515,13 +526,11 @@ def test_head_split_attention_matches_op_by_op(l_q, l_k, mask, rowwise):
     arrays = [rng.normal(size=(2, l_q, 3, 4)), rng.normal(size=(2, l_k, 3, 4)),
               rng.normal(size=(2, l_k, 3, 6))]
 
-    def oracle(q, k, v):
-        split = (_split_by_ops(t, 2) for t in (q, k, v))
-        return _merge_by_ops(attention_by_ops(*split, scale, mask=mask))
     for trainable in ({0}, {1}, {2}, {0, 1, 2}):
         _compare_to_ops(lambda q, k, v: _core(q, k, v, scale, heads=2, mask=mask,
-                                                  rowwise=rowwise),
-                        oracle, arrays, trainable, exact=not rowwise)
+                                              rowwise=rowwise),
+                        lambda q, k, v: _headed_by_ops(q, k, v, scale, 2, mask),
+                        arrays, trainable, exact=not rowwise)
 
 
 def test_head_split_attention_checks():
@@ -547,20 +556,24 @@ def _attention_outputs(arrays, trainable, seed_grad, **kwargs):
 
 _CAUSAL6 = np.triu(np.ones((6, 6), dtype=bool), k=1)
 
-# (heads, mask, rowwise): the graph layer's plain core, the encoder's headed
-# core, and masked and rowwise cores as the decoder runs them
-_CORES = [(None, None, False), (2, None, False), (2, _CAUSAL6, False),
-          (2, _CAUSAL6, True), (None, _CAUSAL6, True)]
+# (heads, mask, rowwise) over position-major operands: the encoder's core
+# with one head and with two, a masked plain core, and the decoder's
+# self-attention (masked, rowwise) and cross-attention (rowwise). The graph
+# layer's plain core is checked by
+# test_blocked_graph_layer_is_bit_equal_to_one_block
+_CORES = [(1, None, False), (2, None, False), (2, _CAUSAL6, False),
+          (2, _CAUSAL6, True), (2, None, True)]
 
 
 @pytest.mark.parametrize("block_bytes", [1, 700, 2000])
 @pytest.mark.parametrize("heads, mask, rowwise", _CORES)
 def test_blocked_attention_is_bit_equal_to_one_block(monkeypatch, block_bytes,
                                                      heads, mask, rowwise):
-    # 6 x 6 score slices of 288 bytes, 30 of them: blocks of one slice, of
-    # one position's two heads (or two rows) and of several positions
+    # 6 x 6 score slices of 288 bytes, 15 per head: blocks of one slice, of
+    # one position's two heads (or two positions' one head) and of several
+    # positions
     rng = np.random.default_rng(block_bytes)
-    shape = (3, 6, 5, 4) if heads else (3, 5, 6, 4)
+    shape = (3, 6, 5, 4)
     arrays = [rng.normal(size=shape) for _ in range(3)]
     seed_grad = rng.normal(size=shape)
     counts = []
@@ -588,7 +601,7 @@ def test_attention_gradients_match_backward_on_the_forward_weights(
     # whether the node keeps its weights or rebuilds them, its gradients are
     # those of the whole core's backward run on the weights the forward made
     rng = np.random.default_rng(block_bytes % 1000)
-    shape = (3, 6, 5, 4) if heads else (3, 5, 6, 4)
+    shape = (3, 6, 5, 4)
     arrays = [rng.normal(size=shape) for _ in range(3)]
     seed_grad = rng.normal(size=shape)
     monkeypatch.setattr(autodiff, "_BLOCK_BYTES", block_bytes)
@@ -626,44 +639,36 @@ def test_attention_gradients_match_backward_on_the_forward_weights(
 
 def test_blocked_attention_under_no_grad_keeps_no_full_weights(monkeypatch):
     rng = np.random.default_rng(14)
-    arrays = [rng.normal(size=(8, 64, 2)) for _ in range(3)]
-    # position-major, two heads of one position: eight 64 x 64 slices too
-    headed = [rng.normal(size=(4, 64, 1, 4)) for _ in range(3)]
+    # position-major, two heads of one position: eight 64 x 64 slices
+    arrays = [rng.normal(size=(4, 64, 1, 4)) for _ in range(3)]
     weights_bytes = 8 * 64 * 64 * 8
     # one 64 x 64 slice per block, eight blocks
     monkeypatch.setattr(autodiff, "_BLOCK_BYTES", 64 * 64 * 8)
 
-    def peak_bytes(arrays, **kwargs):
+    def peak_bytes(rowwise):
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
-        return traced_peak(lambda: _core(*tensors, 0.5, **kwargs))
-    with no_grad():
-        peak, out = peak_bytes(arrays)
-    assert peak < weights_bytes / 2
-    # building a graph, every core keeps each weights row's max and sum,
-    # not the weights, so no (L_q, L_k) array outlives a block
-    peak, graphed = peak_bytes(arrays)
-    assert peak < weights_bytes / 2
-    assert np.array_equal(out.data, graphed.data)
+        return traced_peak(lambda: _core(*tensors, 0.5, heads=2, rowwise=rowwise))
     for rowwise in (False, True):
-        assert peak_bytes(headed, heads=2, rowwise=rowwise)[0] < weights_bytes / 2
-    peak, graphed = peak_bytes(arrays, rowwise=True)
-    assert peak < weights_bytes / 2
-    with no_grad():
-        assert graphed.data.tobytes() == _core(
-            *(Tensor(a) for a in arrays), 0.5, rowwise=True).data.tobytes()
+        with no_grad():
+            peak, out = peak_bytes(rowwise)
+        assert peak < weights_bytes / 2
+        # building a graph, every core keeps each weights row's max and sum,
+        # not the weights, so no (L_q, L_k) array outlives a block
+        peak, graphed = peak_bytes(rowwise)
+        assert peak < weights_bytes / 2
+        assert graphed.data.tobytes() == out.data.tobytes()
 
 
 def test_attention_without_leading_axes_runs_as_one_block(monkeypatch):
-    # (L, d) operands have no leading axis to cut, so even a budget below
-    # one score slice runs them whole
+    # a graph layer over a (K, d) z has no leading axis to cut, so even a
+    # budget below one score slice runs its core whole
     monkeypatch.setattr(autodiff, "_BLOCK_BYTES", 1)
     rng = np.random.default_rng(2)
-    arrays = [rng.normal(size=shape) for shape in ((5, 4), (6, 4), (6, 3))]
-    assert autodiff._blocks((), 8 * 5 * 6) == [()]
-    for trainable in ({0}, {1}, {2}, {0, 1, 2}):
-        _compare_to_ops(lambda q, k, v: _core(q, k, v, 0.5),
-                        lambda q, k, v: attention_by_ops(q, k, v, 0.5),
-                        arrays, trainable)
+    arrays = [rng.normal(size=(4, 3)), rng.normal(size=(3, 10)),
+              rng.uniform(0.2, 1.0, size=3), rng.uniform(0.2, 1.0, size=1)]
+    assert autodiff._blocks((), 8 * 4 * 4) == [()]
+    for trainable in ({0}, {1}, {2, 3}, {0, 1, 2, 3}):
+        _compare_to_ops(_graph_layer, _graph_layer_by_ops, arrays, trainable)
 
 
 @pytest.mark.parametrize("heads, mask, rowwise", _CORES)
@@ -672,8 +677,7 @@ def test_attention_projection_matches_core_then_linear(heads, mask, rowwise):
     # linear: forward bit-equal, gradients to 1e-12, for every subset of
     # trainable operands, the projection's alone included
     rng = np.random.default_rng(43)
-    shape = (3, 6, 5, 4) if heads else (3, 5, 6, 4)
-    arrays = [rng.normal(size=shape) for _ in range(3)]
+    arrays = [rng.normal(size=(3, 6, 5, 4)) for _ in range(3)]
     arrays += [rng.normal(size=(4, 7)), rng.normal(size=7)]
     kwargs = dict(heads=heads, mask=mask, rowwise=rowwise)
 
@@ -707,14 +711,16 @@ def test_attention_with_only_the_projection_trainable():
     # weight's gradient reads the core's output, which backward rebuilds
     mask = np.triu(np.ones((4, 5), dtype=bool), k=2)
     rng = np.random.default_rng(44)
-    q, k, v = (Tensor(rng.normal(size=s)) for s in ((2, 4, 3), (2, 5, 3), (2, 5, 2)))
-    _check_op(lambda w, b: attention(q, k, v, w, b, 0.5, mask=mask), (2, 6), (6,))
-    _check_op(lambda w, b: attention(q, k, v, w, b, 0.5, mask=mask, rowwise=True),
+    q, k, v = (Tensor(rng.normal(size=s))
+               for s in ((2, 4, 3, 4), (2, 5, 3, 4), (2, 5, 3, 2)))
+    _check_op(lambda w, b: attention(q, k, v, w, b, 0.5, heads=2, mask=mask),
               (2, 6), (6,))
+    _check_op(lambda w, b: attention(q, k, v, w, b, 0.5, heads=2, mask=mask,
+                                     rowwise=True), (2, 6), (6,))
     with pytest.raises(DimensionError):     # the weight does not take v
-        attention(q, k, v, Tensor(np.ones((3, 6))), Tensor(np.ones(6)), 0.5)
+        attention(q, k, v, Tensor(np.ones((3, 6))), Tensor(np.ones(6)), 0.5, heads=2)
     with pytest.raises(DimensionError):
-        attention(q, k, v, Tensor(np.ones((2, 6))), Tensor(np.ones(5)), 0.5)
+        attention(q, k, v, Tensor(np.ones((2, 6))), Tensor(np.ones(5)), 0.5, heads=2)
 
 
 def _producers(conv):
@@ -789,8 +795,8 @@ def test_attention_over_recipes_matches_attention_over_leaves(conv, rowwise):
 
 
 @pytest.mark.parametrize("shapes, heads", [
-    ([(2, 3, 5, 4), (1, 3, 6, 4), (3, 6, 3)], None),    # broadcast keys, values
-    ([(2, 5, 4), (3, 6, 4), (3, 6, 3)], None),          # other leading axes
+    ([(2, 5, 3, 4), (2, 6, 3, 4), (6, 3, 2)], 2),       # broadcast values
+    ([(2, 5, 3, 4), (3, 6, 3, 4), (3, 6, 3, 2)], 2),    # other leading axes
     ([(2, 5, 3, 4), (1, 6, 3, 4), (1, 6, 3, 4)], 2)])   # broadcast heads
 def test_attention_refuses_unshared_leading_axes(shapes, heads):
     tensors = [Tensor(np.ones(shape), requires_grad=True) for shape in shapes]

@@ -515,11 +515,15 @@ def test_file_that_is_not_utf8_is_data_error(workdir, tmp_path, capsys, which):
     assert list(tmp_path.iterdir()) == [bad]
 
 
-@pytest.mark.parametrize("cut", [20, 44, 50, 60, -3])
+# cut None keeps the whole checkpoint and appends 700 bytes after its last
+# block, which once loaded without an error
+@pytest.mark.parametrize("cut", [20, 44, 50, 60, -3,
+                                 pytest.param(None, id="appended-bytes")])
 def test_truncated_checkpoint_is_data_error(workdir, tmp_path, capsys, cut):
     run = workdir / "run"
+    raw = (run / "checkpoint.cstn").read_bytes()
     short = tmp_path / "short.cstn"
-    short.write_bytes((run / "checkpoint.cstn").read_bytes()[:cut])
+    short.write_bytes(raw + bytes(700) if cut is None else raw[:cut])
     rc = cli.main(["evaluate", "--data", str(workdir / "data.sttf"),
                    "--edges", str(workdir / "edges.csv"),
                    "--scorr", str(workdir / "corr.scor"),
@@ -527,7 +531,10 @@ def test_truncated_checkpoint_is_data_error(workdir, tmp_path, capsys, cut):
                    "--checkpoint", str(short), "--out", str(tmp_path / "m.json"),
                    "--ratios", _RATIOS])
     assert rc == 3
-    assert "truncated checkpoint" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(short) in err
+    assert ("after the checkpoint's last block" if cut is None
+            else "truncated checkpoint") in err
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
@@ -679,16 +686,24 @@ _EMPTY_REPORT = json.dumps({
     "deltas": {"hd": [], "hw": [], "dw": []},
     "verdict": [], "combined_verdict": ["hourly"],
     "per_sensor": {"hourly": [[], []], "daily": [[], []], "weekly": [[], []]}})
+# a weight outside (0, 1] once failed as a configuration error, exit 2,
+# without the report's path
+_HEAVY_WEIGHT_REPORT = json.dumps({
+    **json.loads(_EMPTY_REPORT),
+    "weights": {"hourly": 2.0, "daily": 0.95, "weekly": 0.85}})
 
 
 @pytest.mark.parametrize("text", ['{"verdict": [[', "{}", "[]",
                                   '{"deltas": {"hd": [0.1]}}',
-                                  pytest.param(_EMPTY_REPORT, id="no-attributes")])
+                                  pytest.param(_EMPTY_REPORT, id="no-attributes"),
+                                  pytest.param(_HEAVY_WEIGHT_REPORT,
+                                               id="weight-above-one")])
 def test_malformed_report_is_data_error(tmp_path, capsys, text):
     report = tmp_path / "report.json"
     report.write_text(text)
     assert cli.main(["select", "--report", str(report)]) == 3
-    assert "malformed tcorr report" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed tcorr report" in err and str(report) in err
     assert cli.main(["export-plot-data", "--metric-reports", str(report),
                      "--out-dir", str(tmp_path / "plots")]) == 3
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,9 +112,9 @@ def test_edges_directed_flag_and_errors(tmp_path):
     assert adj[0, 1] == 1.0 and adj[1, 0] == 0.0
     bad = tmp_path / "bad.csv"
     for text in ("from,to\na,zzz\n", "from\na,b\n", "from,to,weight\na,b,nan\n",
-                 "from,to,weight\na,b,inf\n"):
+                 "from,to,weight\na,b,inf\n", "from,to,weight\na,b,-2\n"):
         bad.write_text(text)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=re.escape(f"{bad}:")):
             load_edges(bad, ["a", "b"])
 
 

@@ -454,12 +454,10 @@ def test_training_graph_keeps_no_weights_of_the_non_rowwise_cores(monkeypatch):
     cores = []
     attention, graph_layer = autodiff.attention, autodiff.graph_layer
 
-    def recorded(q, k, v, weight, bias, scale, heads=None, mask=None,
-                 rowwise=False):
+    def recorded(q, k, v, weight, bias, scale, heads, mask=None, rowwise=False):
         out = attention(q, k, v, weight, bias, scale, heads=heads, mask=mask,
                         rowwise=rowwise)
-        axis = -2 if heads is None else -3
-        cores.append((out._node, rowwise, (q.shape[axis], k.shape[axis])))
+        cores.append((out._node, rowwise, (q.shape[-3], k.shape[-3])))
         return out
 
     def recorded_graph(z, *operands):
