@@ -8,7 +8,11 @@ leading axes its operands must share: unshared ones raise DimensionError),
 the whole graph layer (its projection, its dynamic weights, its correlation
 routes and its structural route in one node), reshape and narrow, a linear
 projection and its temporal convolution in one node, and the MAE loss as
-one node.
+one node. The attention node and the temporal convolution take
+position-major operands (..., L, S, d) and give their outputs in that
+layout: the attention node scales its scores by 1/sqrt(d/heads), which it
+derives from q, and the convolution unfolds its k time windows along axis
+-3 for one GEMM.
 Graphs are built eagerly. A graph vertex is a `_Node` (parent nodes, backward
 closure, gradient), apart from the `Tensor` that holds the op's output, and
 each closure keeps only the arrays its backward reads. `linear` and `matmul`
@@ -19,21 +23,22 @@ freed as soon as the forward code drops its tensor, while the graph lives on.
 A fused node's transients (the projection under the temporal convolution
 and its unfolding, the graph layer's projection, dynamic route and routes, a
 block's attention scores, the attention core's output under its projection)
-are never kept: backward rebuilds them from what the node keeps, and the
-graph layer keeps its relu masks as bits. No attention core keeps its
-softmax weights: each keeps every weights row's max and sum, and backward
-rebuilds the weights from q and k with the forward's own products, so they
-have the forward's bits, and their product with v for the projection's
-weight gradient; the attention node keeps nothing of its output's size. Nor
-does it keep q, k or v where the node that made them has a recipe: `linear`,
-`linear_conv1d_temporal` and a constant's `matmul` over either record one, a
-function that remakes their output with the forward's own operations from
-the arrays they keep anyway, and the attention node keeps that recipe and
-runs it once at the start of its backward. Layer norm keeps its output,
-which its consumer keeps anyway, instead of xhat, and divides xhat back out
-in backward; it keeps xhat's values only in the columns whose gain is zero
-or tiny next to its bias, where that division would lose bits, and in
-practice there are none.
+are never kept: backward rebuilds those it reads from what the node keeps
+(the convolution's backward reads the projection, one offset's rows at a
+time, and never its unfolding), and the graph layer keeps its relu masks as
+bits. No attention core keeps its softmax weights: each keeps every weights
+row's max and sum, and backward rebuilds the weights from q and k with the
+forward's own products, so they have the forward's bits, and their product
+with v for the projection's weight gradient; the attention node keeps
+nothing of its output's size. Nor does it keep q, k or v where the node that
+made them has a recipe: `linear`, `linear_conv1d_temporal` and a constant's
+`matmul` over either record one, a function that remakes their output with
+the forward's own operations from the arrays they keep anyway, and the
+attention node keeps that recipe and runs it once at the start of its
+backward. Layer norm keeps its output, which its consumer keeps anyway,
+instead of xhat, and divides xhat back out in backward; it keeps xhat's
+values only in the columns whose gain is zero or tiny next to its bias,
+where that division would lose bits, and in practice there are none.
 backward() counts each node's consumers in the graph, then runs a node as
 soon as all of them have run, and accumulates each closure's gradients into
 the parent nodes. Ready nodes wait on a stack, onto which each node's
@@ -372,56 +377,30 @@ def _time_blocks(t_len: int, k: int, d: int) -> list:
 
 
 def _unfold_time(x: np.ndarray, blocks: list, width: int) -> np.ndarray:
-    """The windows of x (..., T, d) side by side, (..., T, width), zero
-    outside [0, T)."""
+    """The windows of position-major x (..., T, S, d) along its time axis
+    side by side, (..., T, S, width), zero outside [0, T)."""
     out = np.zeros(x.shape[:-1] + (width,))
     for columns, rows, source in blocks:
-        out[..., rows, columns] = x[..., source, :]
+        out[..., rows, :, columns] = x[..., source, :, :]
     return out
-
-
-def _conv_input_grad(g: np.ndarray, weight: np.ndarray, blocks: list,
-                     x_shape: tuple) -> np.ndarray:
-    """The conv input's gradient for output gradient g: one product per
-    offset, folded straight into the input's rows."""
-    wt = _transposed(weight)
-    gx = np.zeros(x_shape)
-    for columns, rows, source in blocks:
-        gx[..., source, :] += g[..., rows, :] @ wt[:, columns]
-    return gx
-
-
-def _conv_kernel_grad(g: np.ndarray, x: np.ndarray, blocks: list,
-                      kernel_shape: tuple) -> np.ndarray:
-    """The kernel's gradient for output gradient g and input x: per offset,
-    one GEMM over the stacked rows of every leading axis of that offset's
-    window of x, its zero rows included, with the bits of the whole
-    unfolding's GEMMs."""
-    k, d_in, d_out = kernel_shape
-    g_rows = g.reshape(-1, d_out)
-    gk = np.zeros((k * d_in, d_out))
-    for columns, rows, source in blocks:
-        block = [(slice(0, d_in), rows, source)]
-        gk[columns] = _unfold_time(x, block, d_in).reshape(-1, d_in).T @ g_rows
-    return gk.reshape(kernel_shape)
 
 
 def linear_conv1d_temporal(x: Tensor, weight: Tensor, bias: Tensor, kernel: Tensor,
                            conv_bias: Tensor) -> Tensor:
     """A same-length convolution along axis -3 of linear(x, weight, bias),
     for position-major x (..., T, S, d_in), a (d_in, d) weight, a (k, d,
-    d_out) kernel and biases (d,) and (d_out,), as one node. With time
-    swapped onto axis -2, the projection's k centred, zero-padded windows are
-    unfolded side by side (block o of row t is row t + o - (k-1)//2) and
-    multiplied by the kernel reshaped to (k * d, d_out) in one GEMM; the
-    unfolding is a transient. The node keeps x, the weight and the bias,
-    never their (..., T, S, d) projection or its k times wider unfolding,
-    and backward makes nothing that wide: it folds one product per offset
-    into the projection's gradient, and, for the kernel's gradient, rebuilds
-    the projection with the forward's own product and unfolds it one
-    offset's window at a time, with the bits of the whole unfolding's GEMMs.
-    Its recipe runs the whole forward again from what the node keeps.
-    Its output is a (..., T, S, d_out) view of a (..., S, T, d_out) array."""
+    d_out) kernel and biases (d,) and (d_out,), as one node. The
+    projection's k centred, zero-padded time windows are unfolded side by
+    side, (..., T, S, k * d) with block o of row t row t + o - (k-1)//2,
+    and multiplied by the kernel reshaped to (k * d, d_out) in one GEMM; the
+    unfolding is a transient, and the output a C-contiguous (..., T, S,
+    d_out) array. The node keeps x, the weight and the bias, never their
+    projection or its k times wider unfolding, and backward unfolds nothing:
+    per offset, it folds the gradient of the rows that offset reaches,
+    times that offset's kernel block, into the projection gradient's source
+    rows, and takes the block's gradient from those source rows of the
+    projection, rebuilt with the forward's own product.
+    Its recipe runs the whole forward again from what the node keeps."""
     if x.ndim < 3 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
         raise DimensionError(f"projection needs (..., T, S, d_in) @ (d_in, d), "
                              f"got {x.shape} @ {weight.shape}")
@@ -435,35 +414,32 @@ def linear_conv1d_temporal(x: Tensor, weight: Tensor, bias: Tensor, kernel: Tens
     k, _, d_out = kernel.shape
     blocks = _time_blocks(x.shape[-3], k, d)
     conv_weight = kernel.data.reshape(k * d, d_out)
-
-    def project(x_data, w_data, b_data):
-        return np.swapaxes(_affine(x_data, w_data, b_data), -3, -2)
-
     # the kernel's gradient reads the projection, rebuilt from x, the weight
     # and the bias; the projection's reads the kernel, and from there the
     # weight's gradient reads x and x's the weight
     x_data, w_data, b_data, cb_data = x.data, weight.data, bias.data, conv_bias.data
 
     def convolve():
-        out = _unfold_time(project(x_data, w_data, b_data), blocks, k * d) \
+        out = _unfold_time(_affine(x_data, w_data, b_data), blocks, k * d) \
             @ conv_weight
         out += cb_data
-        return np.swapaxes(out, -3, -2)
-
-    # the projection's shape with time on axis -2, as the conv sees it
-    swapped = x.shape[:-3] + (x.shape[-2], x.shape[-3], d)
+        return out
 
     def backward(g):
-        g = np.swapaxes(g, -3, -2)
-        gk = _conv_kernel_grad(g, project(x_data, w_data, b_data), blocks,
-                               (k, d, d_out))
-        gcb = _unbroadcast(g, (d_out,))
-        gp = np.swapaxes(_conv_input_grad(g, conv_weight, blocks, swapped), -3, -2)
+        p = _affine(x_data, w_data, b_data)
+        wt = _transposed(conv_weight)
+        gp = np.zeros(p.shape)
+        gk = np.zeros((k * d, d_out))
+        for columns, rows, source in blocks:
+            g_rows = g[..., rows, :, :]
+            gp[..., source, :, :] += g_rows @ wt[:, columns]
+            gk[columns] = p[..., source, :, :].reshape(-1, d).T \
+                @ g_rows.reshape(-1, d_out)
         gx = gp @ _transposed(w_data)
         # one GEMM over the stacked rows of every leading axis
         gw = x_data.reshape(-1, d_in).T @ gp.reshape(-1, d)
-        gb = _unbroadcast(gp, (d,))
-        return gx, gw, gb, gk, gcb
+        return (gx, gw, _unbroadcast(gp, (d,)), gk.reshape(k, d, d_out),
+                _unbroadcast(g, (d_out,)))
     return _result(convolve(), (x, weight, bias, kernel, conv_bias), backward,
                    convolve)
 
@@ -592,11 +568,12 @@ def _attend_backward(p: np.ndarray, g: np.ndarray, q: np.ndarray, k: np.ndarray,
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, weight: Tensor, bias: Tensor,
-              scale: float, heads: int,
-              mask: np.ndarray | None = None, rowwise: bool = False) -> Tensor:
-    """softmax(q k^T * scale) v @ weight + bias as one node: the attention
-    core and its (d_v, d_out) output projection, the projection with the bits
-    of `linear` on the core's output. When it builds a graph, which it does
+              heads: int, mask: np.ndarray | None = None,
+              rowwise: bool = False) -> Tensor:
+    """softmax(q k^T / sqrt(d_head)) v @ weight + bias as one node, with
+    d_head q's width over heads: the attention core and its (d_v, d_out)
+    output projection, the projection with the bits of `linear` on the
+    core's output. When it builds a graph, which it does
     when any operand needs a gradient, the projection's alone included, it
     keeps the weight, each weights row's softmax max and sum, shape
     (..., L_q, 1), and each of q, k and v as the recipe of the node that
@@ -641,6 +618,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, weight: Tensor, bias: Tensor,
         raise ConfigError(f"widths {q.shape[-1]}, {k.shape[-1]} and "
                           f"{v.shape[-1]} do not split into {heads} heads")
     qs, ks, vs = (_split_heads(t.data, heads) for t in (q, k, v))
+    scale = 1.0 / np.sqrt(q.shape[-1] // heads)
     if qs.shape[-1] != ks.shape[-1]:
         raise DimensionError(f"attention scores need queries and keys of one "
                              f"width, got {q.shape} and {k.shape}")

@@ -359,7 +359,9 @@ def cmd_predict(args) -> int:
     manifest.start("predict")
     pred = model_mod.predict(model, samples.encoder_input, dataset.norm_params)
     manifest.stop("predict")
-    np.save(args.out, pred)
+    # np.save appends .npy to a path without it; a file object it writes as is
+    with open(args.out, "wb") as fh:
+        np.save(fh, pred)
     manifest.add_output(args.out)
     print(f"{pred.shape[0]} forecasts of {pred.shape[1]} steps x "
           f"{pred.shape[2]} sensors -> {args.out}")

@@ -95,6 +95,16 @@ def save_tensor(x: SpatioTemporalTensor, path) -> None:
         fh.write(np.ascontiguousarray(x.data, dtype="<f8").tobytes())
 
 
+@contextmanager
+def _naming(path):
+    """A refusal of the series read from path names path. An empty axis is a
+    DataError there, since the file gave the shape."""
+    try:
+        yield
+    except (DataError, DimensionError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def load_tensor(path) -> SpatioTemporalTensor:
     with open(path, "rb") as fh:
         header = fh.read(24)
@@ -108,7 +118,8 @@ def load_tensor(path) -> SpatioTemporalTensor:
         raw = np.frombuffer(fh.read(), dtype="<f8")
     if raw.size != t * n * c:
         raise DataError(f"{path}: expected {t * n * c} values, got {raw.size}")
-    return SpatioTemporalTensor(raw.reshape(t, n, c).copy(), interval_minutes=interval)
+    with _naming(path):
+        return SpatioTemporalTensor(raw.reshape(t, n, c).copy(), interval_minutes=interval)
 
 
 @contextmanager
@@ -161,7 +172,8 @@ def _load_tensor_csv(path) -> tuple[SpatioTemporalTensor, list[str]]:
     data = np.empty((n_t, len(sensor_ids), n_attr))
     for (t, sensor), values in rows.items():
         data[t, sensor_pos[sensor], :] = values
-    return SpatioTemporalTensor(data), sensor_ids
+    with _naming(path):
+        return SpatioTemporalTensor(data), sensor_ids
 
 
 def save_edges(path, adjacency: np.ndarray, sensor_ids: list[str]) -> None:
@@ -382,13 +394,12 @@ def assemble_samples(x: SpatioTemporalTensor, split_range: tuple[int, int],
                      anchors=np.arange(first, last + 1), periods=periods)
 
 
-def iterate_batches(samples: SampleSet, batch_size: int, rng=None):
-    """Yield (encoder, decoder, target) batches; shuffled when rng is given."""
+def iterate_batches(samples: SampleSet, batch_size: int, rng: np.random.Generator):
+    """Yield (encoder, decoder, target) batches in an order shuffled by rng."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     order = np.arange(len(samples))
-    if rng is not None:
-        rng.shuffle(order)
+    rng.shuffle(order)
     for start in range(0, len(order), batch_size):
         sel = order[start:start + batch_size]
         yield (samples.encoder_input[sel], samples.decoder_input[sel],

@@ -130,8 +130,7 @@ class CIATT(Module):
         row-independent and every other product runs once per position, so
         an output row has the same bits however many query rows come with it."""
         q = self._project(x_q, self.wq, self.q_conv)
-        scale = 1.0 / np.sqrt(q.shape[-1] // self.heads)
-        return ad.attention(q, *kv, self.w_out.weight, self.w_out.bias, scale,
+        return ad.attention(q, *kv, self.w_out.weight, self.w_out.bias,
                             heads=self.heads, mask=mask, rowwise=rowwise)
 
     def __call__(self, x_q: Tensor, x_kv: Tensor,

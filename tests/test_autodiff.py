@@ -183,18 +183,28 @@ def test_temporal_conv_keeps_x_not_its_unfolding(monkeypatch):
     monkeypatch.setattr(autodiff, "_unfold_time", recorded)
     tensors = [Tensor(a, requires_grad=True) for a in _linear_conv_operands(12)]
     out = linear_conv1d_temporal(*tensors)
-    # the graph lives, and the (2, 3, 5, 18) unfolding of the projection,
-    # time on axis -2, is gone already
-    assert [shape for shape, _ in unfoldings] == [(2, 3, 5, 18)]
+    # the graph lives, and the (2, 5, 3, 18) unfolding of the projection, in
+    # x's position-major layout, is gone already
+    assert [shape for shape, _ in unfoldings] == [(2, 5, 3, 18)]
     assert unfoldings[0][1]() is None
     kept = _kept_arrays(out._node)
     assert any(a is tensors[0].data for a in kept)
     assert all(a.shape[-1] != 18 for a in kept)
     out.backward(np.random.default_rng(12).normal(size=out.shape))
-    # backward unfolds the rebuilt projection one offset's window at a time,
-    # each as wide as the projection
-    assert [shape for shape, _ in unfoldings[1:]] == [(2, 3, 5, 6)] * 3
-    assert all(ref() is None for _, ref in unfoldings)
+    # backward unfolds nothing
+    assert len(unfoldings) == 1
+
+
+def test_temporal_conv_output_is_its_own_array():
+    # a C-contiguous (B, T, S, d_out) array, not a view of another layout,
+    # whether the node builds a graph or not
+    tensors = [Tensor(a, requires_grad=True) for a in _linear_conv_operands(13)]
+    outputs = [linear_conv1d_temporal(*tensors).data]
+    with no_grad():
+        outputs.append(linear_conv1d_temporal(*tensors).data)
+    for out in outputs:
+        assert out.shape == (2, 5, 3, 7)
+        assert out.flags.c_contiguous and out.base is None
 
 
 def test_linear_conv_refuses_mismatched_shapes():
@@ -255,13 +265,13 @@ def test_second_backward_through_a_consumed_graph_raises():
     assert other.grad is None
 
 
-def _core(q, k, v, scale, **kwargs):
+def _core(q, k, v, **kwargs):
     """The attention node under a constant identity output projection, which
     gives the core's own output and input gradients bit for bit: a product
     with the identity and an add of zeros round nothing."""
     width = v.shape[-1]
     return attention(q, k, v, Tensor(np.eye(width)), Tensor(np.zeros(width)),
-                     scale, **kwargs)
+                     **kwargs)
 
 
 _ROUTE_STACK = np.random.default_rng(13).normal(size=(3, 4, 4))
@@ -432,7 +442,7 @@ def test_fused_attention_matches_op_by_op(l_q, l_k, mask):
     # one head over all 4 columns of each of the 3 positions
     scale = 1.0 / np.sqrt(4)
     for trainable in ({0}, {1}, {2}, {0, 1, 2}):
-        _compare_to_ops(lambda q, k, v: _core(q, k, v, scale, heads=1, mask=mask),
+        _compare_to_ops(lambda q, k, v: _core(q, k, v, heads=1, mask=mask),
                         lambda q, k, v: _headed_by_ops(q, k, v, scale, 1, mask),
                         _attention_case_operands(l_q, l_k), trainable)
 
@@ -443,7 +453,7 @@ def test_rowwise_attention_matches_op_by_op(l_q, l_k, mask):
     scale = 1.0 / np.sqrt(4)
     for trainable in ({0}, {1}, {2}, {0, 1, 2}):
         _compare_to_ops(
-            lambda q, k, v: _core(q, k, v, scale, heads=1, mask=mask, rowwise=True),
+            lambda q, k, v: _core(q, k, v, heads=1, mask=mask, rowwise=True),
             lambda q, k, v: _headed_by_ops(q, k, v, scale, 1, mask),
             _attention_case_operands(l_q, l_k), trainable, exact=False)
 
@@ -457,10 +467,10 @@ def test_rowwise_attention_rows_do_not_depend_on_query_count(causal):
     k = rng.normal(size=(2, 12, 3, 8))
     v = rng.normal(size=(2, 12, 3, 8))
     mask = np.triu(np.ones((12, 12), dtype=bool), k=1) if causal else None
-    together = _core(Tensor(q), Tensor(k), Tensor(v), 0.35, heads=2, mask=mask,
+    together = _core(Tensor(q), Tensor(k), Tensor(v), heads=2, mask=mask,
                      rowwise=True).data
     for t in range(12):
-        alone = _core(Tensor(q[:, t:t + 1]), Tensor(k), Tensor(v), 0.35, heads=2,
+        alone = _core(Tensor(q[:, t:t + 1]), Tensor(k), Tensor(v), heads=2,
                       mask=None if mask is None else mask[t:t + 1],
                       rowwise=True).data
         assert np.array_equal(alone[:, 0], together[:, t]), t
@@ -472,7 +482,7 @@ def test_fused_attention_of_one_operand_matches_op_by_op():
     rng = np.random.default_rng(9)
     arrays = [rng.normal(size=(2, 6, 3, 4)), rng.normal(size=(2, 6, 3, 4))]
     for trainable in ({0}, {0, 1}):
-        _compare_to_ops(lambda z, v: _core(z, z, v, scale, heads=2),
+        _compare_to_ops(lambda z, v: _core(z, z, v, heads=2),
                         lambda z, v: _headed_by_ops(z, z, v, scale, 2),
                         arrays, trainable)
 
@@ -488,7 +498,7 @@ def test_attention_of_one_inner_node_as_queries_and_keys_gets_both_gradients():
 
     def fused(x, w, b, v):
         z = linear(x, w, b)
-        return _core(z, z, v, scale, heads=2)
+        return _core(z, z, v, heads=2)
 
     def oracle(x, w, b, v):
         z = linear(x, w, b)
@@ -500,18 +510,18 @@ def test_attention_of_one_inner_node_as_queries_and_keys_gets_both_gradients():
 def test_fused_attention_gradients_and_checks():
     mask = np.triu(np.ones((4, 5), dtype=bool), k=2)
     shapes = (2, 4, 3, 4), (2, 5, 3, 4), (2, 5, 3, 2)
-    _check_op(lambda q, k, v: _core(q, k, v, 0.5, heads=2, mask=mask), *shapes)
-    _check_op(lambda q, k, v: _core(q, k, v, 0.5, heads=2, mask=mask, rowwise=True),
+    _check_op(lambda q, k, v: _core(q, k, v, heads=2, mask=mask), *shapes)
+    _check_op(lambda q, k, v: _core(q, k, v, heads=2, mask=mask, rowwise=True),
               *shapes)
     with pytest.raises(DimensionError):     # queries and keys of other widths
         _core(Tensor(np.ones((4, 1, 3))), Tensor(np.ones((5, 1, 2))),
-              Tensor(np.ones((5, 1, 2))), 1.0, heads=1)
+              Tensor(np.ones((5, 1, 2))), heads=1)
     with pytest.raises(DimensionError):     # values for another number of keys
         _core(Tensor(np.ones((4, 1, 3))), Tensor(np.ones((5, 1, 3))),
-              Tensor(np.ones((4, 1, 2))), 1.0, heads=1)
+              Tensor(np.ones((4, 1, 2))), heads=1)
     with pytest.raises(ConfigError):
         _core(Tensor(np.ones((2, 1, 3))), Tensor(np.ones((2, 1, 3))),
-              Tensor(np.ones((2, 1, 3))), 1.0, heads=1,
+              Tensor(np.ones((2, 1, 3))), heads=1,
               mask=np.array([[True, True], [False, True]]))
 
 
@@ -527,7 +537,7 @@ def test_head_split_attention_matches_op_by_op(l_q, l_k, mask, rowwise):
               rng.normal(size=(2, l_k, 3, 6))]
 
     for trainable in ({0}, {1}, {2}, {0, 1, 2}):
-        _compare_to_ops(lambda q, k, v: _core(q, k, v, scale, heads=2, mask=mask,
+        _compare_to_ops(lambda q, k, v: _core(q, k, v, heads=2, mask=mask,
                                               rowwise=rowwise),
                         lambda q, k, v: _headed_by_ops(q, k, v, scale, 2, mask),
                         arrays, trainable, exact=not rowwise)
@@ -536,20 +546,20 @@ def test_head_split_attention_matches_op_by_op(l_q, l_k, mask, rowwise):
 def test_head_split_attention_checks():
     ones = Tensor(np.ones((2, 3, 4)))
     with pytest.raises(ConfigError):      # 4 columns do not split into 3 heads
-        _core(ones, ones, ones, 1.0, heads=3)
+        _core(ones, ones, ones, heads=3)
     with pytest.raises(DimensionError):   # keys for another number of positions
         _core(ones, Tensor(np.ones((2, 5, 4))), Tensor(np.ones((2, 5, 4))),
-                  1.0, heads=2)
+                  heads=2)
     with pytest.raises(DimensionError):   # no position axis
         _core(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))),
-                  Tensor(np.ones((2, 4))), 1.0, heads=2)
+                  Tensor(np.ones((2, 4))), heads=2)
 
 
 def _attention_outputs(arrays, trainable, seed_grad, **kwargs):
     """The output of one attention call and the gradients of its trainable
     operands."""
     tensors = [Tensor(a, requires_grad=(i in trainable)) for i, a in enumerate(arrays)]
-    out = _core(*tensors, 0.4, **kwargs)
+    out = _core(*tensors, **kwargs)
     out.backward(seed_grad)
     return [out.data] + [t.grad for t in tensors if t.requires_grad]
 
@@ -631,8 +641,8 @@ def test_attention_gradients_match_backward_on_the_forward_weights(
             weights[index] = block
         want = [np.empty(t.shape) for t in (q, k, v)]
         autodiff._attend_backward(
-            weights, autodiff._split_heads(seed_grad, heads), q, k, v, 0.4,
-            tuple(want))
+            weights, autodiff._split_heads(seed_grad, heads), q, k, v,
+            1.0 / np.sqrt(shape[-1] // heads), tuple(want))
         assert [autodiff._split_heads(g, heads).tobytes() for g in got] == [
             w.tobytes() for i, w in enumerate(want) if i in trainable]
 
@@ -647,7 +657,7 @@ def test_blocked_attention_under_no_grad_keeps_no_full_weights(monkeypatch):
 
     def peak_bytes(rowwise):
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
-        return traced_peak(lambda: _core(*tensors, 0.5, heads=2, rowwise=rowwise))
+        return traced_peak(lambda: _core(*tensors, heads=2, rowwise=rowwise))
     for rowwise in (False, True):
         with no_grad():
             peak, out = peak_bytes(rowwise)
@@ -682,10 +692,10 @@ def test_attention_projection_matches_core_then_linear(heads, mask, rowwise):
     kwargs = dict(heads=heads, mask=mask, rowwise=rowwise)
 
     def by_ops(q, k, v, w, b):
-        return linear(_core(q, k, v, 0.4, **kwargs), w, b)
+        return linear(_core(q, k, v, **kwargs), w, b)
     for size in range(1, 6):
         for trainable in itertools.combinations(range(5), size):
-            _compare_to_ops(lambda *t: attention(*t, 0.4, **kwargs), by_ops,
+            _compare_to_ops(lambda *t: attention(*t, **kwargs), by_ops,
                             arrays, set(trainable))
 
 
@@ -698,7 +708,7 @@ def test_attention_keeps_nothing_of_its_output_size(trainable):
     arrays = [rng.normal(size=(3, 6, 5, 4)) for _ in range(3)]
     arrays += [rng.normal(size=(4, 7)), rng.normal(size=7)]
     tensors = [Tensor(a, requires_grad=i in trainable) for i, a in enumerate(arrays)]
-    out = attention(*tensors, 0.4, heads=2)
+    out = attention(*tensors, heads=2)
     kept = [a for a in _kept_arrays(out._node) if a.size >= arrays[0].size]
     assert len(kept) == 3
     assert all(any(np.shares_memory(a, t.data) for t in tensors[:3]) for a in kept)
@@ -713,14 +723,14 @@ def test_attention_with_only_the_projection_trainable():
     rng = np.random.default_rng(44)
     q, k, v = (Tensor(rng.normal(size=s))
                for s in ((2, 4, 3, 4), (2, 5, 3, 4), (2, 5, 3, 2)))
-    _check_op(lambda w, b: attention(q, k, v, w, b, 0.5, heads=2, mask=mask),
+    _check_op(lambda w, b: attention(q, k, v, w, b, heads=2, mask=mask),
               (2, 6), (6,))
-    _check_op(lambda w, b: attention(q, k, v, w, b, 0.5, heads=2, mask=mask,
+    _check_op(lambda w, b: attention(q, k, v, w, b, heads=2, mask=mask,
                                      rowwise=True), (2, 6), (6,))
     with pytest.raises(DimensionError):     # the weight does not take v
-        attention(q, k, v, Tensor(np.ones((3, 6))), Tensor(np.ones(6)), 0.5, heads=2)
+        attention(q, k, v, Tensor(np.ones((3, 6))), Tensor(np.ones(6)), heads=2)
     with pytest.raises(DimensionError):
-        attention(q, k, v, Tensor(np.ones((2, 6))), Tensor(np.ones(5)), 0.5, heads=2)
+        attention(q, k, v, Tensor(np.ones((2, 6))), Tensor(np.ones(5)), heads=2)
 
 
 def _producers(conv):
@@ -773,7 +783,7 @@ def test_attention_over_recipes_matches_attention_over_leaves(conv, rowwise):
                                for i, t in enumerate(operands))
                 projection = [Tensor(a, requires_grad=i + 3 in trainable)
                               for i, a in enumerate((w_out, b_out))]
-                out = attention(*operands, *projection, 0.4, heads=2,
+                out = attention(*operands, *projection, heads=2,
                                 rowwise=rowwise)
                 if not leaves_only:
                     # the node keeps no trainable operand's array
@@ -801,7 +811,7 @@ def test_attention_over_recipes_matches_attention_over_leaves(conv, rowwise):
 def test_attention_refuses_unshared_leading_axes(shapes, heads):
     tensors = [Tensor(np.ones(shape), requires_grad=True) for shape in shapes]
     with pytest.raises(DimensionError, match="leading axes"):
-        _core(*tensors, 0.5, heads=heads)
+        _core(*tensors, heads=heads)
 
 
 @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 5, 4)])

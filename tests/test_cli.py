@@ -12,6 +12,7 @@ from corrstn import (SCorrTensor, cli, compute_scorr, load_metric_report,
                      load_scorr, load_tensor, save_scorr)
 from corrstn import model as model_mod
 from corrstn.metrics import compute_report, save_metric_report
+from test_data import _sttf_bytes
 from test_scorr import _FORK, _InlinePool, _mic
 
 
@@ -250,6 +251,24 @@ def test_predict_writes_forecasts(workdir):
     assert pred.ndim == 4 and pred.shape[1:] == (12, 4, 1)
 
 
+def test_predict_writes_exactly_the_out_path(workdir, tmp_path, capsys):
+    # np.save once turned --out pred into pred.npy, while stdout and the
+    # manifest named pred
+    run = workdir / "run"
+    out = tmp_path / "pred"
+    assert cli.main(["predict", "--data", str(workdir / "data.sttf"),
+                     "--edges", str(workdir / "edges.csv"),
+                     "--scorr", str(workdir / "corr.scor"),
+                     "--config", str(run / "config.json"),
+                     "--checkpoint", str(run / "checkpoint.cstn"),
+                     "--out", str(out), "--split", "val", "--ratios", _RATIOS]) == 0
+    assert f"-> {out}\n" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pred", "pred.manifest.json"]
+    assert np.load(out).shape[1:] == (12, 4, 1)
+    manifest = json.loads((tmp_path / "pred.manifest.json").read_text())
+    assert manifest["outputs"] == [str(out)]
+
+
 def test_manifests_record_peak_rss_and_sample_counts(workdir, tmp_path):
     run = workdir / "run"
     manifest = json.loads((run / "manifest.json").read_text())
@@ -447,6 +466,19 @@ def test_nan_correlation_degree_is_data_error(workdir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert str(bad) in err and "NaN" in err
     assert not (tmp_path / "run" / "checkpoint.cstn").exists()
+
+
+@pytest.mark.parametrize("fault", ["empty", "nan"])
+def test_unusable_sttf_is_data_error_naming_the_file(tmp_path, capsys, fault):
+    # T = 0 once exited 4 with "compute error: empty axis in shape", and a NaN
+    # was refused with no path
+    data = tmp_path / f"{fault}.sttf"
+    shape, values = ((0, 2, 1), []) if fault == "empty" else ((2, 2, 1), [1, 2, np.nan, 4])
+    data.write_bytes(_sttf_bytes(shape, values))
+    out = tmp_path / "s.scor"
+    assert cli.main(["scorr", "--data", str(data), "--out", str(out)]) == 3
+    assert f"data error: {data}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_missing_data(tmp_path, capsys):

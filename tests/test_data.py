@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -52,6 +53,38 @@ def test_binary_rejects_corrupt_header(tmp_path):
     truncated.write_bytes(blob[:-8])
     with pytest.raises(DataError):
         load_tensor(truncated)
+
+
+def _sttf_bytes(shape, values) -> bytes:
+    """An .sttf file's bytes: a version 1 header for shape, 5-minute
+    interval, then values as little-endian float64."""
+    return (struct.pack("<4sIIIII", b"STTF", 1, *shape, 5)
+            + np.asarray(values, dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_sttf_with_an_empty_axis_is_data_error_naming_the_file(tmp_path, axis):
+    # a header with T, N or C = 0 once escaped as a DimensionError, exit 4,
+    # with no path
+    shape = [3, 2, 1]
+    shape[axis] = 0
+    path = tmp_path / "empty.sttf"
+    path.write_bytes(_sttf_bytes(shape, []))
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: empty axis"):
+        load_tensor(path)
+
+
+@pytest.mark.parametrize("suffix", [".sttf", ".csv"])
+def test_non_finite_series_is_data_error_naming_the_file(tmp_path, suffix):
+    path = tmp_path / f"series{suffix}"
+    if suffix == ".sttf":
+        path.write_bytes(_sttf_bytes((2, 2, 1), [1.0, np.nan, 3.0, 4.0]))
+    else:
+        path.write_text("timestamp,sensor,flow\n0,a,1.0\n0,b,nan\n"
+                        "1,a,3.0\n1,b,4.0\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: series "
+                                        "contains NaN or infinite values"):
+        load_dataset(path)
 
 
 def test_csv_round_trip_and_sensor_ordering(tmp_path):
