@@ -11,8 +11,9 @@ projection and its temporal convolution in one node, and the MAE loss as
 one node. The attention node and the temporal convolution take
 position-major operands (..., L, S, d) and give their outputs in that
 layout: the attention node scales its scores by 1/sqrt(d/heads), which it
-derives from q, and the convolution unfolds its k time windows along axis
--3 for one GEMM.
+derives from q, and the convolution adds, per time offset o, x's shifted
+rows times the fused kernel weight @ kernel[o], so it forms neither the
+projection nor an unfolding of its time windows.
 Graphs are built eagerly. A graph vertex is a `_Node` (parent nodes, backward
 closure, gradient), apart from the `Tensor` that holds the op's output, and
 each closure keeps only the arrays its backward reads. `linear` and `matmul`
@@ -20,25 +21,24 @@ skip a constant operand's gradient, and the arrays only it would read,
 because the model passes them constants; every other node computes every
 gradient. An intermediate output that no backward reads is therefore
 freed as soon as the forward code drops its tensor, while the graph lives on.
-A fused node's transients (the projection under the temporal convolution
-and its unfolding, the graph layer's projection, dynamic route and routes, a
-block's attention scores, the attention core's output under its projection)
-are never kept: backward rebuilds those it reads from what the node keeps
-(the convolution's backward reads the projection, one offset's rows at a
-time, and never its unfolding), and the graph layer keeps its relu masks as
-bits. No attention core keeps its softmax weights: each keeps every weights
-row's max and sum, and backward rebuilds the weights from q and k with the
-forward's own products, so they have the forward's bits, and their product
-with v for the projection's weight gradient; the attention node keeps
-nothing of its output's size. Nor does it keep q, k or v where the node that
-made them has a recipe: `linear`, `linear_conv1d_temporal` and a constant's
-`matmul` over either record one, a function that remakes their output with
-the forward's own operations from the arrays they keep anyway, and the
-attention node keeps that recipe and runs it once at the start of its
-backward. Layer norm keeps its output, which its consumer keeps anyway,
-instead of xhat, and divides xhat back out in backward; it keeps xhat's
-values only in the columns whose gain is zero or tiny next to its bias,
-where that division would lose bits, and in practice there are none.
+A fused node's transients (the temporal convolution's fused kernels, the
+graph layer's projection, dynamic route and routes, a block's attention
+scores, the attention core's output under its projection) are never kept:
+backward rebuilds those it reads from what the node keeps, and the graph
+layer keeps its relu masks as bits. No attention core keeps its softmax
+weights: each keeps every weights row's max and sum, and backward rebuilds
+the weights from q and k with the forward's own products, so they have the
+forward's bits, and their product with v for the projection's weight
+gradient; the attention node keeps nothing of its output's size. Nor does it
+keep q, k or v where the node that made them has a recipe: `linear`,
+`linear_conv1d_temporal` and a constant's `matmul` over either record one, a
+function that remakes their output with the forward's own operations from
+the arrays they keep anyway, and the attention node keeps that recipe and
+runs it once at the start of its backward. Layer norm keeps its output,
+which its consumer keeps anyway, instead of xhat, and divides xhat back out
+in backward; it keeps xhat's values only in the columns whose gain is zero
+or tiny next to its bias, where that division would lose bits, and in
+practice there are none.
 backward() counts each node's consumers in the graph, then runs a node as
 soon as all of them have run, and accumulates each closure's gradients into
 the parent nodes. Ready nodes wait on a stack, onto which each node's
@@ -362,44 +362,34 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # temporal convolution
 
-def _time_blocks(t_len: int, k: int, d: int) -> list:
-    """(block columns, output rows, input rows) of every offset o of k
-    centred windows along a time axis of t_len rows whose source row
+def _time_blocks(t_len: int, k: int) -> list:
+    """(offset, output rows, input rows) of every offset o of k centred
+    windows along a time axis of t_len rows whose source row
     t + o - (k-1)//2 overlaps [0, t_len)."""
     blocks = []
     for o in range(k):
         shift = o - (k - 1) // 2
         lo, hi = max(0, -shift), min(t_len, t_len - shift)
         if lo < hi:
-            blocks.append((slice(o * d, (o + 1) * d), slice(lo, hi),
-                           slice(lo + shift, hi + shift)))
+            blocks.append((o, slice(lo, hi), slice(lo + shift, hi + shift)))
     return blocks
-
-
-def _unfold_time(x: np.ndarray, blocks: list, width: int) -> np.ndarray:
-    """The windows of position-major x (..., T, S, d) along its time axis
-    side by side, (..., T, S, width), zero outside [0, T)."""
-    out = np.zeros(x.shape[:-1] + (width,))
-    for columns, rows, source in blocks:
-        out[..., rows, :, columns] = x[..., source, :, :]
-    return out
 
 
 def linear_conv1d_temporal(x: Tensor, weight: Tensor, bias: Tensor, kernel: Tensor,
                            conv_bias: Tensor) -> Tensor:
     """A same-length convolution along axis -3 of linear(x, weight, bias),
     for position-major x (..., T, S, d_in), a (d_in, d) weight, a (k, d,
-    d_out) kernel and biases (d,) and (d_out,), as one node. The
-    projection's k centred, zero-padded time windows are unfolded side by
-    side, (..., T, S, k * d) with block o of row t row t + o - (k-1)//2,
-    and multiplied by the kernel reshaped to (k * d, d_out) in one GEMM; the
-    unfolding is a transient, and the output a C-contiguous (..., T, S,
-    d_out) array. The node keeps x, the weight and the bias, never their
-    projection or its k times wider unfolding, and backward unfolds nothing:
-    per offset, it folds the gradient of the rows that offset reaches,
-    times that offset's kernel block, into the projection gradient's source
-    rows, and takes the block's gradient from those source rows of the
-    projection, rebuilt with the forward's own product.
+    d_out) kernel and biases (d,) and (d_out,), as one node. Both maps are
+    linear, so output row t is the conv bias plus, for every offset o whose
+    source row t + o - (k-1)//2 lies in [0, T), that row of x times the
+    fused (d_in, d_out) kernel weight @ kernel[o], plus bias @ kernel[o]:
+    the projection is never formed, nor its time windows unfolded, and the
+    output is a C-contiguous (..., T, S, d_out) array. The node keeps x and
+    the four parameters, never the fused kernels, which it remakes on each
+    call. Backward runs the same per-offset loop: it folds the gradient of
+    the rows an offset reaches, times that offset's fused kernel, into x's
+    gradient, and takes the weight's, the bias's and the kernel block's
+    gradients from x's source rows against those gradient rows.
     Its recipe runs the whole forward again from what the node keeps."""
     if x.ndim < 3 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
         raise DimensionError(f"projection needs (..., T, S, d_in) @ (d_in, d), "
@@ -412,34 +402,32 @@ def linear_conv1d_temporal(x: Tensor, weight: Tensor, bias: Tensor, kernel: Tens
     if conv_bias.shape != kernel.shape[2:]:
         raise DimensionError(f"bias {conv_bias.shape} does not match kernel {kernel.shape}")
     k, _, d_out = kernel.shape
-    blocks = _time_blocks(x.shape[-3], k, d)
-    conv_weight = kernel.data.reshape(k * d, d_out)
-    # the kernel's gradient reads the projection, rebuilt from x, the weight
-    # and the bias; the projection's reads the kernel, and from there the
-    # weight's gradient reads x and x's the weight
-    x_data, w_data, b_data, cb_data = x.data, weight.data, bias.data, conv_bias.data
+    blocks = _time_blocks(x.shape[-3], k)
+    x_data, w_data, b_data, k_data, cb_data = (
+        t.data for t in (x, weight, bias, kernel, conv_bias))
 
     def convolve():
-        out = _unfold_time(_affine(x_data, w_data, b_data), blocks, k * d) \
-            @ conv_weight
-        out += cb_data
+        out = np.full(x_data.shape[:-1] + (d_out,), cb_data)
+        for o, rows, source in blocks:
+            term = x_data[..., source, :, :] @ (w_data @ k_data[o])
+            term += b_data @ k_data[o]
+            out[..., rows, :, :] += term
         return out
 
     def backward(g):
-        p = _affine(x_data, w_data, b_data)
-        wt = _transposed(conv_weight)
-        gp = np.zeros(p.shape)
-        gk = np.zeros((k * d, d_out))
-        for columns, rows, source in blocks:
+        gx = np.zeros(x_data.shape)
+        gw, gb, gk = np.zeros((d_in, d)), np.zeros(d), np.zeros((k, d, d_out))
+        for o, rows, source in blocks:
             g_rows = g[..., rows, :, :]
-            gp[..., source, :, :] += g_rows @ wt[:, columns]
-            gk[columns] = p[..., source, :, :].reshape(-1, d).T \
-                @ g_rows.reshape(-1, d_out)
-        gx = gp @ _transposed(w_data)
-        # one GEMM over the stacked rows of every leading axis
-        gw = x_data.reshape(-1, d_in).T @ gp.reshape(-1, d)
-        return (gx, gw, _unbroadcast(gp, (d,)), gk.reshape(k, d, d_out),
-                _unbroadcast(g, (d_out,)))
+            gx[..., source, :, :] += g_rows @ _transposed(w_data @ k_data[o])
+            g_rows = g_rows.reshape(-1, d_out)
+            g_sum = g_rows.sum(axis=0)
+            # one GEMM over the stacked rows of every leading axis
+            xg = x_data[..., source, :, :].reshape(-1, d_in).T @ g_rows
+            gw += xg @ k_data[o].T
+            gk[o] = w_data.T @ xg + np.outer(b_data, g_sum)
+            gb += k_data[o] @ g_sum
+        return gx, gw, gb, gk, _unbroadcast(g, (d_out,))
     return _result(convolve(), (x, weight, bias, kernel, conv_bias), backward,
                    convolve)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -46,7 +47,8 @@ class SpatioTemporalTensor:
             raise DimensionError(f"expected T x N x C, got shape {self.data.shape}")
         if min(self.data.shape) < 1:
             raise DimensionError(f"empty axis in shape {self.data.shape}")
-        if not np.all(np.isfinite(self.data)):
+        # min or max is NaN or infinite exactly when a value is; no mask needed
+        if not (np.isfinite(self.data.min()) and np.isfinite(self.data.max())):
             raise DataError("series contains NaN or infinite values")
         if self.interval_minutes < 1:
             raise ConfigError(f"interval_minutes must be >= 1, got {self.interval_minutes}")
@@ -92,7 +94,7 @@ def save_tensor(x: SpatioTemporalTensor, path) -> None:
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sIIIII", _STTF_MAGIC, _STTF_VERSION, t, n, c,
                              x.interval_minutes))
-        fh.write(np.ascontiguousarray(x.data, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(x.data, dtype="<f8"))
 
 
 @contextmanager
@@ -115,11 +117,14 @@ def load_tensor(path) -> SpatioTemporalTensor:
             raise DataError(f"{path}: unsupported STTF version {version}")
         if interval < 1 or 60 % interval != 0:
             raise DataError(f"{path}: interval_minutes must divide 60, got {interval}")
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    if raw.size != t * n * c:
-        raise DataError(f"{path}: expected {t * n * c} values, got {raw.size}")
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        # the series is allocated only once the file holds exactly its values
+        data = np.empty((t, n, c), dtype="<f8") if size == t * n * c * 8 else None
+        if data is None or fh.readinto(data) != size:
+            raise DataError(f"{path}: expected {t * n * c} values "
+                            f"({t * n * c * 8} bytes), got {size} bytes")
     with _naming(path):
-        return SpatioTemporalTensor(raw.reshape(t, n, c).copy(), interval_minutes=interval)
+        return SpatioTemporalTensor(data, interval_minutes=interval)
 
 
 @contextmanager

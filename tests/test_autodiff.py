@@ -172,27 +172,33 @@ def _linear_conv_operands(seed):
             for shape in ((2, 5, 3, 4), (4, 6), (6,), (3, 6, 7), (7,))]
 
 
-def test_temporal_conv_keeps_x_not_its_unfolding(monkeypatch):
-    unfoldings = []
-    unfold = autodiff._unfold_time
+def _wide_conv_operands(seed):
+    """x (B, T, S, d_in) = (2, 6, 20, 2), a (2, 240) weight and a (3, 240, 3)
+    kernel: the projection (2, 6, 20, 240) is far wider than x and the
+    output, so a node that forms it, or its unfolding, cannot stay below
+    its size."""
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=shape)
+            for shape in ((2, 6, 20, 2), (2, 240), (240,), (3, 240, 3), (3,))]
 
-    def recorded(x, blocks, width):
-        out = unfold(x, blocks, width)
-        unfoldings.append((out.shape, weakref.ref(out)))
-        return out
-    monkeypatch.setattr(autodiff, "_unfold_time", recorded)
-    tensors = [Tensor(a, requires_grad=True) for a in _linear_conv_operands(12)]
-    out = linear_conv1d_temporal(*tensors)
-    # the graph lives, and the (2, 5, 3, 18) unfolding of the projection, in
-    # x's position-major layout, is gone already
-    assert [shape for shape, _ in unfoldings] == [(2, 5, 3, 18)]
-    assert unfoldings[0][1]() is None
-    kept = _kept_arrays(out._node)
-    assert any(a is tensors[0].data for a in kept)
-    assert all(a.shape[-1] != 18 for a in kept)
-    out.backward(np.random.default_rng(12).normal(size=out.shape))
-    # backward unfolds nothing
-    assert len(unfoldings) == 1
+
+_WIDE_PROJECTION_BYTES = 2 * 6 * 20 * 240 * 8
+
+
+def test_temporal_conv_keeps_x_not_its_unfolding():
+    # neither forward, nor the recipe, nor backward forms the projection or
+    # its unfolding: each peaks below one projection-sized array; the recipe
+    # gives the forward's bits
+    tensors = [Tensor(a, requires_grad=True) for a in _wide_conv_operands(12)]
+    peak, out = traced_peak(lambda: linear_conv1d_temporal(*tensors))
+    assert peak < _WIDE_PROJECTION_BYTES
+    peak, remade = traced_peak(out._node.recipe)
+    assert peak < _WIDE_PROJECTION_BYTES
+    assert remade.tobytes() == out.data.tobytes()
+    g = np.random.default_rng(12).normal(size=out.shape)
+    peak, _ = traced_peak(lambda: out.backward(g))
+    assert peak < _WIDE_PROJECTION_BYTES
+    assert all(t.grad.shape == t.shape for t in tensors)
 
 
 def test_temporal_conv_output_is_its_own_array():
@@ -222,28 +228,18 @@ def test_linear_conv_refuses_mismatched_shapes():
 
 
 @pytest.mark.parametrize("trainable", [(0, 1, 2, 3, 4), (3,), (0,), (1, 2)])
-def test_linear_conv_keeps_x_not_the_projection(monkeypatch, trainable):
-    unfoldings = []
-    unfold = autodiff._unfold_time
-
-    def recorded(x, blocks, width):
-        out = unfold(x, blocks, width)
-        unfoldings.append(weakref.ref(out))
-        return out
-    monkeypatch.setattr(autodiff, "_unfold_time", recorded)
+def test_linear_conv_keeps_x_not_the_projection(trainable):
     tensors = [Tensor(a, requires_grad=i in trainable)
-               for i, a in enumerate(_linear_conv_operands(18))]
-    x = tensors[0]
-    out = linear_conv1d_temporal(*tensors)
-    # neither the projection, in either layout, nor its unfolding outlives
-    # the forward; the node keeps x, which the kernel's and the weight's
-    # gradients read, whichever operands are trainable
+               for i, a in enumerate(_wide_conv_operands(18))]
+    peak, out = traced_peak(lambda: linear_conv1d_temporal(*tensors))
+    assert peak < _WIDE_PROJECTION_BYTES
+    # the node keeps x and the four parameters, whichever operands are
+    # trainable: not the projection, nor the fused kernels weight @ kernel[o]
     kept = _kept_arrays(out._node)
-    assert all(a.size < 2 * 5 * 3 * 6 for a in kept)
-    assert any(a is x.data for a in kept)
-    assert all(ref() is None for ref in unfoldings)
-    out.backward(np.ones(out.shape))
-    assert all(ref() is None for ref in unfoldings)
+    assert {id(a) for a in kept} == {id(t.data) for t in tensors}
+    assert len(kept) == 5
+    peak, _ = traced_peak(lambda: out.backward(np.ones(out.shape)))
+    assert peak < _WIDE_PROJECTION_BYTES
     with no_grad():
         assert linear_conv1d_temporal(*tensors)._node is None
 

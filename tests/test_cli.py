@@ -237,6 +237,30 @@ def test_train_keeps_the_epoch_whose_val_mae_evaluate_reports(workdir, tmp_path)
     assert json.loads((tmp_path / "eval.json").read_text())["overall"]["mae"] == best
 
 
+def test_qk_conv_config_trains_evaluates_and_predicts(workdir, tmp_path):
+    # the Q/K temporal conv through the CLI: train an epoch with it, then the
+    # logged val_mae is what `evaluate --split val` reports, and predict runs
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        **json.loads((workdir / "config.json").read_text()), "qk_conv": True}))
+    run = tmp_path / "run"
+    artifacts = ["--data", str(workdir / "data.sttf"),
+                 "--edges", str(workdir / "edges.csv"),
+                 "--scorr", str(workdir / "corr.scor"), "--ratios", _RATIOS]
+    assert cli.main(["train", *artifacts, "--config", str(config),
+                     "--out-dir", str(run), "--seed", "3", "--epochs", "1"]) == 0
+    assert json.loads((run / "config.json").read_text())["qk_conv"] is True
+    trained = [*artifacts, "--config", str(run / "config.json"),
+               "--checkpoint", str(run / "checkpoint.cstn"), "--split", "val"]
+    assert cli.main(["evaluate", *trained, "--out", str(tmp_path / "eval.json")]) == 0
+    rows = (run / "train_log.csv").read_text().splitlines()[1:]
+    best = min(float(row.split(",")[2]) for row in rows)
+    assert json.loads((tmp_path / "eval.json").read_text())["overall"]["mae"] == best
+    out = tmp_path / "pred.npy"
+    assert cli.main(["predict", *trained, "--out", str(out)]) == 0
+    assert np.load(out).shape[1:] == (12, 4, 1)
+
+
 def test_predict_writes_forecasts(workdir):
     run = workdir / "run"
     out = workdir / "pred.npy"

@@ -55,6 +55,34 @@ def test_binary_rejects_corrupt_header(tmp_path):
         load_tensor(truncated)
 
 
+def test_binary_io_copies_nothing_of_the_series(tmp_path):
+    # the values are read into the series' own array and written from it:
+    # neither side holds the file's bytes next to the series
+    x = _tensor(t=2000, n=16, c=3)
+    path = tmp_path / "series.sttf"
+    peak, _ = traced_peak(lambda: save_tensor(x, path))
+    assert peak <= 0.1 * x.data.nbytes
+    peak, loaded = traced_peak(lambda: load_tensor(path))
+    assert peak <= 1.1 * x.data.nbytes
+    assert loaded.data.tobytes() == x.data.tobytes()
+
+
+@pytest.mark.parametrize("shape, n_bytes", [
+    ((3, 2, 1), 5 * 8),                     # a value short
+    ((3, 2, 1), 7 * 8),                     # a value to spare
+    ((3, 2, 1), 6 * 8 + 4),                 # half a value to spare
+    ((2 ** 32 - 1, 2 ** 32 - 1, 6), 6 * 8)  # more values than memory holds
+])
+def test_sttf_whose_header_does_not_match_its_size_is_data_error(
+        tmp_path, shape, n_bytes):
+    # the file's size is checked against the header before the series is
+    # allocated, so no header gives a MemoryError
+    path = tmp_path / "series.sttf"
+    path.write_bytes(_sttf_bytes(shape, np.ones(8))[:24 + n_bytes])
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: expected"):
+        load_tensor(path)
+
+
 def _sttf_bytes(shape, values) -> bytes:
     """An .sttf file's bytes: a version 1 header for shape, 5-minute
     interval, then values as little-endian float64."""
