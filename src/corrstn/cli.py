@@ -399,6 +399,11 @@ def cmd_export_plot_data(args) -> int:
             [os.path.basename(p) for p in args.metric_reports]
         if len(labels) != len(reports):
             raise ConfigError(f"{len(labels)} labels for {len(reports)} reports")
+        first, horizons = args.metric_reports[0], len(reports[0].per_horizon)
+        for path, rep in zip(args.metric_reports, reports):
+            if len(rep.per_horizon) != horizons:
+                raise DataError(f"{path}: {len(rep.per_horizon)} horizons, but "
+                                f"{first} has {horizons}")
     tcorr_report = tcorr_mod.load_report(args.tcorr_report) if args.tcorr_report \
         else None
     if not reports and tcorr_report is None:

@@ -90,6 +90,9 @@ def evaluate(model, samples, dataset) -> MetricReport:
 # ---------------------------------------------------------------------------
 # report IO
 
+_METRICS = ("mae", "rmse", "mape")
+
+
 def _json_number(value):
     """A metric for plain JSON: an undefined one (NaN) is null."""
     value = float(value)
@@ -97,7 +100,18 @@ def _json_number(value):
 
 
 def _metric(value) -> float:
-    return float("nan") if value is None else value
+    """A stored metric: a finite JSON number, or null for an undefined one."""
+    if value is None:
+        return float("nan")
+    if type(value) not in (int, float) or not np.isfinite(value):
+        raise ValueError(f"metric {value!r} is not a number or null")
+    return float(value)
+
+
+def _count(value) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"count {value!r} is not a non-negative int")
+    return value
 
 
 def report_to_dict(report: MetricReport) -> dict:
@@ -114,12 +128,22 @@ def report_to_dict(report: MetricReport) -> dict:
 
 
 def report_from_dict(payload: dict) -> MetricReport:
-    rows = np.array([[_metric(r[k]) for k in ("mae", "rmse", "mape")]
-                     for r in payload["per_horizon"]], dtype=np.float64)
-    overall = {k: _metric(v) for k, v in dict(payload["overall"]).items()}
-    return MetricReport(overall=overall, per_horizon=rows,
-                        n_points=payload["n_points"],
-                        mape_masked=payload["mape_masked"])
+    overall, rows = payload["overall"], payload["per_horizon"]
+    if set(overall) != set(_METRICS):
+        raise ValueError(f"overall has {sorted(overall)}, not {list(_METRICS)}")
+    if not rows:
+        raise ValueError("no per_horizon rows")
+    for h, row in enumerate(rows, start=1):
+        if set(row) != {"horizon", *_METRICS} \
+                or (type(row["horizon"]), row["horizon"]) != (int, h):
+            raise ValueError(f"per_horizon row {h} is {row!r}, not horizon "
+                             f"{h} with {', '.join(_METRICS)}")
+    return MetricReport(
+        overall={k: _metric(overall[k]) for k in _METRICS},
+        per_horizon=np.array([[_metric(r[k]) for k in _METRICS] for r in rows],
+                             dtype=np.float64),
+        n_points=_count(payload["n_points"]),
+        mape_masked=_count(payload["mape_masked"]))
 
 
 def save_metric_report(report: MetricReport, path) -> None:
@@ -129,8 +153,10 @@ def save_metric_report(report: MetricReport, path) -> None:
 
 
 def load_metric_report(path) -> MetricReport:
-    """A report saved by `save_metric_report`; bad JSON or a missing field is
-    a DataError."""
+    """A report saved by `save_metric_report`. Bad JSON, a missing field, an
+    `overall` that is not exactly mae/rmse/mape, `per_horizon` rows that are
+    not horizons 1..L in order, a metric that is not a finite number or null,
+    or a count that is not a non-negative int is a DataError."""
     with open(path) as fh:
         try:
             return report_from_dict(json.load(fh))

@@ -100,9 +100,14 @@ def load_scorr(path) -> SCorrTensor:
     if raw.size != n * n * c:
         raise DataError(f"{path}: expected {n * n * c} values, got {raw.size}")
     try:
-        return SCorrTensor(np.transpose(raw.reshape(c, n, n), (1, 2, 0)).copy())
+        s = SCorrTensor(np.transpose(raw.reshape(c, n, n), (1, 2, 0)).copy())
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    # every pair's degree is one MIC score, stored at (i, j) and (j, i)
+    if not np.array_equal(s.degrees, s.degrees.transpose(1, 0, 2)):
+        raise DataError(f"{path}: correlation degrees are not symmetric "
+                        f"per attribute")
+    return s
 
 
 def export_scorr_csv(s: SCorrTensor, path) -> None:

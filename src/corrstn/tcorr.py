@@ -3,8 +3,9 @@
 For each sensor and attribute, the hourly/daily/weekly block preceding an
 anchor timestamp is compared (via MIC at the fixed grid bound m^0.6,
 `mic.ETA`) against the block immediately after it; averaging over anchors and
-weighting by period type gives the statistics that drive the periodic-data
-selection verdict.
+weighting by period type gives the per-sensor degrees of a `TCorrReport`.
+Its period means, their gaps and the selection verdicts are derived from
+those degrees, never stored apart from them.
 """
 
 from __future__ import annotations
@@ -94,8 +95,7 @@ def compute_tcorr(x: SpatioTemporalTensor, spec: PeriodSpec, period: str, *,
     results are bit-reproducible and equal a per-window loop over
     `mic_full`. `stats`, when given, counts the windows scored.
     """
-    if period not in PERIODS:
-        raise ConfigError(f"unknown period {period!r}")
+    offset = spec.offset_for(period)
     t_total, n, c = x.data.shape
     anchors = anchor_positions(t_total, spec)
     if anchors.size == 0:
@@ -103,7 +103,6 @@ def compute_tcorr(x: SpatioTemporalTensor, spec: PeriodSpec, period: str, *,
             f"no admissible anchors: need >= {spec.weekly_offset + spec.tau} "
             f"timestamps, got {t_total}")
     tau = spec.tau
-    offset = spec.offset_for(period)
     search = _grid_search(tau)
     per_anchor = n * c
     steps = np.arange(tau)
@@ -157,12 +156,6 @@ def select_periods(delta_hd: float, delta_hw: float, delta_dw: float) -> tuple[s
     return ("hourly",)
 
 
-def attribute_verdicts(deltas: dict[str, np.ndarray]) -> list[tuple[str, ...]]:
-    """`select_periods` of each attribute's 'hd'/'hw'/'dw' deltas."""
-    return [select_periods(float(hd), float(hw), float(dw))
-            for hd, hw, dw in zip(deltas["hd"], deltas["hw"], deltas["dw"])]
-
-
 def combine_verdicts(verdicts: list[tuple[str, ...]]) -> tuple[str, ...]:
     """Single verdict for the model: strict majority across attributes, ties
     toward fewer periods. Hourly is always present."""
@@ -177,15 +170,30 @@ def combine_verdicts(verdicts: list[tuple[str, ...]]) -> tuple[str, ...]:
 
 @dataclass
 class TCorrReport:
-    """Weighted per-sensor degrees, attribute means, gaps, and verdicts."""
+    """Weighted per-sensor degrees, the one stored fact of a report; their
+    attribute means, the gaps between those, and the periods each attribute's
+    gaps select are derived from them on every read."""
 
     per_sensor: dict[str, np.ndarray]        # period -> (N, C) weighted
-    averages: dict[str, np.ndarray]          # period -> (C,)
-    deltas: dict[str, np.ndarray]            # 'hd'/'hw'/'dw' -> (C,)
-    verdict: list[tuple[str, ...]]           # one subset per attribute
     weights: TCorrWeights = field(default_factory=TCorrWeights)
     tau: int = 12
     dataset: str = ""
+
+    @property
+    def averages(self) -> dict[str, np.ndarray]:    # period -> (C,)
+        return {p: self.per_sensor[p].mean(axis=0) for p in PERIODS}
+
+    @property
+    def deltas(self) -> dict[str, np.ndarray]:      # 'hd'/'hw'/'dw' -> (C,)
+        a = self.averages
+        return {"hd": a["daily"] - a["hourly"], "hw": a["weekly"] - a["hourly"],
+                "dw": a["weekly"] - a["daily"]}
+
+    @property
+    def verdict(self) -> list[tuple[str, ...]]:     # one subset per attribute
+        d = self.deltas
+        return [select_periods(float(hd), float(hw), float(dw))
+                for hd, hw, dw in zip(d["hd"], d["hw"], d["dw"])]
 
     @property
     def combined_verdict(self) -> tuple[str, ...]:
@@ -196,23 +204,13 @@ def build_tcorr_report(x: SpatioTemporalTensor, spec: PeriodSpec,
                        weights: TCorrWeights | None = None,
                        dataset: str = "", *,
                        stats: MicStats | None = None) -> TCorrReport:
-    """Weighted tcorr of every period over all anchor_positions of x, its sensor
-    averages and their deltas, and the periods each attribute's deltas select."""
+    """Weighted tcorr of every period over all anchor_positions of x."""
     weights = weights or TCorrWeights()
-    per_sensor = {}
-    averages = {}
-    for p in PERIODS:
-        raw = compute_tcorr(x, spec, p, stats=stats)
-        per_sensor[p] = weighted_tcorr(raw, p, weights)
-        averages[p] = per_sensor[p].mean(axis=0)
-    deltas = {
-        "hd": averages["daily"] - averages["hourly"],
-        "hw": averages["weekly"] - averages["hourly"],
-        "dw": averages["weekly"] - averages["daily"],
-    }
-    return TCorrReport(per_sensor=per_sensor, averages=averages, deltas=deltas,
-                       verdict=attribute_verdicts(deltas), weights=weights,
-                       tau=spec.tau, dataset=dataset)
+    per_sensor = {p: weighted_tcorr(compute_tcorr(x, spec, p, stats=stats),
+                                    p, weights)
+                  for p in PERIODS}
+    return TCorrReport(per_sensor=per_sensor, weights=weights, tau=spec.tau,
+                       dataset=dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -232,20 +230,6 @@ def report_to_dict(report: TCorrReport) -> dict:
     }
 
 
-def report_from_dict(payload: dict) -> TCorrReport:
-    weights = TCorrWeights(**payload["weights"])
-    return TCorrReport(
-        per_sensor={p: np.asarray(payload["per_sensor"][p], dtype=np.float64)
-                    for p in PERIODS},
-        averages={p: np.asarray(payload["per_period_means"][p], dtype=np.float64)
-                  for p in PERIODS},
-        deltas={k: np.asarray(payload["deltas"][k], dtype=np.float64)
-                for k in ("hd", "hw", "dw")},
-        verdict=[tuple(v) for v in payload["verdict"]],
-        weights=weights, tau=payload["tau"],
-        dataset=payload["dataset"])
-
-
 def save_report(report: TCorrReport, path) -> None:
     with open(path, "w") as fh:
         json.dump(report_to_dict(report), fh, indent=2)
@@ -253,42 +237,50 @@ def save_report(report: TCorrReport, path) -> None:
 
 
 def load_report(path) -> TCorrReport:
-    """A report saved by `save_report`; bad JSON, a missing field, a weight
-    outside (0, 1], an empty verdict or an array whose shape does not fit
-    the verdict's C attributes is a DataError: per-sensor degrees must be
-    (N, C), means and deltas (C,). So is a non-finite delta, and a stored
-    verdict or combined verdict that is not the one the deltas select: every
-    reader of a report picks its periods from the deltas, and a stored
-    verdict that says otherwise was edited."""
+    """A report saved by `save_report`. Bad JSON, a missing field or a weight
+    outside (0, 1] is a DataError, and so are per-sensor degrees that are not
+    one (N, C) shape with N, C >= 1 for all three periods, or not all within
+    [0, the period's weight], and a tau that is not a positive int. The
+    stored means, deltas, verdicts and combined verdict must then equal
+    exactly what the per-sensor degrees give: every reader of a report takes
+    them from the degrees, and a stored copy that says otherwise was edited."""
+    def malformed(why: str) -> DataError:
+        return DataError(f"{path}: malformed tcorr report ({why})")
+
     with open(path) as fh:
         try:
             payload = json.load(fh)
-            report = report_from_dict(payload)
-            stored_combined = tuple(payload["combined_verdict"])
-        except (ValueError, KeyError, TypeError, ConfigError) as exc:
-            raise DataError(f"{path}: malformed tcorr report ({exc!r})") from None
-    n_attr = len(report.verdict)
-    if n_attr == 0:
-        raise DataError(f"{path}: malformed tcorr report (no attribute verdicts)")
-    for field_name, arrays, ndim in (("per_sensor", report.per_sensor, 2),
-                                     ("per_period_means", report.averages, 1),
-                                     ("deltas", report.deltas, 1)):
-        for key, v in arrays.items():
-            if v.ndim != ndim or v.shape[-1] != n_attr:
-                raise DataError(
-                    f"{path}: malformed tcorr report ({field_name} {key} has "
-                    f"shape {v.shape}, expected {'(N, C)' if ndim == 2 else '(C,)'} "
-                    f"with C = {n_attr}, the verdict's attribute count)")
-    for key, v in report.deltas.items():
-        if not np.isfinite(v).all():
-            raise DataError(f"{path}: malformed tcorr report (deltas {key} "
-                            f"{v.tolist()} are not all finite)")
-    verdict = attribute_verdicts(report.deltas)
-    combined = combine_verdicts(verdict)
-    if report.verdict != verdict or stored_combined != combined:
-        raise DataError(
-            f"{path}: tcorr report verdict {[list(v) for v in report.verdict]} "
-            f"and combined verdict {list(stored_combined)} disagree with its "
-            f"deltas, which select {[list(v) for v in verdict]} and "
-            f"{list(combined)}")
+            report = TCorrReport(
+                per_sensor={p: np.asarray(payload["per_sensor"][p],
+                                          dtype=np.float64) for p in PERIODS},
+                weights=TCorrWeights(**payload["weights"]),
+                tau=payload["tau"], dataset=payload["dataset"])
+            stored = {k: payload[k] for k in ("per_period_means", "deltas",
+                                              "verdict", "combined_verdict")}
+        except (ValueError, KeyError, TypeError, OverflowError,
+                ConfigError) as exc:
+            raise malformed(repr(exc)) from None
+    shape = report.per_sensor["hourly"].shape
+    for p, v in report.per_sensor.items():
+        weight = report.weights.for_period(p)
+        if v.shape != shape or v.ndim != 2 or 0 in shape:
+            raise malformed(f"per_sensor {p} has shape {v.shape}, expected one "
+                            f"(N, C) shape with N, C >= 1 for all periods")
+        # written so that NaN, which fails every comparison, is refused too
+        if not np.all((v >= 0.0) & (v <= weight)):
+            raise malformed(f"per_sensor {p} has degrees NaN or outside "
+                            f"[0, {weight}], its weight")
+    if type(report.tau) is not int or report.tau < 1:
+        raise malformed(f"tau {report.tau!r} is not a positive int")
+    derived = report_to_dict(report)
+    for key in ("per_period_means", "deltas"):
+        if stored[key] != derived[key]:
+            raise malformed(f"{key} {stored[key]} disagree with its per-sensor "
+                            f"degrees, which give {derived[key]}")
+    if [stored["verdict"], stored["combined_verdict"]] != \
+            [derived["verdict"], derived["combined_verdict"]]:
+        raise malformed(
+            f"verdict {stored['verdict']} and combined verdict "
+            f"{stored['combined_verdict']} disagree with its deltas, which "
+            f"select {derived['verdict']} and {derived['combined_verdict']}")
     return report

@@ -824,6 +824,98 @@ def test_report_whose_verdict_disagrees_with_its_deltas_is_data_error(
     assert not run.exists()
 
 
+def test_report_whose_per_sensor_degrees_were_edited_is_data_error(
+        workdir, tmp_path, capsys):
+    # its stored means, deltas and verdicts were once read as they stood, so
+    # the scatter CSV of one export contradicted its means CSV
+    payload = json.loads((workdir / "tcorr.json").read_text())
+    row = payload["per_sensor"]["hourly"][0]
+    row[0] = 0.0 if row[0] > 0.0 else 0.5
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))
+    assert cli.main(["select", "--report", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert "malformed tcorr report" in err and str(report) in err
+    run = tmp_path / "run"
+    assert cli.main(["train", "--data", str(workdir / "data.sttf"),
+                     "--edges", str(workdir / "edges.csv"),
+                     "--scorr", str(workdir / "corr.scor"),
+                     "--config", str(workdir / "config.json"),
+                     "--tcorr-report", str(report), "--out-dir", str(run),
+                     "--ratios", _RATIOS, "--epochs", "1"]) == 3
+    assert str(report) in capsys.readouterr().err
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("degree, tau", [
+    pytest.param(float("nan"), 12, id="nan-degree"),
+    pytest.param(-0.01, 12, id="negative-degree"),
+    pytest.param(0.9, 12, id="degree-above-weekly-weight"),     # 0.85
+    pytest.param(None, "twelve", id="tau-not-int"),
+])
+def test_report_with_bad_degree_or_tau_is_refused_before_any_csv(
+        workdir, tmp_path, capsys, degree, tau):
+    payload = json.loads((workdir / "tcorr.json").read_text())
+    if degree is not None:
+        payload["per_sensor"]["weekly"][0][0] = degree
+    payload["tau"] = tau
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))
+    assert cli.main(["select", "--report", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert "malformed tcorr report" in err and str(report) in err
+    plots = tmp_path / "plots"
+    assert cli.main(["export-plot-data", "--tcorr-report", str(report),
+                     "--out-dir", str(plots)]) == 3
+    assert str(report) in capsys.readouterr().err
+    assert not plots.exists()
+
+
+@pytest.mark.parametrize("edit", ["no-overall-mape", "three-horizons",
+                                  "mae-not-a-number"])
+def test_export_refuses_bad_second_metric_report_before_writing(
+        tmp_path, capsys, edit):
+    # each once wrote horizon_curves.csv, then failed with a traceback
+    rng = np.random.default_rng(0)
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    for path, horizons in ((good, 12), (bad, 3 if edit == "three-horizons"
+                                        else 12)):
+        save_metric_report(compute_report(rng.uniform(1, 2, (3, horizons, 4)),
+                                          rng.uniform(1, 2, (3, horizons, 4))),
+                           path)
+    payload = json.loads(bad.read_text())
+    if edit == "no-overall-mape":
+        del payload["overall"]["mape"]
+    elif edit == "mae-not-a-number":
+        payload["overall"]["mae"] = "x"
+    bad.write_text(json.dumps(payload))
+    plots = tmp_path / "plots"
+    assert cli.main(["export-plot-data", "--metric-reports", str(good), str(bad),
+                     "--out-dir", str(plots)]) == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert edit != "three-horizons" or str(good) in err
+    assert not plots.exists()
+
+
+def test_asymmetric_scorr_is_data_error(workdir, tmp_path, capsys):
+    # pairwise_mic stores each pair's degree at (i, j) and (j, i); a file
+    # whose two triangles differ once trained on both
+    degrees = np.ones((4, 4, 1))
+    degrees[0, 1, 0], degrees[1, 0, 0] = 0.9, 0.1
+    asymmetric = tmp_path / "asymmetric.scor"
+    save_scorr(SCorrTensor(degrees), asymmetric)
+    run = tmp_path / "run"
+    assert cli.main(["train", "--data", str(workdir / "data.sttf"),
+                     "--scorr", str(asymmetric),
+                     "--config", str(workdir / "config.json"),
+                     "--out-dir", str(run), "--ratios", _RATIOS,
+                     "--epochs", "1"]) == 3
+    err = capsys.readouterr().err
+    assert str(asymmetric) in err and "not symmetric" in err
+    assert not (run / "checkpoint.cstn").exists()
+
+
 def test_unknown_preset_is_config_error(workdir, tmp_path, capsys):
     rc = cli.main(["train", "--data", str(workdir / "data.sttf"),
                    "--scorr", str(workdir / "corr.scor"),

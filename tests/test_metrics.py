@@ -102,3 +102,33 @@ def test_report_round_trip_and_csv(tmp_path):
     assert int(first[0]) == 1
     assert float(first[1]) == report.per_horizon[0, 0]
     assert lines[6].split(",")[3] == "nan"    # CSV keeps writing nan
+
+
+def _swap_first_horizons(payload):
+    payload["per_horizon"][:2] = payload["per_horizon"][1::-1]
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda p: p["overall"].update(mase=0.1), id="extra-overall-key"),
+    pytest.param(lambda p: p["overall"].update(rmse=float("nan")), id="nan-rmse"),
+    pytest.param(lambda p: p["overall"].update(mae=True), id="bool-mae"),
+    pytest.param(_swap_first_horizons, id="horizons-out-of-order"),
+    pytest.param(lambda p: p["per_horizon"][0].update(horizon=1.0),
+                 id="float-horizon"),
+    pytest.param(lambda p: p["per_horizon"][3].update(mase=0.1),
+                 id="row-with-extra-key"),
+    pytest.param(lambda p: p.update(per_horizon=[]), id="no-horizons"),
+    pytest.param(lambda p: p.update(n_points=-1), id="negative-n-points"),
+    pytest.param(lambda p: p.update(mape_masked=2.0), id="float-mape-masked"),
+])
+def test_load_refuses_metric_report_it_would_not_write(tmp_path, edit):
+    rng = np.random.default_rng(1)
+    path = tmp_path / "report.json"
+    save_metric_report(compute_report(rng.uniform(1, 2, (3, 6, 2)),
+                                      rng.uniform(1, 2, (3, 6, 2))), path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match="malformed metric report") as err:
+        load_metric_report(path)
+    assert str(path) in str(err.value)

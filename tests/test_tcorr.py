@@ -215,3 +215,15 @@ def test_report_round_trip(tmp_path):
     for p in PERIODS:
         assert np.allclose(loaded.per_sensor[p], report.per_sensor[p],
                            atol=1e-15)
+
+
+def test_saved_report_loads_and_saves_to_the_same_bytes(tmp_path):
+    # the means, deltas and verdicts are derived from the per-sensor degrees
+    # on load, and a saved file must carry exactly what they derive to
+    x = _tensor(t=420, n=3, c=2, seed=8, interval=60)
+    report = build_tcorr_report(x, PeriodSpec.from_interval(60, tau=6),
+                                dataset="unit")
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_report(report, first)
+    save_report(load_report(first), second)
+    assert second.read_bytes() == first.read_bytes()
