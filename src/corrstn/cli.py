@@ -1,14 +1,17 @@
 """Command-line entry point.
 
 Subcommands: synth, scorr, tcorr, select, train, predict, evaluate,
-export-plot-data. Every run writes a manifest JSON, except a select run
-without --out or --manifest, recording the resolved arguments, seed, build
-version, stage timings and peak resident memory;
-train, predict and evaluate also record their sample counts and the byte
-budget of a forecast or validation chunk with the windows it gives, and
-train prints one progress line per epoch to stderr. Exit codes:
-0 success, 2 configuration error, 3 data error (any OSError too), 4 compute
-error.
+export-plot-data. `main` parses argv with one parser, built once per
+process, and runs the subcommand's `cmd_*` function, looked up on each
+call, with a Manifest. The function returns the manifest's path, and `main`
+writes it there: every run writes a manifest JSON, except a select run
+without --out or --manifest. The manifest records the resolved
+arguments, seed, build version, stage timings and peak resident memory.
+train, predict and evaluate get their data, samples and model from one
+loader, which also records their sample counts and the byte budget of a
+forecast or validation chunk with the windows it gives; train prints one
+progress line per epoch to stderr. Exit codes: 0 success, 2 configuration
+error, 3 data error (any OSError too), 4 compute error.
 
 scorr and tcorr score MIC at its one grid bound, m^0.6, and tcorr at the
 model's 12-step window. scorr is the only subcommand that runs worker
@@ -58,7 +61,7 @@ class Manifest:
     def __init__(self, command: str, args: argparse.Namespace):
         self.payload = {
             "command": command,
-            "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
+            "args": dict(sorted(vars(args).items())),
             "seed": getattr(args, "seed", None),
             "version": None,    # resolved when the manifest is written
             "outputs": [],
@@ -90,7 +93,7 @@ class Manifest:
 
 
 def _manifest_path(args, primary_output) -> str:
-    return getattr(args, "manifest", None) or str(primary_output) + ".manifest.json"
+    return args.manifest or str(primary_output) + ".manifest.json"
 
 
 def _three_numbers(text: str, what: str) -> tuple:
@@ -140,8 +143,7 @@ def _require_timestamps(args, piece, need: int, command: str) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_synth(args) -> int:
-    manifest = Manifest("synth", args)
+def cmd_synth(args, manifest: Manifest) -> str:
     manifest.start("generate")
     ds = data_mod.generate_synthetic(
         n_sensors=args.sensors, weeks=args.weeks,
@@ -157,14 +159,12 @@ def cmd_synth(args) -> int:
         manifest.add_output(args.edges_out)
     t, n, c = ds.tensor.data.shape
     print(f"wrote {args.out}: T={t} N={n} C={c} interval={args.interval}min")
-    manifest.write(_manifest_path(args, args.out))
-    return 0
+    return _manifest_path(args, args.out)
 
 
-def cmd_scorr(args) -> int:
+def cmd_scorr(args, manifest: Manifest) -> str:
     if args.workers < 1:
         raise ConfigError(f"workers must be at least 1, got {args.workers}")
-    manifest = Manifest("scorr", args)
     piece = _load_split(args)
     _require_timestamps(args, piece, 2, "scorr")
     n, c = piece.n_sensors, piece.n_attributes
@@ -185,12 +185,10 @@ def cmd_scorr(args) -> int:
           f"{elapsed:.3f}s with {workers} workers: {rate:.1f} pair-attrs/s")
     manifest.payload["workers_run"] = workers
     manifest.payload["mic"] = stats.to_dict("pairs")
-    manifest.write(_manifest_path(args, args.out))
-    return 0
+    return _manifest_path(args, args.out)
 
 
-def cmd_tcorr(args) -> int:
-    manifest = Manifest("tcorr", args)
+def cmd_tcorr(args, manifest: Manifest) -> str:
     piece = _load_split(args)
     spec = tcorr_mod.PeriodSpec.from_interval(piece.interval_minutes)
     # the first anchor needs a week of history and a target window
@@ -200,8 +198,8 @@ def cmd_tcorr(args) -> int:
     stats = MicStats()
     manifest.start("tcorr")
     report = tcorr_mod.build_tcorr_report(
-        piece, spec, weights=weights,
-        dataset=args.dataset_name or os.path.basename(args.data), stats=stats)
+        piece, spec, weights=weights, dataset=os.path.basename(args.data),
+        stats=stats)
     manifest.stop("tcorr")
     manifest.payload["mic"] = stats.to_dict("windows")
     tcorr_mod.save_report(report, args.out)
@@ -216,12 +214,10 @@ def cmd_tcorr(args) -> int:
     print(f"verdict: {' | '.join(','.join(v) for v in report.verdict)}"
           f" -> combined: {','.join(report.combined_verdict)}")
     print(f"computed in {manifest.payload['timings']['tcorr']:.3f}s")
-    manifest.write(_manifest_path(args, args.out))
-    return 0
+    return _manifest_path(args, args.out)
 
 
-def cmd_select(args) -> int:
-    manifest = Manifest("select", args)
+def cmd_select(args, manifest: Manifest) -> str | None:
     report = tcorr_mod.load_report(args.report)
     verdicts, combined = report.verdict, report.combined_verdict
     for a, v in enumerate(verdicts):
@@ -233,9 +229,7 @@ def cmd_select(args) -> int:
                        "combined_verdict": list(combined)}, fh, indent=2)
             fh.write("\n")
         manifest.add_output(args.out)
-    if args.out or args.manifest:
-        manifest.write(_manifest_path(args, args.out))
-    return 0
+    return _manifest_path(args, args.out) if args.out or args.manifest else None
 
 
 def _resolve_config(args) -> model_mod.ModelConfig:
@@ -248,15 +242,19 @@ def _resolve_config(args) -> model_mod.ModelConfig:
         config = model_mod.PRESETS[args.preset]
     else:
         config = model_mod.ModelConfig()
-    if getattr(args, "tcorr_report", None):
+    if args.tcorr_report:
         report = tcorr_mod.load_report(args.tcorr_report)
         config = model_mod.ModelConfig.from_dict(
             {**config.to_dict(), "periods": list(report.combined_verdict)})
     return config
 
 
-def _load_pipeline(args, config):
-    """Shared train/predict/evaluate plumbing: load, split, normalize."""
+def _load_model(args, config, manifest: Manifest, splits, seed: int):
+    """train/predict/evaluate plumbing: the dataset, normalized on its
+    training split; the samples of each split in `splits`; and the model
+    built from --scorr and --edges. Records the sample counts, and the byte
+    budget of one forecast chunk with the windows per chunk that it gives
+    this model."""
     dataset, ranges = _load_data(args)
     x = dataset.tensor
     dataset.norm_params = data_mod.fit_normalization(x, ranges[0])
@@ -265,31 +263,25 @@ def _load_pipeline(args, config):
         interval_minutes=x.interval_minutes)
     spec = tcorr_mod.PeriodSpec.from_interval(x.interval_minutes, tau=config.tau)
     offsets = {p: spec.offset_for(p) for p in config.periods}
-    return dataset, x_norm, ranges, offsets
-
-
-def _build_from_artifacts(args, config, dataset, seed: int):
+    samples = [data_mod.assemble_samples(x_norm, ranges[_SPLITS.index(split)],
+                                         config.periods, offsets, config.horizon)
+               for split in splits]
+    manifest.payload["samples"] = dict(zip(splits, map(len, samples)))
     if not os.path.exists(args.scorr):
         raise DataError(f"missing correlation file {args.scorr}; "
                         f"produce it with: corrstn scorr")
     scorr = scorr_mod.load_scorr(args.scorr)
-    x = dataset.tensor
     if (scorr.n_sensors, scorr.n_attributes) != (x.n_sensors, x.n_attributes):
         raise DataError(
             f"{args.scorr} is for {scorr.n_sensors} sensors x "
             f"{scorr.n_attributes} attributes, but {args.data} has "
             f"{x.n_sensors} x {x.n_attributes}")
     adj = laplacian_normalize(add_self_loops(dataset.adjacency))
-    return model_mod.build_model(config, scorr, adj, dataset.tensor.n_sensors,
-                                 seed=seed)
-
-
-def _record_chunks(manifest: Manifest, model) -> None:
-    """The byte budget of one forecast chunk, and the windows per chunk that
-    it gives this model."""
+    model = model_mod.build_model(config, scorr, adj, x.n_sensors, seed=seed)
     manifest.payload["chunk"] = {
         "budget_bytes": model_mod.CHUNK_BYTES,
         "windows": model_mod.chunk_windows(model.config, model.n_sensors)}
+    return dataset, samples, model
 
 
 def _print_epoch(row) -> None:
@@ -299,28 +291,21 @@ def _print_epoch(row) -> None:
           file=sys.stderr, flush=True)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, manifest: Manifest) -> str:
     model_mod.check_schedule(args.epochs, args.patience)
-    manifest = Manifest("train", args)
     config = _resolve_config(args)
-    dataset, x_norm, ranges, offsets = _load_pipeline(args, config)
-    train_samples = data_mod.assemble_samples(x_norm, ranges[0], config.periods,
-                                              offsets, config.horizon)
-    val_samples = data_mod.assemble_samples(x_norm, ranges[1], config.periods,
-                                            offsets, config.horizon)
-    manifest.payload["samples"] = {"train": len(train_samples),
-                                   "val": len(val_samples)}
-    model = _build_from_artifacts(args, config, dataset, args.seed)
-    _record_chunks(manifest, model)
+    dataset, (train_samples, val_samples), model = _load_model(
+        args, config, manifest, ("train", "val"), seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
-    log_path = os.path.join(args.out_dir, "train_log.csv")
     manifest.start("train")
     log = model_mod.train(
         model, model_mod.TrainingData(train_samples, val_samples,
                                       dataset.norm_params),
         config, epochs=args.epochs, patience=args.patience, seed=args.seed,
-        log_path=log_path, on_epoch=_print_epoch)
+        on_epoch=_print_epoch)
     manifest.stop("train")
+    log_path = os.path.join(args.out_dir, "train_log.csv")
+    log.to_csv(log_path)
     ckpt_path = os.path.join(args.out_dir, "checkpoint.cstn")
     model_mod.save_checkpoint(model, config, ckpt_path)
     cfg_path = os.path.join(args.out_dir, "config.json")
@@ -331,31 +316,24 @@ def cmd_train(args) -> int:
           f"({'stopped early, ' if log.stopped_early else ''}"
           f"best epoch {log.best_epoch}, val MAE {log.best_val_mae:.6f})")
     print(f"checkpoint: {ckpt_path}")
-    manifest.write(os.path.join(args.out_dir, "manifest.json"))
-    return 0
+    return os.path.join(args.out_dir, "manifest.json")
 
 
-def _restore_model(args):
-    """predict/evaluate plumbing: the trained model and the --split samples.
-    The weights come from the checkpoint, so the build seed is irrelevant."""
+def _restore_model(args, manifest: Manifest):
+    """predict/evaluate plumbing: the dataset, the --split samples and the
+    model with its checkpoint's weights, so the build seed is irrelevant."""
     config = model_mod.load_config(args.config)
-    dataset, x_norm, ranges, offsets = _load_pipeline(args, config)
-    model = _build_from_artifacts(args, config, dataset, seed=0)
+    dataset, (samples,), model = _load_model(args, config, manifest,
+                                             (args.split,), seed=0)
     if not os.path.exists(args.checkpoint):
         raise DataError(f"missing checkpoint {args.checkpoint}; "
                         f"produce it with: corrstn train")
     model.load_state_dict(model_mod.load_checkpoint(args.checkpoint, config))
-    split_range = ranges[_SPLITS.index(args.split)]
-    samples = data_mod.assemble_samples(x_norm, split_range, config.periods,
-                                        offsets, config.horizon)
     return dataset, samples, model
 
 
-def cmd_predict(args) -> int:
-    manifest = Manifest("predict", args)
-    dataset, samples, model = _restore_model(args)
-    manifest.payload["samples"] = {args.split: len(samples)}
-    _record_chunks(manifest, model)
+def cmd_predict(args, manifest: Manifest) -> str:
+    dataset, samples, model = _restore_model(args, manifest)
     manifest.start("predict")
     pred = model_mod.predict(model, samples.encoder_input, dataset.norm_params)
     manifest.stop("predict")
@@ -365,15 +343,11 @@ def cmd_predict(args) -> int:
     manifest.add_output(args.out)
     print(f"{pred.shape[0]} forecasts of {pred.shape[1]} steps x "
           f"{pred.shape[2]} sensors -> {args.out}")
-    manifest.write(_manifest_path(args, args.out))
-    return 0
+    return _manifest_path(args, args.out)
 
 
-def cmd_evaluate(args) -> int:
-    manifest = Manifest("evaluate", args)
-    dataset, samples, model = _restore_model(args)
-    manifest.payload["samples"] = {args.split: len(samples)}
-    _record_chunks(manifest, model)
+def cmd_evaluate(args, manifest: Manifest) -> str:
+    dataset, samples, model = _restore_model(args, manifest)
     manifest.start("evaluate")
     report = metrics_mod.evaluate(model, samples, dataset)
     manifest.stop("evaluate")
@@ -386,12 +360,10 @@ def cmd_evaluate(args) -> int:
     mape_text = f"{o['mape'] * 100:.2f}%" if report.mape_defined else "undefined"
     print(f"MAE={o['mae']:.4f} RMSE={o['rmse']:.4f} MAPE={mape_text} "
           f"({len(samples)} samples, {report.mape_masked} zero-truth points masked)")
-    manifest.write(_manifest_path(args, args.out))
-    return 0
+    return _manifest_path(args, args.out)
 
 
-def cmd_export_plot_data(args) -> int:
-    manifest = Manifest("export-plot-data", args)
+def cmd_export_plot_data(args, manifest: Manifest) -> str:
     # every input is loaded and checked before any output is written
     reports = [metrics_mod.load_metric_report(p) for p in args.metric_reports or ()]
     if reports:
@@ -460,21 +432,35 @@ def cmd_export_plot_data(args) -> int:
     for path in wrote:
         manifest.add_output(path)
         print(f"wrote {path}")
-    manifest.write(os.path.join(args.out_dir, "manifest.json"))
-    return 0
+    return os.path.join(args.out_dir, "manifest.json")
 
 
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The `corrstn` parser, built once per process. A flag that several
+    subcommands take with one meaning and default is declared once, in a
+    parent parser; --out, --split, --config and --tcorr-report differ
+    between subcommands and are declared in each."""
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True)
+    data.add_argument("--ratios", default="0.6,0.2,0.2")
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--edges", default=None)
+    graph.add_argument("--scorr", required=True)
+    manifest = argparse.ArgumentParser(add_help=False)
+    manifest.add_argument("--manifest", default=None)
+
     parser = argparse.ArgumentParser(
         prog="corrstn",
         description="Correlation-information toolkit for traffic forecasting")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
+    p = sub.add_parser("synth", parents=[manifest],
+                       help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--edges-out", default=None)
     p.add_argument("--sensors", type=int, required=True)
@@ -486,39 +472,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", type=int, default=5)
     p.add_argument("--attributes", type=int, default=1)
     p.add_argument("--base", type=float, default=10.0)
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("scorr", help="spatial correlation tensor")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("scorr", parents=[data, manifest],
+                       help="spatial correlation tensor")
     p.add_argument("--out", required=True)
     p.add_argument("--csv-out", default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--split", default="train")
-    p.add_argument("--ratios", default="0.6,0.2,0.2")
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(func=cmd_scorr)
 
-    p = sub.add_parser("tcorr", help="temporal correlation report")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("tcorr", parents=[data, manifest],
+                       help="temporal correlation report")
     p.add_argument("--out", required=True)
     p.add_argument("--weights", default="0.95,0.95,0.85")
-    p.add_argument("--dataset-name", default=None)
     p.add_argument("--split", default="train")
-    p.add_argument("--ratios", default="0.6,0.2,0.2")
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(func=cmd_tcorr)
 
-    p = sub.add_parser("select", help="periodic-data selection verdict")
+    p = sub.add_parser("select", parents=[manifest],
+                       help="periodic-data selection verdict")
     p.add_argument("--report", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("train", help="train the forecaster")
-    p.add_argument("--data", required=True)
-    p.add_argument("--edges", default=None)
-    p.add_argument("--scorr", required=True)
+    p = sub.add_parser("train", parents=[data, graph],
+                       help="train the forecaster")
     p.add_argument("--config", default=None)
     p.add_argument("--preset", default=None)
     p.add_argument("--tcorr-report", default=None,
@@ -527,38 +501,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--ratios", default="0.6,0.2,0.2")
-    p.set_defaults(func=cmd_train)
 
-    for name, func in (("predict", cmd_predict), ("evaluate", cmd_evaluate)):
-        p = sub.add_parser(name, help=f"{name} with a trained checkpoint")
-        p.add_argument("--data", required=True)
-        p.add_argument("--edges", default=None)
-        p.add_argument("--scorr", required=True)
+    for name in ("predict", "evaluate"):
+        p = sub.add_parser(name, parents=[data, graph, manifest],
+                           help=f"{name} with a trained checkpoint")
         p.add_argument("--config", required=True)
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--split", default="test", choices=_SPLITS)
-        p.add_argument("--ratios", default="0.6,0.2,0.2")
-        p.add_argument("--manifest", default=None)
         if name == "evaluate":
             p.add_argument("--horizon-csv", default=None)
-        p.set_defaults(func=func)
 
     p = sub.add_parser("export-plot-data", help="CSV series for plotting")
     p.add_argument("--metric-reports", nargs="*", default=[])
     p.add_argument("--labels", default=None)
     p.add_argument("--tcorr-report", default=None)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_export_plot_data)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    manifest = Manifest(args.command, args)
+    # built on each call, so a cmd_* rebound on this module is the one that runs
+    command = {"synth": cmd_synth, "scorr": cmd_scorr, "tcorr": cmd_tcorr,
+               "select": cmd_select, "train": cmd_train, "predict": cmd_predict,
+               "evaluate": cmd_evaluate,
+               "export-plot-data": cmd_export_plot_data}[args.command]
     try:
-        return args.func(args)
+        path = command(args, manifest)
+        if path is not None:
+            manifest.write(path)
+        return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

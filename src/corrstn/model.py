@@ -356,8 +356,9 @@ class CorrSTN(Module):
         config with all three periods at N=16. Each chunk's arrays are freed
         before the next chunk encodes, so the peak does not grow with the
         chunk count: at N=170 a forecast over 258 windows peaked at 190 MB
-        of RSS, 38 MB of it the dense input, and took 0.47 s per window (64
-        windows in one chunk took 2,149 MB and 0.70 s per window).
+        of RSS, 38 MB of it the dense input, and took 0.44 s per window
+        (random inputs and weights, one OpenBLAS thread; README has the
+        protocol).
         """
         chunk = chunk_windows(self.config, self.n_sensors)
         enc_len = self.config.encoder_length
@@ -472,7 +473,7 @@ def check_schedule(epochs: int, patience: int) -> None:
 
 def train(model: CorrSTN, data: TrainingData, config: ModelConfig,
           epochs: int = 100, patience: int = 20, seed: int = 0,
-          log_path=None, on_epoch=None) -> TrainingLog:
+          on_epoch=None) -> TrainingLog:
     """MAE loss, Adam, teacher forcing. Each epoch is scored on data.val by
     `metrics.evaluate`, the autoregressive rollout that `corrstn evaluate`
     reports; keeps and restores the parameters of the epoch with the lowest
@@ -527,8 +528,6 @@ def train(model: CorrSTN, data: TrainingData, config: ModelConfig,
                 log.stopped_early = True
                 break
     model.load_state_dict(best_state)
-    if log_path is not None:
-        log.to_csv(log_path)
     return log
 
 

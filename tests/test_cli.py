@@ -969,3 +969,92 @@ def test_readme_cli_reference_documents_every_flag():
     flags = _parser_flags()
     assert sorted(flags - documented) == [], "missing from the README"
     assert sorted(documented - flags) == [], "in the README but not the parser"
+
+
+# every flag of every subcommand: its default, whether it is required, its
+# choices, type, nargs and help; a flag not listed in a field takes _UNSET's
+_UNSET = dict(default=None, required=False, choices=None, type=None, nargs=None,
+              help=None)
+_REQUIRED = dict(required=True)
+_RATIOS_DEFAULT = dict(default="0.6,0.2,0.2")
+_TEST_SPLIT = dict(default="test", choices=("train", "val", "test"))
+_FLAGS = {
+    "synth": {
+        "--out": _REQUIRED, "--edges-out": {},
+        "--sensors": dict(required=True, type=int),
+        "--weeks": dict(required=True, type=int),
+        "--daily-amplitude": dict(default=1.0, type=float),
+        "--weekly-amplitude": dict(default=0.0, type=float),
+        "--noise": dict(default=0.1, type=float),
+        "--seed": dict(default=0, type=int),
+        "--interval": dict(default=5, type=int),
+        "--attributes": dict(default=1, type=int),
+        "--base": dict(default=10.0, type=float),
+        "--manifest": {}},
+    "scorr": {
+        "--data": _REQUIRED, "--out": _REQUIRED, "--csv-out": {},
+        "--workers": dict(default=1, type=int), "--split": dict(default="train"),
+        "--ratios": _RATIOS_DEFAULT, "--manifest": {}},
+    "tcorr": {
+        "--data": _REQUIRED, "--out": _REQUIRED,
+        "--weights": dict(default="0.95,0.95,0.85"),
+        "--split": dict(default="train"), "--ratios": _RATIOS_DEFAULT,
+        "--manifest": {}},
+    "select": {"--report": _REQUIRED, "--out": {}, "--manifest": {}},
+    "train": {
+        "--data": _REQUIRED, "--edges": {}, "--scorr": _REQUIRED, "--config": {},
+        "--preset": {},
+        "--tcorr-report": dict(help="set config periods from a tcorr verdict"),
+        "--out-dir": _REQUIRED, "--seed": dict(default=0, type=int),
+        "--epochs": dict(default=100, type=int),
+        "--patience": dict(default=20, type=int), "--ratios": _RATIOS_DEFAULT},
+    "predict": {
+        "--data": _REQUIRED, "--edges": {}, "--scorr": _REQUIRED,
+        "--config": _REQUIRED, "--checkpoint": _REQUIRED, "--out": _REQUIRED,
+        "--split": _TEST_SPLIT, "--ratios": _RATIOS_DEFAULT, "--manifest": {}},
+    "evaluate": {
+        "--data": _REQUIRED, "--edges": {}, "--scorr": _REQUIRED,
+        "--config": _REQUIRED, "--checkpoint": _REQUIRED, "--out": _REQUIRED,
+        "--split": _TEST_SPLIT, "--ratios": _RATIOS_DEFAULT, "--manifest": {},
+        "--horizon-csv": {}},
+    "export-plot-data": {
+        "--metric-reports": dict(default=[], nargs="*"), "--labels": {},
+        "--tcorr-report": {}, "--out-dir": _REQUIRED},
+}
+
+
+def test_every_flag_keeps_its_default_requiredness_choices_type_and_help():
+    subcommands = next(a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    found = {name: {action.option_strings[0]: {field: getattr(action, field)
+                                               for field in _UNSET}
+                    for action in sub._actions
+                    if not isinstance(action, argparse._HelpAction)}
+             for name, sub in subcommands.choices.items()}
+    want = {name: {flag: {**_UNSET, **fields} for flag, fields in flags.items()}
+            for name, flags in _FLAGS.items()}
+    assert found == want
+
+
+def test_main_builds_the_parser_once_and_runs_a_rebound_command(workdir,
+                                                                monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    report = str(workdir / "tcorr.json")
+    assert cli.main(["select", "--report", report]) == 0
+    assert built
+    parsers = len(built)
+    # the command is looked up when main runs it, as bench/tracing.py needs
+    ran = []
+    monkeypatch.setattr(cli, "cmd_select",
+                        lambda args, manifest: ran.append(args.report))
+    assert cli.main(["select", "--report", report]) == 0
+    assert len(built) == parsers
+    assert ran == [report]

@@ -886,7 +886,8 @@ def test_train_improves_and_logs(tmp_path):
                              learning_rate=0.01, batch_size=16)
     log_path = tmp_path / "log.csv"
     log = train(model, TrainingData(train_s, val_s, params), cfg,
-                epochs=8, patience=8, seed=0, log_path=log_path)
+                epochs=8, patience=8, seed=0)
+    log.to_csv(log_path)
     assert len(log.rows) == 8
     assert log.rows[-1].val_mae < log.rows[0].val_mae
     assert log.best_val_mae == min(r.val_mae for r in log.rows)
@@ -900,7 +901,7 @@ def test_train_log_fields_are_numbers(tmp_path):
     cfg, model = _tiny_model(seed=12, n=3, c=1, learning_rate=0.01)
     log_path = tmp_path / "log.csv"
     train(model, TrainingData(train_s, val_s, params), cfg,
-          epochs=2, patience=2, seed=0, log_path=log_path)
+          epochs=2, patience=2, seed=0).to_csv(log_path)
     with open(log_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 3
