@@ -8,7 +8,7 @@ forecast errors. Runs in well under a minute.
 
 import numpy as np
 
-from corrstn import (ModelConfig, TrainingData, add_self_loops,
+from corrstn import (ModelConfig, PeriodSpec, TrainingData, add_self_loops,
                      assemble_samples, build_model, compute_scorr, evaluate,
                      fit_normalization, generate_synthetic,
                      laplacian_normalize, normalize, split_ranges, train)
@@ -39,7 +39,9 @@ n_params = sum(p.data.size for p in model.parameters())
 print(f"model: {config.encoder_layers}+{config.decoder_layers} layers, "
       f"d_model={config.d_model}, {n_params} parameters")
 
-offsets = {"hourly": config.tau}
+# the period blocks' offsets at this interval, as `corrstn train` derives them
+spec = PeriodSpec.from_interval(x.interval_minutes, tau=config.tau)
+offsets = {p: spec.offset_for(p) for p in config.periods}
 train_samples = assemble_samples(x_norm, train_range, config.periods,
                                  offsets, config.horizon)
 val_samples = assemble_samples(x_norm, val_range, config.periods,

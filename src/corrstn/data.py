@@ -242,6 +242,11 @@ def load_edges(path, sensor_ids: list[str]) -> np.ndarray:
 
 
 def load_dataset(tensor_path, edges_path=None) -> TrafficDataset:
+    """The series at tensor_path, an `.sttf` or a CSV, with the adjacency of
+    the edge CSV at edges_path (no edges when None). A CSV has no interval
+    field, so its rows are taken as 5-minute steps, and the daily and weekly
+    blocks read from it assume that interval; a series at another interval
+    needs an `.sttf` written with `save_tensor`."""
     tensor_path = str(tensor_path)
     if tensor_path.endswith(".csv"):
         tensor, sensor_ids = _load_tensor_csv(tensor_path)

@@ -1,11 +1,11 @@
 """Temporal correlation of periodic history with the prediction window.
 
 For each sensor and attribute, the hourly/daily/weekly block preceding an
-anchor timestamp is compared (via MIC at the fixed grid bound m^0.6,
-`mic.ETA`) against the block immediately after it; averaging over anchors and
-weighting by period type gives the per-sensor degrees of a `TCorrReport`.
-Its period means, their gaps and the selection verdicts are derived from
-those degrees, never stored apart from them.
+anchor timestamp (placed by `PeriodSpec`) is compared via MIC at the fixed
+grid bound m^0.6, `mic.ETA`, against the block immediately after it;
+averaging over anchors and weighting by period type gives the per-sensor
+degrees of a `TCorrReport`. Its period means, their gaps and the selection
+verdicts are derived from those degrees, never stored apart from them.
 """
 
 from __future__ import annotations
@@ -24,31 +24,30 @@ PERIODS = ("hourly", "daily", "weekly")
 
 @dataclass(frozen=True)
 class PeriodSpec:
-    """Window length tau plus the lookback offsets of the three period types."""
+    """Window length tau at an interval dividing 60 minutes. Offsets are
+    derived: hourly is tau (the block right before the target), daily and
+    weekly a day and a week of steps; tau <= a day keeps all off the target."""
 
     tau: int = 12
-    hourly_offset: int = 12
-    daily_offset: int = 288
-    weekly_offset: int = 2016
+    interval_minutes: int = 5
+    hourly_offset: int = field(init=False)
+    daily_offset: int = field(init=False)
+    weekly_offset: int = field(init=False)
 
     def __post_init__(self):
-        if self.tau < 1:
-            raise ConfigError(f"tau must be >= 1, got {self.tau}")
-        if not self.hourly_offset <= self.daily_offset <= self.weekly_offset:
-            raise ConfigError(
-                "offsets must be ordered hourly <= daily <= weekly, got "
-                f"{self.hourly_offset}/{self.daily_offset}/{self.weekly_offset}")
-        if min(self.hourly_offset, self.tau) < 1:
-            raise ConfigError("offsets and tau must be positive")
+        if self.interval_minutes < 1 or 60 % self.interval_minutes != 0:
+            raise ConfigError("interval_minutes must divide 60, got "
+                              f"{self.interval_minutes}")
+        day = 24 * 60 // self.interval_minutes
+        if not 1 <= self.tau <= day:
+            raise ConfigError(f"tau must be in [1, {day}] (a day of steps), "
+                              f"got {self.tau}")
+        for period, offset in zip(PERIODS, (self.tau, day, 7 * day)):
+            object.__setattr__(self, f"{period}_offset", offset)
 
     @classmethod
     def from_interval(cls, interval_minutes: int, tau: int = 12) -> "PeriodSpec":
-        if 60 % interval_minutes != 0:
-            raise ConfigError(
-                f"interval_minutes must divide 60, got {interval_minutes}")
-        hourly = 60 // interval_minutes
-        return cls(tau=tau, hourly_offset=hourly, daily_offset=24 * hourly,
-                   weekly_offset=7 * 24 * hourly)
+        return cls(tau=tau, interval_minutes=interval_minutes)
 
     def offset_for(self, period: str) -> int:
         if period not in PERIODS:

@@ -16,7 +16,6 @@ from test_data import _sttf_bytes
 from test_scorr import _FORK, _InlinePool, _mic
 
 
-# a 12-step horizon needs the hourly offset >= 12, so 5-minute sampling;
 # tiny split ratios keep the trained stages fast
 _RATIOS = "0.1,0.1,0.8"
 
@@ -259,6 +258,29 @@ def test_qk_conv_config_trains_evaluates_and_predicts(workdir, tmp_path):
     out = tmp_path / "pred.npy"
     assert cli.main(["predict", *trained, "--out", str(out)]) == 0
     assert np.load(out).shape[1:] == (12, 4, 1)
+
+
+def test_fifteen_minute_series_runs_the_whole_pipeline(tmp_path):
+    # the hourly offset was once 60 // interval steps, 4 at 15 minutes, and
+    # train exited 2: "hourly offset 4 shorter than horizon 12"
+    data, edges = str(tmp_path / "data.sttf"), str(tmp_path / "edges.csv")
+    scorr, report = str(tmp_path / "corr.scor"), str(tmp_path / "tcorr.json")
+    run = tmp_path / "run"
+    artifacts = ["--data", data, "--edges", edges, "--scorr", scorr]
+    trained = [*artifacts, "--config", str(run / "config.json"),
+               "--checkpoint", str(run / "checkpoint.cstn")]
+    for argv in (["synth", "--out", data, "--edges-out", edges, "--sensors", "4",
+                  "--weeks", "3", "--interval", "15"],
+                 ["scorr", "--data", data, "--out", scorr],
+                 ["tcorr", "--data", data, "--out", report],
+                 ["train", *artifacts, "--tcorr-report", report,
+                  "--out-dir", str(run), "--epochs", "1"],
+                 ["evaluate", *trained, "--out", str(tmp_path / "eval.json")],
+                 ["predict", *trained, "--out", str(tmp_path / "pred.npy")]):
+        assert cli.main(argv) == 0, argv[0]
+    assert load_tensor(data).interval_minutes == 15
+    pred = np.load(tmp_path / "pred.npy")
+    assert pred.shape[1:] == (12, 4, 1) and np.isfinite(pred).all()
 
 
 def test_predict_writes_forecasts(workdir):

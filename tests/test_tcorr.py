@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from corrstn import (PERIODS, PeriodSpec, SpatioTemporalTensor, TCorrWeights,
-                     anchor_positions, build_tcorr_report, combine_verdicts,
-                     compute_tcorr, load_report, mic, save_report,
-                     select_periods)
+                     anchor_positions, assemble_samples, build_tcorr_report,
+                     combine_verdicts, compute_tcorr, load_report, mic,
+                     save_report, select_periods)
+from corrstn import tcorr as tcorr_mod
 from corrstn.errors import ConfigError, EmptyAnchorError
 from corrstn.mic import MicStats, _GridSearch
 from corrstn.tcorr import weighted_tcorr
@@ -25,7 +26,7 @@ def test_period_spec_defaults_match_five_minute_sampling():
 
 def test_period_spec_from_other_intervals():
     spec = PeriodSpec.from_interval(30, tau=4)
-    assert (spec.hourly_offset, spec.daily_offset, spec.weekly_offset) == (2, 48, 336)
+    assert (spec.hourly_offset, spec.daily_offset, spec.weekly_offset) == (4, 48, 336)
     with pytest.raises(ConfigError):
         PeriodSpec.from_interval(7)
 
@@ -33,8 +34,57 @@ def test_period_spec_from_other_intervals():
 def test_period_spec_validation():
     with pytest.raises(ConfigError):
         PeriodSpec(tau=0)
-    with pytest.raises(ConfigError):
-        PeriodSpec(hourly_offset=10, daily_offset=5, weekly_offset=20)
+    with pytest.raises(ConfigError, match="interval_minutes must divide 60"):
+        PeriodSpec(interval_minutes=7)
+    # one day of hourly steps is 24: a longer window would overlap its target
+    with pytest.raises(ConfigError, match=r"tau must be in \[1, 24\]"):
+        PeriodSpec(tau=25, interval_minutes=60)
+    assert PeriodSpec(tau=24, interval_minutes=60).daily_offset == 24
+
+
+def _assert_blocks_precede_targets(period, tau, anchors, blocks, targets):
+    """Each target is the tau rows after its anchor, and its period block
+    shares no row with it; the hourly block is the tau rows up to the
+    anchor, so its last row is the anchor itself."""
+    for anchor, block, target in zip(anchors, blocks.tolist(), targets.tolist()):
+        assert target == list(range(anchor + 1, anchor + tau + 1))
+        assert not set(block) & set(target), (period, anchor)
+        if period == "hourly":
+            assert block == list(range(anchor - tau + 1, anchor + 1))
+
+
+@pytest.mark.parametrize("interval", (1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60))
+def test_period_blocks_never_overlap_their_target_at_any_interval(
+        monkeypatch, interval):
+    # the hourly offset was once 60 // interval steps: at 15 minutes 4, so 8
+    # of the 12 hourly rows tcorr scored were rows of their own target, and
+    # assemble_samples refused it as shorter than the horizon
+    spec = PeriodSpec.from_interval(interval, tau=12)
+    tau, t_total = spec.tau, spec.weekly_offset + 3 * spec.tau
+    # one sensor whose value is its row index: the rows read are the values
+    x = SpatioTemporalTensor(np.arange(t_total, dtype=np.float64)[:, None, None],
+                             interval_minutes=interval)
+    anchors = anchor_positions(t_total, spec).tolist()
+    assert len(anchors) == 3
+    # compute_tcorr profiles one tau-long row per window: the period blocks
+    # of all anchors, then their targets
+    profile, scored = tcorr_mod._profile, []
+    monkeypatch.setattr(tcorr_mod, "_profile",
+                        lambda rows: scored.append(rows.astype(int)) or profile(rows))
+    for period in PERIODS:
+        scored.clear()
+        compute_tcorr(x, spec, period)
+        (rows,) = scored
+        _assert_blocks_precede_targets(period, tau, anchors, rows[:3], rows[3:])
+    # assemble_samples puts the period blocks side by side, slow to fast
+    samples = assemble_samples(x, (0, t_total), PERIODS,
+                               {p: spec.offset_for(p) for p in PERIODS}, tau)
+    encoder = samples.encoder_input[:][..., 0, 0].astype(int)
+    targets = samples.target[..., 0, 0].astype(int)
+    assert len(samples) == t_total - spec.weekly_offset - tau + 1
+    for k, period in enumerate(samples.periods):
+        _assert_blocks_precede_targets(period, tau, samples.anchors.tolist(),
+                                       encoder[:, k * tau:(k + 1) * tau], targets)
 
 
 def test_weights_defaults_and_validation():
