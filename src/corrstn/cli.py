@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import resource
 import subprocess
@@ -86,9 +85,7 @@ class Manifest:
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
             resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
         self.payload["version"] = _git_describe()
-        with open(path, "w") as fh:
-            json.dump(self.payload, fh, indent=2, default=str)
-            fh.write("\n")
+        data_mod.write_json(path, self.payload)
         print(f"manifest: {path}")
 
 
@@ -224,10 +221,8 @@ def cmd_select(args, manifest: Manifest) -> str | None:
         print(f"attribute {a}: {','.join(v)}")
     print(f"combined: {','.join(combined)}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"verdict": [list(v) for v in verdicts],
-                       "combined_verdict": list(combined)}, fh, indent=2)
-            fh.write("\n")
+        data_mod.write_json(args.out, {"verdict": [list(v) for v in verdicts],
+                                       "combined_verdict": list(combined)})
         manifest.add_output(args.out)
     return _manifest_path(args, args.out) if args.out or args.manifest else None
 
@@ -382,30 +377,18 @@ def cmd_export_plot_data(args, manifest: Manifest) -> str:
         raise ConfigError("nothing to export: pass --metric-reports and/or "
                           "--tcorr-report")
     os.makedirs(args.out_dir, exist_ok=True)
-    wrote = []
+    tables = {}     # file name: (header, rows)
     if reports:
-        path = os.path.join(args.out_dir, "horizon_curves.csv")
-        with open(path, "w") as fh:
-            fh.write("label,horizon,mae,rmse,mape\n")
-            for label, rep in zip(labels, reports):
-                for h, row in enumerate(rep.per_horizon, start=1):
-                    fh.write(f"{label},{h},{float(row[0])!r},{float(row[1])!r},"
-                             f"{float(row[2])!r}\n")
-        wrote.append(path)
+        tables["horizon_curves.csv"] = "label,horizon,mae,rmse,mape", (
+            (label, h, *row) for label, rep in zip(labels, reports)
+            for h, row in enumerate(rep.per_horizon, start=1))
         if len(reports) > 1:
             stacked = np.stack([r.per_horizon for r in reports])
-            mean = stacked.mean(axis=0)
-            std = stacked.std(axis=0, ddof=1)
-            path = os.path.join(args.out_dir, "horizon_aggregate.csv")
-            with open(path, "w") as fh:
-                fh.write("horizon,mae_mean,mae_std,rmse_mean,rmse_std,"
-                         "mape_mean,mape_std\n")
-                for h in range(mean.shape[0]):
-                    cells = []
-                    for col in range(3):
-                        cells += [repr(float(mean[h, col])), repr(float(std[h, col]))]
-                    fh.write(f"{h + 1}," + ",".join(cells) + "\n")
-            wrote.append(path)
+            # (L, 3, 2): each metric's mean and sample std side by side
+            cells = np.stack([stacked.mean(axis=0), stacked.std(axis=0, ddof=1)], axis=2)
+            tables["horizon_aggregate.csv"] = (
+                "horizon,mae_mean,mae_std,rmse_mean,rmse_std,mape_mean,mape_std",
+                ((h, *row.ravel()) for h, row in enumerate(cells, start=1)))
             overall = np.array([[r.overall["mae"], r.overall["rmse"],
                                  r.overall["mape"]] for r in reports])
             m, s = overall.mean(axis=0), overall.std(axis=0, ddof=1)
@@ -413,23 +396,16 @@ def cmd_export_plot_data(args, manifest: Manifest) -> str:
                   f"MAE {m[0]:.4f} +/- {s[0]:.4f}, RMSE {m[1]:.4f} +/- {s[1]:.4f}, "
                   f"MAPE {m[2] * 100:.2f}% +/- {s[2] * 100:.2f}%")
     if tcorr_report is not None:
-        path = os.path.join(args.out_dir, "tcorr_scatter.csv")
-        with open(path, "w") as fh:
-            fh.write("period,sensor,attribute,weighted_degree\n")
-            for period in tcorr_mod.PERIODS:
-                values = tcorr_report.per_sensor[period]
-                for i in range(values.shape[0]):
-                    for a in range(values.shape[1]):
-                        fh.write(f"{period},{i},{a},{float(values[i, a])!r}\n")
-        wrote.append(path)
-        path = os.path.join(args.out_dir, "tcorr_means.csv")
-        with open(path, "w") as fh:
-            fh.write("period,attribute,mean\n")
-            for period in tcorr_mod.PERIODS:
-                for a, v in enumerate(tcorr_report.averages[period]):
-                    fh.write(f"{period},{a},{float(v)!r}\n")
-        wrote.append(path)
-    for path in wrote:
+        tables["tcorr_scatter.csv"] = "period,sensor,attribute,weighted_degree", (
+            (period, i, a, v) for period in tcorr_mod.PERIODS
+            for i, row in enumerate(tcorr_report.per_sensor[period])
+            for a, v in enumerate(row))
+        tables["tcorr_means.csv"] = "period,attribute,mean", (
+            (period, a, v) for period in tcorr_mod.PERIODS
+            for a, v in enumerate(tcorr_report.averages[period]))
+    for name, (header, rows) in tables.items():
+        path = os.path.join(args.out_dir, name)
+        data_mod.write_csv(path, header, rows)
         manifest.add_output(path)
         print(f"wrote {path}")
     return os.path.join(args.out_dir, "manifest.json")

@@ -11,12 +11,15 @@ one matrix product instead of a sine pass per harmonic and series. Values
 agree with the per-sine sum to within 1e-11 (rounding only), and the random
 draws keep the per-sine form's order: per series, its phases, then its noise.
 
-Binary series layout (.sttf): 'STTF', version u32, T u32, N u32, C u32,
-interval_minutes u32, then timestamp-major little-endian float64 values.
+The IO section holds every artifact format decision: the JSON and CSV
+writers and the binary framing of `.sttf`, `.scor` and `.cstn`. Series
+layout (.sttf): 'STTF', version u32, T u32, N u32, C u32, interval_minutes
+u32, then timestamp-major little-endian float64 values.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import os
@@ -31,7 +34,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, DataError, DimensionError
 
 _STTF_MAGIC = b"STTF"
-_STTF_VERSION = 1
 
 
 @dataclass
@@ -87,44 +89,101 @@ class TrafficDataset:
 
 
 # ---------------------------------------------------------------------------
-# series IO
+# artifact IO: every JSON, CSV and binary artifact the package writes goes
+# through write_json, write_csv or write_binary, and every binary value it
+# reads through read_values
 
-def save_tensor(x: SpatioTemporalTensor, path) -> None:
-    t, n, c = x.data.shape
+def write_json(path, payload) -> None:
+    """payload as JSON, indented 2, with one trailing newline. Numbers are
+    strict: a NaN or infinity is a ValueError, never written. A value JSON
+    has no type for is written as its str."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, allow_nan=False, default=str)
+        fh.write("\n")
+
+
+def read_json(path):
+    """The JSON at path, read as UTF-8: bad text is a ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def write_csv(path, header: str, rows) -> None:
+    """The header line(s), then one comma-separated line per row. A float
+    cell is written as its repr, so it reads back bit for bit."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
+def u32(*values) -> bytes:
+    return struct.pack(f"<{len(values)}I", *values)
+
+
+def write_binary(path, magic: bytes, fields, chunks) -> None:
+    """A binary artifact: magic, u32 version 1 and the u32 fields, then each
+    chunk, bytes as they are and an array as little-endian float64 values,
+    written from its own buffer when it is one."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIIIII", _STTF_MAGIC, _STTF_VERSION, t, n, c,
-                             x.interval_minutes))
-        fh.write(np.ascontiguousarray(x.data, dtype="<f8"))
+        fh.write(magic + u32(1, *fields))
+        for chunk in chunks:
+            fh.write(chunk if isinstance(chunk, bytes)
+                     else np.ascontiguousarray(chunk, dtype="<f8"))
 
 
-@contextmanager
-def _naming(path):
-    """A refusal of the series read from path names path. An empty axis is a
-    DataError there, since the file gave the shape."""
+def read_header(fh, path, magic: bytes, n_fields: int) -> list:
+    """The n_fields u32 fields of the header `write_binary` wrote. A short
+    header, another magic or a version other than 1 is a DataError."""
+    kind = magic.decode()
+    raw = fh.read(8 + 4 * n_fields)
+    if len(raw) != 8 + 4 * n_fields or raw[:4] != magic:
+        raise DataError(f"{path}: not a {kind} file")
+    version, *fields = struct.unpack(f"<{1 + n_fields}I", raw[4:])
+    if version != 1:
+        raise DataError(f"{path}: unsupported {kind} version {version}")
+    return fields
+
+
+def read_values(fh, path, shape, last: bool, dtype="<f8") -> np.ndarray:
+    """The little-endian `shape` array at fh's position, read into a new
+    array with no copy. The bytes left in the file are checked before it is
+    allocated, so no header asks for more memory than the file holds: fewer
+    bytes than the values take, or more when they are the `last` in the
+    file, is a DataError whose message starts with path."""
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    need = count * dtype.itemsize
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    values = np.empty(shape, dtype) if left == need or (left > need and not last) \
+        else None
+    if values is None or fh.readinto(values) != need:
+        raise DataError(f"{path}: expected {count} values ({need} bytes), "
+                        f"got {left} bytes")
+    return values
+
+
+def naming(path, build, *args, **kwargs):
+    """build(*args, **kwargs), made from what path holds: its refusal names
+    path. An empty axis is a DataError there, since the file gave the shape."""
     try:
-        yield
+        return build(*args, **kwargs)
     except (DataError, DimensionError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
+def save_tensor(x: SpatioTemporalTensor, path) -> None:
+    write_binary(path, _STTF_MAGIC, (*x.data.shape, x.interval_minutes), [x.data])
+
+
 def load_tensor(path) -> SpatioTemporalTensor:
     with open(path, "rb") as fh:
-        header = fh.read(24)
-        if len(header) != 24 or header[:4] != _STTF_MAGIC:
-            raise DataError(f"{path}: not an STTF file")
-        _, version, t, n, c, interval = struct.unpack("<4sIIIII", header)
-        if version != _STTF_VERSION:
-            raise DataError(f"{path}: unsupported STTF version {version}")
+        t, n, c, interval = read_header(fh, path, _STTF_MAGIC, 4)
         if interval < 1 or 60 % interval != 0:
             raise DataError(f"{path}: interval_minutes must divide 60, got {interval}")
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        # the series is allocated only once the file holds exactly its values
-        data = np.empty((t, n, c), dtype="<f8") if size == t * n * c * 8 else None
-        if data is None or fh.readinto(data) != size:
-            raise DataError(f"{path}: expected {t * n * c} values "
-                            f"({t * n * c * 8} bytes), got {size} bytes")
-    with _naming(path):
-        return SpatioTemporalTensor(data, interval_minutes=interval)
+        data = read_values(fh, path, (t, n, c), last=True)
+    return naming(path, SpatioTemporalTensor, data, interval_minutes=interval)
 
 
 @contextmanager
@@ -177,20 +236,16 @@ def _load_tensor_csv(path) -> tuple[SpatioTemporalTensor, list[str]]:
     data = np.empty((n_t, len(sensor_ids), n_attr))
     for (t, sensor), values in rows.items():
         data[t, sensor_pos[sensor], :] = values
-    with _naming(path):
-        return SpatioTemporalTensor(data), sensor_ids
+    return naming(path, SpatioTemporalTensor, data), sensor_ids
 
 
 def save_edges(path, adjacency: np.ndarray, sensor_ids: list[str]) -> None:
     """The nonzero upper triangle of a symmetric adjacency as an undirected
     edge list CSV, which `load_edges` reads back."""
-    with open(path, "w") as fh:
-        fh.write("# directed=false\nfrom,to,weight\n")
-        n = len(sensor_ids)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if adjacency[i, j] != 0:
-                    fh.write(f"{sensor_ids[i]},{sensor_ids[j]},{adjacency[i, j]}\n")
+    n = len(sensor_ids)
+    write_csv(path, "# directed=false\nfrom,to,weight",
+              ((sensor_ids[i], sensor_ids[j], adjacency[i, j])
+               for i in range(n) for j in range(i + 1, n) if adjacency[i, j] != 0))
 
 
 def load_edges(path, sensor_ids: list[str]) -> np.ndarray:

@@ -7,11 +7,11 @@ masked. Values are fractions; the CLI scales to percent for display.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import denormalize, read_json, write_csv, write_json
 from .errors import ConfigError, DataError, DimensionError
 
 
@@ -80,7 +80,6 @@ def evaluate(model, samples, dataset) -> MetricReport:
         raise DataError("empty sample set")
     if dataset.norm_params is None:
         raise ConfigError("dataset has no fitted normalization parameters")
-    from .data import denormalize
     pred_norm = model.forecast(samples.encoder_input)
     pred = denormalize(pred_norm[..., 0], dataset.norm_params, attribute=0)
     truth = denormalize(samples.target[..., 0], dataset.norm_params, attribute=0)
@@ -147,9 +146,7 @@ def report_from_dict(payload: dict) -> MetricReport:
 
 
 def save_metric_report(report: MetricReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(path, report_to_dict(report))
 
 
 def load_metric_report(path) -> MetricReport:
@@ -157,15 +154,12 @@ def load_metric_report(path) -> MetricReport:
     `overall` that is not exactly mae/rmse/mape, `per_horizon` rows that are
     not horizons 1..L in order, a metric that is not a finite number or null,
     or a count that is not a non-negative int is a DataError."""
-    with open(path) as fh:
-        try:
-            return report_from_dict(json.load(fh))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DataError(f"{path}: malformed metric report ({exc!r})") from None
+    try:
+        return report_from_dict(read_json(path))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: malformed metric report ({exc!r})") from None
 
 
 def export_horizon_csv(report: MetricReport, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("horizon,mae,rmse,mape\n")
-        for h, row in enumerate(report.per_horizon, start=1):
-            fh.write(f"{h},{float(row[0])!r},{float(row[1])!r},{float(row[2])!r}\n")
+    write_csv(path, "horizon,mae,rmse,mape",
+              ((h, *row) for h, row in enumerate(report.per_horizon, start=1)))

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -32,14 +31,15 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics as metrics_mod
 from .autodiff import Module, Parameter, Tensor, mae_loss
-from .data import SampleSet, denormalize, iterate_batches
+from .data import (SampleSet, denormalize, iterate_batches, read_header,
+                   read_json, read_values, u32, write_binary, write_csv,
+                   write_json)
 from .errors import ComputeError, ConfigError, DataError, DimensionError
 from .neural import (CIATT, CIGNN, LayerNorm, Linear, NormalizedAdjacency,
                      causal_mask)
 from .scorr import SCorrTensor, top_u_normalize
 
 _CKPT_MAGIC = b"CSTN"
-_CKPT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -134,18 +134,14 @@ def config_hash(config: ModelConfig) -> bytes:
 
 
 def save_config(config: ModelConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(config.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, config.to_dict())
 
 
 def load_config(path) -> ModelConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return ModelConfig.from_dict(json.load(fh))
-        except (ConfigError, TypeError, UnicodeDecodeError,
-                json.JSONDecodeError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+    try:
+        return ModelConfig.from_dict(read_json(path))
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 # Bytes that one forecast chunk may add to the process's peak. Its windows
@@ -458,11 +454,9 @@ class TrainingLog:
     stopped_early: bool = False
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("epoch,train_mae,val_mae,val_rmse,val_mape,seconds\n")
-            for r in self.rows:
-                fh.write(f"{r.epoch},{r.train_mae!r},{r.val_mae!r},"
-                         f"{r.val_rmse!r},{r.val_mape!r},{r.seconds:.3f}\n")
+        write_csv(path, "epoch,train_mae,val_mae,val_rmse,val_mape,seconds",
+                  ((r.epoch, r.train_mae, r.val_mae, r.val_rmse, r.val_mape,
+                    round(r.seconds, 3)) for r in self.rows))
 
 
 def check_schedule(epochs: int, patience: int) -> None:
@@ -537,55 +531,46 @@ def train(model: CorrSTN, data: TrainingData, config: ModelConfig,
 def save_checkpoint(model: CorrSTN, config: ModelConfig, path) -> None:
     """Layout: 'CSTN', version u32, sha256 of the canonical config (32 bytes),
     block count u32, then per parameter: name length u32, utf-8 name,
-    ndim u32, extents u32..., little-endian float64 payload."""
-    state = model.state_dict()
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sI", _CKPT_MAGIC, _CKPT_VERSION))
-        fh.write(config_hash(config))
-        fh.write(struct.pack("<I", len(state)))
-        for name, arr in state.items():
+    ndim u32, extents u32..., float64 payload from the parameter's array."""
+    def chunks():
+        params = list(model.named_parameters())
+        yield config_hash(config) + u32(len(params))
+        for name, p in params:
             encoded = name.encode()
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            yield u32(len(encoded)) + encoded + u32(p.data.ndim, *p.data.shape)
+            yield p.data
+
+    write_binary(path, _CKPT_MAGIC, (), chunks())
 
 
 def load_checkpoint(path, config: ModelConfig) -> dict:
     """Parameters saved by `save_checkpoint`. A file that is not a checkpoint,
-    ends early, goes on after its last block or holds a name that is not
-    UTF-8 is a DataError; a checkpoint of another config is a ConfigError."""
+    ends early, goes on after its last block, holds a name that is not UTF-8
+    or holds one name twice is a DataError; a checkpoint of another config is
+    a ConfigError."""
     with open(path, "rb") as fh:
-        def read(size: int, what: str) -> bytes:
-            raw = fh.read(size)
-            if len(raw) != size:
-                raise DataError(f"{path}: truncated checkpoint ({what})")
-            return raw
+        def read(shape, what: str, dtype="<u4") -> np.ndarray:
+            return read_values(fh, f"{path}: truncated checkpoint ({what})",
+                               shape, last=False, dtype=dtype)
 
-        def unpack(count: int, what: str) -> tuple:
-            return struct.unpack(f"<{count}I", read(4 * count, what))
+        def count(what: str) -> int:
+            return int(read((1,), what)[0])
 
-        header = fh.read(8)
-        if len(header) != 8 or header[:4] != _CKPT_MAGIC:
-            raise DataError(f"{path}: not a checkpoint file")
-        version = struct.unpack("<I", header[4:])[0]
-        if version != _CKPT_VERSION:
-            raise DataError(f"{path}: unsupported checkpoint version {version}")
-        if read(32, "config hash") != config_hash(config):
+        read_header(fh, path, _CKPT_MAGIC, 0)
+        if read((32,), "config hash", "u1").tobytes() != config_hash(config):
             raise ConfigError(
                 f"{path}: checkpoint was produced by a different model config")
         state = {}
-        for _ in range(unpack(1, "block count")[0]):
-            raw = read(unpack(1, "name length")[0], "name")
+        for _ in range(count("block count")):
+            raw = read((count("name length"),), "name", "u1").tobytes()
             try:
                 name = raw.decode()
             except UnicodeDecodeError as exc:
                 raise DataError(f"{path}: parameter name is not UTF-8 ({exc})") from exc
-            shape = unpack(unpack(1, f"{name} rank")[0], f"{name} shape")
-            size = int(np.prod(shape)) if shape else 1
-            payload = np.frombuffer(read(8 * size, f"block {name}"), dtype="<f8")
-            state[name] = payload.reshape(shape).copy()
+            if name in state:
+                raise DataError(f"{path}: parameter {name} is stored twice")
+            shape = tuple(read((count(f"{name} rank"),), f"{name} shape").tolist())
+            state[name] = read(shape, f"block {name}", "<f8")
         if fh.read(1):
             raise DataError(f"{path}: bytes after the checkpoint's last block")
     return state

@@ -7,17 +7,16 @@ Every degree is a MIC score at the fixed grid bound m^0.6 (`mic.ETA`).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SpatioTemporalTensor
+from .data import (SpatioTemporalTensor, naming, read_header, read_values,
+                   write_binary, write_csv)
 from .errors import ConfigError, DataError, DimensionError
 from .mic import MicStats, pairwise_mic
 
 _SCOR_MAGIC = b"SCOR"
-_SCOR_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -30,6 +29,8 @@ class SCorrTensor:
         d = self.degrees
         if d.ndim != 3 or d.shape[0] != d.shape[1]:
             raise DimensionError(f"degrees must be N x N x C, got {d.shape}")
+        if min(d.shape) < 1:
+            raise DimensionError(f"empty axis in shape {d.shape}")
         # written so that NaN, which fails every comparison, is refused too
         if not np.all((d >= 0.0) & (d <= 1.0)):
             raise DataError("correlation degrees NaN or outside [0, 1]")
@@ -77,32 +78,20 @@ def top_u_normalize(s: SCorrTensor, u: int) -> np.ndarray:
 # storage
 
 def save_scorr(s: SCorrTensor, path) -> None:
-    """Binary layout: 'SCOR', version u32, N u32, C u32, flags u32, then
-    attribute-major little-endian float64 degrees."""
-    n, c = s.n_sensors, s.n_attributes
-    payload = np.ascontiguousarray(np.transpose(s.degrees, (2, 0, 1)), dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIIII", _SCOR_MAGIC, _SCOR_VERSION, n, c, 0))
-        fh.write(payload.tobytes())
+    """Binary layout: 'SCOR', version u32, N u32, C u32, flags u32 (0), then
+    attribute-major little-endian float64 degrees, one attribute at a time."""
+    write_binary(path, _SCOR_MAGIC, (s.n_sensors, s.n_attributes, 0),
+                 (s.degrees[:, :, a] for a in range(s.n_attributes)))
 
 
 def load_scorr(path) -> SCorrTensor:
+    """The tensor `save_scorr` wrote, as a (N, N, C) view of the (C, N, N)
+    values read. An empty axis, a degree NaN or outside [0, 1] and degrees
+    that are not symmetric per attribute are each a DataError."""
     with open(path, "rb") as fh:
-        header = fh.read(20)
-        if len(header) != 20:
-            raise DataError(f"{path}: truncated header")
-        magic, version, n, c, _flags = struct.unpack("<4sIIII", header)
-        if magic != _SCOR_MAGIC:
-            raise DataError(f"{path}: not a SCOR file (magic {magic!r})")
-        if version != _SCOR_VERSION:
-            raise DataError(f"{path}: unsupported SCOR version {version}")
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    if raw.size != n * n * c:
-        raise DataError(f"{path}: expected {n * n * c} values, got {raw.size}")
-    try:
-        s = SCorrTensor(np.transpose(raw.reshape(c, n, n), (1, 2, 0)).copy())
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        n, c, _flags = read_header(fh, path, _SCOR_MAGIC, 3)
+        values = read_values(fh, path, (c, n, n), last=True)
+    s = naming(path, SCorrTensor, np.moveaxis(values, 0, -1))
     # every pair's degree is one MIC score, stored at (i, j) and (j, i)
     if not np.array_equal(s.degrees, s.degrees.transpose(1, 0, 2)):
         raise DataError(f"{path}: correlation degrees are not symmetric "
@@ -111,9 +100,7 @@ def load_scorr(path) -> SCorrTensor:
 
 
 def export_scorr_csv(s: SCorrTensor, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("sensor_i,sensor_j,attribute,degree\n")
-        for i in range(s.n_sensors):
-            for j in range(s.n_sensors):
-                for c in range(s.n_attributes):
-                    fh.write(f"{i},{j},{c},{float(s.degrees[i, j, c])!r}\n")
+    n, c = s.n_sensors, s.n_attributes
+    write_csv(path, "sensor_i,sensor_j,attribute,degree",
+              ((i, j, a, s.degrees[i, j, a])
+               for i in range(n) for j in range(n) for a in range(c)))

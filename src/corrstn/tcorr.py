@@ -10,12 +10,11 @@ verdicts are derived from those degrees, never stored apart from them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SpatioTemporalTensor
+from .data import SpatioTemporalTensor, read_json, write_json
 from .errors import ConfigError, DataError, EmptyAnchorError
 from .mic import ETA, MicStats, _grid_search, _profile, _score
 
@@ -230,9 +229,7 @@ def report_to_dict(report: TCorrReport) -> dict:
 
 
 def save_report(report: TCorrReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
-        fh.write("\n")
+    write_json(path, report_to_dict(report))
 
 
 def load_report(path) -> TCorrReport:
@@ -246,19 +243,18 @@ def load_report(path) -> TCorrReport:
     def malformed(why: str) -> DataError:
         return DataError(f"{path}: malformed tcorr report ({why})")
 
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-            report = TCorrReport(
-                per_sensor={p: np.asarray(payload["per_sensor"][p],
-                                          dtype=np.float64) for p in PERIODS},
-                weights=TCorrWeights(**payload["weights"]),
-                tau=payload["tau"], dataset=payload["dataset"])
-            stored = {k: payload[k] for k in ("per_period_means", "deltas",
-                                              "verdict", "combined_verdict")}
-        except (ValueError, KeyError, TypeError, OverflowError,
-                ConfigError) as exc:
-            raise malformed(repr(exc)) from None
+    try:
+        payload = read_json(path)
+        report = TCorrReport(
+            per_sensor={p: np.asarray(payload["per_sensor"][p],
+                                      dtype=np.float64) for p in PERIODS},
+            weights=TCorrWeights(**payload["weights"]),
+            tau=payload["tau"], dataset=payload["dataset"])
+        stored = {k: payload[k] for k in ("per_period_means", "deltas",
+                                          "verdict", "combined_verdict")}
+    except (ValueError, KeyError, TypeError, OverflowError,
+            ConfigError) as exc:
+        raise malformed(repr(exc)) from None
     shape = report.per_sensor["hourly"].shape
     for p, v in report.per_sensor.items():
         weight = report.weights.for_period(p)

@@ -615,6 +615,39 @@ def test_truncated_checkpoint_is_data_error(workdir, tmp_path, capsys, cut):
             else "truncated checkpoint") in err
 
 
+def test_train_on_a_scor_short_of_its_values_is_data_error(workdir, tmp_path,
+                                                          capsys):
+    # once a numpy ValueError, a traceback and exit 1
+    short = tmp_path / "short.scor"
+    short.write_bytes((workdir / "corr.scor").read_bytes()[:-3])
+    run = tmp_path / "run"
+    assert cli.main(["train", "--data", str(workdir / "data.sttf"),
+                     "--scorr", str(short), "--out-dir", str(run),
+                     "--ratios", _RATIOS, "--epochs", "1"]) == 3
+    assert str(short) in capsys.readouterr().err
+    assert not run.exists()
+
+
+def test_evaluate_on_a_checkpoint_whose_extents_overflow_is_data_error(
+        workdir, tmp_path, capsys):
+    # extents (2^31, 2^31, 4) once made the block's int64 size 0, and the
+    # reshape a ValueError: a traceback and exit 1
+    run = workdir / "run"
+    raw = (run / "checkpoint.cstn").read_bytes()
+    at = 48 + int.from_bytes(raw[44:48], "little")      # first block's rank
+    rank = int.from_bytes(raw[at:at + 4], "little")
+    bad = tmp_path / "bad.cstn"
+    bad.write_bytes(raw[:at] + np.array([3, 2 ** 31, 2 ** 31, 4], dtype="<u4").tobytes()
+                    + raw[at + 4 + 4 * rank:])
+    assert cli.main(["evaluate", "--data", str(workdir / "data.sttf"),
+                     "--edges", str(workdir / "edges.csv"),
+                     "--scorr", str(workdir / "corr.scor"),
+                     "--config", str(run / "config.json"), "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "m.json"), "--ratios", _RATIOS]) == 3
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
 def test_non_utf8_checkpoint_name_or_config_is_refused(workdir, tmp_path, capsys,
                                                       command):

@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import re
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -847,6 +849,47 @@ def test_checkpoint_round_trip(tmp_path):
         path.write_bytes(blob[:cut])
         with pytest.raises(DataError):
             load_checkpoint(path, cfg)
+
+
+def _first_block(blob) -> tuple:
+    """(start, rank offset, end) of a checkpoint's first parameter block."""
+    start = 44                      # magic, version, config hash, block count
+    at = start + 4 + int.from_bytes(blob[start:start + 4], "little")
+    rank = int.from_bytes(blob[at:at + 4], "little")
+    extents = struct.unpack(f"<{rank}I", blob[at + 4:at + 4 + 4 * rank])
+    return start, at, at + 4 + 4 * rank + 8 * int(np.prod(extents))
+
+
+@pytest.mark.parametrize("extents", [(2 ** 32 - 1,) * 3, (2 ** 31, 2 ** 31, 4),
+                                     (2 ** 32 - 1,) * 4])
+def test_checkpoint_whose_extents_exceed_the_file_is_data_error(tmp_path, extents):
+    # the block's size was once taken in int64 and read before it was
+    # checked: MemoryError, a ValueError from reshape or from a negative read
+    cfg, model = _tiny_model(seed=11)
+    path = tmp_path / "model.cstn"
+    save_checkpoint(model, cfg, path)
+    blob = path.read_bytes()
+    _, at, _ = _first_block(blob)
+    rank = int.from_bytes(blob[at:at + 4], "little")
+    path.write_bytes(blob[:at] + struct.pack(f"<{1 + len(extents)}I", len(extents),
+                                             *extents) + blob[at + 4 + 4 * rank:])
+    with pytest.raises(DataError,
+                       match=f"^{re.escape(str(path))}: truncated checkpoint"):
+        load_checkpoint(path, cfg)
+
+
+def test_checkpoint_holding_a_name_twice_is_data_error(tmp_path):
+    # a second copy of the first block once loaded, the last copy winning
+    cfg, model = _tiny_model(seed=11)
+    path = tmp_path / "model.cstn"
+    save_checkpoint(model, cfg, path)
+    blob = path.read_bytes()
+    start, _, end = _first_block(blob)
+    count = int.from_bytes(blob[40:44], "little")
+    path.write_bytes(blob[:40] + struct.pack("<I", count + 1) + blob[44:]
+                     + blob[start:end])
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .* twice"):
+        load_checkpoint(path, cfg)
 
 
 def test_adam_single_step_hand_computed():

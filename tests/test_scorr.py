@@ -1,6 +1,8 @@
 import importlib
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ from corrstn import (SCorrTensor, SpatioTemporalTensor, compute_scorr,
                      export_scorr_csv, load_scorr, mic, save_scorr,
                      top_u_normalize)
 from corrstn.errors import ConfigError, DataError, DimensionError
-from oracles import top_u_mixing_by_loop
+from oracles import top_u_mixing_by_loop, traced_peak
 
 
 def _make_tensor(t=96, n=5, c=2, seed=0):
@@ -289,3 +291,48 @@ def test_csv_export_round_trips_values(tmp_path):
     for line in lines[1:]:
         i, j, c, v = line.split(",")
         assert float(v) == s.degrees[int(i), int(j), int(c)]
+
+
+def _scor_bytes(n, c, values) -> bytes:
+    """A .scor file's bytes: a version 1 header for N x N x C, then values
+    as little-endian float64."""
+    return (struct.pack("<4sIIII", b"SCOR", 1, n, c, 0)
+            + np.asarray(values, dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize("cut", [pytest.param(21, id="one-value-byte"),
+                                 pytest.param(-3, id="three-bytes-short")])
+def test_scor_whose_header_does_not_match_its_size_is_data_error(tmp_path, cut):
+    # both once escaped from numpy as "ValueError: buffer size must be a
+    # multiple of element size", a traceback and exit 1
+    path = tmp_path / "short.scor"
+    path.write_bytes(_scor_bytes(3, 1, np.ones(9))[:cut])
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: expected"):
+        load_scorr(path)
+
+
+@pytest.mark.parametrize("n, c", [(3, 0), (0, 1)])
+def test_scor_with_an_empty_axis_is_data_error_naming_the_file(tmp_path, n, c):
+    # a header with C = 0 or N = 0 once loaded as a (3, 3, 0) or (0, 0, 1)
+    # tensor
+    with pytest.raises(DimensionError, match="empty axis"):
+        SCorrTensor(np.zeros((n, n, c)))
+    path = tmp_path / "empty.scor"
+    path.write_bytes(_scor_bytes(n, c, []))
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: empty axis"):
+        load_scorr(path)
+
+
+def test_scor_io_copies_at_most_one_attribute(tmp_path):
+    # save writes one attribute's (N, N) slice at a time, and load reads the
+    # values into the tensor's own array; each once held two full copies
+    rng = np.random.default_rng(0)
+    degrees = rng.uniform(0.0, 1.0, (400, 400, 3))
+    degrees = (degrees + degrees.transpose(1, 0, 2)) / 2
+    s = SCorrTensor(degrees)
+    path = tmp_path / "corr.scor"
+    peak, _ = traced_peak(lambda: save_scorr(s, path))
+    assert peak <= 0.5 * degrees.nbytes
+    peak, loaded = traced_peak(lambda: load_scorr(path))
+    assert peak <= 1.3 * degrees.nbytes
+    assert np.array_equal(loaded.degrees, degrees)
